@@ -27,10 +27,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.petri.batch import numpy_available
-
 from .conftest import print_table
 
 #: Exploration bound; the prefix-2 4-stage OPE completes below it (~855k
@@ -86,8 +82,6 @@ def _explore_in_subprocess(mode, spill_dir):
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the spill layer needs the optional NumPy extra")
 def test_outofcore_rss_ceiling_and_throughput(tmp_path):
     """Disk-backed exploration: same graph, frontier-sized resident set."""
     rows = []

@@ -1,6 +1,6 @@
-"""The parallel verification path: batch engine, sharded BFS, racing, caches.
+"""The parallel verification path: batch engine, racing, caches.
 
-Four claims of the parallel/array-native engine work are measured and gated
+Three claims of the parallel/array-native engine work are measured and gated
 here:
 
 * **Whole-frontier batch exploration** (the NumPy engine of
@@ -11,14 +11,6 @@ here:
   reference), with states/sec and per-state RSS in the BENCH JSON.
   ``check_regression.py`` gates the batch/sequential ratio, so a >30%
   throughput regression of the batch path fails CI.
-* **Sharded exploration** produces a graph bit-identical to the sequential
-  compiled engine while spreading the firing/dedup work across worker
-  processes.  The wall-clock ratio is machine-dependent -- on a single-core
-  runner the sharded engine pays its coordination overhead with no cores to
-  win back, which the ``cores`` column makes explicit; on >= 4 cores it is
-  expected to finish at least ~2x ahead of sequential on multi-million-state
-  workloads (run with ``REPRO_BENCH_FULL=1`` for the full-size measurement).
-  The requester-side resolution memo's hit rate is reported alongside.
 * **Racing portfolios** answer beyond-horizon queries with the same verdict
   as the budgeted rotation while cancelling the losing engines mid-flight.
 * **The semiflow cache** makes warm inductive sweeps near-free: a warm hit
@@ -26,26 +18,16 @@ here:
   it.  The warm/cold ratio is gated too.
 """
 
-import os
 import time
 
-import pytest
-
 from repro.campaign.jobs import build_pipeline_model
-from repro.dfs.examples import token_ring
 from repro.dfs.translation import to_petri_net
-from repro.parallel.sharded import explore_sharded
-from repro.petri.batch import explore_batch, numpy_available
+from repro.petri.batch import explore_batch
 from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.invariants import SemiflowCache, compute_semiflows_cached
 from repro.verification.verifier import Verifier
 
 from .conftest import print_table, throughput_metrics
-
-#: Exploration bound of the always-on sharded comparison (the full-size
-#: acceptance measurement, REPRO_BENCH_FULL=1, explores 2M states instead).
-HORIZON = 200000
-FULL_HORIZON = 2000000
 
 
 def _compiled_pipeline():
@@ -53,46 +35,11 @@ def _compiled_pipeline():
     return CompiledNet.compile(to_petri_net(dfs))
 
 
-def _assert_identical(sequential, sharded):
-    assert sharded._mask_states == sequential._mask_states
-    assert sharded._mask_edges == sequential._mask_edges
-    assert sharded._frontier_indices == sequential._frontier_indices
-    assert sharded.truncated == sequential.truncated
-    assert sharded.deadlocks() == sequential.deadlocks()
-
-
-def _sharded_rows(compiled, max_states):
-    cores = os.cpu_count() or 1
-    start = time.perf_counter()
-    sequential = explore_compiled(compiled, max_states=max_states)
-    sequential_seconds = time.perf_counter() - start
-    rows = [dict({
-        "mode": "sequential", "states": len(sequential),
-        "edges": sequential.edge_count(), "cores": cores,
-        "seconds": sequential_seconds, "speedup": 1.0,
-    }, **throughput_metrics(len(sequential), sequential_seconds))]
-    for workers in (2, 4):
-        start = time.perf_counter()
-        sharded = explore_sharded(compiled, max_states=max_states,
-                                  workers=workers)
-        seconds = time.perf_counter() - start
-        _assert_identical(sequential, sharded)
-        rows.append(dict({
-            "mode": "sharded-{}".format(workers), "states": len(sharded),
-            "edges": sharded.edge_count(), "cores": cores,
-            "seconds": seconds, "speedup": sequential_seconds / seconds,
-        }, **throughput_metrics(len(sharded), seconds)))
-        del sharded
-    return rows
-
-
 #: The acceptance horizon of the batch-engine comparison: the 300k-state
 #: 4-stage exploration the PR-4 baseline clocked at 2.67s sequential.
 BATCH_HORIZON = 300000
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the batch engine needs the optional NumPy extra")
 def test_batch_exploration_bit_identical_and_gated():
     """Whole-frontier batch expansion vs the per-transition compiled loop."""
     compiled = _compiled_pipeline()
@@ -128,67 +75,6 @@ def test_batch_exploration_bit_identical_and_gated():
     # workload; the exact ratio is gated by check_regression.py against the
     # committed baseline (>=3x vs the PR-4 2.67s sequential reference).
     assert batch_seconds < sequential_seconds
-
-
-def test_sharded_exploration_bit_identical_and_gated():
-    compiled = _compiled_pipeline()
-    rows = _sharded_rows(compiled, HORIZON)
-    print_table(
-        "sharded exploration comparison (4-stage OPE, max_states={})".format(
-            HORIZON), rows)
-    # Identity is asserted inside _sharded_rows; the wall-clock ratio is
-    # gated against the committed baseline by check_regression.py (absolute
-    # speedup is a property of the runner's core count, not of the code).
-
-
-def test_exchange_memo_hit_rate():
-    """The requester-side memo answers cross-level re-references locally."""
-    compiled = CompiledNet.compile(
-        to_petri_net(token_ring(registers=6, tokens=2)))
-    sequential = explore_compiled(compiled)
-    rows = []
-    graphs = {}
-    for label, memo_size in (("memo-off", 0), ("memo-on", None)):
-        start = time.perf_counter()
-        sharded = explore_sharded(compiled, workers=3, memo_size=memo_size)
-        seconds = time.perf_counter() - start
-        stats = sharded.exchange_stats
-        graphs[label] = sharded
-        rows.append({
-            "mode": label,
-            "foreign_refs": stats["foreign_refs"],
-            "memo_hits": stats["memo_hits"],
-            "hit_rate": (stats["memo_hits"] / stats["foreign_refs"]
-                         if stats["foreign_refs"] else 0.0),
-            "chunk_messages": stats["chunk_messages"],
-            "seconds": seconds,
-        })
-    print_table("sharded exchange memo (6-register ring, 2 tokens)", rows)
-    for label, sharded in graphs.items():
-        assert sharded._mask_states == sequential._mask_states, label
-        assert sharded._mask_edges == sequential._mask_edges, label
-    by_mode = {row["mode"]: row for row in rows}
-    assert by_mode["memo-off"]["memo_hits"] == 0
-    assert by_mode["memo-on"]["memo_hits"] > 0
-    # A hit is an exchange record that never crossed a pipe.
-    assert by_mode["memo-on"]["foreign_refs"] == \
-        by_mode["memo-off"]["foreign_refs"]
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_BENCH_FULL"),
-    reason="full-size acceptance run; set REPRO_BENCH_FULL=1 (needs >= 4 "
-           "cores to demonstrate the speedup)")
-def test_sharded_speedup_full_size():
-    """>= 2x at 4 workers on the >2M-state exploration (4+ core machines)."""
-    compiled = _compiled_pipeline()
-    rows = _sharded_rows(compiled, FULL_HORIZON)
-    print_table(
-        "sharded exploration, full size (4-stage OPE, max_states={})".format(
-            FULL_HORIZON), rows)
-    by_mode = {row["mode"]: row for row in rows}
-    if (os.cpu_count() or 1) >= 4:
-        assert by_mode["sharded-4"]["speedup"] >= 2.0
 
 
 def test_portfolio_racing_consistent_and_cancels():

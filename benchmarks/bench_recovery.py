@@ -26,11 +26,8 @@ noise.
 import os
 import time
 
-import pytest
-
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
-from repro.petri.batch import numpy_available
 from repro.petri.reachability import build_reachability_graph
 
 from .conftest import print_table, throughput_metrics
@@ -43,8 +40,6 @@ MAX_STATES = 200000
 OVERHEAD_CEILING = 1.80
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="checkpointed exploration needs NumPy")
 def test_checkpoint_overhead_is_bounded(tmp_path):
     """Per-level durability must stay a surcharge, not a second run."""
     net = to_petri_net(build_pipeline_model(4, static_prefix=2))
@@ -58,8 +53,7 @@ def test_checkpoint_overhead_is_bounded(tmp_path):
         seconds = float("inf")
         for _ in range(2):
             started = time.perf_counter()
-            graph = build_reachability_graph(net, engine="batch",
-                                             max_states=MAX_STATES,
+            graph = build_reachability_graph(net, max_states=MAX_STATES,
                                              resume=checkpoint)
             seconds = min(seconds, time.perf_counter() - started)
         stats = graph.exploration_stats

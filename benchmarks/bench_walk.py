@@ -23,11 +23,8 @@ fire at least **5x** the scalar rate.
 
 import time
 
-import pytest
-
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
-from repro.petri.batch import numpy_available
 from repro.verification.checkers import (
     CheckerContext,
     DeadlockQuery,
@@ -67,8 +64,6 @@ def _hunt_seconds(net, backend, walks, swarm):
     return best
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the swarm rows need the optional NumPy extra")
 def test_swarm_throughput_over_the_scalar_walker():
     net = to_petri_net(build_pipeline_model(4, static_prefix=1))
 

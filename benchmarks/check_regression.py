@@ -9,9 +9,9 @@ Two metrics are gated, one per bench file.  Absolute seconds are
 meaningless across runner generations, so each gate normalises a timing by
 a second timing measured in the same process on the same machine:
 
-* the **compiled-engine verify path** (``bench_verification``)::
+* the **batch-engine verify path** (``bench_verification``)::
 
-      relative = compiled_seconds / explicit_seconds
+      relative = batch_seconds / explicit_seconds
 
 * the **portfolio verify path** (``bench_checkers``)::
 
@@ -44,8 +44,8 @@ GATES = [
         "table": "reachability engine comparison",
         "key": "engine",
         "reference": "explicit",
-        "gated": "compiled",
-        "label": "compiled verify path",
+        "gated": "batch",
+        "label": "batch verify path",
     },
     {
         "table": "checker portfolio comparison",
@@ -53,14 +53,6 @@ GATES = [
         "reference": "exhaustive",
         "gated": "portfolio",
         "label": "portfolio verify path",
-        "tolerance": 0.60,
-    },
-    {
-        "table": "sharded exploration comparison",
-        "key": "mode",
-        "reference": "sequential",
-        "gated": "sharded-4",
-        "label": "sharded exploration path",
         "tolerance": 0.60,
     },
     {

@@ -24,6 +24,7 @@ from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.simulation import DfsSimulator
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
+from repro.petri.reachability import ENGINES
 from repro.pipelines.control import set_loop_value
 from repro.pipelines.generic import build_generic_pipeline
 from repro.silicon.voltage import VoltageModel
@@ -107,28 +108,25 @@ class VerificationJob:
                  engine="auto", max_states=200000, max_witnesses=2,
                  checker="exhaustive", checker_options=None,
                  custom_properties=None, lfsr_seed=None, simulate_steps=0,
-                 voltage=None, expect="pass", metadata=None, workers=0,
+                 voltage=None, expect="pass", metadata=None,
                  spill_dir=None, spill_bytes=None):
         self.job_id = str(job_id)
         self.factory = str(factory)
         self.kwargs = dict(kwargs or {})
         self.properties = tuple(properties)
+        if engine not in ENGINES:
+            # Rejected here, not in a worker: the daemon answers a bad
+            # submission with a 400 instead of accepting a doomed job.
+            raise ConfigurationError(
+                "unknown reachability engine {!r} (known: {})".format(
+                    engine, ", ".join(ENGINES)))
         self.engine = engine
         self.max_states = int(max_states)
         self.max_witnesses = int(max_witnesses)
-        #: Exploration worker processes per job (0/1 = sequential).  Jobs
-        #: running inside campaign pool workers fall back to sequential
-        #: exploration automatically (daemonic processes cannot spawn
-        #: children); with ``parallelism=0`` campaigns the sharded engine
-        #: kicks in.  Deliberately *not* part of :meth:`options`: the
-        #: sharded graph is bit-identical to the sequential one, so the
-        #: verdict -- and therefore the cache identity -- cannot depend on
-        #: it.
-        self.workers = int(workers or 0)
         #: Out-of-core exploration knobs (see :mod:`repro.petri.storage`).
-        #: Like ``workers``, spilling moves the graph's arrays between RAM
-        #: and disk without changing a single bit of their content, so
-        #: these are excluded from :meth:`options` and the cache digest.
+        #: Spilling moves the graph's arrays between RAM and disk without
+        #: changing a single bit of their content, so these are excluded
+        #: from :meth:`options` and the cache digest.
         self.spill_dir = spill_dir
         self.spill_bytes = spill_bytes
         self.checker = str(checker)
@@ -206,10 +204,8 @@ class VerificationJob:
         description = {"job_id": self.job_id, "factory": self.factory,
                        "kwargs": dict(self.kwargs), "expect": self.expect}
         description.update(self.options())
-        if self.workers:
-            description["workers"] = self.workers  # descriptive, not digested
         if self.spill_dir is not None:
-            description["spill_dir"] = self.spill_dir  # descriptive too
+            description["spill_dir"] = self.spill_dir  # descriptive, not digested
         if self.spill_bytes is not None:
             description["spill_bytes"] = self.spill_bytes
         if self.metadata:
@@ -241,8 +237,8 @@ class VerificationJob:
         allowed = {"kwargs", "properties", "engine", "max_states",
                    "max_witnesses", "checker", "checker_options",
                    "custom_properties", "lfsr_seed", "simulate_steps",
-                   "voltage", "expect", "metadata", "workers",
-                   "spill_dir", "spill_bytes"}
+                   "voltage", "expect", "metadata", "spill_dir",
+                   "spill_bytes"}
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise ConfigurationError(
@@ -337,7 +333,6 @@ class VerificationJob:
         verifier = Verifier(dfs, max_states=self.max_states, engine=self.engine,
                             net=net, checker=self.checker,
                             checker_options=self.effective_checker_options(),
-                            workers=self.workers,
                             semiflow_cache=semiflow_cache,
                             spill_dir=self.spill_dir,
                             spill_bytes=self.spill_bytes)

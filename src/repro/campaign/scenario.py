@@ -20,7 +20,7 @@ class ScenarioSpec:
                  properties=DEFAULT_PROPERTIES, engine="auto", max_states=200000,
                  max_witnesses=2, checker="exhaustive", checker_options=None,
                  custom_properties=None, simulate_steps=0, f_delay=1.0,
-                 g_delay=1.0, workers=0, spill_dir=None, spill_bytes=None):
+                 g_delay=1.0, spill_dir=None, spill_bytes=None):
         self.depths = tuple(sorted(set(int(depth) for depth in depths)))
         self.static_prefixes = tuple(sorted(set(int(p) for p in static_prefixes)))
         self.holes = tuple(sorted(set(int(count) for count in holes)))
@@ -37,11 +37,8 @@ class ScenarioSpec:
         self.simulate_steps = int(simulate_steps)
         self.f_delay = float(f_delay)
         self.g_delay = float(g_delay)
-        #: Exploration workers per job (see ``VerificationJob.workers``);
-        #: affects wall-clock only, never verdicts or cache keys.
-        self.workers = int(workers or 0)
         #: Out-of-core exploration knobs (see ``VerificationJob.spill_dir``
-        #: / ``spill_bytes``); like workers, never part of cache keys.
+        #: / ``spill_bytes``); never part of cache keys.
         self.spill_dir = spill_dir
         self.spill_bytes = spill_bytes
 
@@ -190,7 +187,6 @@ def generate_scenarios(spec):
             voltage=axes["voltage"],
             expect=_expectation(spec, hole_count),
             metadata={"axes": dict(axes)},
-            workers=spec.workers,
             spill_dir=spec.spill_dir,
             spill_bytes=spec.spill_bytes,
         )

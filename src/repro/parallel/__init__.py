@@ -1,4 +1,4 @@
-"""Parallel execution primitives: supervision, racing, sharded exploration.
+"""Parallel execution primitives: supervision and racing.
 
 Everything in the repo that spans more than one process goes through this
 package:
@@ -9,22 +9,16 @@ package:
 * :mod:`~repro.parallel.supervisor` -- the supervised process pool extracted
   from the campaign runner: per-task timeouts, crash containment, and
   first-winner cancellation (``stop_when``) for portfolio races.
-* :mod:`~repro.parallel.sharded` -- frontier-partitioned BFS over the
-  compiled bitmask relation, bit-identical to the single-process explorer
-  but with the per-edge firing work spread across worker processes.
 """
 
 from repro.parallel.context import in_daemon_worker, mp_context, start_method
-from repro.parallel.sharded import explore_sharded, shard_of
 from repro.parallel.supervisor import STATUSES, TaskOutcome, run_supervised
 
 __all__ = [
     "STATUSES",
     "TaskOutcome",
-    "explore_sharded",
     "in_daemon_worker",
     "mp_context",
     "run_supervised",
-    "shard_of",
     "start_method",
 ]

@@ -1,7 +1,7 @@
 """Multiprocessing start-method selection, shared by every parallel path.
 
-All process-spawning subsystems (the campaign runner, the sharded explorer,
-the racing portfolio) go through one context so they behave identically on a
+All process-spawning subsystems (the campaign runner and the racing
+portfolio) go through one context so they behave identically on a
 platform: prefer ``fork`` (cheap, inherits registered factories and loaded
 modules) and fall back to ``spawn`` where fork is unavailable.
 
@@ -50,7 +50,7 @@ def in_daemon_worker():
 
     Campaign workers are daemonic by design (a dead supervisor must never
     leave orphans), and daemonic processes cannot have children -- so the
-    sharded explorer and the racing portfolio fall back to their sequential
-    paths inside one, instead of crashing the job.
+    racing portfolio falls back to its sequential rotation inside one,
+    instead of crashing the job.
     """
     return multiprocessing.current_process().daemon

@@ -26,17 +26,12 @@ mask-level scans of :mod:`repro.petri.properties` and
 instead of per-state Python loops.  Marking-level APIs decode on demand,
 like the compiled graph.
 
-NumPy is an **optional extra** (``pip install repro-dfs[fast]``): when it is
-missing, :func:`numpy_available` is false, ``build_reachability_graph``
-silently keeps using the pure-int engine, and this module stays importable.
-The pure-int engine remains the single source of truth for semantics; this
+This is the engine ``build_reachability_graph`` runs for every 1-safe net.
+The pure-int engine remains the reference oracle for its semantics; this
 engine must match it bit for bit (see ``tests/test_petri_batch.py``).
 """
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    _np = None
+import numpy as _np
 
 from repro.exceptions import (
     CompilationError,
@@ -66,26 +61,6 @@ _HASH_MULTIPLIERS = (
 )
 
 
-def numpy_available():
-    """``True`` when the optional NumPy extra is importable.
-
-    Setting ``REPRO_NO_NUMPY`` in the environment reports NumPy as absent
-    even when it is installed, so the pure-Python fallback path can be
-    exercised (by the differential tests and the no-NumPy CI job) without
-    uninstalling the extra.
-    """
-    import os
-    return _np is not None and not os.environ.get("REPRO_NO_NUMPY")
-
-
-def _require_numpy():
-    if not numpy_available():
-        raise CompilationError(
-            "the batch exploration engine requires the optional NumPy "
-            "extra (pip install numpy, and REPRO_NO_NUMPY unset); the "
-            "pure-int engines remain available")
-
-
 def int_to_words(value, words):
     """Split an int bitmask into *words* little-endian 64-bit words."""
     return [(value >> (64 * w)) & _WORD_MASK for w in range(words)]
@@ -102,58 +77,35 @@ def words_to_int(row):
 class WordTables:
     """Per-transition bitmask tables of a compiled net as uint64 matrices."""
 
-    __slots__ = ("compiled", "words", "mask_width",
-                 "need", "consume", "keep", "produce", "fire_tab",
-                 "watch_entries")
+    __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
+                 "fire_tab", "watch_entries")
 
     def __init__(self, compiled):
-        _require_numpy()
         self.compiled = compiled
-        self._build(compiled.need, compiled.consume, compiled.produce,
-                    compiled.affected, len(compiled.place_names))
-
-    @classmethod
-    def from_raw(cls, need, consume, produce, affected, place_count):
-        """Build tables from raw mask lists (no :class:`CompiledNet`).
-
-        Used by the sharded batch workers, which carry only the picklable
-        table slice of the compiled net.  ``word_bit_of`` is unavailable on
-        tables built this way (``compiled`` is ``None``).
-        """
-        _require_numpy()
-        self = cls.__new__(cls)
-        self.compiled = None
-        self._build(need, consume, produce, affected, place_count)
-        return self
-
-    def _build(self, need_masks, consume_masks, produce_masks, affected,
-               place_count):
-        self.words = max(1, (place_count + 63) // 64)
-        transition_count = len(need_masks)
-        #: Bytes of a packed enabled mask (the sharded wire format).
-        self.mask_width = (transition_count + 7) // 8
+        self.words = max(1, (len(compiled.place_names) + 63) // 64)
+        transition_count = len(compiled.need)
         shape = (transition_count, self.words)
         self.need = _np.zeros(shape, dtype=_np.uint64)
         self.consume = _np.zeros(shape, dtype=_np.uint64)
         self.produce = _np.zeros(shape, dtype=_np.uint64)
         for index in range(transition_count):
-            self.need[index] = int_to_words(need_masks[index], self.words)
-            self.consume[index] = int_to_words(consume_masks[index],
+            self.need[index] = int_to_words(compiled.need[index], self.words)
+            self.consume[index] = int_to_words(compiled.consume[index],
                                                self.words)
-            self.produce[index] = int_to_words(produce_masks[index],
+            self.produce[index] = int_to_words(compiled.produce[index],
                                                self.words)
         self.keep = ~self.consume
         # keep and produce side by side, so the firing loop pays one fancy
         # gather per edge batch instead of two.
         self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
         # The shared watch lists of the compiled net (the same
-        # transition_watch_lists the pure-int engines consume through
-        # expand_watch_pairs), expanded per watched transition to its
+        # transition_watch_lists the pure-int engine consumes through
+        # CompiledNet.affected_pairs), expanded per watched transition to its
         # nonzero need words: after firing ``t`` only ``watch_entries[t]``
         # needs re-checking, and each check touches only the ~couple of
         # words the watched transition's preset actually lives in.
         self.watch_entries = []
-        for watched_list in transition_watch_lists(affected):
+        for watched_list in transition_watch_lists(compiled.affected):
             entries = []
             for watched in watched_list:
                 needed = tuple(
@@ -249,9 +201,7 @@ def fire_enabled(tables, rows, flat):
     A 1-safeness violation raises
     :class:`~repro.exceptions.SafenessOverflowError` carrying the first
     offender *in expansion order* as **integer indices** (transition index,
-    place index); callers holding name tables re-raise with names.  Shared
-    by :func:`explore_batch` and the sharded batch workers so the firing
-    and overflow semantics cannot diverge.
+    place index); callers holding name tables re-raise with names.
     """
     source_local, transition, successor, overflowed = fire_enabled_flags(
         tables, rows, flat)
@@ -272,7 +222,7 @@ def refresh_enabled(tables, enabled, rows, fired):
     the rows are grouped by fired transition and each watched transition is
     re-checked with one compare per nonzero need word over the group.
     Updates *enabled* in place (the vectorised analogue of the sequential
-    engine's :func:`~repro.petri.compiled.expand_watch_pairs` update).
+    engine's :meth:`~repro.petri.compiled.CompiledNet.affected_pairs` update).
     """
     order = _np.argsort(fired, kind="stable")
     sorted_fired = fired[order]
@@ -294,40 +244,6 @@ def refresh_enabled(tables, enabled, rows, fired):
             enabled[members, watched] = ok
 
 
-def _group_sorted(successor, hashes, word_count, order, collision_order):
-    """Adjacency grouping under *order*; the one copy of the collision path.
-
-    Given an *order* that makes equal rows adjacent whenever their hashes
-    are collision-free, return ``(order, head)`` where ``head`` marks the
-    first occurrence of each distinct row in sorted position.  When two
-    distinct multi-word rows collided in the 64-bit hash (practically
-    never), *collision_order* is called for an exact re-sort on the full
-    words and the grouping is redone on it.
-    """
-    ordered_hashes = hashes[order]
-    same_hash = _np.zeros(len(order), dtype=bool)
-    same_hash[1:] = ordered_hashes[1:] == ordered_hashes[:-1]
-    if word_count == 1:
-        # Single-word rows are their own hash: equal key *is* equal row.
-        head = ~same_hash
-        head[0] = True
-        return order, head
-    # Verify row equality only where the hashes matched: gathering two
-    # rows per duplicate beats gathering the whole sorted matrix.
-    duplicate_positions = _np.where(same_hash)[0]
-    collided = (successor[order[duplicate_positions - 1]]
-                != successor[order[duplicate_positions]]).any(axis=1)
-    if collided.any():
-        order = collision_order()
-        ordered_rows = successor[order]
-        head = _np.ones(len(order), dtype=bool)
-        head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
-    else:
-        head = ~same_hash
-        head[0] = True
-    return order, head
-
-
 def dedup_rows(successor, hashes, provenance, word_count):
     """Group duplicate successor rows, keeping each group's min provenance.
 
@@ -338,11 +254,26 @@ def dedup_rows(successor, hashes, provenance, word_count):
     row -- its provenance being the minimum over the group, i.e. the edge
     over which the sequential BFS first discovers that state.
     """
-    order, head = _group_sorted(
-        successor, hashes, word_count,
-        _np.argsort(hashes),  # non-stable: reduceat takes the group min
-        lambda: _np.lexsort(tuple(successor[:, w]
-                                  for w in range(word_count))))
+    # A sort on the hashes makes equal rows adjacent whenever the hashes
+    # are collision-free (non-stable: reduceat takes the group min).
+    order = _np.argsort(hashes)
+    ordered_hashes = hashes[order]
+    head = _np.ones(len(order), dtype=bool)
+    head[1:] = ordered_hashes[1:] != ordered_hashes[:-1]
+    if word_count > 1:
+        # Single-word rows are their own hash; wider rows verify equality
+        # only where the hashes matched (gathering two rows per duplicate
+        # beats gathering the whole sorted matrix).
+        duplicate_positions = _np.where(~head)[0]
+        collided = (successor[order[duplicate_positions - 1]]
+                    != successor[order[duplicate_positions]]).any(axis=1)
+        if collided.any():
+            # Two distinct rows collided in the 64-bit hash (practically
+            # never): re-sort exactly on the full words.
+            order = _np.lexsort(tuple(successor[:, w]
+                                      for w in range(word_count)))
+            ordered_rows = successor[order]
+            head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
     head_positions = _np.where(head)[0]
     group_rows = successor[order[head_positions]]
     group_of_sorted = _np.cumsum(head) - 1
@@ -350,28 +281,6 @@ def dedup_rows(successor, hashes, provenance, word_count):
                                             head_positions)
     group_hashes = hashes[order[head_positions]]
     return order, group_of_sorted, group_rows, group_hashes, group_provenance
-
-
-def dedup_rows_argmin(successor, hashes, provenance, word_count):
-    """Like :func:`dedup_rows`, but each group's head *is* an occurrence.
-
-    Returns ``(order, group_of_sorted, head_occurrences)`` where
-    ``head_occurrences`` indexes the original arrays at each group's
-    minimum-provenance occurrence.  The sharded batch workers use this
-    where the representative's side data (the shipped parent mask) must
-    pair with the representative's provenance, not just its row.
-    """
-    order, head = _group_sorted(
-        successor, hashes, word_count,
-        # Provenance as the minor key puts each group's minimum first...
-        _np.lexsort((provenance, hashes)),
-        # ...including under the exact-words collision re-sort.
-        lambda: _np.lexsort(
-            (provenance,) + tuple(successor[:, w]
-                                  for w in range(word_count))))
-    head_positions = _np.where(head)[0]
-    group_of_sorted = _np.cumsum(head) - 1
-    return order, group_of_sorted, order[head_positions]
 
 
 def merge_sorted_index(keys, idx, new_keys, new_idx):
@@ -394,50 +303,6 @@ def merge_sorted_index(keys, idx, new_keys, new_idx):
     merged_keys[old_slots] = keys
     merged_idx[old_slots] = idx
     return merged_keys, merged_idx
-
-
-#: ``2**61 - 1``, the Mersenne prime CPython reduces int hashes by.
-_HASH_MODULUS = (1 << 61) - 1
-
-
-def _mod_hash_prime(values):
-    """``values % (2**61 - 1)`` for a uint64 vector, in uint64 arithmetic."""
-    prime = _np.uint64(_HASH_MODULUS)
-    shift = _np.uint64(61)
-    values = (values & prime) + (values >> shift)
-    values = (values & prime) + (values >> shift)
-    return _np.where(values == prime, _np.uint64(0), values)
-
-
-def shard_rows(rows, workers):
-    """Vectorised :func:`repro.parallel.sharded.shard_of` over state rows.
-
-    Python's int hash is the value modulo ``2**61 - 1``; with little-endian
-    64-bit words that is a Horner evaluation in base ``2**64 === 8`` (mod
-    the prime), so the whole partition reduces to shifts and masked adds --
-    exactly matching ``hash(state) % workers`` bit for bit.
-    """
-    word_count = rows.shape[1]
-    acc = _mod_hash_prime(rows[:, word_count - 1])
-    for w in range(word_count - 2, -1, -1):
-        acc = _mod_hash_prime(
-            _mod_hash_prime(acc << _np.uint64(3)) + _mod_hash_prime(rows[:, w]))
-    return (acc % _np.uint64(workers)).astype(_np.int64)
-
-
-def pack_mask_rows(enabled):
-    """Pack a ``(n, transitions)`` bool matrix into little-endian mask bytes.
-
-    Row ``i`` packs to ``ceil(transitions / 8)`` bytes equal to the
-    sequential engine's ``mask.to_bytes(mask_width, "little")``.
-    """
-    return _np.packbits(enabled, axis=1, bitorder="little")
-
-
-def unpack_mask_rows(mask_bytes, transition_count):
-    """Inverse of :func:`pack_mask_rows` (*mask_bytes* is a uint8 matrix)."""
-    return _np.unpackbits(
-        mask_bytes, axis=1, bitorder="little")[:, :transition_count]
 
 
 class ColumnarReachabilityGraph(CompiledReachabilityGraph):
@@ -487,7 +352,7 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         #: arrays); kept alive so unlinked memmap files outlive the graph.
         self._spill_pool = None
         #: Structured per-phase counters of the exploration that built this
-        #: graph (see :func:`explore_batch` / ``explore_sharded``).
+        #: graph (see :func:`explore_batch`).
         self.exploration_stats = None
         # Lazy list-based mirrors of the arrays.
         self._list_states = None
@@ -850,12 +715,7 @@ def _probe_rows(hash_keys, hash_idx, words_buffer, rows, hashes, word_count):
 
 
 def checkpoint_identity(compiled, initial_state, max_states):
-    """The identity digest a checkpoint must match to be resumable.
-
-    Shared by the batch engine and the sharded coordinator (their on-disk
-    layouts are bit-identical at every level boundary, so either's
-    checkpoint resumes under the batch engine).
-    """
+    """The identity digest a checkpoint must match to be resumable."""
     from repro.utils.diskcache import digest
 
     return digest({
@@ -896,10 +756,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     the *spill* budget (a :class:`~repro.petri.storage.SpillConfig`, or
     ``None`` to consult ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``) is
     exceeded, they move onto unlinked ``np.memmap`` files and the RAM
-    working set stays frontier-sized.  Raises
-    :class:`~repro.exceptions.CompilationError` when NumPy is
-    unavailable, so ``engine="auto"`` callers fall through to the pure-int
-    engines.
+    working set stays frontier-sized.
 
     With *checkpoint* set to a directory the stores live at named paths
     under it and a per-level manifest
@@ -910,7 +767,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     resumed graph is bit-identical to an uninterrupted one.  A run that
     finishes removes the directory's manifest and store files.
     """
-    _require_numpy()
     import os
 
     from repro.petri.storage import (

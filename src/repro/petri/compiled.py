@@ -50,46 +50,16 @@ def iter_bits(mask):
         mask ^= low
 
 
-def scan_enabled_mask(need, state):
-    """Enabled-transition mask of *state* by full scan of the *need* table.
-
-    Shared by :meth:`CompiledNet.enabled_mask` and the sharded explorer's
-    workers (which carry the tables without a :class:`CompiledNet`).
-    """
-    mask = 0
-    bit = 1
-    for transition_need in need:
-        if (state & transition_need) == transition_need:
-            mask |= bit
-        bit <<= 1
-    return mask
-
-
 def transition_watch_lists(affected):
     """Per transition: the tuple of transition indices to re-check after it.
 
     This is the single source of the watch-list structure shared by every
-    engine: the sequential explorer and the pure-int shard workers consume
-    it through :func:`expand_watch_pairs`, and the batch (NumPy) engines
-    through :class:`repro.petri.batch.WordTables` -- so the incremental
+    engine: the sequential explorer consumes it through
+    :meth:`CompiledNet.affected_pairs`, and the batch (NumPy) engine through
+    :class:`repro.petri.batch.WordTables` -- so the incremental
     enabled-set update logic cannot diverge between them.
     """
     return [tuple(iter_bits(mask)) for mask in affected]
-
-
-def expand_watch_pairs(need, affected):
-    """Per transition: ``(((bit, need), ...), touched_mask)`` watch pairs.
-
-    The incremental enabled-set update after firing ``t`` re-checks only
-    the transitions in ``affected[t]``; pre-expanding that mask into
-    ``(single-bit, need)`` pairs takes the bit-scan (``& -``, ``^``,
-    ``bit_length``) out of the exploration inner loops.  Shared by the
-    sequential and sharded explorers so the update logic cannot diverge.
-    """
-    return [
-        (tuple((1 << i, need[i]) for i in watched), mask)
-        for watched, mask in zip(transition_watch_lists(affected), affected)
-    ]
 
 
 class CompiledNet:
@@ -124,8 +94,7 @@ class CompiledNet:
                 "weight {}".format(net.name, p, t, w)
             )
         # Edges and BFS parents are packed as ``transition`` in the low 16
-        # bits; 0xFFFF itself is the sharded explorer's full-scan sentinel.
-        # Nets beyond that fall back to the explicit explorer, loudly.
+        # bits.  Nets beyond that fall back to the explicit explorer, loudly.
         if len(net.transitions) >= 0xFFFF:
             raise CompilationError(
                 "cannot compile net {!r}: {} transitions exceed the packed "
@@ -214,7 +183,13 @@ class CompiledNet:
 
     def enabled_mask(self, state):
         """Mask over transitions enabled at *state* (full scan)."""
-        return scan_enabled_mask(self.need, state)
+        mask = 0
+        bit = 1
+        for transition_need in self.need:
+            if (state & transition_need) == transition_need:
+                mask |= bit
+            bit <<= 1
+        return mask
 
     def fire(self, transition_index, state):
         """Fire an enabled transition; detect loss of 1-safeness."""
@@ -227,9 +202,20 @@ class CompiledNet:
         return remainder | produced
 
     def affected_pairs(self):
-        """The :func:`expand_watch_pairs` of this net, built on first use."""
+        """Per transition: ``(((bit, need), ...), touched_mask)`` watch pairs.
+
+        The incremental enabled-set update after firing ``t`` re-checks
+        only the transitions in ``affected[t]``; pre-expanding that mask
+        into ``(single-bit, need)`` pairs takes the bit-scan (``& -``,
+        ``^``, ``bit_length``) out of the exploration inner loop.  Built on
+        first use.
+        """
         if self._affected_pairs is None:
-            self._affected_pairs = expand_watch_pairs(self.need, self.affected)
+            self._affected_pairs = [
+                (tuple((1 << i, self.need[i]) for i in watched), mask)
+                for watched, mask in zip(
+                    transition_watch_lists(self.affected), self.affected)
+            ]
         return self._affected_pairs
 
     def __repr__(self):
@@ -254,10 +240,8 @@ class CompiledReachabilityGraph(ReachabilityGraph):
     #: Edges are stored packed -- ``transition | target_index << 16`` -- one
     #: small int per edge instead of a tuple.  Packing keeps multi-million
     #: -edge graphs ~3x smaller and (ints being invisible to the cyclic GC)
-    #: far cheaper to hold, and it is the exact wire format of the sharded
-    #: explorer, whose merge loop appends worker-produced values verbatim.
-    #: (``CompiledNet`` refuses nets whose transition count overflows the
-    #: 16-bit field.)
+    #: far cheaper to hold.  (``CompiledNet`` refuses nets whose transition
+    #: count overflows the 16-bit field.)
 
     def __init__(self, compiled, initial_state):
         super().__init__(compiled.net, compiled.decode(initial_state))
@@ -289,9 +273,9 @@ class CompiledReachabilityGraph(ReachabilityGraph):
     def _state_index(self):
         """The ``int state -> index`` map, built on first use.
 
-        The sequential explorer fills it as its dedup structure; the sharded
-        explorer dedups inside its shard workers, so coordinator-side the map
-        only exists if a caller actually asks a marking-level question.
+        The sequential explorer fills it as its dedup structure; graphs
+        built without it only pay for it when a caller actually asks a
+        marking-level question.
         """
         if self._mask_index is None:
             self._mask_index = {

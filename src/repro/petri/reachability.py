@@ -187,9 +187,12 @@ def explore(net, marking=None, max_states=200000):
     return graph
 
 
+#: The ``engine`` choices of :func:`build_reachability_graph`.
+ENGINES = ("auto", "explicit")
+
+
 def build_reachability_graph(net, marking=None, max_states=200000, engine="auto",
-                             workers=0, spill_dir=None, spill_bytes=None,
-                             resume=None):
+                             spill_dir=None, spill_bytes=None, resume=None):
     """Build the reachability graph of *net* with the best available engine.
 
     Parameters
@@ -197,100 +200,47 @@ def build_reachability_graph(net, marking=None, max_states=200000, engine="auto"
     net, marking, max_states:
         As for :func:`explore`.
     engine:
-        ``"auto"`` (default) compiles 1-safe nets to a bitmask engine --
-        the array-native batch explorer of :mod:`repro.petri.batch` when
-        the optional NumPy extra is importable, the pure-int engine of
-        :mod:`repro.petri.compiled` otherwise -- and falls back to the
-        explicit explorer for nets it cannot represent (arc weights above
-        one, multi-token markings, non-safe behaviour discovered
-        mid-exploration).  ``"batch"`` forces the NumPy whole-frontier
-        engine (raising :class:`~repro.exceptions.CompilationError` when
-        NumPy is missing), ``"compiled"`` forces the pure-int bitmask
-        engine; both raise when the net does not fit the 1-safe
-        representation.  ``"explicit"`` forces the hash-dict explorer.
-    workers:
-        ``> 1`` explores the compiled relation with the sharded parallel
-        explorer of :mod:`repro.parallel.sharded` (whose workers expand
-        vectorised whenever NumPy is importable), with a graph
-        bit-identical to the single-process one.  Ignored on the explicit
-        path, and inside daemonic workers (which cannot spawn children --
-        campaign jobs fall back to the sequential engine transparently).
+        ``"auto"`` (default) compiles 1-safe nets to the array-native batch
+        explorer of :mod:`repro.petri.batch` and falls back to the explicit
+        explorer for nets it cannot represent (arc weights above one,
+        multi-token markings, non-safe behaviour discovered
+        mid-exploration).  ``"explicit"`` forces the hash-dict explorer.
     spill_dir, spill_bytes:
-        Out-of-core knobs for the columnar engines (see
+        Out-of-core knobs for the batch engine (see
         :mod:`repro.petri.storage`): once the graph's arrays exceed
         *spill_bytes* of RAM they move onto ``np.memmap`` files under
         *spill_dir*.  ``None`` consults ``REPRO_SPILL_DIR`` /
-        ``REPRO_SPILL_BYTES``; both unset disables spilling.  Like
-        *workers*, spilling never changes the graph -- only where it
-        lives -- and is ignored by the pure-int and explicit engines.
+        ``REPRO_SPILL_BYTES``; both unset disables spilling.  Spilling
+        never changes the graph -- only where it lives -- and is ignored
+        by the explicit engine.
     resume:
-        A checkpoint directory making the columnar exploration
+        A checkpoint directory making the batch exploration
         **crash-safe**: the engine keeps its arrays at named paths under
         the directory and atomically records a manifest after every
         completed BFS level (see :class:`~repro.petri.storage.Checkpoint`).
         When the directory already holds a valid manifest -- the leftover
         of a killed run -- exploration restarts from the last complete
         level instead of from scratch, and the resumed graph is
-        bit-identical to an uninterrupted run.  A sharded run (*workers*
-        > 1) writes the same manifests; its leftover checkpoint is resumed
-        by the single-process batch engine (same layout, same graph).  A
-        run that completes removes the directory's files.  Requires the
-        NumPy columnar engines; ignored by the pure-int and explicit
-        fallbacks.
+        bit-identical to an uninterrupted run.  A run that completes
+        removes the directory's files.  Ignored by the explicit engine.
 
-    All engines explore states in the same order and implement the same
-    truncation semantics, so the resulting graphs are interchangeable --
-    bit-identical on states, packed edges, parents, frontier and
-    truncation across the compiled family.
+    Both engines explore states in the same order and implement the same
+    truncation semantics, so the resulting graphs are interchangeable.
     """
     if engine == "explicit":
         return explore(net, marking, max_states=max_states)
-    if engine not in ("auto", "compiled", "batch"):
+    if engine != "auto":
         raise ValueError("unknown reachability engine: {!r}".format(engine))
-    # Imported lazily: compiled.py subclasses ReachabilityGraph.
+    # Imported lazily: batch.py subclasses ReachabilityGraph.
     from repro.exceptions import CompilationError
-    from repro.petri.batch import explore_batch, numpy_available
-    from repro.petri.compiled import CompiledNet, explore_compiled
+    from repro.petri.batch import explore_batch
+    from repro.petri.compiled import CompiledNet
     from repro.petri.storage import SpillConfig
 
-    spill = SpillConfig.resolve(spill_dir, spill_bytes)
     try:
-        if engine == "batch" and not numpy_available():
-            raise CompilationError(
-                "engine=\"batch\" requires the optional NumPy extra "
-                "(pip install numpy, and REPRO_NO_NUMPY unset)")
-        compiled = CompiledNet.compile(net)
-        use_batch = engine == "batch" or (engine == "auto" and numpy_available())
-        checkpoint = str(resume) if resume and numpy_available() else None
-        if checkpoint is not None and use_batch:
-            # A leftover manifest (from a killed batch *or* sharded run --
-            # their level-boundary layouts are identical) is resumed by
-            # the single-process batch engine.
-            from repro.petri.storage import Checkpoint
-
-            if Checkpoint.load(checkpoint) is not None:
-                return explore_batch(compiled, marking,
-                                     max_states=max_states, spill=spill,
-                                     checkpoint=checkpoint)
-        if workers and int(workers) > 1:
-            from repro.parallel.context import in_daemon_worker
-            from repro.parallel.sharded import explore_sharded
-
-            if not in_daemon_worker():
-                # The engine choice binds the worker backend too: "compiled"
-                # forces pure-int workers, "batch" vectorised ones, "auto"
-                # lets each worker pick by NumPy availability.
-                return explore_sharded(compiled, marking,
-                                       max_states=max_states, workers=workers,
-                                       batch=None if engine == "auto"
-                                       else use_batch, spill=spill,
-                                       checkpoint=(checkpoint if use_batch
-                                                   else None))
-        if use_batch:
-            return explore_batch(compiled, marking, max_states=max_states,
-                                 spill=spill, checkpoint=checkpoint)
-        return explore_compiled(compiled, marking, max_states=max_states)
+        return explore_batch(CompiledNet.compile(net), marking,
+                             max_states=max_states,
+                             spill=SpillConfig.resolve(spill_dir, spill_bytes),
+                             checkpoint=str(resume) if resume else None)
     except CompilationError:
-        if engine == "compiled" or engine == "batch":
-            raise
         return explore(net, marking, max_states=max_states)

@@ -1,6 +1,6 @@
 """Spillable array storage: RAM-budgeted, memmap-backed columnar arrays.
 
-The batch and sharded exploration engines build
+The batch exploration engine builds
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
 handful of growable arrays (state words, CSR edges, packed parents, the
 sorted hash index).  This module provides the storage layer underneath
@@ -47,26 +47,14 @@ import tempfile
 import weakref
 import zlib
 
+import numpy as _np
+
 from repro.exceptions import ConfigurationError
 from repro.utils import faults as _faults
-
-try:  # NumPy is an optional dependency (see repro.petri.batch)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by REPRO_NO_NUMPY CI
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
 
 #: Environment knobs (read by :meth:`SpillConfig.resolve`).
 SPILL_DIR_ENV = "REPRO_SPILL_DIR"
 SPILL_BYTES_ENV = "REPRO_SPILL_BYTES"
-
-
-def _require_numpy():
-    if _np is None:
-        raise ConfigurationError(
-            "spillable array storage requires NumPy (unset REPRO_NO_NUMPY "
-            "or install the numpy extra)")
 
 
 class SpillConfig:
@@ -329,7 +317,6 @@ class ArrayStore:
     """
 
     def __init__(self, pool, name, dtype, columns=0, capacity=256):
-        _require_numpy()
         self.pool = pool
         self.name = name
         self.dtype = _np.dtype(dtype)
@@ -350,7 +337,6 @@ class ArrayStore:
         any bytes appended after the manifest was written), never read
         into RAM: restoring a 100M-row store maps it, nothing more.
         """
-        _require_numpy()
         if pool.named_dir is None:
             raise ConfigurationError(
                 "ArrayStore.restore needs a checkpoint-mode pool")

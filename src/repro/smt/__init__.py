@@ -12,10 +12,10 @@ implements three proof engines on top:
 * :mod:`repro.smt.ic3` -- IC3/PDR frame strengthening; produces an explicit
   inductive-invariant certificate alongside the verdict.
 
-The solver is strictly optional, exactly like the NumPy extra: when ``z3``
-is not on ``PATH`` (or ``REPRO_NO_Z3`` is set), :func:`solver_available`
-is false, the solver-backed checkers of
-:mod:`repro.verification.checkers.smt` skip cleanly, and the structural
+The solver is strictly optional: when ``z3`` is not on ``PATH`` (or
+``REPRO_NO_Z3`` is set), :func:`solver_available` is false, the
+solver-backed checkers of :mod:`repro.verification.checkers.smt` skip
+cleanly, and the structural
 siphon/trap fallback of :mod:`repro.petri.invariants` still proves
 deadlock-freedom without any solver.
 """

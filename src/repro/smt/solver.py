@@ -23,9 +23,9 @@ Robustness rules the engines rely on:
   runs from ``__exit__`` and ``__del__`` too, so no zombie solver outlives
   a verification run.
 
-The solver is an optional extra exactly like NumPy: :func:`solver_available`
-is the import-time detection, ``REPRO_NO_Z3`` forces it off (the CI job for
-the no-solver path), and ``REPRO_SMT_Z3`` points at an alternative binary
+The solver is an optional extra: :func:`solver_available` is the
+import-time detection, ``REPRO_NO_Z3`` forces it off (the CI job for the
+no-solver path), and ``REPRO_SMT_Z3`` points at an alternative binary
 (also how the tests inject fake solvers to exercise crash/timeout paths).
 """
 
@@ -58,10 +58,10 @@ HARD_TIMEOUT_GRACE = 5.0
 def solver_binary():
     """Path of the SMT solver binary, or ``None`` when unavailable.
 
-    ``REPRO_NO_Z3`` reports the solver as absent even when it is installed
-    (mirroring ``REPRO_NO_NUMPY``), so the structural-fallback path can be
-    exercised without uninstalling anything; ``REPRO_SMT_Z3`` overrides the
-    binary (a PATH name or an absolute path).
+    ``REPRO_NO_Z3`` reports the solver as absent even when it is installed,
+    so the structural-fallback path can be exercised without uninstalling
+    anything; ``REPRO_SMT_Z3`` overrides the binary (a PATH name or an
+    absolute path).
     """
     if os.environ.get("REPRO_NO_Z3"):
         return None

@@ -18,9 +18,9 @@ ic3        SMT IC3/PDR with invariant certificates (needs z3)    both ways
 portfolio  race of the above, first conclusive verdict wins      both ways
 ========== ===================================================== ==========
 
-The three SMT rows are optional in the same way NumPy is: without a z3
-binary on ``PATH`` (or with ``REPRO_NO_Z3`` set) they answer inconclusive
-with a message naming the binary, and the rest of the portfolio carries on.
+The three SMT rows are optional: without a z3 binary on ``PATH`` (or with
+``REPRO_NO_Z3`` set) they answer inconclusive with a message naming the
+binary, and the rest of the portfolio carries on.
 """
 
 from repro.verification.checkers.base import (

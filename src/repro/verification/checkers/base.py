@@ -155,19 +155,15 @@ class CheckerContext:
     never explores it at all.
     """
 
-    def __init__(self, net, max_states=200000, engine="auto", workers=0,
+    def __init__(self, net, max_states=200000, engine="auto",
                  semiflow_cache=None, spill_dir=None, spill_bytes=None,
                  resume=None):
         self.net = net
         self.max_states = max_states
         self.engine = engine
-        #: Worker processes for the exploration of the state space (0/1 =
-        #: sequential).  The sharded graph is bit-identical to the
-        #: sequential one, so verdicts are unaffected by this knob.
-        self.workers = int(workers or 0)
-        #: Out-of-core knobs (see :mod:`repro.petri.storage`): like
-        #: *workers*, spilling changes where the graph lives, never what
-        #: it contains, so verdicts are unaffected.
+        #: Out-of-core knobs (see :mod:`repro.petri.storage`): spilling
+        #: changes where the graph lives, never what it contains, so
+        #: verdicts are unaffected.
         self.spill_dir = spill_dir
         self.spill_bytes = spill_bytes
         #: Optional checkpoint directory making the exploration crash-safe
@@ -188,8 +184,8 @@ class CheckerContext:
         if self._graph is None:
             self._graph = build_reachability_graph(
                 self.net, max_states=self.max_states, engine=self.engine,
-                workers=self.workers, spill_dir=self.spill_dir,
-                spill_bytes=self.spill_bytes, resume=self.resume)
+                spill_dir=self.spill_dir, spill_bytes=self.spill_bytes,
+                resume=self.resume)
         return self._graph
 
     @property

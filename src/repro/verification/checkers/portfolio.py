@@ -60,8 +60,8 @@ DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
                  "exhaustive")
 
 
-def _race_member(net, max_states, engine, workers, semiflow_cache, name,
-                 options, query, max_witnesses):
+def _race_member(net, max_states, engine, semiflow_cache, name, options,
+                 query, max_witnesses):
     """Worker entry point of a portfolio race: run one member, return its outcome.
 
     Rebuilds the member's context from plain data (the context artefacts --
@@ -69,7 +69,7 @@ def _race_member(net, max_states, engine, workers, semiflow_cache, name,
     for the artefacts its own strategy needs).
     """
     context = CheckerContext(net, max_states=max_states, engine=engine,
-                             workers=workers, semiflow_cache=semiflow_cache)
+                             semiflow_cache=semiflow_cache)
     checker = CHECKERS[name](context, **(options or {}))
     return checker.check(query, max_witnesses=max_witnesses)
 
@@ -138,8 +138,8 @@ class PortfolioChecker(Checker):
         tasks = [
             (name, _race_member,
              (context.net, context.max_states, context.engine,
-              0, context.semiflow_cache, name,
-              self.member_options[name], query, max_witnesses))
+              context.semiflow_cache, name, self.member_options[name],
+              query, max_witnesses))
             for name in self.order
         ]
         outcomes = run_supervised(

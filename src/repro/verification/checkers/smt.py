@@ -3,10 +3,9 @@
 These checkers translate queries into the SMT proof engines of
 :mod:`repro.smt` and fold the answers back into the repo's three-valued
 :class:`~repro.verification.checkers.base.CheckerOutcome` convention.
-They are strictly optional, exactly like the NumPy acceleration: when the
-z3 binary is missing (or ``REPRO_NO_Z3`` is set) every query comes back
-inconclusive with a message naming the binary, so portfolios degrade
-gracefully and nothing crashes.
+They are strictly optional: when the z3 binary is missing (or
+``REPRO_NO_Z3`` is set) every query comes back inconclusive with a message
+naming the binary, so portfolios degrade gracefully and nothing crashes.
 
 Soundness containment, in both directions:
 

@@ -38,9 +38,8 @@ restart pool -- all from :mod:`~repro.verification.checkers.walk_core`):
   firing primitive.  Swarm witnesses are **replayed on the net** before
   being trusted, like SMT counterexamples.
 
-The default ``backend="auto"`` prefers the swarm whenever the optional
-NumPy extra is available and falls back to the scalar walker otherwise
-(``REPRO_NO_NUMPY`` forces the fallback, as everywhere).
+The default ``backend="auto"`` runs the swarm; ``backend="scalar"`` keeps
+the pure-int walker.
 
 Determinism contract: the scalar path reproduces the same verdict *and the
 same witness trace* for the same seed.  The swarm is deterministic per
@@ -55,11 +54,7 @@ from repro.exceptions import (
     ConfigurationError,
     SafenessOverflowError,
 )
-from repro.petri.batch import (
-    WordTables,
-    compile_row_predicate,
-    numpy_available,
-)
+from repro.petri.batch import WordTables, compile_row_predicate
 from repro.petri.compiled import iter_bits
 from repro.reach.cubes import to_cubes
 from repro.reach.evaluator import compile_mask_predicate, marking_predicate
@@ -82,25 +77,18 @@ _SCALAR_FALLBACK = object()
 
 
 def resolve_walk_backend(requested="auto"):
-    """The walk backend *requested* resolves to on this host.
+    """The walk backend *requested* resolves to.
 
-    ``"scalar"`` always resolves to itself; ``"auto"`` resolves to
-    ``"batch"`` when the optional NumPy extra is available (and
-    ``REPRO_NO_NUMPY`` is unset) and to ``"scalar"`` otherwise; a forced
-    ``"batch"`` without NumPy resolves to ``"batch-unavailable"`` (the
-    checker answers inconclusive).  Campaign digests fold this resolved
-    value into walk/portfolio cache keys -- like the solver fingerprint,
-    it keeps verdicts from being reused across an engine swap.
+    ``"scalar"`` resolves to itself; ``"auto"`` and ``"batch"`` resolve to
+    ``"batch"``.  Campaign digests fold this resolved value into
+    walk/portfolio cache keys -- like the solver fingerprint, it keeps
+    verdicts from being reused across an engine swap.
     """
     if requested not in WALK_BACKENDS:
         raise ConfigurationError(
             "unknown walk backend {!r} (known: {})".format(
                 requested, ", ".join(WALK_BACKENDS)))
-    if requested == "scalar":
-        return "scalar"
-    if numpy_available():
-        return "batch"
-    return "batch-unavailable" if requested == "batch" else "scalar"
+    return "scalar" if requested == "scalar" else "batch"
 
 
 @register_checker
@@ -108,8 +96,8 @@ class RandomWalkChecker(Checker):
     """Falsify queries with guided random walks (scalar or swarm backend)."""
 
     name = "walk"
-    summary = ("counter-seeded guided random walks, vectorised swarms when "
-               "NumPy is available; a fast falsifier, never proves")
+    summary = ("counter-seeded guided random walks, vectorised swarms by "
+               "default; a fast falsifier, never proves")
 
     def __init__(self, context, walks=8, steps=256, seed=0xACE1,
                  guidance=0.5, dnf_limit=64, restarts=4, backend="auto",
@@ -223,13 +211,7 @@ class RandomWalkChecker(Checker):
             return CheckerOutcomeProxy(self.outcome(
                 None, details="initial marking has no bitmask "
                 "representation; random walks unavailable"))
-        backend = resolve_walk_backend(self.backend)
-        if backend == "batch-unavailable":
-            return CheckerOutcomeProxy(self.outcome(
-                None, details="the batch walk backend needs the optional "
-                "NumPy extra (and REPRO_NO_NUMPY unset); use "
-                "backend='auto' or 'scalar' for the pure-int walker"))
-        if backend == "batch":
+        if resolve_walk_backend(self.backend) == "batch":
             found = self._swarm_hunt(
                 compiled, initial, kind, max_witnesses,
                 expression=expression, cube_masks=cube_masks,

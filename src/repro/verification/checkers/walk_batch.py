@@ -46,7 +46,8 @@ transition indices -- the checker replays them on the net (like SMT
 counterexamples) before trusting any verdict.
 """
 
-from repro.petri import batch as _batch
+import numpy
+
 from repro.petri.batch import (
     fire_enabled_flags,
     int_to_words,
@@ -67,14 +68,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def array_module():
-    """The active array module (NumPy today; the CuPy drop-in seam).
-
-    Raises :class:`~repro.exceptions.CompilationError` when the optional
-    NumPy extra is unavailable (or disabled via ``REPRO_NO_NUMPY``);
-    callers fall back to the scalar walker.
-    """
-    _batch._require_numpy()
-    return _batch._np
+    """The active array module (NumPy today; the CuPy drop-in seam)."""
+    return numpy
 
 
 def draw_rows(xp, seed, walks, steps):

@@ -71,18 +71,13 @@ class Verifier:
     * ``"portfolio"`` -- races the above, first conclusive verdict wins.
 
     *engine* selects the state-space engine used by the exhaustive path:
-    ``"auto"`` compiles 1-safe nets to a bitmask engine -- the array-native
-    batch explorer of :mod:`repro.petri.batch` when the optional NumPy
-    extra is importable, the pure-int engine of
-    :mod:`repro.petri.compiled` otherwise -- and falls back to the
-    explicit explorer; ``"batch"`` / ``"compiled"`` fail loudly instead of
-    falling back, ``"explicit"`` forces the hash-dict explorer.  *workers* > 1 runs the compiled
-    exploration sharded across worker processes
-    (:mod:`repro.parallel.sharded`) -- the graph, and therefore every
-    verdict, is bit-identical to the sequential one.  *semiflow_cache*
-    memoises the place-invariant derivation on disk
-    (:class:`~repro.petri.invariants.SemiflowCache`), which makes inductive
-    sweeps over structurally stable families near-free on warm runs.
+    ``"auto"`` compiles 1-safe nets to the array-native batch explorer of
+    :mod:`repro.petri.batch` and falls back to the explicit explorer for
+    nets it cannot represent; ``"explicit"`` forces the hash-dict
+    explorer.  *semiflow_cache* memoises the place-invariant derivation on
+    disk (:class:`~repro.petri.invariants.SemiflowCache`), which makes
+    inductive sweeps over structurally stable families near-free on warm
+    runs.
 
     *checker_options* maps checker names to keyword options for their
     construction (e.g. ``{"walk": {"walks": 32, "steps": 1024}}``);
@@ -108,18 +103,14 @@ class Verifier:
 
     def __init__(self, dfs, max_states=200000, engine="auto", net=None,
                  checker="exhaustive", checker_options=None,
-                 checker_overrides=None, workers=0, semiflow_cache=None,
+                 checker_overrides=None, semiflow_cache=None,
                  spill_dir=None, spill_bytes=None, resume=None):
         self.dfs = dfs
         self.max_states = max_states
         self.engine = engine
-        #: Worker processes for state-space exploration (0/1 = sequential).
-        #: The sharded graph is bit-identical to the sequential one, so this
-        #: changes wall-clock, never verdicts.
-        self.workers = int(workers or 0)
         #: Out-of-core knobs (see :mod:`repro.petri.storage`): past
         #: *spill_bytes* of RAM the graph's arrays move onto memmap files
-        #: under *spill_dir*.  Like *workers*, never affects verdicts.
+        #: under *spill_dir*.  Never affects verdicts.
         self.spill_dir = spill_dir
         self.spill_bytes = spill_bytes
         #: Optional exploration checkpoint directory (crash-safe runs; a
@@ -168,7 +159,7 @@ class Verifier:
         if self._context is None:
             self._context = CheckerContext(
                 self.net, max_states=self.max_states, engine=self.engine,
-                workers=self.workers, semiflow_cache=self.semiflow_cache,
+                semiflow_cache=self.semiflow_cache,
                 spill_dir=self.spill_dir, spill_bytes=self.spill_bytes,
                 resume=self.resume)
         return self._context

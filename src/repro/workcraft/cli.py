@@ -35,6 +35,7 @@ from repro.dfs.serialization import dfs_from_json
 from repro.dfs.simulation import DfsSimulator
 from repro.dfs.validation import has_errors, validate_structure
 from repro.performance.analyzer import PerformanceAnalyzer
+from repro.petri.reachability import ENGINES
 from repro.verification.checkers import CHECKERS
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
 from repro.workcraft.export import available_formats, export_model
@@ -143,8 +144,8 @@ def _command_verify(args):
     checker, checker_options = _resolve_checker(args)
     verifier = Verifier(dfs, max_states=args.max_states, engine=args.engine,
                         checker=checker, checker_options=checker_options,
-                        workers=args.workers, spill_dir=args.spill_dir,
-                        spill_bytes=args.spill_bytes, resume=args.resume)
+                        spill_dir=args.spill_dir, spill_bytes=args.spill_bytes,
+                        resume=args.resume)
     summary = verifier.verify_all(include_persistence=not args.no_persistence)
     print(summary.report())
     return 0 if summary.passed else 1
@@ -268,7 +269,6 @@ def _command_campaign(args):
         checker_options=checker_options,
         custom_properties=custom,
         simulate_steps=args.simulate_steps,
-        workers=args.workers,
         spill_dir=args.spill_dir,
         spill_bytes=args.spill_bytes,
     )
@@ -369,16 +369,10 @@ def build_parser():
     verify.add_argument("--max-states", type=int, default=200000)
     verify.add_argument("--checker", choices=sorted(CHECKERS), default=None,
                         help=_checker_help())
-    verify.add_argument("--engine",
-                        choices=("auto", "batch", "compiled", "explicit"),
-                        default="auto",
+    verify.add_argument("--engine", choices=ENGINES, default="auto",
                         help="state-space engine of the exhaustive path "
-                             "(auto prefers the NumPy batch engine when "
-                             "the optional extra is installed)")
-    verify.add_argument("--workers", type=int, default=0,
-                        help="worker processes for sharded state-space "
-                             "exploration (default 0: sequential; the "
-                             "sharded graph is bit-identical)")
+                             "(auto: the NumPy batch engine, falling back "
+                             "to explicit for nets it cannot represent)")
     verify.add_argument("--spill-dir", default=None, metavar="DIR",
                         help="directory for out-of-core exploration spill "
                              "files (default: REPRO_SPILL_DIR, else the "
@@ -393,7 +387,7 @@ def build_parser():
                              "every BFS level, and a leftover checkpoint "
                              "(from a killed run) is resumed from its last "
                              "complete level, bit-identical to an "
-                             "uninterrupted run (NumPy engines only)")
+                             "uninterrupted run (auto engine only)")
     verify.add_argument("--race", action="store_true",
                         help="race the portfolio members in separate "
                              "processes, first conclusive verdict wins "
@@ -404,9 +398,9 @@ def build_parser():
                              "member)")
     verify.add_argument("--walk-backend",
                         choices=("auto", "batch", "scalar"), default=None,
-                        help="walk engine: the vectorised swarm (batch) or "
-                             "the pure-int walker (scalar); auto prefers "
-                             "the swarm when NumPy is available")
+                        help="walk engine: the vectorised swarm (batch, "
+                             "also what auto picks) or the pure-int walker "
+                             "(scalar)")
     verify.add_argument("--no-persistence", action="store_true",
                         help="skip the (slower) persistence check")
     verify.set_defaults(handler=_command_verify)
@@ -439,9 +433,7 @@ def build_parser():
     campaign.add_argument("--properties", default=",".join(DEFAULT_PROPERTIES),
                           help="comma list of checks (default {})".format(
                               ",".join(DEFAULT_PROPERTIES)))
-    campaign.add_argument("--engine",
-                          choices=("auto", "batch", "compiled", "explicit"),
-                          default="auto")
+    campaign.add_argument("--engine", choices=ENGINES, default="auto")
     campaign.add_argument("--checker", choices=sorted(CHECKERS),
                           default=None,
                           help="per job: " + _checker_help())
@@ -454,13 +446,8 @@ def build_parser():
                                "walk checker")
     campaign.add_argument("--walk-backend",
                           choices=("auto", "batch", "scalar"), default=None,
-                          help="per job: walk engine (vectorised swarm or "
-                               "pure-int scalar; auto prefers the swarm "
-                               "when NumPy is available)")
-    campaign.add_argument("--workers", type=int, default=0,
-                          help="sharded-exploration workers per job "
-                               "(effective with --jobs 0; pool workers fall "
-                               "back to sequential exploration)")
+                          help="per job: walk engine (vectorised swarm, "
+                               "also what auto picks, or pure-int scalar)")
     campaign.add_argument("--spill-dir", default=None, metavar="DIR",
                           help="per-job out-of-core spill directory "
                                "(default: REPRO_SPILL_DIR)")

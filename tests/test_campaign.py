@@ -23,7 +23,7 @@ from repro.workcraft.cli import main as cli_main
 
 
 # Worker-failure factories.  They are registered at import time, so forked
-# campaign workers inherit them; the tests that rely on this skip on
+# campaign worker processes inherit them; the tests that rely on this skip on
 # platforms without the fork start method.
 def _sleepy_factory(**kwargs):
     time.sleep(60)
@@ -43,7 +43,7 @@ register_factory("_test_raisy", _raisy_factory)
 
 needs_fork = pytest.mark.skipif(
     start_method() != "fork",
-    reason="registry factories only reach workers under the fork start method")
+    reason="registry factories only reach worker processes under the fork start method")
 
 
 class TestScenarioGeneration:

@@ -16,7 +16,6 @@ from repro.dfs.semantics import marking_event_names, place_name
 from repro.dfs.translation import place_name as translation_place_name
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, VerificationError
-from repro.petri.batch import numpy_available
 from repro.petri.invariants import compute_semiflows, place_bounds
 from repro.petri.reachability import build_reachability_graph
 from repro.reach.cubes import Cube, to_cubes
@@ -126,8 +125,6 @@ class TestDifferentialAgreement:
         The swarm is a throughput change only: a conclusive swarm verdict
         contradicting the scalar/exhaustive truth is a soundness bug.
         """
-        if backend == "batch" and not numpy_available():
-            pytest.skip("batch walk backend needs NumPy")
         summary = Verifier(
             MODEL_FAMILY[model_name](), checker="walk",
             checker_options={"walk": {"backend": backend}},
@@ -477,9 +474,9 @@ class TestCampaignCacheKeys:
     def test_registry_expressions_are_part_of_the_cache_digest(self):
         def job():
             # Jobs snapshot registry expressions at construction time, which
-            # makes them self-contained across process boundaries (spawn
-            # workers re-import with an empty registry) and puts the actual
-            # expression into the cache digest.
+            # makes them self-contained across process boundaries (spawned
+            # processes re-import with an empty registry) and puts the
+            # actual expression into the cache digest.
             return VerificationJob("j", "conditional", kwargs={"comp_stages": 1},
                                    properties=("deadlock", "reg_prop"))
 

@@ -1,10 +1,8 @@
-"""Tests of the parallel subsystem: sharded BFS, supervisor, racing, caches.
+"""Tests of the parallel subsystem: supervisor, racing, caches.
 
-The central contract under test is *bit-identity*: the sharded explorer must
-produce exactly the graph the sequential engine produces (states in
-discovery order, packed edges, parents, frontier, truncation), racing
-portfolios must never contradict sequential ones, and warm semiflow-cache
-hits must equal cold derivations element for element.
+The central contracts under test: racing portfolios must never contradict
+sequential ones, and warm semiflow-cache hits must equal cold derivations
+element for element.
 """
 
 import os
@@ -13,22 +11,19 @@ import time
 import pytest
 
 from repro.campaign.jobs import VerificationJob, build_pipeline_model
-from repro.campaign.scenario import ScenarioSpec, generate_scenarios
 from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.translation import to_petri_net
-from repro.exceptions import ConfigurationError, VerificationError
+from repro.exceptions import ConfigurationError
 from repro.parallel.context import mp_context, start_method
-from repro.parallel.sharded import explore_sharded, shard_of
 from repro.parallel.supervisor import TaskOutcome, run_supervised
-from repro.petri.compiled import CompiledNet, explore_compiled
-from repro.petri.fingerprint import net_fingerprint, options_digest
+from repro.petri.compiled import CompiledNet
+from repro.petri.fingerprint import net_fingerprint
 from repro.petri.invariants import (
     InvariantBudgetExceeded,
     SemiflowCache,
     compute_semiflows,
     compute_semiflows_cached,
 )
-from repro.petri.reachability import build_reachability_graph
 from repro.verification.verifier import Verifier
 
 
@@ -40,195 +35,6 @@ def _example_models():
         ("ope2", build_pipeline_model(2, static_prefix=1)),
         ("ope3-hole2", build_pipeline_model(3, static_prefix=1, holes=[2])),
     ]
-
-
-def _assert_identical(sequential, sharded, tag):
-    assert sharded._mask_states == sequential._mask_states, tag
-    assert sharded._mask_edges == sequential._mask_edges, tag
-    assert sharded._parents == sequential._parents, tag
-    assert sharded._frontier_indices == sequential._frontier_indices, tag
-    assert sharded.truncated == sequential.truncated, tag
-
-
-# -- sharded exploration ------------------------------------------------------
-
-
-class TestShardedExploration:
-    def test_bit_identical_across_example_family(self):
-        """Same states, edges, parents, frontier -- including truncation."""
-        for name, dfs in _example_models():
-            compiled = CompiledNet.compile(to_petri_net(dfs))
-            for max_states in (1, 2, 7, 50, 1000, 200000):
-                sequential = explore_compiled(compiled, max_states=max_states)
-                for workers in (1, 2, 3):
-                    sharded = explore_sharded(compiled, max_states=max_states,
-                                              workers=workers)
-                    _assert_identical(sequential, sharded,
-                                      "{} max_states={} workers={}".format(
-                                          name, max_states, workers))
-
-    def test_graph_level_queries_match(self):
-        """Deadlocks, traces and frontier agree through the public API."""
-        dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        sequential = explore_compiled(compiled, max_states=200000)
-        sharded = explore_sharded(compiled, max_states=200000, workers=2)
-        assert sharded.deadlocks() == sequential.deadlocks()
-        assert sharded.edge_count() == sequential.edge_count()
-        assert len(sharded) == len(sequential)
-        for deadlock in sequential.deadlocks():
-            assert sharded.trace_to(deadlock) == sequential.trace_to(deadlock)
-
-    def test_truncated_frontier_is_exact(self):
-        dfs = build_pipeline_model(2, static_prefix=1)
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        sequential = explore_compiled(compiled, max_states=100)
-        sharded = explore_sharded(compiled, max_states=100, workers=2)
-        assert sequential.truncated and sharded.truncated
-        assert sharded.frontier == sequential.frontier
-
-    def test_verifier_workers_verdicts_bit_identical(self):
-        """A workers>1 verifier produces the same summary as a sequential one."""
-        dfs = build_pipeline_model(2, static_prefix=1)
-        sequential = Verifier(dfs, max_states=500).verify_all(
-            include_persistence=True)
-        sharded = Verifier(dfs, max_states=500, workers=2).verify_all(
-            include_persistence=True)
-        for left, right in zip(sequential.results, sharded.results):
-            assert left.holds == right.holds
-            assert left.details == right.details
-            assert left.witnesses == right.witnesses
-
-    def test_build_reachability_graph_workers_parameter(self):
-        net = to_petri_net(token_ring())
-        sequential = build_reachability_graph(net, max_states=30)
-        sharded = build_reachability_graph(net, max_states=30, workers=2)
-        _assert_identical(sequential, sharded, "build_reachability_graph")
-
-    def test_rejects_bad_worker_counts(self):
-        compiled = CompiledNet.compile(to_petri_net(token_ring()))
-        with pytest.raises(VerificationError):
-            explore_sharded(compiled, workers=-2)
-        with pytest.raises(VerificationError):
-            explore_sharded(compiled, workers=1000)
-
-    def test_shard_partition_is_deterministic(self):
-        states = [0, 1, 7, 1 << 100, (1 << 180) - 1]
-        assert [shard_of(s, 3) for s in states] == [shard_of(s, 3)
-                                                    for s in states]
-
-
-class TestExchangeProtocol:
-    """Chunked streaming, the resolution memo, and the worker backends."""
-
-    def test_tiny_chunks_stay_bit_identical(self):
-        """Many chunks per level exercise the streamed relay/final markers."""
-        dfs = build_pipeline_model(2, static_prefix=1)
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        sequential = explore_compiled(compiled, max_states=2000)
-        for chunk_states in (1, 3, 17):
-            sharded = explore_sharded(compiled, max_states=2000, workers=3,
-                                      chunk_states=chunk_states)
-            _assert_identical(sequential, sharded,
-                              "chunk_states={}".format(chunk_states))
-
-    def test_memo_on_off_and_disabled_stay_bit_identical(self):
-        for name, dfs in _example_models():
-            compiled = CompiledNet.compile(to_petri_net(dfs))
-            sequential = explore_compiled(compiled, max_states=5000)
-            for memo_size in (0, 2, 65536):
-                sharded = explore_sharded(compiled, max_states=5000,
-                                          workers=2, memo_size=memo_size)
-                _assert_identical(sequential, sharded,
-                                  "{} memo_size={}".format(name, memo_size))
-
-    def test_both_backends_stay_bit_identical(self):
-        """The pure-int and (when available) NumPy workers interchange."""
-        dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        for max_states in (50, 5000):
-            sequential = explore_compiled(compiled, max_states=max_states)
-            for batch in (False, None):
-                sharded = explore_sharded(compiled, max_states=max_states,
-                                          workers=2, batch=batch)
-                _assert_identical(sequential, sharded,
-                                  "batch={} max_states={}".format(
-                                      batch, max_states))
-
-    def test_exchange_stats_are_attached_and_consistent(self):
-        dfs = build_pipeline_model(2, static_prefix=1)
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        with_memo = explore_sharded(compiled, max_states=5000, workers=2)
-        without = explore_sharded(compiled, max_states=5000, workers=2,
-                                  memo_size=0, batch=False)
-        for stats in (with_memo.exchange_stats, without.exchange_stats):
-            assert set(stats) == {"memo_hits", "foreign_refs", "levels",
-                                  "chunk_messages"}
-            assert stats["levels"] > 0
-            assert stats["chunk_messages"] >= stats["levels"]
-            assert stats["memo_hits"] <= stats["foreign_refs"]
-        # Both backends route the same successors across shards.
-        assert with_memo.exchange_stats["foreign_refs"] == \
-            without.exchange_stats["foreign_refs"]
-        assert without.exchange_stats["memo_hits"] == 0
-
-    def test_memo_hits_on_reconvergent_graph(self):
-        """Cross-level re-references must be answered from the memo."""
-        compiled = CompiledNet.compile(
-            to_petri_net(token_ring(registers=5, tokens=2)))
-        sequential = explore_compiled(compiled)
-        for batch in (False, None):
-            sharded = explore_sharded(compiled, workers=3, batch=batch)
-            _assert_identical(sequential, sharded,
-                              "memo batch={}".format(batch))
-            assert sharded.exchange_stats["memo_hits"] > 0
-
-    def test_bounded_memo_keeps_hot_entries(self):
-        """A tight bound must not evict the entries that actually get hit.
-
-        The frequency/depth-aware eviction policy protects hit entries and
-        old (shallow) entries, so even a memo a fraction of the working
-        set's size retains most of the unbounded hit count -- where FIFO
-        eviction used to flush hot shallow states every level.  The graph
-        itself must stay bit-identical: the bound only affects hit rate.
-        """
-        compiled = CompiledNet.compile(
-            to_petri_net(token_ring(registers=5, tokens=2)))
-        sequential = explore_compiled(compiled)
-        for batch in (False, None):
-            ceiling = explore_sharded(
-                compiled, workers=3, batch=batch).exchange_stats["memo_hits"]
-            bounded = explore_sharded(compiled, workers=3, batch=batch,
-                                      memo_size=64)
-            _assert_identical(sequential, bounded,
-                              "bounded memo batch={}".format(batch))
-            hits = bounded.exchange_stats["memo_hits"]
-            assert hits > 0
-            assert hits >= ceiling // 2, \
-                "batch={}: {} of {} ceiling hits survive a 64-entry " \
-                "bound".format(batch, hits, ceiling)
-
-    def test_default_memo_bound_reaches_pipeline_ceiling(self):
-        """The stock 65536 bound must attain the family's analytic ceiling.
-
-        On the depth-3 pipeline at three workers the cross-shard working
-        set overflows the default bound (~191k states), and an unbounded
-        memo answers exactly 1216 re-references.  The eviction policy has
-        to deliver that same count under the bound -- and identically on
-        both worker backends.
-        """
-        dfs = build_pipeline_model(3, static_prefix=1)
-        compiled = CompiledNet.compile(to_petri_net(dfs))
-        hits = {}
-        for batch in (False, None):
-            sharded = explore_sharded(compiled, max_states=200000, workers=3,
-                                      batch=batch, memo_size=65536)
-            hits[batch] = sharded.exchange_stats["memo_hits"]
-        assert hits[False] == hits[None], hits
-        assert hits[False] >= 1200, hits
-
-
-# -- the supervised pool ------------------------------------------------------
 
 
 def _quick_task(value):
@@ -402,34 +208,10 @@ class TestSemiflowCache:
         assert warm["verdict"] == cold["verdict"]
 
 
-# -- workers stay out of the cache identity ----------------------------------
+# -- cache identity ----------------------------------------------------------
 
 
-class TestWorkersCacheIdentity:
-    def test_workers_not_in_options_digest(self):
-        base = dict(factory="pipeline", kwargs={"stages": 2, "static_prefix": 1})
-        sequential = VerificationJob("a", workers=0, **base)
-        sharded = VerificationJob("b", workers=4, **base)
-        assert options_digest(sequential.options()) == \
-            options_digest(sharded.options())
-
-    def test_sharded_job_verdict_equals_sequential(self, tmp_path):
-        """workers=N must answer from the cache entry a workers=0 run wrote."""
-        base = dict(factory="pipeline",
-                    kwargs={"stages": 2, "static_prefix": 1},
-                    properties=("safeness", "deadlock"), max_states=500)
-        cold = VerificationJob("a", workers=0, **base).run(cache=str(tmp_path))
-        warm = VerificationJob("b", workers=2, **base).run(cache=str(tmp_path))
-        assert warm["cache"] == "hit"
-        assert warm["verdict"] == cold["verdict"]
-        # And computed cold with workers, the verdict is byte-equal too.
-        fresh = VerificationJob("c", workers=2, **base).run()
-        assert fresh["verdict"] == cold["verdict"]
-
-    def test_scenario_spec_threads_workers(self):
-        jobs, _ = generate_scenarios(ScenarioSpec(depths=(2,), workers=3))
-        assert jobs and all(job.workers == 3 for job in jobs)
-
+class TestCacheIdentity:
     def test_fingerprint_reexports_stay_stable(self):
         net = to_petri_net(token_ring())
         from repro.campaign.cache import net_fingerprint as campaign_fingerprint

@@ -8,16 +8,8 @@ and the columnar fast paths must answer every property/Reach query with
 the same verdicts and witnesses as the pure-int graph.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
-from repro.petri.batch import numpy_available as _numpy_available
-
-#: REPRO_NO_NUMPY disables the engine even with NumPy installed; these
-#: tests then skip exactly like on a machine without the extra.
-pytestmark = pytest.mark.skipif(
-    not _numpy_available(), reason="batch engine disabled (REPRO_NO_NUMPY)")
 
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import (
@@ -27,19 +19,14 @@ from repro.dfs.examples import (
     token_ring,
 )
 from repro.dfs.translation import to_petri_net
-from repro.exceptions import CompilationError, SafenessOverflowError
+from repro.exceptions import SafenessOverflowError
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
     dedup_rows,
-    dedup_rows_argmin,
     explore_batch,
     int_to_words,
     merge_sorted_index,
-    numpy_available,
-    pack_mask_rows,
-    shard_rows,
-    unpack_mask_rows,
     words_to_int,
 )
 from repro.petri.compiled import CompiledNet, explore_compiled
@@ -192,48 +179,6 @@ class TestEngineSelection:
         graph = build_reachability_graph(net)
         assert isinstance(graph, ColumnarReachabilityGraph)
 
-    def test_forced_batch_engine(self):
-        net = to_petri_net(token_ring())
-        graph = build_reachability_graph(net, engine="batch")
-        assert isinstance(graph, ColumnarReachabilityGraph)
-
-    def test_no_numpy_env_falls_back_to_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert not numpy_available()
-        net = to_petri_net(token_ring())
-        graph = build_reachability_graph(net)
-        assert not isinstance(graph, ColumnarReachabilityGraph)
-        with pytest.raises(CompilationError):
-            build_reachability_graph(net, engine="batch")
-
-    def test_forced_batch_without_numpy_raises_even_sharded(self, monkeypatch):
-        """workers>1 must not soften the engine=\"batch\" contract."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        net = to_petri_net(token_ring())
-        with pytest.raises(CompilationError):
-            build_reachability_graph(net, engine="batch", workers=2)
-
-    def test_engine_choice_binds_the_sharded_backend(self, monkeypatch):
-        """engine=\"compiled\" forces pure-int shard workers, \"batch\" the
-        vectorised ones; either way the graph is the sequential one."""
-        calls = {}
-
-        def fake_sharded(compiled, marking, max_states, workers, batch,
-                         spill=None, checkpoint=None):
-            calls["batch"] = batch
-            from repro.petri.compiled import explore_compiled
-            return explore_compiled(compiled, marking, max_states=max_states)
-
-        import repro.parallel.sharded as sharded_module
-        monkeypatch.setattr(sharded_module, "explore_sharded", fake_sharded)
-        net = to_petri_net(token_ring())
-        reference = build_reachability_graph(net, engine="compiled")
-        for engine, expected in (("compiled", False), ("batch", True),
-                                 ("auto", None)):
-            graph = build_reachability_graph(net, engine=engine, workers=2)
-            assert calls["batch"] is expected, engine
-            assert graph._mask_states == reference._mask_states
-
     def test_batch_falls_back_to_explicit_on_unsafe_net(self):
         net = PetriNet("unsafe")
         net.add_place("src", tokens=2)
@@ -253,34 +198,6 @@ class TestPrimitives:
                 value %= 1 << (64 * words)
                 assert words_to_int(int_to_words(value, words)) == value
 
-    def test_shard_rows_matches_python_hash(self):
-        from repro.parallel.sharded import shard_of
-        rng = np.random.default_rng(11)
-        for words in (1, 2, 3, 5):
-            rows = rng.integers(0, 1 << 64, size=(512, words), dtype=np.uint64)
-            rows[0] = 0
-            rows[1] = (1 << 64) - 1
-            # Multiples of the hash prime are the edge case of the reduction.
-            prime_words = int_to_words(((1 << 61) - 1) * 3, words)
-            rows[2] = prime_words
-            states = [words_to_int(row) for row in rows]
-            for workers in (1, 2, 3, 7, 127):
-                assert shard_rows(rows, workers).tolist() == \
-                    [shard_of(state, workers) for state in states]
-
-    def test_mask_rows_roundtrip(self):
-        rng = np.random.default_rng(5)
-        for transitions in (1, 7, 8, 9, 130):
-            enabled = rng.integers(0, 2, size=(20, transitions)).astype(bool)
-            packed = pack_mask_rows(enabled)
-            assert packed.shape == (20, (transitions + 7) // 8)
-            restored = unpack_mask_rows(packed, transitions).astype(bool)
-            assert (restored == enabled).all()
-            # The packed bytes equal the int mask little-endian encoding.
-            for row, bits in zip(packed, enabled):
-                mask = sum(1 << i for i, bit in enumerate(bits) if bit)
-                assert row.tobytes() == mask.to_bytes(len(row), "little")
-
     def test_dedup_rows_groups_and_min_provenance(self):
         rows = np.asarray([[3], [1], [3], [2], [1]], dtype=np.uint64)
         hashes = rows[:, 0]
@@ -294,14 +211,6 @@ class TestPrimitives:
         targets = np.empty(len(order), dtype=np.int64)
         targets[order] = group_rows[group_of, 0]
         assert targets.tolist() == rows[:, 0].tolist()
-
-    def test_dedup_rows_argmin_heads_are_min_occurrences(self):
-        rows = np.asarray([[3], [1], [3], [2], [1]], dtype=np.uint64)
-        hashes = rows[:, 0]
-        provenance = np.asarray([50, 40, 10, 30, 20], dtype=np.int64)
-        order, group_of, heads = dedup_rows_argmin(rows, hashes, provenance, 1)
-        resolved = {int(rows[h, 0]): int(provenance[h]) for h in heads}
-        assert resolved == {1: 20, 2: 30, 3: 10}
 
     def test_merge_sorted_index(self):
         keys = np.asarray([2, 5, 9], dtype=np.uint64)

@@ -45,7 +45,7 @@ EXAMPLE_MODELS = [
 
 def both_graphs(net, max_states=200000):
     explicit = explore(net, max_states=max_states)
-    compiled = build_reachability_graph(net, max_states=max_states, engine="compiled")
+    compiled = explore_compiled(CompiledNet.compile(net), max_states=max_states)
     assert isinstance(compiled, CompiledReachabilityGraph)
     return explicit, compiled
 
@@ -232,7 +232,7 @@ class TestEngineFallback:
         net.add_arc("src", "move")
         net.add_arc("move", "sink")
         with pytest.raises(CompilationError):
-            build_reachability_graph(net, engine="compiled")
+            explore_compiled(CompiledNet.compile(net))
 
     def test_forced_explicit_engine(self):
         net = to_petri_net(linear_pipeline(stages=1))

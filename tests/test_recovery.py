@@ -31,7 +31,6 @@ import pytest
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
 from repro.parallel.supervisor import run_supervised
-from repro.petri.batch import numpy_available
 from repro.petri.reachability import build_reachability_graph
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.utils import faults
@@ -40,12 +39,9 @@ from repro.utils.journal import read_journal
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="columnar checkpoints need NumPy")
-
 #: Child process: explore linear_pipeline(4) and print a graph digest.
-#: Run with a checkpoint directory (or "-") and a worker count; faults are
-#: injected through the inherited REPRO_FAULTS environment.
+#: Run with a checkpoint directory (or "-"); faults are injected through
+#: the inherited REPRO_FAULTS environment.
 EXPLORER = '''
 import hashlib, json, sys
 
@@ -65,10 +61,8 @@ def digest(graph):
 
 
 checkpoint = None if sys.argv[1] == "-" else sys.argv[1]
-workers = int(sys.argv[2])
 net = to_petri_net(linear_pipeline(4))
-graph = build_reachability_graph(net, engine="batch", workers=workers,
-                                 resume=checkpoint)
+graph = build_reachability_graph(net, resume=checkpoint)
 print(json.dumps({{
     "states": len(graph),
     "truncated": bool(graph.truncated),
@@ -78,23 +72,16 @@ print(json.dumps({{
 '''.format(src=str(SRC_DIR))
 
 
-def _run_explorer(checkpoint, workers=0, fault=None):
+def _run_explorer(checkpoint, fault=None):
     """Run the explorer child; return (returncode, parsed stdout or None)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_FAULTS_SEED", None)
-    argv = [sys.executable, "-c", EXPLORER, checkpoint or "-", str(workers)]
     if fault:
-        # A faulted run is expected to die by SIGKILL.  Don't capture its
-        # output: sharded worker processes inherit the pipe ends and may
-        # outlive the killed coordinator briefly, which would make
-        # ``communicate`` wait on an EOF that never comes.
         env["REPRO_FAULTS"] = fault
-        process = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                                   stderr=subprocess.DEVNULL, env=env)
-        return process.wait(timeout=300), None
+    argv = [sys.executable, "-c", EXPLORER, checkpoint or "-"]
     completed = subprocess.run(argv, capture_output=True, text=True, env=env,
                                timeout=300)
     payload = None
@@ -120,14 +107,12 @@ def fault_plan(monkeypatch):
 # -- exploration checkpoint/resume --------------------------------------------
 
 
-@needs_numpy
 class TestCheckpointResume:
     def test_completed_run_discards_its_checkpoint_files(self, tmp_path):
         checkpoint = str(tmp_path / "ckpt")
         net = to_petri_net(linear_pipeline(4))
-        reference = build_reachability_graph(net, engine="batch")
-        graph = build_reachability_graph(net, engine="batch",
-                                         resume=checkpoint)
+        reference = build_reachability_graph(net)
+        graph = build_reachability_graph(net, resume=checkpoint)
         assert len(graph) == len(reference)
         assert graph._mask_states == reference._mask_states
         assert os.listdir(checkpoint) == []
@@ -137,14 +122,13 @@ class TestCheckpointResume:
         """A mid-exploration write error leaves a resumable checkpoint."""
         checkpoint = str(tmp_path / "ckpt")
         net = to_petri_net(linear_pipeline(4))
-        reference = build_reachability_graph(net, engine="batch")
+        reference = build_reachability_graph(net)
         fault_plan("io_error@write=40")
         with pytest.raises(FaultError):
-            build_reachability_graph(net, engine="batch", resume=checkpoint)
+            build_reachability_graph(net, resume=checkpoint)
         assert "checkpoint.json" in os.listdir(checkpoint)
         fault_plan("")  # disarm
-        resumed = build_reachability_graph(net, engine="batch",
-                                           resume=checkpoint)
+        resumed = build_reachability_graph(net, resume=checkpoint)
         stats = resumed.exploration_stats["checkpoint"]
         assert stats["resumed_from_level"] >= 1
         assert resumed._mask_states == reference._mask_states
@@ -159,12 +143,11 @@ class TestCheckpointResume:
         net = to_petri_net(linear_pipeline(4))
         fault_plan("io_error@write=40")
         with pytest.raises(FaultError):
-            build_reachability_graph(net, engine="batch", resume=checkpoint)
+            build_reachability_graph(net, resume=checkpoint)
         fault_plan("")
         # Same net, different max_states: a different exploration identity.
-        reference = build_reachability_graph(net, engine="batch",
-                                             max_states=50)
-        other = build_reachability_graph(net, engine="batch", max_states=50,
+        reference = build_reachability_graph(net, max_states=50)
+        other = build_reachability_graph(net, max_states=50,
                                          resume=checkpoint)
         assert other.exploration_stats["checkpoint"]["resumed_from_level"] \
             is None
@@ -177,19 +160,17 @@ class TestCheckpointResume:
         net = to_petri_net(linear_pipeline(4))
         fault_plan("io_error@write=40")
         with pytest.raises(FaultError):
-            build_reachability_graph(net, engine="batch", resume=checkpoint)
+            build_reachability_graph(net, resume=checkpoint)
         fault_plan("")
         with open(os.path.join(checkpoint, "checkpoint.json"), "w") as handle:
             handle.write("{ not json")
-        reference = build_reachability_graph(net, engine="batch")
-        graph = build_reachability_graph(net, engine="batch",
-                                         resume=checkpoint)
+        reference = build_reachability_graph(net)
+        graph = build_reachability_graph(net, resume=checkpoint)
         assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
             is None
         assert graph._mask_states == reference._mask_states
 
 
-@needs_numpy
 class TestKillResume:
     """SIGKILL mid-level, resume, diff -- the acceptance criterion."""
 
@@ -208,37 +189,17 @@ class TestKillResume:
         assert resumed["states"] == reference["states"]
         assert os.listdir(checkpoint) == []  # zero leftovers after success
 
-    def test_sigkilled_sharded_exploration_resumes_via_batch(self, tmp_path):
-        """The sharded coordinator's leftover manifest resumes (batch side).
-
-        Level-boundary store layouts are identical across engines, so a
-        checkpoint cut by killing the sharded coordinator restores into
-        the single-process engine bit for bit.
-        """
-        checkpoint = str(tmp_path / "ckpt")
-        code, reference = _run_explorer(None)
-        assert code == 0
-        code, _ = _run_explorer(checkpoint, workers=2,
-                                fault="kill_worker@level=10")
-        assert code == -signal.SIGKILL
-        assert "checkpoint.json" in os.listdir(checkpoint)
-        code, resumed = _run_explorer(checkpoint)
-        assert code == 0
-        assert resumed["resumed_from"] >= 1
-        assert resumed["digest"] == reference["digest"]
-
 
 # -- fault sites --------------------------------------------------------------
 
 
 class TestFaultSites:
-    @needs_numpy
     def test_io_error_fault_raises_from_the_store_write_path(self,
                                                              fault_plan):
         fault_plan("io_error@write=1")
         net = to_petri_net(linear_pipeline(2))
         with pytest.raises(FaultError):
-            build_reachability_graph(net, engine="batch")
+            build_reachability_graph(net)
 
     def test_kill_worker_task_fault_is_contained_as_crashed(self,
                                                             fault_plan):

@@ -42,7 +42,7 @@ from repro.workcraft.cli import main as cli_main
 
 needs_fork = pytest.mark.skipif(
     start_method() != "fork",
-    reason="registry factories only reach workers under the fork start method")
+    reason="registry factories only reach worker processes under the fork start method")
 
 
 def _counting_factory(count_dir=None, **kwargs):
@@ -357,6 +357,20 @@ class TestAdmissionControl:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("field", [{"engine": "compiled"},
+                                       {"workers": 2}])
+    def test_removed_engine_and_workers_are_rejected_at_submit(
+            self, tmp_path, field):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        try:
+            payload = dict(_conditional_job().to_dict(), **field)
+            with pytest.raises(ConfigurationError):
+                service.submit(payload)
+            assert service.stats()["submitted"] == 0
+        finally:
+            service.close()
+
 
 # -- the HTTP API -------------------------------------------------------------
 
@@ -433,6 +447,21 @@ class TestHttpApi:
             with pytest.raises(ServiceClientError) as fmt:
                 client.report(ticket["id"], fmt="xml")
             assert fmt.value.status == 400
+
+    def test_removed_engine_and_workers_answer_400(self, tmp_path):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        with _DaemonThread(service) as daemon:
+            client = ServiceClient(daemon.address)
+            for field, message in (({"engine": "compiled"},
+                                    "unknown reachability engine"),
+                                   ({"workers": 2}, "unknown job field")):
+                payload = dict(_conditional_job().to_dict(), **field)
+                with pytest.raises(ServiceClientError) as rejected:
+                    client.submit(payload)
+                assert rejected.value.status == 400
+                assert message in str(rejected.value)
+            assert client.stats()["submitted"] == 0
 
     def test_backpressure_maps_to_429_with_retry_after(self, tmp_path):
         service = VerificationService(parallelism=1, max_depth=0,

@@ -37,6 +37,7 @@ from repro.petri.invariants import (
 from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph
 from repro.reach.parser import parse
+from repro.smt import solver as solver_module
 from repro.smt.encoder import SmtEncoder
 from repro.smt.sexpr import (
     atom_name,
@@ -450,7 +451,10 @@ class TestPipeSolver:
             solver.check_sat(timeout=5)
         solver.close()
 
-    def test_hung_solver_times_out_and_is_killed(self, tmp_path):
+    def test_hung_solver_times_out_and_is_killed(self, tmp_path,
+                                                 monkeypatch):
+        # The kill path, not the grace length, is under test.
+        monkeypatch.setattr(solver_module, "HARD_TIMEOUT_GRACE", 0.2)
         binary = self.script(tmp_path, (
             "import sys, time\n"
             "for line in sys.stdin:\n"
@@ -512,8 +516,9 @@ class TestSolverRespawn:
         assert solver.respawns == 1  # exactly one retry, then give up
         solver.close()
 
-    def test_timeout_kill_is_not_retried(self, tmp_path):
+    def test_timeout_kill_is_not_retried(self, tmp_path, monkeypatch):
         """A deliberate deadline kill must not trigger a doomed respawn."""
+        monkeypatch.setattr(solver_module, "HARD_TIMEOUT_GRACE", 0.2)
         binary = TestPipeSolver.script(tmp_path, (
             "import sys, time\n"
             "for line in sys.stdin:\n"
@@ -521,6 +526,7 @@ class TestSolverRespawn:
         solver = PipeSolver(binary=binary)
         with pytest.raises(SolverTimeoutError):
             solver.check_sat(timeout=0.3)
+        assert not solver.alive
         assert solver.respawns == 0
         solver.close()
 

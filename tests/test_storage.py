@@ -8,21 +8,15 @@ outlive the exploration -- on success, on an exception, and when a
 supervised worker is killed mid-flight.  Second, the engine contract:
 a disk-backed exploration is the *same* exploration, bit for bit --
 states, edges, parents, frontier and truncation all identical to the
-in-RAM graph, on both the batch and the sharded backends.
+in-RAM graph.
 """
 
 import glob
 import os
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
-from repro.petri.batch import numpy_available as _numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not _numpy_available(), reason="batch engine disabled (REPRO_NO_NUMPY)")
 
 from repro.campaign.jobs import VerificationJob, build_pipeline_model
 from repro.campaign.runner import run_campaign
@@ -30,9 +24,8 @@ from repro.campaign.scenario import ScenarioSpec, generate_scenarios
 from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, SafenessOverflowError
-from repro.parallel.sharded import explore_sharded
 from repro.parallel.supervisor import run_supervised
-from repro.petri.batch import ColumnarReachabilityGraph, explore_batch
+from repro.petri.batch import explore_batch
 from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph
@@ -263,25 +256,6 @@ class TestSpilledGraphIdentity:
                 spilled.close()
         assert _spill_files(tmp_path) == []
 
-    def test_sharded_disk_backed_is_bit_identical(self, tmp_path):
-        for name, dfs in _example_models():
-            compiled = CompiledNet.compile(to_petri_net(dfs))
-            for max_states in (7, 200000):
-                reference = explore_compiled(compiled, max_states=max_states)
-                for workers in (2, 3):
-                    spilled = explore_sharded(
-                        compiled, max_states=max_states, workers=workers,
-                        spill=SpillConfig(str(tmp_path), 0))
-                    assert isinstance(spilled, ColumnarReachabilityGraph)
-                    _assert_identical(
-                        reference, spilled,
-                        "{} max_states={} workers={}".format(
-                            name, max_states, workers))
-                    assert spilled.exploration_stats["spill"]["spilled"]
-                    assert spilled.exchange_stats is not None
-                    spilled.close()
-        assert _spill_files(tmp_path) == []
-
     def test_mid_run_budget_crossing_is_bit_identical(self, tmp_path):
         """A graph that *starts* in RAM and spills partway stays identical."""
         dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
@@ -291,15 +265,6 @@ class TestSpilledGraphIdentity:
                                 spill=SpillConfig(str(tmp_path), 1 << 12))
         _assert_identical(reference, spilled, "mid-run spill")
         assert spilled.exploration_stats["spill"]["spilled"]
-
-    def test_spawn_workers_with_spill(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        compiled = CompiledNet.compile(to_petri_net(token_ring()))
-        reference = explore_compiled(compiled)
-        spilled = explore_sharded(compiled, workers=2,
-                                  spill=SpillConfig(str(tmp_path), 0))
-        _assert_identical(reference, spilled, "spawn+spill")
-        assert _spill_files(tmp_path) == []
 
     def test_build_reachability_graph_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
@@ -318,7 +283,7 @@ class TestSpilledGraphIdentity:
 class TestSpillLifecycle:
     def test_mirror_cap_raises_an_actionable_error(self):
         net = to_petri_net(token_ring())
-        graph = build_reachability_graph(net, engine="batch")
+        graph = build_reachability_graph(net)
         graph.mirror_limit = 3  # the ring has more states than that
         with pytest.raises(ConfigurationError) as excinfo:
             graph._mask_states
@@ -327,7 +292,7 @@ class TestSpillLifecycle:
         with pytest.raises(ConfigurationError):
             graph._mask_edges
         graph.mirror_limit = None  # the documented opt-in
-        reference = build_reachability_graph(net, engine="compiled")
+        reference = explore_compiled(CompiledNet.compile(net))
         assert graph._mask_states == reference._mask_states
 
     def test_exception_mid_exploration_leaves_no_files(self, tmp_path):
@@ -364,8 +329,7 @@ class TestSpillLifecycle:
 def _spill_then_hang(spill_dir):
     """Supervised task: build a disk-backed graph, then outlive the deadline."""
     net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-    graph = build_reachability_graph(net, engine="batch",
-                                     spill_dir=spill_dir, spill_bytes=0)
+    graph = build_reachability_graph(net, spill_dir=spill_dir, spill_bytes=0)
     assert graph.exploration_stats["spill"]["spilled"]
     time.sleep(60)
 
@@ -374,33 +338,31 @@ def _spill_then_hang(spill_dir):
 
 
 class TestExplorationStatsPlumbing:
-    def test_batch_and_sharded_stats_shape(self, monkeypatch, tmp_path):
+    def test_batch_stats_shape(self, monkeypatch, tmp_path):
         # An ambient spill budget (the tests-spill CI job sets one) must
         # not leak into this in-RAM baseline check.
         monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
         monkeypatch.delenv("REPRO_SPILL_BYTES", raising=False)
         compiled = CompiledNet.compile(to_petri_net(token_ring()))
         batch = explore_batch(compiled)
-        assert batch.exploration_stats["engine"] == "batch"
-        sharded = explore_sharded(compiled, workers=2)
-        assert sharded.exploration_stats["engine"] == "sharded"
-        for stats in (batch.exploration_stats, sharded.exploration_stats):
-            assert set(stats) == {"engine", "levels", "states", "edges",
-                                  "phases", "spill", "checkpoint"}
-            assert stats["states"] == len(batch)
-            assert isinstance(stats["phases"], dict)
-            assert stats["spill"]["spilled"] is False
+        stats = batch.exploration_stats
+        assert stats["engine"] == "batch"
+        assert set(stats) == {"engine", "levels", "states", "edges",
+                              "phases", "spill", "checkpoint"}
+        assert stats["states"] == len(batch)
+        assert isinstance(stats["phases"], dict)
+        assert stats["spill"]["spilled"] is False
 
     def test_verifier_surfaces_exploration_stats(self):
         dfs = build_pipeline_model(2, static_prefix=1)
-        summary = Verifier(dfs, engine="batch").verify_all()
+        summary = Verifier(dfs).verify_all()
         assert summary.exploration is not None
         assert summary.exploration["engine"] == "batch"
 
     def test_job_attaches_stats_on_cold_runs_only(self, tmp_path):
         job = VerificationJob("j1", "pipeline",
                               kwargs={"stages": 2, "static_prefix": 1},
-                              engine="batch", spill_dir=str(tmp_path),
+                              spill_dir=str(tmp_path),
                               spill_bytes=0)
         cold = job.run(cache=str(tmp_path / "cache"))
         assert cold["cache"] == "miss"
@@ -438,7 +400,7 @@ class TestExplorationStatsPlumbing:
                 "write_bytes": 0, "read_bytes": 0, "spilled_jobs": 0}
             job = VerificationJob("s1", "pipeline",
                                   kwargs={"stages": 2, "static_prefix": 1},
-                                  engine="batch", spill_dir=str(tmp_path),
+                                  spill_dir=str(tmp_path),
                                   spill_bytes=0)
             scheduler.submit(job).wait(60)
             totals = scheduler.stats()["spill"]
@@ -448,8 +410,8 @@ class TestExplorationStatsPlumbing:
             scheduler.shutdown()
 
     def test_campaign_report_aggregates_spill_totals(self, tmp_path):
-        spec = ScenarioSpec(depths=(2,), engine="batch",
-                            spill_dir=str(tmp_path), spill_bytes=0)
+        spec = ScenarioSpec(depths=(2,), spill_dir=str(tmp_path),
+                            spill_bytes=0)
         jobs, skipped = generate_scenarios(spec)
         report = run_campaign(jobs, parallelism=0, cache_dir=None,
                               spec=spec, skipped=skipped)

@@ -153,9 +153,9 @@ class TestWitnessShape:
         assert "places" in result.witnesses[0]
 
     def test_engines_agree_on_summary(self, conditional_dfs):
-        compiled = Verifier(conditional_dfs, engine="compiled").verify_all()
+        batch = Verifier(conditional_dfs, engine="auto").verify_all()
         explicit = Verifier(conditional_dfs, engine="explicit").verify_all()
-        assert compiled.state_count == explicit.state_count
-        for a, b in zip(compiled.results, explicit.results):
+        assert batch.state_count == explicit.state_count
+        for a, b in zip(batch.results, explicit.results):
             assert a.property_name == b.property_name
             assert a.holds == b.holds

@@ -4,10 +4,7 @@ The contract mirrors ``tests/test_petri_batch.py``: the swarm backend is a
 *throughput* change, never a *semantics* change.  Its RNG draws and
 guidance ranks are pinned bit-for-bit against the scalar helpers of
 ``walk_core``, its conclusive verdicts are differentially checked against
-the scalar walker and the exhaustive engine on the whole example family,
-and the ``REPRO_NO_NUMPY`` fallback path is exercised without NumPy at all
-(the fallback classes below carry no numpy skip, so the no-NumPy CI job
-runs them).
+the scalar walker and the exhaustive engine on the whole example family.
 """
 
 import pytest
@@ -18,7 +15,6 @@ from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.model import DataflowStructure
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
-from repro.petri.batch import numpy_available
 from repro.petri.compiled import CompiledNet
 from repro.petri.net import PetriNet
 from repro.reach.cubes import to_cubes
@@ -84,12 +80,6 @@ MODEL_FAMILY = {
     "mismatch": mismatch_model,
 }
 
-#: Skip marker of the numpy-only classes (the fallback classes run always).
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="batch walk backend disabled (no NumPy "
-    "or REPRO_NO_NUMPY set)")
-
-
 def overflow_net():
     """A non-1-safe net: firing ``t`` puts a second token into ``p``."""
     net = PetriNet("overflow")
@@ -106,7 +96,6 @@ def walk_checker(net, **options):
     return create_checker("walk", CheckerContext(net), options)
 
 
-@needs_numpy
 class TestCounterRng:
     """The vectorised RNG must be bit-identical to the scalar stream."""
 
@@ -137,7 +126,6 @@ class TestCounterRng:
         assert all(word <= (1 << 64) - 1 for word in words)
 
 
-@needs_numpy
 class TestSharedScoring:
     """Both backends rank states through the same arithmetic."""
 
@@ -182,7 +170,6 @@ class TestSharedScoring:
         assert int(counts.sum()) == fewest_enabled_rank(compiled, state)
 
 
-@needs_numpy
 class TestSwarmDifferential:
     """Swarm verdicts must never contradict scalar or exhaustive."""
 
@@ -243,7 +230,6 @@ class TestSwarmDifferential:
         assert not net.enabled_transitions(marking)
 
 
-@needs_numpy
 class TestBeyondTheTruncationHorizon:
     def test_swarm_finds_hole_deadlock_past_a_1000_state_truncation(self):
         dfs = build_pipeline_model(4, static_prefix=1, holes=[2])
@@ -258,7 +244,6 @@ class TestBeyondTheTruncationHorizon:
         assert result.witnesses[0]["trace"]
 
 
-@needs_numpy
 class TestSwarmEdgeCases:
     def test_multi_word_net(self):
         """The swarm spans word boundaries exactly like the BFS engine."""
@@ -374,14 +359,11 @@ class TestWitnessReplay:
 
 
 class TestScalarFallback:
-    """No NumPy (or REPRO_NO_NUMPY): auto cleanly degrades to scalar.
-
-    Deliberately *not* numpy-skipped: the no-NumPy CI job runs these.
-    """
+    """Backend resolution: auto runs the swarm, scalar stays selectable."""
 
     def test_auto_resolves_per_numpy_availability(self):
-        expected = "batch" if numpy_available() else "scalar"
-        assert resolve_walk_backend("auto") == expected
+        assert resolve_walk_backend("auto") == "batch"
+        assert resolve_walk_backend("batch") == "batch"
         assert resolve_walk_backend("scalar") == "scalar"
 
     def test_unknown_backend_is_rejected(self):
@@ -390,24 +372,6 @@ class TestScalarFallback:
         net = to_petri_net(MODEL_FAMILY["conditional"]())
         with pytest.raises(ConfigurationError):
             walk_checker(net, backend="gpu")
-
-    def test_no_numpy_auto_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert resolve_walk_backend("auto") == "scalar"
-        assert resolve_walk_backend("batch") == "batch-unavailable"
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1,
-                                                holes=[2]))
-        checker = walk_checker(net, backend="auto")
-        outcome = checker.check(DeadlockQuery())
-        assert outcome.holds is False
-        assert checker.last_hunt_stats["backend"] == "scalar"
-
-    def test_forced_batch_without_numpy_is_inconclusive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        net = to_petri_net(MODEL_FAMILY["conditional"]())
-        outcome = walk_checker(net, backend="batch").check(DeadlockQuery())
-        assert outcome.holds is None
-        assert "NumPy" in outcome.details
 
     def test_walk_cli_flags_reach_the_checker(self, capsys):
         from repro.workcraft.cli import main as cli_main
@@ -432,9 +396,8 @@ class TestCampaignDigests:
             "j", "conditional", checker="walk",
             checker_options={"walk": {"backend": "scalar"}})
         assert scalar.options()["walk_backend"] == "scalar"
-        if numpy_available():
-            assert (options_digest(job.options())
-                    != options_digest(scalar.options()))
+        assert (options_digest(job.options())
+                != options_digest(scalar.options()))
 
     def test_portfolio_jobs_resolve_the_nested_member_backend(self):
         job = VerificationJob(

@@ -130,3 +130,12 @@ class TestCli:
     def test_missing_model_argument_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["info"])
+
+    def test_removed_workers_and_engine_choices_exit_2(self, capsys):
+        for argv in (["verify", "--example", "ring", "--workers", "2"],
+                     ["verify", "--example", "ring", "--engine", "compiled"],
+                     ["campaign", "--grid", "depth=2", "--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(argv)
+            assert excinfo.value.code == 2, argv
+        assert "--workers" in capsys.readouterr().err
