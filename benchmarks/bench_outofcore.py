@@ -54,9 +54,16 @@ started = time.perf_counter()
 graph = explore_batch(compiled, max_states=max_states, spill=spill)
 seconds = time.perf_counter() - started
 stats = graph.exploration_stats
-peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-if sys.platform == "darwin":
-    peak //= 1024  # ru_maxrss is bytes on macOS, KiB elsewhere
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec from the
+# parent's peak, so a child of a big pytest process would inherit it.
+try:
+    with open("/proc/self/status", encoding="ascii") as status:
+        peak = next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+except OSError:
+    peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    if sys.platform == "darwin":
+        peak //= 1024  # ru_maxrss is bytes on macOS, KiB elsewhere
 print(json.dumps({
     "mode": mode, "states": len(graph), "edges": stats["edges"],
     "levels": stats["levels"], "seconds": seconds, "peak_rss_kb": peak,

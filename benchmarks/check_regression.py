@@ -5,13 +5,17 @@ CI runs the benchmarks with ``BENCH_JSON=<dir>`` (see
 ``benchmarks/conftest.py``), then calls this script to compare the fresh
 results against the committed baselines in ``benchmarks/baselines/``.
 
-Two metrics are gated, one per bench file.  Absolute seconds are
+The gates are listed in :data:`GATES`.  Absolute seconds are
 meaningless across runner generations, so each gate normalises a timing by
-a second timing measured in the same process on the same machine:
+a second timing measured in the same process on the same machine, e.g.:
 
 * the **batch-engine verify path** (``bench_verification``)::
 
       relative = batch_seconds / explicit_seconds
+
+* the **persistence scan** (``bench_verification``)::
+
+      relative = persistence_seconds / explore_seconds
 
 * the **portfolio verify path** (``bench_checkers``)::
 
@@ -46,6 +50,16 @@ GATES = [
         "reference": "explicit",
         "gated": "batch",
         "label": "batch verify path",
+    },
+    {
+        # The persistence scan is one pass over the edges: it must stay a
+        # fraction of the exploration that built the graph (~0.35), not
+        # creep back toward the old pair scan's ~1.2.
+        "table": "persistence scan comparison",
+        "key": "step",
+        "reference": "explore",
+        "gated": "persistence",
+        "label": "persistence scan",
     },
     {
         "table": "checker portfolio comparison",

@@ -70,7 +70,19 @@ def _format(value):
 
 
 def peak_rss_kb():
-    """Peak resident-set size of this process in KiB (0 when unavailable)."""
+    """Peak resident-set size of this process in KiB (0 when unavailable).
+
+    Reads ``VmHWM`` from ``/proc/self/status``: Linux carries ``ru_maxrss``
+    across ``exec`` from the parent's peak, ``VmHWM`` starts afresh.
+    ``ru_maxrss`` is the fallback where ``/proc`` does not exist.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     if resource is None:
         return 0
     peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

@@ -47,8 +47,8 @@ from repro.petri.compiled import (
 from repro.petri.reachability import ReachabilityGraph
 from repro.utils import faults as _faults
 
-#: Cap on the transient pair matrix of the vectorised persistence scan.
-_PAIR_BLOCK = 1 << 20
+#: Cap (in edges) on one block of the persistence scan's per-edge bitsets.
+_EDGE_BLOCK = 1 << 20
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -154,11 +154,27 @@ class WordTables:
         return bit // 64, _np.uint64(1 << (bit % 64))
 
 
-def _group_arange(counts):
-    """``concatenate([arange(c) for c in counts])`` without the Python loop."""
-    total = int(counts.sum())
-    starts = _np.cumsum(counts) - counts
-    return _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts)
+def _pack_bits(flags):
+    """Pack a ``(n, T)`` bool matrix into ``(n, ceil(T/64))`` uint64 bitsets.
+
+    Column ``t`` becomes bit ``t % 64`` of word ``t // 64``.
+    """
+    rows, width = flags.shape
+    padded = _np.zeros((rows, max(1, (width + 63) // 64) * 64), dtype=bool)
+    padded[:, :width] = flags
+    return _np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _edge_blocks(offsets, limit):
+    """``(low, high)`` state ranges of the CSR *offsets*, <= *limit* edges each."""
+    states = len(offsets) - 1
+    low = 0
+    while low < states:
+        high = int(_np.searchsorted(offsets, offsets[low] + limit,
+                                    side="right")) - 1
+        high = min(max(high, low + 1), states)
+        yield low, high
+        low = high
 
 
 def fire_enabled_flags(tables, rows, flat):
@@ -555,76 +571,126 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         return self.count_and_collect_rows(matches, max_witnesses)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """The persistence scan of the compiled graph, vectorised.
+        """The persistence scan of the compiled graph, in one pass over edges.
 
         Identical contract and witness order: states in discovery order, the
         fired/disabled pair loops in edge order, frontier states skipped.
-        Pair matrices are built in bounded blocks so a dense level cannot
-        blow the transient memory up.
+        An edge ``(s, t1, s')`` disables exactly the transitions of
+        ``enabled(s) & ~enabled(s') & ~excluded(t1)``, so the count is a
+        popcount per edge over ``(states, ceil(T/64))`` enabled bitsets;
+        only the first hit states re-run the exact pair loop for witnesses.
         """
-        tables = self.tables
-        words = self._words
-        data = self._edge_data
+        from repro.petri.storage import ArrayStore
+
         offsets = self._edge_offsets
         degrees = _np.diff(offsets)
         eligible = degrees >= 2
-        if len(self._frontier_arr):
-            eligible[self._frontier_arr] = False
-        candidates = _np.where(eligible)[0]
-        if not len(candidates):
-            return 0, []
+        eligible[self._frontier_arr] = False
+        excluded = self._excluded_bits(allow_conflicts)
+        # The enabled table lives in the graph's spill pool, so a
+        # disk-backed graph keeps its RAM budget.
+        pool = self._spill_pool
+        store = ArrayStore(pool, "enabled", _np.uint64,
+                           columns=excluded.shape[1], capacity=len(self))
+        store.set_length(len(self))
+        enabled = store.data
         violations = 0
+        hit_states = []
+        try:
+            self._fill_enabled_bits(enabled)
+            for low, high in _edge_blocks(offsets, _EDGE_BLOCK):
+                base = int(offsets[low])
+                packed = self._edge_data[base:int(offsets[high])]
+                # Ineligible sources (frontier, degree < 2) contribute no
+                # bits, so their edges drop out of the count.
+                sources = enabled[low:high] * eligible[low:high, None]
+                disabled = _np.repeat(sources, degrees[low:high], axis=0)
+                disabled &= ~enabled[packed >> 16]
+                disabled &= ~excluded[packed & 0xFFFF]
+                found = int(_np.bitwise_count(disabled).sum())
+                violations += found
+                if found and len(hit_states) < max_witnesses:
+                    hit_edges = _np.flatnonzero(disabled.any(axis=1))
+                    positions = _np.searchsorted(
+                        offsets, base + hit_edges, side="right") - 1
+                    hit_states.extend(_np.unique(positions).tolist()[
+                        :max_witnesses - len(hit_states)])
+        finally:
+            store.release()
+            # A checkpoint-mode pool names its files; leave none behind.
+            pool.discard_checkpoint_files()
         witnesses = []
-        names = self.compiled.transition_names
-        pair_counts = (degrees[candidates] * degrees[candidates]).astype(
-            _np.int64)
-        boundaries = _np.cumsum(pair_counts)
-        start = 0
-        while start < len(candidates):
-            base = int(boundaries[start - 1]) if start else 0
-            stop = start + 1
-            while (stop < len(candidates)
-                   and int(boundaries[stop]) - base <= _PAIR_BLOCK):
-                stop += 1
-            block = candidates[start:stop]
-            degree = degrees[block]
-            counts = (degree * degree).astype(_np.int64)
-            state_rep = _np.repeat(block, counts)
-            start_rep = _np.repeat(offsets[block], counts)
-            degree_rep = _np.repeat(degree, counts)
-            pair = _group_arange(counts)
-            first = pair // degree_rep
-            second = pair % degree_rep
-            edge_one = data[start_rep + first]
-            edge_two = data[start_rep + second]
-            fired = (edge_one & 0xFFFF).astype(_np.int64)
-            other = (edge_two & 0xFFFF).astype(_np.int64)
-            keep = fired != other
-            if allow_conflicts:
-                conflict = _np.zeros(len(keep), dtype=bool)
-                for w in range(tables.words):
-                    conflict |= (tables.consume[fired, w]
-                                 & tables.consume[other, w]) != 0
-                keep &= ~conflict
-            after = (edge_one >> 16)[keep]
-            other_kept = other[keep]
-            disabled = _np.zeros(len(other_kept), dtype=bool)
-            for w in range(tables.words):
-                need_w = tables.need[other_kept, w]
-                disabled |= (words[after, w] & need_w) != need_w
-            violations += int(disabled.sum())
-            if len(witnesses) < max_witnesses:
-                hits = _np.where(disabled)[0]
-                kept_positions = _np.where(keep)[0]
-                for hit in hits[:max_witnesses - len(witnesses)]:
-                    position = int(kept_positions[hit])
-                    witnesses.append({
-                        "marking": self._marking_at(int(state_rep[position])),
-                        "fired": names[int(fired[position])],
-                        "disabled": names[int(other[position])],
-                    })
-            start = stop
+        for index in hit_states:
+            self._state_witnesses(index, allow_conflicts, witnesses,
+                                  max_witnesses)
         return violations, witnesses
+
+    def _excluded_bits(self, allow_conflicts):
+        """``(T, ceil(T/64))`` bitsets of the pairs persistence never checks.
+
+        Row ``t1`` holds ``t1`` itself and, with *allow_conflicts*, every
+        ``t2`` sharing a consumed place with it (an intended choice).
+        """
+        consume = self.tables.consume
+        excluded = _np.eye(len(consume), dtype=bool)
+        if allow_conflicts:
+            for w in range(self.tables.words):
+                column = consume[:, w]
+                excluded |= (column[:, None] & column[None, :]) != 0
+        return _pack_bits(excluded)
+
+    def _fill_enabled_bits(self, enabled):
+        """Write every state's enabled-transition bitset into *enabled*.
+
+        An expanded state's edge list is exactly its enabled set, so its row
+        is the OR of its edges' transition bits; frontier states' edge lists
+        are partial, so their rows are recomputed from their markings.
+        """
+        data = self._edge_data
+        offsets = self._edge_offsets
+        columns = enabled.shape[1]
+        for low, high in _edge_blocks(offsets, _EDGE_BLOCK):
+            enabled[low:high] = 0
+            base = int(offsets[low])
+            fired = data[base:int(offsets[high])] & 0xFFFF
+            if not len(fired):
+                continue
+            bits = _np.zeros((len(fired), columns), dtype=_np.uint64)
+            bits[_np.arange(len(fired)), fired >> 6] = (
+                _np.uint64(1) << (fired & 63).astype(_np.uint64))
+            starts = offsets[low:high] - base
+            busy = _np.flatnonzero(_np.diff(offsets[low:high + 1]))
+            enabled[low + busy] = _np.bitwise_or.reduceat(
+                bits, starts[busy], axis=0)
+        frontier = self._frontier_arr
+        if len(frontier):
+            enabled[frontier] = _pack_bits(
+                self.tables.enabled_matrix(self._words[frontier]))
+
+    def _state_witnesses(self, index, allow_conflicts, witnesses, limit):
+        """The exact pair loop of one state, appending up to *limit* hits."""
+        compiled = self.compiled
+        consume = compiled.consume
+        need = compiled.need
+        names = compiled.transition_names
+        low = int(self._edge_offsets[index])
+        high = int(self._edge_offsets[index + 1])
+        edges = self._edge_data[low:high].tolist()
+        for packed in edges:
+            t1 = packed & 0xFFFF
+            after = self._state_int(packed >> 16)
+            for other in edges:
+                t2 = other & 0xFFFF
+                if t1 == t2 or (allow_conflicts and consume[t1] & consume[t2]):
+                    continue
+                if (after & need[t2]) != need[t2]:
+                    if len(witnesses) >= limit:
+                        return
+                    witnesses.append({
+                        "marking": self._marking_at(index),
+                        "fired": names[t1],
+                        "disabled": names[t2],
+                    })
 
 
 def compile_row_predicate(expression, word_bit_of):

@@ -8,6 +8,8 @@ and the columnar fast paths must answer every property/Reach query with
 the same verdicts and witnesses as the pure-int graph.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.dfs.examples import (
 )
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import SafenessOverflowError
+import repro.petri.batch as batch_module
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
@@ -37,7 +40,7 @@ from repro.petri.properties import (
     check_mutual_exclusion,
     check_persistence,
 )
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.reachability import build_reachability_graph, explore
 from repro.reach.evaluator import find_witnesses, holds_somewhere
 
 
@@ -171,6 +174,108 @@ class TestDifferentialExamples:
         compiled = CompiledNet.compile(net)
         with pytest.raises(SafenessOverflowError):
             explore_batch(compiled)
+
+
+def ring_hazard_net(seed, rings, lengths, branches, read_arcs):
+    """A seeded 1-safe net of token rings that violates persistence.
+
+    Each ring moves one token round its places, so every ring stays live.
+    Extra branches between two places of one ring make choices, which only
+    ``allow_conflicts=False`` counts.  The first *read_arcs* branches also
+    read a place of another ring: that ring moving on disables the branch,
+    a hazard under either setting.
+    """
+    rng = random.Random(seed)
+    net = PetriNet("rings-{}".format(seed))
+    sizes = [rng.randint(*lengths) for _ in range(rings)]
+    for ring, size in enumerate(sizes):
+        for i in range(size):
+            net.add_place("r{}p{}".format(ring, i), tokens=int(i == 0))
+        for i in range(size):
+            name = "r{}t{}".format(ring, i)
+            net.add_transition(name)
+            net.add_arc("r{}p{}".format(ring, i), name)
+            net.add_arc(name, "r{}p{}".format(ring, (i + 1) % size))
+    for branch in range(branches):
+        ring, other = rng.sample(range(rings), 2)
+        name = "b{}".format(branch)
+        net.add_transition(name)
+        net.add_arc("r{}p{}".format(ring, rng.randrange(sizes[ring])), name)
+        net.add_arc(name, "r{}p{}".format(ring, rng.randrange(sizes[ring])))
+        if branch < read_arcs:
+            net.add_read_arc(
+                "r{}p{}".format(other, rng.randrange(sizes[other])), name)
+    return net
+
+
+#: Seeded ring-hazard nets: small ones the explicit explorer can afford,
+#: and two spanning more than 64 places and 64 transitions.
+HAZARD_NETS = (
+    [(seed, dict(rings=2 + seed % 2, lengths=(2, 4), branches=3,
+                 read_arcs=2)) for seed in range(8)]
+    + [(100 + seed, dict(rings=3, lengths=(22, 24), branches=8,
+                         read_arcs=6)) for seed in range(2)])
+
+
+def _witness_key(witness):
+    return (sorted(witness["marking"].items()), witness["fired"],
+            witness["disabled"])
+
+
+class TestPersistenceOnHazardNets:
+    """The edge-bitset scan against the pure-int pair loop and the
+    explicit marking loop, on nets that really violate persistence."""
+
+    def test_generated_nets_violate_and_span_words(self):
+        wide = ring_hazard_net(100, **HAZARD_NETS[-1][1])
+        assert len(wide.places) > 64 and len(wide.transitions) > 64
+        for seed, shape in HAZARD_NETS:
+            graph = explore_batch(CompiledNet.compile(
+                ring_hazard_net(seed, **shape)))
+            assert graph.persistence_scan(allow_conflicts=True)[0] > 0
+
+    @pytest.mark.parametrize("seed,shape", HAZARD_NETS)
+    def test_scan_matches_oracles(self, seed, shape):
+        net = ring_hazard_net(seed, **shape)
+        compiled = CompiledNet.compile(net)
+        full = len(explore_batch(compiled))
+        small = full < 1000
+        for max_states in (max(1, full // 2), full):
+            batch = explore_batch(compiled, max_states=max_states)
+            sequential = explore_compiled(compiled, max_states=max_states)
+            assert batch.truncated == (max_states < full)
+            explicit = explore(net, max_states=max_states) if small else None
+            for allow_conflicts in (True, False):
+                for max_witnesses in (0, 1, 5):
+                    tag = (seed, max_states, allow_conflicts, max_witnesses)
+                    expected = sequential.persistence_scan(
+                        allow_conflicts=allow_conflicts,
+                        max_witnesses=max_witnesses)
+                    assert batch.persistence_scan(
+                        allow_conflicts=allow_conflicts,
+                        max_witnesses=max_witnesses) == expected, tag
+                if explicit is not None:
+                    everything = len(batch) ** 2 * len(net.transitions)
+                    left = check_persistence(
+                        explicit, allow_conflicts=allow_conflicts,
+                        max_witnesses=everything, with_traces=False)
+                    right = check_persistence(
+                        batch, allow_conflicts=allow_conflicts,
+                        max_witnesses=everything, with_traces=False)
+                    assert (left.holds, left.details) == \
+                        (right.holds, right.details), tag
+                    assert sorted(map(_witness_key, left.witnesses)) == \
+                        sorted(map(_witness_key, right.witnesses)), tag
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_edge_blocks_do_not_change_the_answer(self, block, monkeypatch):
+        compiled = CompiledNet.compile(ring_hazard_net(100, **HAZARD_NETS[-2][1]))
+        graph = explore_batch(compiled, max_states=3000)
+        expected = [graph.persistence_scan(allow_conflicts=allow, max_witnesses=5)
+                    for allow in (True, False)]
+        monkeypatch.setattr(batch_module, "_EDGE_BLOCK", block)
+        assert [graph.persistence_scan(allow_conflicts=allow, max_witnesses=5)
+                for allow in (True, False)] == expected
 
 
 class TestEngineSelection:

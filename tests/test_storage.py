@@ -28,6 +28,7 @@ from repro.parallel.supervisor import run_supervised
 from repro.petri.batch import explore_batch
 from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.net import PetriNet
+from repro.petri.properties import check_persistence
 from repro.petri.reachability import build_reachability_graph
 from repro.petri.storage import (
     ArrayStore,
@@ -36,6 +37,7 @@ from repro.petri.storage import (
     SpillPool,
 )
 from repro.verification.verifier import Verifier
+from test_petri_batch import HAZARD_NETS, ring_hazard_net
 
 
 def _spill_files(directory):
@@ -265,6 +267,35 @@ class TestSpilledGraphIdentity:
                                 spill=SpillConfig(str(tmp_path), 1 << 12))
         _assert_identical(reference, spilled, "mid-run spill")
         assert spilled.exploration_stats["spill"]["spilled"]
+
+    def test_disk_backed_persistence_matches_ram(self, tmp_path, monkeypatch):
+        """The scan's enabled table lives in the graph's spill pool: a
+        disk-backed (or checkpointed) graph answers exactly like the in-RAM
+        one and leaves no file behind."""
+        monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
+        monkeypatch.delenv("REPRO_SPILL_BYTES", raising=False)
+        seed, shape = HAZARD_NETS[-1]
+        compiled = CompiledNet.compile(ring_hazard_net(seed, **shape))
+        checkpoint = tmp_path / "checkpoint"
+        for max_states in (4000, 200000):
+            ram = explore_batch(compiled, max_states=max_states)
+            spilled = explore_batch(compiled, max_states=max_states,
+                                    spill=SpillConfig(str(tmp_path), 0))
+            named = explore_batch(compiled, max_states=max_states,
+                                  checkpoint=str(checkpoint))
+            for allow_conflicts in (True, False):
+                expected = check_persistence(ram, allow_conflicts=allow_conflicts)
+                assert expected.holds is False
+                for graph in (spilled, named):
+                    report = check_persistence(graph,
+                                               allow_conflicts=allow_conflicts)
+                    assert (report.holds, report.details, report.witnesses) == \
+                        (expected.holds, expected.details, expected.witnesses)
+            assert spilled.exploration_stats["spill"]["spilled"]
+            spilled.close()
+            named.close()
+            assert _spill_files(tmp_path) == []
+            assert os.listdir(str(checkpoint)) == []
 
     def test_build_reachability_graph_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
