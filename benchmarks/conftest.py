@@ -95,9 +95,9 @@ def graph_bytes(graph):
     """Resident bytes of a reachability graph's core storage.
 
     Columnar graphs (``repro.petri.batch``) report the exact ``nbytes`` of
-    their arrays; list-based compiled graphs sum ``sys.getsizeof`` over the
-    state/edge/parent structures.  Unlike peak RSS (a process-wide
-    monotonic high-water mark), this is a per-graph measure, so the
+    their arrays; the list-based ``explore_compiled`` record sums
+    ``sys.getsizeof`` over its state/edge/parent lists.  Unlike peak RSS (a
+    process-wide monotonic high-water mark), this is a per-graph measure, so the
     sequential and batch rows of one bench genuinely differ by the
     columnar storage win.
     """
@@ -107,9 +107,7 @@ def graph_bytes(graph):
                            "_hash_keys", "_hash_idx")]
     if arrays[0] is not None:
         return sum(array.nbytes for array in arrays if array is not None)
-    states = graph._mask_states
-    edges = graph._mask_edges
-    parents = graph._parents
+    states, edges, parents = graph.states, graph.edges, graph.parents
     total = (sys.getsizeof(states) + sys.getsizeof(edges)
              + sys.getsizeof(parents))
     total += sum(sys.getsizeof(state) for state in states)

@@ -14,11 +14,7 @@ from repro.petri.reachability import (
     build_reachability_graph,
     explore,
 )
-from repro.petri.compiled import (
-    CompiledNet,
-    CompiledReachabilityGraph,
-    explore_compiled,
-)
+from repro.petri.compiled import CompiledNet
 from repro.petri.simulation import PetriSimulator, random_trace
 from repro.petri.properties import (
     check_boundedness,
@@ -34,7 +30,6 @@ __all__ = [
     "Arc",
     "ArcKind",
     "CompiledNet",
-    "CompiledReachabilityGraph",
     "Marking",
     "PetriNet",
     "PetriSimulator",
@@ -48,7 +43,6 @@ __all__ = [
     "check_mutual_exclusion",
     "check_persistence",
     "explore",
-    "explore_compiled",
     "incidence_matrix",
     "place_invariants",
     "random_trace",

@@ -23,12 +23,12 @@ The result is a :class:`ColumnarReachabilityGraph`: the state table, packed
 edges (CSR layout), parents and frontier all stay NumPy arrays, so the
 mask-level scans of :mod:`repro.petri.properties` and
 :mod:`repro.reach.evaluator` become vectorised compares over the state table
-instead of per-state Python loops.  Marking-level APIs decode on demand,
-like the compiled graph.
+instead of per-state Python loops.  Marking-level APIs decode on demand.
 
 This is the engine ``build_reachability_graph`` runs for every 1-safe net.
-The pure-int engine remains the reference oracle for its semantics; this
-engine must match it bit for bit (see ``tests/test_petri_batch.py``).
+The pure-int :func:`explore_compiled` remains the reference oracle for its
+semantics; this engine must match it bit for bit (see
+``tests/test_petri_batch.py``).
 """
 
 import numpy as _np
@@ -40,7 +40,6 @@ from repro.exceptions import (
 )
 from repro.petri.compiled import (
     CompiledNet,
-    CompiledReachabilityGraph,
     iter_bits,
     transition_watch_lists,
 )
@@ -321,7 +320,7 @@ def merge_sorted_index(keys, idx, new_keys, new_idx):
     return merged_keys, merged_idx
 
 
-class ColumnarReachabilityGraph(CompiledReachabilityGraph):
+class ColumnarReachabilityGraph(ReachabilityGraph):
     """Reachability graph stored columnar: NumPy arrays, not Python lists.
 
     * ``_words`` -- the ``(states, words)`` uint64 state table;
@@ -330,23 +329,17 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
     * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
       (``-1`` for the initial state);
     * ``_frontier_arr`` -- sorted indices of partially-expanded states;
-    * ``_sorted_keys`` / ``_sorted_idx`` -- the byte-key index used for
+    * ``_hash_keys`` / ``_hash_idx`` -- the sorted row-hash index used for
       O(log n) marking lookup without materialising Python ints.
 
     The full marking-level :class:`~repro.petri.reachability.ReachabilityGraph`
-    API is preserved -- markings decode on demand, and the list-based mirrors
-    (``_mask_states`` and friends) materialise lazily so differential tests
-    and mixed-engine callers can still compare graphs field by field.
+    API is answered from these arrays -- markings decode on demand, and
+    predecessors come from a reverse CSR built on first use -- so the
+    base class's dict-based structures stay empty.
     """
 
+    #: Columnar graphs exist only while every marking stayed 1-safe.
     one_safe = True
-
-    #: Cap (in entries) on the lazily materialised Python list mirrors.
-    #: The mirrors exist for differential tests and mixed-engine callers;
-    #: past the cap they would clone a multi-million-row (possibly
-    #: disk-backed) columnar table into Python objects, so crossing it
-    #: raises an actionable error instead.  Set to ``None`` to opt in.
-    mirror_limit = 1 << 22
 
     def __init__(self, compiled, tables, initial_state):
         ReachabilityGraph.__init__(self, compiled.net,
@@ -355,7 +348,6 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         self.tables = tables
         self._decoded = {}
         self._all_decoded = None
-        self._materialized = False
         # Columnar storage (filled by explore_batch).
         self._words = None
         self._edge_data = None
@@ -370,11 +362,8 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         #: Structured per-phase counters of the exploration that built this
         #: graph (see :func:`explore_batch`).
         self.exploration_stats = None
-        # Lazy list-based mirrors of the arrays.
-        self._list_states = None
-        self._list_edges = None
-        self._list_parents = None
-        self._frontier_set = None
+        # Reverse CSR (edge positions by target, per-target offsets), lazy.
+        self._reverse = None
 
     def close(self):
         """Release spill-file handles early (safe at any time).
@@ -385,55 +374,6 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         """
         if self._spill_pool is not None:
             self._spill_pool.close()
-
-    # -- list-based mirrors (lazy; differential tests, explicit fallbacks) ----
-
-    def _check_mirror(self, kind, entries):
-        if self.mirror_limit is not None and entries > self.mirror_limit:
-            raise ConfigurationError(
-                "materialising the {} list mirror would create {:,} Python "
-                "objects from the columnar graph{}; use the vectorised "
-                "array API (graph._words / _edge_data / matching_rows) or "
-                "set graph.mirror_limit = None to opt in (current cap: "
-                "{:,} entries)".format(
-                    kind, entries,
-                    " (disk-backed)" if self._spill_pool is not None
-                    and self._spill_pool.spilled else "",
-                    self.mirror_limit))
-
-    @property
-    def _mask_states(self):
-        if self._list_states is None:
-            self._check_mirror("state", len(self))
-            ints = _np.zeros(len(self), dtype=object)
-            for w in range(self.tables.words):
-                ints |= self._words[:, w].astype(object) << (64 * w)
-            self._list_states = ints.tolist()
-        return self._list_states
-
-    @property
-    def _mask_edges(self):
-        if self._list_edges is None:
-            self._check_mirror("edge", int(len(self._edge_data)))
-            data = self._edge_data.tolist()
-            offsets = self._edge_offsets.tolist()
-            self._list_edges = [data[offsets[i]:offsets[i + 1]]
-                                for i in range(len(self))]
-        return self._list_edges
-
-    @property
-    def _parents(self):
-        if self._list_parents is None:
-            self._check_mirror("parent", len(self))
-            self._list_parents = [None if parent < 0 else parent
-                                  for parent in self._parents_arr.tolist()]
-        return self._list_parents
-
-    @property
-    def _frontier_indices(self):
-        if self._frontier_set is None:
-            self._frontier_set = set(self._frontier_arr.tolist())
-        return self._frontier_set
 
     # -- decoding -------------------------------------------------------------
 
@@ -470,6 +410,41 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
     def __len__(self):
         return int(self._words.shape[0])
 
+    def __contains__(self, marking):
+        return self._index_of(marking) is not None
+
+    def _known_index(self, marking):
+        index = self._index_of(marking)
+        if index is None:
+            raise KeyError(marking)
+        return index
+
+    def _labelled(self, transitions, states):
+        names = self.compiled.transition_names
+        return [(names[t], self._marking_at(i))
+                for t, i in zip(transitions.tolist(), states.tolist())]
+
+    def successors(self, marking):
+        index = self._known_index(marking)
+        packed = self._edge_data[int(self._edge_offsets[index]):
+                                 int(self._edge_offsets[index + 1])]
+        return self._labelled(packed & 0xFFFF, packed >> 16)
+
+    def predecessors(self, marking):
+        """Incoming edges, sources in discovery order then edge order."""
+        index = self._known_index(marking)
+        if self._reverse is None:
+            targets = self._edge_data >> 16
+            offsets = _np.zeros(len(self) + 1, dtype=_np.int64)
+            _np.cumsum(_np.bincount(targets, minlength=len(self)),
+                       out=offsets[1:])
+            self._reverse = (_np.argsort(targets, kind="stable"), offsets)
+        order, offsets = self._reverse
+        positions = order[offsets[index]:offsets[index + 1]]
+        sources = _np.searchsorted(self._edge_offsets, positions,
+                                   side="right") - 1
+        return self._labelled(self._edge_data[positions] & 0xFFFF, sources)
+
     @property
     def states(self):
         if self._all_decoded is None:
@@ -477,9 +452,7 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         return list(self._all_decoded)
 
     def enabled(self, marking):
-        index = self._index_of(marking)
-        if index is None:
-            raise KeyError(marking)
+        index = self._known_index(marking)
         names = self.compiled.transition_names
         low = int(self._edge_offsets[index])
         high = int(self._edge_offsets[index + 1])
@@ -526,6 +499,10 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
 
     # -- vectorised fast paths ------------------------------------------------
 
+    def mask_of(self, place):
+        """Single-bit int mask of *place* (``0`` for unknown places)."""
+        return self.compiled.mask_of(place)
+
     def word_bit_of(self, place):
         """``(word, bit)`` of *place* in the state table (``None`` unknown)."""
         return self.tables.word_bit_of(place)
@@ -534,8 +511,7 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         """Indices of states whose rows satisfy a vectorised predicate.
 
         *row_predicate* receives the whole ``(states, words)`` uint64 table
-        and returns a boolean vector; this is the bulk counterpart of
-        :meth:`scan_masks` used by the Reach evaluator.
+        and returns a boolean vector (see :func:`compile_row_predicate`).
         """
         flags = row_predicate(self._words)
         return _np.where(flags)[0]
@@ -571,10 +547,12 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         return self.count_and_collect_rows(matches, max_witnesses)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """The persistence scan of the compiled graph, in one pass over edges.
+        """The persistence scan, in one pass over the edges.
 
-        Identical contract and witness order: states in discovery order, the
-        fired/disabled pair loops in edge order, frontier states skipped.
+        The contract and witness order of the reference pair loop
+        (:meth:`repro.petri.compiled.ExplorationRecord.persistence_scan`):
+        states in discovery order, the fired/disabled pair loops in edge
+        order, frontier states skipped.
         An edge ``(s, t1, s')`` disables exactly the transitions of
         ``enabled(s) & ~enabled(s') & ~excluded(t1)``, so the count is a
         popcount per edge over ``(states, ceil(T/64))`` enabled bitsets;
@@ -703,7 +681,7 @@ def compile_row_predicate(expression, word_bit_of):
     ``(word, single-bit)`` pair or ``None`` for unknown places (which hold
     zero tokens, matching marking semantics on 1-safe states).  Returns
     ``None`` for AST node kinds this compiler does not know, in which case
-    callers fall back to the mask- or marking-level evaluators.
+    callers fall back to the marking-level evaluator.
     """
     from repro.reach import ast as _ast
 

@@ -14,14 +14,14 @@ integer-indexed tables:
   maintained incrementally along the BFS instead of being recomputed per
   state.
 
-The result of exploration is a :class:`CompiledReachabilityGraph`, a thin
-adapter with the full :class:`~repro.petri.reachability.ReachabilityGraph`
-API (markings are decoded on demand) plus mask-level fast paths used by
-:mod:`repro.petri.properties` and :mod:`repro.reach.evaluator`.  Both
-engines visit states in the same order (transitions are indexed in sorted
-name order, matching ``PetriNet.enabled_transitions``) and implement the
-same truncation semantics, so their graphs are bit-identical on states,
-edges, frontier and property verdicts.
+The tables feed :mod:`repro.petri.batch`, the engine
+``build_reachability_graph`` runs.  :func:`explore_compiled` stays as its
+reference implementation: a pure-int BFS returning an
+:class:`ExplorationRecord` of plain lists, which the differential tests and
+the batch-exploration bench compare against bit for bit.  Both explorers
+visit states in the order of the explicit explorer (transitions are indexed
+in sorted name order, matching ``PetriNet.enabled_transitions``) and
+implement the same truncation semantics.
 
 Nets the bitmask representation cannot express -- arc weights above one, or
 markings with more than one token in a place -- raise
@@ -33,13 +33,8 @@ explicit explorer, which keeps exact multiset semantics.
 
 from collections import deque
 
-from repro.exceptions import (
-    CompilationError,
-    SafenessOverflowError,
-    VerificationError,
-)
+from repro.exceptions import CompilationError, SafenessOverflowError
 from repro.petri.marking import Marking
-from repro.petri.reachability import ReachabilityGraph
 
 
 def iter_bits(mask):
@@ -224,210 +219,67 @@ class CompiledNet:
         )
 
 
-class CompiledReachabilityGraph(ReachabilityGraph):
-    """Reachability graph backed by integer states.
+class ExplorationRecord:
+    """The plain-list graph :func:`explore_compiled` returns.
 
-    Exposes the full :class:`ReachabilityGraph` API -- markings are decoded
-    lazily, and the dict-based successor/predecessor structures are
-    materialised only when asked for -- plus mask-level fast paths
-    (:meth:`scan_masks`, :meth:`persistence_scan`, :attr:`one_safe`) that the
-    property checks and the Reach evaluator use to stay in integer land.
+    * ``states`` -- int markings in discovery order;
+    * ``edges`` -- per state, the packed ``transition | target << 16``
+      edges in transition-index order;
+    * ``parents`` -- per state, the packed ``parent << 16 | transition`` BFS
+      parent (``None`` for the initial state);
+    * ``frontier`` -- indices of partially-expanded states, ascending;
+    * ``truncated`` -- whether the state bound was hit.
     """
 
-    #: Compiled graphs exist only while every marking stayed 1-safe.
-    one_safe = True
+    __slots__ = ("compiled", "states", "edges", "parents", "frontier",
+                 "truncated")
 
-    #: Edges are stored packed -- ``transition | target_index << 16`` -- one
-    #: small int per edge instead of a tuple.  Packing keeps multi-million
-    #: -edge graphs ~3x smaller and (ints being invisible to the cyclic GC)
-    #: far cheaper to hold.  (``CompiledNet`` refuses nets whose transition
-    #: count overflows the 16-bit field.)
-
-    def __init__(self, compiled, initial_state):
-        super().__init__(compiled.net, compiled.decode(initial_state))
+    def __init__(self, compiled):
         self.compiled = compiled
-        self._mask_states = []      # int states in discovery order
-        self._mask_index = None     # int state -> index (built lazily)
-        self._mask_edges = []       # per state: list of packed edges
-        self._parents = []          # per state: parent idx << 16 | transition
-                                    # (None for the initial state)
-        self._frontier_indices = set()
-        self._decoded = {}          # state index -> Marking (memoised)
-        self._all_decoded = None    # list of all markings, discovery order
-        self._materialized = False
+        self.states = []
+        self.edges = []
+        self.parents = []
+        self.frontier = []
+        self.truncated = False
 
-    # -- construction (used by explore_compiled) -----------------------------
+    def columns(self):
+        """``(words, edge_data, edge_offsets, parents, frontier)`` arrays.
 
-    def _add_mask_state(self, state, parent=None):
-        index = len(self._mask_states)
-        self._mask_states.append(state)
-        if self._mask_index is None:
-            self._mask_index = {}
-        self._mask_index[state] = index
-        self._mask_edges.append([])
-        self._parents.append(parent)
-        return index
-
-    # -- decoding ------------------------------------------------------------
-
-    def _state_index(self):
-        """The ``int state -> index`` map, built on first use.
-
-        The sequential explorer fills it as its dedup structure; graphs
-        built without it only pay for it when a caller actually asks a
-        marking-level question.
+        The layout of :class:`~repro.petri.batch.ColumnarReachabilityGraph`:
+        a ``(states, words)`` uint64 state table, the flat packed edges with
+        CSR offsets, parents with ``-1`` for the initial state, and the
+        sorted frontier.
         """
-        if self._mask_index is None:
-            self._mask_index = {
-                state: index for index, state in enumerate(self._mask_states)
-            }
-        return self._mask_index
+        import numpy as np
+        from repro.petri.batch import WordTables
 
-    def _marking_at(self, index):
-        marking = self._decoded.get(index)
-        if marking is None:
-            marking = self.compiled.decode(self._mask_states[index])
-            self._decoded[index] = marking
-        return marking
-
-    def _index_of(self, marking):
-        """Index of a marking-level state, or ``None`` when unreachable."""
-        try:
-            state = self.compiled.encode(marking)
-        except CompilationError:
-            return None
-        return self._state_index().get(state)
-
-    def _ensure_materialized(self):
-        """Populate the dict-based structures of the parent class."""
-        if self._materialized:
-            return
-        names = self.compiled.transition_names
-        for index in range(len(self._mask_states)):
-            self._add_state(self._marking_at(index))
-        for index, edges in enumerate(self._mask_edges):
-            source = self._marking_at(index)
-            for packed in edges:
-                self._add_edge(source, names[packed & 0xFFFF],
-                               self._marking_at(packed >> 16))
-        self._frontier = {self._marking_at(i) for i in self._frontier_indices}
-        self._materialized = True
-
-    # -- ReachabilityGraph API -----------------------------------------------
-
-    def __len__(self):
-        return len(self._mask_states)
-
-    def __contains__(self, marking):
-        return self._index_of(marking) is not None
-
-    @property
-    def states(self):
-        if self._all_decoded is None:
-            self._all_decoded = [
-                self._marking_at(i) for i in range(len(self._mask_states))
-            ]
-        return list(self._all_decoded)
-
-    def successors(self, marking):
-        self._ensure_materialized()
-        return super().successors(marking)
-
-    def predecessors(self, marking):
-        self._ensure_materialized()
-        return super().predecessors(marking)
-
-    def enabled(self, marking):
-        index = self._index_of(marking)
-        if index is None:
-            raise KeyError(marking)
-        names = self.compiled.transition_names
-        return sorted({names[packed & 0xFFFF]
-                       for packed in self._mask_edges[index]})
-
-    @property
-    def frontier(self):
-        return {self._marking_at(i) for i in self._frontier_indices}
-
-    def is_expanded(self, marking):
-        index = self._index_of(marking)
-        return index is not None and index not in self._frontier_indices
-
-    def deadlocks(self):
-        return [
-            self._marking_at(i)
-            for i, edges in enumerate(self._mask_edges)
-            if not edges and i not in self._frontier_indices
-        ]
-
-    def edge_count(self):
-        return sum(len(edges) for edges in self._mask_edges)
-
-    def trace_to(self, target):
-        index = self._index_of(target)
-        if index is None:
-            raise VerificationError("marking is not reachable: {!r}".format(target))
-        # The BFS discovery tree stores a shortest path from the initial
-        # marking to every state; walk it backwards.
-        trace = []
-        names = self.compiled.transition_names
-        while self._parents[index] is not None:
-            packed = self._parents[index]
-            trace.append(names[packed & 0xFFFF])
-            index = packed >> 16
-        trace.reverse()
-        return trace
-
-    # -- mask-level fast paths -----------------------------------------------
-
-    def mask_of(self, place):
-        """Single-bit mask of *place* (``0`` for unknown places)."""
-        return self.compiled.mask_of(place)
-
-    def scan_masks(self, predicate, limit=None):
-        """Yield markings whose bitmask satisfies *predicate*, discovery order.
-
-        *predicate* receives the raw ``int`` state; only matching states are
-        decoded.  Stops after *limit* matches when given.
-        """
-        found = 0
-        for index, state in enumerate(self._mask_states):
-            if predicate(state):
-                yield self._marking_at(index)
-                found += 1
-                if limit is not None and found >= limit:
-                    return
-
-    def count_and_collect(self, predicate, max_witnesses):
-        """Return ``(count, markings)`` of states satisfying *predicate*.
-
-        Counts every match but decodes at most *max_witnesses* of them.
-        """
-        count = 0
-        witnesses = []
-        for index, state in enumerate(self._mask_states):
-            if predicate(state):
-                count += 1
-                if len(witnesses) < max_witnesses:
-                    witnesses.append(self._marking_at(index))
-        return count, witnesses
+        words = WordTables(self.compiled).encode_rows(self.states)
+        edge_data = np.asarray([packed for edges in self.edges
+                                for packed in edges], dtype=np.int64)
+        edge_offsets = np.zeros(len(self.edges) + 1, dtype=np.int64)
+        np.cumsum([len(edges) for edges in self.edges], out=edge_offsets[1:])
+        parents = np.asarray([-1 if parent is None else parent
+                              for parent in self.parents], dtype=np.int64)
+        frontier = np.asarray(sorted(self.frontier), dtype=np.int64)
+        return words, edge_data, edge_offsets, parents, frontier
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """Scan for persistence violations entirely on bitmasks.
+        """The reference persistence scan: the exact per-state pair loop.
 
         Returns ``(violations, witnesses)`` where each witness is a dict with
-        ``marking``/``fired``/``disabled`` keys (no traces -- the caller adds
-        them).  Frontier states are skipped: their edge lists are incomplete.
+        ``marking``/``fired``/``disabled`` keys, in state, then edge order.
+        Frontier states are skipped: their edge lists are incomplete.
         """
         compiled = self.compiled
         consume = compiled.consume
         need = compiled.need
         names = compiled.transition_names
-        states = self._mask_states
+        states = self.states
+        frontier = set(self.frontier)
         violations = 0
         witnesses = []
-        for index, edges in enumerate(self._mask_edges):
-            if index in self._frontier_indices or len(edges) < 2:
+        for index, edges in enumerate(self.edges):
+            if index in frontier or len(edges) < 2:
                 continue
             for packed in edges:
                 t1 = packed & 0xFFFF
@@ -442,7 +294,7 @@ class CompiledReachabilityGraph(ReachabilityGraph):
                         violations += 1
                         if len(witnesses) < max_witnesses:
                             witnesses.append({
-                                "marking": self._marking_at(index),
+                                "marking": compiled.decode(states[index]),
                                 "fired": names[t1],
                                 "disabled": names[t2],
                             })
@@ -450,13 +302,14 @@ class CompiledReachabilityGraph(ReachabilityGraph):
 
 
 def explore_compiled(compiled, marking=None, max_states=200000):
-    """Breadth-first exploration of a compiled net.
+    """Breadth-first exploration of a compiled net, one firing at a time.
 
-    Mirrors :func:`repro.petri.reachability.explore` exactly -- same
+    The reference implementation of :func:`repro.petri.batch.explore_batch`:
+    it mirrors :func:`repro.petri.reachability.explore` exactly -- same
     discovery order, same truncation semantics (edges between known states
     are still recorded after the bound is hit; partially-expanded states form
     the frontier) -- but runs on integer states with incrementally maintained
-    enabled masks.
+    enabled masks, and returns an :class:`ExplorationRecord`.
 
     The loop body is deliberately flat: firing is inlined (a call per edge
     costs more than the firing itself), every table and bound method is
@@ -468,21 +321,23 @@ def explore_compiled(compiled, marking=None, max_states=200000):
         compiled = CompiledNet.compile(compiled)
     initial = marking if marking is not None else compiled.net.initial_marking()
     state = compiled.encode(initial)
-    graph = CompiledReachabilityGraph(compiled, state)
-    graph._add_mask_state(state)
+    record = ExplorationRecord(compiled)
+    record.states.append(state)
+    record.edges.append([])
+    record.parents.append(None)
+    mask_index = {state: 0}
     enabled = [compiled.enabled_mask(state)]
     consume = compiled.consume
     produce = compiled.produce
     affected_pairs = compiled.affected_pairs()
-    index_get = graph._mask_index.get
-    mask_index = graph._mask_index
-    states = graph._mask_states
+    index_get = mask_index.get
+    states = record.states
     states_append = states.append
-    edges = graph._mask_edges
+    edges = record.edges
     edges_append = edges.append
-    parents_append = graph._parents.append
+    parents_append = record.parents.append
     enabled_append = enabled.append
-    frontier_add = graph._frontier_indices.add
+    frontier_append = record.frontier.append
     queue = deque((0,))
     queue_append = queue.append
     queue_popleft = queue.popleft
@@ -508,7 +363,7 @@ def explore_compiled(compiled, marking=None, max_states=200000):
             target = index_get(successor)
             if target is None:
                 if len(states) >= max_states:
-                    graph.truncated = True
+                    record.truncated = True
                     complete = False
                     continue
                 # Incremental enabled-set update: only transitions watching a
@@ -527,5 +382,5 @@ def explore_compiled(compiled, marking=None, max_states=200000):
                 queue_append(target)
             current_edges_append(transition | (target << 16))
         if not complete:
-            frontier_add(current)
-    return graph
+            frontier_append(current)
+    return record

@@ -183,15 +183,9 @@ def check_mutual_exclusion(graph, place_a, place_b, max_witnesses=5, with_traces
         # An unknown place has mask 0, which can never satisfy the test --
         # matching the explicit path, where marking[unknown] is 0.
         if graph.mask_of(place_a) and graph.mask_of(place_b):
-            collect_required = getattr(graph, "count_and_collect_required",
-                                       None)
-            if collect_required is not None:
-                # Columnar graph: one compare per word over the state table.
-                violations, markings = collect_required(both, max_witnesses)
-            else:
-                violations, markings = graph.count_and_collect(
-                    lambda state: (state & both) == both, max_witnesses
-                )
+            # Columnar graph: one compare per word over the state table.
+            violations, markings = graph.count_and_collect_required(
+                both, max_witnesses)
             for marking in markings:
                 witness = {"marking": marking}
                 if with_traces:

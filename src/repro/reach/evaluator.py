@@ -1,9 +1,9 @@
 """Evaluation of Reach expressions on markings and reachability graphs.
 
-Graphs produced by the compiled bitmask engine
-(:mod:`repro.petri.compiled`) expose ``mask_of`` / ``scan_masks``; on those,
-expressions are compiled down to predicates over the raw ``int`` states, so
-witness searches never decode non-matching markings.
+Columnar graphs (:mod:`repro.petri.batch`) expose ``word_bit_of`` /
+``scan_rows``; on those, expressions are compiled down to vectorised
+predicates over the uint64 state table, so witness searches never decode
+non-matching markings.  Other graphs are scanned marking by marking.
 """
 
 from repro.exceptions import ReachEvaluationError
@@ -40,7 +40,7 @@ def compile_mask_predicate(expression, mask_of):
     places, which then hold zero tokens -- matching marking semantics on
     1-safe states).  Returns ``None`` when the expression contains a node
     kind this compiler does not know (e.g. a user-defined AST subclass), in
-    which case callers fall back to marking-level evaluation.
+    which case the random-walk checker answers inconclusive.
     """
     if isinstance(expression, _ast.Constant):
         value = expression.value
@@ -90,21 +90,6 @@ def _columnar_scan(expression, graph):
     return lambda limit: scan(predicate, limit=limit)
 
 
-def _compiled_scan(expression, graph):
-    """Return the fastest mask-level scanner for *graph*, or ``None``."""
-    scanner = _columnar_scan(expression, graph)
-    if scanner is not None:
-        return scanner
-    mask_of = getattr(graph, "mask_of", None)
-    scan = getattr(graph, "scan_masks", None)
-    if mask_of is None or scan is None:
-        return None
-    predicate = compile_mask_predicate(expression, mask_of)
-    if predicate is None:
-        return None
-    return lambda limit: scan(predicate, limit=limit)
-
-
 def evaluate(expression, marking, net=None):
     """Evaluate *expression* (AST or text) on a single marking."""
     expression = _as_expression(expression)
@@ -139,7 +124,7 @@ def find_witnesses(expression, graph, max_witnesses=5, with_traces=True):
     """
     expression = _as_expression(expression)
     check_places(expression, graph.net)
-    scan = _compiled_scan(expression, graph)
+    scan = _columnar_scan(expression, graph)
     if scan is not None:
         markings = scan(max_witnesses)
     else:
@@ -159,7 +144,7 @@ def holds_somewhere(expression, graph):
     """Return ``True`` when some reachable state satisfies *expression*."""
     expression = _as_expression(expression)
     check_places(expression, graph.net)
-    scan = _compiled_scan(expression, graph)
+    scan = _columnar_scan(expression, graph)
     if scan is not None:
         return next(iter(scan(1)), None) is not None
     return graph.find(expression.evaluate) is not None

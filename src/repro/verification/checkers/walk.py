@@ -72,9 +72,6 @@ from repro.verification.checkers.walk_core import (
 #: The accepted ``backend`` options of the walk checker.
 WALK_BACKENDS = ("auto", "batch", "scalar")
 
-#: Sentinel: the swarm cannot run this query; use the scalar walker.
-_SCALAR_FALLBACK = object()
-
 
 def resolve_walk_backend(requested="auto"):
     """The walk backend *requested* resolves to.
@@ -212,13 +209,11 @@ class RandomWalkChecker(Checker):
                 None, details="initial marking has no bitmask "
                 "representation; random walks unavailable"))
         if resolve_walk_backend(self.backend) == "batch":
-            found = self._swarm_hunt(
+            return self._swarm_hunt(
                 compiled, initial, kind, max_witnesses,
                 expression=expression, cube_masks=cube_masks,
                 score_kind=score_kind, stop_in_deadlock=stop_in_deadlock,
                 overflow_conclusive=overflow_conclusive)
-            if found is not _SCALAR_FALLBACK:
-                return found
         return self._scalar_hunt(
             compiled, initial, kind, max_witnesses, predicate=predicate,
             cube_masks=cube_masks, score_kind=score_kind,
@@ -233,17 +228,10 @@ class RandomWalkChecker(Checker):
         if self._tables is None:
             self._tables = WordTables(compiled)
         tables = self._tables
-        row_predicate = None
-        if kind == "reach":
-            row_predicate = compile_row_predicate(expression,
-                                                  tables.word_bit_of)
-            if row_predicate is None:
-                if self.backend == "batch":
-                    return CheckerOutcomeProxy(self.outcome(
-                        None, details="expression does not compile to a "
-                        "row predicate; the batch walk backend cannot "
-                        "hunt it (backend='auto' would fall back)"))
-                return _SCALAR_FALLBACK
+        # check_reach already refused expressions the mask compiler cannot
+        # lower, and the row compiler lowers exactly the same node kinds.
+        row_predicate = (compile_row_predicate(expression, tables.word_bit_of)
+                         if kind == "reach" else None)
         result = walk_batch.swarm_hunt(
             tables, initial, walks=self.walks, steps=self.steps,
             swarm=self.swarm, seed=self.seed or 0xACE1,

@@ -2,10 +2,11 @@
 
 The differential tests are the contract of the engine: on every model of
 the example family the batch explorer must produce a graph bit-identical to
-``explore_compiled`` -- same states in the same discovery order, same
-packed edges, same parents (hence traces), same frontier and truncation --
-and the columnar fast paths must answer every property/Reach query with
-the same verdicts and witnesses as the pure-int graph.
+the ``explore_compiled`` reference record -- same states in the same
+discovery order, same packed edges, same parents (hence traces), same
+frontier and truncation -- and the columnar fast paths must answer every
+property/Reach query with the same verdicts and witnesses as the explicit
+explorer.
 """
 
 import random
@@ -32,7 +33,11 @@ from repro.petri.batch import (
     merge_sorted_index,
     words_to_int,
 )
-from repro.petri.compiled import CompiledNet, explore_compiled
+from repro.petri.compiled import (
+    CompiledNet,
+    ExplorationRecord,
+    explore_compiled,
+)
 from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
@@ -65,12 +70,35 @@ def both_graphs(net, max_states=200000):
     return sequential, batch
 
 
-def assert_identical(sequential, batch, tag=""):
-    assert batch._mask_states == sequential._mask_states, tag
-    assert batch._mask_edges == sequential._mask_edges, tag
-    assert batch._parents == sequential._parents, tag
-    assert batch._frontier_indices == sequential._frontier_indices, tag
-    assert batch.truncated == sequential.truncated, tag
+#: The canonical arrays of a columnar graph, in ``columns()`` order.
+COLUMNS = ("_words", "_edge_data", "_edge_offsets", "_parents_arr",
+           "_frontier_arr")
+
+
+def assert_identical(reference, graph, tag=""):
+    """*graph* has *reference*'s five canonical arrays and truncation.
+
+    *reference* is an :class:`ExplorationRecord` (compared through its
+    ``columns()``) or another columnar graph.
+    """
+    if isinstance(reference, ExplorationRecord):
+        expected = reference.columns()
+    else:
+        expected = [getattr(reference, name) for name in COLUMNS]
+    for name, array in zip(COLUMNS, expected):
+        assert np.array_equal(getattr(graph, name), array), (tag, name)
+    assert graph.truncated == reference.truncated, tag
+
+
+def record_trace(record, index):
+    """The firing sequence of *record*'s BFS tree from the root to *index*."""
+    names = record.compiled.transition_names
+    trace = []
+    while record.parents[index] is not None:
+        packed = record.parents[index]
+        trace.append(names[packed & 0xFFFF])
+        index = packed >> 16
+    return trace[::-1]
 
 
 class TestDifferentialExamples:
@@ -79,10 +107,10 @@ class TestDifferentialExamples:
         net = to_petri_net(model())
         sequential, batch = both_graphs(net)
         assert_identical(sequential, batch)
-        assert len(batch) == len(sequential)
-        assert batch.edge_count() == sequential.edge_count()
-        assert batch.deadlocks() == sequential.deadlocks()
-        assert batch.states == sequential.states
+        decode = sequential.compiled.decode
+        assert batch.states == [decode(state) for state in sequential.states]
+        assert batch.edge_count() == sum(map(len, sequential.edges))
+        assert batch.deadlocks() == explore(net).deadlocks()
 
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
     def test_truncation_parity(self, model):
@@ -90,29 +118,31 @@ class TestDifferentialExamples:
         for max_states in (1, 2, 5, 17, 100):
             sequential, batch = both_graphs(net, max_states=max_states)
             assert_identical(sequential, batch, "max_states={}".format(max_states))
-            assert batch.frontier == sequential.frontier
-            assert batch.deadlocks() == sequential.deadlocks()
+            explicit = explore(net, max_states=max_states)
+            assert batch.frontier == explicit.frontier
+            assert batch.deadlocks() == explicit.deadlocks()
 
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
     def test_traces_and_membership(self, model):
         net = to_petri_net(model())
         sequential, batch = both_graphs(net)
-        for marking in sequential.states:
+        explicit = explore(net)
+        for index, marking in enumerate(explicit.states):
             assert marking in batch
-            assert batch.trace_to(marking) == sequential.trace_to(marking)
-            assert batch.enabled(marking) == sequential.enabled(marking)
-            assert batch.is_expanded(marking) == sequential.is_expanded(marking)
+            assert batch.trace_to(marking) == record_trace(sequential, index)
+            assert batch.enabled(marking) == explicit.enabled(marking)
+            assert batch.is_expanded(marking) == explicit.is_expanded(marking)
 
     def test_property_verdicts_identical(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=2))
-        sequential, batch = both_graphs(net)
+        explicit, batch = explore(net), build_reachability_graph(net)
         for check in (check_deadlock, check_persistence):
-            left, right = check(sequential), check(batch)
+            left, right = check(explicit), check(batch)
             assert left.holds == right.holds
             assert left.details == right.details
             assert [w["marking"] for w in left.witnesses] == \
                 [w["marking"] for w in right.witnesses]
-        assert check_boundedness(sequential, bound=1).holds == \
+        assert check_boundedness(explicit, bound=1).holds == \
             check_boundedness(batch, bound=1).holds
 
     def test_persistence_witnesses_identical_on_hazard(self):
@@ -128,8 +158,8 @@ class TestDifferentialExamples:
         net.add_arc("p", "observe")
         net.add_arc("observe", "q")
         net.add_read_arc("g", "observe")
-        sequential, batch = both_graphs(net)
-        left = check_persistence(sequential)
+        explicit, batch = explore(net), build_reachability_graph(net)
+        left = check_persistence(explicit)
         right = check_persistence(batch)
         assert left.holds is False and right.holds is False
         assert left.details == right.details
@@ -139,11 +169,11 @@ class TestDifferentialExamples:
 
     def test_mutual_exclusion_vectorised_path(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        sequential, batch = both_graphs(net)
+        explicit, batch = explore(net), build_reachability_graph(net)
         assert batch.count_and_collect_required is not None
         for pair in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
                      ("M_in_1", "M_in_0")]:
-            left = check_mutual_exclusion(sequential, *pair)
+            left = check_mutual_exclusion(explicit, *pair)
             right = check_mutual_exclusion(batch, *pair)
             assert left.holds == right.holds
             assert left.details == right.details
@@ -152,16 +182,16 @@ class TestDifferentialExamples:
 
     def test_reach_witnesses_identical(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        sequential, batch = both_graphs(net)
+        explicit, batch = explore(net), build_reachability_graph(net)
         for expression in ['$"M_in_1"', '$"M_r1_1" & $"Mf_ctrl_1"',
                            'tokens(M_ctrl_1) >= 1 -> !$"C_cond_1"',
                            '!$"M_in_1" | $"M_out_1"']:
-            left = find_witnesses(expression, sequential)
+            left = find_witnesses(expression, explicit)
             right = find_witnesses(expression, batch)
             assert [w["marking"] for w in left] == [w["marking"] for w in right]
             assert [len(w["trace"]) for w in left] == \
                 [len(w["trace"]) for w in right]
-            assert holds_somewhere(expression, sequential) == \
+            assert holds_somewhere(expression, explicit) == \
                 holds_somewhere(expression, batch)
 
     def test_overflow_detected_like_sequential(self):

@@ -1,9 +1,11 @@
-"""Tests for the compiled bitmask reachability engine (repro.petri.compiled).
+"""Tests for the compiled bitmask net and the production columnar graph.
 
 The differential tests are the contract of the engine: on every model of
-``repro.dfs.examples`` (and a few hand-built nets) the compiled engine must
-produce bit-identical states, edges, deadlocks, frontier and property
-verdicts to the explicit explorer, including under truncation.
+``repro.dfs.examples`` (and a few hand-built nets) the graph
+``build_reachability_graph`` returns must answer the whole marking-level
+API -- states, successors, predecessors (in order), enabled sets,
+deadlocks, frontier and property verdicts -- exactly like the explicit
+explorer, including under truncation.
 """
 
 import pytest
@@ -16,11 +18,8 @@ from repro.dfs.examples import (
 )
 from repro.dfs.translation import to_compiled_net, to_petri_net
 from repro.exceptions import CompilationError, SafenessOverflowError
-from repro.petri.compiled import (
-    CompiledNet,
-    CompiledReachabilityGraph,
-    explore_compiled,
-)
+from repro.petri.batch import ColumnarReachabilityGraph
+from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.properties import (
@@ -45,8 +44,8 @@ EXAMPLE_MODELS = [
 
 def both_graphs(net, max_states=200000):
     explicit = explore(net, max_states=max_states)
-    compiled = explore_compiled(CompiledNet.compile(net), max_states=max_states)
-    assert isinstance(compiled, CompiledReachabilityGraph)
+    compiled = build_reachability_graph(net, max_states=max_states)
+    assert isinstance(compiled, ColumnarReachabilityGraph)
     return explicit, compiled
 
 
@@ -77,9 +76,7 @@ class TestDifferentialExamples:
         for marking in explicit.states:
             assert explicit.enabled(marking) == compiled.enabled(marking)
             assert explicit.successors(marking) == compiled.successors(marking)
-            assert sorted(explicit.predecessors(marking), key=repr) == sorted(
-                compiled.predecessors(marking), key=repr
-            )
+            assert explicit.predecessors(marking) == compiled.predecessors(marking)
 
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
     def test_deadlocks_and_property_verdicts_identical(self, model):
@@ -148,6 +145,8 @@ class TestTruncationParity:
         assert explicit.edge_count() == compiled.edge_count()
         for marking in explicit.states:
             assert explicit.enabled(marking) == compiled.enabled(marking)
+            assert explicit.successors(marking) == compiled.successors(marking)
+            assert explicit.predecessors(marking) == compiled.predecessors(marking)
 
 
 class TestCompiledNet:
@@ -210,7 +209,7 @@ class TestEngineFallback:
         net.add_arc("src", "move")
         net.add_arc("move", "sink")
         graph = build_reachability_graph(net)
-        assert not isinstance(graph, CompiledReachabilityGraph)
+        assert not isinstance(graph, ColumnarReachabilityGraph)
         assert len(graph) == 3  # 2/0, 1/1, 0/2
 
     def test_auto_falls_back_on_runtime_overflow(self):
@@ -221,7 +220,7 @@ class TestEngineFallback:
         net.add_arc("p", "t")
         net.add_arc("t", "q")
         graph = build_reachability_graph(net)
-        assert not isinstance(graph, CompiledReachabilityGraph)
+        assert not isinstance(graph, ColumnarReachabilityGraph)
         assert len(graph) == 2
 
     def test_forced_compiled_engine_raises(self):
@@ -237,7 +236,7 @@ class TestEngineFallback:
     def test_forced_explicit_engine(self):
         net = to_petri_net(linear_pipeline(stages=1))
         graph = build_reachability_graph(net, engine="explicit")
-        assert not isinstance(graph, CompiledReachabilityGraph)
+        assert not isinstance(graph, ColumnarReachabilityGraph)
 
     def test_unknown_engine_rejected(self):
         net = to_petri_net(linear_pipeline(stages=1))

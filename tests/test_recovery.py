@@ -36,6 +36,7 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.utils import faults
 from repro.utils.faults import FaultError
 from repro.utils.journal import read_journal
+from test_petri_batch import assert_identical
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -113,8 +114,7 @@ class TestCheckpointResume:
         net = to_petri_net(linear_pipeline(4))
         reference = build_reachability_graph(net)
         graph = build_reachability_graph(net, resume=checkpoint)
-        assert len(graph) == len(reference)
-        assert graph._mask_states == reference._mask_states
+        assert_identical(reference, graph)
         assert os.listdir(checkpoint) == []
 
     def test_io_fault_keeps_checkpoint_and_resume_is_bit_identical(
@@ -131,9 +131,7 @@ class TestCheckpointResume:
         resumed = build_reachability_graph(net, resume=checkpoint)
         stats = resumed.exploration_stats["checkpoint"]
         assert stats["resumed_from_level"] >= 1
-        assert resumed._mask_states == reference._mask_states
-        assert resumed._mask_edges == reference._mask_edges
-        assert resumed._parents == reference._parents
+        assert_identical(reference, resumed)
         assert os.listdir(checkpoint) == []
 
     def test_foreign_checkpoint_is_ignored_not_resumed(self, tmp_path,
@@ -151,8 +149,7 @@ class TestCheckpointResume:
                                          resume=checkpoint)
         assert other.exploration_stats["checkpoint"]["resumed_from_level"] \
             is None
-        assert len(other) == len(reference)
-        assert other.truncated == reference.truncated
+        assert_identical(reference, other)
 
     def test_corrupt_manifest_degrades_to_a_fresh_run(self, tmp_path,
                                                       fault_plan):
@@ -168,7 +165,7 @@ class TestCheckpointResume:
         graph = build_reachability_graph(net, resume=checkpoint)
         assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
             is None
-        assert graph._mask_states == reference._mask_states
+        assert_identical(reference, graph)
 
 
 class TestKillResume:

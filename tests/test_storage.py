@@ -29,7 +29,7 @@ from repro.petri.batch import explore_batch
 from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.net import PetriNet
 from repro.petri.properties import check_persistence
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.reachability import build_reachability_graph, explore
 from repro.petri.storage import (
     ArrayStore,
     SortedIndexStore,
@@ -37,19 +37,11 @@ from repro.petri.storage import (
     SpillPool,
 )
 from repro.verification.verifier import Verifier
-from test_petri_batch import HAZARD_NETS, ring_hazard_net
+from test_petri_batch import HAZARD_NETS, assert_identical, ring_hazard_net
 
 
 def _spill_files(directory):
     return sorted(glob.glob(os.path.join(str(directory), "repro-spill-*")))
-
-
-def _assert_identical(reference, other, tag):
-    assert other._mask_states == reference._mask_states, tag
-    assert other._mask_edges == reference._mask_edges, tag
-    assert other._parents == reference._parents, tag
-    assert other._frontier_indices == reference._frontier_indices, tag
-    assert other.truncated == reference.truncated, tag
 
 
 # -- configuration resolution -------------------------------------------------
@@ -251,8 +243,8 @@ class TestSpilledGraphIdentity:
                 spilled = explore_batch(
                     compiled, max_states=max_states,
                     spill=SpillConfig(str(tmp_path), 0))
-                _assert_identical(reference, spilled,
-                                  "{} max_states={}".format(name, max_states))
+                assert_identical(reference, spilled,
+                                 "{} max_states={}".format(name, max_states))
                 stats = spilled.exploration_stats["spill"]
                 assert stats["spilled"] and stats["write_bytes"] > 0
                 spilled.close()
@@ -265,7 +257,7 @@ class TestSpilledGraphIdentity:
         reference = explore_compiled(compiled)
         spilled = explore_batch(compiled,
                                 spill=SpillConfig(str(tmp_path), 1 << 12))
-        _assert_identical(reference, spilled, "mid-run spill")
+        assert_identical(reference, spilled, "mid-run spill")
         assert spilled.exploration_stats["spill"]["spilled"]
 
     def test_disk_backed_persistence_matches_ram(self, tmp_path, monkeypatch):
@@ -303,29 +295,38 @@ class TestSpilledGraphIdentity:
         net = to_petri_net(token_ring())
         reference = explore_compiled(CompiledNet.compile(net))
         spilled = build_reachability_graph(net)
-        _assert_identical(reference, spilled, "env knobs")
+        assert_identical(reference, spilled, "env knobs")
         assert spilled.exploration_stats["spill"]["spilled"]
         assert spilled.exploration_stats["spill"]["directory"] == str(tmp_path)
 
 
-# -- lifecycle: caps, exceptions, kills ---------------------------------------
+    def test_marking_queries_on_a_spilled_graph(self, tmp_path):
+        """The marking-level API reads the memmap-backed arrays directly:
+        every answer equals the explicit graph's, and nothing is copied
+        into the base class's dict structures."""
+        for name, dfs in _example_models()[:3]:
+            net = to_petri_net(dfs)
+            explicit = explore(net)
+            spilled = explore_batch(CompiledNet.compile(net),
+                                    spill=SpillConfig(str(tmp_path), 0))
+            assert spilled.exploration_stats["spill"]["spilled"], name
+            for marking in explicit.states:
+                assert marking in spilled, name
+                assert spilled.successors(marking) == \
+                    explicit.successors(marking), name
+                assert spilled.predecessors(marking) == \
+                    explicit.predecessors(marking), name
+                assert spilled.enabled(marking) == explicit.enabled(marking)
+                assert spilled.trace_to(marking) == explicit.trace_to(marking)
+            assert spilled._successors == {}, name
+            spilled.close()
+        assert _spill_files(tmp_path) == []
+
+
+# -- lifecycle: exceptions, kills -----------------------------------------------
 
 
 class TestSpillLifecycle:
-    def test_mirror_cap_raises_an_actionable_error(self):
-        net = to_petri_net(token_ring())
-        graph = build_reachability_graph(net)
-        graph.mirror_limit = 3  # the ring has more states than that
-        with pytest.raises(ConfigurationError) as excinfo:
-            graph._mask_states
-        message = str(excinfo.value)
-        assert "mirror" in message and "mirror_limit" in message
-        with pytest.raises(ConfigurationError):
-            graph._mask_edges
-        graph.mirror_limit = None  # the documented opt-in
-        reference = explore_compiled(CompiledNet.compile(net))
-        assert graph._mask_states == reference._mask_states
-
     def test_exception_mid_exploration_leaves_no_files(self, tmp_path):
         # An unsafe net blows up *during* batch exploration -- after the
         # spill pool has already opened disk backings.

@@ -17,11 +17,13 @@ from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
 from repro.petri.compiled import CompiledNet
 from repro.petri.net import PetriNet
+from repro.reach.ast import ReachExpression
 from repro.reach.cubes import to_cubes
 from repro.reach.parser import parse
 from repro.verification.checkers import (
     CheckerContext,
     DeadlockQuery,
+    ReachQuery,
     SafenessQuery,
     create_checker,
 )
@@ -372,6 +374,20 @@ class TestScalarFallback:
         net = to_petri_net(MODEL_FAMILY["conditional"]())
         with pytest.raises(ConfigurationError):
             walk_checker(net, backend="gpu")
+
+    @pytest.mark.parametrize("backend", ["auto", "batch", "scalar"])
+    def test_uncompilable_expression_is_inconclusive(self, backend):
+        """A user-defined AST node compiles to neither predicate kind; every
+        backend answers inconclusive instead of hunting with it."""
+        class Anywhere(ReachExpression):
+            def evaluate(self, marking):
+                return True
+
+        net = to_petri_net(MODEL_FAMILY["conditional"]())
+        outcome = walk_checker(net, backend=backend).check(
+            ReachQuery(Anywhere()))
+        assert outcome.holds is None
+        assert "does not compile to a bitmask predicate" in outcome.details
 
     def test_walk_cli_flags_reach_the_checker(self, capsys):
         from repro.workcraft.cli import main as cli_main
