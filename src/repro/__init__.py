@@ -47,17 +47,11 @@ The package is organised around the paper's tool-chain:
     for the Workcraft GUI used in the paper.
 """
 
-from repro._version import __version__
-from repro.dfs import DataflowStructure, DfsBuilder, NodeType
-from repro.petri import Marking, PetriNet
-from repro.verification import Verifier
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "DataflowStructure",
-    "DfsBuilder",
-    "NodeType",
-    "PetriNet",
-    "Marking",
-    "Verifier",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "._version": ["__version__"],
+    ".dfs": ["DataflowStructure", "DfsBuilder", "NodeType"],
+    ".petri": ["Marking", "PetriNet"],
+    ".verification": ["Verifier"],
+})

@@ -37,43 +37,20 @@ Typical use (also available as ``repro-dfs campaign``)::
     print(report.render_text())
 """
 
-from repro.campaign.cache import ResultCache, net_fingerprint, options_digest
-from repro.campaign.jobs import (
-    DEFAULT_PROPERTIES,
-    FACTORIES,
-    VerificationJob,
-    build_pipeline_model,
-    register_factory,
-    resolve_factory,
-)
-from repro.campaign.report import CampaignReport
-from repro.campaign.runner import (
-    CampaignResult,
-    classify_verdict,
-    run_campaign,
-    start_method,
-)
-from repro.campaign.scheduler import CampaignScheduler, JobTicket
-from repro.campaign.scenario import ScenarioSpec, enumerate_grid, generate_scenarios
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignReport",
-    "CampaignResult",
-    "CampaignScheduler",
-    "DEFAULT_PROPERTIES",
-    "FACTORIES",
-    "JobTicket",
-    "ResultCache",
-    "ScenarioSpec",
-    "VerificationJob",
-    "build_pipeline_model",
-    "classify_verdict",
-    "enumerate_grid",
-    "generate_scenarios",
-    "net_fingerprint",
-    "options_digest",
-    "register_factory",
-    "resolve_factory",
-    "run_campaign",
-    "start_method",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ["ResultCache", "net_fingerprint", "options_digest"],
+    ".jobs": [
+        "DEFAULT_PROPERTIES",
+        "FACTORIES",
+        "VerificationJob",
+        "build_pipeline_model",
+        "register_factory",
+        "resolve_factory",
+    ],
+    ".report": ["CampaignReport"],
+    ".runner": ["CampaignResult", "classify_verdict", "run_campaign", "start_method"],
+    ".scheduler": ["CampaignScheduler", "JobTicket"],
+    ".scenario": ["ScenarioSpec", "enumerate_grid", "generate_scenarios"],
+})

@@ -10,24 +10,16 @@ the chip boundary.  The checksum is validated against the behavioural OPE
 model initialised with the same seed and count.
 """
 
-from repro.chip.lfsr import Lfsr
-from repro.chip.accumulator import ChecksumAccumulator
-from repro.chip.top import ChipConfig, ChipMode, OpeChip
-from repro.chip.testbench import (
-    depth_scaling_experiment,
-    random_mode_experiment,
-    unstable_supply_experiment,
-    voltage_sweep_experiment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChecksumAccumulator",
-    "ChipConfig",
-    "ChipMode",
-    "Lfsr",
-    "OpeChip",
-    "depth_scaling_experiment",
-    "random_mode_experiment",
-    "unstable_supply_experiment",
-    "voltage_sweep_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".lfsr": ["Lfsr"],
+    ".accumulator": ["ChecksumAccumulator"],
+    ".top": ["ChipConfig", "ChipMode", "OpeChip"],
+    ".testbench": [
+        "depth_scaling_experiment",
+        "random_mode_experiment",
+        "unstable_supply_experiment",
+        "voltage_sweep_experiment",
+    ],
+})

@@ -23,42 +23,15 @@ conventional back-end flow.  This package provides:
 * :mod:`repro.circuits.verilog`   -- Verilog netlist export.
 """
 
-from repro.circuits.signals import DualRail, Rail, encode_word, decode_word
-from repro.circuits.gates import CElement, Gate, NclGate, majority, threshold
-from repro.circuits.library import Cell, CellLibrary, Component, default_library
-from repro.circuits.netlist import Instance, Module, Net, Netlist, Port, PortDirection
-from repro.circuits.handshake import Channel, ChannelPhase, FourPhaseProtocol
-from repro.circuits.mapping import MappingOptions, SyncStyle, map_dfs_to_netlist
-from repro.circuits.simulation import CircuitSimulator, SimulationStats
-from repro.circuits.verilog import to_verilog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CElement",
-    "Cell",
-    "CellLibrary",
-    "Channel",
-    "ChannelPhase",
-    "CircuitSimulator",
-    "Component",
-    "DualRail",
-    "FourPhaseProtocol",
-    "Gate",
-    "Instance",
-    "MappingOptions",
-    "Module",
-    "NclGate",
-    "Net",
-    "Netlist",
-    "Port",
-    "PortDirection",
-    "Rail",
-    "SimulationStats",
-    "SyncStyle",
-    "decode_word",
-    "default_library",
-    "encode_word",
-    "majority",
-    "map_dfs_to_netlist",
-    "threshold",
-    "to_verilog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".signals": ["DualRail", "Rail", "encode_word", "decode_word"],
+    ".gates": ["CElement", "Gate", "NclGate", "majority", "threshold"],
+    ".library": ["Cell", "CellLibrary", "Component", "default_library"],
+    ".netlist": ["Instance", "Module", "Net", "Netlist", "Port", "PortDirection"],
+    ".handshake": ["Channel", "ChannelPhase", "FourPhaseProtocol"],
+    ".mapping": ["MappingOptions", "SyncStyle", "map_dfs_to_netlist"],
+    ".simulation": ["CircuitSimulator", "SimulationStats"],
+    ".verilog": ["to_verilog"],
+})

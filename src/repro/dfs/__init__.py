@@ -16,37 +16,16 @@ The enabling rules (equations (1)-(5) of the paper) are implemented once, in
 Petri-net translation so the two views cannot drift apart.
 """
 
-from repro.dfs.nodes import LogicNode, NodeType, RegisterNode
-from repro.dfs.model import DataflowStructure
-from repro.dfs.builder import DfsBuilder
-from repro.dfs.semantics import Event, EventAction, Literal, events_for_node, model_events
-from repro.dfs.state import DfsState
-from repro.dfs.simulation import DfsSimulator
-from repro.dfs.translation import place_name, to_petri_net, transition_name
-from repro.dfs.serialization import dfs_from_document, dfs_from_json, dfs_to_document, dfs_to_json
-from repro.dfs.validation import Issue, Severity, validate_structure
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DataflowStructure",
-    "DfsBuilder",
-    "DfsSimulator",
-    "DfsState",
-    "Event",
-    "EventAction",
-    "Issue",
-    "Literal",
-    "LogicNode",
-    "NodeType",
-    "RegisterNode",
-    "Severity",
-    "dfs_from_document",
-    "dfs_from_json",
-    "dfs_to_document",
-    "dfs_to_json",
-    "events_for_node",
-    "model_events",
-    "place_name",
-    "to_petri_net",
-    "transition_name",
-    "validate_structure",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".nodes": ["LogicNode", "NodeType", "RegisterNode"],
+    ".model": ["DataflowStructure"],
+    ".builder": ["DfsBuilder"],
+    ".semantics": ["Event", "EventAction", "Literal", "events_for_node", "model_events"],
+    ".state": ["DfsState"],
+    ".simulation": ["DfsSimulator"],
+    ".translation": ["place_name", "to_petri_net", "transition_name"],
+    ".serialization": ["dfs_from_document", "dfs_from_json", "dfs_to_document", "dfs_to_json"],
+    ".validation": ["Issue", "Severity", "validate_structure"],
+})

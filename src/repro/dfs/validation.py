@@ -41,14 +41,14 @@ def _logic_only_cycles(dfs):
     """Cycles made entirely of logic nodes (combinational feedback)."""
     logic = set(dfs.logic_nodes)
     edges = [(s, t) for s, t in dfs.edges if s in logic and t in logic]
-    return enumerate_simple_cycles(edges, nodes=logic)
+    return enumerate_simple_cycles(edges, nodes=dfs.logic_nodes)
 
 
 def _control_loops(dfs):
     """Cycles made entirely of control registers (token oscillation loops)."""
     controls = set(dfs.control_registers)
     edges = [(s, t) for s, t in dfs.edges if s in controls and t in controls]
-    return enumerate_simple_cycles(edges, nodes=controls)
+    return enumerate_simple_cycles(edges, nodes=dfs.control_registers)
 
 
 def validate_structure(dfs):

@@ -18,18 +18,11 @@ needs a reconfigurable pipeline depth.
   component library and the matching analytic silicon models.
 """
 
-from repro.ope.reference import OpeReference, ordinal_ranks, paper_example_table
-from repro.ope.functional import OpePipelineFunctional
-from repro.ope.pipeline import build_reconfigurable_ope_pipeline, build_static_ope_pipeline
-from repro.ope.circuit import ope_netlist, ope_silicon_model
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OpePipelineFunctional",
-    "OpeReference",
-    "build_reconfigurable_ope_pipeline",
-    "build_static_ope_pipeline",
-    "ope_netlist",
-    "ope_silicon_model",
-    "ordinal_ranks",
-    "paper_example_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".reference": ["OpeReference", "ordinal_ranks", "paper_example_table"],
+    ".functional": ["OpePipelineFunctional"],
+    ".pipeline": ["build_reconfigurable_ope_pipeline", "build_static_ope_pipeline"],
+    ".circuit": ["ope_netlist", "ope_silicon_model"],
+})

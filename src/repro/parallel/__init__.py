@@ -11,14 +11,9 @@ package:
   first-winner cancellation (``stop_when``) for portfolio races.
 """
 
-from repro.parallel.context import in_daemon_worker, mp_context, start_method
-from repro.parallel.supervisor import STATUSES, TaskOutcome, run_supervised
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STATUSES",
-    "TaskOutcome",
-    "in_daemon_worker",
-    "mp_context",
-    "run_supervised",
-    "start_method",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".context": ["in_daemon_worker", "mp_context", "start_method"],
+    ".supervisor": ["STATUSES", "TaskOutcome", "run_supervised"],
+})

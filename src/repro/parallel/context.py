@@ -11,6 +11,7 @@ picklability regressions (jobs, compiled tables, queries crossing process
 boundaries) surface on every run instead of only on spawn-default platforms.
 """
 
+import importlib
 import multiprocessing
 import os
 
@@ -21,14 +22,14 @@ from repro.exceptions import ConfigurationError
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
 
 
-def mp_context():
-    """The multiprocessing context every parallel subsystem uses.
+#: Modules imported before a fork, so every forked worker inherits them
+#: (NumPy among them) instead of importing them again per job: package
+#: imports are lazy, and a long-lived parent such as the daemon may not
+#: have explored anything itself.
+FORK_PRELOAD = ("repro.petri.batch", "repro.verification.checkers.walk_batch")
 
-    Honours :data:`START_METHOD_ENV` when set (raising
-    :class:`~repro.exceptions.ConfigurationError` for unknown or unavailable
-    methods -- a CI matrix must fail loudly, not silently test the wrong
-    path), otherwise prefers ``fork`` and falls back to ``spawn``.
-    """
+
+def _resolve_method():
     methods = multiprocessing.get_all_start_methods()
     forced = os.environ.get(START_METHOD_ENV)
     if forced:
@@ -36,13 +37,29 @@ def mp_context():
             raise ConfigurationError(
                 "{}={!r} is not an available start method (available: "
                 "{})".format(START_METHOD_ENV, forced, ", ".join(methods)))
-        return multiprocessing.get_context(forced)
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        return forced
+    return "fork" if "fork" in methods else "spawn"
+
+
+def mp_context():
+    """The multiprocessing context every parallel subsystem uses.
+
+    Honours :data:`START_METHOD_ENV` when set (raising
+    :class:`~repro.exceptions.ConfigurationError` for unknown or unavailable
+    methods -- a CI matrix must fail loudly, not silently test the wrong
+    path), otherwise prefers ``fork`` and falls back to ``spawn``.  Under
+    ``fork`` it first imports :data:`FORK_PRELOAD`.
+    """
+    method = _resolve_method()
+    if method == "fork":
+        for name in FORK_PRELOAD:
+            importlib.import_module(name)
+    return multiprocessing.get_context(method)
 
 
 def start_method():
     """The start method :func:`mp_context` resolves to on this platform."""
-    return mp_context().get_start_method()
+    return _resolve_method()
 
 
 def in_daemon_worker():

@@ -16,18 +16,11 @@ The optimisation helpers suggest the same remedies the paper mentions:
 adjusting the number of tokens, buffering with extra registers and wagging.
 """
 
-from repro.performance.cycles import CycleMetrics, dataflow_cycles
-from repro.performance.analyzer import PerformanceAnalyzer, PerformanceReport
-from repro.performance.timed import TimedDfsSimulator, TimedRun
-from repro.performance.optimization import suggest_optimisations, wagging_speedup
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CycleMetrics",
-    "PerformanceAnalyzer",
-    "PerformanceReport",
-    "TimedDfsSimulator",
-    "TimedRun",
-    "dataflow_cycles",
-    "suggest_optimisations",
-    "wagging_speedup",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cycles": ["CycleMetrics", "dataflow_cycles"],
+    ".analyzer": ["PerformanceAnalyzer", "PerformanceReport"],
+    ".timed": ["TimedDfsSimulator", "TimedRun"],
+    ".optimization": ["suggest_optimisations", "wagging_speedup"],
+})

@@ -10,17 +10,11 @@ control loop.  Initialising the loops with True tokens includes the stage in
 the pipeline; False tokens exclude (bypass) it.
 """
 
-from repro.pipelines.control import add_control_loop
-from repro.pipelines.stage import StagePorts, add_reconfigurable_stage, add_static_stage
-from repro.pipelines.generic import GenericPipeline, build_generic_pipeline
-from repro.pipelines.reconfigurable import PipelineConfiguration
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GenericPipeline",
-    "PipelineConfiguration",
-    "StagePorts",
-    "add_control_loop",
-    "add_reconfigurable_stage",
-    "add_static_stage",
-    "build_generic_pipeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".control": ["add_control_loop"],
+    ".stage": ["StagePorts", "add_reconfigurable_stage", "add_static_stage"],
+    ".generic": ["GenericPipeline", "build_generic_pipeline"],
+    ".reconfigurable": ["PipelineConfiguration"],
+})

@@ -27,39 +27,20 @@ A property written in this language describes the *bad* states (as in MPSAT's
 Reach): verification succeeds when no reachable state satisfies it.
 """
 
-from repro.reach.ast import (
-    And,
-    Compare,
-    Constant,
-    Implies,
-    Marked,
-    Not,
-    Or,
-    ReachExpression,
-)
-from repro.reach.cubes import Cube, to_cubes
-from repro.reach.parser import parse
-from repro.reach.evaluator import (
-    evaluate,
-    find_witnesses,
-    holds_somewhere,
-    marking_predicate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "And",
-    "Compare",
-    "Constant",
-    "Cube",
-    "Implies",
-    "Marked",
-    "Not",
-    "Or",
-    "ReachExpression",
-    "evaluate",
-    "find_witnesses",
-    "holds_somewhere",
-    "marking_predicate",
-    "parse",
-    "to_cubes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ast": [
+        "And",
+        "Compare",
+        "Constant",
+        "Implies",
+        "Marked",
+        "Not",
+        "Or",
+        "ReachExpression",
+    ],
+    ".cubes": ["Cube", "to_cubes"],
+    ".parser": ["parse"],
+    ".evaluator": ["evaluate", "find_witnesses", "holds_somewhere", "marking_predicate"],
+})

@@ -8,14 +8,9 @@ formalisms, so that the motivating example (Fig. 1) can be reproduced with
 both and compared by the performance analyser.
 """
 
-from repro.sdfs.model import StaticDataflowStructure, is_static, strip_dynamic
-from repro.sdfs.analysis import dataflow_depth, register_chains, static_summary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StaticDataflowStructure",
-    "dataflow_depth",
-    "is_static",
-    "register_chains",
-    "static_summary",
-    "strip_dynamic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".model": ["StaticDataflowStructure", "is_static", "strip_dynamic"],
+    ".analysis": ["dataflow_depth", "register_chains", "static_summary"],
+})

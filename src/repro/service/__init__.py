@@ -29,31 +29,16 @@ Typical use::
     $ repro-dfs campaign --server http://127.0.0.1:8765 --grid depth=2..4
 """
 
-from repro.service.client import (
-    ServiceBusy as ClientBusy,
-    ServiceClient,
-    ServiceClientError,
-    result_from_record,
-)
-from repro.service.core import (
-    DEFAULT_MAX_DEPTH,
-    RateLimited,
-    ServiceBusy,
-    VerificationService,
-)
-from repro.service.http import ServiceDaemon, run_daemon
-from repro.service.ratelimit import TokenBucket
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientBusy",
-    "DEFAULT_MAX_DEPTH",
-    "RateLimited",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceDaemon",
-    "TokenBucket",
-    "VerificationService",
-    "result_from_record",
-    "run_daemon",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".client": [
+        "ServiceBusy as ClientBusy",
+        "ServiceClient",
+        "ServiceClientError",
+        "result_from_record",
+    ],
+    ".core": ["DEFAULT_MAX_DEPTH", "RateLimited", "ServiceBusy", "VerificationService"],
+    ".http": ["ServiceDaemon", "run_daemon"],
+    ".ratelimit": ["TokenBucket"],
+})

@@ -20,23 +20,12 @@ not have silicon, so this package provides the closest simulated equivalent:
   time, consumed energy, power traces and voltage sweeps.
 """
 
-from repro.silicon.voltage import VoltageModel
-from repro.silicon.energy import EnergyAccount, EnergyBreakdown
-from repro.silicon.environment import SupplyWaveform, constant_supply, ramp_supply, step_supply
-from repro.silicon.chip import PipelineSiliconModel, SyncStructure
-from repro.silicon.measurement import Measurement, MeasurementHarness, PowerTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyAccount",
-    "EnergyBreakdown",
-    "Measurement",
-    "MeasurementHarness",
-    "PipelineSiliconModel",
-    "PowerTrace",
-    "SupplyWaveform",
-    "SyncStructure",
-    "VoltageModel",
-    "constant_supply",
-    "ramp_supply",
-    "step_supply",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".voltage": ["VoltageModel"],
+    ".energy": ["EnergyAccount", "EnergyBreakdown"],
+    ".environment": ["SupplyWaveform", "constant_supply", "ramp_supply", "step_supply"],
+    ".chip": ["PipelineSiliconModel", "SyncStructure"],
+    ".measurement": ["Measurement", "MeasurementHarness", "PowerTrace"],
+})

@@ -20,20 +20,15 @@ siphon/trap fallback of :mod:`repro.petri.invariants` still proves
 deadlock-freedom without any solver.
 """
 
-from repro.smt.encoder import SmtEncoder
-from repro.smt.solver import (
-    PipeSolver,
-    require_solver,
-    solver_available,
-    solver_binary,
-    solver_fingerprint,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PipeSolver",
-    "SmtEncoder",
-    "require_solver",
-    "solver_available",
-    "solver_binary",
-    "solver_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".encoder": ["SmtEncoder"],
+    ".solver": [
+        "PipeSolver",
+        "require_solver",
+        "solver_available",
+        "solver_binary",
+        "solver_fingerprint",
+    ],
+})

@@ -1,22 +1,14 @@
 """Shared utilities: naming, graph algorithms and serialization helpers."""
 
-from repro.utils.naming import NameRegistry, is_valid_name, make_unique
-from repro.utils.graphs import (
-    enumerate_simple_cycles,
-    reachable_from,
-    strongly_connected_components,
-    topological_order,
-)
-from repro.utils.serialization import dump_json, load_json
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NameRegistry",
-    "is_valid_name",
-    "make_unique",
-    "enumerate_simple_cycles",
-    "reachable_from",
-    "strongly_connected_components",
-    "topological_order",
-    "dump_json",
-    "load_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".naming": ["NameRegistry", "is_valid_name", "make_unique"],
+    ".graphs": [
+        "enumerate_simple_cycles",
+        "reachable_from",
+        "strongly_connected_components",
+        "topological_order",
+    ],
+    ".serialization": ["dump_json", "load_json"],
+})

@@ -7,41 +7,27 @@ same with the in-package explicit-state engine and reports counterexamples
 both as Petri-net traces and as DFS-level state summaries.
 """
 
-from repro.verification.checkers import (
-    CHECKERS,
-    Checker,
-    CheckerContext,
-    CheckerOutcome,
-    create_checker,
-    register_checker,
-)
-from repro.verification.results import VerificationResult, VerificationSummary
-from repro.verification.verifier import (
-    CUSTOM_PROPERTIES,
-    Verifier,
-    register_custom_property,
-    unregister_custom_property,
-)
-from repro.verification.properties import (
-    control_mismatch_expression,
-    value_exclusion_expression,
-    variable_consistency_pairs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKERS",
-    "CUSTOM_PROPERTIES",
-    "Checker",
-    "CheckerContext",
-    "CheckerOutcome",
-    "VerificationResult",
-    "VerificationSummary",
-    "Verifier",
-    "control_mismatch_expression",
-    "create_checker",
-    "register_checker",
-    "register_custom_property",
-    "unregister_custom_property",
-    "value_exclusion_expression",
-    "variable_consistency_pairs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checkers": [
+        "CHECKERS",
+        "Checker",
+        "CheckerContext",
+        "CheckerOutcome",
+        "create_checker",
+        "register_checker",
+    ],
+    ".results": ["VerificationResult", "VerificationSummary"],
+    ".verifier": [
+        "CUSTOM_PROPERTIES",
+        "Verifier",
+        "register_custom_property",
+        "unregister_custom_property",
+    ],
+    ".properties": [
+        "control_mismatch_expression",
+        "value_exclusion_expression",
+        "variable_consistency_pairs",
+    ],
+})

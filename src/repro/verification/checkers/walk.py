@@ -54,11 +54,9 @@ from repro.exceptions import (
     ConfigurationError,
     SafenessOverflowError,
 )
-from repro.petri.batch import WordTables, compile_row_predicate
 from repro.petri.compiled import iter_bits
 from repro.reach.cubes import to_cubes
 from repro.reach.evaluator import compile_mask_predicate, marking_predicate
-from repro.verification.checkers import walk_batch
 from repro.verification.checkers.base import Checker, register_checker
 from repro.verification.checkers.walk_core import (
     NearMissPool,
@@ -225,6 +223,10 @@ class RandomWalkChecker(Checker):
     def _swarm_hunt(self, compiled, initial, kind, max_witnesses, expression,
                     cube_masks, score_kind, stop_in_deadlock,
                     overflow_conclusive):
+        # NumPy is loaded only once a swarm actually walks.
+        from repro.petri.batch import WordTables, compile_row_predicate
+        from repro.verification.checkers import walk_batch
+
         if self._tables is None:
             self._tables = WordTables(compiled)
         tables = self._tables

@@ -15,15 +15,10 @@ exposes the same operations programmatically:
   (validate, verify, simulate, analyse, translate, export, info).
 """
 
-from repro.workcraft.project import Project
-from repro.workcraft.plugins import PluginRegistry, default_registry
-from repro.workcraft.export import available_formats, dfs_to_dot, export_model
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PluginRegistry",
-    "Project",
-    "available_formats",
-    "default_registry",
-    "dfs_to_dot",
-    "export_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".project": ["Project"],
+    ".plugins": ["PluginRegistry", "default_registry"],
+    ".export": ["available_formats", "dfs_to_dot", "export_model"],
+})

@@ -27,18 +27,16 @@ import argparse
 import os
 import sys
 
+# Module level holds only the version and the registries the parser renders
+# (and what their modules load anyway); each handler imports what it runs.
+# None of this loads NumPy: exploration imports it when it starts.
 from repro._version import __version__
-from repro.campaign import ScenarioSpec, generate_scenarios, run_campaign
 from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
 from repro.dfs.examples import conditional_comp_dfs, token_ring
-from repro.dfs.serialization import dfs_from_json
-from repro.dfs.simulation import DfsSimulator
-from repro.dfs.validation import has_errors, validate_structure
-from repro.performance.analyzer import PerformanceAnalyzer
 from repro.petri.reachability import ENGINES
 from repro.verification.checkers import CHECKERS
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
-from repro.workcraft.export import available_formats, export_model
+from repro.workcraft.export import available_formats
 
 #: Default on-disk verdict cache of ``repro-dfs campaign``.
 DEFAULT_CAMPAIGN_CACHE = ".repro-campaign-cache"
@@ -50,6 +48,8 @@ _EXAMPLES = {
 
 
 def _load_model(args):
+    from repro.dfs.serialization import dfs_from_json
+
     if args.example:
         return _EXAMPLES[args.example]()
     if not args.model:
@@ -75,6 +75,8 @@ def _command_info(args):
 
 
 def _command_validate(args):
+    from repro.dfs.validation import has_errors, validate_structure
+
     dfs = _load_model(args)
     issues = validate_structure(dfs)
     if not issues:
@@ -152,6 +154,8 @@ def _command_verify(args):
 
 
 def _command_simulate(args):
+    from repro.dfs.simulation import DfsSimulator
+
     dfs = _load_model(args)
     simulator = DfsSimulator(dfs)
     fired = simulator.run_random(args.steps, seed=args.seed)
@@ -165,6 +169,8 @@ def _command_simulate(args):
 
 
 def _command_analyse(args):
+    from repro.performance.analyzer import PerformanceAnalyzer
+
     dfs = _load_model(args)
     report = PerformanceAnalyzer(dfs).analyse(slowest_count=args.slowest)
     print(report.render())
@@ -172,6 +178,8 @@ def _command_analyse(args):
 
 
 def _command_export(args):
+    from repro.workcraft.export import export_model
+
     dfs = _load_model(args)
     text = export_model(dfs, args.format)
     if args.output:
@@ -245,6 +253,9 @@ def _parse_custom_properties(entries):
 
 
 def _command_campaign(args):
+    from repro.campaign.runner import run_campaign
+    from repro.campaign.scenario import ScenarioSpec, generate_scenarios
+
     axes = _parse_grid(args.grid)
     custom = _parse_custom_properties(args.custom)
     properties = [name.strip() for name in args.properties.split(",") if name.strip()]

@@ -1,0 +1,82 @@
+"""Import hygiene: lazy package exports and what a process pays for at start-up."""
+
+import importlib
+import json
+import multiprocessing
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC_DIR = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def _run_python(code, **env_overrides):
+    """Run *code* in a fresh interpreter; return its parsed JSON stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _packages():
+    names = ["repro"]
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.ispkg:
+            names.append(info.name)
+    return names
+
+
+def test_cli_parser_loads_neither_numpy_nor_networkx():
+    loaded = _run_python(
+        "import json, sys\n"
+        "import repro.workcraft.cli\n"
+        "repro.workcraft.cli.build_parser()\n"
+        "print(json.dumps([name for name in ('numpy', 'networkx') if name in sys.modules]))\n")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    exported = module.__all__
+    assert exported
+    listed = dir(module)
+    for name in exported:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_export")
+
+
+def test_lazy_exports_keep_aliases_and_star_imports():
+    from repro.service import ClientBusy
+    from repro.service.client import ServiceBusy
+
+    assert ClientBusy is ServiceBusy
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert {"Verifier", "PetriNet", "__version__"} <= set(namespace)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_workers_inherit_the_exploration_stack():
+    loaded = _run_python(
+        "import json, sys\n"
+        "from repro.service import VerificationService\n"
+        "service = VerificationService(parallelism=1)\n"
+        "try:\n"
+        "    print(json.dumps([name for name in ('numpy', 'repro.petri.batch')\n"
+        "                      if name in sys.modules]))\n"
+        "finally:\n"
+        "    service.close()\n",
+        REPRO_MP_START_METHOD="fork")
+    assert loaded == ["numpy", "repro.petri.batch"]
