@@ -10,8 +10,8 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
 * The per-transition ``need`` / ``consume`` / ``produce`` bitmasks of the
   compiled net are precompiled into ``(transitions, words)`` arrays.
 * One level of BFS is: a broadcast compare for enabledness, a bulk
-  mask-and-or firing, a lexicographic sort for intra-level dedup, and a
-  ``searchsorted`` probe against the sorted table of known states.
+  mask-and-or firing, an open-addressing table for intra-level dedup, and
+  a probe of the global open-addressing index of known states.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
@@ -31,6 +31,9 @@ semantics; this engine must match it bit for bit (see
 ``tests/test_petri_batch.py``).
 """
 
+import os
+from time import perf_counter
+
 import numpy as _np
 
 from repro.exceptions import (
@@ -44,6 +47,17 @@ from repro.petri.compiled import (
     transition_watch_lists,
 )
 from repro.petri.reachability import ReachabilityGraph
+from repro.petri.storage import (
+    MANIFEST_NAME,
+    ArrayStore,
+    Checkpoint,
+    HashIndex,
+    SpillConfig,
+    SpillPool,
+    fibonacci_slots,
+    probe_slots,
+    rows_equal,
+)
 from repro.utils import faults as _faults
 
 #: Cap (in edges) on one block of the persistence scan's per-edge bitsets.
@@ -259,65 +273,43 @@ def refresh_enabled(tables, enabled, rows, fired):
             enabled[members, watched] = ok
 
 
-def dedup_rows(successor, hashes, provenance, word_count):
-    """Group duplicate successor rows, keeping each group's min provenance.
+def dedup_first(successor, hashes):
+    """Group equal successor rows by their first occurrence.
 
-    Returns ``(order, group_of_sorted, group_rows, group_hashes,
-    group_provenance)`` where *order* sorts the inputs so that equal rows
-    are adjacent, ``group_of_sorted[i]`` is the dedup-group of the sorted
-    position ``i``, and the ``group_*`` arrays hold one entry per distinct
-    row -- its provenance being the minimum over the group, i.e. the edge
-    over which the sequential BFS first discovers that state.
+    Returns ``(firsts, group_of)``: *firsts* holds the position of each
+    distinct row's first occurrence, ascending, and ``group_of[i]`` is the
+    group (an index into *firsts*) of row ``i``.  Successor positions rise
+    with provenance, so the groups come out in the order the sequential
+    BFS first discovers them.
+
+    The rows go into a per-call open-addressing table of positions.  Each
+    round, the rows still pending claim their free slot with
+    ``np.minimum.at``; equal rows share one probe sequence, so a group
+    moves together and its first occurrence wins the slot.  A row whose
+    slot holds a different row (compared exactly) probes on.
     """
-    # A sort on the hashes makes equal rows adjacent whenever the hashes
-    # are collision-free (non-stable: reduceat takes the group min).
-    order = _np.argsort(hashes)
-    ordered_hashes = hashes[order]
-    head = _np.ones(len(order), dtype=bool)
-    head[1:] = ordered_hashes[1:] != ordered_hashes[:-1]
-    if word_count > 1:
-        # Single-word rows are their own hash; wider rows verify equality
-        # only where the hashes matched (gathering two rows per duplicate
-        # beats gathering the whole sorted matrix).
-        duplicate_positions = _np.where(~head)[0]
-        collided = (successor[order[duplicate_positions - 1]]
-                    != successor[order[duplicate_positions]]).any(axis=1)
-        if collided.any():
-            # Two distinct rows collided in the 64-bit hash (practically
-            # never): re-sort exactly on the full words.
-            order = _np.lexsort(tuple(successor[:, w]
-                                      for w in range(word_count)))
-            ordered_rows = successor[order]
-            head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
-    head_positions = _np.where(head)[0]
-    group_rows = successor[order[head_positions]]
-    group_of_sorted = _np.cumsum(head) - 1
-    group_provenance = _np.minimum.reduceat(provenance[order],
-                                            head_positions)
-    group_hashes = hashes[order[head_positions]]
-    return order, group_of_sorted, group_rows, group_hashes, group_provenance
-
-
-def merge_sorted_index(keys, idx, new_keys, new_idx):
-    """Merge (unsorted) new entries into a sorted ``(keys, idx)`` pair.
-
-    One fused placement pass instead of two ``np.insert`` copies; returns
-    the merged ``(keys, idx)`` arrays.
-    """
-    order = _np.argsort(new_keys)
-    new_keys = new_keys[order]
-    insert_at = _np.searchsorted(keys, new_keys)
-    merged_size = len(keys) + len(new_keys)
-    new_slots = insert_at + _np.arange(len(new_keys))
-    old_slots = _np.ones(merged_size, dtype=bool)
-    old_slots[new_slots] = False
-    merged_keys = _np.empty(merged_size, dtype=keys.dtype)
-    merged_idx = _np.empty(merged_size, dtype=idx.dtype)
-    merged_keys[new_slots] = new_keys
-    merged_idx[new_slots] = new_idx[order]
-    merged_keys[old_slots] = keys
-    merged_idx[old_slots] = idx
-    return merged_keys, merged_idx
+    count = len(successor)
+    # Load at most one half, and at least 4096 slots: a small level then
+    # resolves in one or two rounds.
+    bits = max(12, (2 * count - 1).bit_length())
+    mask = (1 << bits) - 1
+    table = _np.full(1 << bits, count, dtype=_np.int32)
+    slot = fibonacci_slots(hashes, bits)
+    owner_of = _np.empty(count, dtype=_np.int32)
+    pending = _np.arange(count, dtype=_np.int32)
+    while len(pending):
+        free = table[slot] == count
+        _np.minimum.at(table, slot[free], pending[free])
+        owner = table[slot]
+        match = rows_equal(successor, owner, successor, pending)
+        owner_of[pending[match]] = owner[match]
+        miss = ~match
+        pending = pending[miss]
+        slot = (slot[miss] + 1) & mask
+    firsts = _np.flatnonzero(owner_of == _np.arange(count))
+    group = _np.empty(count, dtype=_np.int64)
+    group[firsts] = _np.arange(len(firsts))
+    return firsts, group[owner_of]
 
 
 class ColumnarReachabilityGraph(ReachabilityGraph):
@@ -329,8 +321,9 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
       (``-1`` for the initial state);
     * ``_frontier_arr`` -- sorted indices of partially-expanded states;
-    * ``_hash_keys`` / ``_hash_idx`` -- the sorted row-hash index used for
-      O(log n) marking lookup without materialising Python ints.
+    * ``_slots`` -- the open-addressing table of state indices
+      (:class:`~repro.petri.storage.HashIndex`) used for O(1) marking
+      lookup without materialising Python ints.
 
     The full marking-level :class:`~repro.petri.reachability.ReachabilityGraph`
     API is answered from these arrays -- markings decode on demand, and
@@ -354,8 +347,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         self._edge_offsets = None
         self._parents_arr = None
         self._frontier_arr = None
-        self._hash_keys = None      # sorted row hashes of every state
-        self._hash_idx = None       # state index per sorted hash
+        self._slots = None          # hash index slots: state index or -1
         #: The spill pool backing the arrays (``None`` for plain RAM
         #: arrays); kept alive so unlinked memmap files outlive the graph.
         self._spill_pool = None
@@ -393,17 +385,9 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         except CompilationError:
             return None
         row = self.tables.encode_rows([state])
-        key = self.tables.hash_rows(row)[0]
-        keys = self._hash_keys
-        position = int(_np.searchsorted(keys, key))
-        # Hashes only pre-filter: scan the (almost always length-one) run of
-        # equal hashes and compare the actual rows.
-        while position < len(keys) and keys[position] == key:
-            index = int(self._hash_idx[position])
-            if bool((self._words[index] == row[0]).all()):
-                return index
-            position += 1
-        return None
+        index = int(probe_slots(self._slots, self._words, row,
+                                self.tables.hash_rows(row))[0])
+        return index if index >= 0 else None
 
     # -- ReachabilityGraph API ------------------------------------------------
 
@@ -558,8 +542,6 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         popcount per edge over ``(states, ceil(T/64))`` enabled bitsets;
         only the first hit states re-run the exact pair loop for witnesses.
         """
-        from repro.petri.storage import ArrayStore
-
         offsets = self._edge_offsets
         degrees = _np.diff(offsets)
         eligible = degrees >= 2
@@ -724,40 +706,6 @@ def compile_row_predicate(expression, word_bit_of):
     return None
 
 
-def _probe_rows(hash_keys, hash_idx, words_buffer, rows, hashes, word_count):
-    """Resolve candidate *rows* against the sorted hash index.
-
-    Returns an int64 vector of global state indices (``-1`` for unknown
-    rows).  The hash is only a pre-filter: every hit is verified by an exact
-    row compare, and runs of colliding hashes are scanned to the end, so the
-    result is exact whatever the hash quality.
-    """
-    targets = _np.full(len(rows), -1, dtype=_np.int64)
-    table_size = len(hash_keys)
-    position = _np.searchsorted(hash_keys, hashes)
-    open_rows = _np.arange(len(rows), dtype=_np.int64)
-    while len(open_rows):
-        in_range = position < table_size
-        open_rows = open_rows[in_range]
-        if not len(open_rows):
-            break
-        position = position[in_range]
-        candidate = hash_keys[position] == hashes[open_rows]
-        open_rows = open_rows[candidate]
-        if not len(open_rows):
-            break
-        position = position[candidate]
-        indices = hash_idx[position]
-        matches = _np.ones(len(open_rows), dtype=bool)
-        for w in range(word_count):
-            matches &= words_buffer[indices, w] == rows[open_rows, w]
-        targets[open_rows[matches]] = indices[matches]
-        # A hash hit with a different row is a collision: step down the run.
-        open_rows = open_rows[~matches]
-        position = position[~matches] + 1
-    return targets
-
-
 def checkpoint_identity(compiled, initial_state, max_states):
     """The identity digest a checkpoint must match to be resumable."""
     from repro.utils.diskcache import digest
@@ -811,15 +759,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     resumed graph is bit-identical to an uninterrupted one.  A run that
     finishes removes the directory's manifest and store files.
     """
-    import os
-
-    from repro.petri.storage import (
-        ArrayStore,
-        Checkpoint,
-        SortedIndexStore,
-        SpillConfig,
-        SpillPool,
-    )
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
     tables = WordTables(compiled)
@@ -831,11 +770,9 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     transition_names = compiled.transition_names
     place_names = compiled.place_names
 
-    from time import perf_counter
-
     #: Per-phase second counters, printed when REPRO_BATCH_TIMING is set:
-    #: fire (enabled scan + firing), dedup (sort + grouping), probe (global
-    #: lookup), admit (admission + incremental masks + index merge), edges.
+    #: fire (enabled scan + firing), dedup (level table), probe (global
+    #: lookup), admit (admission + incremental masks + index insert), edges.
     timing = {"fire": 0.0, "dedup": 0.0, "probe": 0.0, "admit": 0.0,
               "edges": 0.0}
 
@@ -864,7 +801,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                 # Damaged or foreign checkpoint: degrade to a fresh run
                 # (the diskcache rule -- corrupt entries are misses).
                 checkpointer, restored = None, None
-                from repro.petri.storage import MANIFEST_NAME
                 try:
                     os.remove(os.path.join(checkpoint, MANIFEST_NAME))
                 except OSError:
@@ -883,13 +819,10 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         level_start = int(progress["level_start"])
         resumed_from = levels
         # The level about to expand is the tail of the state table; its
-        # enabled matrix and the sorted hash index are derived state,
-        # recomputed rather than checkpointed.
+        # enabled matrix and the hash index are derived state, recomputed
+        # rather than checkpointed.
         level = _np.ascontiguousarray(words.data[level_start:total])
         level_enabled = tables.enabled_matrix(level)
-        index = SortedIndexStore(pool, "hash", _np.uint64, _np.int64)
-        index.merge(tables.hash_rows(words.data),
-                    _np.arange(total, dtype=_np.int64))
     else:
         # The graph's columnar arrays, behind the spill pool.  The state
         # table doubles as the exact-match side of the hash probe.
@@ -898,20 +831,20 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         edges = ArrayStore(pool, "edges", _np.int64)
         counts = ArrayStore(pool, "counts", _np.int64)
         frontier = ArrayStore(pool, "frontier", _np.int64)
-        index = SortedIndexStore(pool, "hash", _np.uint64, _np.int64)
+    index = HashIndex(pool, "hash", words, tables.hash_rows,
+                      wide=max_states >= 2 ** 31)
 
     try:
         if restored is None:
             words.append(level)
             parents.append(_np.full(1, -1, dtype=_np.int64))
-            index.merge(tables.hash_rows(level),
-                        _np.zeros(1, dtype=_np.int64))
             if checkpoint:
                 checkpointer = Checkpoint(
                     checkpoint,
                     {"words": words, "parents": parents, "edges": edges,
                      "counts": counts, "frontier": frontier},
                     identity)
+        index.extend(tables.hash_rows(words.data))
 
         while len(level):
             levels += 1
@@ -936,36 +869,34 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             phase_started = perf_counter()
 
             # Intra-level dedup of *all* successors first, so the (more
-            # expensive) probe against the global state table only runs once
-            # per distinct successor.  A sort on the row hashes makes equal
-            # rows adjacent; each group's provenance is the minimum over its
-            # members -- the edge over which the sequential BFS first
-            # discovers that state.
-            (order, group_of_sorted, group_rows, group_hashes,
-             group_provenance) = dedup_rows(successor, hashes, provenance,
-                                            word_count)
+            # expensive) probe against the global index only runs once per
+            # distinct successor.  A group's first occurrence carries its
+            # minimum provenance -- the edge over which the sequential BFS
+            # first discovers that state -- and the groups come out in
+            # provenance order.
+            firsts, group_of = dedup_first(successor, hashes)
+            group_rows = successor[firsts]
+            group_hashes = hashes[firsts]
             timing["dedup"] += perf_counter() - phase_started
             phase_started = perf_counter()
 
             # Resolve the distinct successors against the globally known
             # states (exact, hash-accelerated), then admit the unknown ones
             # in provenance order up to the state budget.
-            group_target = _probe_rows(index.keys, index.idx, words.data,
-                                       group_rows, group_hashes, word_count)
+            group_target = index.lookup(group_rows, group_hashes)
             pool.note_read(len(group_rows) * word_count * 8)
-            fresh_groups = _np.where(group_target < 0)[0]
+            fresh_groups = _np.flatnonzero(group_target < 0)
             timing["probe"] += perf_counter() - phase_started
             phase_started = perf_counter()
             admitted_rows = None
             admitted_enabled = None
             if len(fresh_groups):
-                admission = _np.argsort(group_provenance[fresh_groups])
                 capacity = max(0, max_states - total)
-                admitted = fresh_groups[admission[:capacity]]
+                admitted = fresh_groups[:capacity]
                 if len(admitted) < len(fresh_groups):
                     truncated = True
                 group_target[admitted] = total + _np.arange(len(admitted))
-                admitted_provenance = group_provenance[admitted]
+                admitted_provenance = provenance[firsts[admitted]]
                 admitted_rows = group_rows[admitted]
                 parents.append(admitted_provenance)
                 words.append(admitted_rows)
@@ -979,17 +910,12 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                     refresh_enabled(tables, admitted_enabled, admitted_rows,
                                     fired)
                 total += len(admitted)
-                # Merge the admitted hashes into the sorted hash index (one
-                # fused placement pass into the index's spare buffer).
-                if len(admitted):
-                    index.merge(group_hashes[admitted],
-                                group_target[admitted])
+                index.extend(group_hashes[admitted])
 
             timing["admit"] += perf_counter() - phase_started
             phase_started = perf_counter()
             # Resolve every edge through its dedup group.
-            targets = _np.empty(len(order), dtype=_np.int64)
-            targets[order] = group_target[group_of_sorted]
+            targets = group_target[group_of]
             if (group_target >= 0).all():
                 # Nothing was rejected: every edge survives (common case).
                 edges.append(transition | (targets << 16))
@@ -1025,7 +951,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             else:
                 level = _np.empty((0, word_count), dtype=_np.uint64)
 
-        import os
         if os.environ.get("REPRO_BATCH_TIMING"):
             import sys
             print("batch explorer: fire {fire:.2f}s dedup {dedup:.2f}s "
@@ -1048,7 +973,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         counts.release()
         graph._edge_offsets = offsets.trim()
         graph._frontier_arr = frontier.trim()
-        graph._hash_keys, graph._hash_idx = index.finalize()
+        graph._slots = index.slots
         if checkpointer is not None:
             # The run completed: nothing is left to resume from.  The live
             # memmap views survive the unlink (the kernel keeps the inodes

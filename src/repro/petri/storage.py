@@ -3,8 +3,7 @@
 The batch exploration engine builds
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
 handful of growable arrays (state words, CSR edges, packed parents, the
-sorted hash index).  This module provides the storage layer underneath
-them:
+hash index).  This module provides the storage layer underneath them:
 
 * :class:`ArrayStore` -- a growable 1-D/2-D NumPy array with geometric
   (power-of-two) resizing.  In RAM it grows by allocating a fresh
@@ -17,6 +16,9 @@ them:
   growth request would push the total past the configured budget, converts
   *every* store to disk at once (so the RAM working set drops to the
   frontier-sized temporaries of the exploration loop).
+* :class:`HashIndex` -- the open-addressing table mapping each state row
+  to its index: it stores only the indices and compares rows against the
+  state store, so it costs 4 bytes per slot (8 past ``2**31`` states).
 * :class:`SpillConfig` -- where the knobs live: ``spill_bytes=`` /
   ``spill_dir=`` keyword arguments, or the ``REPRO_SPILL_BYTES`` /
   ``REPRO_SPILL_DIR`` environment variables.
@@ -505,63 +507,115 @@ class ArrayStore:
             self.name, self._length, "disk" if self.spilled else "ram")
 
 
-class SortedIndexStore:
-    """The graph's sorted hash index as a pair of double-buffered stores.
+#: Fibonacci hashing multiplier (2**64 / golden ratio, made odd): the slot
+#: of a row hash is the high bits of their product.
+_FIBONACCI = _np.uint64(0x9E3779B97F4A7C15)
 
-    Keeps ``(keys, idx)`` sorted by key.  :meth:`merge` re-implements
-    :func:`repro.petri.batch.merge_sorted_index`'s fused placement, but
-    writes the merged output into the *spare* buffer pair and swaps --
-    so the merge is an append-bandwidth operation on disk instead of a
-    fresh RAM allocation per BFS level.
+
+def fibonacci_slots(hashes, bits):
+    """Home slots of *hashes* in a ``2**bits``-slot open-addressing table."""
+    shift = _np.uint64(64 - bits)
+    return ((hashes * _FIBONACCI) >> shift).astype(_np.intp)
+
+
+def rows_equal(left, left_at, right, right_at):
+    """Word-by-word equality of rows ``left[left_at]`` and ``right[right_at]``."""
+    equal = left[left_at, 0] == right[right_at, 0]
+    for w in range(1, left.shape[1]):
+        equal &= left[left_at, w] == right[right_at, w]
+    return equal
+
+
+def probe_slots(slots, states, rows, hashes):
+    """Indices in *states* of each of *rows* (``-1`` if absent).
+
+    *slots* is a :class:`HashIndex` table: linear probing from each row's
+    home slot, with every occupied slot checked by an exact row compare,
+    so the answer is exact whatever the hash quality.
+    """
+    # Plain views: indexing an np.memmap pays a Python-level __getitem__.
+    slots, states = _np.asarray(slots), _np.asarray(states)
+    found = _np.full(len(rows), -1, dtype=_np.int64)
+    mask = len(slots) - 1
+    slot = fibonacci_slots(hashes, mask.bit_length())
+    pending = _np.arange(len(rows), dtype=_np.intp)
+    while len(pending):
+        candidate = slots[slot]
+        occupied = candidate >= 0
+        pending, slot, candidate = (pending[occupied], slot[occupied],
+                                    candidate[occupied])
+        match = rows_equal(states, candidate, rows, pending)
+        found[pending[match]] = candidate[match]
+        miss = ~match
+        pending = pending[miss]
+        slot = (slot[miss] + 1) & mask
+    return found
+
+
+class HashIndex:
+    """Open-addressing index from state rows to their state indices.
+
+    The table holds only indices (``-1`` marks a free slot): the rows
+    themselves stay in the *states* store, and every probe compares them
+    exactly.  Slots are int32, or int64 when *wide*.  The load factor stays
+    at most one half: an :meth:`extend` that would pass it doubles the
+    table and re-inserts every state from its row hash.  The table is an
+    :class:`ArrayStore` of *pool*, so it spills with the rest of the graph.
     """
 
-    def __init__(self, pool, name, key_dtype, idx_dtype):
-        self._keys = (ArrayStore(pool, name + "-keys-a", key_dtype),
-                      ArrayStore(pool, name + "-keys-b", key_dtype))
-        self._idx = (ArrayStore(pool, name + "-idx-a", idx_dtype),
-                     ArrayStore(pool, name + "-idx-b", idx_dtype))
-        self._front = 0
+    #: log2 of the first table's slots: 64 KiB of int32 slots keep the
+    #: load of small graphs low, so their probes end in a round or two.
+    _MIN_BITS = 14
+
+    def __init__(self, pool, name, states, hash_rows, wide=False):
+        self._states = states
+        self._hash_rows = hash_rows
+        self._store = ArrayStore(pool, name, _np.int64 if wide else _np.int32,
+                                 capacity=1 << self._MIN_BITS)
+        self._store.set_length(1 << self._MIN_BITS)
+        self._store.data.fill(-1)
+        self.count = 0
 
     @property
-    def keys(self):
-        return self._keys[self._front].data
+    def slots(self):
+        """The slot table, for lookups with :func:`probe_slots`."""
+        return _np.asarray(self._store.data)
 
-    @property
-    def idx(self):
-        return self._idx[self._front].data
+    def lookup(self, rows, hashes):
+        """Indices of *rows* among the indexed states (``-1`` if absent)."""
+        return probe_slots(self.slots, self._states.data, rows, hashes)
 
-    def merge(self, new_keys, new_idx):
-        """Merge sorted-by-key *new* entries into the index (stable placement)."""
-        order = _np.argsort(new_keys)
-        new_keys = new_keys[order]
-        new_idx = new_idx[order]
-        front, back = self._front, 1 - self._front
-        keys = self._keys[front].data
-        idx = self._idx[front].data
-        merged_size = len(keys) + len(new_keys)
-        key_store, idx_store = self._keys[back], self._idx[back]
-        key_store.set_length(merged_size)
-        idx_store.set_length(merged_size)
-        merged_keys = key_store.data
-        merged_idx = idx_store.data
-        positions = _np.searchsorted(keys, new_keys, side="left")
-        new_slots = positions + _np.arange(len(new_keys), dtype=positions.dtype)
-        old_slots = _np.ones(merged_size, dtype=bool)
-        old_slots[new_slots] = False
-        merged_keys[new_slots] = new_keys
-        merged_idx[new_slots] = new_idx
-        merged_keys[old_slots] = keys
-        merged_idx[old_slots] = idx
-        self._front = back
+    def extend(self, hashes):
+        """Index states ``count, count + 1, ...``, given their row *hashes*.
 
-    def finalize(self):
-        """Return ``(keys, idx)`` exact arrays and release the spare pair."""
-        front, back = self._front, 1 - self._front
-        keys = self._keys[front].trim()
-        idx = self._idx[front].trim()
-        self._keys[back].release()
-        self._idx[back].release()
-        return keys, idx
+        Their rows must already be in the states store, and be distinct
+        from each other and from every indexed state.
+        """
+        start, total = self.count, self.count + len(hashes)
+        if 2 * total > len(self.slots):
+            capacity = len(self.slots)
+            while 2 * total > capacity:
+                capacity *= 2
+            self._store.set_length(capacity)
+            self.slots.fill(-1)
+            if start:
+                self._place(self._hash_rows(self._states.data[:start]), 0)
+        self._place(hashes, start)
+        self.count = total
+
+    def _place(self, hashes, start):
+        """Put indices ``start, start + 1, ...`` into free slots."""
+        slots = self.slots
+        mask = len(slots) - 1
+        slot = fibonacci_slots(hashes, mask.bit_length())
+        pending = _np.arange(start, start + len(hashes), dtype=slots.dtype)
+        while len(pending):
+            free = slots[slot] < 0
+            slots[slot[free]] = pending[free]
+            # Rows sharing a free slot race for it; the losers probe on.
+            lost = slots[slot] != pending
+            pending = pending[lost]
+            slot = (slot[lost] + 1) & mask
 
 
 #: File name of the per-level checkpoint manifest inside a checkpoint dir.

@@ -27,10 +27,9 @@ import repro.petri.batch as batch_module
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
-    dedup_rows,
+    dedup_first,
     explore_batch,
     int_to_words,
-    merge_sorted_index,
     words_to_int,
 )
 from repro.petri.compiled import (
@@ -46,6 +45,7 @@ from repro.petri.properties import (
     check_persistence,
 )
 from repro.petri.reachability import build_reachability_graph, explore
+from repro.petri.storage import HashIndex
 from repro.reach.evaluator import find_witnesses, holds_somewhere
 
 
@@ -88,6 +88,27 @@ def assert_identical(reference, graph, tag=""):
     for name, array in zip(COLUMNS, expected):
         assert np.array_equal(getattr(graph, name), array), (tag, name)
     assert graph.truncated == reference.truncated, tag
+
+
+def assert_membership(graph, sample=200):
+    """``in`` answers exactly, through the hash index.
+
+    Every state is a member; a state with one more place marked is a
+    member exactly when it is one of the graph's states, and at least one
+    such marking is not.
+    """
+    states = graph.states
+    assert all(marking in graph for marking in states)
+    known = set(states)
+    places = graph.compiled.place_names
+    outside = 0
+    for position, marking in enumerate(states[:sample]):
+        rotated = places[position % len(places):] + places
+        place = next(place for place in rotated if not marking[place])
+        extra = marking.add(place)
+        assert (extra in graph) == (extra in known), extra
+        outside += extra not in known
+    assert outside
 
 
 def record_trace(record, index):
@@ -333,28 +354,29 @@ class TestPrimitives:
                 value %= 1 << (64 * words)
                 assert words_to_int(int_to_words(value, words)) == value
 
-    def test_dedup_rows_groups_and_min_provenance(self):
-        rows = np.asarray([[3], [1], [3], [2], [1]], dtype=np.uint64)
-        hashes = rows[:, 0]
-        provenance = np.asarray([50, 40, 10, 30, 20], dtype=np.int64)
-        order, group_of, group_rows, _, group_prov = dedup_rows(
-            rows, hashes, provenance, 1)
-        by_state = {int(state): int(prov)
-                    for (state,), prov in zip(group_rows, group_prov)}
-        assert by_state == {1: 20, 2: 30, 3: 10}
-        # Every occurrence maps back to its group.
-        targets = np.empty(len(order), dtype=np.int64)
-        targets[order] = group_rows[group_of, 0]
-        assert targets.tolist() == rows[:, 0].tolist()
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    def test_dedup_first_matches_np_unique(self, words):
+        """First occurrences and groups agree with ``np.unique``.
 
-    def test_merge_sorted_index(self):
-        keys = np.asarray([2, 5, 9], dtype=np.uint64)
-        idx = np.asarray([0, 1, 2], dtype=np.int64)
-        merged_keys, merged_idx = merge_sorted_index(
-            keys, idx, np.asarray([7, 1, 5], dtype=np.uint64),
-            np.asarray([3, 4, 5], dtype=np.int64))
-        assert merged_keys.tolist() == [1, 2, 5, 5, 7, 9]
-        assert sorted(merged_idx.tolist()) == [0, 1, 2, 3, 4, 5]
+        Hashes take only 4 values, so most distinct rows collide and the
+        exact row compares decide every group.
+        """
+        rng = np.random.default_rng(words)
+        row_view = np.dtype([("w{}".format(w), np.uint64)
+                             for w in range(words)])
+        for size in (1, 2, 7, 64, 500, 3000):
+            rows = rng.integers(0, 3, size=(size, words)).astype(np.uint64)
+            hashes = rows.sum(axis=1) % np.uint64(4)
+            firsts, group_of = dedup_first(rows, hashes)
+            _, first_index, inverse = np.unique(
+                rows.view(row_view).ravel(), return_index=True,
+                return_inverse=True)
+            assert firsts.tolist() == sorted(first_index.tolist())
+            # np.unique numbers groups by value; dedup_first by first
+            # occurrence.
+            rank = np.empty(len(first_index), dtype=np.int64)
+            rank[np.argsort(first_index)] = np.arange(len(first_index))
+            assert group_of.tolist() == rank[inverse.ravel()].tolist()
 
     def test_hash_collisions_stay_exact(self, monkeypatch):
         """Force every row hash equal: dedup and probes must stay exact.
@@ -373,6 +395,14 @@ class TestPrimitives:
             lambda self, rows: np.zeros(len(rows), dtype=np.uint64))
         batch = explore_batch(compiled, max_states=2000)
         assert_identical(sequential, batch, "degenerate hash")
+
+    def test_membership_on_a_multi_word_net(self, monkeypatch):
+        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+        compiled = CompiledNet.compile(net)
+        assert WordTables(compiled).words >= 2
+        # From a 1024-slot first table, 3000 states cross three growths.
+        monkeypatch.setattr(HashIndex, "_MIN_BITS", 10)
+        assert_membership(explore_batch(compiled, max_states=3000))
 
     def test_multi_word_net_spans_words(self):
         net = to_petri_net(build_pipeline_model(3, static_prefix=1))

@@ -28,6 +28,7 @@ import urllib.error
 
 import pytest
 
+from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
 from repro.parallel.supervisor import run_supervised
@@ -36,11 +37,12 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.utils import faults
 from repro.utils.faults import FaultError
 from repro.utils.journal import read_journal
-from test_petri_batch import assert_identical
+from test_petri_batch import assert_identical, assert_membership
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Child process: explore linear_pipeline(4) and print a graph digest.
+#: Child process: explore a model (linear_pipeline(4), or the two-word
+#: 3-stage OPE cut at 3000 states with "ope3") and print a graph digest.
 #: Run with a checkpoint directory (or "-"); faults are injected through
 #: the inherited REPRO_FAULTS environment.
 EXPLORER = '''
@@ -48,6 +50,7 @@ import hashlib, json, sys
 
 sys.path.insert(0, {src!r})
 
+from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
 from repro.petri.reachability import build_reachability_graph
@@ -62,8 +65,12 @@ def digest(graph):
 
 
 checkpoint = None if sys.argv[1] == "-" else sys.argv[1]
-net = to_petri_net(linear_pipeline(4))
-graph = build_reachability_graph(net, resume=checkpoint)
+if sys.argv[2:] == ["ope3"]:
+    net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+    graph = build_reachability_graph(net, max_states=3000, resume=checkpoint)
+else:
+    net = to_petri_net(linear_pipeline(4))
+    graph = build_reachability_graph(net, resume=checkpoint)
 print(json.dumps({{
     "states": len(graph),
     "truncated": bool(graph.truncated),
@@ -73,7 +80,7 @@ print(json.dumps({{
 '''.format(src=str(SRC_DIR))
 
 
-def _run_explorer(checkpoint, fault=None):
+def _run_explorer(checkpoint, fault=None, model=None):
     """Run the explorer child; return (returncode, parsed stdout or None)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + (
@@ -83,6 +90,8 @@ def _run_explorer(checkpoint, fault=None):
     if fault:
         env["REPRO_FAULTS"] = fault
     argv = [sys.executable, "-c", EXPLORER, checkpoint or "-"]
+    if model:
+        argv.append(model)
     completed = subprocess.run(argv, capture_output=True, text=True, env=env,
                                timeout=300)
     payload = None
@@ -185,6 +194,22 @@ class TestKillResume:
         assert resumed["digest"] == reference["digest"]
         assert resumed["states"] == reference["states"]
         assert os.listdir(checkpoint) == []  # zero leftovers after success
+
+    def test_resumed_index_answers_membership(self, tmp_path):
+        """The hash index rebuilt from the checkpointed words is exact."""
+        checkpoint = str(tmp_path / "ckpt")
+        code, _ = _run_explorer(checkpoint, fault="kill_worker@level=5",
+                                model="ope3")
+        assert code == -signal.SIGKILL
+        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+        resumed = build_reachability_graph(net, max_states=3000,
+                                           resume=checkpoint)
+        assert resumed.exploration_stats["checkpoint"]["resumed_from_level"] \
+            >= 1
+        assert resumed.tables.words >= 2
+        assert_identical(build_reachability_graph(net, max_states=3000),
+                         resumed)
+        assert_membership(resumed)
 
 
 # -- fault sites --------------------------------------------------------------

@@ -32,9 +32,10 @@ from repro.petri.properties import check_persistence
 from repro.petri.reachability import build_reachability_graph, explore
 from repro.petri.storage import (
     ArrayStore,
-    SortedIndexStore,
+    HashIndex,
     SpillConfig,
     SpillPool,
+    probe_slots,
 )
 from repro.verification.verifier import Verifier
 from test_petri_batch import HAZARD_NETS, assert_identical, ring_hazard_net
@@ -197,28 +198,54 @@ class TestArrayStore:
         assert _spill_files(tmp_path) == []
 
 
-class TestSortedIndexStore:
+def _mixed_hash(rows):
+    return rows[:, 0] * np.uint64(0x9E3779B97F4A7C15) ^ rows[:, 1]
+
+
+def _equal_hash(rows):
+    return np.zeros(len(rows), dtype=np.uint64)
+
+
+class TestHashIndex:
     @pytest.mark.parametrize("budget", [None, 0])
-    def test_merge_matches_a_global_sort(self, tmp_path, budget):
+    @pytest.mark.parametrize("hash_rows", [_mixed_hash, _equal_hash])
+    def test_lookup_across_growth_boundaries(self, tmp_path, monkeypatch,
+                                             budget, hash_rows):
+        # A 1024-slot first table: 2500 rows then cross three growths, at
+        # 513, 1025 and 2049 states (all-equal hashes probe quadratically).
+        monkeypatch.setattr(HashIndex, "_MIN_BITS", 10)
         config = None if budget is None else SpillConfig(str(tmp_path), budget)
         pool = SpillPool(config)
-        index = SortedIndexStore(pool, "hash", np.uint64, np.int64)
-        rng_keys = (np.arange(300, dtype=np.uint64) * 2654435761) % 1013
-        all_keys = np.empty(0, dtype=np.uint64)
-        all_idx = np.empty(0, dtype=np.int64)
-        for start in range(0, 300, 50):
-            keys = rng_keys[start:start + 50]
-            idx = np.arange(start, start + 50, dtype=np.int64)
-            index.merge(keys, idx)
-            all_keys = np.concatenate([all_keys, keys])
-            all_idx = np.concatenate([all_idx, idx])
-        keys, idx = index.finalize()
-        order = np.argsort(all_keys, kind="stable")
-        np.testing.assert_array_equal(keys, all_keys[order])
-        assert sorted(idx.tolist()) == sorted(all_idx.tolist())
-        # Every (key, idx) pair survives the merges intact.
-        assert (set(zip(keys.tolist(), idx.tolist()))
-                == set(zip(all_keys.tolist(), all_idx.tolist())))
+        states = ArrayStore(pool, "words", np.uint64, columns=2)
+        index = HashIndex(pool, "hash", states, hash_rows)
+        assert index.slots.dtype == np.int32
+        rng = np.random.default_rng(7)
+        values = rng.choice(1 << 20, size=2500, replace=False)
+        rows = np.stack([values % 977, values // 977], axis=1).astype(np.uint64)
+        absent = rows + np.uint64(1 << 21)
+        capacities = set()
+        for start in range(0, len(rows), 250):
+            batch = rows[start:start + 250]
+            states.append(batch)
+            index.extend(hash_rows(batch))
+            capacities.add(len(index.slots))
+            assert 2 * index.count <= len(index.slots)
+            known = rows[:start + len(batch)]
+            np.testing.assert_array_equal(
+                index.lookup(known, hash_rows(known)), np.arange(len(known)))
+        assert len(capacities) >= 4  # 1024, then >= 3 doublings
+        assert (index.lookup(absent, hash_rows(absent)) == -1).all()
+        slots = index.slots
+        assert sorted(slots[slots >= 0].tolist()) == list(range(len(rows)))
+        assert (probe_slots(slots, states.data, rows, hash_rows(rows))
+                == np.arange(len(rows))).all()
+        pool.close()
+
+    def test_wide_index_holds_int64_slots(self):
+        pool = SpillPool(None)
+        states = ArrayStore(pool, "words", np.uint64, columns=2)
+        index = HashIndex(pool, "hash", states, _mixed_hash, wide=True)
+        assert index.slots.dtype == np.int64
 
 
 # -- disk-backed exploration is the same exploration --------------------------
