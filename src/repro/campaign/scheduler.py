@@ -30,7 +30,6 @@ are scheduling concerns, not transport concerns:
 """
 
 import os
-import queue
 import threading
 import time
 import traceback
@@ -39,7 +38,7 @@ import uuid
 from repro.campaign.cache import ResultCache, net_fingerprint, options_digest
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
-from repro.parallel.supervisor import SupervisorPool
+from repro.parallel.supervisor import SupervisorPool, send_event
 from repro.utils.diskcache import SingleFlight
 from repro.utils.journal import JournalWriter, read_journal
 
@@ -134,27 +133,25 @@ def classify_verdict(verdict):
     return "pass"
 
 
-def _execute_job(job, cache_directory, events_queue=None, token=None):
+def _progress_record(event, name, result):
+    """A job's per-property progress callback, as a ticket event record."""
+    record = {"event": event, "property": name}
+    if result is not None:
+        record["holds"] = result.holds
+        record["method"] = result.method
+    return record
+
+
+def _execute_job(job, cache_directory):
     """Supervised-task target: run one job against the shared cache.
 
-    With an *events_queue* (a multiprocessing queue inherited through the
-    worker's constructor args, so it survives the spawn start method) the
-    job's per-property progress callbacks are forwarded as ``(token,
-    record)`` tuples for the scheduler's drainer thread to route back to
-    the right ticket.
+    Its per-property progress travels as events on the task's own pool
+    connection (:func:`~repro.parallel.supervisor.send_event`), ahead of
+    the verdict, so the scheduler records every ``property-*`` event on the
+    ticket before ``job-finished``.
     """
-    progress = None
-    if events_queue is not None:
-        def progress(event, name, result):
-            record = {"event": event, "property": name}
-            if result is not None:
-                record["holds"] = result.holds
-                record["method"] = result.method
-            try:
-                events_queue.put((token, record))
-            except Exception:
-                pass  # a lost progress event must never fail the job
-    return job.run(cache=cache_directory, progress=progress)
+    return job.run(cache=cache_directory,
+                   progress=lambda *a: send_event(_progress_record(*a)))
 
 
 class JobTicket:
@@ -163,8 +160,9 @@ class JobTicket:
     Tickets are created by :meth:`CampaignScheduler.submit`.  *status* walks
     ``"queued"`` -> ``"running"`` -> ``"done"``; :meth:`events` returns the
     ordered event log (each entry a JSON-able dict with a monotonically
-    increasing ``"seq"``), which is what the service streams as NDJSON;
-    :meth:`wait` blocks for the :class:`CampaignResult`.
+    increasing ``"seq"``, ending with ``"job-finished"``), which is what
+    the service streams as NDJSON; :meth:`listen` registers a wake-up for
+    each new entry, and :meth:`wait` blocks for the :class:`CampaignResult`.
     """
 
     def __init__(self, job, tenant=None, timeout=None, ticket_id=None):
@@ -182,19 +180,32 @@ class JobTicket:
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._events = []
+        self._listeners = []
 
     @property
     def done(self):
         return self._done.is_set()
 
     def record(self, event, **fields):
-        """Append an *event* entry to the ticket's log."""
+        """Append an *event* entry to the ticket's log; wake the listeners."""
         entry = {"event": event, "time": time.time()}
         entry.update(fields)
         with self._lock:
             entry["seq"] = len(self._events)
             self._events.append(entry)
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()
         return entry
+
+    def listen(self, listener):
+        """Call ``listener()`` (quick, never raising) after each new event."""
+        with self._lock:
+            self._listeners.append(listener)
+
+    def unlisten(self, listener):
+        with self._lock:
+            self._listeners.remove(listener)
 
     def events(self, start=0):
         """The event log from sequence number *start* on (a copy)."""
@@ -301,15 +312,8 @@ class CampaignScheduler:
         self._outcome_counts = {}
         self._closed = False
         self._pool = None
-        self._events_queue = None
-        self._drainer = None
         if self.parallelism > 0:
             self._pool = SupervisorPool(self.parallelism, timeout=timeout)
-            self._events_queue = self._pool.context.Queue()
-            self._drainer = threading.Thread(
-                target=self._drain_events, daemon=True,
-                name="campaign-events")
-            self._drainer.start()
         if self.state_dir is not None:
             journal_dir = os.path.join(self.state_dir, "journal")
             # Read the previous incarnation's records *before* opening the
@@ -393,10 +397,6 @@ class CampaignScheduler:
             self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_pending=cancel_pending)
-        if self._drainer is not None:
-            self._events_queue.put(None)
-            if wait:
-                self._drainer.join(timeout=5.0)
         if self._journal is not None:
             self._journal.close()
 
@@ -548,25 +548,22 @@ class CampaignScheduler:
 
     def _dispatch(self, ticket, cache_directory, priority, on_result=None):
         job = ticket.job
+
+        def on_event(record):
+            ticket.record(record.pop("event"), **record)
+
         if self._pool is None:
             self._mark_started(ticket)
             started = time.perf_counter()
-
-            def progress(event, name, result):
-                record = {"property": name}
-                if result is not None:
-                    record["holds"] = result.holds
-                    record["method"] = result.method
-                ticket.record(event, **record)
-
             try:
-                payload = job.run(cache=cache_directory, progress=progress)
-                result = self._finalize(ticket, "ok", payload, None,
-                                        time.perf_counter() - started)
+                payload = job.run(
+                    cache=cache_directory,
+                    progress=lambda *a: on_event(_progress_record(*a)))
+                status, error = "ok", None
             except Exception:
-                result = self._finalize(ticket, "error", None,
-                                        traceback.format_exc(),
-                                        time.perf_counter() - started)
+                payload, status, error = None, "error", traceback.format_exc()
+            result = self._finalize(ticket, status, payload, error,
+                                    time.perf_counter() - started)
             if on_result is not None:
                 on_result(result)
             return
@@ -581,10 +578,9 @@ class CampaignScheduler:
                 on_result(result)
 
         self._pool.submit(
-            ticket.id, _execute_job,
-            (job, cache_directory, self._events_queue, ticket.id),
+            ticket.id, _execute_job, (job, cache_directory),
             timeout=ticket.timeout, priority=priority,
-            on_start=on_start, on_outcome=on_outcome)
+            on_start=on_start, on_outcome=on_outcome, on_event=on_event)
 
     def _finalize(self, ticket, status, payload, error, elapsed):
         if status == "timeout" and ticket.timeout is not None:
@@ -612,21 +608,3 @@ class CampaignScheduler:
             "error": error, "elapsed": elapsed})
         ticket._finish(result)
         return result
-
-    def _drain_events(self):
-        """Route worker progress events to their tickets (drainer thread)."""
-        while True:
-            try:
-                item = self._events_queue.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            except (OSError, ValueError):
-                return  # queue closed under us during shutdown
-            if item is None:
-                return
-            token, record = item
-            with self._lock:
-                ticket = self._tickets.get(token)
-            if ticket is None or ticket.done:
-                continue  # late event after a timeout/crash finalisation
-            ticket.record(record.pop("event", "progress"), **record)

@@ -6,9 +6,10 @@ package:
 * :mod:`~repro.parallel.context` -- one multiprocessing start-method policy
   (fork preferred, spawn fallback, ``REPRO_MP_START_METHOD`` override) so
   fork and spawn behave identically and CI can exercise both.
-* :mod:`~repro.parallel.supervisor` -- the supervised process pool extracted
-  from the campaign runner: per-task timeouts, crash containment, and
-  first-winner cancellation (``stop_when``) for portfolio races.
+* :mod:`~repro.parallel.supervisor` -- the supervised process pool, one
+  supervision loop with two fronts: per-task timeouts, crash containment,
+  per-task progress events, and first-winner cancellation (``stop_when``)
+  for portfolio races.
 """
 
 from repro._lazy import lazy_exports

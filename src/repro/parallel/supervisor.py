@@ -1,65 +1,51 @@
-"""A supervised process pool: the shared engine under every parallel path.
+"""A supervised process pool: the one supervision loop under every parallel path.
 
-This is the supervision machinery that used to live inside the campaign
-runner, extracted so the racing portfolio checker (and any future parallel
-subsystem) reuses it instead of growing its own: each *task* runs in its own
-worker process (bounded to *parallelism* concurrent workers), a task that
-hangs is terminated at its deadline, a worker that dies without reporting
-(a crash, ``os._exit``, an OOM kill) is detected and recorded -- the caller
-always gets one :class:`TaskOutcome` per task, never a hung pool.
+Each *task* runs in its own worker process (at most *parallelism* at once).
+A task that hangs is terminated at its deadline, a worker that dies without
+reporting is ``"crashed"`` and one that cannot start is an ``"error"``: the
+caller always gets one :class:`TaskOutcome` per task, never a hung pool.
 
-On top of the campaign runner's semantics it adds **first-winner
-cancellation**: pass ``stop_when`` (a predicate over :class:`TaskOutcome`)
-and the pool terminates every other worker the moment an outcome satisfies
-it, recording the losers as ``"cancelled"``.  That is exactly the shape of a
-checker portfolio race -- first conclusive verdict wins, losers are killed
-immediately instead of running out their budgets.
-
-``parallelism=0`` runs the tasks inline in the calling process (no timeout
-enforcement, but ``stop_when`` still short-circuits), which doubles as the
-deterministic fallback inside daemonic workers that cannot spawn children.
-
-Two entry points share the machinery:
-
-* :func:`run_supervised` -- the original batch call: run a task list, block,
-  return the outcomes in task order.  ``on_outcome`` streams each
-  :class:`TaskOutcome` to a callback the moment it is recorded.
-* :class:`SupervisorPool` -- a **long-running** pool for serving workloads:
-  tasks are submitted incrementally (with priorities and per-task
-  deadlines), a supervision thread runs them as capacity frees up, and
-  completion callbacks fire as tasks finish -- the async-friendly front the
-  verification service daemon schedules on (callbacks marshal back into an
-  event loop with ``call_soon_threadsafe``).
+One loop, two fronts.  :class:`SupervisorPool` owns the loop, a thread that
+starts queued tasks and otherwise blocks in one
+:func:`multiprocessing.connection.wait` on every task's connection (its
+:func:`send_event` records, then its result), every worker's sentinel and a
+wake pipe, until the nearest deadline -- an idle pool never wakes.  The
+campaign scheduler and the service daemon drive it.  :func:`run_supervised`
+is the batch front: run a task list, return the outcomes in order, and with
+``stop_when`` cancel the rest at the first winner (a portfolio race).  Its
+``parallelism=0`` runs inline, the fallback inside daemonic workers.
 """
 
 import heapq
 import itertools
-import queue as queue_module
+import os
+import signal
 import threading
 import time
 import traceback
-from collections import deque
+from multiprocessing.connection import Pipe, wait
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.context import mp_context
 from repro.utils import faults as _faults
 
-#: Seconds the supervisor waits for a dead worker's queued result to drain
-#: before declaring the worker crashed.
-_CRASH_GRACE = 0.5
-
 #: The terminal statuses a task can end in.
 STATUSES = ("ok", "error", "timeout", "crashed", "cancelled")
+
+#: The running task's connection inside a supervised worker, ``None``
+#: anywhere else; :func:`send_event` writes to it.
+_channel = None
 
 
 class TaskOutcome:
     """How one supervised task ended.
 
     *status* is ``"ok"`` (the task ran; *payload* holds its return value),
-    ``"error"`` (the task raised; *error* holds the traceback), ``"timeout"``
-    (the worker exceeded its deadline and was terminated), ``"crashed"`` (the
-    worker died without reporting) or ``"cancelled"`` (a ``stop_when`` winner
-    made the task moot and its worker was terminated).
+    ``"error"`` (the task raised, or its worker could not start; *error*
+    holds the traceback), ``"timeout"`` (the worker exceeded its deadline
+    and was terminated), ``"crashed"`` (the worker died without reporting)
+    or ``"cancelled"`` (a shutdown or a ``stop_when`` winner made the task
+    moot and its worker, if any, was terminated).
     """
 
     __slots__ = ("task_id", "status", "payload", "error", "elapsed")
@@ -79,20 +65,34 @@ class TaskOutcome:
         return "TaskOutcome({!r}, {})".format(self.task_id, self.status)
 
 
-def _worker_main(task_id, target, args, results_queue):
-    """Worker entry point: run one task and stream the outcome back."""
+def send_event(record):
+    """Send *record* to the running task's ``on_event`` callback.
+
+    A task calls this inside a supervised worker; the record travels on the
+    task's own connection ahead of its result, so the callback sees every
+    event before the outcome.  Outside a supervised worker it is a no-op,
+    and a record that cannot be sent is dropped: progress must never fail
+    a task.
+    """
+    if _channel is not None:
+        try:
+            _channel.send(("event", record))
+        except Exception:
+            pass
+
+
+def _worker_main(target, args, channel):
+    """Worker entry point: run one task and send its outcome on *channel*."""
+    global _channel
+    _channel = channel
     started = time.perf_counter()
     try:
         if _faults.trigger("kill_worker", "task"):
-            import os
-            import signal
             os.kill(os.getpid(), signal.SIGKILL)
-        payload = target(*args)
-        results_queue.put((task_id, "ok", payload, None,
-                           time.perf_counter() - started))
+        result = ("ok", target(*args), None)
     except Exception:
-        results_queue.put((task_id, "error", None, traceback.format_exc(),
-                           time.perf_counter() - started))
+        result = ("error", None, traceback.format_exc())
+    channel.send(result + (time.perf_counter() - started,))
 
 
 def _check_ids(tasks):
@@ -129,18 +129,6 @@ def _run_inline(tasks, stop_when, on_outcome=None):
     return outcomes
 
 
-def _drain(results_queue, records, block_seconds=0.0):
-    """Move every available queue item into *records*."""
-    while True:
-        try:
-            item = (results_queue.get(timeout=block_seconds)
-                    if block_seconds else results_queue.get_nowait())
-        except queue_module.Empty:
-            return
-        records[item[0]] = item[1:]
-        block_seconds = 0.0
-
-
 def _terminate(process):
     process.terminate()
     process.join(1.0)
@@ -171,7 +159,9 @@ def run_supervised(tasks, parallelism, timeout=None, stop_when=None,
     on_outcome:
         Optional callback invoked with each :class:`TaskOutcome` the moment
         it is recorded (completion order, not task order) -- the streaming
-        hook progress reporters and event forwarders attach to.
+        hook progress reporters and event forwarders attach to.  In worker
+        mode it runs on the pool's supervision thread, and an exception it
+        raises is counted, not propagated (see :class:`SupervisorPool`).
 
     Returns the list of :class:`TaskOutcome` in task order.
     """
@@ -181,105 +171,58 @@ def run_supervised(tasks, parallelism, timeout=None, stop_when=None,
         outcomes = _run_inline(tasks, stop_when, on_outcome)
         return [outcomes[task_id] for task_id, _, _ in tasks]
 
-    context = mp_context()
-    results_queue = context.Queue()
-    pending = deque(tasks)
-    active = {}   # task_id -> (process, started, deadline)
-    records = {}  # task_id -> (status, payload, error, elapsed)
     outcomes = {}
-    winner_found = False
+    pool = SupervisorPool(parallelism, timeout=timeout)
+    submitted = threading.Event()
 
     def record(outcome):
         outcomes[outcome.task_id] = outcome
         if on_outcome is not None:
             on_outcome(outcome)
+        if stop_when is not None and stop_when(outcome):
+            # Cancel only once every task is queued, so no submission can
+            # meet a shut-down pool.
+            submitted.wait()
+            pool.shutdown(wait=False, cancel_pending=True)
 
-    while pending or active:
-        while pending and len(active) < parallelism and not winner_found:
-            task_id, target, args = pending.popleft()
-            process = context.Process(
-                target=_worker_main,
-                args=(task_id, target, args, results_queue), daemon=True)
-            process.start()
-            started = time.monotonic()
-            deadline = started + timeout if timeout is not None else None
-            active[task_id] = (process, started, deadline)
-        if winner_found and pending:
-            while pending:
-                task_id, _, _ = pending.popleft()
-                record(TaskOutcome(task_id, "cancelled"))
-        _drain(results_queue, records, block_seconds=0.05)
-
-        now = time.monotonic()
-        for task_id in list(active):
-            process, started, deadline = active[task_id]
-            if task_id in records:
-                process.join()
-                del active[task_id]
-                status, payload, error, elapsed = records.pop(task_id)
-                outcome = TaskOutcome(task_id, status, payload=payload,
-                                      error=error, elapsed=elapsed)
-                record(outcome)
-                if (not winner_found and stop_when is not None
-                        and stop_when(outcome)):
-                    winner_found = True
-            elif winner_found:
-                _terminate(process)
-                record(TaskOutcome(task_id, "cancelled",
-                                   elapsed=now - started))
-                del active[task_id]
-            elif deadline is not None and now > deadline:
-                _terminate(process)
-                record(TaskOutcome(
-                    task_id, "timeout", elapsed=now - started,
-                    error="task exceeded its {:.3g}s deadline and was "
-                          "terminated".format(timeout)))
-                del active[task_id]
-            elif not process.is_alive():
-                # The worker died; give its (possibly buffered) result one
-                # last chance to drain before declaring a crash.
-                _drain(results_queue, records, block_seconds=_CRASH_GRACE)
-                if task_id not in records:
-                    record(TaskOutcome(
-                        task_id, "crashed", elapsed=time.monotonic() - started,
-                        error="worker process died with exit code {} before "
-                              "reporting a result".format(process.exitcode)))
-                    del active[task_id]
-                process.join()
-
-    results_queue.close()
+    for task_id, target, args in tasks:
+        pool.submit(task_id, target, args, on_outcome=record)
+    submitted.set()
+    pool.shutdown(wait=True, cancel_pending=False)
     return [outcomes[task_id] for task_id, _, _ in tasks]
 
 
 class _PoolTask:
     __slots__ = ("task_id", "target", "args", "timeout", "on_start",
-                 "on_outcome")
+                 "on_outcome", "on_event", "process", "connection", "started",
+                 "deadline")
 
-    def __init__(self, task_id, target, args, timeout, on_start, on_outcome):
+    def __init__(self, task_id, target, args, timeout, on_start, on_outcome,
+                 on_event):
         self.task_id = task_id
         self.target = target
         self.args = args
         self.timeout = timeout
         self.on_start = on_start
         self.on_outcome = on_outcome
+        self.on_event = on_event
+        self.process = None      # set while the task has a worker
+        self.connection = None   # the worker's event and result channel
+        self.started = None
+        self.deadline = None
 
 
 class SupervisorPool:
     """A long-running supervised pool with incremental submission.
 
-    Where :func:`run_supervised` runs one task list to completion, the pool
-    stays up: :meth:`submit` enqueues a task (higher *priority* runs first,
-    FIFO within a priority) and returns immediately; a supervision thread
+    :meth:`submit` enqueues a task (higher *priority* runs first, FIFO
+    within a priority) and returns immediately; the supervision thread
     starts queued tasks as capacity frees up, enforces per-task deadlines,
-    detects dead workers, and invokes the task's ``on_outcome`` callback --
-    and optional ``on_start`` -- from the supervision thread.  Callbacks
-    must be quick and must not raise (a raising callback is swallowed and
-    recorded on ``callback_errors`` rather than killing supervision); an
+    detects dead workers, and invokes the task's callbacks -- ``on_start``,
+    ``on_event`` for each :func:`send_event` record and ``on_outcome`` --
+    from the supervision thread.  Callbacks must be quick; one that raises
+    is counted on ``callback_errors`` rather than killing supervision.  An
     asyncio consumer bridges with ``loop.call_soon_threadsafe``.
-
-    The pool is the process front of the verification service daemon; the
-    campaign scheduler drives it for batch runs too, so both fronts share
-    one notion of timeout/crash containment.
     """
 
     def __init__(self, parallelism, timeout=None):
@@ -293,14 +236,16 @@ class SupervisorPool:
         self.timeout = timeout
         self.context = mp_context()
         self.callback_errors = 0
-        self._results_queue = self.context.Queue()
         self._lock = threading.Lock()
-        self._wake = threading.Event()
+        self._wake_reader, self._wake_writer = Pipe(duplex=False)
+        # A full wake pipe already holds a pending wake-up: never block.
+        os.set_blocking(self._wake_writer.fileno(), False)
         self._sequence = itertools.count()
         self._pending = []   # heap of (-priority, seq, _PoolTask)
-        self._active = {}    # task_id -> (task, process, started, deadline)
+        self._active = {}    # task_id -> _PoolTask with a live worker
         self._queued_ids = set()
         self._closed = False
+        self._drain_on_close = False
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="supervisor-pool")
         self._thread.start()
@@ -308,18 +253,19 @@ class SupervisorPool:
     # -- submission ----------------------------------------------------------
 
     def submit(self, task_id, target, args=(), timeout=False, priority=0,
-               on_start=None, on_outcome=None):
+               on_start=None, on_outcome=None, on_event=None):
         """Enqueue ``target(*args)`` as *task_id*; return immediately.
 
         *timeout* defaults to the pool's deadline (pass ``None`` for no
         deadline on this task).  *priority* orders the queue (higher first).
-        *on_outcome* receives the task's :class:`TaskOutcome` from the
-        supervision thread.
+        *on_outcome* receives the task's :class:`TaskOutcome` and *on_event*
+        each record the task sends with :func:`send_event`, in order and
+        before the outcome.
         """
         if timeout is False:
             timeout = self.timeout
         task = _PoolTask(task_id, target, tuple(args), timeout, on_start,
-                         on_outcome)
+                         on_outcome, on_event)
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
@@ -332,7 +278,7 @@ class SupervisorPool:
             heapq.heappush(self._pending,
                            (-int(priority), next(self._sequence), task))
             self._queued_ids.add(task_id)
-        self._wake.set()
+        self._wake()
         return task_id
 
     @property
@@ -360,16 +306,24 @@ class SupervisorPool:
         ``"cancelled"`` (its ``on_outcome`` still fires); active workers are
         terminated and recorded as ``"cancelled"`` too.  With
         ``cancel_pending=False`` the pool drains: no new submissions are
-        accepted, queued and active tasks run to completion first.
+        accepted, queued and active tasks run to completion first.  A later
+        call can turn a drain into a cancel, never the reverse.
         """
         with self._lock:
+            self._drain_on_close = not cancel_pending and (
+                self._drain_on_close or not self._closed)
             self._closed = True
-            self._drain_on_close = not cancel_pending
-        self._wake.set()
+        self._wake()
         if wait:
             self._thread.join()
 
     # -- supervision loop ----------------------------------------------------
+
+    def _wake(self):
+        try:
+            self._wake_writer.send_bytes(b"")
+        except OSError:
+            pass  # full (a wake-up is pending) or closed (the loop is done)
 
     def _notify(self, callback, *args):
         if callback is None:
@@ -379,102 +333,135 @@ class SupervisorPool:
         except Exception:
             self.callback_errors += 1
 
-    def _finish(self, task, outcome):
-        self._notify(task.on_outcome, outcome)
-
     def _loop(self):
-        records = {}
         while True:
+            starting = []
             with self._lock:
-                closed = self._closed
-                drain = closed and getattr(self, "_drain_on_close", False)
-                # Start queued tasks while there is capacity.
-                started_tasks = []
-                while (self._pending and len(self._active) < self.parallelism
-                       and (not closed or drain)):
+                cancel = self._closed and not self._drain_on_close
+                if cancel:
+                    doomed = ([task for _, _, task in sorted(self._pending)]
+                              + list(self._active.values()))
+                    self._pending.clear()
+                    self._queued_ids.clear()
+                    self._active.clear()
+                while (not cancel and self._pending
+                       and len(self._active) + len(starting)
+                       < self.parallelism):
                     _, _, task = heapq.heappop(self._pending)
                     self._queued_ids.discard(task.task_id)
-                    started_tasks.append(task)
-                cancelled = []
-                if closed and not drain:
-                    while self._pending:
-                        _, _, task = heapq.heappop(self._pending)
-                        self._queued_ids.discard(task.task_id)
-                        cancelled.append(task)
-            for task in cancelled:
-                self._finish(task, TaskOutcome(task.task_id, "cancelled"))
-            for task in started_tasks:
-                process = self.context.Process(
-                    target=_worker_main,
-                    args=(task.task_id, task.target, task.args,
-                          self._results_queue),
-                    daemon=True)
-                process.start()
-                started = time.monotonic()
-                deadline = (started + task.timeout
-                            if task.timeout is not None else None)
-                with self._lock:
-                    self._active[task.task_id] = (task, process, started,
-                                                  deadline)
-                self._notify(task.on_start, task.task_id)
+                    starting.append(task)
+                drained = (self._closed and not cancel and not starting
+                           and not self._active)
+            if cancel:
+                for task in doomed:
+                    elapsed = 0.0
+                    if task.process is not None:
+                        _terminate(task.process)
+                        elapsed = time.monotonic() - task.started
+                    self._close_connection(task)
+                    self._notify(task.on_outcome, TaskOutcome(
+                        task.task_id, "cancelled", elapsed=elapsed))
+                break
+            if drained:
+                break
+            for task in starting:
+                self._start(task)
+            self._supervise()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
-            if closed and not drain:
-                with self._lock:
-                    active = list(self._active.values())
-                    self._active.clear()
-                for task, process, started, _ in active:
-                    _terminate(process)
-                    self._finish(task, TaskOutcome(
-                        task.task_id, "cancelled",
-                        elapsed=time.monotonic() - started))
-                self._results_queue.close()
-                return
+    def _start(self, task):
+        task.connection, writer = Pipe(duplex=False)
+        task.process = self.context.Process(
+            target=_worker_main, args=(task.target, task.args, writer),
+            daemon=True)
+        try:
+            task.process.start()
+        except Exception:
+            # An unpicklable task under spawn, or a fork that failed: the
+            # task errs and supervision goes on, starting the next task
+            # without waiting.
+            task.process = None
+            self._close_connection(task)
+            self._notify(task.on_outcome, TaskOutcome(
+                task.task_id, "error", error=traceback.format_exc()))
+            self._wake()
+            return
+        finally:
+            writer.close()
+        task.started = time.monotonic()
+        if task.timeout is not None:
+            task.deadline = task.started + task.timeout
+        with self._lock:
+            self._active[task.task_id] = task
+        self._notify(task.on_start, task.task_id)
 
-            _drain(self._results_queue, records, block_seconds=0.05)
-            now = time.monotonic()
-            with self._lock:
-                active_ids = list(self._active)
-            for task_id in active_ids:
+    def _supervise(self):
+        """One wait: settle whatever the results, exits and deadlines say."""
+        with self._lock:
+            active = list(self._active.values())
+        waitables = [self._wake_reader]
+        deadlines = []
+        for task in active:
+            waitables.append(task.process.sentinel)
+            if task.connection is not None:
+                waitables.append(task.connection)
+            if task.deadline is not None:
+                deadlines.append(task.deadline)
+        timeout = (max(0.0, min(deadlines) - time.monotonic())
+                   if deadlines else None)
+        ready = set(wait(waitables, timeout))
+        if self._wake_reader in ready:
+            while self._wake_reader.poll():
+                self._wake_reader.recv_bytes()
+        now = time.monotonic()
+        for task in active:
+            exited = task.process.sentinel in ready
+            outcome = None
+            if task.connection is not None and (exited
+                                                or task.connection in ready):
+                outcome = self._receive(task)
+            if outcome is None and exited:
+                # A result written before the exit is still in the pipe and
+                # was read above, so an exit without one is a crash.
+                task.process.join()
+                outcome = TaskOutcome(
+                    task.task_id, "crashed", elapsed=now - task.started,
+                    error="worker process died with exit code {} before "
+                          "reporting a result".format(task.process.exitcode))
+            elif (outcome is None and task.deadline is not None
+                    and now >= task.deadline):
+                _terminate(task.process)
+                outcome = TaskOutcome(
+                    task.task_id, "timeout", elapsed=now - task.started,
+                    error="task exceeded its {:.3g}s deadline and was "
+                          "terminated".format(task.timeout))
+            if outcome is not None:
+                task.process.join()
+                self._close_connection(task)
                 with self._lock:
-                    entry = self._active.get(task_id)
-                if entry is None:
-                    continue
-                task, process, started, deadline = entry
-                outcome = None
-                if task_id in records:
-                    process.join()
-                    status, payload, error, elapsed = records.pop(task_id)
-                    outcome = TaskOutcome(task_id, status, payload=payload,
-                                          error=error, elapsed=elapsed)
-                elif deadline is not None and now > deadline:
-                    _terminate(process)
-                    outcome = TaskOutcome(
-                        task_id, "timeout", elapsed=now - started,
-                        error="task exceeded its {:.3g}s deadline and was "
-                              "terminated".format(task.timeout))
-                elif not process.is_alive():
-                    _drain(self._results_queue, records,
-                           block_seconds=_CRASH_GRACE)
-                    if task_id in records:
-                        continue  # picked up next iteration
-                    process.join()
-                    outcome = TaskOutcome(
-                        task_id, "crashed", elapsed=now - started,
-                        error="worker process died with exit code {} before "
-                              "reporting a result".format(process.exitcode))
-                if outcome is not None:
-                    with self._lock:
-                        del self._active[task_id]
-                    self._finish(task, outcome)
-                    self._wake.set()  # capacity freed: start queued work now
+                    del self._active[task.task_id]
+                self._notify(task.on_outcome, outcome)
 
-            with self._lock:
-                idle = not self._active and not self._pending and not closed
-            if idle:
-                self._wake.wait(timeout=1.0)
-            self._wake.clear()
-            with self._lock:
-                if (self._closed and getattr(self, "_drain_on_close", False)
-                        and not self._active and not self._pending):
-                    self._results_queue.close()
-                    return
+    def _receive(self, task):
+        """Read *task*'s connection dry: its events, then maybe its outcome.
+
+        End of file closes the connection; the worker's sentinel decides.
+        """
+        try:
+            while task.connection.poll():
+                message = task.connection.recv()
+                if message[0] != "event":
+                    status, payload, error, elapsed = message
+                    return TaskOutcome(task.task_id, status, payload=payload,
+                                       error=error, elapsed=elapsed)
+                self._notify(task.on_event, message[1])
+        except Exception:
+            self._close_connection(task)
+        return None
+
+    @staticmethod
+    def _close_connection(task):
+        if task.connection is not None:
+            task.connection.close()
+            task.connection = None

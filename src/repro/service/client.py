@@ -1,8 +1,10 @@
 """A stdlib client for the verification service (and the CLI's remote mode).
 
 :class:`ServiceClient` speaks the daemon's HTTP/JSON protocol with nothing
-but :mod:`urllib`: submit a job's wire form, poll its ticket, iterate its
-NDJSON event stream, fetch its report.  429 responses surface as
+but :mod:`urllib`: submit a job's wire form, fetch its ticket, iterate its
+NDJSON event stream, fetch its report.  :meth:`ServiceClient.wait` follows
+the event stream until ``job-finished`` and then fetches the ticket once,
+so waiting costs no polling.  429 responses surface as
 :class:`ServiceBusy` carrying the server's ``Retry-After`` hint;
 :meth:`ServiceClient.submit` can retry-with-backoff on them, which is what
 makes ``repro-dfs campaign --server`` degrade gracefully when the daemon
@@ -99,12 +101,12 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------------
 
-    def _open(self, method, path, payload=None):
+    def _open(self, method, path, payload=None, **options):
         """Open with retries on refused/reset connections."""
         attempt = 0
         while True:
             try:
-                return self._open_once(method, path, payload)
+                return self._open_once(method, path, payload, **options)
             except (urllib.error.URLError, ConnectionResetError) as error:
                 cause = _connection_error(error)
                 if cause is None:
@@ -121,7 +123,7 @@ class ServiceClient:
                 time.sleep(delay * (0.75 + (seed % 1000) / 2000.0))
                 attempt += 1
 
-    def _open_once(self, method, path, payload=None):
+    def _open_once(self, method, path, payload=None, timeout=None):
         request = urllib.request.Request(
             self.base_url + path,
             data=(json.dumps(payload).encode("utf-8")
@@ -131,7 +133,8 @@ class ServiceClient:
         if self.tenant is not None:
             request.add_header("X-Repro-Tenant", str(self.tenant))
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout)
+            return urllib.request.urlopen(request,
+                                          timeout=timeout or self.timeout)
         except urllib.error.HTTPError as error:
             body = error.read()
             try:
@@ -180,22 +183,35 @@ class ServiceClient:
         """GET the current ticket record."""
         return self._request("GET", "/jobs/{}".format(ticket_id))
 
-    def wait(self, ticket_id, timeout=600.0, interval=0.1):
-        """Poll until the job is done; return its final ticket record."""
+    def wait(self, ticket_id, timeout=600.0):
+        """Follow the job's event stream to ``job-finished``; GET the ticket.
+
+        A stream that stays silent for the socket timeout, or ends early (a
+        restarting daemon), is opened again, all within *timeout* seconds.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(ticket_id)
-            if record.get("status") == "done":
-                return record
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    "job {} still {} after {:g}s".format(
-                        ticket_id, record.get("status"), timeout))
-            time.sleep(interval)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("job {} not finished after {:g}s".format(
+                    ticket_id, timeout))
+            try:
+                for event in self._events(ticket_id,
+                                          min(self.timeout, remaining)):
+                    if event.get("event") == "job-finished":
+                        return self.job(ticket_id)
+            except (TimeoutError, urllib.error.URLError) as error:
+                if not isinstance(getattr(error, "reason", error),
+                                  TimeoutError):
+                    raise  # a silent stream times out; anything else is real
 
     def events(self, ticket_id):
         """Iterate the job's event stream (one dict per NDJSON line)."""
-        response = self._open("GET", "/jobs/{}/events".format(ticket_id))
+        return self._events(ticket_id, self.timeout)
+
+    def _events(self, ticket_id, timeout):
+        response = self._open("GET", "/jobs/{}/events".format(ticket_id),
+                              timeout=timeout)
         try:
             for line in response:
                 line = line.strip()

@@ -13,9 +13,11 @@ Endpoints
   ``{"job": {...}, "tenant": "..."}``); answers 202 with the ticket, 400
   on a malformed job, 429 + ``Retry-After`` on backpressure or rate limit.
   The tenant comes from the ``X-Repro-Tenant`` header (or the wrapper).
-* ``GET /jobs/<id>`` -- poll a ticket (status, job, result when done).
+* ``GET /jobs/<id>`` -- fetch a ticket (status, job, result when done).
 * ``GET /jobs/<id>/events`` -- stream the ticket's event log as NDJSON,
-  one JSON object per line, live until the job finishes.
+  one JSON object per line, live until ``job-finished`` (or until the
+  daemon stops).  The stream wakes on each new event the ticket records;
+  it never polls.
 * ``GET /reports/<id>`` -- the finished job as a one-job campaign report;
   ``?format=markdown`` renders markdown, the default is JSON.  409 while
   the job is still running.
@@ -103,6 +105,8 @@ class ServiceDaemon:
         self.host = host
         self.port = port
         self._server = None
+        self._stopping = False
+        self._streams = set()   # the wake-up events of open event streams
 
     async def start(self):
         """Bind and start accepting; resolves ``self.port`` when it was 0."""
@@ -112,6 +116,10 @@ class ServiceDaemon:
         return self
 
     async def stop(self):
+        """Stop accepting, and end every open event stream now."""
+        self._stopping = True
+        for changed in self._streams:
+            changed.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -228,25 +236,35 @@ class ServiceDaemon:
         writer.write(("HTTP/1.1 200 OK\r\n"
                       "Content-Type: application/x-ndjson\r\n"
                       "Connection: close\r\n\r\n").encode("latin-1"))
-        sent = 0
+        loop = asyncio.get_running_loop()
+        changed = asyncio.Event()
 
-        def flush_from(start):
-            events = ticket.events(start)
-            for event in events:
-                writer.write((json.dumps(event, sort_keys=True) + "\n")
-                             .encode("utf-8"))
-            return start + len(events)
+        def wake():
+            try:
+                loop.call_soon_threadsafe(changed.set)
+            except RuntimeError:
+                pass  # the loop has closed, and this stream with it
 
-        while True:
-            sent = flush_from(sent)
-            await writer.drain()
-            if ticket.done:
-                # "job-finished" is recorded before the done flag flips, so
-                # one final flush after seeing it drains the complete log.
-                sent = flush_from(sent)
+        ticket.listen(wake)
+        self._streams.add(changed)
+        try:
+            sent = 0
+            while not self._stopping:
+                # Clear before reading the log: an event recorded after the
+                # read sets the flag again, so no wake-up is lost.
+                changed.clear()
+                events = ticket.events(sent)
+                for event in events:
+                    writer.write((json.dumps(event, sort_keys=True) + "\n")
+                                 .encode("utf-8"))
+                sent += len(events)
                 await writer.drain()
-                return
-            await asyncio.sleep(0.05)
+                if events and events[-1]["event"] == "job-finished":
+                    return
+                await changed.wait()
+        finally:
+            ticket.unlisten(wake)
+            self._streams.discard(changed)
 
     async def _report(self, ticket_id, query, respond):
         ticket = self.service.ticket(ticket_id)

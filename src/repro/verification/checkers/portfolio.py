@@ -45,7 +45,6 @@ decide -- still works through a portfolio without special cases.
 
 from repro.exceptions import ConfigurationError
 from repro.parallel.context import in_daemon_worker
-from repro.parallel.supervisor import run_supervised
 from repro.verification.checkers.base import (
     CHECKERS,
     Checker,
@@ -134,6 +133,9 @@ class PortfolioChecker(Checker):
     # -- true racing (separate processes, losers cancelled) -------------------
 
     def _check_racing(self, query, max_witnesses):
+        # Imported here: only a race needs the process pool's machinery.
+        from repro.parallel.supervisor import run_supervised
+
         context = self.context
         tasks = [
             (name, _race_member,

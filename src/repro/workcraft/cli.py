@@ -327,16 +327,11 @@ def _run_remote_campaign(args, jobs, spec, skipped):
     import time
 
     from repro.campaign.report import CampaignReport
-    from repro.service.client import ServiceClient, result_from_record
+    from repro.service.client import ServiceClient
 
     client = ServiceClient(args.server, tenant=args.tenant)
     started = time.perf_counter()
-    tickets = [client.submit(job, retries=8) for job in jobs]
-    results = []
-    for job, ticket in zip(jobs, tickets):
-        record = client.wait(ticket["id"],
-                             timeout=args.timeout or 600.0)
-        results.append(result_from_record(job, record))
+    results = client.run_jobs(jobs, timeout=args.timeout or 600.0)
     return CampaignReport(
         results, spec=spec, skipped=skipped, parallelism=0,
         timeout=args.timeout, cache_dir=None,

@@ -18,6 +18,7 @@ The load-bearing contracts:
 import json
 import os
 import threading
+import time
 import uuid
 
 import pytest
@@ -515,3 +516,80 @@ class TestHttpApi:
             assert cli_main(argv) == 0
             warm = json.load(open(report_path, encoding="utf-8"))
             assert warm["summary"]["cache_hits"] == 1
+
+
+# -- event ordering and shutdown on the serving path ---------------------------
+
+
+def _slow_job(job_id="slow"):
+    """A built-in job of about two seconds: the 4-stage OPE, prefix 2."""
+    return VerificationJob(job_id, "pipeline",
+                           kwargs={"stages": 4, "static_prefix": 2},
+                           max_states=2000000)
+
+
+class TestServingEdges:
+    def test_property_events_always_precede_job_finished(self):
+        scheduler = CampaignScheduler(parallelism=2)
+        try:
+            tickets = [scheduler.submit(_conditional_job("order-{}".format(i)))
+                       for i in range(40)]
+            results = [ticket.wait(timeout=120) for ticket in tickets]
+        finally:
+            scheduler.shutdown()
+        assert all(result.status == "ok" for result in results)
+        for ticket in tickets:
+            names = [event["event"] for event in ticket.events()]
+            assert names[-1] == "job-finished"
+            assert names.count("job-finished") == 1
+            assert names.count("property-started") == 2
+            assert names.count("property-finished") == 2
+
+    def test_wait_reopens_a_silent_stream_within_its_timeout(
+            self, tmp_path, monkeypatch):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        with _DaemonThread(service) as daemon:
+            client = ServiceClient(daemon.address, timeout=0.3)
+            ticket = client.submit(_slow_job())
+            opened = []
+            open_once = client._open_once
+
+            def counting_open(method, path, payload=None, **options):
+                opened.append(path)
+                return open_once(method, path, payload, **options)
+
+            monkeypatch.setattr(client, "_open_once", counting_open)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(ticket["id"], timeout=1.0)
+            assert time.monotonic() - started < 3.0
+            assert opened.count("/jobs/{}/events".format(ticket["id"])) >= 2
+
+    def test_stopping_the_daemon_ends_open_streams(self, tmp_path):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        seen = []
+        live = threading.Event()
+        harness = _DaemonThread(service)
+        with harness as daemon:
+            client = ServiceClient(daemon.address)
+            ticket_id = client.submit(_slow_job())["id"]
+
+            def follow():
+                for event in client.events(ticket_id):
+                    seen.append(event["event"])
+                    if event["event"] == "job-started":
+                        live.set()
+
+            follower = threading.Thread(target=follow, daemon=True)
+            follower.start()
+            assert live.wait(60), "the job never started"
+            stopping = time.monotonic()
+        follower.join(10)
+        assert not follower.is_alive(), "the stream outlived the daemon"
+        assert time.monotonic() - stopping < 10
+        assert "job-finished" not in seen
+        # No stream is left waiting on a ticket that nobody will update.
+        assert service.ticket(ticket_id)._listeners == []
+        assert not daemon._streams
