@@ -5,12 +5,12 @@ here:
 
 * **Whole-frontier batch exploration** (the NumPy engine of
   :mod:`repro.petri.batch`) produces a graph bit-identical to the
-  sequential compiled engine while expanding entire BFS levels per step --
-  the committed baseline records the speedup over the pure-int engine on
-  the 300k-state 4-stage exploration (>= 3x against the PR-4 2.67s
-  reference), with states/sec and per-state RSS in the BENCH JSON.
-  ``check_regression.py`` gates the batch/sequential ratio, so a >30%
-  throughput regression of the batch path fails CI.
+  pure-int sequential BFS (``repro.petri.compiled.explore_compiled``) while
+  expanding entire BFS levels per step, and must beat it outright on
+  the 300k-state 4-stage exploration, with states/sec and per-state RSS in
+  the BENCH JSON.  ``check_regression.py`` gates the batch run's cost in
+  in-process calibration-kernel runs, so a >30% throughput regression of
+  the batch path fails CI.
 * **Racing portfolios** answer beyond-horizon queries with the same verdict
   as the budgeted rotation while cancelling the losing engines mid-flight.
 * **The semiflow cache** makes warm inductive sweeps near-free: a warm hit
@@ -29,7 +29,7 @@ from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.invariants import SemiflowCache, compute_semiflows_cached
 from repro.verification.verifier import Verifier
 
-from .conftest import print_table, throughput_metrics
+from .conftest import best_of, print_table, throughput_metrics, timed
 
 
 def _compiled_pipeline():
@@ -48,12 +48,9 @@ def test_batch_exploration_bit_identical_and_gated():
     start = time.perf_counter()
     sequential = explore_compiled(compiled, max_states=BATCH_HORIZON)
     sequential_seconds = time.perf_counter() - start
-    # Best of two: the first batch run pays NumPy's lazy-init warmup.
-    batch_seconds = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        batch = explore_batch(compiled, max_states=BATCH_HORIZON)
-        batch_seconds = min(batch_seconds, time.perf_counter() - start)
+    # Best of three: the first batch run pays NumPy's lazy-init warmup.
+    batch_seconds, batch, kernel_runs = best_of(3, lambda: timed(
+        lambda: explore_batch(compiled, max_states=BATCH_HORIZON)))
     for name, expected in zip(("_words", "_edge_data", "_edge_offsets",
                                "_parents_arr", "_frontier_arr"),
                               sequential.columns()):
@@ -68,15 +65,16 @@ def test_batch_exploration_bit_identical_and_gated():
                                   graph=sequential)),
         dict({"engine": "batch", "states": len(batch),
               "edges": batch.edge_count(), "seconds": batch_seconds,
-              "speedup": sequential_seconds / batch_seconds},
+              "speedup": sequential_seconds / batch_seconds,
+              "kernel_runs": kernel_runs},
              **throughput_metrics(len(batch), batch_seconds, graph=batch)),
     ]
     print_table(
         "batch exploration comparison (4-stage OPE, max_states={})".format(
             BATCH_HORIZON), rows)
     # The batch engine must beat the per-transition loop outright on this
-    # workload; the exact ratio is gated by check_regression.py against the
-    # committed baseline (>=3x vs the PR-4 2.67s sequential reference).
+    # workload; its throughput is gated by check_regression.py against the
+    # committed baseline, in calibration-kernel runs.
     assert batch_seconds < sequential_seconds
 
 

@@ -21,7 +21,7 @@ from repro.petri.properties import check_persistence
 from repro.pipelines.generic import build_generic_pipeline
 from repro.verification.verifier import Verifier
 
-from .conftest import print_table
+from .conftest import best_of, print_table, timed
 
 
 def _run_campaign():
@@ -31,26 +31,19 @@ def _run_campaign():
                         spec=spec, skipped=skipped)
 
 
-def _time_engines():
-    """Time state-space construction + checks on both reachability engines.
+def _verify_once(engine):
+    """One timed ``verify_all`` of the 2-stage OPE on *engine*.
 
     The DFS-to-Petri-net translation is identical for both engines and is
     built outside the timed region, so the comparison isolates the
     explore-dominated work the engines actually differ on.
     """
-    timings = {}
-    for engine in ("explicit", "auto"):
-        best = float("inf")
-        for _ in range(3):
-            pipeline = build_generic_pipeline(2, static_prefix_stages=1, name="ope_ok")
-            verifier = Verifier(pipeline.dfs, max_states=500000, engine=engine)
-            verifier.net  # translate up front
-            start = time.perf_counter()
-            summary = verifier.verify_all(include_persistence=False)
-            best = min(best, time.perf_counter() - start)
-            assert summary.passed
-        timings[engine] = best
-    return timings
+    pipeline = build_generic_pipeline(2, static_prefix_stages=1, name="ope_ok")
+    verifier = Verifier(pipeline.dfs, max_states=500000, engine=engine)
+    verifier.net  # translate up front
+    seconds, summary = timed(lambda: verifier.verify_all(include_persistence=False))
+    assert summary.passed
+    return seconds, summary
 
 
 def _time_persistence():
@@ -100,11 +93,13 @@ def test_verification_of_ope_pipeline_configurations(benchmark):
     # behind it) is reported, not silently dropped.
     assert len(report.skipped) == 1
 
-    timings = _time_engines()
-    speedup = timings["explicit"] / timings["auto"]
+    explicit, _, _ = best_of(5, lambda: _verify_once("explicit"))
+    batch, _, kernel_runs = best_of(5, lambda: _verify_once("auto"))
+    speedup = explicit / batch
     print_table("reachability engine comparison (verify_all, 2-stage OPE)", [
-        {"engine": "explicit (hash-dict multisets)", "seconds": timings["explicit"]},
-        {"engine": "batch (bitmask states)", "seconds": timings["auto"]},
+        {"engine": "explicit (hash-dict multisets)", "seconds": explicit},
+        {"engine": "batch (bitmask states)", "seconds": batch,
+         "kernel_runs": kernel_runs},
         {"engine": "speedup", "seconds": speedup},
     ])
 

@@ -15,13 +15,11 @@ swarm rows advance 1k / 8k walks as rows of one uint64 matrix per pass on
 the batch firing primitive; the scalar row fires one transition at a time
 in pure-int Python.
 
-``benchmarks/check_regression.py`` gates the ``swarm-8k`` /``scalar``
-per-kstep ratio against the committed baseline, and the assertion below
-pins the acceptance floor of the vectorisation: at 8k rows the swarm must
-fire at least **5x** the scalar rate.
+``benchmarks/check_regression.py`` gates the ``swarm-8k`` hunt's cost in
+in-process calibration-kernel runs against the committed baseline, and
+the assertion below pins the acceptance floor of the vectorisation: at 8k
+rows the swarm must fire at least **5x** the scalar rate.
 """
-
-import time
 
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
@@ -31,37 +29,29 @@ from repro.verification.checkers import (
     create_checker,
 )
 
-from .conftest import print_table
+from .conftest import best_of, print_table, timed
 
 #: Per-walk step budget of every row (the walk checker default).
 STEPS = 256
 
-#: backend label -> (checker backend, walks, swarm width).  The scalar
-#: walker gets a smaller walk count -- the metric is normalised per kstep,
-#: and 64 x 256 pure-int firings already time robustly.
+#: row label -> (walks, swarm width); the ``scalar`` row runs the pure-int
+#: walker and gets a smaller walk count -- the metric is normalised per
+#: kstep, and 64 x 256 pure-int firings already time robustly.
 CONFIGS = (
-    ("scalar", "scalar", 64, 1),
-    ("swarm-1k", "batch", 1024, 1024),
-    ("swarm-8k", "batch", 8192, 8192),
+    ("scalar", 64, 1),
+    ("swarm-1k", 1024, 1024),
+    ("swarm-8k", 8192, 8192),
 )
 
 
-def _hunt_seconds(net, backend, walks, swarm):
-    """Best-of-3 deadlock hunt; returns (seconds, committed steps)."""
-    best = None
-    for _ in range(3):
-        checker = create_checker("walk", CheckerContext(net), {
-            "backend": backend, "walks": walks, "swarm": swarm,
-            "steps": STEPS})
-        start = time.perf_counter()
-        outcome = checker.check(DeadlockQuery())
-        seconds = time.perf_counter() - start
-        assert outcome.holds is None, "the clean pipeline has no deadlock"
-        stats = checker.last_hunt_stats
-        assert stats["backend"] == backend
-        if best is None or seconds < best[0]:
-            best = (seconds, stats["steps"])
-    return best
+def _hunt_once(net, label, walks, swarm):
+    """One timed deadlock hunt; returns (seconds, committed steps)."""
+    backend = "scalar" if label == "scalar" else "batch"
+    checker = create_checker("walk", CheckerContext(net), {
+        "backend": backend, "walks": walks, "swarm": swarm, "steps": STEPS})
+    seconds, outcome = timed(lambda: checker.check(DeadlockQuery()))
+    assert outcome.holds is None, "the clean pipeline has no deadlock"
+    return seconds, checker.last_hunt_stats["steps"]
 
 
 def test_swarm_throughput_over_the_scalar_walker():
@@ -69,8 +59,9 @@ def test_swarm_throughput_over_the_scalar_walker():
 
     rows = []
     per_kstep = {}
-    for label, backend, walks, swarm in CONFIGS:
-        seconds, steps = _hunt_seconds(net, backend, walks, swarm)
+    for label, walks, swarm in CONFIGS:
+        seconds, steps, kernel_runs = best_of(
+            3, lambda: _hunt_once(net, label, walks, swarm))
         # Every walk of the clean model exhausts its full budget.
         assert steps == walks * STEPS
         per_kstep[label] = seconds / (steps / 1000.0)
@@ -79,6 +70,7 @@ def test_swarm_throughput_over_the_scalar_walker():
             "seconds": seconds, "seconds_per_kstep": per_kstep[label],
             "speedup": "{:.1f}x".format(
                 per_kstep["scalar"] / per_kstep[label]),
+            "kernel_runs": kernel_runs,
         })
     print_table(
         "vectorised walk throughput (clean 4-stage OPE deadlock hunt, "

@@ -7,25 +7,28 @@ results against the committed baselines in ``benchmarks/baselines/``.
 
 The gates are listed in :data:`GATES`.  Absolute seconds are
 meaningless across runner generations, so each gate normalises a timing by
-a second timing measured in the same process on the same machine, e.g.:
+a second timing measured in the same process on the same machine.  There
+are two kinds of reference, and neither is another engine:
 
-* the **batch-engine verify path** (``bench_verification``)::
+* a **calibrated** gate (no ``"reference"`` key) reads the gated row's
+  ``kernel_runs`` column: the row's cost in runs of the fixed NumPy +
+  pure-Python kernel of ``benchmarks/conftest.py``, each repeat divided by
+  the kernel timed right before it, e.g. the **batch-engine verify path**
+  (``bench_verification``)::
 
-      relative = batch_seconds / explicit_seconds
+      relative = median(batch_seconds[i] / kernel_seconds[i])
 
-* the **persistence scan** (``bench_verification``)::
+* a **ratio** gate divides by another row of the same table when the ratio
+  itself is the claim: a phase of the same run, a mode of the same engine,
+  or a scaling step, e.g. the **persistence scan** (``bench_verification``)::
 
       relative = persistence_seconds / explore_seconds
-
-* the **portfolio verify path** (``bench_checkers``)::
-
-      relative = portfolio_seconds / exhaustive_seconds
 
 A gate fails when the fresh relative cost exceeds the baseline's by more
 than its tolerance: ``--tolerance`` (default 0.30, i.e. a >30% slowdown of
 the gated path relative to its in-process reference) unless the gate
-declares its own in :data:`GATES` -- the portfolio ratio divides two small
-timings and carries a wider 0.60 band.
+declares its own in :data:`GATES` -- gates over small timings carry wider
+bands.
 
 Exit codes: 0 = within tolerance, 1 = regression detected, 2 = missing or
 malformed data.
@@ -36,18 +39,21 @@ import json
 import os
 import sys
 
+#: The column of a gated row that holds its cost in calibration-kernel runs.
+CALIBRATED = "kernel_runs"
+
 #: The gated metrics: a bench file matches a gate when it contains the
-#: gate's table with both the reference and the gated row.  A gate's
-#: optional "tolerance" overrides the CLI default (the portfolio and
-#: semiflow ratios divide small timings, so they carry wider bands; the
-#: depth-scaling slopes are a deterministic model output, so theirs is
-#: tight), its optional "value" names the gated column (default "seconds"),
-#: and "two_sided" also fails on drift *below* the baseline band.
+#: gate's table with the gated row and -- for a ratio gate -- the named
+#: "reference" row.  A gate's optional "tolerance" overrides the CLI default
+#: (gates over small timings carry wider bands; the depth-scaling slopes
+#: are a deterministic model output, so theirs is tight), its optional
+#: "value" names the gated column (default "seconds", or "kernel_runs" for
+#: a calibrated gate), and "two_sided" also fails on drift *below* the
+#: baseline band.
 GATES = [
     {
         "table": "reachability engine comparison",
         "key": "engine",
-        "reference": "explicit",
         "gated": "batch",
         "label": "batch verify path",
     },
@@ -64,18 +70,15 @@ GATES = [
     {
         "table": "checker portfolio comparison",
         "key": "checker",
-        "reference": "exhaustive",
         "gated": "portfolio",
         "label": "portfolio verify path",
         "tolerance": 0.60,
     },
     {
-        # The batch/sequential seconds ratio *is* the (inverse) throughput
-        # ratio: a >30% drop of the batch engine's states/sec relative to
-        # the in-process sequential reference fails this gate.
+        # Seconds per calibration kernel are the (inverse) throughput: a
+        # >30% drop of the batch engine's states/sec fails this gate.
         "table": "batch exploration comparison",
         "key": "engine",
-        "reference": "sequential",
         "gated": "batch",
         "label": "batch exploration throughput",
     },
@@ -106,17 +109,14 @@ GATES = [
         "tolerance": 0.30,
     },
     {
-        # The vectorised walk swarm: per-kstep firing cost of the 8k-row
-        # swarm over the in-process scalar walker.  The bench itself pins
-        # the absolute acceptance floor (>=5x); this gate catches the
-        # *ratio* eroding -- e.g. a per-pass Python detour creeping into
-        # the hot loop -- against the committed baseline (~13x).
+        # The vectorised walk swarm: the cost of the 8k-row swarm's fixed
+        # 2M-step hunt.  The bench itself pins the acceptance floor over
+        # the scalar test oracle (>=5x); this gate catches the swarm slowing
+        # down -- e.g. a per-pass Python detour creeping into the hot loop.
         "table": "vectorised walk throughput",
         "key": "backend",
-        "reference": "scalar",
         "gated": "swarm-8k",
         "label": "vectorised walk throughput",
-        "value": "seconds_per_kstep",
         "tolerance": 0.60,
     },
     {
@@ -142,25 +142,22 @@ GATES = [
     },
     {
         # The service's content-addressed reuse: a warm key answered at
-        # submit time vs a cold pool execution.  Both sides divide small
-        # timings, so the band is wide -- the gate exists to catch the warm
-        # path regressing toward a re-verification, not millisecond drift.
+        # submit time.  A warm submission is about a millisecond, so the
+        # band is wide -- the gate exists to catch the warm path regressing
+        # toward a re-verification, not millisecond drift.
         "table": "service result reuse",
         "key": "mode",
-        "reference": "cold",
         "gated": "warm",
         "label": "service warm-key reuse",
         "tolerance": 3.00,
     },
     {
         # The no-solver answer of the SMT proving tier: a cold
-        # minimal-siphon enumeration plus trap/semiflow witnesses, against
-        # the exhaustive engine exploring the same net in-process.  Both
-        # sides are tens of milliseconds, so the band is wide; the gate
-        # catches the enumeration regressing toward its exponential corner.
+        # minimal-siphon enumeration plus trap/semiflow witnesses.  It takes
+        # milliseconds, so the band is wide; the gate catches the
+        # enumeration regressing toward its exponential corner.
         "table": "structural deadlock proof",
         "key": "method",
-        "reference": "exhaustive",
         "gated": "siphon-trap",
         "label": "siphon/trap structural proof",
         "tolerance": 3.00,
@@ -197,18 +194,25 @@ def load_bench(path):
 
 
 def gate_seconds(bench, gate):
-    """Extract ``(reference, gated)`` metric values for *gate*, or ``None``."""
-    value_key = gate.get("value", "seconds")
+    """Extract ``(reference, gated)`` metric values for *gate*, or ``None``.
+
+    The reference is the gate's "reference" row; a calibrated gate's value
+    is already in kernel runs, so its reference is ``1.0``.
+    """
+    reference = gate.get("reference")
+    value_key = gate.get("value", "seconds" if reference else CALIBRATED)
     for table in bench.get("tables", []):
         if gate["table"] not in table.get("title", ""):
             continue
         seconds = {}
         for row in table.get("rows", []):
             name = str(row.get(gate["key"], ""))
-            if name.startswith(gate["reference"]):
+            if reference is not None and name.startswith(reference):
                 seconds["reference"] = float(row[value_key])
-            elif name.startswith(gate["gated"]):
+            elif name.startswith(gate["gated"]) and value_key in row:
                 seconds["gated"] = float(row[value_key])
+                if reference is None:
+                    seconds["reference"] = 1.0
         if "reference" in seconds and "gated" in seconds:
             return seconds["reference"], seconds["gated"]
     return None
@@ -221,12 +225,16 @@ def compare(fresh_path, baseline_path, tolerance):
     lines = ["{}:".format(os.path.basename(fresh_path))]
     regressed = False
     gates_applied = 0
-    ratio_line = "  {:<9} {} = {:.4f} ({:.4g}s / {:.4g}s)"
+    ratio_line = "  {:<9} {} = {:.4f} ({:.4g} / {:.4g})"
     verdict_line = "  {} slowdown: {:+.1%} (tolerance {:+.0%}) -> {}"
     missing = "error: baseline {} has a '{}' table but the fresh result {} does not"
+    incomplete = "error: baseline {} has a '{}' table without the rows gate '{}' needs"
     for gate in GATES:
         baseline = gate_seconds(baseline_bench, gate)
         if baseline is None:
+            titles = [table.get("title", "") for table in baseline_bench.get("tables", [])]
+            if any(gate["table"] in title for title in titles):
+                raise SystemExit(incomplete.format(baseline_path, gate["table"], gate["label"]))
             continue
         fresh = gate_seconds(fresh_bench, gate)
         if fresh is None:
@@ -243,7 +251,7 @@ def compare(fresh_path, baseline_path, tolerance):
             bad = True
         regressed = regressed or bad
         status = "REGRESSION" if bad else "ok"
-        name = "{}/{}".format(gate["gated"], gate["reference"])
+        name = "{}/{}".format(gate["gated"], gate.get("reference", "kernel"))
         row = ratio_line.format("baseline:", name, base_relative, base_gated, base_ref)
         lines.append(row)
         row = ratio_line.format("fresh:", name, fresh_relative, fresh_gated, fresh_ref)

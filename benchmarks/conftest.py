@@ -16,11 +16,25 @@ session's resource footprint (``peak_rss_kb``).  Exploration benches report
 throughput through :func:`throughput_metrics` (states/sec and peak RSS
 amortised per state).  CI uploads these files as artifacts and feeds them
 to ``benchmarks/check_regression.py``.
+
+Calibrated rows
+---------------
+
+Absolute seconds mean nothing across machines, and dividing one engine by
+another quotes a speedup against whichever path happens to be slowest.  A
+gated row therefore carries a ``kernel_runs`` column: its cost in runs of
+:func:`calibration_kernel`, a fixed NumPy + pure-Python workload that no
+change to this repository can make faster or slower, timed in the same
+process right before each repeat of the row's own measurement
+(:func:`best_of`).  The regression gate compares that column with the
+committed baseline.
 """
 
 import json
 import os
+import statistics
 import sys
+import time
 
 try:
     import resource
@@ -67,6 +81,62 @@ def _format(value):
     if isinstance(value, float):
         return "{:.4g}".format(value)
     return str(value)
+
+
+def calibration_kernel():
+    """A fixed NumPy + pure-Python workload: the gates' yardstick (~25 ms).
+
+    The mix mirrors what the gated paths spend their time on: a uint64 row
+    dedup (``numpy.unique`` over a matrix, like a BFS level) and an
+    int-keyed dict fill (like a Python-side index or cache).  It imports
+    nothing from ``repro``.
+    """
+    import numpy
+
+    rows = numpy.random.default_rng(7).integers(
+        0, 1 << 62, size=(1 << 14, 2), dtype=numpy.uint64)
+    numpy.unique(rows, axis=0)
+    seen = {}
+    for value in range(30000):
+        seen[value * 2654435761 % 1000003] = str(value)
+    return len(seen)
+
+
+def calibration_seconds(repeats=3):
+    """Best-of-*repeats* wall seconds of :func:`calibration_kernel`."""
+    best = float("inf")
+    for _ in range(repeats):
+        seconds, _ = timed(calibration_kernel)
+        best = min(best, seconds)
+    return best
+
+
+def timed(call):
+    """``(seconds, call())``: one wall-clock timing of *call*."""
+    start = time.perf_counter()
+    value = call()
+    return time.perf_counter() - start, value
+
+
+def best_of(repeats, measure):
+    """Run ``measure() -> (seconds, value)`` *repeats* times beside the kernel.
+
+    Returns ``(seconds, value, kernel_runs)``: the fastest run's seconds and
+    value, and the run's cost in calibration-kernel runs -- the median, over
+    the repeats, of a run's seconds divided by the :func:`calibration_seconds`
+    sample taken right before it.  The host's speed drifts in phases, so a
+    run is only ever divided by a kernel timed next to it, and the median
+    discards the repeats where the phase changed in between.
+    """
+    best = None
+    ratios = []
+    for _ in range(repeats):
+        calibration = calibration_seconds()
+        seconds, value = measure()
+        ratios.append(seconds / calibration)
+        if best is None or seconds < best[0]:
+            best = (seconds, value)
+    return best[0], best[1], statistics.median(ratios)
 
 
 def peak_rss_kb():
