@@ -5,8 +5,8 @@ here:
 
 * **Whole-frontier batch exploration** (the NumPy engine of
   :mod:`repro.petri.batch`) produces a graph bit-identical to the
-  pure-int sequential BFS (``repro.petri.compiled.explore_compiled``) while
-  expanding entire BFS levels per step, and must beat it outright on
+  pure-int sequential BFS (the test oracle of ``tests/oracles/compiled.py``)
+  while expanding entire BFS levels per step, and must beat it outright on
   the 300k-state 4-stage exploration, with states/sec and per-state RSS in
   the BENCH JSON.  ``check_regression.py`` gates the batch run's cost in
   in-process calibration-kernel runs, so a >30% throughput regression of
@@ -25,9 +25,11 @@ import numpy as np
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
 from repro.petri.batch import explore_batch
-from repro.petri.compiled import CompiledNet, explore_compiled
+from repro.petri.compiled import CompiledNet
 from repro.petri.invariants import SemiflowCache, compute_semiflows_cached
 from repro.verification.verifier import Verifier
+
+from oracles.compiled import explore_compiled
 
 from .conftest import best_of, print_table, throughput_metrics, timed
 
@@ -43,7 +45,7 @@ BATCH_HORIZON = 300000
 
 
 def test_batch_exploration_bit_identical_and_gated():
-    """Whole-frontier batch expansion vs the per-transition compiled loop."""
+    """Whole-frontier batch expansion vs the per-transition oracle loop."""
     compiled = _compiled_pipeline()
     start = time.perf_counter()
     sequential = explore_compiled(compiled, max_states=BATCH_HORIZON)

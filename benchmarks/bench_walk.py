@@ -1,12 +1,12 @@
-"""Vectorised walk swarms: falsification throughput, scalar vs batch.
+"""Vectorised walk swarms: falsification throughput, scalar oracle vs swarm.
 
-The walk checker's two backends share one semantics (counter-based RNG,
-guidance ranks, restart pool -- ``walk_core``), so a backend swap may only
-ever change *throughput*.  This bench measures that throughput on the
-deadlock hunt over a **clean** 4-stage OPE pipeline: with no deadlock to
-find, every walk exhausts its full step budget and the run is a pure
-firing-rate measurement (the differential tests cover verdicts; this file
-covers speed).
+The walk swarm and its test oracle, the pure-int scalar walker of
+``tests/oracles/walk.py``, share one semantics (counter-based RNG, guidance
+ranks, restart pool -- ``walk_core``), so the swarm may only ever change
+*throughput*.  This bench measures that throughput on the deadlock hunt
+over a **clean** 4-stage OPE pipeline: with no deadlock to find, every walk
+exhausts its full step budget and the run is a pure firing-rate measurement
+(the differential tests cover verdicts; this file covers speed).
 
 Each row hunts with the same per-walk budget (256 steps) and reports
 ``seconds_per_kstep`` -- wall-clock seconds per thousand committed firings,
@@ -18,7 +18,7 @@ in pure-int Python.
 ``benchmarks/check_regression.py`` gates the ``swarm-8k`` hunt's cost in
 in-process calibration-kernel runs against the committed baseline, and
 the assertion below pins the acceptance floor of the vectorisation: at 8k
-rows the swarm must fire at least **5x** the scalar rate.
+rows the swarm must fire at least **5x** the scalar oracle's rate.
 """
 
 from repro.campaign.jobs import build_pipeline_model
@@ -29,14 +29,16 @@ from repro.verification.checkers import (
     create_checker,
 )
 
+from oracles.walk import ScalarWalkChecker
+
 from .conftest import best_of, print_table, timed
 
 #: Per-walk step budget of every row (the walk checker default).
 STEPS = 256
 
-#: row label -> (walks, swarm width); the ``scalar`` row runs the pure-int
-#: walker and gets a smaller walk count -- the metric is normalised per
-#: kstep, and 64 x 256 pure-int firings already time robustly.
+#: row label -> (walks, swarm width); the ``scalar`` row runs the oracle.
+#: The scalar walker gets a smaller walk count -- the metric is normalised
+#: per kstep, and 64 x 256 pure-int firings already time robustly.
 CONFIGS = (
     ("scalar", 64, 1),
     ("swarm-1k", 1024, 1024),
@@ -46,9 +48,11 @@ CONFIGS = (
 
 def _hunt_once(net, label, walks, swarm):
     """One timed deadlock hunt; returns (seconds, committed steps)."""
-    backend = "scalar" if label == "scalar" else "batch"
-    checker = create_checker("walk", CheckerContext(net), {
-        "backend": backend, "walks": walks, "swarm": swarm, "steps": STEPS})
+    options = {"walks": walks, "swarm": swarm, "steps": STEPS}
+    if label == "scalar":
+        checker = ScalarWalkChecker(CheckerContext(net), **options)
+    else:
+        checker = create_checker("walk", CheckerContext(net), options)
     seconds, outcome = timed(lambda: checker.check(DeadlockQuery()))
     assert outcome.holds is None, "the clean pipeline has no deadlock"
     return seconds, checker.last_hunt_stats["steps"]
@@ -77,7 +81,7 @@ def test_swarm_throughput_over_the_scalar_walker():
         "{} steps/walk)".format(STEPS), rows)
 
     # The acceptance floor of the vectorisation: the 8k-row swarm fires at
-    # least 5x faster per step than the pure-int scalar walker.
+    # least 5x faster per step than the pure-int scalar oracle.
     assert per_kstep["scalar"] / per_kstep["swarm-8k"] >= 5.0, (
         "swarm-8k is only {:.1f}x the scalar firing rate".format(
             per_kstep["scalar"] / per_kstep["swarm-8k"]))

@@ -41,6 +41,14 @@ try:
 except ImportError:  # pragma: no cover - Windows
     resource = None
 
+# The benches compare against the reference engines kept as test oracles
+# (``tests/oracles``); ``--import-mode=importlib`` leaves sys.path alone, so
+# the tests directory is put on it here.
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.append(TESTS_DIR)
+
 #: module name -> list of {"title": ..., "rows": [...]} in print order.
 _TABLES = {}
 #: module name -> {test name: call duration in seconds}.
@@ -165,7 +173,7 @@ def graph_bytes(graph):
     """Resident bytes of a reachability graph's core storage.
 
     Columnar graphs (``repro.petri.batch``) report the exact ``nbytes`` of
-    their arrays; the list-based ``explore_compiled`` record sums
+    their arrays; the list-based ``explore_compiled`` oracle record sums
     ``sys.getsizeof`` over its state/edge/parent lists.  Unlike peak RSS (a
     process-wide monotonic high-water mark), this is a per-graph measure, so the
     sequential and batch rows of one bench genuinely differ by the

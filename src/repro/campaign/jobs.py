@@ -29,8 +29,7 @@ from repro.pipelines.control import set_loop_value
 from repro.pipelines.generic import build_generic_pipeline
 from repro.silicon.voltage import VoltageModel
 from repro.smt.solver import solver_fingerprint
-from repro.verification.checkers import CHECKERS
-from repro.verification.checkers.walk import resolve_walk_backend
+from repro.verification.checkers import CHECKERS, check_checker_options
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
 
 #: The default property battery of a campaign job.  Persistence is the
@@ -131,6 +130,8 @@ class VerificationJob:
         self.spill_bytes = spill_bytes
         self.checker = str(checker)
         self.checker_options = dict(checker_options or {})
+        # Like the engine: a bad option is a 400 at submit, not a worker crash.
+        check_checker_options(self.checker_options)
         self.custom_properties = {
             name: str(expression)
             for name, expression in (custom_properties or {}).items()
@@ -169,11 +170,11 @@ class VerificationJob:
         contains them) the mapping also carries the **solver fingerprint**
         (the z3 version line, or ``None`` when no solver is available):
         verdicts that may depend on the solver must not be reused across a
-        solver upgrade or an install/uninstall.  Walk-driven jobs carry the
-        **resolved walk backend** the same way: a vectorised-swarm verdict
-        and a scalar-walker verdict hunt different trajectories for the
-        same seed, so they must never answer from each other's cache
-        entries (the swarm width rides in ``checker_options`` when tuned).
+        solver upgrade or an install/uninstall.  Walk-driven jobs carry
+        ``"walk_backend": "batch"``: the key once named the walk engine
+        when there were two, and the swarm is the one left, so the
+        constant keeps existing cache keys valid (the swarm width rides in
+        ``checker_options`` when tuned).
         """
         options = {
             "properties": list(self.properties),
@@ -191,12 +192,7 @@ class VerificationJob:
         if checker_cls is not None and checker_cls.uses_solver:
             options["solver"] = solver_fingerprint()
         if self.checker in ("walk", "portfolio"):
-            requested = dict(self.checker_options.get("walk") or {})
-            if self.checker == "portfolio":
-                nested = self.checker_options.get("portfolio") or {}
-                requested.update(nested.get("walk") or {})
-            options["walk_backend"] = resolve_walk_backend(
-                requested.get("backend", "auto"))
+            options["walk_backend"] = "batch"
         return options
 
     def to_dict(self):
@@ -223,9 +219,9 @@ class VerificationJob:
         asked for).
         """
         payload = dict(payload)
-        # The solver fingerprint and the resolved walk backend are derived
+        # The solver fingerprint and the walk-engine constant are derived
         # locally (see :meth:`options`), never trusted from the wire: the
-        # daemon answers with *its* solver and *its* walk engine.
+        # daemon answers with *its* solver.
         payload.pop("solver", None)
         payload.pop("walk_backend", None)
         try:

@@ -22,6 +22,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "check_persistence",
         "PropertyReport",
     ],
-    ".analysis": ["incidence_matrix", "place_invariants", "transition_invariants"],
     ".export": ["to_dot", "to_g_format"],
 })

@@ -1,7 +1,7 @@
 """Array-native exploration core: whole-frontier batch expansion on NumPy.
 
-The compiled engine of :mod:`repro.petri.compiled` already reduced firing to
-integer bit operations, but its loop still fires one transition of one state
+The tables of :mod:`repro.petri.compiled` reduce firing to integer bit
+operations; a loop over them would still fire one transition of one state
 per Python bytecode iteration.  This module escapes the interpreter the way
 bulk engines do: the *entire BFS frontier* is expanded per step.
 
@@ -15,7 +15,7 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
-  the resulting graph **bit-identical** to :func:`explore_compiled`: same
+  the resulting graph **bit-identical** to a one-firing-at-a-time BFS: same
   states in the same discovery order, same packed ``t | target << 16`` edge
   lists, same parents (hence traces), same frontier and truncation.
 
@@ -26,9 +26,8 @@ mask-level scans of :mod:`repro.petri.properties` and
 instead of per-state Python loops.  Marking-level APIs decode on demand.
 
 This is the engine ``build_reachability_graph`` runs for every 1-safe net.
-The pure-int :func:`explore_compiled` remains the reference oracle for its
-semantics; this engine must match it bit for bit (see
-``tests/test_petri_batch.py``).
+Its oracle is the pure-int sequential BFS of ``tests/oracles/compiled.py``;
+this engine must match it bit for bit (see ``tests/test_petri_batch.py``).
 """
 
 import os
@@ -112,11 +111,11 @@ class WordTables:
         # gather per edge batch instead of two.
         self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
         # The shared watch lists of the compiled net (the same
-        # transition_watch_lists the pure-int engine consumes through
-        # CompiledNet.affected_pairs), expanded per watched transition to its
-        # nonzero need words: after firing ``t`` only ``watch_entries[t]``
-        # needs re-checking, and each check touches only the ~couple of
-        # words the watched transition's preset actually lives in.
+        # transition_watch_lists the pure-int test oracle consumes),
+        # expanded per watched transition to its nonzero need words: after
+        # firing ``t`` only ``watch_entries[t]`` needs re-checking, and each
+        # check touches only the ~couple of words the watched transition's
+        # preset actually lives in.
         self.watch_entries = []
         for watched_list in transition_watch_lists(compiled.affected):
             entries = []
@@ -251,7 +250,7 @@ def refresh_enabled(tables, enabled, rows, fired):
     the rows are grouped by fired transition and each watched transition is
     re-checked with one compare per nonzero need word over the group.
     Updates *enabled* in place (the vectorised analogue of the sequential
-    engine's :meth:`~repro.petri.compiled.CompiledNet.affected_pairs` update).
+    BFS's incremental enabled masks).
     """
     order = _np.argsort(fired, kind="stable")
     sorted_fired = fired[order]
@@ -533,8 +532,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
         """The persistence scan, in one pass over the edges.
 
-        The contract and witness order of the reference pair loop
-        (:meth:`repro.petri.compiled.ExplorationRecord.persistence_scan`):
+        The contract and witness order of the exact pair loop (kept as the
+        ``persistence_scan`` of the test oracle, ``tests/oracles/compiled.py``):
         states in discovery order, the fired/disabled pair loops in edge
         order, frontier states skipped.
         An edge ``(s, t1, s')`` disables exactly the transitions of
@@ -734,10 +733,10 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                   checkpoint=None):
     """Whole-frontier breadth-first exploration on NumPy arrays.
 
-    Returns a :class:`ColumnarReachabilityGraph` bit-identical to
-    ``explore_compiled(compiled, marking, max_states)`` -- same discovery
-    order, packed edges, parents, frontier and truncation -- built one BFS
-    level per step instead of one transition per step.  The enabled matrix
+    Returns a :class:`ColumnarReachabilityGraph` bit-identical to the
+    one-firing-at-a-time BFS of the same net, marking and bound -- same
+    discovery order, packed edges, parents, frontier and truncation -- built
+    one BFS level per step instead of one transition per step.  The enabled matrix
     of a level is propagated incrementally from the parents (only the
     watch-listed transitions of the discovering firing are recomputed, the
     vectorised analogue of the sequential engine's incremental masks).

@@ -33,6 +33,7 @@ from repro.verification.checkers.base import (
     Query,
     ReachQuery,
     SafenessQuery,
+    check_checker_options,
     create_checker,
     register_checker,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "RandomWalkChecker",
     "ReachQuery",
     "SafenessQuery",
+    "check_checker_options",
     "create_checker",
     "register_checker",
 ]

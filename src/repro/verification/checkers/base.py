@@ -15,7 +15,7 @@ different trade-offs:
   transition relation; proves "holds" (and finds some violations) with no
   state bound at all;
 * :class:`~repro.verification.checkers.walk.RandomWalkChecker` --
-  LFSR-seeded guided walks; a fast falsifier far beyond any truncation
+  counter-seeded guided walks; a fast falsifier far beyond any truncation
   horizon, never concludes "holds";
 * :class:`~repro.verification.checkers.portfolio.PortfolioChecker` -- races
   the above and returns the first conclusive verdict.
@@ -32,7 +32,11 @@ decide).  A conclusive outcome from *any* checker is a definitive verdict;
 checkers must never return a conclusive answer they cannot justify.
 """
 
-from repro.exceptions import ReachEvaluationError, VerificationError
+from repro.exceptions import (
+    ConfigurationError,
+    ReachEvaluationError,
+    VerificationError,
+)
 from repro.petri.compiled import CompiledNet
 from repro.petri.invariants import (
     InvariantBudgetExceeded,
@@ -64,6 +68,49 @@ def create_checker(name, context, options=None):
             "unknown checker {!r} (known: {})".format(
                 name, ", ".join(sorted(CHECKERS))))
     return cls(context, **(options or {}))
+
+
+def check_checker_options(checker_options):
+    """Reject checker options that no checker constructor accepts.
+
+    *checker_options* maps checker names to keyword options, the shape of
+    ``Verifier(checker_options=...)``.  Every name must be registered and
+    every option a keyword of that checker's constructor; a checker that
+    takes member options (the portfolio's ``{"portfolio": {"walk": {...}}}``)
+    has each member's options checked against the member in turn.  Raises
+    :class:`~repro.exceptions.ConfigurationError`, so a bad option fails
+    where a verifier or job is built -- not later, as a ``TypeError`` inside
+    a pool worker.
+    """
+    import inspect
+
+    for name, options in checker_options.items():
+        cls = CHECKERS.get(name)
+        if cls is None:
+            raise ConfigurationError(
+                "checker options given for unknown checker {!r} (known: {})"
+                .format(name, ", ".join(sorted(CHECKERS))))
+        if options is None:
+            continue
+        if not isinstance(options, dict):
+            raise ConfigurationError(
+                "options of the {} checker must be a mapping, not {!r}".format(
+                    name, options))
+        parameters = list(inspect.signature(cls).parameters.values())[1:]
+        keywords = sorted(parameter.name for parameter in parameters
+                          if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
+                                                parameter.KEYWORD_ONLY))
+        takes_members = any(parameter.kind is parameter.VAR_KEYWORD
+                            for parameter in parameters)
+        for option, value in options.items():
+            if option in keywords:
+                continue
+            if takes_members and option in CHECKERS:
+                check_checker_options({option: value})
+                continue
+            raise ConfigurationError(
+                "unknown option {!r} for the {} checker (known: {})".format(
+                    option, name, ", ".join(keywords)))
 
 
 # -- queries -----------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Vectorised walk swarms on the batch firing primitive.
 
-The scalar walker of :mod:`repro.verification.checkers.walk` fires one
-transition of one state per Python bytecode iteration; this engine advances
-**thousands of concurrent walks per pass**.  Every walk is one row of a
-``(width, words)`` uint64 matrix, and one pass of the main loop is:
+A scalar walker fires one transition of one state per Python bytecode
+iteration; this engine advances **thousands of concurrent walks per pass**.
+Every walk is one row of a ``(width, words)`` uint64 matrix, and one pass of
+the main loop is:
 
 1. retire rows that exhausted their step budget (the state after a walk's
-   final firing is never predicate-checked, exactly like the scalar loop);
+   final firing is never predicate-checked);
 2. test the bad-state predicate on the whole matrix
    (:func:`repro.petri.batch.compile_row_predicate`);
 3. one :meth:`~repro.petri.batch.WordTables.enabled_matrix` scan -- rows
    with nothing enabled are deadlock witnesses (when hunting deadlocks);
 4. update each row's best *near-miss* rank as a whole-matrix reduction
    (enabled counts for deadlock hunts, matched bad-cube literal fractions
-   for Reach hunts -- the same arithmetic as
-   :mod:`~repro.verification.checkers.walk_core`, in float64 columns);
+   for Reach hunts, in float64 columns);
 5. draw one word per row from the counter-based RNG of
    :func:`~repro.verification.checkers.walk_core.walk_draw` -- a walk's
    stream depends only on ``(seed, walk, step)``, never on the swarm width;
@@ -22,7 +21,7 @@ transition of one state per Python bytecode iteration; this engine advances
    through :func:`repro.petri.batch.fire_enabled_flags`;
 7. pick each row's move: guided rows take the best-ranked successor
    (one ``lexsort`` + segment heads), uniform rows index their candidate
-   list by the draw -- both tie-break exactly like the scalar stepper;
+   list by the draw -- guided ties go to the lowest transition index;
 8. retired rows push their best near-miss into the shared
    :class:`~repro.verification.checkers.walk_core.NearMissPool` and are
    **reseeded in place**: the next walk launches into the dead row, every
@@ -32,18 +31,12 @@ transition of one state per Python bytecode iteration; this engine advances
 The engine is deterministic per ``(seed, walks, swarm width)``: the RNG
 stream of a walk is width-independent, but the restart pool fills in
 retirement order, which depends on how walks are packed into rows -- hence
-width is part of the contract (and of campaign digests).
+width is part of the contract (and of campaign digests).  Witness traces
+produced here are raw transition indices -- the checker replays them on the
+net (like SMT counterexamples) before trusting any verdict.
 
-Array-module seam
------------------
-
-All array operations go through the module handle returned by
-:func:`array_module` (``xp``), which is NumPy today.  A CuPy drop-in needs
-``xp.lexsort`` / ``xp.bitwise_count`` plus device-resident
-:class:`~repro.petri.batch.WordTables`; the engine itself never touches
-NumPy-only APIs outside this seam.  Witness traces produced here are raw
-transition indices -- the checker replays them on the net (like SMT
-counterexamples) before trusting any verdict.
+The scalar walker of ``tests/oracles/walk.py`` is this engine's oracle: it
+ranks, draws and tie-breaks the same way one firing at a time.
 """
 
 import numpy
@@ -67,45 +60,48 @@ from repro.verification.checkers.walk_core import (
 _MASK64 = (1 << 64) - 1
 
 
-def array_module():
-    """The active array module (NumPy today; the CuPy drop-in seam)."""
-    return numpy
-
-
-def draw_rows(xp, seed, walks, steps):
+def draw_rows(seed, walks, steps):
     """Vectorised :func:`~repro.verification.checkers.walk_core.walk_draw`.
 
     *walks* and *steps* are integer vectors; returns the uint64 draw of
     each ``(seed, walk, step)`` triple, bit-identical to the scalar
     function (uint64 arithmetic wraps exactly like the masked int math).
     """
-    value = (xp.uint64((seed * DRAW_SEED_STRIDE) & _MASK64)
-             + walks.astype(xp.uint64) * xp.uint64(DRAW_WALK_STRIDE)
-             + steps.astype(xp.uint64) * xp.uint64(DRAW_STEP_STRIDE))
-    value = (value ^ (value >> xp.uint64(30))) * xp.uint64(MIX_MULTIPLIER_A)
-    value = (value ^ (value >> xp.uint64(27))) * xp.uint64(MIX_MULTIPLIER_B)
-    return value ^ (value >> xp.uint64(31))
+    value = (numpy.uint64((seed * DRAW_SEED_STRIDE) & _MASK64)
+             + walks.astype(numpy.uint64) * numpy.uint64(DRAW_WALK_STRIDE)
+             + steps.astype(numpy.uint64) * numpy.uint64(DRAW_STEP_STRIDE))
+    value = ((value ^ (value >> numpy.uint64(30)))
+             * numpy.uint64(MIX_MULTIPLIER_A))
+    value = ((value ^ (value >> numpy.uint64(27)))
+             * numpy.uint64(MIX_MULTIPLIER_B))
+    return value ^ (value >> numpy.uint64(31))
 
 
-def cube_word_table(xp, cube_masks, words):
+def cube_word_table(cube_masks, words):
     """Split int ``(ones, zeros, size)`` cube masks into uint64 word rows."""
     table = []
     for ones, zeros, size in cube_masks or ():
         if not size:
             continue
-        table.append((xp.array(int_to_words(ones, words), dtype=xp.uint64),
-                      xp.array(int_to_words(zeros, words), dtype=xp.uint64),
-                      size))
+        table.append(
+            (numpy.array(int_to_words(ones, words), dtype=numpy.uint64),
+             numpy.array(int_to_words(zeros, words), dtype=numpy.uint64),
+             size))
     return table
 
 
-def cube_rank_rows(xp, table, rows):
-    """Vectorised :func:`~repro.verification.checkers.walk_core.cube_rank`."""
-    best = xp.zeros(len(rows), dtype=xp.float64)
+def cube_rank_rows(table, rows):
+    """Per row: minus the best matched-literal fraction over the cubes.
+
+    Lower is better (``-1.0`` means some cube fully matched, i.e. the row is
+    bad).  Each division is one float64 operation, so the scalar test
+    oracle reproduces the exact rank values.
+    """
+    best = numpy.zeros(len(rows), dtype=numpy.float64)
     for ones, zeros, size in table:
-        matched = (xp.bitwise_count(rows & ones).sum(axis=1)
-                   + xp.bitwise_count(~rows & zeros).sum(axis=1))
-        best = xp.maximum(best, matched / size)
+        matched = (numpy.bitwise_count(rows & ones).sum(axis=1)
+                   + numpy.bitwise_count(~rows & zeros).sum(axis=1))
+        best = numpy.maximum(best, matched / size)
     return -best
 
 
@@ -137,28 +133,27 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
 
     *tables* is the :class:`~repro.petri.batch.WordTables` of the compiled
     net and *initial* the int initial state.  The remaining knobs mirror
-    the scalar walker's (see :class:`RandomWalkChecker`); *swarm* caps the
+    the walk checker's (see :class:`RandomWalkChecker`); *swarm* caps the
     matrix width -- ``min(walks, swarm)`` rows advance concurrently and
     retired rows are reseeded in place until *walks* walks have launched.
     """
-    xp = array_module()
     words = tables.words
     width = max(1, min(int(swarm), int(walks)))
     threshold = int(guidance * 256)
-    cube_table = (cube_word_table(xp, cube_masks, words)
+    cube_table = (cube_word_table(cube_masks, words)
                   if score_kind == "cube" else None)
     track = restarts > 0 and score_kind is not None
 
-    initial_row = xp.array(int_to_words(initial, words), dtype=xp.uint64)
-    rows = xp.tile(initial_row, (width, 1))
-    walk_id = xp.arange(width, dtype=xp.int64)
-    steps_taken = xp.zeros(width, dtype=xp.int64)
-    active = xp.ones(width, dtype=bool)
-    trace_buf = xp.zeros((width, max(int(steps), 1)), dtype=xp.int32)
+    initial_row = numpy.array(int_to_words(initial, words), dtype=numpy.uint64)
+    rows = numpy.tile(initial_row, (width, 1))
+    walk_id = numpy.arange(width, dtype=numpy.int64)
+    steps_taken = numpy.zeros(width, dtype=numpy.int64)
+    active = numpy.ones(width, dtype=bool)
+    trace_buf = numpy.zeros((width, max(int(steps), 1)), dtype=numpy.int32)
     prefixes = [()] * width
-    best_rank = xp.full(width, xp.inf)
+    best_rank = numpy.full(width, numpy.inf)
     best_state = rows.copy()
-    best_len = xp.full(width, -1, dtype=xp.int64)
+    best_len = numpy.full(width, -1, dtype=numpy.int64)
     launched = width
 
     pool = NearMissPool(restarts)
@@ -181,8 +176,8 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
         if score_kind == "fewest":
             if counts is None:
                 counts = tables.enabled_matrix(block).sum(axis=1)
-            return counts.astype(xp.float64)
-        return cube_rank_rows(xp, cube_table, block)
+            return counts.astype(numpy.float64)
+        return cube_rank_rows(cube_table, block)
 
     def retire(i):
         """Bank row *i*'s near-miss, then reseed it with the next walk."""
@@ -197,15 +192,15 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
         launched += 1
         walk_id[i] = walk
         steps_taken[i] = 0
-        best_rank[i] = xp.inf
+        best_rank[i] = numpy.inf
         best_len[i] = -1
         prefixes[i] = ()
         rows[i] = initial_row
         if len(pool) and walk % 2:
             _, near_state, near_trace = pool.pick(walk_draw(seed, walk, 0))
             if near_state not in witnessed:
-                rows[i] = xp.array(int_to_words(near_state, words),
-                                   dtype=xp.uint64)
+                rows[i] = numpy.array(int_to_words(near_state, words),
+                                      dtype=numpy.uint64)
                 prefixes[i] = tuple(near_trace)
 
     def trace_of_best(i):
@@ -213,7 +208,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
             int(t) for t in trace_buf[i, :int(best_len[i])])
 
     while len(witnesses) < max_witnesses:
-        act = xp.flatnonzero(active)
+        act = numpy.flatnonzero(active)
         if not len(act):
             break
         retired = []
@@ -254,20 +249,20 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                     best_state[update] = rows[update]
                     best_len[update] = steps_taken[update]
             # 5. one counter-based draw per row.
-            draws = draw_rows(xp, seed, walk_id[act], steps_taken[act] + 1)
+            draws = draw_rows(seed, walk_id[act], steps_taken[act] + 1)
             if score_kind is not None:
-                guided = (((draws >> xp.uint64(8)) & xp.uint64(0xFF))
-                          < xp.uint64(threshold))
+                guided = (((draws >> numpy.uint64(8)) & numpy.uint64(0xFF))
+                          < numpy.uint64(threshold))
                 guided &= counts > 1
             else:
-                guided = xp.zeros(len(act), dtype=bool)
+                guided = numpy.zeros(len(act), dtype=bool)
             # 6. fire every enabled pair of the matrix in one batch.
-            flat = xp.flatnonzero(enabled)
+            flat = numpy.flatnonzero(enabled)
             source_local, transition, successor, overflowed = (
                 fire_enabled_flags(tables, rows[act], flat))
             expanded += len(flat)
             if overflow_conclusive and overflowed.any():
-                position = int(xp.argmax(overflowed))
+                position = int(numpy.argmax(overflowed))
                 i = int(act[int(source_local[position])])
                 overflow = {
                     "state": words_to_int(rows[i]),
@@ -280,24 +275,25 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 return SwarmResult(witnesses, overflow, total_steps,
                                    launched, expanded)
             # 7. choose each row's move.
-            seg_start = xp.cumsum(counts) - counts
-            choice = xp.empty(len(act), dtype=xp.int64)
+            seg_start = numpy.cumsum(counts) - counts
+            choice = numpy.empty(len(act), dtype=numpy.int64)
             uniform = ~guided
             if uniform.any():
                 offsets = (draws[uniform]
-                           % counts[uniform].astype(xp.uint64))
-                choice[uniform] = seg_start[uniform] + offsets.astype(xp.int64)
+                           % counts[uniform].astype(numpy.uint64))
+                choice[uniform] = (seg_start[uniform]
+                                   + offsets.astype(numpy.int64))
             if guided.any():
                 pair_guided = guided[source_local]
-                g_flat = xp.flatnonzero(pair_guided)
+                g_flat = numpy.flatnonzero(pair_guided)
                 g_rank = state_rank(successor[g_flat], None)
                 g_source = source_local[g_flat]
                 # Sorting by (row, rank, transition) and taking segment
                 # heads picks the minimum rank with ties to the lowest
                 # transition index -- the scalar stepper's exact choice.
-                order = xp.lexsort((transition[g_flat], g_rank, g_source))
+                order = numpy.lexsort((transition[g_flat], g_rank, g_source))
                 ordered_source = g_source[order]
-                head = xp.ones(len(order), dtype=bool)
+                head = numpy.ones(len(order), dtype=bool)
                 head[1:] = ordered_source[1:] != ordered_source[:-1]
                 choice[ordered_source[head]] = g_flat[order[head]]
             # 8. overflow retirement: a guided row dies on *any*
@@ -305,7 +301,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
             # uniform row dies only when its chosen pair overflowed.
             kill = overflowed[choice] & uniform
             if guided.any() and overflowed.any():
-                row_overflowed = xp.zeros(len(act), dtype=bool)
+                row_overflowed = numpy.zeros(len(act), dtype=bool)
                 row_overflowed[source_local[overflowed]] = True
                 kill |= guided & row_overflowed
             if kill.any():
@@ -317,7 +313,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 pick = choice[live]
                 rows[target] = successor[pick]
                 trace_buf[target, steps_taken[target]] = (
-                    transition[pick].astype(xp.int32))
+                    transition[pick].astype(numpy.int32))
                 steps_taken[target] += 1
                 total_steps += int(live.sum())
         # Reseed in walk order so pool pushes and pool picks are

@@ -1,28 +1,24 @@
-"""Primitives shared by the scalar and vectorised random-walk backends.
+"""The pure-int semantics of the random-walk checker.
 
-The walk checker runs on two engines: the pure-int scalar walker of
-:mod:`repro.verification.checkers.walk` and the NumPy swarm of
-:mod:`repro.verification.checkers.walk_batch`.  Both must hunt with the
-*same* randomness, the *same* guidance scores and the *same* restart-pool
-semantics, or the backends drift apart and differential testing loses its
-teeth.  This module is the single home of those semantics:
+The walk checker runs on the NumPy swarm of
+:mod:`repro.verification.checkers.walk_batch`; its test oracle, the scalar
+walker of ``tests/oracles/walk.py``, must hunt with the *same* randomness
+and the *same* restart-pool semantics, or the two drift apart and
+differential testing loses its teeth.  This module is the single home of
+those semantics:
 
 * :func:`walk_draw` -- a **counter-based** RNG: the draw is a pure function
   of ``(seed, walk, step)``, so walk ``w`` sees the identical stream whether
-  it runs alone on the scalar path or as one row of an 8k-row swarm.  (The
-  old LFSR threaded one stream through all walks, so adding a walk -- or
-  reordering them -- reshuffled every draw after it.)
-* the guidance ranks (:func:`fewest_enabled_rank`, :func:`cube_rank` over a
-  :func:`cube_mask_table`) -- exact integer/float arithmetic that the
-  vectorised backend reproduces bit for bit in uint64/float64 columns.
+  it runs alone or as one row of an 8k-row swarm.
+* :func:`cube_mask_table` -- the bad-cube masks both engines score Reach
+  guidance against.
 * :class:`NearMissPool` -- the counterexample-guided restart pool (dedupe
   by state, evict the first worst entry only for a strictly better one).
 * :func:`replay_witness` -- swarm traces are replayed on the *net* before
   being trusted, exactly like SMT counterexamples.
 
-Everything here is pure-int Python: the scalar walker uses these functions
-directly and the swarm engine mirrors them with array operations (the
-differential tests in ``tests/test_walk_batch.py`` pin the two together).
+The swarm mirrors these functions with array operations; the differential
+tests in ``tests/test_walk_batch.py`` pin the two together.
 """
 
 from repro.exceptions import ModelError
@@ -56,28 +52,22 @@ def walk_draw(seed, walk, step):
     Stream convention: step ``0`` is the walk's restart-pool selection
     draw; steps ``1..N`` are its per-move draws (one per fired step).
     Being a pure function of the three counters, the stream of a walk is
-    independent of how many other walks run, in what order, or on which
-    backend -- the determinism contract of the swarm.
+    independent of how many other walks run, in what order, or in which
+    engine -- the determinism contract of the swarm.
     """
     return mix64((seed * DRAW_SEED_STRIDE + walk * DRAW_WALK_STRIDE
                   + step * DRAW_STEP_STRIDE) & _MASK64)
 
 
-# -- guidance ranks ----------------------------------------------------------
-
-
-def fewest_enabled_rank(compiled, state):
-    """Deadlock guidance: successors with fewer options rank better."""
-    return compiled.enabled_mask(state).bit_count()
+# -- guidance ----------------------------------------------------------------
 
 
 def cube_mask_table(mask_of, cubes):
     """Precompile DNF *cubes* into ``(ones, zeros, size)`` bitmask rows.
 
     *mask_of* maps a place name to its single-bit mask (``0`` for unknown
-    places, which hold no token).  Both backends score against this one
-    table: the scalar rank uses the int masks directly, the swarm splits
-    them into uint64 words.
+    places, which hold no token).  The swarm splits these int masks into
+    uint64 words; the scalar test oracle ranks with them directly.
     """
     masks = []
     for cube in cubes:
@@ -91,20 +81,6 @@ def cube_mask_table(mask_of, cubes):
     return tuple(masks)
 
 
-def cube_rank(masks, state):
-    """Reach guidance: minus the best matched-literal fraction over *masks*.
-
-    Lower is better (rank ``-1.0`` means some cube fully matched, i.e. the
-    state is bad).  The division is a single float64 operation, so the
-    vectorised backend reproduces the exact rank values.
-    """
-    best = 0
-    for ones, zeros, size in masks:
-        matched = (state & ones).bit_count() + (~state & zeros).bit_count()
-        best = max(best, size and matched / size)
-    return -best
-
-
 # -- the counterexample-guided restart pool ----------------------------------
 
 
@@ -114,8 +90,8 @@ class NearMissPool:
     Entries are ``(rank, state, trace)``; lower ranks are better.  The pool
     deduplicates by state, and a full pool evicts its **first** worst entry
     only when the newcomer ranks **strictly** better -- ties keep the
-    incumbent.  Both walk backends feed and draw from this one class, so
-    restart semantics cannot drift between them.
+    incumbent.  The swarm and its scalar test oracle feed and draw from
+    this one class, so restart semantics cannot drift between them.
     """
 
     __slots__ = ("capacity", "_entries", "_states")

@@ -9,6 +9,7 @@ from repro.verification.checkers import (
     PersistenceQuery,
     ReachQuery,
     SafenessQuery,
+    check_checker_options,
     create_checker,
 )
 from repro.verification.checkers import DEFAULT_ORDER as DEFAULT_PORTFOLIO_ORDER
@@ -62,7 +63,8 @@ class Verifier:
       backward-induction proofs over the compiled transition relation;
       concludes "holds" (and finds some violations) with no state bound at
       all, and no solver.
-    * ``"walk"`` -- LFSR-seeded guided random walks; a pure falsifier.
+    * ``"walk"`` -- counter-seeded guided random walks, run as vectorised
+      swarms; a pure falsifier.
     * ``"bmc"`` / ``"kinduction"`` / ``"ic3"`` -- SMT-backed engines of
       :mod:`repro.smt` (bounded model checking, k-induction, IC3/PDR).
       BMC falsifies at any depth; k-induction and IC3 prove **unbounded**
@@ -80,7 +82,9 @@ class Verifier:
     runs.
 
     *checker_options* maps checker names to keyword options for their
-    construction (e.g. ``{"walk": {"walks": 32, "steps": 1024}}``);
+    construction (e.g. ``{"walk": {"walks": 32, "steps": 1024}}``); an
+    option no constructor takes raises
+    :class:`~repro.exceptions.ConfigurationError` right here;
     *checker_overrides* maps property keys to checker names, overriding the
     default checker per property.  Every ``verify_*`` method also accepts an
     explicit ``checker=`` argument, which wins over both.
@@ -132,6 +136,7 @@ class Verifier:
                 "checker_options given for unknown checker(s): {} "
                 "(known: {})".format(", ".join(sorted(unknown_options)),
                                      ", ".join(sorted(CHECKERS))))
+        check_checker_options(self.checker_options)
         self.checker_overrides = dict(checker_overrides or {})
         unknown_overrides = [name for name in self.checker_overrides.values()
                              if name not in CHECKERS]

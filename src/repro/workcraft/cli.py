@@ -119,15 +119,10 @@ def _resolve_checker(args):
         checker = "portfolio"
         options["portfolio"] = {"race": True}
     checker = checker or "exhaustive"
-    walk_options = {}
     if getattr(args, "walks", None):
-        walk_options["walks"] = args.walks
-    if getattr(args, "walk_backend", None):
-        walk_options["backend"] = args.walk_backend
-    if walk_options:
         # Top-level walk options reach the walk checker standalone or as a
         # portfolio member (the Verifier routes them either way).
-        options.setdefault("walk", {}).update(walk_options)
+        options.setdefault("walk", {})["walks"] = args.walks
     cls = CHECKERS.get(checker)
     if cls is not None and cls.requires_solver:
         from repro.exceptions import SolverUnavailableError
@@ -402,11 +397,6 @@ def build_parser():
                         help="total guided random walks of the walk "
                              "checker (standalone or as a portfolio "
                              "member)")
-    verify.add_argument("--walk-backend",
-                        choices=("auto", "batch", "scalar"), default=None,
-                        help="walk engine: the vectorised swarm (batch, "
-                             "also what auto picks) or the pure-int walker "
-                             "(scalar)")
     verify.add_argument("--no-persistence", action="store_true",
                         help="skip the (slower) persistence check")
     verify.set_defaults(handler=_command_verify)
@@ -450,10 +440,6 @@ def build_parser():
     campaign.add_argument("--walks", type=int, default=None, metavar="N",
                           help="per job: total guided random walks of the "
                                "walk checker")
-    campaign.add_argument("--walk-backend",
-                          choices=("auto", "batch", "scalar"), default=None,
-                          help="per job: walk engine (vectorised swarm, "
-                               "also what auto picks, or pure-int scalar)")
     campaign.add_argument("--spill-dir", default=None, metavar="DIR",
                           help="per-job out-of-core spill directory "
                                "(default: REPRO_SPILL_DIR)")

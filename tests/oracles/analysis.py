@@ -1,9 +1,16 @@
-"""Structural analysis of Petri nets: incidence matrix and invariants.
+"""Rational-nullspace invariants: the oracle of the Farkas semiflows.
 
-Place invariants are used as an additional sanity check on the DFS
-translation: every Boolean state variable of a DFS node is encoded as a pair
-of complementary places (``x_0``/``x_1``) whose token count is preserved by
-every transition, so each such pair must appear as a place invariant.
+:mod:`repro.petri.invariants` derives place invariants (semiflows) with the
+Farkas algorithm over non-negative integers.  This module computes the
+plain linear-algebra answer independently -- the incidence matrix and a
+basis of its left/right nullspace by exact rational Gaussian elimination --
+so every semiflow can be checked to annihilate the incidence matrix and to
+lie in the span of this basis (``tests/test_petri_analysis_export.py``).
+
+It also checks the DFS translation: every Boolean state variable of a DFS
+node is encoded as a pair of complementary places (``x_0``/``x_1``) whose
+token count is preserved by every transition, so each such pair must appear
+as a place invariant.
 """
 
 from fractions import Fraction

@@ -192,6 +192,19 @@ class TestCache:
                                  properties=("safeness",))
         assert varied.run(cache=cache_dir)["cache"] == "miss"
 
+    @pytest.mark.parametrize("checker_options,digest", [
+        (None,
+         "d6fa1389e10c2ebe972ab2c4dd163050cbb2d553aebd5fddb2a564babd7c41df"),
+        ({"walk": {"walks": 64}},
+         "573c69c4bf3370c046c25abe81fcb4772cd37e6230c83de38538a69c0aa0d79b"),
+    ], ids=["default", "walks-64"])
+    def test_walk_job_digests_are_pinned(self, checker_options, digest):
+        """Cache keys of walk jobs survive engine refactors unchanged: these
+        are the digests of releases that still had two walk engines."""
+        job = VerificationJob("w", "pipeline", {"stages": 2}, checker="walk",
+                              checker_options=checker_options)
+        assert options_digest(job.options()) == digest
+
     def test_digest_orders_keys_canonically(self):
         assert options_digest({"a": 1, "b": 2}) == options_digest({"b": 2, "a": 1})
 

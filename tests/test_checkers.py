@@ -37,6 +37,8 @@ from repro.verification.verifier import (
     unregister_custom_property,
 )
 
+from oracles.walk import scalar_walk_verifier
+
 DIFFERENTIAL_PROPERTIES = ("safeness", "deadlock", "mismatch", "exclusion")
 ALL_CHECKERS = ("exhaustive", "inductive", "walk", "portfolio")
 
@@ -120,15 +122,15 @@ class TestDifferentialAgreement:
     @pytest.mark.parametrize("model_name", sorted(MODEL_FAMILY))
     def test_walk_backends_agree_with_exhaustive(self, backend, model_name,
                                                  exhaustive_verdicts):
-        """Both walk backends, differentially against the exhaustive engine.
+        """The swarm and its scalar oracle, against the exhaustive engine.
 
-        The swarm is a throughput change only: a conclusive swarm verdict
+        The swarm is a throughput engine only: a conclusive swarm verdict
         contradicting the scalar/exhaustive truth is a soundness bug.
         """
-        summary = Verifier(
-            MODEL_FAMILY[model_name](), checker="walk",
-            checker_options={"walk": {"backend": backend}},
-        ).verify_properties(DIFFERENTIAL_PROPERTIES)
+        dfs = MODEL_FAMILY[model_name]()
+        verifier = (scalar_walk_verifier(dfs) if backend == "scalar"
+                    else Verifier(dfs, checker="walk"))
+        summary = verifier.verify_properties(DIFFERENTIAL_PROPERTIES)
         reference = exhaustive_verdicts[model_name]
         for result in summary.results:
             if result.holds is None:
@@ -143,8 +145,7 @@ class TestDifferentialAgreement:
         dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
         outcomes = []
         for _ in range(2):
-            verifier = Verifier(dfs, checker="walk", checker_options={
-                "walk": {"backend": "scalar", "seed": 2026}})
+            verifier = scalar_walk_verifier(dfs, seed=2026)
             outcomes.append(verifier.verify_deadlock_freedom())
         assert outcomes[0].holds is outcomes[1].holds is False
         assert (outcomes[0].witnesses[0]["trace"]
@@ -260,6 +261,38 @@ class TestCheckerSelection:
             Verifier(conditional_dfs, checker_options={"wakl": {"walks": 2}})
         with pytest.raises(VerificationError):
             Verifier(conditional_dfs, checker_overrides={"deadlock": "wakl"})
+
+    @pytest.mark.parametrize("options", [
+        {"walk": {"bogus": 1}},
+        {"walk": {"backend": "scalar"}},
+        {"portfolio": {"walk": {"backend": "scalar"}}},
+        {"portfolio": {"inductive": {"walks": 8}}},
+        {"exhaustive": {"max_states": 10}},
+        {"walk": ["walks", 8]},
+    ], ids=["walk-bogus", "walk-backend", "portfolio-walk-backend",
+            "portfolio-inductive-walks", "exhaustive-any", "not-a-mapping"])
+    def test_unknown_checker_options_fail_at_construction(self, options,
+                                                          conditional_dfs):
+        """A bad option is a ConfigurationError where the verifier or job is
+        built, never a TypeError on first use (inside a pool worker)."""
+        with pytest.raises(ConfigurationError):
+            Verifier(conditional_dfs, checker="portfolio",
+                     checker_options=options)
+        with pytest.raises(ConfigurationError):
+            VerificationJob("j", "conditional", checker="portfolio",
+                            checker_options=options)
+        with pytest.raises(ConfigurationError):
+            VerificationJob.from_dict(dict(
+                VerificationJob("j", "conditional").to_dict(),
+                checker_options=options))
+
+    def test_known_nested_checker_options_are_accepted(self, conditional_dfs):
+        options = {"walk": {"walks": 2, "swarm": 4},
+                   "portfolio": {"race": False, "walk": {"steps": 8},
+                                 "inductive": {"max_cubes": 64}}}
+        Verifier(conditional_dfs, checker="portfolio", checker_options=options)
+        VerificationJob("j", "conditional", checker="portfolio",
+                        checker_options=options)
 
     def test_top_level_member_options_reach_the_portfolio(self, conditional_dfs):
         # The README documents checker_options={"walk": {...}} as tuning the

@@ -2,8 +2,9 @@
 
 from repro.dfs.model import DataflowStructure
 from repro.dfs.translation import marking_to_dfs_state, place_name, to_petri_net
-from repro.petri.analysis import invariant_value, place_invariants
 from repro.petri.reachability import explore
+
+from oracles.analysis import invariant_value, place_invariants
 
 
 class TestPlaceEncoding:

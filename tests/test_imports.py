@@ -1,5 +1,6 @@
 """Import hygiene: lazy package exports and what a process pays for at start-up."""
 
+import ast
 import importlib
 import json
 import multiprocessing
@@ -80,3 +81,27 @@ def test_forked_workers_inherit_the_exploration_stack():
         "    service.close()\n",
         REPRO_MP_START_METHOD="fork")
     assert loaded == ["numpy", "repro.petri.batch"]
+
+
+def test_no_src_module_imports_the_test_oracles():
+    """Oracles live in ``tests/``: the library must never depend on them."""
+    offenders = []
+    for root, _, files in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    if module.split(".")[0] in ("oracles", "tests"):
+                        offenders.append("{}:{}: {}".format(
+                            os.path.relpath(path, SRC_DIR), node.lineno, module))
+    assert not offenders, offenders

@@ -1,14 +1,22 @@
-"""Tests for repro.petri.analysis and repro.petri.export."""
+"""Tests for the invariant oracle (tests/oracles/analysis.py) and repro.petri.export."""
 
-from repro.petri.analysis import (
+import numpy as np
+import pytest
+
+from repro.dfs.translation import to_petri_net
+from repro.petri.export import to_dot, to_g_format
+from repro.petri.invariants import compute_semiflows
+from repro.petri.net import PetriNet
+from repro.petri.reachability import explore
+
+from oracles.analysis import (
+    _rational_nullspace,
     incidence_matrix,
     invariant_value,
     place_invariants,
     transition_invariants,
 )
-from repro.petri.export import to_dot, to_g_format
-from repro.petri.net import PetriNet
-from repro.petri.reachability import explore
+from test_checkers import MODEL_FAMILY
 
 
 def complementary_pair_net():
@@ -61,6 +69,30 @@ class TestInvariants:
     def test_transition_invariant_of_the_cycle(self):
         invariants = transition_invariants(complementary_pair_net())
         assert any(set(inv) == {"x+", "x-"} for inv in invariants)
+
+
+class TestSemiflowOracle:
+    """The Farkas semiflows of ``repro.petri.invariants``, checked by the oracle."""
+
+    @pytest.mark.parametrize("model_name", sorted(MODEL_FAMILY))
+    def test_semiflows_lie_in_the_rational_invariant_space(self, model_name):
+        net = to_petri_net(MODEL_FAMILY[model_name]())
+        matrix, places, _ = incidence_matrix(net)
+        basis = [[invariant.get(place, 0) for place in places]
+                 for invariant in place_invariants(net)]
+        assert basis
+        # y lies in the rational span of the basis rows exactly when it is
+        # orthogonal to every vector of the basis matrix's nullspace.
+        complement = _rational_nullspace(np.array(basis, dtype=np.int64))
+        semiflows = compute_semiflows(net)
+        assert semiflows
+        for semiflow in semiflows:
+            y = np.array([semiflow.weights.get(place, 0) for place in places],
+                         dtype=np.int64)
+            assert not (y @ matrix).any(), "y^T C != 0"
+            for vector in complement:
+                assert int(np.dot(y, vector)) == 0, (
+                    "semiflow outside the span of the oracle's invariants")
 
 
 class TestExport:

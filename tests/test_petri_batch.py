@@ -32,11 +32,7 @@ from repro.petri.batch import (
     int_to_words,
     words_to_int,
 )
-from repro.petri.compiled import (
-    CompiledNet,
-    ExplorationRecord,
-    explore_compiled,
-)
+from repro.petri.compiled import CompiledNet
 from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
@@ -47,6 +43,8 @@ from repro.petri.properties import (
 from repro.petri.reachability import build_reachability_graph, explore
 from repro.petri.storage import HashIndex
 from repro.reach.evaluator import find_witnesses, holds_somewhere
+
+from oracles.compiled import ExplorationRecord, explore_compiled
 
 
 EXAMPLE_MODELS = [

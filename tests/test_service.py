@@ -464,6 +464,22 @@ class TestHttpApi:
                 assert message in str(rejected.value)
             assert client.stats()["submitted"] == 0
 
+    def test_unknown_checker_options_answer_400(self, tmp_path):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        with _DaemonThread(service) as daemon:
+            client = ServiceClient(daemon.address)
+            for options in ({"walk": {"backend": "scalar"}},
+                            {"walk": {"bogus": 1}},
+                            {"portfolio": {"walk": {"backend": "scalar"}}}):
+                payload = dict(_conditional_job().to_dict(),
+                               checker="portfolio", checker_options=options)
+                with pytest.raises(ServiceClientError) as rejected:
+                    client.submit(payload)
+                assert rejected.value.status == 400
+                assert "unknown option" in str(rejected.value)
+            assert client.stats()["submitted"] == 0
+
     def test_backpressure_maps_to_429_with_retry_after(self, tmp_path):
         service = VerificationService(parallelism=1, max_depth=0,
                                       cache_dir=str(tmp_path / "cache"))

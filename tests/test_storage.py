@@ -26,7 +26,7 @@ from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, SafenessOverflowError
 from repro.parallel.supervisor import run_supervised
 from repro.petri.batch import explore_batch
-from repro.petri.compiled import CompiledNet, explore_compiled
+from repro.petri.compiled import CompiledNet
 from repro.petri.net import PetriNet
 from repro.petri.properties import check_persistence
 from repro.petri.reachability import build_reachability_graph, explore
@@ -39,6 +39,8 @@ from repro.petri.storage import (
 )
 from repro.verification.verifier import Verifier
 from test_petri_batch import HAZARD_NETS, assert_identical, ring_hazard_net
+
+from oracles.compiled import explore_compiled
 
 
 def _spill_files(directory):

@@ -1,10 +1,11 @@
 """Tests for the vectorised walk swarm (repro.verification.checkers.walk_batch).
 
-The contract mirrors ``tests/test_petri_batch.py``: the swarm backend is a
-*throughput* change, never a *semantics* change.  Its RNG draws and
-guidance ranks are pinned bit-for-bit against the scalar helpers of
-``walk_core``, its conclusive verdicts are differentially checked against
-the scalar walker and the exhaustive engine on the whole example family.
+The contract mirrors ``tests/test_petri_batch.py``: the swarm is a
+*throughput* engine, never a *semantics* change.  Its RNG draws and
+guidance ranks are pinned bit-for-bit against the pure-int helpers of
+``walk_core`` and the scalar oracle (``tests/oracles/walk.py``), and its
+conclusive verdicts are differentially checked against that oracle and the
+exhaustive engine on the whole example family.
 """
 
 import pytest
@@ -27,16 +28,22 @@ from repro.verification.checkers import (
     SafenessQuery,
     create_checker,
 )
-from repro.verification.checkers.walk import resolve_walk_backend
 from repro.verification.checkers.walk_core import (
     NearMissPool,
     cube_mask_table,
-    cube_rank,
     mix64,
     replay_witness,
     walk_draw,
 )
 from repro.verification.verifier import Verifier
+
+from oracles.compiled import is_enabled
+from oracles.walk import (
+    cube_rank,
+    fewest_enabled_rank,
+    scalar_walk_checker,
+    scalar_walk_verifier,
+)
 
 DIFFERENTIAL_PROPERTIES = ("safeness", "deadlock", "mismatch", "exclusion")
 
@@ -110,7 +117,7 @@ class TestCounterRng:
                          dtype=np.int64)
         steps = np.array([0, 1, 2, 255, 256, 65536, 1], dtype=np.int64)
         for seed in seeds:
-            vector = draw_rows(np, seed, walks, steps)
+            vector = draw_rows(seed, walks, steps)
             scalar = [walk_draw(seed, int(w), int(s))
                       for w, s in zip(walks, steps)]
             assert vector.tolist() == scalar
@@ -129,7 +136,7 @@ class TestCounterRng:
 
 
 class TestSharedScoring:
-    """Both backends rank states through the same arithmetic."""
+    """The swarm and the scalar oracle rank states through the same arithmetic."""
 
     def test_cube_rank_rows_matches_scalar(self):
         import numpy as np
@@ -150,19 +157,17 @@ class TestSharedScoring:
         # A spread of states: walk the reachable set for realistic rows.
         states = [compiled.encode(net.initial_marking())]
         for index in range(len(compiled.transition_names)):
-            if compiled.is_enabled(index, states[-1]):
+            if is_enabled(compiled, index, states[-1]):
                 states.append(compiled.fire(index, states[-1]))
         states.extend([0, (1 << len(places)) - 1])
         rows = tables.encode_rows(states)
-        vector = cube_rank_rows(np, cube_word_table(np, masks, tables.words),
-                                rows)
+        vector = cube_rank_rows(cube_word_table(masks, tables.words), rows)
         scalar = [cube_rank(masks, state) for state in states]
         assert vector.tolist() == scalar  # exact float64 equality
 
     def test_fewest_enabled_matches_enabled_matrix_counts(self):
         import numpy as np
         from repro.petri.batch import WordTables
-        from repro.verification.checkers.walk_core import fewest_enabled_rank
 
         net = to_petri_net(MODEL_FAMILY["conditional"]())
         compiled = CompiledNet.compile(net)
@@ -193,7 +198,7 @@ class TestSwarmDifferential:
                                           exhaustive_verdicts):
         summary = Verifier(
             MODEL_FAMILY[model_name](), checker="walk",
-            checker_options={"walk": {"backend": "batch", "swarm": swarm}},
+            checker_options={"walk": {"swarm": swarm}},
         ).verify_properties(DIFFERENTIAL_PROPERTIES)
         reference = exhaustive_verdicts[model_name]
         for result in summary.results:
@@ -206,23 +211,35 @@ class TestSwarmDifferential:
     @pytest.mark.parametrize("model_name", sorted(MODEL_FAMILY))
     def test_swarm_and_scalar_verdicts_are_consistent(self, model_name,
                                                       exhaustive_verdicts):
-        """Both backends' conclusive answers point at the same truth."""
+        """Swarm and oracle conclusive answers point at the same truth."""
         reference = exhaustive_verdicts[model_name]
-        for backend in ("scalar", "batch"):
-            summary = Verifier(
-                MODEL_FAMILY[model_name](), checker="walk",
-                checker_options={"walk": {"backend": backend}},
-            ).verify_properties(DIFFERENTIAL_PROPERTIES)
+        dfs = MODEL_FAMILY[model_name]()
+        for verifier in (scalar_walk_verifier(dfs),
+                         Verifier(dfs, checker="walk")):
+            summary = verifier.verify_properties(DIFFERENTIAL_PROPERTIES)
             for result in summary.results:
                 if result.holds is not None:
                     assert result.holds is reference[result.property_name]
 
+    @pytest.mark.parametrize("model_name", sorted(MODEL_FAMILY))
+    def test_width_one_swarm_replays_the_scalar_oracle(self, model_name):
+        """One row at a time, the swarm *is* the scalar walker: same
+        verdicts, details, witness traces and markings, draw for draw."""
+        dfs = MODEL_FAMILY[model_name]()
+        options = {"seed": 2026}
+        oracle = scalar_walk_verifier(dfs, **options).verify_properties(
+            DIFFERENTIAL_PROPERTIES)
+        swarm = Verifier(dfs, checker="walk", checker_options={
+            "walk": dict(options, swarm=1)}).verify_properties(
+            DIFFERENTIAL_PROPERTIES)
+        for expected, result in zip(oracle.results, swarm.results):
+            assert (result.holds, result.details) == (expected.holds,
+                                                      expected.details)
+            assert result.witnesses == expected.witnesses
+
     def test_swarm_witness_traces_replay_on_the_net(self):
         dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
-        result = Verifier(
-            dfs, checker="walk",
-            checker_options={"walk": {"backend": "batch"}},
-        ).verify_deadlock_freedom()
+        result = Verifier(dfs, checker="walk").verify_deadlock_freedom()
         assert result.holds is False
         net = to_petri_net(dfs)
         marking = net.initial_marking()
@@ -238,8 +255,7 @@ class TestBeyondTheTruncationHorizon:
         exhaustive = Verifier(dfs, max_states=1000, checker="exhaustive")
         assert exhaustive.verify_deadlock_freedom().holds is None
 
-        swarm = Verifier(dfs, max_states=1000, checker="walk",
-                         checker_options={"walk": {"backend": "batch"}})
+        swarm = Verifier(dfs, max_states=1000, checker="walk")
         result = swarm.verify_deadlock_freedom()
         assert result.holds is False
         assert result.method == "walk"
@@ -254,10 +270,10 @@ class TestSwarmEdgeCases:
         dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
         net = to_petri_net(dfs)
         assert WordTables(CompiledNet.compile(net)).words >= 2
-        checker = walk_checker(net, backend="batch")
+        checker = walk_checker(net)
         outcome = checker.check(DeadlockQuery())
         assert outcome.holds is False
-        assert checker.last_hunt_stats["backend"] == "batch"
+        assert set(checker.last_hunt_stats) == {"walks", "steps", "expanded"}
 
     def test_degenerate_all_dead_swarm(self):
         """An initially deadlocked net: every row witnesses the same state."""
@@ -267,7 +283,7 @@ class TestSwarmEdgeCases:
         net.add_transition("t")
         net.add_arc("q", "t")  # never enabled: q is empty
         net.add_arc("t", "p")
-        checker = walk_checker(net, backend="batch", walks=64, swarm=16)
+        checker = walk_checker(net, walks=64, swarm=16)
         outcome = checker.check(DeadlockQuery())
         assert outcome.holds is False
         # All 64 walks retire on the same initial deadlock; the witness
@@ -278,7 +294,7 @@ class TestSwarmEdgeCases:
 
     def test_swarm_overflow_is_conclusive_only_for_safeness(self):
         net = overflow_net()
-        checker = walk_checker(net, backend="batch")
+        checker = walk_checker(net)
         assert checker.check(DeadlockQuery()).holds is None
         outcome = checker.check(SafenessQuery(bound=1))
         assert outcome.holds is False
@@ -291,23 +307,23 @@ class TestSwarmEdgeCases:
         net = to_petri_net(dfs)
         traces = []
         for _ in range(2):
-            checker = walk_checker(net, backend="batch", seed=99, swarm=32)
+            checker = walk_checker(net, seed=99, swarm=32)
             traces.append(checker.check(DeadlockQuery()).witnesses[0]["trace"])
         assert traces[0] == traces[1]
 
     def test_scalar_rewrite_is_deterministic_per_seed(self):
-        """Same seed, same verdict, same witness trace on the scalar path."""
+        """Same seed, same verdict, same witness trace on the scalar oracle."""
         dfs = build_pipeline_model(3, static_prefix=1, holes=[2])
         net = to_petri_net(dfs)
         traces = []
         for _ in range(2):
-            checker = walk_checker(net, backend="scalar", seed=0xACE1)
+            checker = scalar_walk_checker(net, seed=0xACE1)
             traces.append(checker.check(DeadlockQuery()).witnesses[0]["trace"])
         assert traces[0] == traces[1]
 
 
 class TestNearMissPool:
-    """The shared restart pool keeps scalar and swarm semantics aligned."""
+    """The shared restart pool keeps swarm and oracle semantics aligned."""
 
     def test_dedupes_by_state(self):
         pool = NearMissPool(4)
@@ -337,7 +353,7 @@ class TestWitnessReplay:
     def test_tampered_deadlock_trace_is_rejected(self):
         net = to_petri_net(build_pipeline_model(3, static_prefix=1,
                                                 holes=[2]))
-        checker = walk_checker(net, backend="scalar")
+        checker = walk_checker(net)
         trace = checker.check(DeadlockQuery()).witnesses[0]["trace"]
         assert replay_witness(net, "deadlock", trace) is not None
         assert replay_witness(net, "deadlock", trace[:-1]) is None
@@ -361,31 +377,27 @@ class TestWitnessReplay:
 
 
 class TestScalarFallback:
-    """Backend resolution: auto runs the swarm, scalar stays selectable."""
-
-    def test_auto_resolves_per_numpy_availability(self):
-        assert resolve_walk_backend("auto") == "batch"
-        assert resolve_walk_backend("batch") == "batch"
-        assert resolve_walk_backend("scalar") == "scalar"
+    """One walk engine: the removed backend knob is refused, the oracle stays."""
 
     def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_walk_backend("gpu")
-        net = to_petri_net(MODEL_FAMILY["conditional"]())
-        with pytest.raises(ConfigurationError):
-            walk_checker(net, backend="gpu")
+        dfs = MODEL_FAMILY["conditional"]()
+        for backend in ("gpu", "scalar", "batch"):
+            with pytest.raises(ConfigurationError, match="unknown option"):
+                Verifier(dfs, checker="walk",
+                         checker_options={"walk": {"backend": backend}})
 
-    @pytest.mark.parametrize("backend", ["auto", "batch", "scalar"])
-    def test_uncompilable_expression_is_inconclusive(self, backend):
-        """A user-defined AST node compiles to neither predicate kind; every
-        backend answers inconclusive instead of hunting with it."""
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_uncompilable_expression_is_inconclusive(self, engine):
+        """A user-defined AST node compiles to neither predicate kind; the
+        swarm and the scalar oracle answer inconclusive instead of hunting
+        with it."""
         class Anywhere(ReachExpression):
             def evaluate(self, marking):
                 return True
 
         net = to_petri_net(MODEL_FAMILY["conditional"]())
-        outcome = walk_checker(net, backend=backend).check(
-            ReachQuery(Anywhere()))
+        factory = scalar_walk_checker if engine == "scalar" else walk_checker
+        outcome = factory(net).check(ReachQuery(Anywhere()))
         assert outcome.holds is None
         assert "does not compile to a bitmask predicate" in outcome.details
 
@@ -396,30 +408,37 @@ class TestScalarFallback:
         # the point here is that --walks reached the checker's budget.
         exit_code = cli_main(["verify", "--example", "conditional",
                               "--checker", "walk", "--walks", "2",
-                              "--walk-backend", "auto",
                               "--no-persistence"])
         assert exit_code == 1
         assert "2 walk(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "campaign"])
+    def test_walk_backend_flag_is_gone(self, command, capsys):
+        from repro.workcraft.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--walk-backend", "scalar"])
+        assert exit_info.value.code == 2
+        assert "--walk-backend" in capsys.readouterr().err
+
 
 class TestCampaignDigests:
-    """The resolved backend is part of the verdict-cache identity."""
+    """Walk-driven jobs digest the one walk engine as a constant."""
 
     def test_walk_jobs_digest_the_resolved_backend(self):
         job = VerificationJob("j", "conditional", checker="walk")
-        assert job.options()["walk_backend"] == resolve_walk_backend("auto")
-        scalar = VerificationJob(
-            "j", "conditional", checker="walk",
-            checker_options={"walk": {"backend": "scalar"}})
-        assert scalar.options()["walk_backend"] == "scalar"
-        assert (options_digest(job.options())
-                != options_digest(scalar.options()))
+        assert job.options()["walk_backend"] == "batch"
+        with pytest.raises(ConfigurationError, match="unknown option"):
+            VerificationJob("j", "conditional", checker="walk",
+                            checker_options={"walk": {"backend": "scalar"}})
 
     def test_portfolio_jobs_resolve_the_nested_member_backend(self):
-        job = VerificationJob(
-            "j", "conditional", checker="portfolio",
-            checker_options={"portfolio": {"walk": {"backend": "scalar"}}})
-        assert job.options()["walk_backend"] == "scalar"
+        job = VerificationJob("j", "conditional", checker="portfolio")
+        assert job.options()["walk_backend"] == "batch"
+        with pytest.raises(ConfigurationError, match="unknown option"):
+            VerificationJob(
+                "j", "conditional", checker="portfolio",
+                checker_options={"portfolio": {"walk": {"backend": "scalar"}}})
 
     def test_exhaustive_jobs_carry_no_walk_backend(self):
         job = VerificationJob("j", "conditional", checker="exhaustive")
@@ -429,9 +448,11 @@ class TestCampaignDigests:
         job = VerificationJob("j", "conditional", checker="walk")
         payload = job.to_dict()
         assert "walk_backend" in payload
+        payload["walk_backend"] = "scalar"  # never trusted from the wire
         rebuilt = VerificationJob.from_dict(payload)
-        assert rebuilt.options()["walk_backend"] == resolve_walk_backend(
-            "auto")
+        assert rebuilt.options()["walk_backend"] == "batch"
+        assert (options_digest(rebuilt.options())
+                == options_digest(job.options()))
 
     def test_swarm_width_rides_checker_options_into_the_digest(self):
         wide = VerificationJob(
