@@ -4,7 +4,7 @@ Verifying a model is expensive; deciding whether a model *changed* is cheap.
 The cache therefore keys every verdict by a **net fingerprint** (see
 :mod:`repro.petri.fingerprint`) -- a stable hash of the places, transitions
 and arcs of the Petri-net translation -- combined with a digest of the job
-options that can influence the verdict (property set, engine, state bound,
+options that can influence the verdict (property set, state bound,
 checker choice, simulation stimulus).  Re-running a campaign only verifies
 models whose translation or options actually changed; everything else is
 answered from disk, bit-identically to the cold run.

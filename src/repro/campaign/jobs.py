@@ -24,13 +24,16 @@ from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.simulation import DfsSimulator
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
-from repro.petri.reachability import ENGINES
 from repro.pipelines.control import set_loop_value
 from repro.pipelines.generic import build_generic_pipeline
 from repro.silicon.voltage import VoltageModel
 from repro.smt.solver import solver_fingerprint
 from repro.verification.checkers import CHECKERS, check_checker_options
-from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
+from repro.verification.verifier import (
+    CUSTOM_PROPERTIES,
+    Verifier,
+    check_max_witnesses,
+)
 
 #: The default property battery of a campaign job.  Persistence is the
 #: slowest check and is opt-in, mirroring ``verify_all(include_persistence=False)``.
@@ -104,7 +107,7 @@ class VerificationJob:
     """
 
     def __init__(self, job_id, factory, kwargs=None, properties=DEFAULT_PROPERTIES,
-                 engine="auto", max_states=200000, max_witnesses=2,
+                 max_states=200000, max_witnesses=2,
                  checker="exhaustive", checker_options=None,
                  custom_properties=None, lfsr_seed=None, simulate_steps=0,
                  voltage=None, expect="pass", metadata=None,
@@ -113,15 +116,11 @@ class VerificationJob:
         self.factory = str(factory)
         self.kwargs = dict(kwargs or {})
         self.properties = tuple(properties)
-        if engine not in ENGINES:
-            # Rejected here, not in a worker: the daemon answers a bad
-            # submission with a 400 instead of accepting a doomed job.
-            raise ConfigurationError(
-                "unknown reachability engine {!r} (known: {})".format(
-                    engine, ", ".join(ENGINES)))
-        self.engine = engine
         self.max_states = int(max_states)
         self.max_witnesses = int(max_witnesses)
+        # Rejected here, not in a worker: the daemon answers a bad
+        # submission with a 400 instead of accepting a doomed job.
+        check_max_witnesses(self.max_witnesses)
         #: Out-of-core exploration knobs (see :mod:`repro.petri.storage`).
         #: Spilling moves the graph's arrays between RAM and disk without
         #: changing a single bit of their content, so these are excluded
@@ -130,7 +129,7 @@ class VerificationJob:
         self.spill_bytes = spill_bytes
         self.checker = str(checker)
         self.checker_options = dict(checker_options or {})
-        # Like the engine: a bad option is a 400 at submit, not a worker crash.
+        # Likewise: a bad option is a 400 at submit, not a worker crash.
         check_checker_options(self.checker_options)
         self.custom_properties = {
             name: str(expression)
@@ -174,11 +173,13 @@ class VerificationJob:
         ``"walk_backend": "batch"``: the key once named the walk engine
         when there were two, and the swarm is the one left, so the
         constant keeps existing cache keys valid (the swarm width rides in
-        ``checker_options`` when tuned).
+        ``checker_options`` when tuned).  ``"engine": "auto"`` is the same
+        kind of constant: the key once named a user-chosen reachability
+        engine, and the net now picks it.
         """
         options = {
             "properties": list(self.properties),
-            "engine": self.engine,
+            "engine": "auto",
             "max_states": self.max_states,
             "max_witnesses": self.max_witnesses,
             "checker": self.checker,
@@ -224,13 +225,20 @@ class VerificationJob:
         # daemon answers with *its* solver.
         payload.pop("solver", None)
         payload.pop("walk_backend", None)
+        # The reachability-engine constant rides in every description (and
+        # every journal written before the net picked the engine); any other
+        # value asks for an engine choice that no longer exists.
+        engine = payload.pop("engine", "auto")
+        if engine != "auto":
+            raise ConfigurationError(
+                "unknown reachability engine {!r} (known: auto)".format(engine))
         try:
             job_id = payload.pop("job_id")
             factory = payload.pop("factory")
         except KeyError as missing:
             raise ConfigurationError(
                 "a job description needs a {} field".format(missing))
-        allowed = {"kwargs", "properties", "engine", "max_states",
+        allowed = {"kwargs", "properties", "max_states",
                    "max_witnesses", "checker", "checker_options",
                    "custom_properties", "lfsr_seed", "simulate_steps",
                    "voltage", "expect", "metadata", "spill_dir",
@@ -326,8 +334,8 @@ class VerificationJob:
         returned separately so they can ride the result payload without
         polluting the cache.
         """
-        verifier = Verifier(dfs, max_states=self.max_states, engine=self.engine,
-                            net=net, checker=self.checker,
+        verifier = Verifier(dfs, max_states=self.max_states, net=net,
+                            checker=self.checker,
                             checker_options=self.effective_checker_options(),
                             semiflow_cache=semiflow_cache,
                             spill_dir=self.spill_dir,

@@ -17,7 +17,7 @@ class ScenarioSpec:
 
     def __init__(self, depths=(2, 3), static_prefixes=(1,), holes=(0,),
                  lfsr_seeds=(None,), voltages=(None,), family="pipeline",
-                 properties=DEFAULT_PROPERTIES, engine="auto", max_states=200000,
+                 properties=DEFAULT_PROPERTIES, max_states=200000,
                  max_witnesses=2, checker="exhaustive", checker_options=None,
                  custom_properties=None, simulate_steps=0, f_delay=1.0,
                  g_delay=1.0, spill_dir=None, spill_bytes=None):
@@ -28,7 +28,6 @@ class ScenarioSpec:
         self.voltages = tuple(dict.fromkeys(voltages))
         self.family = family
         self.properties = tuple(properties)
-        self.engine = engine
         self.max_states = int(max_states)
         self.max_witnesses = int(max_witnesses)
         self.checker = str(checker)
@@ -176,7 +175,6 @@ def generate_scenarios(spec):
             factory=spec.family,
             kwargs=_job_kwargs(spec, axes),
             properties=spec.properties,
-            engine=spec.engine,
             max_states=spec.max_states,
             max_witnesses=spec.max_witnesses,
             checker=spec.checker,

@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".properties": [
         "check_boundedness",
         "check_deadlock",
-        "check_mutual_exclusion",
         "check_persistence",
         "PropertyReport",
     ],

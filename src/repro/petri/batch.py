@@ -21,11 +21,12 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
 
 The result is a :class:`ColumnarReachabilityGraph`: the state table, packed
 edges (CSR layout), parents and frontier all stay NumPy arrays, so the
-mask-level scans of :mod:`repro.petri.properties` and
-:mod:`repro.reach.evaluator` become vectorised compares over the state table
-instead of per-state Python loops.  Marking-level APIs decode on demand.
+graph's own property scans (Reach ``scan``, ``persistence_scan``) become
+vectorised compares over the state table instead of per-state Python loops.
+Marking-level APIs decode on demand.
 
-This is the engine ``build_reachability_graph`` runs for every 1-safe net.
+This is the engine ``build_reachability_graph`` runs for every net that
+compiles and stays 1-safe.
 Its oracle is the pure-int sequential BFS of ``tests/oracles/compiled.py``;
 this engine must match it bit for bit (see ``tests/test_petri_batch.py``).
 """
@@ -327,7 +328,9 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     The full marking-level :class:`~repro.petri.reachability.ReachabilityGraph`
     API is answered from these arrays -- markings decode on demand, and
     predecessors come from a reverse CSR built on first use -- so the
-    base class's dict-based structures stay empty.
+    base class's dict-based structures stay empty.  The property scans
+    (:meth:`scan`, :meth:`persistence_scan`) override the base class's
+    marking loops with whole-table vector operations.
     """
 
     #: Columnar graphs exist only while every marking stayed 1-safe.
@@ -350,9 +353,6 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         #: The spill pool backing the arrays (``None`` for plain RAM
         #: arrays); kept alive so unlinked memmap files outlive the graph.
         self._spill_pool = None
-        #: Structured per-phase counters of the exploration that built this
-        #: graph (see :func:`explore_batch`).
-        self.exploration_stats = None
         # Reverse CSR (edge positions by target, per-target offsets), lazy.
         self._reverse = None
 
@@ -480,54 +480,22 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         trace.reverse()
         return trace
 
-    # -- vectorised fast paths ------------------------------------------------
+    # -- vectorised scans -----------------------------------------------------
 
-    def mask_of(self, place):
-        """Single-bit int mask of *place* (``0`` for unknown places)."""
-        return self.compiled.mask_of(place)
+    def scan(self, expression, limit=None):
+        """Yield matching markings, discovery order, from one table compare.
 
-    def word_bit_of(self, place):
-        """``(word, bit)`` of *place* in the state table (``None`` unknown)."""
-        return self.tables.word_bit_of(place)
-
-    def matching_rows(self, row_predicate):
-        """Indices of states whose rows satisfy a vectorised predicate.
-
-        *row_predicate* receives the whole ``(states, words)`` uint64 table
-        and returns a boolean vector (see :func:`compile_row_predicate`).
+        The expression compiles once to a vectorised predicate over the
+        ``(states, words)`` state table (:func:`compile_row_predicate`);
+        only the first *limit* matches are decoded.  Node kinds the
+        compiler does not know fall back to the marking-level scan.
         """
-        flags = row_predicate(self._words)
-        return _np.where(flags)[0]
-
-    def scan_rows(self, row_predicate, limit=None):
-        """Yield markings matched by a vectorised predicate, discovery order."""
-        matches = self.matching_rows(row_predicate)
-        if limit is not None:
-            matches = matches[:limit]
-        for index in matches:
-            yield self._marking_at(int(index))
-
-    def count_and_collect_rows(self, row_predicate, max_witnesses):
-        """Vectorised ``(count, markings)`` over the whole state table."""
-        matches = self.matching_rows(row_predicate)
-        return len(matches), [self._marking_at(int(i))
-                              for i in matches[:max_witnesses]]
-
-    def count_and_collect_required(self, required_mask, max_witnesses):
-        """States containing every place of an int *required_mask*.
-
-        The all-places-marked scan (mutual exclusion and friends) as one
-        compare per word over the state table.
-        """
-        required = self.tables.encode_rows([required_mask])[0]
-
-        def matches(words):
-            flags = _np.ones(len(words), dtype=bool)
-            for w in range(self.tables.words):
-                flags &= (words[:, w] & required[w]) == required[w]
-            return flags
-
-        return self.count_and_collect_rows(matches, max_witnesses)
+        predicate = compile_row_predicate(expression, self.tables.word_bit_of)
+        if predicate is None:
+            yield from super().scan(expression, limit)
+            return
+        for index in _np.flatnonzero(predicate(self._words))[:limit].tolist():
+            yield self._marking_at(index)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
         """The persistence scan, in one pass over the edges.
@@ -655,14 +623,14 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
 def compile_row_predicate(expression, word_bit_of):
     """Compile a Reach AST into a vectorised predicate over state tables.
 
-    The columnar counterpart of
-    :func:`repro.reach.evaluator.compile_mask_predicate`: the returned
+    The columnar counterpart of ``ReachExpression.evaluate``: the returned
     callable receives the whole ``(states, words)`` uint64 table and
     returns a boolean vector.  *word_bit_of* maps a place name to its
     ``(word, single-bit)`` pair or ``None`` for unknown places (which hold
     zero tokens, matching marking semantics on 1-safe states).  Returns
-    ``None`` for AST node kinds this compiler does not know, in which case
-    callers fall back to the marking-level evaluator.
+    ``None`` for AST node kinds this compiler does not know: graph scans
+    then fall back to the marking-level evaluator, and the random-walk
+    checker answers inconclusive.
     """
     from repro.reach import ast as _ast
 
@@ -769,7 +737,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     transition_names = compiled.transition_names
     place_names = compiled.place_names
 
-    #: Per-phase second counters, printed when REPRO_BATCH_TIMING is set:
+    #: Per-phase second counters, reported as ``exploration_stats["phases"]``:
     #: fire (enabled scan + firing), dedup (level table), probe (global
     #: lookup), admit (admission + incremental masks + index insert), edges.
     timing = {"fire": 0.0, "dedup": 0.0, "probe": 0.0, "admit": 0.0,
@@ -950,11 +918,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             else:
                 level = _np.empty((0, word_count), dtype=_np.uint64)
 
-        if os.environ.get("REPRO_BATCH_TIMING"):
-            import sys
-            print("batch explorer: fire {fire:.2f}s dedup {dedup:.2f}s "
-                  "probe {probe:.2f}s admit {admit:.2f}s edges {edges:.2f}s"
-                  .format(**timing), file=sys.stderr)
         graph._words = words.trim()
         graph._parents_arr = parents.trim()
         graph._edge_data = edges.trim()

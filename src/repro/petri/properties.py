@@ -8,9 +8,13 @@ standard ones:
 * **persistence** -- no transition is disabled by the firing of another,
   unless the two are in structural conflict (share a consumed place), which
   models an intended choice; a violation corresponds to a hazard;
-* **boundedness / safeness** -- no place ever exceeds a given bound;
-* **mutual exclusion** -- two places are never marked together (used e.g. for
-  the ``Mt``/``Mf`` places of a control register).
+* **boundedness / safeness** -- no place ever exceeds a given bound.
+
+Each check has one code path: the graph classes answer the scans themselves
+(:meth:`~repro.petri.reachability.ReachabilityGraph.persistence_scan` is the
+explicit pair loop, vectorised on columnar graphs), so no check asks which
+engine built its graph.  Custom properties -- mutual exclusion of two places
+among them -- are Reach queries (:mod:`repro.reach.evaluator`).
 """
 
 
@@ -93,45 +97,11 @@ def check_persistence(graph, allow_conflicts=True, max_witnesses=5, with_traces=
     register) rather than a hazard.
     """
     name = "persistence"
-    scan = getattr(graph, "persistence_scan", None)
-    if scan is not None:
-        violations, witnesses = scan(
-            allow_conflicts=allow_conflicts, max_witnesses=max_witnesses
-        )
-        if with_traces:
-            for witness in witnesses:
-                witness["trace"] = graph.trace_to(witness["marking"])
-    else:
-        net = graph.net
-        witnesses = []
-        violations = 0
-        for marking in graph.states:
-            if not graph.is_expanded(marking):
-                # A frontier state's successor dict is incomplete; scanning it
-                # would produce spurious or missing violations.
-                continue
-            successors = dict(graph.successors(marking))
-            enabled = sorted(successors)
-            for t1 in enabled:
-                after = successors[t1]
-                for t2 in enabled:
-                    if t1 == t2:
-                        continue
-                    if allow_conflicts:
-                        shared = set(net.consumed_places(t1)) & set(net.consumed_places(t2))
-                        if shared:
-                            continue
-                    if not net.is_enabled(t2, after):
-                        violations += 1
-                        if len(witnesses) < max_witnesses:
-                            witness = {
-                                "marking": marking,
-                                "fired": t1,
-                                "disabled": t2,
-                            }
-                            if with_traces:
-                                witness["trace"] = graph.trace_to(marking)
-                            witnesses.append(witness)
+    violations, witnesses = graph.persistence_scan(
+        allow_conflicts=allow_conflicts, max_witnesses=max_witnesses)
+    if with_traces:
+        for witness in witnesses:
+            witness["trace"] = graph.trace_to(witness["marking"])
     if violations:
         return PropertyReport(
             name,
@@ -147,7 +117,7 @@ def check_persistence(graph, allow_conflicts=True, max_witnesses=5, with_traces=
 def check_boundedness(graph, bound=1, max_witnesses=5):
     """Check that no reachable marking puts more than *bound* tokens in a place."""
     name = "{}-boundedness".format(bound)
-    if bound >= 1 and getattr(graph, "one_safe", False):
+    if bound >= 1 and graph.one_safe:
         # A compiled graph only exists while every marking stayed 1-safe, so
         # any bound of one or more holds by construction.
         if graph.truncated:
@@ -171,42 +141,3 @@ def check_boundedness(graph, bound=1, max_witnesses=5):
     if graph.truncated:
         return _inconclusive(name, graph)
     return PropertyReport(name, True, details="net is {}-bounded".format(bound))
-
-
-def check_mutual_exclusion(graph, place_a, place_b, max_witnesses=5, with_traces=True):
-    """Check that *place_a* and *place_b* are never marked simultaneously."""
-    name = "mutex({}, {})".format(place_a, place_b)
-    witnesses = []
-    violations = 0
-    if getattr(graph, "mask_of", None) is not None:
-        both = graph.mask_of(place_a) | graph.mask_of(place_b)
-        # An unknown place has mask 0, which can never satisfy the test --
-        # matching the explicit path, where marking[unknown] is 0.
-        if graph.mask_of(place_a) and graph.mask_of(place_b):
-            # Columnar graph: one compare per word over the state table.
-            violations, markings = graph.count_and_collect_required(
-                both, max_witnesses)
-            for marking in markings:
-                witness = {"marking": marking}
-                if with_traces:
-                    witness["trace"] = graph.trace_to(marking)
-                witnesses.append(witness)
-    else:
-        for marking in graph.states:
-            if marking[place_a] > 0 and marking[place_b] > 0:
-                violations += 1
-                if len(witnesses) < max_witnesses:
-                    witness = {"marking": marking}
-                    if with_traces:
-                        witness["trace"] = graph.trace_to(marking)
-                    witnesses.append(witness)
-    if violations:
-        return PropertyReport(
-            name,
-            False,
-            witnesses=witnesses,
-            details="{} marking(s) violate mutual exclusion".format(violations),
-        )
-    if graph.truncated:
-        return _inconclusive(name, graph)
-    return PropertyReport(name, True, details="places are mutually exclusive")

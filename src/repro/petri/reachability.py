@@ -1,14 +1,23 @@
-"""Explicit-state reachability analysis.
+"""Reachability analysis: the explicit engine and the engine choice.
 
 In the paper the computationally heavy verification is delegated to the
 MPSAT unfolding tool.  The DFS models considered here translate into Petri
 nets whose reachable state spaces are modest (the OPE pipeline stages are
-analysed per-stage or with a bounded number of stages), so an explicit
-breadth-first exploration with hashed markings is sufficient and keeps the
-library self-contained.
+analysed per-stage or with a bounded number of stages), so a breadth-first
+exploration is sufficient and keeps the library self-contained.
+
+There are two engines, and :func:`build_reachability_graph` -- the one
+place that picks between them -- lets the net decide: a net that compiles
+and stays 1-safe runs on the array-native batch engine of
+:mod:`repro.petri.batch`; any other net runs on :func:`explore`, the
+explicit hash-dict engine here (also the batch engine's test reference).
+Each graph class answers the property scans itself
+(:meth:`ReachabilityGraph.scan`, :meth:`ReachabilityGraph.persistence_scan`),
+so callers never ask which one they hold.
 """
 
 from collections import deque
+from itertools import islice
 
 from repro.exceptions import VerificationError
 
@@ -19,6 +28,13 @@ class ReachabilityGraph:
     States are :class:`~repro.petri.marking.Marking` objects; edges are
     labelled by transition names.
     """
+
+    #: ``True`` only for graphs whose every marking is known to be 1-safe
+    #: (the batch engine's), which answers boundedness without a scan.
+    one_safe = False
+    #: Structured per-phase counters of the exploration (the batch engine
+    #: fills them in; the explicit engine keeps none).
+    exploration_stats = None
 
     def __init__(self, net, initial_marking):
         self.net = net
@@ -112,6 +128,46 @@ class ReachabilityGraph:
         """Return all reachable markings satisfying *predicate*."""
         return [marking for marking in self.states if predicate(marking)]
 
+    def scan(self, expression, limit=None):
+        """Yield reachable markings satisfying the Reach AST *expression*.
+
+        Markings come in discovery order, at most *limit* of them (all when
+        *limit* is ``None``).
+        """
+        return islice((marking for marking in self.states
+                       if expression.evaluate(marking)), limit)
+
+    def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
+        """Count persistence violations; ``(violations, witnesses)``.
+
+        States in discovery order, the fired/disabled pair loops in
+        sorted transition order, frontier states skipped (their successor
+        lists are incomplete).  Witnesses carry ``marking``, ``fired`` and
+        ``disabled``; at most *max_witnesses* are kept.
+        """
+        net = self.net
+        witnesses = []
+        violations = 0
+        for marking in self.states:
+            if not self.is_expanded(marking):
+                continue
+            successors = dict(self.successors(marking))
+            enabled = sorted(successors)
+            for t1 in enabled:
+                after = successors[t1]
+                for t2 in enabled:
+                    if t1 == t2:
+                        continue
+                    if allow_conflicts and (set(net.consumed_places(t1))
+                                            & set(net.consumed_places(t2))):
+                        continue
+                    if not net.is_enabled(t2, after):
+                        violations += 1
+                        if len(witnesses) < max_witnesses:
+                            witnesses.append({"marking": marking, "fired": t1,
+                                              "disabled": t2})
+        return violations, witnesses
+
     def trace_to(self, target):
         """Return a firing sequence from the initial marking to *target*.
 
@@ -187,24 +243,20 @@ def explore(net, marking=None, max_states=200000):
     return graph
 
 
-#: The ``engine`` choices of :func:`build_reachability_graph`.
-ENGINES = ("auto", "explicit")
-
-
-def build_reachability_graph(net, marking=None, max_states=200000, engine="auto",
+def build_reachability_graph(net, marking=None, max_states=200000,
                              spill_dir=None, spill_bytes=None, resume=None):
-    """Build the reachability graph of *net* with the best available engine.
+    """Build the reachability graph of *net* with the engine the net allows.
+
+    A net that compiles to bitmask form (:mod:`repro.petri.compiled`)
+    runs on the array-native batch explorer of :mod:`repro.petri.batch`;
+    a net it cannot represent (arc weights above one, multi-token
+    markings, non-safe behaviour discovered mid-exploration) falls back
+    to the explicit explorer, :func:`explore`.
 
     Parameters
     ----------
     net, marking, max_states:
         As for :func:`explore`.
-    engine:
-        ``"auto"`` (default) compiles 1-safe nets to the array-native batch
-        explorer of :mod:`repro.petri.batch` and falls back to the explicit
-        explorer for nets it cannot represent (arc weights above one,
-        multi-token markings, non-safe behaviour discovered
-        mid-exploration).  ``"explicit"`` forces the hash-dict explorer.
     spill_dir, spill_bytes:
         Out-of-core knobs for the batch engine (see
         :mod:`repro.petri.storage`): once the graph's arrays exceed
@@ -227,10 +279,6 @@ def build_reachability_graph(net, marking=None, max_states=200000, engine="auto"
     Both engines explore states in the same order and implement the same
     truncation semantics, so the resulting graphs are interchangeable.
     """
-    if engine == "explicit":
-        return explore(net, marking, max_states=max_states)
-    if engine != "auto":
-        raise ValueError("unknown reachability engine: {!r}".format(engine))
     # Imported lazily: batch.py subclasses ReachabilityGraph.
     from repro.exceptions import CompilationError
     from repro.petri.batch import explore_batch

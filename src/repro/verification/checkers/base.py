@@ -8,8 +8,9 @@ state stuck?  ``safeness``: does any place overflow a bound?
 different trade-offs:
 
 * :class:`~repro.verification.checkers.exhaustive.ExhaustiveChecker` --
-  explicit/bitmask state-space exploration; conclusive both ways up to
-  ``max_states``, inconclusive beyond it;
+  state-space exploration (the engine is picked from the net by
+  :func:`~repro.petri.reachability.build_reachability_graph`); conclusive
+  both ways up to ``max_states``, inconclusive beyond it;
 * :class:`~repro.verification.checkers.inductive.InductiveChecker` --
   place-invariant and backward-induction reasoning over the compiled
   transition relation; proves "holds" (and finds some violations) with no
@@ -202,12 +203,10 @@ class CheckerContext:
     never explores it at all.
     """
 
-    def __init__(self, net, max_states=200000, engine="auto",
-                 semiflow_cache=None, spill_dir=None, spill_bytes=None,
-                 resume=None):
+    def __init__(self, net, max_states=200000, semiflow_cache=None,
+                 spill_dir=None, spill_bytes=None, resume=None):
         self.net = net
         self.max_states = max_states
-        self.engine = engine
         #: Out-of-core knobs (see :mod:`repro.petri.storage`): spilling
         #: changes where the graph lives, never what it contains, so
         #: verdicts are unaffected.
@@ -230,14 +229,9 @@ class CheckerContext:
         """The reachability graph (built on first access)."""
         if self._graph is None:
             self._graph = build_reachability_graph(
-                self.net, max_states=self.max_states, engine=self.engine,
-                spill_dir=self.spill_dir, spill_bytes=self.spill_bytes,
-                resume=self.resume)
+                self.net, max_states=self.max_states, spill_dir=self.spill_dir,
+                spill_bytes=self.spill_bytes, resume=self.resume)
         return self._graph
-
-    @property
-    def graph_built(self):
-        return self._graph is not None
 
     @property
     def compiled(self):
@@ -277,15 +271,13 @@ class CheckerContext:
 
     @property
     def exploration(self):
-        """Structured exploration stats, or ``None`` (no graph / old engine).
+        """Structured exploration stats, or ``None`` (no graph / explicit engine).
 
-        The columnar engines attach per-phase timings and spill counters
+        The batch engine attaches per-phase timings and spill counters
         to the graph (``graph.exploration_stats``); this surfaces them to
         summaries, campaign payloads and the service ``/stats``.
         """
-        if self._graph is None:
-            return None
-        return getattr(self._graph, "exploration_stats", None)
+        return self._graph.exploration_stats if self._graph is not None else None
 
 
 # -- checker base ------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The exhaustive checker: explicit state-space exploration.
+"""The exhaustive checker: state-space exploration.
 
 This is the pre-refactor verification path extracted behind the
 :class:`~repro.verification.checkers.base.Checker` interface: build the
-reachability graph (compiled bitmask engine with explicit fallback, per the
-context's ``engine`` setting) and decide every query by scanning it.  Within
+reachability graph (the batch engine for nets that compile and stay 1-safe,
+the explicit engine otherwise -- the net decides, see
+:func:`~repro.petri.reachability.build_reachability_graph`) and decide every
+query with the graph's own scan.  Verdicts come from whether any state
+violates the property; ``max_witnesses`` only caps the witness list.  Within
 ``max_states`` it is conclusive in both directions and supports every query
 kind -- it is the only checker that can decide persistence, which needs the
 successor structure, not just individual markings.  Beyond the bound it
@@ -16,7 +19,7 @@ from repro.petri.properties import (
     check_deadlock,
     check_persistence,
 )
-from repro.reach.evaluator import find_witnesses
+from repro.reach.evaluator import find_witnesses, holds_somewhere
 from repro.verification.checkers.base import Checker, register_checker
 
 
@@ -37,13 +40,18 @@ class ExhaustiveChecker(Checker):
         graph = self.context.graph
         witnesses = find_witnesses(query.expression, graph,
                                    max_witnesses=max_witnesses)
-        holds = not witnesses
-        if holds and graph.truncated:
-            holds = None
-        details = ("no reachable bad state" if holds
-                   else "{} reachable bad state(s)".format(len(witnesses))
-                   if holds is False else "inconclusive (truncated state space)")
-        return self.outcome(holds, witnesses=witnesses, details=details)
+        # An empty witness list under a zero budget says nothing: decide
+        # from the graph, like deadlock and persistence do.
+        if witnesses or (not max_witnesses
+                         and holds_somewhere(query.expression, graph)):
+            return self.outcome(
+                False, witnesses=witnesses,
+                details="{} reachable bad state(s)".format(
+                    len(witnesses) or "some"))
+        if graph.truncated:
+            return self.outcome(
+                None, details="inconclusive (truncated state space)")
+        return self.outcome(True, details="no reachable bad state")
 
     def check_deadlock(self, query, max_witnesses=5):
         report = check_deadlock(self.context.graph, max_witnesses=max_witnesses)

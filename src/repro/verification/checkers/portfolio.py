@@ -59,15 +59,15 @@ DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
                  "exhaustive")
 
 
-def _race_member(net, max_states, engine, semiflow_cache, name, options,
-                 query, max_witnesses):
+def _race_member(net, max_states, semiflow_cache, name, options, query,
+                 max_witnesses):
     """Worker entry point of a portfolio race: run one member, return its outcome.
 
     Rebuilds the member's context from plain data (the context artefacts --
     graph, invariants -- are process-local by design: each racer pays only
     for the artefacts its own strategy needs).
     """
-    context = CheckerContext(net, max_states=max_states, engine=engine,
+    context = CheckerContext(net, max_states=max_states,
                              semiflow_cache=semiflow_cache)
     checker = CHECKERS[name](context, **(options or {}))
     return checker.check(query, max_witnesses=max_witnesses)
@@ -139,9 +139,8 @@ class PortfolioChecker(Checker):
         context = self.context
         tasks = [
             (name, _race_member,
-             (context.net, context.max_states, context.engine,
-              context.semiflow_cache, name, self.member_options[name],
-              query, max_witnesses))
+             (context.net, context.max_states, context.semiflow_cache, name,
+              self.member_options[name], query, max_witnesses))
             for name in self.order
         ]
         outcomes = run_supervised(

@@ -42,7 +42,7 @@ the identity (it rides in ``checker_options`` into campaign digests).
 
 from repro.exceptions import CompilationError
 from repro.reach.cubes import to_cubes
-from repro.reach.evaluator import compile_mask_predicate, marking_predicate
+from repro.reach.evaluator import marking_predicate
 from repro.verification.checkers.base import Checker, register_checker
 from repro.verification.checkers.walk_core import (
     cube_mask_table,
@@ -100,14 +100,20 @@ class RandomWalkChecker(Checker):
         compiled = self.context.compiled
         if compiled is None:
             return self._no_compiled_outcome()
-        if compile_mask_predicate(query.expression, compiled.mask_of) is None:
+        # NumPy is loaded only once a swarm actually walks.
+        from repro.petri.batch import compile_row_predicate
+
+        row_predicate = compile_row_predicate(
+            query.expression, self._word_tables(compiled).word_bit_of)
+        if row_predicate is None:
             return self.outcome(
                 None, details="expression does not compile to a bitmask "
                 "predicate; random-walk falsification unavailable")
         cubes = to_cubes(query.expression, max_cubes=self.dnf_limit)
         cube_masks = cube_mask_table(compiled.mask_of, cubes) if cubes else None
         return self._hunt("reach", max_witnesses, "bad state", "bad state(s)",
-                          expression=query.expression, cube_masks=cube_masks,
+                          expression=query.expression,
+                          row_predicate=row_predicate, cube_masks=cube_masks,
                           score_kind="cube" if cube_masks else None)
 
     # -- outcomes ------------------------------------------------------------
@@ -126,8 +132,8 @@ class RandomWalkChecker(Checker):
     # -- the hunt ------------------------------------------------------------
 
     def _hunt(self, kind, max_witnesses, target, found, expression=None,
-              cube_masks=None, score_kind=None, stop_in_deadlock=False,
-              overflow_conclusive=False):
+              row_predicate=None, cube_masks=None, score_kind=None,
+              stop_in_deadlock=False, overflow_conclusive=False):
         """Run the walk budget and turn what it found into an outcome.
 
         *target* names what the hunt looks for in the budget-exhausted
@@ -144,8 +150,8 @@ class RandomWalkChecker(Checker):
                 "representation; random walks unavailable")
         result = self._walk(
             compiled, initial, kind, max_witnesses, expression=expression,
-            cube_masks=cube_masks, score_kind=score_kind,
-            stop_in_deadlock=stop_in_deadlock,
+            row_predicate=row_predicate, cube_masks=cube_masks,
+            score_kind=score_kind, stop_in_deadlock=stop_in_deadlock,
             overflow_conclusive=overflow_conclusive)
         self.last_hunt_stats = {"walks": result.walks, "steps": result.steps,
                                 "expanded": result.expanded}
@@ -169,27 +175,30 @@ class RandomWalkChecker(Checker):
             False, witnesses=validated,
             details="random walk reached {} {}".format(len(validated), found))
 
+    def _word_tables(self, compiled):
+        """The swarm's uint64 transition tables (built on first use)."""
+        if self._tables is None:
+            from repro.petri.batch import WordTables
+
+            self._tables = WordTables(compiled)
+        return self._tables
+
     def _walk(self, compiled, initial, kind, max_witnesses, expression,
-              cube_masks, score_kind, stop_in_deadlock, overflow_conclusive):
+              row_predicate, cube_masks, score_kind, stop_in_deadlock,
+              overflow_conclusive):
         """Run the walk budget as a vectorised swarm; a ``SwarmResult``.
 
-        The scalar walker of ``tests/oracles/walk.py`` overrides this one
-        method, so the oracle shares every other line of the checker.
+        *row_predicate* is the Reach *expression* compiled once by
+        :meth:`check_reach`.  The scalar walker of ``tests/oracles/walk.py``
+        overrides this one method (compiling *expression* with its own
+        int-state compiler), so the oracle shares every other line of the
+        checker.
         """
-        # NumPy is loaded only once a swarm actually walks.
-        from repro.petri.batch import WordTables, compile_row_predicate
         from repro.verification.checkers import walk_batch
 
-        if self._tables is None:
-            self._tables = WordTables(compiled)
-        tables = self._tables
-        # check_reach already refused expressions the mask compiler cannot
-        # lower, and the row compiler lowers exactly the same node kinds.
-        row_predicate = (compile_row_predicate(expression, tables.word_bit_of)
-                         if kind == "reach" else None)
         return walk_batch.swarm_hunt(
-            tables, initial, walks=self.walks, steps=self.steps,
-            swarm=self.swarm, seed=self.seed or 0xACE1,
+            self._word_tables(compiled), initial, walks=self.walks,
+            steps=self.steps, swarm=self.swarm, seed=self.seed or 0xACE1,
             guidance=self.guidance, restarts=self.restarts,
             max_witnesses=max_witnesses, row_predicate=row_predicate,
             cube_masks=cube_masks, score_kind=score_kind,

@@ -1,7 +1,7 @@
 """The high-level verification driver for DFS models."""
 
 from repro.dfs.translation import marking_to_dfs_state, to_petri_net
-from repro.exceptions import VerificationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.verification.checkers import (
     CHECKERS,
     CheckerContext,
@@ -47,6 +47,13 @@ def unregister_custom_property(name):
     CUSTOM_PROPERTIES.pop(name, None)
 
 
+def check_max_witnesses(max_witnesses):
+    """Refuse a negative witness budget (zero asks for verdicts only)."""
+    if max_witnesses < 0:
+        raise ConfigurationError(
+            "max_witnesses must be zero or more, not {}".format(max_witnesses))
+
+
 class Verifier:
     """Verifies a DFS model through its Petri-net translation.
 
@@ -72,11 +79,12 @@ class Verifier:
       without one every query is inconclusive, with a message naming it.
     * ``"portfolio"`` -- races the above, first conclusive verdict wins.
 
-    *engine* selects the state-space engine used by the exhaustive path:
-    ``"auto"`` compiles 1-safe nets to the array-native batch explorer of
-    :mod:`repro.petri.batch` and falls back to the explicit explorer for
-    nets it cannot represent; ``"explicit"`` forces the hash-dict
-    explorer.  *semiflow_cache* memoises the place-invariant derivation on
+    The exhaustive path's state-space engine is picked from the net, never
+    by the caller: nets that compile and stay 1-safe run on the
+    array-native batch explorer of :mod:`repro.petri.batch`, all others
+    on the explicit explorer (see
+    :func:`~repro.petri.reachability.build_reachability_graph`).
+    *semiflow_cache* memoises the place-invariant derivation on
     disk (:class:`~repro.petri.invariants.SemiflowCache`), which makes
     inductive sweeps over structurally stable families near-free on warm
     runs.
@@ -105,13 +113,12 @@ class Verifier:
         "persistence": "verify_persistence",
     }
 
-    def __init__(self, dfs, max_states=200000, engine="auto", net=None,
+    def __init__(self, dfs, max_states=200000, net=None,
                  checker="exhaustive", checker_options=None,
                  checker_overrides=None, semiflow_cache=None,
                  spill_dir=None, spill_bytes=None, resume=None):
         self.dfs = dfs
         self.max_states = max_states
-        self.engine = engine
         #: Out-of-core knobs (see :mod:`repro.petri.storage`): past
         #: *spill_bytes* of RAM the graph's arrays move onto memmap files
         #: under *spill_dir*.  Never affects verdicts.
@@ -163,7 +170,7 @@ class Verifier:
         """The shared checker context (graph, compiled net, invariants)."""
         if self._context is None:
             self._context = CheckerContext(
-                self.net, max_states=self.max_states, engine=self.engine,
+                self.net, max_states=self.max_states,
                 semiflow_cache=self.semiflow_cache,
                 spill_dir=self.spill_dir, spill_bytes=self.spill_bytes,
                 resume=self.resume)
@@ -216,6 +223,7 @@ class Verifier:
         return decorated
 
     def _run(self, property_key, property_name, query, checker, max_witnesses):
+        check_max_witnesses(max_witnesses)
         outcome = self._checker_for(property_key, checker).check(
             query, max_witnesses=max_witnesses)
         return VerificationResult(

@@ -33,7 +33,6 @@ import sys
 from repro._version import __version__
 from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
 from repro.dfs.examples import conditional_comp_dfs, token_ring
-from repro.petri.reachability import ENGINES
 from repro.verification.checkers import CHECKERS
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
 from repro.workcraft.export import available_formats
@@ -139,8 +138,8 @@ def _resolve_checker(args):
 def _command_verify(args):
     dfs = _load_model(args)
     checker, checker_options = _resolve_checker(args)
-    verifier = Verifier(dfs, max_states=args.max_states, engine=args.engine,
-                        checker=checker, checker_options=checker_options,
+    verifier = Verifier(dfs, max_states=args.max_states, checker=checker,
+                        checker_options=checker_options,
                         spill_dir=args.spill_dir, spill_bytes=args.spill_bytes,
                         resume=args.resume)
     summary = verifier.verify_all(include_persistence=not args.no_persistence)
@@ -269,7 +268,6 @@ def _command_campaign(args):
         voltages=_parse_axis_values(args.voltages, float) if args.voltages else (None,),
         family=args.family,
         properties=properties,
-        engine=args.engine,
         max_states=args.max_states,
         checker=checker,
         checker_options=checker_options,
@@ -370,10 +368,6 @@ def build_parser():
     verify.add_argument("--max-states", type=int, default=200000)
     verify.add_argument("--checker", choices=sorted(CHECKERS), default=None,
                         help=_checker_help())
-    verify.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="state-space engine of the exhaustive path "
-                             "(auto: the NumPy batch engine, falling back "
-                             "to explicit for nets it cannot represent)")
     verify.add_argument("--spill-dir", default=None, metavar="DIR",
                         help="directory for out-of-core exploration spill "
                              "files (default: REPRO_SPILL_DIR, else the "
@@ -388,7 +382,8 @@ def build_parser():
                              "every BFS level, and a leftover checkpoint "
                              "(from a killed run) is resumed from its last "
                              "complete level, bit-identical to an "
-                             "uninterrupted run (auto engine only)")
+                             "uninterrupted run (1-safe nets; others run on "
+                             "the explicit engine and restart from scratch)")
     verify.add_argument("--race", action="store_true",
                         help="race the portfolio members in separate "
                              "processes, first conclusive verdict wins "
@@ -429,7 +424,6 @@ def build_parser():
     campaign.add_argument("--properties", default=",".join(DEFAULT_PROPERTIES),
                           help="comma list of checks (default {})".format(
                               ",".join(DEFAULT_PROPERTIES)))
-    campaign.add_argument("--engine", choices=ENGINES, default="auto")
     campaign.add_argument("--checker", choices=sorted(CHECKERS),
                           default=None,
                           help="per job: " + _checker_help())

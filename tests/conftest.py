@@ -9,6 +9,7 @@ from repro.dfs.examples import (
     token_ring,
 )
 from repro.dfs.model import DataflowStructure
+from repro.petri.reachability import explore
 from repro.pipelines.generic import build_generic_pipeline
 
 
@@ -51,3 +52,16 @@ def simple_chain():
     dfs.add_register("b")
     dfs.connect_chain("a", "f", "b")
     return dfs
+
+
+@pytest.fixture
+def explicit_engine(monkeypatch):
+    """Make every checker context explore with the explicit engine.
+
+    The net picks the engine in production; the differential tests swap
+    in :func:`~repro.petri.reachability.explore`, the batch engine's
+    reference, behind the verifier's back.
+    """
+    monkeypatch.setattr(
+        "repro.verification.checkers.base.build_reachability_graph",
+        lambda net, max_states=200000, **_: explore(net, max_states=max_states))

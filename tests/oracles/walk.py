@@ -15,7 +15,7 @@ own, only the engine underneath changes.
 
 from repro.exceptions import SafenessOverflowError
 from repro.petri.compiled import iter_bits
-from repro.reach.evaluator import compile_mask_predicate
+from repro.reach import ast as _ast
 from repro.verification.checkers import CheckerContext
 from repro.verification.checkers.walk import RandomWalkChecker
 from repro.verification.checkers.walk_batch import SwarmResult
@@ -23,6 +23,45 @@ from repro.verification.checkers.walk_core import NearMissPool, walk_draw
 from repro.verification.verifier import Verifier
 
 from oracles.compiled import enabled_mask
+
+
+def compile_mask_predicate(expression, mask_of):
+    """Compile a Reach AST into a predicate over ``int`` bitmask states.
+
+    The scalar walker's own compiler, independent of the swarm's
+    :func:`~repro.petri.batch.compile_row_predicate`.  *mask_of* maps a
+    place name to its single-bit mask (``0`` for unknown places, which then
+    hold zero tokens -- matching marking semantics on 1-safe states).
+    Returns ``None`` for a node kind this compiler does not know (e.g. a
+    user-defined AST subclass).
+    """
+    if isinstance(expression, _ast.Constant):
+        value = expression.value
+        return lambda state: value
+    if isinstance(expression, _ast.Marked):
+        bit = mask_of(expression.place)
+        return lambda state: bool(state & bit)
+    if isinstance(expression, _ast.Compare):
+        bit = mask_of(expression.place)
+        operator = _ast.Compare._OPERATORS[expression.operator]
+        value = expression.value
+        return lambda state: operator(1 if state & bit else 0, value)
+    if isinstance(expression, _ast.Not):
+        operand = compile_mask_predicate(expression.operand, mask_of)
+        if operand is None:
+            return None
+        return lambda state: not operand(state)
+    if isinstance(expression, (_ast.And, _ast.Or, _ast.Implies)):
+        left = compile_mask_predicate(expression.left, mask_of)
+        right = compile_mask_predicate(expression.right, mask_of)
+        if left is None or right is None:
+            return None
+        if isinstance(expression, _ast.And):
+            return lambda state: left(state) and right(state)
+        if isinstance(expression, _ast.Or):
+            return lambda state: left(state) or right(state)
+        return lambda state: (not left(state)) or right(state)
+    return None
 
 
 def fewest_enabled_rank(compiled, state):
@@ -53,7 +92,7 @@ def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
 
     The arguments mirror :func:`~repro.verification.checkers.walk_batch
     .swarm_hunt`, except that *predicate* is an int-state bitmask predicate
-    (:func:`~repro.reach.evaluator.compile_mask_predicate`) and there is no
+    (:func:`compile_mask_predicate`) and there is no
     swarm width.  Witness states are ints and traces transition indices,
     exactly as the swarm reports them.
     """
@@ -152,7 +191,8 @@ class ScalarWalkChecker(RandomWalkChecker):
     """The walk checker with :func:`scalar_hunt` in place of the swarm."""
 
     def _walk(self, compiled, initial, kind, max_witnesses, expression,
-              cube_masks, score_kind, stop_in_deadlock, overflow_conclusive):
+              row_predicate, cube_masks, score_kind, stop_in_deadlock,
+              overflow_conclusive):
         predicate = (compile_mask_predicate(expression, compiled.mask_of)
                      if kind == "reach" else None)
         return scalar_hunt(

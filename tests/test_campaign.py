@@ -205,6 +205,13 @@ class TestCache:
                               checker_options=checker_options)
         assert options_digest(job.options()) == digest
 
+    def test_exhaustive_job_digest_is_pinned(self):
+        """The digest of a release whose jobs still chose an engine: the
+        constant ``"engine": "auto"`` keeps it valid."""
+        job = VerificationJob("e", "pipeline", {"stages": 2})
+        assert options_digest(job.options()) == (
+            "1fd8cbd5f55236c57194934828d83ff811e75225403f71e8d46c275f14443397")
+
     def test_digest_orders_keys_canonically(self):
         assert options_digest({"a": 1, "b": 2}) == options_digest({"b": 2, "a": 1})
 

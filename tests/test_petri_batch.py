@@ -37,7 +37,6 @@ from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
     check_deadlock,
-    check_mutual_exclusion,
     check_persistence,
 )
 from repro.petri.reachability import build_reachability_graph, explore
@@ -186,18 +185,18 @@ class TestDifferentialExamples:
                             for w in ws]
         assert strip(left.witnesses) == strip(right.witnesses)
 
-    def test_mutual_exclusion_vectorised_path(self):
+    def test_exclusion_pairs_vectorised_path(self):
+        """Mutual exclusion of two places is the Reach query ``$a & $b``."""
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
         explicit, batch = explore(net), build_reachability_graph(net)
-        assert batch.count_and_collect_required is not None
-        for pair in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
+        for a, b in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
                      ("M_in_1", "M_in_0")]:
-            left = check_mutual_exclusion(explicit, *pair)
-            right = check_mutual_exclusion(batch, *pair)
-            assert left.holds == right.holds
-            assert left.details == right.details
-            assert [w["marking"] for w in left.witnesses] == \
-                [w["marking"] for w in right.witnesses]
+            expression = '$"{}" & $"{}"'.format(a, b)
+            left = find_witnesses(expression, explicit)
+            right = find_witnesses(expression, batch)
+            assert left == right
+            assert holds_somewhere(expression, explicit) == \
+                holds_somewhere(expression, batch) == bool(left)
 
     def test_reach_witnesses_identical(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))

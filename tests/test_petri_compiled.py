@@ -25,7 +25,6 @@ from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
     check_deadlock,
-    check_mutual_exclusion,
     check_persistence,
 )
 from repro.petri.reachability import build_reachability_graph, explore
@@ -103,16 +102,17 @@ class TestDifferentialExamples:
         for marking in explicit.states:
             assert len(explicit.trace_to(marking)) == len(compiled.trace_to(marking))
 
-    def test_mutual_exclusion_verdicts_identical(self):
+    def test_exclusion_pair_witnesses_identical(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
         explicit, compiled = both_graphs(net)
-        for pair in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
-                     ("M_in_1", "M_in_0")]:
-            a = check_mutual_exclusion(explicit, *pair)
-            b = check_mutual_exclusion(compiled, *pair)
-            assert a.holds == b.holds
-            assert [w["marking"] for w in a.witnesses] == \
-                [w["marking"] for w in b.witnesses]
+        for first, second in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
+                              ("M_in_1", "M_in_0")]:
+            expression = '$"{}" & $"{}"'.format(first, second)
+            a = find_witnesses(expression, explicit, max_witnesses=5)
+            b = find_witnesses(expression, compiled, max_witnesses=5)
+            assert [w["marking"] for w in a] == [w["marking"] for w in b]
+            assert holds_somewhere(expression, explicit) == \
+                holds_somewhere(expression, compiled)
 
     def test_reach_witnesses_identical(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
@@ -235,12 +235,13 @@ class TestEngineFallback:
         with pytest.raises(CompilationError):
             explore_compiled(CompiledNet.compile(net))
 
-    def test_forced_explicit_engine(self):
+    def test_explicit_engine_is_the_reference(self):
         net = to_petri_net(linear_pipeline(stages=1))
-        graph = build_reachability_graph(net, engine="explicit")
+        graph = explore(net)
         assert not isinstance(graph, ColumnarReachabilityGraph)
+        assert graph.states == build_reachability_graph(net).states
 
-    def test_unknown_engine_rejected(self):
+    def test_engine_knob_is_gone(self):
         net = to_petri_net(linear_pipeline(stages=1))
-        with pytest.raises(ValueError):
-            build_reachability_graph(net, engine="quantum")
+        with pytest.raises(TypeError):
+            build_reachability_graph(net, engine="explicit")

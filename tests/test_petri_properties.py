@@ -4,10 +4,10 @@ from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
     check_deadlock,
-    check_mutual_exclusion,
     check_persistence,
 )
 from repro.petri.reachability import explore
+from repro.reach.evaluator import find_witnesses
 
 
 def choice_net():
@@ -142,9 +142,10 @@ class TestBoundedness:
 
 
 class TestMutualExclusion:
+    """Mutual exclusion of two places is the Reach query ``$a & $b``."""
+
     def test_exclusive_places(self):
-        report = check_mutual_exclusion(explore(choice_net()), "a", "b")
-        assert report.holds is True
+        assert find_witnesses('$"a" & $"b"', explore(choice_net())) == []
 
     def test_non_exclusive_places(self):
         net = PetriNet("both")
@@ -155,5 +156,5 @@ class TestMutualExclusion:
         net.add_arc("p", "t")
         net.add_arc("t", "a")
         net.add_arc("t", "b")
-        report = check_mutual_exclusion(explore(net), "a", "b")
-        assert report.holds is False
+        witnesses = find_witnesses('$"a" & $"b"', explore(net))
+        assert [w["trace"] for w in witnesses] == [["t"]]

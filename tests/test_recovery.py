@@ -405,3 +405,24 @@ class TestDaemonCrashRecovery:
             assert scheduler.stats()["requeued"] == 1
         finally:
             scheduler.shutdown()
+
+    def test_journal_naming_the_auto_engine_is_replayed(self, tmp_path):
+        """Journals written while jobs still named an engine carry
+        ``"engine": "auto"``; replay restores their tickets, not skips them."""
+        from repro.campaign.scheduler import CampaignScheduler
+        from repro.utils.journal import JournalWriter
+
+        state = str(tmp_path / "state")
+        with JournalWriter(os.path.join(state, "journal")) as writer:
+            writer.append({"event": "submit", "ticket": "engine01",
+                           "job": dict(_job_payload("old-journal"),
+                                       engine="auto"),
+                           "tenant": None, "priority": 0, "timeout": None,
+                           "time": 0.0})
+        scheduler = CampaignScheduler(parallelism=0, state_dir=state)
+        try:
+            ticket = scheduler.get("engine01")
+            assert ticket is not None
+            assert ticket.wait(timeout=120.0).status == "ok"
+        finally:
+            scheduler.shutdown()

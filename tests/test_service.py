@@ -372,6 +372,22 @@ class TestAdmissionControl:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("field,message", [
+        ({"engine": "explicit"}, "unknown reachability engine"),
+        ({"max_witnesses": -1}, "max_witnesses"),
+    ], ids=["explicit-engine", "negative-budget"])
+    def test_engine_choice_and_negative_budget_are_refused_at_submit(
+            self, tmp_path, field, message):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        try:
+            payload = dict(_conditional_job().to_dict(), **field)
+            with pytest.raises(ConfigurationError, match=message):
+                service.submit(payload)
+            assert service.stats()["submitted"] == 0
+        finally:
+            service.close()
+
 
 # -- the HTTP API -------------------------------------------------------------
 

@@ -1,7 +1,12 @@
 """Tests for the verification engine (deadlock, mismatch, persistence...)."""
 
+import pytest
+
+from repro.campaign.jobs import VerificationJob
 from repro.dfs.examples import conditional_comp_dfs, token_ring
 from repro.dfs.model import DataflowStructure
+from repro.exceptions import ConfigurationError
+from repro.petri.batch import ColumnarReachabilityGraph
 from repro.verification.properties import (
     consistency_violation_expression,
     control_mismatch_expression,
@@ -152,10 +157,47 @@ class TestWitnessShape:
         assert "dfs_state" in result.witnesses[0]
         assert "places" in result.witnesses[0]
 
-    def test_engines_agree_on_summary(self, conditional_dfs):
-        batch = Verifier(conditional_dfs, engine="auto").verify_all()
-        explicit = Verifier(conditional_dfs, engine="explicit").verify_all()
+    def test_engines_agree_on_summary(self, conditional_dfs, request):
+        batch = Verifier(conditional_dfs).verify_all()
+        request.getfixturevalue("explicit_engine")
+        verifier = Verifier(conditional_dfs)
+        explicit = verifier.verify_all()
+        assert not isinstance(verifier.graph, ColumnarReachabilityGraph)
         assert batch.state_count == explicit.state_count
         for a, b in zip(batch.results, explicit.results):
             assert a.property_name == b.property_name
             assert a.holds == b.holds
+
+
+class TestWitnessBudget:
+    """The verdict comes from the graph; the budget only caps the witnesses."""
+
+    REACHABLE = '$"M_in_1"'
+
+    @pytest.mark.parametrize("budget", [0, 2])
+    @pytest.mark.parametrize("graph_class", ["columnar", "explicit"])
+    def test_reach_verdict_ignores_the_budget(self, request, graph_class,
+                                              budget):
+        if graph_class == "explicit":
+            request.getfixturevalue("explicit_engine")
+        verifier = Verifier(conditional_comp_dfs(comp_stages=1))
+        result = verifier.verify_custom(self.REACHABLE, max_witnesses=budget)
+        assert isinstance(verifier.graph, ColumnarReachabilityGraph) == \
+            (graph_class == "columnar")
+        assert result.holds is False, result.details
+        assert len(result.witnesses) == budget
+
+    def test_zero_budget_job_verdict_is_violated(self):
+        job = VerificationJob("zero", "conditional", {"comp_stages": 1},
+                              properties=("bad",), max_witnesses=0,
+                              custom_properties={"bad": self.REACHABLE})
+        (record,) = job.run()["verdict"]["properties"]
+        assert record["holds"] is False
+        assert record["witnesses"] == 0
+
+    def test_negative_budget_is_refused(self, conditional_dfs):
+        with pytest.raises(ConfigurationError, match="max_witnesses"):
+            Verifier(conditional_dfs).verify_custom(self.REACHABLE,
+                                                    max_witnesses=-1)
+        with pytest.raises(ConfigurationError, match="max_witnesses"):
+            VerificationJob("neg", "conditional", max_witnesses=-1)
