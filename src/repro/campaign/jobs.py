@@ -110,8 +110,7 @@ class VerificationJob:
                  max_states=200000, max_witnesses=2,
                  checker="exhaustive", checker_options=None,
                  custom_properties=None, lfsr_seed=None, simulate_steps=0,
-                 voltage=None, expect="pass", metadata=None,
-                 spill_dir=None, spill_bytes=None):
+                 voltage=None, expect="pass", metadata=None):
         self.job_id = str(job_id)
         self.factory = str(factory)
         self.kwargs = dict(kwargs or {})
@@ -121,12 +120,6 @@ class VerificationJob:
         # Rejected here, not in a worker: the daemon answers a bad
         # submission with a 400 instead of accepting a doomed job.
         check_max_witnesses(self.max_witnesses)
-        #: Out-of-core exploration knobs (see :mod:`repro.petri.storage`).
-        #: Spilling moves the graph's arrays between RAM and disk without
-        #: changing a single bit of their content, so these are excluded
-        #: from :meth:`options` and the cache digest.
-        self.spill_dir = spill_dir
-        self.spill_bytes = spill_bytes
         self.checker = str(checker)
         self.checker_options = dict(checker_options or {})
         # Likewise: a bad option is a 400 at submit, not a worker crash.
@@ -201,10 +194,6 @@ class VerificationJob:
         description = {"job_id": self.job_id, "factory": self.factory,
                        "kwargs": dict(self.kwargs), "expect": self.expect}
         description.update(self.options())
-        if self.spill_dir is not None:
-            description["spill_dir"] = self.spill_dir  # descriptive, not digested
-        if self.spill_bytes is not None:
-            description["spill_bytes"] = self.spill_bytes
         if self.metadata:
             description["metadata"] = dict(self.metadata)
         return description
@@ -225,6 +214,11 @@ class VerificationJob:
         # daemon answers with *its* solver.
         payload.pop("solver", None)
         payload.pop("walk_backend", None)
+        # Spill settings belong to the host that explores: older clients
+        # and journals may still carry a per-job directory and budget, but
+        # the daemon spills only where its own environment says.
+        payload.pop("spill_dir", None)
+        payload.pop("spill_bytes", None)
         # The reachability-engine constant rides in every description (and
         # every journal written before the net picked the engine); any other
         # value asks for an engine choice that no longer exists.
@@ -241,8 +235,7 @@ class VerificationJob:
         allowed = {"kwargs", "properties", "max_states",
                    "max_witnesses", "checker", "checker_options",
                    "custom_properties", "lfsr_seed", "simulate_steps",
-                   "voltage", "expect", "metadata", "spill_dir",
-                   "spill_bytes"}
+                   "voltage", "expect", "metadata"}
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise ConfigurationError(
@@ -337,9 +330,7 @@ class VerificationJob:
         verifier = Verifier(dfs, max_states=self.max_states, net=net,
                             checker=self.checker,
                             checker_options=self.effective_checker_options(),
-                            semiflow_cache=semiflow_cache,
-                            spill_dir=self.spill_dir,
-                            spill_bytes=self.spill_bytes)
+                            semiflow_cache=semiflow_cache)
         summary = verifier.verify_properties(
             self.properties, max_witnesses=self.max_witnesses,
             custom=self.custom_properties or None, progress=progress)

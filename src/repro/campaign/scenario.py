@@ -20,7 +20,7 @@ class ScenarioSpec:
                  properties=DEFAULT_PROPERTIES, max_states=200000,
                  max_witnesses=2, checker="exhaustive", checker_options=None,
                  custom_properties=None, simulate_steps=0, f_delay=1.0,
-                 g_delay=1.0, spill_dir=None, spill_bytes=None):
+                 g_delay=1.0):
         self.depths = tuple(sorted(set(int(depth) for depth in depths)))
         self.static_prefixes = tuple(sorted(set(int(p) for p in static_prefixes)))
         self.holes = tuple(sorted(set(int(count) for count in holes)))
@@ -36,10 +36,6 @@ class ScenarioSpec:
         self.simulate_steps = int(simulate_steps)
         self.f_delay = float(f_delay)
         self.g_delay = float(g_delay)
-        #: Out-of-core exploration knobs (see ``VerificationJob.spill_dir``
-        #: / ``spill_bytes``); never part of cache keys.
-        self.spill_dir = spill_dir
-        self.spill_bytes = spill_bytes
 
     def axes(self):
         """The grid axes as a JSON-able mapping (for reports)."""
@@ -185,8 +181,6 @@ def generate_scenarios(spec):
             voltage=axes["voltage"],
             expect=_expectation(spec, hole_count),
             metadata={"axes": dict(axes)},
-            spill_dir=spec.spill_dir,
-            spill_bytes=spec.spill_bytes,
         )
         jobs.append(job)
     return jobs, skipped

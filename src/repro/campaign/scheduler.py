@@ -184,7 +184,9 @@ class JobTicket:
 
     @property
     def done(self):
-        return self._done.is_set()
+        # The status, not the event: listeners woken by "job-finished" run
+        # before the event is set, and must already see a finished ticket.
+        return self.status == "done"
 
     def record(self, event, **fields):
         """Append an *event* entry to the ticket's log; wake the listeners."""

@@ -244,7 +244,7 @@ def explore(net, marking=None, max_states=200000):
 
 
 def build_reachability_graph(net, marking=None, max_states=200000,
-                             spill_dir=None, spill_bytes=None, resume=None):
+                             resume=None):
     """Build the reachability graph of *net* with the engine the net allows.
 
     A net that compiles to bitmask form (:mod:`repro.petri.compiled`)
@@ -257,14 +257,6 @@ def build_reachability_graph(net, marking=None, max_states=200000,
     ----------
     net, marking, max_states:
         As for :func:`explore`.
-    spill_dir, spill_bytes:
-        Out-of-core knobs for the batch engine (see
-        :mod:`repro.petri.storage`): once the graph's arrays exceed
-        *spill_bytes* of RAM they move onto ``np.memmap`` files under
-        *spill_dir*.  ``None`` consults ``REPRO_SPILL_DIR`` /
-        ``REPRO_SPILL_BYTES``; both unset disables spilling.  Spilling
-        never changes the graph -- only where it lives -- and is ignored
-        by the explicit engine.
     resume:
         A checkpoint directory making the batch exploration
         **crash-safe**: the engine keeps its arrays at named paths under
@@ -276,6 +268,11 @@ def build_reachability_graph(net, marking=None, max_states=200000,
         bit-identical to an uninterrupted run.  A run that completes
         removes the directory's files.  Ignored by the explicit engine.
 
+    The batch engine spills its arrays to disk as the ``REPRO_SPILL_DIR``
+    / ``REPRO_SPILL_BYTES`` environment says (see
+    :mod:`repro.petri.storage`); spilling never changes the graph, only
+    where it lives, and the explicit engine ignores it.
+
     Both engines explore states in the same order and implement the same
     truncation semantics, so the resulting graphs are interchangeable.
     """
@@ -283,12 +280,10 @@ def build_reachability_graph(net, marking=None, max_states=200000,
     from repro.exceptions import CompilationError
     from repro.petri.batch import explore_batch
     from repro.petri.compiled import CompiledNet
-    from repro.petri.storage import SpillConfig
 
     try:
         return explore_batch(CompiledNet.compile(net), marking,
                              max_states=max_states,
-                             spill=SpillConfig.resolve(spill_dir, spill_bytes),
                              checkpoint=str(resume) if resume else None)
     except CompilationError:
         return explore(net, marking, max_states=max_states)

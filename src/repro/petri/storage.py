@@ -19,9 +19,10 @@ hash index).  This module provides the storage layer underneath them:
 * :class:`HashIndex` -- the open-addressing table mapping each state row
   to its index: it stores only the indices and compares rows against the
   state store, so it costs 4 bytes per slot (8 past ``2**31`` states).
-* :class:`SpillConfig` -- where the knobs live: ``spill_bytes=`` /
-  ``spill_dir=`` keyword arguments, or the ``REPRO_SPILL_BYTES`` /
-  ``REPRO_SPILL_DIR`` environment variables.
+* :class:`SpillConfig` -- the spill directory and RAM budget.  They are
+  deployment settings, read only from the ``REPRO_SPILL_DIR`` /
+  ``REPRO_SPILL_BYTES`` environment variables (:meth:`SpillConfig.resolve`);
+  spilling never changes a graph, so no verdict or cache key depends on them.
 
 Spill files are **unlinked immediately after creation** (open ->
 ``os.unlink`` -> ``ftruncate`` -> ``mmap``): the kernel keeps the inode
@@ -71,30 +72,29 @@ class SpillConfig:
 
     def __init__(self, directory=None, budget_bytes=0):
         self.directory = directory if directory is not None else tempfile.gettempdir()
-        self.budget_bytes = max(0, int(budget_bytes))
+        self.budget_bytes = int(budget_bytes)
 
     @classmethod
-    def resolve(cls, spill_dir=None, spill_bytes=None):
-        """Build a config from explicit settings, falling back to the env.
+    def resolve(cls):
+        """Build a config from ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``.
 
-        Returns ``None`` when spilling is disabled (no directory, no
-        budget, and neither ``REPRO_SPILL_DIR`` nor ``REPRO_SPILL_BYTES``
-        set).  A directory alone means "spill from the start" (budget 0);
-        a budget alone spills into the system temp directory.
+        Returns ``None`` when spilling is disabled (neither variable set).
+        A directory alone means "spill from the start" (budget 0); a budget
+        alone spills into the system temp directory.  A budget that is not
+        a non-negative integer is rejected.
         """
-        if spill_dir is None:
-            spill_dir = os.environ.get(SPILL_DIR_ENV) or None
-        if spill_bytes is None:
-            raw = os.environ.get(SPILL_BYTES_ENV)
-            if raw:
-                try:
-                    spill_bytes = int(raw)
-                except ValueError:
-                    raise ConfigurationError(
-                        "{}={!r} is not a byte count".format(SPILL_BYTES_ENV, raw))
-        if spill_dir is None and spill_bytes is None:
+        directory = os.environ.get(SPILL_DIR_ENV) or None
+        raw = os.environ.get(SPILL_BYTES_ENV)
+        if directory is None and not raw:
             return None
-        return cls(directory=spill_dir, budget_bytes=spill_bytes or 0)
+        try:
+            budget = int(raw) if raw else 0
+        except ValueError:
+            budget = None
+        if budget is None or budget < 0:
+            raise ConfigurationError(
+                "{}={!r} is not a byte count".format(SPILL_BYTES_ENV, raw))
+        return cls(directory=directory, budget_bytes=budget)
 
     def to_dict(self):
         return {"directory": self.directory, "budget_bytes": self.budget_bytes}

@@ -204,14 +204,9 @@ class CheckerContext:
     """
 
     def __init__(self, net, max_states=200000, semiflow_cache=None,
-                 spill_dir=None, spill_bytes=None, resume=None):
+                 resume=None):
         self.net = net
         self.max_states = max_states
-        #: Out-of-core knobs (see :mod:`repro.petri.storage`): spilling
-        #: changes where the graph lives, never what it contains, so
-        #: verdicts are unaffected.
-        self.spill_dir = spill_dir
-        self.spill_bytes = spill_bytes
         #: Optional checkpoint directory making the exploration crash-safe
         #: (per-level manifests; a leftover checkpoint is resumed, with a
         #: graph bit-identical to an uninterrupted run -- see
@@ -229,8 +224,7 @@ class CheckerContext:
         """The reachability graph (built on first access)."""
         if self._graph is None:
             self._graph = build_reachability_graph(
-                self.net, max_states=self.max_states, spill_dir=self.spill_dir,
-                spill_bytes=self.spill_bytes, resume=self.resume)
+                self.net, max_states=self.max_states, resume=self.resume)
         return self._graph
 
     @property

@@ -59,16 +59,17 @@ DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
                  "exhaustive")
 
 
-def _race_member(net, max_states, semiflow_cache, name, options, query,
-                 max_witnesses):
+def _race_member(net, max_states, semiflow_cache, resume, name, options,
+                 query, max_witnesses):
     """Worker entry point of a portfolio race: run one member, return its outcome.
 
     Rebuilds the member's context from plain data (the context artefacts --
     graph, invariants -- are process-local by design: each racer pays only
-    for the artefacts its own strategy needs).
+    for the artefacts its own strategy needs).  The checkpoint directory
+    rides along, so a racing exhaustive member explores crash-safely too.
     """
     context = CheckerContext(net, max_states=max_states,
-                             semiflow_cache=semiflow_cache)
+                             semiflow_cache=semiflow_cache, resume=resume)
     checker = CHECKERS[name](context, **(options or {}))
     return checker.check(query, max_witnesses=max_witnesses)
 
@@ -139,8 +140,9 @@ class PortfolioChecker(Checker):
         context = self.context
         tasks = [
             (name, _race_member,
-             (context.net, context.max_states, context.semiflow_cache, name,
-              self.member_options[name], query, max_witnesses))
+             (context.net, context.max_states, context.semiflow_cache,
+              context.resume, name, self.member_options[name], query,
+              max_witnesses))
             for name in self.order
         ]
         outcomes = run_supervised(

@@ -115,15 +115,9 @@ class Verifier:
 
     def __init__(self, dfs, max_states=200000, net=None,
                  checker="exhaustive", checker_options=None,
-                 checker_overrides=None, semiflow_cache=None,
-                 spill_dir=None, spill_bytes=None, resume=None):
+                 checker_overrides=None, semiflow_cache=None, resume=None):
         self.dfs = dfs
         self.max_states = max_states
-        #: Out-of-core knobs (see :mod:`repro.petri.storage`): past
-        #: *spill_bytes* of RAM the graph's arrays move onto memmap files
-        #: under *spill_dir*.  Never affects verdicts.
-        self.spill_dir = spill_dir
-        self.spill_bytes = spill_bytes
         #: Optional exploration checkpoint directory (crash-safe runs; a
         #: leftover checkpoint is resumed bit-identically).
         self.resume = resume
@@ -171,9 +165,7 @@ class Verifier:
         if self._context is None:
             self._context = CheckerContext(
                 self.net, max_states=self.max_states,
-                semiflow_cache=self.semiflow_cache,
-                spill_dir=self.spill_dir, spill_bytes=self.spill_bytes,
-                resume=self.resume)
+                semiflow_cache=self.semiflow_cache, resume=self.resume)
         return self._context
 
     @property

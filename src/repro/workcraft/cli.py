@@ -33,6 +33,7 @@ import sys
 from repro._version import __version__
 from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
 from repro.dfs.examples import conditional_comp_dfs, token_ring
+from repro.exceptions import ReproError
 from repro.verification.checkers import CHECKERS
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
 from repro.workcraft.export import available_formats
@@ -139,9 +140,7 @@ def _command_verify(args):
     dfs = _load_model(args)
     checker, checker_options = _resolve_checker(args)
     verifier = Verifier(dfs, max_states=args.max_states, checker=checker,
-                        checker_options=checker_options,
-                        spill_dir=args.spill_dir, spill_bytes=args.spill_bytes,
-                        resume=args.resume)
+                        checker_options=checker_options, resume=args.resume)
     summary = verifier.verify_all(include_persistence=not args.no_persistence)
     print(summary.report())
     return 0 if summary.passed else 1
@@ -273,8 +272,6 @@ def _command_campaign(args):
         checker_options=checker_options,
         custom_properties=custom,
         simulate_steps=args.simulate_steps,
-        spill_dir=args.spill_dir,
-        spill_bytes=args.spill_bytes,
     )
     jobs, skipped = generate_scenarios(spec)
     # Fail on unwritable report locations *before* spending the campaign.
@@ -368,14 +365,6 @@ def build_parser():
     verify.add_argument("--max-states", type=int, default=200000)
     verify.add_argument("--checker", choices=sorted(CHECKERS), default=None,
                         help=_checker_help())
-    verify.add_argument("--spill-dir", default=None, metavar="DIR",
-                        help="directory for out-of-core exploration spill "
-                             "files (default: REPRO_SPILL_DIR, else the "
-                             "system temp dir when --spill-bytes is set)")
-    verify.add_argument("--spill-bytes", type=int, default=None, metavar="N",
-                        help="RAM budget in bytes for columnar state-space "
-                             "arrays; above it they move to disk-backed "
-                             "memmaps (default: REPRO_SPILL_BYTES)")
     verify.add_argument("--resume", default=None, metavar="DIR",
                         help="checkpoint directory for crash-safe "
                              "exploration: a manifest is committed after "
@@ -434,13 +423,6 @@ def build_parser():
     campaign.add_argument("--walks", type=int, default=None, metavar="N",
                           help="per job: total guided random walks of the "
                                "walk checker")
-    campaign.add_argument("--spill-dir", default=None, metavar="DIR",
-                          help="per-job out-of-core spill directory "
-                               "(default: REPRO_SPILL_DIR)")
-    campaign.add_argument("--spill-bytes", type=int, default=None, metavar="N",
-                          help="per-job RAM budget in bytes before columnar "
-                               "state-space arrays spill to disk "
-                               "(default: REPRO_SPILL_BYTES)")
     campaign.add_argument("--custom", action="append", metavar="NAME=EXPR",
                           help="define a named custom Reach property "
                                "(repeatable); reference it in --properties")
@@ -516,10 +498,19 @@ def build_parser():
 
 
 def main(argv=None):
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error (a malformed model file, a bad environment setting)
+    is reported in one line and exits 2, like any other failure that is
+    not a verdict; exit 1 stays reserved for violated properties.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print("repro-dfs: error: {}".format(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

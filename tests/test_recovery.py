@@ -16,7 +16,6 @@ Three layers of the crash story are exercised end to end:
   z3 child mid-query and the pipe solver respawns it once, transparently.
 """
 
-import hashlib
 import json
 import os
 import pathlib
@@ -80,8 +79,8 @@ print(json.dumps({{
 '''.format(src=str(SRC_DIR))
 
 
-def _run_explorer(checkpoint, fault=None, model=None):
-    """Run the explorer child; return (returncode, parsed stdout or None)."""
+def _child_env(fault=None):
+    """The environment of a child process: this tree's sources, one fault."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -89,6 +88,12 @@ def _run_explorer(checkpoint, fault=None, model=None):
     env.pop("REPRO_FAULTS_SEED", None)
     if fault:
         env["REPRO_FAULTS"] = fault
+    return env
+
+
+def _run_explorer(checkpoint, fault=None, model=None):
+    """Run the explorer child; return (returncode, parsed stdout or None)."""
+    env = _child_env(fault)
     argv = [sys.executable, "-c", EXPLORER, checkpoint or "-"]
     if model:
         argv.append(model)
@@ -194,6 +199,22 @@ class TestKillResume:
         assert resumed["digest"] == reference["digest"]
         assert resumed["states"] == reference["states"]
         assert os.listdir(checkpoint) == []  # zero leftovers after success
+
+    def test_racing_exhaustive_member_checkpoints_under_resume(self,
+                                                                tmp_path):
+        """``--race`` runs the exhaustive member in a worker process; that
+        worker must explore into the ``--resume`` directory too, so a kill
+        mid-level leaves a checkpoint to resume from."""
+        checkpoint = tmp_path / "ckpt"
+        checkpoint.mkdir()
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.workcraft.cli", "verify",
+             "--example", "conditional", "--resume", str(checkpoint),
+             "--no-persistence", "--race"],
+            capture_output=True, text=True, timeout=300,
+            env=_child_env("kill_worker@level=3"))
+        assert "exhaustive: worker crashed" in completed.stdout
+        assert "checkpoint.json" in os.listdir(str(checkpoint))
 
     def test_resumed_index_answers_membership(self, tmp_path):
         """The hash index rebuilt from the checkpointed words is exact."""
@@ -333,10 +354,7 @@ class TestClientConnectionRetries:
 
 def _free_state_daemon(state_dir, cache_dir, port=0):
     """Start `repro-dfs serve --state-dir` as a child; return (proc, url)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.pop("REPRO_FAULTS", None)
+    env = _child_env()
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.workcraft.cli", "serve",
          "--host", "127.0.0.1", "--port", str(port), "--jobs", "1",
@@ -422,6 +440,29 @@ class TestDaemonCrashRecovery:
         scheduler = CampaignScheduler(parallelism=0, state_dir=state)
         try:
             ticket = scheduler.get("engine01")
+            assert ticket is not None
+            assert ticket.wait(timeout=120.0).status == "ok"
+        finally:
+            scheduler.shutdown()
+
+    def test_journal_carrying_spill_fields_is_replayed(self, tmp_path):
+        """Jobs once carried a per-job spill directory and budget; journals
+        holding them still replay (the fields are dropped), so no
+        acknowledged ticket is lost."""
+        from repro.campaign.scheduler import CampaignScheduler
+        from repro.utils.journal import JournalWriter
+
+        state = str(tmp_path / "state")
+        with JournalWriter(os.path.join(state, "journal")) as writer:
+            writer.append({"event": "submit", "ticket": "spill01",
+                           "job": dict(_job_payload("old-journal"),
+                                       spill_dir=str(tmp_path / "old-spill"),
+                                       spill_bytes=1024),
+                           "tenant": None, "priority": 0, "timeout": None,
+                           "time": 0.0})
+        scheduler = CampaignScheduler(parallelism=0, state_dir=state)
+        try:
+            ticket = scheduler.get("spill01")
             assert ticket is not None
             assert ticket.wait(timeout=120.0).status == "ok"
         finally:

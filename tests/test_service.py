@@ -372,6 +372,26 @@ class TestAdmissionControl:
         finally:
             service.close()
 
+    def test_client_spill_fields_are_ignored_by_the_daemon(self, tmp_path,
+                                                           monkeypatch):
+        """Spill is the daemon host's setting: a per-job directory sent by
+        an old client must not be created (or used) on the daemon side."""
+        monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
+        monkeypatch.delenv("REPRO_SPILL_BYTES", raising=False)
+        client_dir = tmp_path / "made-by-client"
+        payload = dict(_conditional_job().to_dict(),
+                       spill_dir=str(client_dir), spill_bytes=0)
+        assert VerificationJob.from_dict(payload).options() == \
+            _conditional_job().options()
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        try:
+            result = service.submit(payload).wait(120)
+            assert result.status == "ok"
+            assert not client_dir.exists()
+        finally:
+            service.close()
+
     @pytest.mark.parametrize("field,message", [
         ({"engine": "explicit"}, "unknown reachability engine"),
         ({"max_witnesses": -1}, "max_witnesses"),

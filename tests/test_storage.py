@@ -58,36 +58,38 @@ class TestSpillConfig:
 
     def test_directory_alone_means_spill_from_the_start(self, monkeypatch,
                                                         tmp_path):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_SPILL_BYTES", raising=False)
-        config = SpillConfig.resolve(spill_dir=str(tmp_path))
+        config = SpillConfig.resolve()
         assert config.directory == str(tmp_path)
         assert config.budget_bytes == 0
 
     def test_budget_alone_uses_the_system_temp_dir(self, monkeypatch):
         import tempfile
         monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
-        config = SpillConfig.resolve(spill_bytes=1 << 20)
+        monkeypatch.setenv("REPRO_SPILL_BYTES", str(1 << 20))
+        config = SpillConfig.resolve()
         assert config.budget_bytes == 1 << 20
         assert config.directory == tempfile.gettempdir()
 
-    def test_environment_fallback(self, monkeypatch, tmp_path):
+    def test_environment_sets_both(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SPILL_BYTES", "4096")
         config = SpillConfig.resolve()
         assert config.directory == str(tmp_path)
         assert config.budget_bytes == 4096
 
-    def test_explicit_settings_win_over_the_environment(self, monkeypatch,
-                                                        tmp_path):
-        monkeypatch.setenv("REPRO_SPILL_DIR", "/nonexistent-env-dir")
-        monkeypatch.setenv("REPRO_SPILL_BYTES", "1")
-        config = SpillConfig.resolve(spill_dir=str(tmp_path), spill_bytes=99)
-        assert config.directory == str(tmp_path)
-        assert config.budget_bytes == 99
-
     def test_garbage_byte_count_is_rejected_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPILL_BYTES", "lots")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="is not a byte count"):
+            SpillConfig.resolve()
+
+    def test_negative_byte_count_is_rejected_not_clamped(self, monkeypatch):
+        # Clamping to 0 would silently select the slowest mode: spill
+        # every array from the first row.
+        monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
+        monkeypatch.setenv("REPRO_SPILL_BYTES", "-7")
+        with pytest.raises(ConfigurationError, match="is not a byte count"):
             SpillConfig.resolve()
 
 
@@ -374,23 +376,25 @@ class TestSpillLifecycle:
             explore_batch(compiled, spill=SpillConfig(str(tmp_path), 0))
         assert _spill_files(tmp_path) == []
 
-    def test_supervised_kill_leaves_no_files(self, tmp_path):
+    def test_supervised_kill_leaves_no_files(self, tmp_path, monkeypatch):
         """A worker SIGKILLed mid-exploration reclaims its spill space.
 
         The spill files are unlinked at creation, so even a hard kill --
         no atexit, no finally -- cannot leak disk space into the spill
         directory."""
-        outcomes = run_supervised(
-            [("doomed", _spill_then_hang, (str(tmp_path),))],
-            parallelism=1, timeout=3.0)
+        # The worker inherits the environment, spill settings included.
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SPILL_BYTES", "0")
+        outcomes = run_supervised([("doomed", _spill_then_hang, ())],
+                                  parallelism=1, timeout=3.0)
         assert outcomes[0].status == "timeout"
         assert _spill_files(tmp_path) == []
 
 
-def _spill_then_hang(spill_dir):
+def _spill_then_hang():
     """Supervised task: build a disk-backed graph, then outlive the deadline."""
     net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-    graph = build_reachability_graph(net, spill_dir=spill_dir, spill_bytes=0)
+    graph = build_reachability_graph(net)
     assert graph.exploration_stats["spill"]["spilled"]
     time.sleep(60)
 
@@ -420,11 +424,12 @@ class TestExplorationStatsPlumbing:
         assert summary.exploration is not None
         assert summary.exploration["engine"] == "batch"
 
-    def test_job_attaches_stats_on_cold_runs_only(self, tmp_path):
+    def test_job_attaches_stats_on_cold_runs_only(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SPILL_BYTES", "0")
         job = VerificationJob("j1", "pipeline",
-                              kwargs={"stages": 2, "static_prefix": 1},
-                              spill_dir=str(tmp_path),
-                              spill_bytes=0)
+                              kwargs={"stages": 2, "static_prefix": 1})
         cold = job.run(cache=str(tmp_path / "cache"))
         assert cold["cache"] == "miss"
         assert cold["exploration"]["spill"]["spilled"]
@@ -434,35 +439,17 @@ class TestExplorationStatsPlumbing:
         assert "exploration" not in warm
         assert warm["verdict"] == cold["verdict"]
 
-    def test_spill_knobs_stay_out_of_the_verdict_digest(self):
-        base = dict(factory="pipeline",
-                    kwargs={"stages": 2, "static_prefix": 1})
-        plain = VerificationJob("a", **base)
-        spilly = VerificationJob("a", spill_dir="/tmp/x", spill_bytes=123,
-                                 **base)
-        assert plain.options() == spilly.options()
-        description = spilly.to_dict()
-        assert description["spill_dir"] == "/tmp/x"
-        assert description["spill_bytes"] == 123
-        rebuilt = VerificationJob.from_dict(description)
-        assert rebuilt.spill_dir == "/tmp/x" and rebuilt.spill_bytes == 123
-
-    def test_scenario_spec_threads_the_spill_knobs(self):
-        spec = ScenarioSpec(depths=(2,), spill_dir="/tmp/x", spill_bytes=42)
-        jobs, _ = generate_scenarios(spec)
-        assert jobs and all(job.spill_dir == "/tmp/x" for job in jobs)
-        assert all(job.spill_bytes == 42 for job in jobs)
-
-    def test_scheduler_aggregates_spill_totals_for_the_service(self, tmp_path):
+    def test_scheduler_aggregates_spill_totals_for_the_service(self, tmp_path,
+                                                               monkeypatch):
         from repro.campaign.scheduler import CampaignScheduler
         scheduler = CampaignScheduler(parallelism=0)
         try:
             assert scheduler.stats()["spill"] == {
                 "write_bytes": 0, "read_bytes": 0, "spilled_jobs": 0}
+            monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+            monkeypatch.setenv("REPRO_SPILL_BYTES", "0")
             job = VerificationJob("s1", "pipeline",
-                                  kwargs={"stages": 2, "static_prefix": 1},
-                                  spill_dir=str(tmp_path),
-                                  spill_bytes=0)
+                                  kwargs={"stages": 2, "static_prefix": 1})
             scheduler.submit(job).wait(60)
             totals = scheduler.stats()["spill"]
             assert totals["spilled_jobs"] == 1
@@ -470,9 +457,11 @@ class TestExplorationStatsPlumbing:
         finally:
             scheduler.shutdown()
 
-    def test_campaign_report_aggregates_spill_totals(self, tmp_path):
-        spec = ScenarioSpec(depths=(2,), spill_dir=str(tmp_path),
-                            spill_bytes=0)
+    def test_campaign_report_aggregates_spill_totals(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SPILL_BYTES", "0")
+        spec = ScenarioSpec(depths=(2,))
         jobs, skipped = generate_scenarios(spec)
         report = run_campaign(jobs, parallelism=0, cache_dir=None,
                               spec=spec, skipped=skipped)

@@ -1,5 +1,9 @@
 """Tests for the tool layer: exporters, plugin registry, projects and the CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import ModelError, SerializationError
@@ -10,6 +14,9 @@ from repro.workcraft.cli import main as cli_main
 from repro.workcraft.export import available_formats, dfs_to_dot, export_model
 from repro.workcraft.plugins import default_registry
 from repro.workcraft.project import Project
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 class TestExport:
@@ -132,10 +139,35 @@ class TestCli:
             cli_main(["info"])
 
     def test_removed_workers_and_engine_choices_exit_2(self, capsys):
+        # Spill is set by REPRO_SPILL_DIR / REPRO_SPILL_BYTES only.
         for argv in (["verify", "--example", "ring", "--workers", "2"],
                      ["verify", "--example", "ring", "--engine", "compiled"],
-                     ["campaign", "--grid", "depth=2", "--workers", "2"]):
+                     ["campaign", "--grid", "depth=2", "--workers", "2"],
+                     ["verify", "--example", "ring", "--spill-dir", "x"],
+                     ["campaign", "--grid", "depth=2", "--spill-bytes", "0"]):
             with pytest.raises(SystemExit) as excinfo:
                 cli_main(argv)
             assert excinfo.value.code == 2, argv
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--workers" in err and "--spill-dir" in err
+
+    @pytest.mark.parametrize("case", ["malformed-model", "bad-spill-budget"])
+    def test_library_error_is_one_line_and_exit_2(self, tmp_path, case):
+        """Exit 1 means "a property is violated"; an error is not a verdict."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        argv = [sys.executable, "-m", "repro.workcraft.cli", "verify"]
+        if case == "malformed-model":
+            model = tmp_path / "bad.json"
+            model.write_text('{"nodes": 3}')
+            argv.append(str(model))
+        else:
+            env["REPRO_SPILL_BYTES"] = "abc"
+            argv += ["--example", "ring"]
+        completed = subprocess.run(argv, capture_output=True, text=True,
+                                   env=env, timeout=120)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("repro-dfs: error: ")
+        assert completed.stderr.count("\n") == 1
