@@ -30,9 +30,9 @@ from repro.silicon.voltage import VoltageModel
 from repro.smt.solver import solver_fingerprint
 from repro.verification.checkers import CHECKERS, check_checker_options
 from repro.verification.verifier import (
-    CUSTOM_PROPERTIES,
     Verifier,
     check_max_witnesses,
+    check_properties,
 )
 
 #: The default property battery of a campaign job.  Persistence is the
@@ -128,16 +128,9 @@ class VerificationJob:
             name: str(expression)
             for name, expression in (custom_properties or {}).items()
         }
-        # Snapshot registry-backed custom properties eagerly: a job must be
-        # self-contained across process boundaries (the spawn start method
-        # re-imports modules with an empty registry), and the cache digest
-        # must cover the expression actually checked, not just its name.
-        for name in self.properties:
-            if name in self.custom_properties or name in Verifier.PROPERTY_CHECKS:
-                continue
-            entry = CUSTOM_PROPERTIES.get(name)
-            if entry is not None:
-                self.custom_properties[name] = str(entry[0])
+        # Likewise: an unknown property, or a custom name that shadows a
+        # built-in check, is a 400 at submit.
+        check_properties(self.properties, self.custom_properties)
         self.lfsr_seed = lfsr_seed
         self.simulate_steps = int(simulate_steps)
         self.voltage = voltage
@@ -153,10 +146,9 @@ class VerificationJob:
         verdicts produced by different checkers hash to different cache
         keys, so a cached inconclusive exhaustive verdict can never shadow a
         conclusive inductive one, and vice versa.  Custom properties are
-        digested as their resolved expressions (snapshotted at construction
-        time), not just their names, so re-registering a name with a
-        different expression can never be answered from a stale cached
-        verdict.
+        digested as their expressions, not just their names, so reusing a
+        name for a different expression can never be answered from a stale
+        cached verdict.
 
         For solver-backed checkers (and the portfolio, whose default order
         contains them) the mapping also carries the **solver fingerprint**

@@ -134,9 +134,6 @@ class DataflowStructure:
         except KeyError:
             raise ModelError("unknown node: {!r}".format(name))
 
-    def has_node(self, name):
-        return name in self._nodes
-
     def node_names(self, node_type=None):
         """Names of all nodes, optionally filtered by :class:`NodeType`."""
         if node_type is None:
@@ -198,10 +195,6 @@ class DataflowStructure:
     def logic_preset(self, name):
         """Logic nodes in the direct preset."""
         return {n for n in self.preset(name) if self.is_logic(n)}
-
-    def register_preset(self, name):
-        """Register nodes in the direct preset."""
-        return {n for n in self.preset(name) if self.is_register(n)}
 
     def r_preset(self, name):
         """R-preset ``?x``: registers reaching *x* through logic-only paths."""

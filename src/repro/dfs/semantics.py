@@ -85,12 +85,6 @@ class EventAction(Enum):
 
 #: Actions that mark a register.
 MARKING_ACTIONS = (EventAction.MARK, EventAction.MARK_TRUE, EventAction.MARK_FALSE)
-#: Actions that unmark a register.
-UNMARKING_ACTIONS = (
-    EventAction.UNMARK,
-    EventAction.UNMARK_TRUE,
-    EventAction.UNMARK_FALSE,
-)
 
 
 class Event:
@@ -103,14 +97,6 @@ class Event:
         self.node = node
         self.action = action
         self.guard = tuple(guard)
-
-    @property
-    def is_marking(self):
-        return self.action in MARKING_ACTIONS
-
-    @property
-    def is_unmarking(self):
-        return self.action in UNMARKING_ACTIONS
 
     @property
     def token_value(self):

@@ -123,10 +123,6 @@ class DfsSimulator:
 
     # -- derived metrics -----------------------------------------------------------------
 
-    def count_in_trace(self, event_name):
-        """Number of occurrences of *event_name* in the trace so far."""
-        return self.trace.count(event_name)
-
     def tokens_produced(self, register_name):
         """How many tokens have passed through *register_name* so far.
 

@@ -12,8 +12,7 @@ starts queued tasks and otherwise blocks in one
 wake pipe, until the nearest deadline -- an idle pool never wakes.  The
 campaign scheduler and the service daemon drive it.  :func:`run_supervised`
 is the batch front: run a task list, return the outcomes in order, and with
-``stop_when`` cancel the rest at the first winner (a portfolio race).  Its
-``parallelism=0`` runs inline, the fallback inside daemonic workers.
+``stop_when`` cancel the rest at the first winner (a portfolio race).
 """
 
 import heapq
@@ -105,30 +104,6 @@ def _check_ids(tasks):
         seen.add(task_id)
 
 
-def _run_inline(tasks, stop_when, on_outcome=None):
-    outcomes = {}
-    stopped = False
-    for task_id, target, args in tasks:
-        if stopped:
-            outcome = TaskOutcome(task_id, "cancelled")
-        else:
-            started = time.perf_counter()
-            try:
-                payload = target(*args)
-                outcome = TaskOutcome(task_id, "ok", payload=payload,
-                                      elapsed=time.perf_counter() - started)
-            except Exception:
-                outcome = TaskOutcome(task_id, "error",
-                                      error=traceback.format_exc(),
-                                      elapsed=time.perf_counter() - started)
-        outcomes[task_id] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if stop_when is not None and stop_when(outcome):
-            stopped = True
-    return outcomes
-
-
 def _terminate(process):
     process.terminate()
     process.join(1.0)
@@ -137,8 +112,7 @@ def _terminate(process):
         process.join(1.0)
 
 
-def run_supervised(tasks, parallelism, timeout=None, stop_when=None,
-                   on_outcome=None):
+def run_supervised(tasks, parallelism, timeout=None, stop_when=None):
     """Run *tasks* in supervised worker processes; return their outcomes.
 
     Parameters
@@ -149,36 +123,24 @@ def run_supervised(tasks, parallelism, timeout=None, stop_when=None,
         tuple -- the task is executed as ``target(*args)`` in a worker
         process and its return value must be picklable too.
     parallelism:
-        Number of concurrent worker processes; ``0`` runs inline.
+        Number of concurrent worker processes (at least one).
     timeout:
-        Optional per-task deadline in seconds (worker mode only).
+        Optional per-task deadline in seconds.
     stop_when:
         Optional predicate over :class:`TaskOutcome`.  The first outcome
         satisfying it wins the race: every other active worker is terminated
         immediately and every unfinished task is recorded as ``"cancelled"``.
-    on_outcome:
-        Optional callback invoked with each :class:`TaskOutcome` the moment
-        it is recorded (completion order, not task order) -- the streaming
-        hook progress reporters and event forwarders attach to.  In worker
-        mode it runs on the pool's supervision thread, and an exception it
-        raises is counted, not propagated (see :class:`SupervisorPool`).
 
     Returns the list of :class:`TaskOutcome` in task order.
     """
     tasks = [(task_id, target, tuple(args)) for task_id, target, args in tasks]
     _check_ids(tasks)
-    if parallelism <= 0:
-        outcomes = _run_inline(tasks, stop_when, on_outcome)
-        return [outcomes[task_id] for task_id, _, _ in tasks]
-
     outcomes = {}
     pool = SupervisorPool(parallelism, timeout=timeout)
     submitted = threading.Event()
 
     def record(outcome):
         outcomes[outcome.task_id] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
         if stop_when is not None and stop_when(outcome):
             # Cancel only once every task is queued, so no submission can
             # meet a shut-down pool.
@@ -229,8 +191,7 @@ class SupervisorPool:
         parallelism = int(parallelism)
         if parallelism < 1:
             raise ConfigurationError(
-                "a supervisor pool needs at least one worker (got {}); use "
-                "run_supervised(parallelism=0) for inline execution".format(
+                "a supervisor pool needs at least one worker (got {})".format(
                     parallelism))
         self.parallelism = parallelism
         self.timeout = timeout

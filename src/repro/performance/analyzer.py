@@ -28,11 +28,6 @@ class PerformanceReport:
             return None
         return min(metric.throughput for metric in self.cycles)
 
-    @property
-    def stalled_cycles(self):
-        """Cycles that can never advance (zero tokens or zero holes)."""
-        return [metric for metric in self.cycles if metric.is_stalled]
-
     def table(self):
         """Return the analysis as a list of row dictionaries (one per slow cycle)."""
         rows = []

@@ -2,9 +2,13 @@
 
 This package is the verification substrate of the library.  DFS models are
 translated into 1-safe Petri nets with read arcs (see
-:mod:`repro.dfs.translation`), which are then analysed by explicit-state
-reachability.  In the paper this role is played by the MPSAT unfolding tool;
-here the state spaces involved are small enough for an explicit traversal.
+:mod:`repro.dfs.translation`), whose reachability graphs are built by
+:func:`~repro.petri.reachability.build_reachability_graph` (the array-native
+batch engine for nets that compile and stay 1-safe, the explicit engine
+otherwise).  In the paper this role is played by the MPSAT unfolding tool.
+The graphs answer the property scans themselves (``deadlocks``, ``scan``,
+``persistence_scan``, ``one_safe``); verdicts are decided from those scans
+by :class:`~repro.verification.checkers.exhaustive.ExhaustiveChecker`.
 """
 
 from repro._lazy import lazy_exports
@@ -15,11 +19,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".reachability": ["ReachabilityGraph", "build_reachability_graph", "explore"],
     ".compiled": ["CompiledNet"],
     ".simulation": ["PetriSimulator", "random_trace"],
-    ".properties": [
-        "check_boundedness",
-        "check_deadlock",
-        "check_persistence",
-        "PropertyReport",
-    ],
     ".export": ["to_dot", "to_g_format"],
 })

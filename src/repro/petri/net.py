@@ -204,10 +204,6 @@ class PetriNet:
         """Transitions consuming from *place*."""
         return {t for t, consumed in self._consumes.items() if place in consumed}
 
-    def place_readers(self, place):
-        """Transitions reading *place*."""
-        return {t for t, reads in self._reads.items() if place in reads}
-
     # -- markings -----------------------------------------------------------
 
     def initial_marking(self):

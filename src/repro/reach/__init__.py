@@ -42,5 +42,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ],
     ".cubes": ["Cube", "to_cubes"],
     ".parser": ["parse"],
-    ".evaluator": ["evaluate", "find_witnesses", "holds_somewhere", "marking_predicate"],
+    ".evaluator": ["evaluate", "marking_predicate"],
 })

@@ -1,10 +1,12 @@
-"""Evaluation of Reach expressions on markings and reachability graphs.
+"""Evaluation of Reach expressions on single markings.
 
-Graph searches go through the graph's own
-:meth:`~repro.petri.reachability.ReachabilityGraph.scan`: the explicit graph
-evaluates the expression marking by marking, a columnar graph
-(:mod:`repro.petri.batch`) compiles it to one vectorised predicate over its
-uint64 state table and never decodes a non-matching marking.
+Searches over a whole reachability graph are the graph's own
+:meth:`~repro.petri.reachability.ReachabilityGraph.scan`, which the
+exhaustive checker calls directly: the explicit graph evaluates the
+expression marking by marking, a columnar graph (:mod:`repro.petri.batch`)
+compiles it to one vectorised predicate over its uint64 state table and
+never decodes a non-matching marking.  This module evaluates one marking
+at a time and validates place names against a net.
 """
 
 from repro.exceptions import ReachEvaluationError
@@ -44,7 +46,7 @@ def evaluate(expression, marking, net=None):
 def marking_predicate(expression, net=None):
     """Compile *expression* (AST or text) into a ``marking -> bool`` callable.
 
-    This is the single-marking counterpart of :func:`find_witnesses`: it
+    This is the single-marking counterpart of a graph's ``scan``: it
     needs no materialised reachability graph, so callers that visit markings
     on the fly (simulation hooks, external explorers) can test each state as
     they reach it.  (The random-walk checker works on raw state rows and
@@ -56,28 +58,3 @@ def marking_predicate(expression, net=None):
     if net is not None:
         check_places(expression, net)
     return expression.evaluate
-
-
-def find_witnesses(expression, graph, max_witnesses=5, with_traces=True):
-    """Return the first *max_witnesses* reachable states satisfying *expression*.
-
-    States come in discovery order.  Each witness is a dictionary with a ``marking`` key and, when
-    *with_traces* is true, a ``trace`` key holding a shortest firing sequence
-    leading to the witness.
-    """
-    expression = _as_expression(expression)
-    check_places(expression, graph.net)
-    witnesses = []
-    for marking in graph.scan(expression, max_witnesses):
-        witness = {"marking": marking}
-        if with_traces:
-            witness["trace"] = graph.trace_to(marking)
-        witnesses.append(witness)
-    return witnesses
-
-
-def holds_somewhere(expression, graph):
-    """Return ``True`` when some reachable state satisfies *expression*."""
-    expression = _as_expression(expression)
-    check_places(expression, graph.net)
-    return next(graph.scan(expression, 1), None) is not None

@@ -3,8 +3,9 @@
 The paper's flow translates a DFS model into a Petri net and checks it with
 MPSAT for standard properties (deadlock) and custom Reach properties (such
 as control-token mismatch and hazards).  The :class:`Verifier` here does the
-same with the in-package explicit-state engine and reports counterexamples
-both as Petri-net traces and as DFS-level state summaries.
+same with one in-package checker per verifier (exhaustive exploration by
+default) and reports counterexamples both as Petri-net traces and as
+DFS-level state summaries.
 """
 
 from repro._lazy import lazy_exports
@@ -19,12 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "register_checker",
     ],
     ".results": ["VerificationResult", "VerificationSummary"],
-    ".verifier": [
-        "CUSTOM_PROPERTIES",
-        "Verifier",
-        "register_custom_property",
-        "unregister_custom_property",
-    ],
+    ".verifier": ["Verifier"],
     ".properties": [
         "control_mismatch_expression",
         "value_exclusion_expression",

@@ -215,6 +215,10 @@ class CheckerContext:
         #: Optional :class:`~repro.petri.invariants.SemiflowCache` (or cache
         #: directory) memoising the place-invariant derivation on disk.
         self.semiflow_cache = semiflow_cache
+        #: ``(state_count, truncated, exploration)`` of a graph built for
+        #: this net in another process -- a racing portfolio member's
+        #: worker -- reported while this context has no graph of its own.
+        self.explored = None
         self._graph = None
         self._compiled = _UNSET
         self._semiflows = _UNSET
@@ -254,14 +258,26 @@ class CheckerContext:
         """Validate that every place of *expression* exists in the net."""
         evaluator_check_places(expression, self.net)
 
+    def exploration_summary(self):
+        """``(state_count, truncated, exploration)``, or ``None`` (no graph).
+
+        Falls back to :attr:`explored` when the graph was built elsewhere.
+        """
+        graph = self._graph
+        if graph is None:
+            return self.explored
+        return len(graph), bool(graph.truncated), graph.exploration_stats
+
     @property
     def state_count(self):
         """States explored so far (``0`` when no graph was built)."""
-        return len(self._graph) if self._graph is not None else 0
+        summary = self.exploration_summary()
+        return summary[0] if summary else 0
 
     @property
     def truncated(self):
-        return bool(self._graph is not None and self._graph.truncated)
+        summary = self.exploration_summary()
+        return bool(summary and summary[1])
 
     @property
     def exploration(self):
@@ -271,7 +287,8 @@ class CheckerContext:
         to the graph (``graph.exploration_stats``); this surfaces them to
         summaries, campaign payloads and the service ``/stats``.
         """
-        return self._graph.exploration_stats if self._graph is not None else None
+        summary = self.exploration_summary()
+        return summary[2] if summary else None
 
 
 # -- checker base ------------------------------------------------------------

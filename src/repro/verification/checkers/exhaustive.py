@@ -1,26 +1,28 @@
 """The exhaustive checker: state-space exploration.
 
-This is the pre-refactor verification path extracted behind the
-:class:`~repro.verification.checkers.base.Checker` interface: build the
-reachability graph (the batch engine for nets that compile and stay 1-safe,
-the explicit engine otherwise -- the net decides, see
+Build the reachability graph (the batch engine for nets that compile and
+stay 1-safe, the explicit engine otherwise -- the net decides, see
 :func:`~repro.petri.reachability.build_reachability_graph`) and decide every
-query with the graph's own scan.  Verdicts come from whether any state
-violates the property; ``max_witnesses`` only caps the witness list.  Within
-``max_states`` it is conclusive in both directions and supports every query
-kind -- it is the only checker that can decide persistence, which needs the
-successor structure, not just individual markings.  Beyond the bound it
-degrades to ``None`` (inconclusive), which is exactly the gap the inductive
-and random-walk checkers exist to fill.
+query straight from the graph's own scans: :meth:`deadlocks`, :meth:`scan`
+(Reach), :meth:`persistence_scan` and the ``one_safe`` flag (safeness).
+Verdicts come from whether any state violates the property;
+``max_witnesses`` only caps the witness list.
+
+One rule turns a scan into a verdict (:meth:`ExhaustiveChecker._verdict`):
+a violation found is conclusive, even on a truncated graph, since its
+witnesses are real reachable states; none found on a truncated graph is
+inconclusive (``None``); otherwise the property holds.  Within
+``max_states`` the checker is therefore conclusive in both directions and
+supports every query kind -- it is the only checker that can decide
+persistence, which needs the successor structure, not just individual
+markings.  Beyond the bound is exactly the gap the inductive and
+random-walk checkers exist to fill.
 """
 
-from repro.petri.properties import (
-    check_boundedness,
-    check_deadlock,
-    check_persistence,
-)
-from repro.reach.evaluator import find_witnesses, holds_somewhere
 from repro.verification.checkers.base import Checker, register_checker
+
+#: Details of a scan that found nothing on a truncated graph.
+TRUNCATED = "state space truncated after {} states; result inconclusive"
 
 
 @register_checker
@@ -31,39 +33,79 @@ class ExhaustiveChecker(Checker):
     summary = ("explicit/bitmask state-space exploration; conclusive both "
                "ways up to max-states")
 
-    def _from_report(self, report):
-        return self.outcome(report.holds, witnesses=report.witnesses,
-                            details=report.details)
+    def _verdict(self, violations, violated, witnesses, holds,
+                 truncated=TRUNCATED):
+        """The verdict of a scan that found *violations* (a count or ``0``).
+
+        *violated* and *holds* are the details of either conclusive answer;
+        *truncated* (formatted with the state count) those of a scan that
+        found nothing on a truncated graph.
+        """
+        graph = self.context.graph
+        if violations:
+            return self.outcome(False, witnesses=witnesses, details=violated)
+        if graph.truncated:
+            return self.outcome(None, details=truncated.format(len(graph)))
+        return self.outcome(True, details=holds)
+
+    def _traced(self, witnesses):
+        """Attach a shortest firing sequence to each witness dict."""
+        graph = self.context.graph
+        for witness in witnesses:
+            witness["trace"] = graph.trace_to(witness["marking"])
+        return witnesses
 
     def check_reach(self, query, max_witnesses=5):
         self.context.check_places(query.expression)
         graph = self.context.graph
-        witnesses = find_witnesses(query.expression, graph,
-                                   max_witnesses=max_witnesses)
+        witnesses = self._traced(
+            [{"marking": marking}
+             for marking in graph.scan(query.expression, max_witnesses)])
+        found = len(witnesses)
         # An empty witness list under a zero budget says nothing: decide
         # from the graph, like deadlock and persistence do.
-        if witnesses or (not max_witnesses
-                         and holds_somewhere(query.expression, graph)):
-            return self.outcome(
-                False, witnesses=witnesses,
-                details="{} reachable bad state(s)".format(
-                    len(witnesses) or "some"))
-        if graph.truncated:
-            return self.outcome(
-                None, details="inconclusive (truncated state space)")
-        return self.outcome(True, details="no reachable bad state")
+        if not max_witnesses and next(graph.scan(query.expression, 1),
+                                      None) is not None:
+            found = "some"
+        return self._verdict(
+            found, "{} reachable bad state(s)".format(found), witnesses,
+            "no reachable bad state",
+            truncated="inconclusive (truncated state space)")
 
     def check_deadlock(self, query, max_witnesses=5):
-        report = check_deadlock(self.context.graph, max_witnesses=max_witnesses)
-        return self._from_report(report)
+        # Frontier states of a truncated graph are excluded by deadlocks(),
+        # so every candidate genuinely has no enabled transition.
+        deadlocks = self.context.graph.deadlocks()
+        witnesses = self._traced(
+            [{"marking": marking} for marking in deadlocks[:max_witnesses]])
+        return self._verdict(
+            len(deadlocks),
+            "{} reachable deadlock state(s)".format(len(deadlocks)),
+            witnesses, "no reachable deadlock")
 
     def check_safeness(self, query, max_witnesses=5):
-        report = check_boundedness(self.context.graph, bound=query.bound,
-                                   max_witnesses=max_witnesses)
-        return self._from_report(report)
+        graph = self.context.graph
+        bound = query.bound
+        witnesses = []
+        violations = 0
+        # A compiled graph only exists while every marking stayed 1-safe,
+        # so any bound of one or more holds by construction.
+        if bound < 1 or not graph.one_safe:
+            for marking in graph.states:
+                offending = {p: c for p, c in marking.items() if c > bound}
+                if offending:
+                    violations += 1
+                    if len(witnesses) < max_witnesses:
+                        witnesses.append({"marking": marking,
+                                          "places": offending})
+        return self._verdict(
+            violations,
+            "{} marking(s) exceed bound {}".format(violations, bound),
+            witnesses, "net is {}-bounded".format(bound))
 
     def check_persistence(self, query, max_witnesses=5):
-        report = check_persistence(self.context.graph,
-                                   allow_conflicts=query.allow_conflicts,
-                                   max_witnesses=max_witnesses)
-        return self._from_report(report)
+        violations, witnesses = self.context.graph.persistence_scan(
+            allow_conflicts=query.allow_conflicts, max_witnesses=max_witnesses)
+        return self._verdict(
+            violations, "{} persistence violation(s)".format(violations),
+            self._traced(witnesses), "all transitions persistent")

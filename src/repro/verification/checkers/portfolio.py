@@ -61,17 +61,21 @@ DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
 
 def _race_member(net, max_states, semiflow_cache, resume, name, options,
                  query, max_witnesses):
-    """Worker entry point of a portfolio race: run one member, return its outcome.
+    """Worker entry point of a portfolio race: run one member.
 
     Rebuilds the member's context from plain data (the context artefacts --
     graph, invariants -- are process-local by design: each racer pays only
     for the artefacts its own strategy needs).  The checkpoint directory
     rides along, so a racing exhaustive member explores crash-safely too.
+    Returns the outcome and the member context's
+    :meth:`~CheckerContext.exploration_summary` (``None`` when the member
+    built no graph), so the race can report the states it explored.
     """
     context = CheckerContext(net, max_states=max_states,
                              semiflow_cache=semiflow_cache, resume=resume)
     checker = CHECKERS[name](context, **(options or {}))
-    return checker.check(query, max_witnesses=max_witnesses)
+    return (checker.check(query, max_witnesses=max_witnesses),
+            context.exploration_summary())
 
 
 @register_checker
@@ -148,22 +152,30 @@ class PortfolioChecker(Checker):
         outcomes = run_supervised(
             tasks, parallelism=len(tasks), timeout=self.race_timeout,
             stop_when=lambda outcome: (outcome.ok
-                                       and outcome.payload.conclusive))
+                                       and outcome.payload[0].conclusive))
         by_name = {outcome.task_id: outcome for outcome in outcomes}
-        for outcome in outcomes:
-            if outcome.ok and outcome.payload.conclusive:
-                winner = outcome.payload
+        # name -> (checker outcome, exploration summary), task order.
+        finished = {outcome.task_id: outcome.payload
+                    for outcome in outcomes if outcome.ok}
+        # Every member explores the same net under the same bound, so any
+        # graph one of them built is the graph this context would build.
+        for _, summary in finished.values():
+            if summary is not None:
+                context.explored = summary
+                break
+        for name, (result, _) in finished.items():
+            if result.conclusive:
                 losers = ", ".join(
-                    "{} {}".format(name, by_name[name].status)
-                    for name in self.order if name != outcome.task_id)
-                winner.details = "{} [won the race; {}]".format(
-                    winner.details, losers or "no other members")
-                return winner
+                    "{} {}".format(other, by_name[other].status)
+                    for other in self.order if other != name)
+                result.details = "{} [won the race; {}]".format(
+                    result.details, losers or "no other members")
+                return result
         attempts = []
         for name in self.order:
             outcome = by_name[name]
             if outcome.ok:
-                attempts.append((name, outcome.payload.details))
+                attempts.append((name, finished[name][0].details))
             else:
                 attempts.append((name, "worker {}: {}".format(
                     outcome.status, outcome.error or "no detail")))

@@ -19,39 +19,36 @@ from repro.verification.properties import (
 )
 from repro.verification.results import VerificationResult, VerificationSummary
 
-#: Registry of named custom Reach properties (see
-#: :func:`register_custom_property`).  Name -> ``(expression, description)``.
-CUSTOM_PROPERTIES = {}
-
-
-def register_custom_property(name, expression, description=None):
-    """Register a custom Reach *expression* (text or AST) under *name*.
-
-    Registered names become first-class property keys: campaign jobs, the
-    CLI ``--properties`` list and :meth:`Verifier.verify_properties` accept
-    them alongside the built-in checks, dispatching to
-    :meth:`Verifier.verify_custom`.  The expression describes the *bad*
-    states, as everywhere in the Reach language.  Returns *name* so the call
-    can be used as an expression.
-    """
-    if name in Verifier.PROPERTY_CHECKS:
-        raise VerificationError(
-            "cannot register custom property {!r}: the name is taken by a "
-            "built-in check".format(name))
-    CUSTOM_PROPERTIES[name] = (expression, description or name)
-    return name
-
-
-def unregister_custom_property(name):
-    """Remove a registered custom property (missing names are ignored)."""
-    CUSTOM_PROPERTIES.pop(name, None)
-
 
 def check_max_witnesses(max_witnesses):
     """Refuse a negative witness budget (zero asks for verdicts only)."""
     if max_witnesses < 0:
         raise ConfigurationError(
             "max_witnesses must be zero or more, not {}".format(max_witnesses))
+
+
+def check_properties(properties, custom=None):
+    """Refuse property names that no check answers.
+
+    A name is either a built-in check (:data:`Verifier.PROPERTY_CHECKS`) or
+    an entry of the *custom* mapping (name to Reach expression); a custom
+    name that shadows a built-in one is refused too, since the built-in
+    check would run and the expression would be ignored.  Raises
+    :class:`~repro.exceptions.ConfigurationError`, so a bad name fails where
+    a verifier call or job is built -- the daemon answers 400 at submit.
+    """
+    custom = custom or {}
+    shadowing = sorted(name for name in custom if name in Verifier.PROPERTY_CHECKS)
+    if shadowing:
+        raise ConfigurationError(
+            "custom property name(s) {} shadow built-in checks".format(
+                ", ".join(shadowing)))
+    for name in properties:
+        if name not in Verifier.PROPERTY_CHECKS and name not in custom:
+            known = sorted(Verifier.PROPERTY_CHECKS) + sorted(custom)
+            raise ConfigurationError(
+                "unknown property {!r} (known: {})".format(
+                    name, ", ".join(known)))
 
 
 class Verifier:
@@ -89,17 +86,15 @@ class Verifier:
     inductive sweeps over structurally stable families near-free on warm
     runs.
 
-    *checker_options* maps checker names to keyword options for their
-    construction (e.g. ``{"walk": {"walks": 32, "steps": 1024}}``); an
-    option no constructor takes raises
-    :class:`~repro.exceptions.ConfigurationError` right here;
-    *checker_overrides* maps property keys to checker names, overriding the
-    default checker per property.  Every ``verify_*`` method also accepts an
-    explicit ``checker=`` argument, which wins over both.
+    A verifier holds exactly one checker, named by *checker* and built on
+    first use.  *checker_options* maps checker names to keyword options for
+    their construction (e.g. ``{"walk": {"walks": 32, "steps": 1024}}``);
+    an option no constructor takes raises
+    :class:`~repro.exceptions.ConfigurationError` right here.
 
     The standard checks are registered by name in :data:`PROPERTY_CHECKS`;
     :meth:`verify_properties` runs any named subset -- including custom
-    Reach properties registered with :func:`register_custom_property` --
+    Reach properties given as a ``custom`` mapping of name to expression --
     which is how campaign jobs (:mod:`repro.campaign`) drive a verifier
     from a declarative, picklable description instead of a live object.
     """
@@ -115,7 +110,7 @@ class Verifier:
 
     def __init__(self, dfs, max_states=200000, net=None,
                  checker="exhaustive", checker_options=None,
-                 checker_overrides=None, semiflow_cache=None, resume=None):
+                 semiflow_cache=None, resume=None):
         self.dfs = dfs
         self.max_states = max_states
         #: Optional exploration checkpoint directory (crash-safe runs; a
@@ -138,17 +133,9 @@ class Verifier:
                 "(known: {})".format(", ".join(sorted(unknown_options)),
                                      ", ".join(sorted(CHECKERS))))
         check_checker_options(self.checker_options)
-        self.checker_overrides = dict(checker_overrides or {})
-        unknown_overrides = [name for name in self.checker_overrides.values()
-                             if name not in CHECKERS]
-        if unknown_overrides:
-            raise VerificationError(
-                "checker_overrides name unknown checker(s): {} "
-                "(known: {})".format(", ".join(sorted(unknown_overrides)),
-                                     ", ".join(sorted(CHECKERS))))
         self._net = net
         self._context = None
-        self._checkers = {}
+        self._checker = None
 
     # -- lazy construction ------------------------------------------------------
 
@@ -197,13 +184,12 @@ class Verifier:
                 options[member] = merged
         return options
 
-    def _checker_for(self, property_key, checker=None):
-        name = checker or self.checker_overrides.get(property_key) or self.checker
-        instance = self._checkers.get(name)
-        if instance is None:
-            instance = create_checker(name, self.context, self._options_for(name))
-            self._checkers[name] = instance
-        return instance
+    def _active_checker(self):
+        """The verifier's one checker, built on first use."""
+        if self._checker is None:
+            self._checker = create_checker(
+                self.checker, self.context, self._options_for(self.checker))
+        return self._checker
 
     def _decorate(self, witnesses):
         """Attach a DFS-level state summary to Petri-net witnesses."""
@@ -214,9 +200,9 @@ class Verifier:
             decorated.append(entry)
         return decorated
 
-    def _run(self, property_key, property_name, query, checker, max_witnesses):
+    def _run(self, property_name, query, max_witnesses):
         check_max_witnesses(max_witnesses)
-        outcome = self._checker_for(property_key, checker).check(
+        outcome = self._active_checker().check(
             query, max_witnesses=max_witnesses)
         return VerificationResult(
             property_name, outcome.holds,
@@ -226,12 +212,11 @@ class Verifier:
 
     # -- individual properties ----------------------------------------------------
 
-    def verify_deadlock_freedom(self, max_witnesses=5, checker=None):
+    def verify_deadlock_freedom(self, max_witnesses=5):
         """No reachable state of the model is completely stuck."""
-        return self._run("deadlock", "deadlock freedom", DeadlockQuery(),
-                         checker, max_witnesses)
+        return self._run("deadlock freedom", DeadlockQuery(), max_witnesses)
 
-    def verify_control_mismatch(self, max_witnesses=5, checker=None):
+    def verify_control_mismatch(self, max_witnesses=5):
         """No node ever observes both True and False control tokens."""
         expression = control_mismatch_expression(self.dfs)
         if expression is None:
@@ -240,20 +225,17 @@ class Verifier:
                 details="no node is guarded by two or more control registers",
             )
         query = ReachQuery(expression, description="control-token mismatch")
-        return self._run("mismatch", "control-token mismatch", query,
-                         checker, max_witnesses)
+        return self._run("control-token mismatch", query, max_witnesses)
 
-    def verify_persistence(self, max_witnesses=5, checker=None):
+    def verify_persistence(self, max_witnesses=5):
         """No event is disabled by another one (hazard-freedom), choices excepted."""
-        return self._run("persistence", "persistence", PersistenceQuery(),
-                         checker, max_witnesses)
+        return self._run("persistence", PersistenceQuery(), max_witnesses)
 
-    def verify_safeness(self, max_witnesses=5, checker=None):
+    def verify_safeness(self, max_witnesses=5):
         """The translated net is 1-safe (a sanity check on the translation)."""
-        return self._run("safeness", "1-safeness", SafenessQuery(bound=1),
-                         checker, max_witnesses)
+        return self._run("1-safeness", SafenessQuery(bound=1), max_witnesses)
 
-    def verify_value_mutual_exclusion(self, max_witnesses=5, checker=None):
+    def verify_value_mutual_exclusion(self, max_witnesses=5):
         """A dynamic register never holds a True and a False token at once."""
         expression = value_exclusion_expression(self.dfs)
         if expression is None:
@@ -262,48 +244,25 @@ class Verifier:
                 details="the model has no dynamic registers",
             )
         query = ReachQuery(expression, description="token-value exclusion")
-        return self._run("exclusion", "token-value exclusion", query,
-                         checker, max_witnesses)
+        return self._run("token-value exclusion", query, max_witnesses)
 
     def verify_custom(self, expression, property_name="custom property",
-                      max_witnesses=5, checker=None):
+                      max_witnesses=5):
         """Check a custom Reach expression describing *bad* states."""
         query = ReachQuery(expression, description=property_name)
-        return self._run(property_name, property_name, query, checker,
-                         max_witnesses)
+        return self._run(property_name, query, max_witnesses)
 
     # -- batched verification ---------------------------------------------------------
 
-    def _resolve_property(self, name, custom):
-        """Return a runner closure for a property *name*, or raise."""
-        method_name = self.PROPERTY_CHECKS.get(name)
-        if method_name is not None:
-            return getattr(self, method_name)
-        expression = None
-        if custom and name in custom:
-            expression = custom[name]
-        elif name in CUSTOM_PROPERTIES:
-            expression = CUSTOM_PROPERTIES[name][0]
-        if expression is not None:
-            def run(max_witnesses=5, checker=None, _expr=expression, _name=name):
-                return self.verify_custom(_expr, property_name=_name,
-                                          max_witnesses=max_witnesses,
-                                          checker=checker)
-            return run
-        known = sorted(self.PROPERTY_CHECKS) + sorted(CUSTOM_PROPERTIES)
-        raise VerificationError(
-            "unknown property {!r} (known: {})".format(name, ", ".join(known)))
-
-    def verify_properties(self, properties, max_witnesses=5, checker=None,
-                          custom=None, progress=None):
+    def verify_properties(self, properties, max_witnesses=5, custom=None,
+                          progress=None):
         """Run the named checks and return a summary.
 
         *properties* is an iterable of :data:`PROPERTY_CHECKS` keys and/or
-        custom-property names -- from the *custom* mapping (name to Reach
-        expression) or the :data:`CUSTOM_PROPERTIES` registry; the checks
-        run in the given order against the same shared artefacts.  *checker*
-        forces one checker for every property of this batch (otherwise the
-        per-property overrides and the verifier default apply).
+        names of the *custom* mapping (name to Reach expression, which must
+        not shadow a built-in name); every name is checked
+        (:func:`check_properties`) before any check runs, and the checks run
+        in the given order against the same shared artefacts.
 
         *progress*, if given, is called as ``progress(event, name, result)``
         around each property: once with ``("property-started", name, None)``
@@ -312,12 +271,18 @@ class Verifier:
         per-job events.
         """
         properties = list(properties)
-        runners = [self._resolve_property(name, custom) for name in properties]
+        custom = custom or {}
+        check_properties(properties, custom)
         results = []
-        for name, runner in zip(properties, runners):
+        for name in properties:
             if progress is not None:
                 progress("property-started", name, None)
-            result = runner(max_witnesses=max_witnesses, checker=checker)
+            if name in custom:
+                result = self.verify_custom(custom[name], property_name=name,
+                                            max_witnesses=max_witnesses)
+            else:
+                result = getattr(self, self.PROPERTY_CHECKS[name])(
+                    max_witnesses=max_witnesses)
             results.append(result)
             if progress is not None:
                 progress("property-finished", name, result)

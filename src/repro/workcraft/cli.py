@@ -33,9 +33,9 @@ import sys
 from repro._version import __version__
 from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
 from repro.dfs.examples import conditional_comp_dfs, token_ring
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.verification.checkers import CHECKERS
-from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
+from repro.verification.verifier import Verifier, check_properties
 from repro.workcraft.export import available_formats
 
 #: Default on-disk verdict cache of ``repro-dfs campaign``.
@@ -53,7 +53,7 @@ def _load_model(args):
     if args.example:
         return _EXAMPLES[args.example]()
     if not args.model:
-        raise SystemExit("either a model file or --example must be given")
+        raise ConfigurationError("either a model file or --example must be given")
     return dfs_from_json(args.model)
 
 
@@ -113,7 +113,7 @@ def _resolve_checker(args):
     options = {}
     if args.race:
         if checker not in (None, "portfolio"):
-            raise SystemExit(
+            raise ConfigurationError(
                 "--race races the portfolio's members; it cannot be combined "
                 "with --checker {}".format(checker))
         checker = "portfolio"
@@ -130,9 +130,8 @@ def _resolve_checker(args):
         try:
             require_solver()
         except SolverUnavailableError as exc:
-            print("error: --checker {} needs an SMT solver: {}".format(
-                checker, exc), file=sys.stderr)
-            raise SystemExit(2)
+            raise ConfigurationError(
+                "--checker {} needs an SMT solver: {}".format(checker, exc))
     return checker, options
 
 
@@ -194,22 +193,22 @@ def _parse_axis_values(text, convert=int):
         try:
             if ".." in chunk:
                 if convert is not int:
-                    raise SystemExit(
+                    raise ConfigurationError(
                         "ranges like {!r} are only supported for integer axes".format(
                             chunk))
                 low, _, high = chunk.partition("..")
                 start, stop = int(low, 0), int(high, 0)
                 if stop < start:
-                    raise SystemExit("empty axis range: {!r}".format(chunk))
+                    raise ConfigurationError("empty axis range: {!r}".format(chunk))
                 values.extend(range(start, stop + 1))
             elif convert is int:
                 values.append(int(chunk, 0))
             else:
                 values.append(convert(chunk))
         except ValueError:
-            raise SystemExit("invalid axis value {!r} in {!r}".format(chunk, text))
+            raise ConfigurationError("invalid axis value {!r} in {!r}".format(chunk, text))
     if not values:
-        raise SystemExit("empty axis value list: {!r}".format(text))
+        raise ConfigurationError("empty axis value list: {!r}".format(text))
     return values
 
 
@@ -221,7 +220,7 @@ def _parse_grid(entries):
         key, separator, value = entry.partition("=")
         key = key.strip()
         if not separator or key not in known:
-            raise SystemExit(
+            raise ConfigurationError(
                 "invalid --grid entry {!r} (expected depth=... or prefix=...)".format(
                     entry))
         axes[known[key]] = _parse_axis_values(value)
@@ -235,12 +234,9 @@ def _parse_custom_properties(entries):
         name, separator, expression = entry.partition("=")
         name, expression = name.strip(), expression.strip()
         if not separator or not name or not expression:
-            raise SystemExit(
+            raise ConfigurationError(
                 "invalid --custom entry {!r} (expected name=reach-expression)"
                 .format(entry))
-        if name in Verifier.PROPERTY_CHECKS:
-            raise SystemExit(
-                "--custom name {!r} collides with a built-in property".format(name))
         custom[name] = expression
     return custom
 
@@ -252,12 +248,9 @@ def _command_campaign(args):
     axes = _parse_grid(args.grid)
     custom = _parse_custom_properties(args.custom)
     properties = [name.strip() for name in args.properties.split(",") if name.strip()]
-    known = set(Verifier.PROPERTY_CHECKS) | set(custom) | set(CUSTOM_PROPERTIES)
-    unknown = [name for name in properties if name not in known]
-    if unknown or not properties:
-        raise SystemExit(
-            "unknown --properties value(s): {} (known: {})".format(
-                ", ".join(unknown) or "(none given)", ", ".join(sorted(known))))
+    if not properties:
+        raise ConfigurationError("--properties names no check")
+    check_properties(properties, custom)
     checker, checker_options = _resolve_checker(args)
     spec = ScenarioSpec(
         depths=axes.get("depths", (2, 3)),
@@ -500,9 +493,11 @@ def build_parser():
 def main(argv=None):
     """CLI entry point.
 
-    A library error (a malformed model file, a bad environment setting)
-    is reported in one line and exits 2, like any other failure that is
-    not a verdict; exit 1 stays reserved for violated properties.
+    A library or usage error (a malformed model file, a bad environment
+    setting, a missing model, a bad ``--grid`` value) is a
+    :class:`~repro.exceptions.ReproError`, reported in one line with exit
+    code 2, like any other failure that is not a verdict; exit 1 stays
+    reserved for violated properties.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

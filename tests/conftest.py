@@ -65,3 +65,34 @@ def explicit_engine(monkeypatch):
     monkeypatch.setattr(
         "repro.verification.checkers.base.build_reachability_graph",
         lambda net, max_states=200000, **_: explore(net, max_states=max_states))
+
+
+@pytest.fixture
+def exhaustive_on_both_graphs(request):
+    """Decide queries on both graph classes: ``run(net, queries)``.
+
+    ``run`` answers every query with the exhaustive checker on the graph
+    the net picks (columnar for every net it is used on), then activates
+    ``explicit_engine`` and answers them again on the explicit graph; it
+    returns the two outcome lists as ``(explicit, columnar)``.  Call it
+    once per test: the explicit engine stays in place afterwards.
+    """
+    from repro.petri.batch import ColumnarReachabilityGraph
+    from repro.verification.checkers import CheckerContext, ExhaustiveChecker
+
+    def decide(net, queries, max_witnesses):
+        context = CheckerContext(net)
+        checker = ExhaustiveChecker(context)
+        outcomes = [checker.check(query, max_witnesses=max_witnesses)
+                    for query in queries]
+        return outcomes, isinstance(context.graph, ColumnarReachabilityGraph)
+
+    def run(net, queries, max_witnesses=5):
+        columnar, is_columnar = decide(net, queries, max_witnesses)
+        assert is_columnar
+        request.getfixturevalue("explicit_engine")
+        explicit, is_columnar = decide(net, queries, max_witnesses)
+        assert not is_columnar
+        return explicit, columnar
+
+    return run

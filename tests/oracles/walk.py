@@ -217,5 +217,5 @@ def scalar_walk_verifier(dfs, **options):
     the verifier's checker slot instead.
     """
     verifier = Verifier(dfs, checker="walk")
-    verifier._checkers["walk"] = ScalarWalkChecker(verifier.context, **options)
+    verifier._checker = ScalarWalkChecker(verifier.context, **options)
     return verifier

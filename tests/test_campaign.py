@@ -307,19 +307,31 @@ class TestCampaignCli:
         payload = json.load(open(report_path, encoding="utf-8"))
         assert payload["summary"]["outcomes"]["timeout"] == 1
 
-    def test_bad_grid_axis_is_rejected(self):
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "--grid", "bogus=1"])
+    def test_bad_grid_axis_is_rejected(self, capsys):
+        assert cli_main(["campaign", "--grid", "bogus=1"]) == 2
+        assert "invalid --grid entry 'bogus=1'" in capsys.readouterr().err
 
-    def test_malformed_axis_values_are_clean_cli_errors(self):
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "--grid", "depth=2", "--holes", "x"])
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "--grid", "depth=2", "--voltages", "0.9..1.2"])
+    def test_malformed_axis_values_are_clean_cli_errors(self, capsys):
+        assert cli_main(["campaign", "--grid", "depth=x"]) == 2
+        assert "invalid axis value 'x'" in capsys.readouterr().err
+        assert cli_main(["campaign", "--grid", "depth=2", "--holes", "x"]) == 2
+        assert "invalid axis value 'x'" in capsys.readouterr().err
+        assert cli_main(["campaign", "--grid", "depth=2",
+                         "--voltages", "0.9..1.2"]) == 2
+        assert "only supported for integer axes" in capsys.readouterr().err
 
-    def test_unknown_property_name_is_a_parse_time_error(self):
-        with pytest.raises(SystemExit):
-            cli_main(["campaign", "--grid", "depth=2", "--properties", "deadlok"])
+    def test_unknown_property_name_is_a_parse_time_error(self, capsys):
+        assert cli_main(["campaign", "--grid", "depth=2",
+                         "--properties", "deadlok"]) == 2
+        assert "unknown property 'deadlok'" in capsys.readouterr().err
+        assert cli_main(["campaign", "--grid", "depth=2",
+                         "--properties", ","]) == 2
+        assert "--properties names no check" in capsys.readouterr().err
+
+    def test_custom_name_shadowing_a_builtin_is_refused(self, capsys):
+        assert cli_main(["campaign", "--grid", "depth=2", "--no-cache",
+                         "--custom", "deadlock=true"]) == 2
+        assert "shadow built-in checks" in capsys.readouterr().err
 
     def test_report_directories_are_created_up_front(self, tmp_path):
         report_path = str(tmp_path / "nested" / "dir" / "report.json")

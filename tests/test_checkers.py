@@ -30,12 +30,7 @@ from repro.verification.checkers import (
     SafenessQuery,
     create_checker,
 )
-from repro.verification.verifier import (
-    CUSTOM_PROPERTIES,
-    Verifier,
-    register_custom_property,
-    unregister_custom_property,
-)
+from repro.verification.verifier import Verifier
 
 from oracles.walk import scalar_walk_verifier
 
@@ -217,15 +212,6 @@ class TestCheckerSelection:
         with pytest.raises(VerificationError):
             Verifier(conditional_dfs, checker="quantum")
 
-    def test_per_property_override_and_per_call_checker(self, conditional_dfs):
-        verifier = Verifier(conditional_dfs, checker="exhaustive",
-                            checker_overrides={"exclusion": "inductive"})
-        assert verifier.verify_value_mutual_exclusion().method == "inductive"
-        assert verifier.verify_deadlock_freedom().method == "exhaustive"
-        # An explicit per-call argument wins over both.
-        assert verifier.verify_value_mutual_exclusion(
-            checker="exhaustive").method == "exhaustive"
-
     def test_walk_never_claims_holds(self, conditional_dfs):
         summary = Verifier(conditional_dfs, checker="walk").verify_properties(
             DIFFERENTIAL_PROPERTIES)
@@ -259,8 +245,6 @@ class TestCheckerSelection:
     def test_unknown_checker_options_keys_are_rejected(self, conditional_dfs):
         with pytest.raises(VerificationError):
             Verifier(conditional_dfs, checker_options={"wakl": {"walks": 2}})
-        with pytest.raises(VerificationError):
-            Verifier(conditional_dfs, checker_overrides={"deadlock": "wakl"})
 
     @pytest.mark.parametrize("options", [
         {"walk": {"bogus": 1}},
@@ -299,7 +283,7 @@ class TestCheckerSelection:
         # walks; that must hold when the walk runs as a portfolio member.
         verifier = Verifier(conditional_dfs, checker="portfolio",
                             checker_options={"walk": {"walks": 3, "seed": 5}})
-        portfolio = verifier._checker_for("deadlock")
+        portfolio = verifier._active_checker()
         walk = next(m for m in portfolio.members if m.name == "walk")
         assert walk.walks == 3
         assert walk.seed == 5
@@ -421,31 +405,34 @@ class TestReachCubes:
             assert predicate(marking) == (marking["M_in_1"] > 0)
 
 
-class TestCustomPropertyRegistry:
-    def test_registered_name_runs_through_verify_properties(self, conditional_dfs):
-        register_custom_property("input_never_marked", '$"M_in_1"')
-        try:
-            summary = Verifier(conditional_dfs).verify_properties(
-                ("deadlock", "input_never_marked"))
-            result = summary.result("input_never_marked")
-            assert result.holds is False
-            assert result.witnesses[0]["trace"]
-        finally:
-            unregister_custom_property("input_never_marked")
-        assert "input_never_marked" not in CUSTOM_PROPERTIES
+class TestCustomProperties:
+    def test_custom_name_runs_through_verify_properties(self, conditional_dfs):
+        summary = Verifier(conditional_dfs).verify_properties(
+            ("deadlock", "input_never_marked"),
+            custom={"input_never_marked": '$"M_in_1"'})
+        result = summary.result("input_never_marked")
+        assert result.holds is False
+        assert result.witnesses[0]["trace"]
 
-    def test_builtin_names_cannot_be_shadowed(self):
-        with pytest.raises(VerificationError):
-            register_custom_property("deadlock", "true")
+    def test_builtin_names_cannot_be_shadowed(self, conditional_dfs):
+        verifier = Verifier(conditional_dfs)
+        with pytest.raises(ConfigurationError, match="shadow"):
+            verifier.verify_properties(("deadlock",),
+                                       custom={"deadlock": "true"})
+        with pytest.raises(ConfigurationError, match="shadow"):
+            VerificationJob("j", "conditional", properties=("deadlock",),
+                            custom_properties={"deadlock": "true"})
+        # Refused before any check ran: nothing was explored.
+        assert verifier.context.state_count == 0
 
     def test_unknown_property_error_lists_customs(self, conditional_dfs):
-        register_custom_property("listed_custom", "false")
-        try:
-            with pytest.raises(VerificationError) as excinfo:
-                Verifier(conditional_dfs).verify_properties(("nope",))
-            assert "listed_custom" in str(excinfo.value)
-        finally:
-            unregister_custom_property("listed_custom")
+        with pytest.raises(ConfigurationError) as excinfo:
+            Verifier(conditional_dfs).verify_properties(
+                ("deadlock", "nope"), custom={"listed_custom": "false"})
+        assert "'nope'" in str(excinfo.value)
+        assert "listed_custom" in str(excinfo.value)
+        with pytest.raises(ConfigurationError, match="unknown property"):
+            VerificationJob("j", "conditional", properties=("deadlok",))
 
     def test_campaign_job_carries_inline_custom_properties(self):
         job = VerificationJob(
@@ -479,7 +466,7 @@ class TestCampaignSeedThreading:
         # axis seed (top-level) and the explicit nested member options.
         verifier = Verifier(conditional_dfs, checker="portfolio",
                             checker_options=options)
-        portfolio = verifier._checker_for("deadlock")
+        portfolio = verifier._active_checker()
         walk = next(m for m in portfolio.members if m.name == "walk")
         assert walk.seed == 7
         assert walk.walks == 4
@@ -504,31 +491,18 @@ class TestCampaignCacheKeys:
         assert options_digest(exhaustive.options()) != \
             options_digest(portfolio.options())
 
-    def test_registry_expressions_are_part_of_the_cache_digest(self):
-        def job():
-            # Jobs snapshot registry expressions at construction time, which
-            # makes them self-contained across process boundaries (spawned
-            # processes re-import with an empty registry) and puts the
-            # actual expression into the cache digest.
+    def test_custom_expressions_are_part_of_the_cache_digest(self):
+        def job(expression):
             return VerificationJob("j", "conditional", kwargs={"comp_stages": 1},
-                                   properties=("deadlock", "reg_prop"))
+                                   properties=("deadlock", "custom_prop"),
+                                   custom_properties={"custom_prop": expression})
 
-        register_custom_property("reg_prop", '$"M_in_1"')
-        try:
-            first_job = job()
-            first = options_digest(first_job.options())
-            assert first_job.custom_properties == {"reg_prop": '$"M_in_1"'}
-        finally:
-            unregister_custom_property("reg_prop")
-        register_custom_property("reg_prop", '$"M_dst_1"')
-        try:
-            second = options_digest(job().options())
-        finally:
-            unregister_custom_property("reg_prop")
-        # Re-registering a name with a different expression can never be
-        # answered from the stale cached verdict of the old expression.
+        first_job = job('$"M_in_1"')
+        first = options_digest(first_job.options())
+        second = options_digest(job('$"M_dst_1"').options())
+        # Reusing a name for a different expression can never be answered
+        # from the stale cached verdict of the old expression.
         assert first != second
-        # The snapshot keeps working after the registry entry is gone.
         payload = first_job.run()
         assert payload["verdict"]["properties"][1]["holds"] is False
 

@@ -103,18 +103,10 @@ class TestSupervisor:
         assert by_id["fast"].payload == 42
         assert by_id["slow"].status == "cancelled"
 
-    def test_inline_mode_honours_stop_when(self):
-        outcomes = run_supervised(
-            [("first", _quick_task, (21,)), ("second", _quick_task, (5,))],
-            parallelism=0,
-            stop_when=lambda outcome: outcome.ok and outcome.payload == 42)
-        assert outcomes[0].payload == 42
-        assert outcomes[1].status == "cancelled"
-
     def test_duplicate_task_ids_rejected(self):
         with pytest.raises(ConfigurationError):
             run_supervised([("x", _quick_task, (1,)), ("x", _quick_task, (2,))],
-                           parallelism=0)
+                           parallelism=1)
 
     def test_outcome_repr_and_start_method(self):
         assert "cancelled" in repr(TaskOutcome("t", "cancelled"))
@@ -288,6 +280,23 @@ class TestRacingPortfolio:
         assert result.holds is False
         assert result.witnesses[0]["trace"]
         assert "won the race" in result.details
+
+    def test_race_reports_the_states_its_exhaustive_member_explored(self):
+        """The header of a raced run counts the member's states, not 0.
+
+        The walk member never proves "holds", so the exhaustive member
+        wins deadlock freedom and its graph lives in its worker only.
+        """
+        verifier = Verifier(
+            conditional_comp_dfs(), checker="portfolio",
+            checker_options={"portfolio": {"race": True,
+                                           "order": ("walk", "exhaustive")}})
+        summary = verifier.verify_properties(["deadlock"])
+        (result,) = summary.results
+        assert result.holds is True and result.method == "exhaustive"
+        assert summary.state_count == 39
+        assert summary.truncated is False
+        assert summary.exploration is not None
 
     def test_race_cancels_losers(self):
         """A conclusive winner reports the fate of every other member."""

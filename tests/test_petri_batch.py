@@ -34,14 +34,14 @@ from repro.petri.batch import (
 )
 from repro.petri.compiled import CompiledNet
 from repro.petri.net import PetriNet
-from repro.petri.properties import (
-    check_boundedness,
-    check_deadlock,
-    check_persistence,
-)
 from repro.petri.reachability import build_reachability_graph, explore
 from repro.petri.storage import HashIndex
-from repro.reach.evaluator import find_witnesses, holds_somewhere
+from repro.verification.checkers import (
+    DeadlockQuery,
+    PersistenceQuery,
+    ReachQuery,
+    SafenessQuery,
+)
 
 from oracles.compiled import ExplorationRecord, explore_compiled
 
@@ -151,19 +151,16 @@ class TestDifferentialExamples:
             assert batch.enabled(marking) == explicit.enabled(marking)
             assert batch.is_expanded(marking) == explicit.is_expanded(marking)
 
-    def test_property_verdicts_identical(self):
+    def test_property_verdicts_identical(self, exhaustive_on_both_graphs):
         net = to_petri_net(conditional_comp_dfs(comp_stages=2))
-        explicit, batch = explore(net), build_reachability_graph(net)
-        for check in (check_deadlock, check_persistence):
-            left, right = check(explicit), check(batch)
-            assert left.holds == right.holds
-            assert left.details == right.details
-            assert [w["marking"] for w in left.witnesses] == \
-                [w["marking"] for w in right.witnesses]
-        assert check_boundedness(explicit, bound=1).holds == \
-            check_boundedness(batch, bound=1).holds
+        explicit, batch = exhaustive_on_both_graphs(
+            net, [DeadlockQuery(), PersistenceQuery(), SafenessQuery(bound=1)])
+        for left, right in zip(explicit, batch):
+            assert (left.holds, left.details, left.witnesses) == \
+                (right.holds, right.details, right.witnesses)
 
-    def test_persistence_witnesses_identical_on_hazard(self):
+    def test_persistence_witnesses_identical_on_hazard(
+            self, exhaustive_on_both_graphs):
         net = PetriNet("hazard")
         net.add_place("g", tokens=1)
         net.add_place("g_done")
@@ -176,41 +173,35 @@ class TestDifferentialExamples:
         net.add_arc("p", "observe")
         net.add_arc("observe", "q")
         net.add_read_arc("g", "observe")
-        explicit, batch = explore(net), build_reachability_graph(net)
-        left = check_persistence(explicit)
-        right = check_persistence(batch)
+        ([left], [right]) = exhaustive_on_both_graphs(net, [PersistenceQuery()])
         assert left.holds is False and right.holds is False
-        assert left.details == right.details
-        strip = lambda ws: [{k: w[k] for k in ("marking", "fired", "disabled")}
-                            for w in ws]
-        assert strip(left.witnesses) == strip(right.witnesses)
+        assert (left.details, left.witnesses) == (right.details, right.witnesses)
 
-    def test_exclusion_pairs_vectorised_path(self):
+    def test_exclusion_pairs_vectorised_path(self, exhaustive_on_both_graphs):
         """Mutual exclusion of two places is the Reach query ``$a & $b``."""
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        explicit, batch = explore(net), build_reachability_graph(net)
-        for a, b in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
-                     ("M_in_1", "M_in_0")]:
-            expression = '$"{}" & $"{}"'.format(a, b)
-            left = find_witnesses(expression, explicit)
-            right = find_witnesses(expression, batch)
-            assert left == right
-            assert holds_somewhere(expression, explicit) == \
-                holds_somewhere(expression, batch) == bool(left)
+        queries = [ReachQuery('$"{}" & $"{}"'.format(a, b))
+                   for a, b in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
+                                ("M_in_1", "M_in_0")]]
+        explicit, batch = exhaustive_on_both_graphs(net, queries)
+        for left, right in zip(explicit, batch):
+            assert (left.holds, left.details, left.witnesses) == \
+                (right.holds, right.details, right.witnesses)
+            assert left.holds is (not left.witnesses)
 
-    def test_reach_witnesses_identical(self):
+    def test_reach_witnesses_identical(self, exhaustive_on_both_graphs):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        explicit, batch = explore(net), build_reachability_graph(net)
-        for expression in ['$"M_in_1"', '$"M_r1_1" & $"Mf_ctrl_1"',
-                           'tokens(M_ctrl_1) >= 1 -> !$"C_cond_1"',
-                           '!$"M_in_1" | $"M_out_1"']:
-            left = find_witnesses(expression, explicit)
-            right = find_witnesses(expression, batch)
-            assert [w["marking"] for w in left] == [w["marking"] for w in right]
-            assert [len(w["trace"]) for w in left] == \
-                [len(w["trace"]) for w in right]
-            assert holds_somewhere(expression, explicit) == \
-                holds_somewhere(expression, batch)
+        queries = [ReachQuery(expression) for expression in
+                   ['$"M_in_1"', '$"M_r1_1" & $"Mf_ctrl_1"',
+                    'tokens(M_ctrl_1) >= 1 -> !$"C_cond_1"',
+                    '!$"M_in_1" | $"M_out_1"']]
+        explicit, batch = exhaustive_on_both_graphs(net, queries)
+        for left, right in zip(explicit, batch):
+            assert (left.holds, left.details) == (right.holds, right.details)
+            assert [w["marking"] for w in left.witnesses] == \
+                [w["marking"] for w in right.witnesses]
+            assert [len(w["trace"]) for w in left.witnesses] == \
+                [len(w["trace"]) for w in right.witnesses]
 
     def test_overflow_detected_like_sequential(self):
         net = PetriNet("overflow")
@@ -303,17 +294,17 @@ class TestPersistenceOnHazardNets:
                         allow_conflicts=allow_conflicts,
                         max_witnesses=max_witnesses) == expected, tag
                 if explicit is not None:
+                    assert explicit.truncated == batch.truncated, tag
                     everything = len(batch) ** 2 * len(net.transitions)
-                    left = check_persistence(
-                        explicit, allow_conflicts=allow_conflicts,
-                        max_witnesses=everything, with_traces=False)
-                    right = check_persistence(
-                        batch, allow_conflicts=allow_conflicts,
-                        max_witnesses=everything, with_traces=False)
-                    assert (left.holds, left.details) == \
-                        (right.holds, right.details), tag
-                    assert sorted(map(_witness_key, left.witnesses)) == \
-                        sorted(map(_witness_key, right.witnesses)), tag
+                    left = explicit.persistence_scan(
+                        allow_conflicts=allow_conflicts,
+                        max_witnesses=everything)
+                    right = batch.persistence_scan(
+                        allow_conflicts=allow_conflicts,
+                        max_witnesses=everything)
+                    assert left[0] == right[0], tag
+                    assert sorted(map(_witness_key, left[1])) == \
+                        sorted(map(_witness_key, right[1])), tag
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_edge_blocks_do_not_change_the_answer(self, block, monkeypatch):

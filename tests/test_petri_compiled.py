@@ -22,13 +22,13 @@ from repro.petri.batch import ColumnarReachabilityGraph
 from repro.petri.compiled import CompiledNet
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.properties import (
-    check_boundedness,
-    check_deadlock,
-    check_persistence,
-)
 from repro.petri.reachability import build_reachability_graph, explore
-from repro.reach.evaluator import find_witnesses, holds_somewhere
+from repro.verification.checkers import (
+    DeadlockQuery,
+    PersistenceQuery,
+    ReachQuery,
+    SafenessQuery,
+)
 
 from oracles.compiled import explore_compiled, is_enabled
 
@@ -80,20 +80,21 @@ class TestDifferentialExamples:
             assert explicit.predecessors(marking) == compiled.predecessors(marking)
 
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
-    def test_deadlocks_and_property_verdicts_identical(self, model):
+    def test_deadlocks_and_property_verdicts_identical(
+            self, model, exhaustive_on_both_graphs):
         net = to_petri_net(model())
         explicit, compiled = both_graphs(net)
         assert explicit.deadlocks() == compiled.deadlocks()
-        assert check_deadlock(explicit).holds == check_deadlock(compiled).holds
-        assert check_boundedness(explicit, bound=1).holds == \
-            check_boundedness(compiled, bound=1).holds
-        explicit_persistence = check_persistence(explicit)
-        compiled_persistence = check_persistence(compiled)
-        assert explicit_persistence.holds == compiled_persistence.holds
+        explicit_outcomes, compiled_outcomes = exhaustive_on_both_graphs(
+            net, [DeadlockQuery(), SafenessQuery(bound=1), PersistenceQuery()])
+        for a, b in zip(explicit_outcomes, compiled_outcomes):
+            assert a.holds == b.holds
+
         def strip(ws):
             return [{k: w[k] for k in ("marking", "fired", "disabled") if k in w}
                     for w in ws]
-        assert strip(explicit_persistence.witnesses) == strip(compiled_persistence.witnesses)
+        assert strip(explicit_outcomes[2].witnesses) == \
+            strip(compiled_outcomes[2].witnesses)
 
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
     def test_trace_lengths_identical(self, model):
@@ -102,34 +103,32 @@ class TestDifferentialExamples:
         for marking in explicit.states:
             assert len(explicit.trace_to(marking)) == len(compiled.trace_to(marking))
 
-    def test_exclusion_pair_witnesses_identical(self):
+    def test_exclusion_pair_witnesses_identical(self, exhaustive_on_both_graphs):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        explicit, compiled = both_graphs(net)
-        for first, second in [("Mt_ctrl_1", "Mf_ctrl_1"), ("M_in_1", "M_out_1"),
-                              ("M_in_1", "M_in_0")]:
-            expression = '$"{}" & $"{}"'.format(first, second)
-            a = find_witnesses(expression, explicit, max_witnesses=5)
-            b = find_witnesses(expression, compiled, max_witnesses=5)
-            assert [w["marking"] for w in a] == [w["marking"] for w in b]
-            assert holds_somewhere(expression, explicit) == \
-                holds_somewhere(expression, compiled)
+        queries = [ReachQuery('$"{}" & $"{}"'.format(first, second))
+                   for first, second in [("Mt_ctrl_1", "Mf_ctrl_1"),
+                                         ("M_in_1", "M_out_1"),
+                                         ("M_in_1", "M_in_0")]]
+        for a, b in zip(*exhaustive_on_both_graphs(net, queries)):
+            assert [w["marking"] for w in a.witnesses] == \
+                [w["marking"] for w in b.witnesses]
+            assert a.holds == b.holds
 
-    def test_reach_witnesses_identical(self):
+    def test_reach_witnesses_identical(self, exhaustive_on_both_graphs):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
-        explicit, compiled = both_graphs(net)
-        for expression in ['$"M_in_1"', '$"M_r1_1" & $"Mf_ctrl_1"',
-                           'tokens(M_ctrl_1) >= 1 -> !$"C_cond_1"']:
-            a = find_witnesses(expression, explicit)
-            b = find_witnesses(expression, compiled)
-            assert [w["marking"] for w in a] == [w["marking"] for w in b]
-            assert [len(w["trace"]) for w in a] == [len(w["trace"]) for w in b]
-            assert holds_somewhere(expression, explicit) == \
-                holds_somewhere(expression, compiled)
+        queries = [ReachQuery(expression) for expression in
+                   ['$"M_in_1"', '$"M_r1_1" & $"Mf_ctrl_1"',
+                    'tokens(M_ctrl_1) >= 1 -> !$"C_cond_1"']]
+        for a, b in zip(*exhaustive_on_both_graphs(net, queries)):
+            assert [w["marking"] for w in a.witnesses] == \
+                [w["marking"] for w in b.witnesses]
+            assert [len(w["trace"]) for w in a.witnesses] == \
+                [len(w["trace"]) for w in b.witnesses]
+            assert a.holds == b.holds
 
-    def test_persistence_hazard_witnesses_identical(self):
-        explicit, compiled = both_graphs(hazard_net())
-        a = check_persistence(explicit)
-        b = check_persistence(compiled)
+    def test_persistence_hazard_witnesses_identical(
+            self, exhaustive_on_both_graphs):
+        [a], [b] = exhaustive_on_both_graphs(hazard_net(), [PersistenceQuery()])
         assert a.holds is False and b.holds is False
         assert a.witnesses[0]["fired"] == b.witnesses[0]["fired"] == "kill"
         assert a.witnesses[0]["disabled"] == b.witnesses[0]["disabled"] == "observe"

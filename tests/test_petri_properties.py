@@ -1,13 +1,33 @@
-"""Tests for repro.petri.properties."""
+"""Exhaustive verdicts on hand-built nets: deadlock, persistence, safeness, Reach.
+
+Each query goes through
+:class:`~repro.verification.checkers.exhaustive.ExhaustiveChecker`, which
+decides it from the scans of an explicit reachability graph (the
+``explicit_engine`` fixture), truncated graphs included.
+"""
+
+import pytest
 
 from repro.petri.net import PetriNet
-from repro.petri.properties import (
-    check_boundedness,
-    check_deadlock,
-    check_persistence,
+from repro.petri.reachability import ReachabilityGraph
+from repro.verification.checkers import (
+    CheckerContext,
+    DeadlockQuery,
+    ExhaustiveChecker,
+    PersistenceQuery,
+    ReachQuery,
+    SafenessQuery,
 )
-from repro.petri.reachability import explore
-from repro.reach.evaluator import find_witnesses
+
+pytestmark = pytest.mark.usefixtures("explicit_engine")
+
+
+def check(net, query, max_states=200000):
+    """The exhaustive checker's outcome of *query* on *net*, and its graph."""
+    context = CheckerContext(net, max_states=max_states)
+    outcome = ExhaustiveChecker(context).check(query)
+    assert type(context.graph) is ReachabilityGraph
+    return outcome, context.graph
 
 
 def choice_net():
@@ -68,37 +88,36 @@ class TestTruncatedGraphChecks:
     """Truncated graphs must never blame a frontier state."""
 
     def test_no_phantom_deadlock_on_truncated_ring(self):
-        report = check_deadlock(explore(ring_net(), max_states=2))
-        assert report.holds is None  # inconclusive, never "violated"
+        outcome, _ = check(ring_net(), DeadlockQuery(), max_states=2)
+        assert outcome.holds is None  # inconclusive, never "violated"
 
     def test_real_deadlock_survives_truncation(self):
         # One branch of the choice fits under the bound and ends in a true
         # deadlock; the other is cut off.  The found deadlock is definitive.
-        graph = explore(choice_net(), max_states=2)
+        outcome, graph = check(choice_net(), DeadlockQuery(), max_states=2)
         assert graph.truncated
-        report = check_deadlock(graph)
-        assert report.holds is False
+        assert outcome.holds is False
 
     def test_persistence_skips_frontier_states(self):
         # The interleaved two-token ring is persistent; a truncated scan
         # that inspected the partial successors of frontier states would
         # report spurious disablings.
-        graph = explore(ring_net(places=4, tokens=2), max_states=3)
+        outcome, graph = check(ring_net(places=4, tokens=2),
+                               PersistenceQuery(), max_states=3)
         assert graph.truncated and graph.frontier
-        report = check_persistence(graph)
-        assert report.holds is None
+        assert outcome.holds is None
 
     def test_boundedness_inconclusive_when_truncated(self):
-        report = check_boundedness(explore(ring_net(), max_states=2), bound=1)
-        assert report.holds is None
+        outcome, _ = check(ring_net(), SafenessQuery(bound=1), max_states=2)
+        assert outcome.holds is None
 
 
 class TestDeadlock:
     def test_choice_net_deadlocks(self):
-        report = check_deadlock(explore(choice_net()))
-        assert report.holds is False
-        assert report.witnesses
-        assert "trace" in report.witnesses[0]
+        outcome, _ = check(choice_net(), DeadlockQuery())
+        assert outcome.holds is False
+        assert outcome.witnesses
+        assert "trace" in outcome.witnesses[0]
 
     def test_cycle_free_of_deadlock(self):
         net = PetriNet("loop")
@@ -106,46 +125,49 @@ class TestDeadlock:
         net.add_transition("t")
         net.add_arc("p", "t")
         net.add_arc("t", "p")
-        report = check_deadlock(explore(net))
-        assert report.holds is True
+        outcome, _ = check(net, DeadlockQuery())
+        assert outcome.holds is True
 
 
 class TestPersistence:
     def test_structural_conflict_is_not_a_hazard(self):
-        report = check_persistence(explore(choice_net()))
-        assert report.holds is True
+        outcome, _ = check(choice_net(), PersistenceQuery())
+        assert outcome.holds is True
 
     def test_read_arc_disabling_is_a_hazard(self):
-        report = check_persistence(explore(hazard_net()))
-        assert report.holds is False
-        witness = report.witnesses[0]
+        outcome, _ = check(hazard_net(), PersistenceQuery())
+        assert outcome.holds is False
+        witness = outcome.witnesses[0]
         assert witness["fired"] == "kill"
         assert witness["disabled"] == "observe"
 
     def test_conflicts_can_be_counted_when_not_allowed(self):
-        report = check_persistence(explore(choice_net()), allow_conflicts=False)
-        assert report.holds is False
+        outcome, _ = check(choice_net(),
+                           PersistenceQuery(allow_conflicts=False))
+        assert outcome.holds is False
 
 
 class TestBoundedness:
     def test_safe_net_passes(self):
-        report = check_boundedness(explore(choice_net()), bound=1)
-        assert report.holds is True
+        outcome, _ = check(choice_net(), SafenessQuery(bound=1))
+        assert outcome.holds is True
 
     def test_two_token_place_fails_safeness(self):
-        report = check_boundedness(explore(unbounded_like_net()), bound=1)
-        assert report.holds is False
+        outcome, _ = check(unbounded_like_net(), SafenessQuery(bound=1))
+        assert outcome.holds is False
 
     def test_higher_bound_passes(self):
-        report = check_boundedness(explore(unbounded_like_net()), bound=2)
-        assert report.holds is True
+        outcome, _ = check(unbounded_like_net(), SafenessQuery(bound=2))
+        assert outcome.holds is True
 
 
 class TestMutualExclusion:
     """Mutual exclusion of two places is the Reach query ``$a & $b``."""
 
     def test_exclusive_places(self):
-        assert find_witnesses('$"a" & $"b"', explore(choice_net())) == []
+        outcome, _ = check(choice_net(), ReachQuery('$"a" & $"b"'))
+        assert outcome.holds is True
+        assert outcome.witnesses == []
 
     def test_non_exclusive_places(self):
         net = PetriNet("both")
@@ -156,5 +178,5 @@ class TestMutualExclusion:
         net.add_arc("p", "t")
         net.add_arc("t", "a")
         net.add_arc("t", "b")
-        witnesses = find_witnesses('$"a" & $"b"', explore(net))
-        assert [w["trace"] for w in witnesses] == [["t"]]
+        outcome, _ = check(net, ReachQuery('$"a" & $"b"'))
+        assert [w["trace"] for w in outcome.witnesses] == [["t"]]

@@ -5,10 +5,14 @@ import pytest
 from repro.exceptions import ReachEvaluationError, ReachSyntaxError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import explore
 from repro.reach.ast import And, Constant, Marked, Not, conjunction, disjunction
-from repro.reach.evaluator import evaluate, find_witnesses, holds_somewhere
+from repro.reach.evaluator import evaluate
 from repro.reach.parser import parse
+from repro.verification.checkers import (
+    CheckerContext,
+    ExhaustiveChecker,
+    ReachQuery,
+)
 
 
 class TestParser:
@@ -96,17 +100,22 @@ class TestEvaluator:
         with pytest.raises(ReachEvaluationError):
             evaluate('$"missing"', net.initial_marking(), net=net)
 
-    def test_find_witnesses_with_traces(self):
-        net = self._net()
-        graph = explore(net)
-        witnesses = find_witnesses('$"q"', graph)
+    def _check(self, expression):
+        checker = ExhaustiveChecker(CheckerContext(self._net()))
+        return checker.check(ReachQuery(expression))
+
+    def test_reach_witnesses_carry_traces(self, explicit_engine):
+        witnesses = self._check('$"q"').witnesses
         assert len(witnesses) == 1
         assert witnesses[0]["trace"] == ["t"]
 
-    def test_holds_somewhere(self):
-        graph = explore(self._net())
-        assert holds_somewhere('$"q"', graph)
-        assert not holds_somewhere('$"p" & $"q"', graph)
+    def test_reach_verdict(self, explicit_engine):
+        assert self._check('$"q"').holds is False
+        assert self._check('$"p" & $"q"').holds is True
+
+    def test_unknown_places_are_refused(self):
+        with pytest.raises(ReachEvaluationError):
+            self._check('$"missing"')
 
     def test_evaluate_accepts_ast_or_text(self):
         marking = Marking({"p": 1})

@@ -395,7 +395,11 @@ class TestAdmissionControl:
     @pytest.mark.parametrize("field,message", [
         ({"engine": "explicit"}, "unknown reachability engine"),
         ({"max_witnesses": -1}, "max_witnesses"),
-    ], ids=["explicit-engine", "negative-budget"])
+        ({"properties": ["deadlok"]}, "unknown property 'deadlok'"),
+        ({"properties": ["deadlock"], "custom_properties": {"deadlock": "true"}},
+         "shadow built-in checks"),
+    ], ids=["explicit-engine", "negative-budget", "unknown-property",
+            "custom-shadows-builtin"])
     def test_engine_choice_and_negative_budget_are_refused_at_submit(
             self, tmp_path, field, message):
         service = VerificationService(parallelism=1,

@@ -139,6 +139,38 @@ class TestSummary:
         assert result.holds is None
 
 
+class TestTruncatedVerdicts:
+    """A violation found is conclusive; none found on a truncated graph is not."""
+
+    TRUNCATED = "state space truncated after 10 states; result inconclusive"
+    EXPECTED = [
+        ("1-safeness", None, TRUNCATED, 0),
+        ("deadlock freedom", None, TRUNCATED, 0),
+        ("control-token mismatch", True,
+         "no node is guarded by two or more control registers", 0),
+        ("token-value exclusion", None,
+         "inconclusive (truncated state space)", 0),
+        ("persistence", None, TRUNCATED, 0),
+        ("output marked", False, "2 reachable bad state(s)", 2),
+    ]
+
+    @pytest.mark.parametrize("graph_class", ["columnar", "explicit"])
+    def test_every_check_on_a_truncated_graph(self, request, graph_class):
+        if graph_class == "explicit":
+            request.getfixturevalue("explicit_engine")
+        verifier = Verifier(conditional_comp_dfs(), max_states=10)
+        summary = verifier.verify_all()
+        custom = verifier.verify_custom('$"M_out_1"',
+                                        property_name="output marked")
+        assert isinstance(verifier.graph, ColumnarReachabilityGraph) == \
+            (graph_class == "columnar")
+        assert summary.truncated and summary.state_count == 10
+        observed = [(result.property_name, result.holds, result.details,
+                     len(result.witnesses))
+                    for result in list(summary.results) + [custom]]
+        assert observed == self.EXPECTED
+
+
 class TestWitnessShape:
     def test_safeness_witnesses_are_decorated(self, conditional_dfs):
         """All five checks attach dfs_state; safeness must not be the odd one.

@@ -134,9 +134,17 @@ class TestCli:
         assert cli_main(["export", "--example", "conditional", "--format", "verilog"]) == 0
         assert "module" in capsys.readouterr().out
 
-    def test_missing_model_argument_errors(self):
-        with pytest.raises(SystemExit):
-            cli_main(["info"])
+    def test_missing_model_argument_errors(self, capsys):
+        for command in ("info", "verify"):
+            assert cli_main([command]) == 2
+            assert "either a model file or --example must be given" in \
+                capsys.readouterr().err
+
+    def test_race_with_another_checker_exits_2(self, capsys):
+        assert cli_main(["verify", "--example", "ring", "--race",
+                         "--checker", "walk"]) == 2
+        assert "cannot be combined with --checker walk" in \
+            capsys.readouterr().err
 
     def test_removed_workers_and_engine_choices_exit_2(self, capsys):
         # Spill is set by REPRO_SPILL_DIR / REPRO_SPILL_BYTES only.
