@@ -16,7 +16,7 @@ registers, driven by on-chip LFSR stimulus and operated across a supply
   (Section IV) for a token-game smoke run, and **voltages** annotate the
   operating points of the E5 voltage sweep (Fig. 9).
 * :mod:`~repro.campaign.jobs` -- the picklable :class:`VerificationJob`
-  unit of work: a model-factory reference plus plain-data options (including
+  unit of work: a built-in model-family name plus plain-data options (including
   the checker choice and any named custom Reach properties), never a live
   model, so jobs cross process boundaries and hash into cache keys.
 * :mod:`~repro.campaign.runner` -- :func:`run_campaign` fans jobs out over
@@ -46,7 +46,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "FACTORIES",
         "VerificationJob",
         "build_pipeline_model",
-        "register_factory",
         "resolve_factory",
     ],
     ".report": ["CampaignReport"],

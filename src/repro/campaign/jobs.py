@@ -1,11 +1,11 @@
 """Picklable verification jobs: the unit of work of a campaign.
 
-A :class:`VerificationJob` does **not** hold a live model.  It holds a
-*factory reference* (a name in :data:`FACTORIES` or a ``"module:function"``
-dotted path) plus plain-data keyword arguments, so the job can be pickled to
-a worker process, hashed into a cache key, and replayed deterministically.
-The worker resolves the factory, builds the DFS model, translates it once,
-and drives :meth:`repro.verification.verifier.Verifier.verify_properties`
+A :class:`VerificationJob` does **not** hold a live model.  It holds the
+name of a built-in model family (a key of the closed :data:`FACTORIES`
+table, so a job never names code to run) plus plain-data keyword arguments:
+the job can be pickled to a worker process, hashed into a cache key, and
+replayed deterministically.  The worker builds the DFS model, translates it
+once, and drives :meth:`repro.verification.verifier.Verifier.verify_properties`
 over the requested property set.
 
 The verdict returned by :meth:`VerificationJob.run` is a plain JSON-able
@@ -13,7 +13,7 @@ dict (markings and traces flattened to lists/strings), which is what allows
 the disk cache to hand back bit-identical results on warm runs.
 """
 
-import importlib
+import functools
 import json
 import os
 import time
@@ -66,7 +66,8 @@ def build_pipeline_model(stages, static_prefix=1, holes=(), f_delay=1.0, g_delay
     return pipeline.dfs
 
 
-#: Registry of model factories addressable from a (picklable) job.
+#: The model families a job can name: the paper's OPE pipeline and the
+#: three built-in examples.
 FACTORIES = {
     "pipeline": build_pipeline_model,
     "conditional": conditional_comp_dfs,
@@ -75,27 +76,30 @@ FACTORIES = {
 }
 
 
-def register_factory(name, factory):
-    """Register a model *factory* under *name* (returns the factory)."""
-    FACTORIES[name] = factory
-    return factory
+def resolve_factory(name):
+    """The model factory of the built-in family *name*."""
+    try:
+        return FACTORIES[name]
+    except KeyError:
+        raise ConfigurationError(
+            "unknown model factory {!r} (known: {})".format(
+                name, ", ".join(sorted(FACTORIES))))
 
 
-def resolve_factory(reference):
-    """Resolve a factory reference: a registry name or ``"module:function"``."""
-    if reference in FACTORIES:
-        return FACTORIES[reference]
-    if ":" in reference:
-        module_name, _, attribute = reference.partition(":")
-        module = importlib.import_module(module_name)
-        try:
-            return getattr(module, attribute)
-        except AttributeError:
-            raise ConfigurationError(
-                "module {!r} has no factory {!r}".format(module_name, attribute))
-    raise ConfigurationError(
-        "unknown model factory {!r} (registered: {})".format(
-            reference, ", ".join(sorted(FACTORIES))))
+@functools.lru_cache(maxsize=None)
+def _signature(function):
+    """*function*'s signature, inspected once: replay checks every record."""
+    import inspect  # not at start-up: the CLI imports this module
+    return inspect.signature(function)
+
+
+def _field(name, convert, value):
+    """``convert(value)``, or a :class:`ConfigurationError` naming *name*."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError, OverflowError):
+        raise ConfigurationError(
+            "malformed job field {}: {!r}".format(name, value))
 
 
 class VerificationJob:
@@ -113,29 +117,50 @@ class VerificationJob:
                  voltage=None, expect="pass", metadata=None):
         self.job_id = str(job_id)
         self.factory = str(factory)
-        self.kwargs = dict(kwargs or {})
-        self.properties = tuple(properties)
-        self.max_states = int(max_states)
-        self.max_witnesses = int(max_witnesses)
-        # Rejected here, not in a worker: the daemon answers a bad
-        # submission with a 400 instead of accepting a doomed job.
-        check_max_witnesses(self.max_witnesses)
+        self.kwargs = _field("kwargs", dict, kwargs or {})
+        self.properties = _field(
+            "properties", lambda names: tuple(str(name) for name in names),
+            properties)
+        self.max_states = _field("max_states", int, max_states)
+        self.max_witnesses = _field("max_witnesses", int, max_witnesses)
         self.checker = str(checker)
-        self.checker_options = dict(checker_options or {})
-        # Likewise: a bad option is a 400 at submit, not a worker crash.
-        check_checker_options(self.checker_options)
-        self.custom_properties = {
-            name: str(expression)
-            for name, expression in (custom_properties or {}).items()
-        }
-        # Likewise: an unknown property, or a custom name that shadows a
-        # built-in check, is a 400 at submit.
-        check_properties(self.properties, self.custom_properties)
+        self.checker_options = _field("checker_options", dict,
+                                      checker_options or {})
+        self.custom_properties = _field(
+            "custom_properties", lambda mapping: {
+                name: str(text) for name, text in mapping.items()},
+            custom_properties or {})
         self.lfsr_seed = lfsr_seed
-        self.simulate_steps = int(simulate_steps)
+        self.simulate_steps = _field("simulate_steps", int, simulate_steps)
         self.voltage = voltage
         self.expect = expect
-        self.metadata = dict(metadata or {})
+        self.metadata = _field("metadata", dict, metadata or {})
+        # The one check of the whole job, where it is built: a job that could
+        # only fail in a worker is a 400 at the daemon, a skipped replay record.
+        try:
+            _signature(resolve_factory(self.factory)).bind(**self.kwargs)
+        except TypeError as error:
+            raise ConfigurationError(
+                "kwargs do not fit the {} family: {}".format(
+                    self.factory, error))
+        if self.checker not in CHECKERS:
+            raise ConfigurationError(
+                "unknown checker {!r} (known: {})".format(
+                    self.checker, ", ".join(sorted(CHECKERS))))
+        if self.expect not in (None, "pass", "fail", "deadlock"):
+            raise ConfigurationError("unknown expectation {!r} (known: pass, "
+                                     "fail, deadlock, null)".format(self.expect))
+        for name, kinds in (("lfsr_seed", int), ("voltage", (int, float))):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, kinds)):
+                raise ConfigurationError(
+                    "malformed job field {}: {!r}".format(name, value))
+        check_max_witnesses(self.max_witnesses)
+        check_checker_options(self.checker_options)
+        # An unknown property, or a custom name that shadows a built-in
+        # check, is refused here too.
+        check_properties(self.properties, self.custom_properties)
 
     # -- identity ------------------------------------------------------------
 
@@ -224,10 +249,7 @@ class VerificationJob:
         except KeyError as missing:
             raise ConfigurationError(
                 "a job description needs a {} field".format(missing))
-        allowed = {"kwargs", "properties", "max_states",
-                   "max_witnesses", "checker", "checker_options",
-                   "custom_properties", "lfsr_seed", "simulate_steps",
-                   "voltage", "expect", "metadata"}
+        allowed = set(_signature(cls).parameters) - {"job_id", "factory"}
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise ConfigurationError(
@@ -238,7 +260,7 @@ class VerificationJob:
     # -- execution -----------------------------------------------------------
 
     def build_model(self):
-        """Resolve the factory and build the DFS model."""
+        """Build the DFS model of the job's family."""
         return resolve_factory(self.factory)(**self.kwargs)
 
     def run(self, cache=None, progress=None):
@@ -282,19 +304,24 @@ class VerificationJob:
             verdict = json.loads(json.dumps(verdict, sort_keys=True))
             if cache is not None:
                 cache.put(key, verdict)
-        result = {
-            "job_id": self.job_id,
-            "model": dfs.name,
-            "factory": self.factory,
-            "fingerprint": fingerprint,
-            "expect": self.expect,
-            "cache": cache_status,
-            "elapsed": time.perf_counter() - started,
-            "verdict": verdict,
-        }
+        result = self.result_record(dfs.name, fingerprint, cache_status,
+                                    time.perf_counter() - started, verdict)
         if exploration is not None:
             result["exploration"] = exploration
         return result
+
+    def result_record(self, model, fingerprint, cache, elapsed, verdict):
+        """The result of :meth:`run`; also the scheduler's warm and coalesced answer."""
+        return {
+            "job_id": self.job_id,
+            "model": model,
+            "factory": self.factory,
+            "fingerprint": fingerprint,
+            "expect": self.expect,
+            "cache": cache,
+            "elapsed": elapsed,
+            "verdict": verdict,
+        }
 
     def effective_checker_options(self):
         """Checker options with the scenario's LFSR seed threaded in.

@@ -1,7 +1,8 @@
 """Batch campaign execution: the thin front over the scheduling core.
 
-Each :class:`~repro.campaign.jobs.VerificationJob` runs in its **own**
-worker process (bounded to *parallelism* concurrent workers) through the
+Each :class:`~repro.campaign.jobs.VerificationJob` that the verdict cache
+cannot answer runs in its **own** worker process (bounded to *parallelism*
+concurrent workers) through the
 :class:`~repro.campaign.scheduler.CampaignScheduler` -- the supervision
 machinery (per-job timeouts, crash containment, streamed results) that
 originated here and now also powers the racing portfolio checker and the
@@ -14,17 +15,13 @@ instead of hanging the pool.
 ``parallelism=0`` runs the jobs inline in the calling process (no timeout
 enforcement), which is handy for debugging and deterministic tests.
 
-Batch campaigns deliberately run the scheduler with ``single_flight=False``:
-single-flight coalescing builds each model in the submitting thread to
-compute its content key, and a batch run must never stall on a hanging
-factory outside the supervised workers -- duplicate work across one batch
-is already prevented by the verdict cache and the scenario generator's
-unique grid points.
+Like every scheduler front, a batch run keys each job at submission: a job
+whose verdict is already cached is answered without starting a worker,
+and identical jobs in flight at the same time run once.
 """
 
 import time
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.report import CampaignReport
 from repro.campaign.scheduler import (  # noqa: F401  (re-exports)
     CampaignResult,
@@ -63,11 +60,9 @@ def run_campaign(jobs, parallelism=1, timeout=None, cache_dir=None, spec=None,
                 "duplicate job id {!r}: the runner keys its bookkeeping by "
                 "job id, so every job needs a unique one".format(job.job_id))
         seen_ids.add(job.job_id)
-    if cache_dir is not None:
-        ResultCache(cache_dir)  # create the directory once, up front
     started = time.perf_counter()
     scheduler = CampaignScheduler(parallelism=parallelism, timeout=timeout,
-                                  cache_dir=cache_dir, single_flight=False)
+                                  cache_dir=cache_dir)
     try:
         tickets = [scheduler.submit(job) for job in jobs]
         results = [ticket.wait() for ticket in tickets]

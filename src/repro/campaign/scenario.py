@@ -135,7 +135,6 @@ def _job_kwargs(spec, axes):
         return {"stages": depth}
     if spec.family == "ring":
         return {"registers": depth}
-    return {"stages": depth}
 
 
 def _expectation(spec, hole_count):

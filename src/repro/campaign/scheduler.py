@@ -18,15 +18,13 @@ are scheduling concerns, not transport concerns:
   derives one isolated :class:`~repro.campaign.cache.ResultCache` namespace
   per tenant (``tenant=None`` keeps the root directory, preserving CLI
   behaviour), so tenants can never observe each other's verdicts.
-* **Single-flight coalescing** -- with ``single_flight=True`` the scheduler
-  computes each job's content-addressed cache key *at submission time*
-  (canonical net fingerprint + options digest), answers warm keys
-  synchronously from the cache, and coalesces concurrent submissions of
+* **Single-flight coalescing** -- the scheduler computes each job's
+  content-addressed cache key *at submission time* (canonical net
+  fingerprint + options digest), answers warm keys synchronously from the
+  cache without starting a worker, and coalesces concurrent submissions of
   one cold key into a single pool execution: the first submitter leads,
   every concurrent duplicate subscribes to the leader's flight and is
-  answered by its result (marked ``cache="coalesced"``).  Batch campaigns
-  keep ``single_flight=False`` so model construction stays in the workers
-  (a hanging factory must hit the per-job deadline, not the submitter).
+  answered by its result (marked ``cache="coalesced"``).
 """
 
 import os
@@ -276,11 +274,6 @@ class CampaignScheduler:
     cache_dir:
         Optional verdict-cache root shared by all jobs; per-tenant
         namespaces are derived below it.
-    single_flight:
-        Compute content keys at submission time, answer warm keys
-        synchronously and coalesce concurrent identical submissions into
-        one pool execution.  Costs one model build per submission in the
-        submitting thread, so batch campaigns leave it off.
     state_dir:
         Optional durability root.  When set, every ticket transition
         (submit / start / verdict / cancel) is appended to a write-ahead
@@ -289,17 +282,16 @@ class CampaignScheduler:
         a freshly constructed scheduler replays the journal: finished
         tickets are restored under their original ids with their recorded
         results, and tickets that were in flight when the process died
-        are re-enqueued through the normal submission path (single-flight
-        coalescing and warm verdict-cache hits apply, so a crashed job
-        whose verdict was already cached is answered immediately).
+        are re-enqueued through the normal submission path (coalescing and
+        warm verdict-cache hits apply, so a crashed job whose verdict was
+        already cached is answered immediately).
     """
 
     def __init__(self, parallelism=1, timeout=None, cache_dir=None,
-                 single_flight=False, state_dir=None):
+                 state_dir=None):
         self.parallelism = int(parallelism)
         self.timeout = timeout
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.single_flight = bool(single_flight)
         self.state_dir = str(state_dir) if state_dir is not None else None
         self._journal = None
         self._flights = SingleFlight()
@@ -337,8 +329,8 @@ class CampaignScheduler:
     def submit(self, job, tenant=None, priority=0, timeout=False):
         """Schedule *job*; return its :class:`JobTicket` immediately.
 
-        With single-flight enabled the ticket may already be ``done`` on
-        return (a warm cache hit is answered synchronously).
+        The ticket may already be ``done`` on return: a warm cache hit is
+        answered synchronously.
         """
         if timeout is False:
             timeout = self.timeout
@@ -354,12 +346,7 @@ class CampaignScheduler:
             "tenant": tenant, "priority": priority,
             "timeout": timeout, "time": ticket.submitted})
         ticket.record("job-queued", job_id=job.job_id, tenant=tenant)
-        cache = self.cache_for(tenant)
-        cache_directory = cache.directory if cache is not None else None
-        if self.single_flight and self._coalesce(ticket, cache,
-                                                 cache_directory, priority):
-            return ticket
-        self._dispatch(ticket, cache_directory, priority)
+        self._schedule(ticket, priority)
         return ticket
 
     def get(self, ticket_id):
@@ -411,7 +398,7 @@ class CampaignScheduler:
         (duplicates from a double replay are ignored) and the last
         ``verdict``/``cancel`` wins.  Tickets with a recorded verdict are
         rebuilt as already-``done`` under their original ids; tickets
-        without one are re-enqueued through the normal single-flight path
+        without one are re-enqueued through the normal submission path
         (so a re-run whose verdict meanwhile sits in the cache is answered
         immediately), again under their original ids.  Replayed
         submissions are not re-journaled -- their ``submit`` records are
@@ -466,47 +453,37 @@ class CampaignScheduler:
             ticket.record("requeued", job_id=job.job_id)
             with self._lock:
                 self._counters["requeued"] += 1
-            cache = self.cache_for(ticket.tenant)
-            cache_directory = cache.directory if cache is not None else None
-            priority = record.get("priority") or 0
-            if self.single_flight and self._coalesce(ticket, cache,
-                                                     cache_directory,
-                                                     priority):
-                continue
-            self._dispatch(ticket, cache_directory, priority)
+            self._schedule(ticket, record.get("priority") or 0)
 
     # -- internals -----------------------------------------------------------
 
-    def _coalesce(self, ticket, cache, cache_directory, priority):
-        """Single-flight front: warm hit, flight leader, or follower.
+    def _schedule(self, ticket, priority):
+        """Answer *ticket* warm, lead a new flight, or follow a running one.
 
-        Returns ``False`` when the content key cannot be computed (the
-        factory raised); the caller then falls back to a plain dispatch so
-        the worker surfaces the identical error with full context.
+        When the content key cannot be computed (the factory raised on
+        these arguments) the ticket is dispatched alone, so the worker
+        surfaces the identical error with full context.
         """
         job = ticket.job
+        cache = self.cache_for(ticket.tenant)
+        cache_directory = cache.directory if cache is not None else None
         try:
             dfs = job.build_model()
-            net = to_petri_net(dfs)
-            fingerprint = net_fingerprint(net)
+            fingerprint = net_fingerprint(to_petri_net(dfs))
         except Exception:
-            return False
+            self._dispatch(ticket, cache_directory, priority)
+            return
         key = ResultCache.key(fingerprint, options_digest(job.options()))
-        if cache is not None:
-            verdict = cache.get(key)
-            if verdict is not None:
-                elapsed = time.time() - ticket.submitted
-                payload = {
-                    "job_id": job.job_id, "model": dfs.name,
-                    "factory": job.factory, "fingerprint": fingerprint,
-                    "expect": job.expect, "cache": "hit",
-                    "elapsed": elapsed, "verdict": verdict,
-                }
-                ticket.record("cache-hit", key=key)
-                with self._lock:
-                    self._counters["cache_hits"] += 1
-                self._finalize(ticket, "ok", payload, None, elapsed)
-                return True
+        verdict = cache.get(key) if cache is not None else None
+        if verdict is not None:
+            elapsed = time.time() - ticket.submitted
+            payload = job.result_record(dfs.name, fingerprint, "hit",
+                                        elapsed, verdict)
+            ticket.record("cache-hit", key=key)
+            with self._lock:
+                self._counters["cache_hits"] += 1
+            self._finalize(ticket, "ok", payload, None, elapsed)
+            return
         flight_key = (ticket.tenant, key)
         flight, leader = self._flights.acquire(flight_key)
         if leader:
@@ -524,16 +501,16 @@ class CampaignScheduler:
                 self._counters["coalesced"] += 1
             flight.subscribe(
                 lambda fl: self._resolve_follower(ticket, fl.result))
-        return True
 
     def _resolve_follower(self, ticket, leader_result):
-        """Answer a coalesced *ticket* from its flight leader's result."""
+        """Answer a coalesced *ticket* with the leader's verdict in its own
+        record: the leader's run stats (spill) are counted once, for it."""
         elapsed = time.time() - ticket.submitted
         if leader_result.status == "ok":
-            payload = dict(leader_result.payload or {})
-            payload["job_id"] = ticket.job.job_id
-            payload["cache"] = "coalesced"
-            payload["elapsed"] = elapsed
+            leader = leader_result.payload
+            payload = ticket.job.result_record(
+                leader["model"], leader["fingerprint"], "coalesced", elapsed,
+                leader["verdict"])
             self._finalize(ticket, "ok", payload, None, elapsed)
         else:
             self._finalize(ticket, leader_result.status, None,

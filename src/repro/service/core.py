@@ -1,8 +1,9 @@
 """Service policy: admission control and tenancy over the scheduling core.
 
 :class:`VerificationService` is the transport-agnostic heart of the daemon:
-it owns a single-flight :class:`~repro.campaign.scheduler.CampaignScheduler`
-and adds the two admission-control policies a shared service needs --
+it owns a :class:`~repro.campaign.scheduler.CampaignScheduler` (which
+answers warm keys at submit and coalesces identical jobs) and adds the two
+admission-control policies a shared service needs --
 
 * **backpressure**: submissions are rejected with :class:`ServiceBusy`
   (HTTP 429 + ``Retry-After``) once the pool's queue depth reaches
@@ -48,7 +49,7 @@ class VerificationService:
                  state_dir=None):
         self.scheduler = CampaignScheduler(
             parallelism=max(1, int(parallelism)), timeout=timeout,
-            cache_dir=cache_dir, single_flight=True, state_dir=state_dir)
+            cache_dir=cache_dir, state_dir=state_dir)
         self.max_depth = int(max_depth)
         self.rate = rate
         self.burst = burst if burst is not None else (

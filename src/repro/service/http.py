@@ -23,8 +23,9 @@ Endpoints
   the job is still running.
 * ``GET /healthz`` / ``GET /stats`` -- liveness and counters.
 
-Model construction for single-flight keying runs in a thread-pool executor
-so a slow factory never stalls the event loop.
+A submission (the job check, then the model build and translation that
+key the job for the verdict cache) runs in a thread-pool executor, so it
+never stalls the event loop.
 """
 
 import asyncio
@@ -34,7 +35,7 @@ import traceback
 import urllib.parse
 
 from repro.campaign.report import CampaignReport
-from repro.exceptions import ConfigurationError, ReproError, VerificationError
+from repro.exceptions import ReproError
 from repro.service.core import ServiceBusy
 
 _MAX_LINE = 8192
@@ -69,16 +70,12 @@ async def _read_request(reader):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = headers.get("content-length")
-    if length:
-        try:
-            length = int(length)
-        except ValueError:
-            raise _BadRequest("malformed Content-Length")
-        if length > _MAX_BODY:
-            raise _BadRequest("request body too large")
-        body = await reader.readexactly(length)
+    length = headers.get("content-length") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise _BadRequest("malformed Content-Length")
+    if int(length) > _MAX_BODY:
+        raise _BadRequest("request body too large")
+    body = await reader.readexactly(int(length))
     return method.upper(), target, headers, body
 
 
@@ -204,6 +201,9 @@ class ServiceDaemon:
             await respond(400, {"error": "a job description must be a JSON "
                                          "object"})
             return
+        if tenant is not None and not isinstance(tenant, str):
+            await respond(400, {"error": "a tenant must be a string"})
+            return
         loop = asyncio.get_running_loop()
         try:
             ticket = await loop.run_in_executor(
@@ -214,8 +214,6 @@ class ServiceDaemon:
                           extra_headers={
                               "Retry-After":
                                   "{:d}".format(max(1, int(busy.retry_after)))})
-        except (ConfigurationError, VerificationError) as bad:
-            await respond(400, {"error": str(bad)})
         except ReproError as bad:
             await respond(400, {"error": str(bad)})
         else:

@@ -1,5 +1,8 @@
 """Shared fixtures: example models used across the test suite."""
 
+import os
+import uuid
+
 import pytest
 
 from repro.dfs.examples import (
@@ -96,3 +99,50 @@ def exhaustive_on_both_graphs(request):
         return explicit, columnar
 
     return run
+
+
+class CountingFamily:
+    """The ``_test_counting`` job family: it counts its model builds.
+
+    Each build of the small conditional model leaves one marker file named
+    ``<pid>-<unique>`` in *count_dir*, so a test can tell submit-side key
+    builds (this process) apart from pool executions (its children).  The
+    family reaches pool workers only under the fork start method.
+    """
+
+    name = "_test_counting"
+
+    def __init__(self, count_dir):
+        self.count_dir = count_dir
+
+    @staticmethod
+    def factory(count_dir=None, **kwargs):
+        if count_dir:
+            path = os.path.join(
+                count_dir, "{}-{}".format(os.getpid(), uuid.uuid4().hex))
+            with open(path, "w", encoding="utf-8"):
+                pass
+        return conditional_comp_dfs()
+
+    def job(self, job_id, properties=("safeness", "deadlock")):
+        from repro.campaign.jobs import VerificationJob
+        return VerificationJob(job_id, self.name,
+                               kwargs={"count_dir": self.count_dir},
+                               properties=properties)
+
+    def pool_executions(self):
+        """Marker files written by processes other than this one."""
+        pid = str(os.getpid())
+        return [name for name in os.listdir(self.count_dir)
+                if not name.startswith(pid + "-")]
+
+
+@pytest.fixture
+def counting_family(monkeypatch, tmp_path):
+    """Add :class:`CountingFamily` to the job families for one test."""
+    from repro.campaign.jobs import FACTORIES
+
+    count_dir = tmp_path / "count"
+    count_dir.mkdir()
+    monkeypatch.setitem(FACTORIES, CountingFamily.name, CountingFamily.factory)
+    return CountingFamily(str(count_dir))

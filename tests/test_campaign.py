@@ -7,43 +7,45 @@ import time
 import pytest
 
 from repro.campaign import (
+    FACTORIES,
     ResultCache,
     ScenarioSpec,
     VerificationJob,
     generate_scenarios,
     net_fingerprint,
     options_digest,
-    register_factory,
     run_campaign,
     start_method,
 )
 from repro.dfs.translation import to_petri_net
+from repro.exceptions import ConfigurationError
 from repro.verification.verifier import Verifier
 from repro.workcraft.cli import main as cli_main
 
+# Worker failures are patched into the verdict computation, which runs only
+# in the worker: forked workers inherit the patch, while the submitter's
+# key build (model and net fingerprint) stays untouched.  The tests that rely
+# on this skip on platforms without the fork start method.
+needs_fork = pytest.mark.skipif(
+    start_method() != "fork",
+    reason="patched verdict computations only reach worker processes under "
+           "the fork start method")
 
-# Worker-failure factories.  They are registered at import time, so forked
-# campaign worker processes inherit them; the tests that rely on this skip on
-# platforms without the fork start method.
-def _sleepy_factory(**kwargs):
-    time.sleep(60)
 
+def _patch_verdict(monkeypatch, failure, job_id=None):
+    """Make ``_compute_verdict`` call *failure* (for *job_id* only, if given)."""
+    original = VerificationJob._compute_verdict
 
-def _crashy_factory(**kwargs):
-    os._exit(3)
+    def compute(self, *args, **kwargs):
+        if job_id is None or self.job_id == job_id:
+            failure()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VerificationJob, "_compute_verdict", compute)
 
 
 def _raisy_factory(**kwargs):
     raise ValueError("intentional factory failure")
-
-
-register_factory("_test_sleepy", _sleepy_factory)
-register_factory("_test_crashy", _crashy_factory)
-register_factory("_test_raisy", _raisy_factory)
-
-needs_fork = pytest.mark.skipif(
-    start_method() != "fork",
-    reason="registry factories only reach worker processes under the fork start method")
 
 
 class TestScenarioGeneration:
@@ -129,7 +131,8 @@ class TestInlineCampaign:
         assert deadlock["trace"], "deadlock witness must carry a trace"
         assert report.results[1].matched
 
-    def test_factory_error_is_an_error_result(self):
+    def test_factory_error_is_an_error_result(self, monkeypatch):
+        monkeypatch.setitem(FACTORIES, "_test_raisy", _raisy_factory)
         report = run_campaign([VerificationJob("bad", "_test_raisy")], parallelism=0)
         result = report.results[0]
         assert result.status == "error"
@@ -137,15 +140,11 @@ class TestInlineCampaign:
         assert not result.matched
         assert not report.ok
 
-    def test_unknown_factory_is_an_error_result(self):
-        report = run_campaign([VerificationJob("bad", "no-such-factory")],
-                              parallelism=0)
-        assert report.results[0].status == "error"
-        assert "unknown model factory" in report.results[0].error
+    def test_unknown_factory_is_refused_when_the_job_is_built(self):
+        with pytest.raises(ConfigurationError, match="unknown model factory"):
+            VerificationJob("bad", "no-such-factory")
 
     def test_duplicate_job_ids_are_rejected(self):
-        from repro.exceptions import ConfigurationError
-
         jobs = [VerificationJob("dup", "conditional", kwargs={"comp_stages": 1}),
                 VerificationJob("dup", "conditional", kwargs={"comp_stages": 2})]
         with pytest.raises(ConfigurationError):
@@ -225,8 +224,9 @@ class TestCache:
 
 class TestWorkerPool:
     @needs_fork
-    def test_timeout_surfaces_as_failed_result_not_hung_pool(self):
-        jobs = [VerificationJob("slow", "_test_sleepy"),
+    def test_timeout_surfaces_as_failed_result_not_hung_pool(self, monkeypatch):
+        _patch_verdict(monkeypatch, lambda: time.sleep(60), job_id="slow")
+        jobs = [VerificationJob("slow", "conditional", kwargs={"comp_stages": 2}),
                 VerificationJob("fast", "conditional", kwargs={"comp_stages": 1})]
         started = time.perf_counter()
         report = run_campaign(jobs, parallelism=2, timeout=1.0)
@@ -241,14 +241,35 @@ class TestWorkerPool:
         assert not report.ok
 
     @needs_fork
-    def test_crash_surfaces_as_failed_result(self):
-        report = run_campaign([VerificationJob("boom", "_test_crashy")],
+    def test_crash_surfaces_as_failed_result(self, monkeypatch):
+        _patch_verdict(monkeypatch, lambda: os._exit(3))
+        report = run_campaign([VerificationJob("boom", "conditional")],
                               parallelism=1, timeout=30)
         result = report.results[0]
         assert result.status == "crashed"
         assert "exit code 3" in result.error
         assert result.outcome == "crashed"
         assert not report.ok
+
+    @needs_fork
+    def test_warm_rerun_answers_every_job_without_a_worker(self, tmp_path,
+                                                           counting_family):
+        cache_dir = str(tmp_path / "cache")
+        jobs = [counting_family.job("two", properties=("safeness", "deadlock")),
+                counting_family.job("one", properties=("deadlock",))]
+        cold = run_campaign(jobs, parallelism=2, timeout=120,
+                            cache_dir=cache_dir)
+        assert [result.cache_status for result in cold.results] == [
+            "miss", "miss"]
+        assert len(counting_family.pool_executions()) == 2
+        warm = run_campaign(jobs, parallelism=2, timeout=120,
+                            cache_dir=cache_dir)
+        assert [result.cache_status for result in warm.results] == [
+            "hit", "hit"]
+        # The warm run built each model once, in this process, for its key.
+        assert len(counting_family.pool_executions()) == 2
+        assert [result.verdict for result in warm.results] == \
+            [result.verdict for result in cold.results]
 
     @needs_fork
     def test_parallel_results_keep_job_order(self):
@@ -286,11 +307,12 @@ class TestCampaignCli:
         capsys.readouterr()
 
     @needs_fork
-    def test_crashed_job_exits_with_infrastructure_code(self, tmp_path):
+    def test_crashed_job_exits_with_infrastructure_code(self, tmp_path,
+                                                         monkeypatch):
         """A crashed worker is an infrastructure failure: exit 2, not 0/1."""
+        _patch_verdict(monkeypatch, lambda: os._exit(3))
         report_path = str(tmp_path / "report.json")
-        argv = ["campaign", "--grid", "depth=2", "--family", "_test_crashy",
-                "--jobs", "1", "--timeout", "30", "--no-cache",
+        argv = ["campaign", "--grid", "depth=2", "--jobs", "1", "--timeout", "30", "--no-cache",
                 "--json", report_path, "--quiet"]
         assert cli_main(argv) == 2
         payload = json.load(open(report_path, encoding="utf-8"))

@@ -3,9 +3,10 @@
 The load-bearing contracts:
 
 * **single flight**: N concurrent submissions of one identical job execute
-  exactly once on the worker pool (counted via marker files written by the
-  model factory, keyed by pid so submit-side key builds in the parent are
-  distinguishable from pool executions in children);
+  exactly once on the worker pool (counted via the ``counting_family``
+  fixture of ``conftest.py``, whose marker files are keyed by pid so
+  submit-side key builds in the parent are distinguishable from pool
+  executions in children);
 * **tenancy**: tenants resolve to disjoint cache namespaces and can never
   observe each other's verdicts;
 * **admission control**: a full queue answers 429-shaped ``ServiceBusy``
@@ -17,15 +18,14 @@ The load-bearing contracts:
 
 import json
 import os
+import socket
 import threading
 import time
-import uuid
 
 import pytest
 
-from repro.campaign.jobs import VerificationJob, register_factory
+from repro.campaign.jobs import VerificationJob
 from repro.campaign.scheduler import CampaignScheduler
-from repro.dfs.examples import conditional_comp_dfs
 from repro.exceptions import ConfigurationError
 from repro.parallel.context import start_method
 from repro.service import (
@@ -44,36 +44,6 @@ from repro.workcraft.cli import main as cli_main
 needs_fork = pytest.mark.skipif(
     start_method() != "fork",
     reason="registry factories only reach worker processes under the fork start method")
-
-
-def _counting_factory(count_dir=None, **kwargs):
-    """Build the small conditional model, leaving one marker file per call.
-
-    Markers are named ``<pid>-<unique>`` so tests can tell submit-side key
-    builds (the parent process) apart from pool executions (children).
-    """
-    if count_dir:
-        path = os.path.join(
-            count_dir, "{}-{}".format(os.getpid(), uuid.uuid4().hex))
-        with open(path, "w", encoding="utf-8"):
-            pass
-    return conditional_comp_dfs()
-
-
-register_factory("_test_counting", _counting_factory)
-
-
-def _pool_executions(count_dir):
-    """Marker files written by processes other than this one."""
-    pid = str(os.getpid())
-    return [name for name in os.listdir(count_dir)
-            if not name.startswith(pid + "-")]
-
-
-def _counting_job(job_id, count_dir):
-    return VerificationJob(job_id, "_test_counting",
-                           kwargs={"count_dir": count_dir},
-                           properties=("safeness", "deadlock"))
 
 
 def _conditional_job(job_id="cond", stages=1):
@@ -221,8 +191,7 @@ class TestSchedulerTenancy:
 
     def test_tenants_never_share_verdicts(self, tmp_path):
         scheduler = CampaignScheduler(parallelism=0,
-                                      cache_dir=str(tmp_path / "cache"),
-                                      single_flight=True)
+                                      cache_dir=str(tmp_path / "cache"))
         cold = scheduler.submit(_conditional_job("a1"), tenant="alice")
         assert cold.wait(60).cache_status == "miss"
         warm = scheduler.submit(_conditional_job("a2"), tenant="alice")
@@ -233,8 +202,7 @@ class TestSchedulerTenancy:
 
     def test_warm_hit_ticket_is_done_at_submission(self, tmp_path):
         scheduler = CampaignScheduler(parallelism=0,
-                                      cache_dir=str(tmp_path / "cache"),
-                                      single_flight=True)
+                                      cache_dir=str(tmp_path / "cache"))
         scheduler.submit(_conditional_job("c1")).wait(60)
         ticket = scheduler.submit(_conditional_job("c2"))
         assert ticket.done
@@ -245,17 +213,15 @@ class TestSchedulerTenancy:
 
 class TestSchedulerSingleFlight:
     @needs_fork
-    def test_concurrent_identical_submissions_execute_once(self, tmp_path):
-        count_dir = str(tmp_path / "count")
-        os.makedirs(count_dir)
+    def test_concurrent_identical_submissions_execute_once(
+            self, tmp_path, counting_family):
         scheduler = CampaignScheduler(parallelism=2,
-                                      cache_dir=str(tmp_path / "cache"),
-                                      single_flight=True)
+                                      cache_dir=str(tmp_path / "cache"))
         try:
             tickets = [None] * 8
             def submit(index):
                 tickets[index] = scheduler.submit(
-                    _counting_job("stampede-{}".format(index), count_dir))
+                    counting_family.job("stampede-{}".format(index)))
             threads = [threading.Thread(target=submit, args=(index,))
                        for index in range(8)]
             for thread in threads:
@@ -274,35 +240,61 @@ class TestSchedulerSingleFlight:
         caches = sorted(result.cache_status for result in results)
         assert caches.count("miss") == 1
         assert set(caches) <= {"miss", "coalesced", "hit"}
-        assert len(_pool_executions(count_dir)) == 1
+        assert len(counting_family.pool_executions()) == 1
 
     @needs_fork
-    def test_distinct_tenants_do_not_coalesce(self, tmp_path):
-        count_dir = str(tmp_path / "count")
-        os.makedirs(count_dir)
+    def test_distinct_tenants_do_not_coalesce(self, tmp_path,
+                                              counting_family):
         scheduler = CampaignScheduler(parallelism=2,
-                                      cache_dir=str(tmp_path / "cache"),
-                                      single_flight=True)
+                                      cache_dir=str(tmp_path / "cache"))
         try:
-            one = scheduler.submit(_counting_job("t-a", count_dir),
+            one = scheduler.submit(counting_family.job("t-a"),
                                    tenant="alice")
-            two = scheduler.submit(_counting_job("t-b", count_dir),
+            two = scheduler.submit(counting_family.job("t-b"),
                                    tenant="bob")
             assert one.wait(60).cache_status == "miss"
             assert two.wait(60).cache_status == "miss"
         finally:
             scheduler.shutdown()
-        assert len(_pool_executions(count_dir)) == 2
+        assert len(counting_family.pool_executions()) == 2
+
+    def test_followers_answer_with_their_own_job_and_no_run_stats(
+            self, tmp_path, monkeypatch):
+        """A coalesced follower ran nothing: its record carries its own
+        expectation and adds no spill traffic to the scheduler's totals."""
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SPILL_BYTES", "0")
+        scheduler = CampaignScheduler(parallelism=1)
+        try:
+            # The one worker is busy with a bigger model while the identical
+            # jobs arrive, so the last two join the first one's flight.
+            busy = scheduler.submit(
+                VerificationJob("busy", "pipeline", kwargs={"stages": 3}))
+            tickets = [scheduler.submit(VerificationJob(
+                "same-{}".format(index), "pipeline", kwargs={"stages": 2},
+                expect="pass" if index == 0 else None))
+                for index in range(3)]
+            results = [ticket.wait(120) for ticket in [busy] + tickets]
+        finally:
+            scheduler.shutdown()
+        assert [result.cache_status for result in results] == [
+            "off", "off", "coalesced", "coalesced"]
+        assert [result.to_dict()["expect"] for result in results[1:]] == [
+            "pass", None, None]
+        assert all("exploration" not in result.payload
+                   for result in results[2:])
+        assert scheduler.stats()["spill"]["spilled_jobs"] == 2
 
     def test_broken_factory_still_surfaces_the_worker_error(self, tmp_path):
+        """Arguments that fit the family's signature but make its build
+        raise cannot be keyed: the job runs alone and reports the error."""
         scheduler = CampaignScheduler(parallelism=0,
-                                      cache_dir=str(tmp_path / "cache"),
-                                      single_flight=True)
-        ticket = scheduler.submit(
-            VerificationJob("bad", "no-such-factory"))
+                                      cache_dir=str(tmp_path / "cache"))
+        ticket = scheduler.submit(VerificationJob(
+            "bad", "pipeline", kwargs={"stages": 2, "holes": [1]}))
         result = ticket.wait(60)
         assert result.status == "error"
-        assert "unknown model factory" in result.error
+        assert "cannot punch a hole at static stage 1" in result.error
 
     def test_submission_after_shutdown_is_rejected(self, tmp_path):
         scheduler = CampaignScheduler(parallelism=0)
@@ -398,8 +390,24 @@ class TestAdmissionControl:
         ({"properties": ["deadlok"]}, "unknown property 'deadlok'"),
         ({"properties": ["deadlock"], "custom_properties": {"deadlock": "true"}},
          "shadow built-in checks"),
+        ({"factory": "subprocess:getoutput"}, "unknown model factory"),
+        ({"kwargs": {"bogus": 1}}, "kwargs do not fit the conditional family"),
+        ({"checker": "quantum"}, "unknown checker 'quantum'"),
+        ({"kwargs": 5}, "malformed job field kwargs"),
+        ({"max_states": "abc"}, "malformed job field max_states"),
+        ({"properties": 5}, "malformed job field properties"),
+        ({"custom_properties": [1]}, "malformed job field custom_properties"),
+        ({"checker_options": 3}, "malformed job field checker_options"),
+        ({"max_witnesses": None}, "malformed job field max_witnesses"),
+        ({"lfsr_seed": "abc"}, "malformed job field lfsr_seed"),
+        ({"voltage": "high"}, "malformed job field voltage"),
+        ({"expect": "bogus"}, "unknown expectation 'bogus'"),
     ], ids=["explicit-engine", "negative-budget", "unknown-property",
-            "custom-shadows-builtin"])
+            "custom-shadows-builtin", "import-path-factory", "unbound-kwargs",
+            "unknown-checker", "kwargs-not-mapping", "max-states-not-int",
+            "properties-not-list", "custom-not-mapping",
+            "checker-options-not-mapping", "null-budget", "seed-not-int",
+            "voltage-not-number", "unknown-expectation"])
     def test_engine_choice_and_negative_budget_are_refused_at_submit(
             self, tmp_path, field, message):
         service = VerificationService(parallelism=1,
@@ -483,6 +491,29 @@ class TestHttpApi:
             assert rejected.value.status == 400
             assert "unknown job field" in str(rejected.value)
 
+            # A factory named by import path would run a shell command; it
+            # must be refused before anything runs it.
+            marker = tmp_path / "marker"
+            with pytest.raises(ServiceClientError) as hostile:
+                client.submit({"job_id": "x", "factory": "subprocess:getoutput",
+                               "kwargs": {"cmd": "touch {}".format(marker)}})
+            assert hostile.value.status == 400
+            assert "unknown model factory" in str(hostile.value)
+            assert not marker.exists()
+
+            with pytest.raises(ServiceClientError) as tenant:
+                client.submit({"job": _conditional_job().to_dict(),
+                               "tenant": ["a"]})
+            assert tenant.value.status == 400
+            assert "a tenant must be a string" in str(tenant.value)
+
+            with socket.create_connection((daemon.host, daemon.port)) as raw:
+                raw.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: -5\r\n\r\n")
+                reply = raw.makefile("rb").read()
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"malformed Content-Length" in reply
+
             ticket = client.submit(_conditional_job("fmt"))
             client.wait(ticket["id"], timeout=120.0)
             with pytest.raises(ServiceClientError) as fmt:
@@ -531,9 +562,7 @@ class TestHttpApi:
             assert caught.value.retry_after >= 1.0
 
     @needs_fork
-    def test_http_stampede_executes_once(self, tmp_path):
-        count_dir = str(tmp_path / "count")
-        os.makedirs(count_dir)
+    def test_http_stampede_executes_once(self, tmp_path, counting_family):
         service = VerificationService(parallelism=2,
                                       cache_dir=str(tmp_path / "cache"))
         with _DaemonThread(service) as daemon:
@@ -541,8 +570,7 @@ class TestHttpApi:
             tickets = [None] * 8
             def submit(index):
                 tickets[index] = client.submit(
-                    _counting_job("http-stampede-{}".format(index),
-                                  count_dir))
+                    counting_family.job("http-stampede-{}".format(index)))
             threads = [threading.Thread(target=submit, args=(index,))
                        for index in range(8)]
             for thread in threads:
@@ -554,7 +582,7 @@ class TestHttpApi:
         caches = sorted(record["result"]["cache"] for record in records)
         assert all(record["result"]["status"] == "ok" for record in records)
         assert caches.count("miss") == 1
-        assert len(_pool_executions(count_dir)) == 1
+        assert len(counting_family.pool_executions()) == 1
 
     def test_remote_campaign_cli_round_trip(self, tmp_path):
         service = VerificationService(parallelism=1,
@@ -588,8 +616,12 @@ class TestServingEdges:
     def test_property_events_always_precede_job_finished(self):
         scheduler = CampaignScheduler(parallelism=2)
         try:
-            tickets = [scheduler.submit(_conditional_job("order-{}".format(i)))
-                       for i in range(40)]
+            # Distinct state bounds give distinct keys: every job runs in a
+            # worker instead of coalescing onto the first.
+            tickets = [scheduler.submit(VerificationJob(
+                "order-{}".format(i), "conditional",
+                kwargs={"comp_stages": 1}, properties=("safeness", "deadlock"),
+                max_states=1000 + i)) for i in range(40)]
             results = [ticket.wait(timeout=120) for ticket in tickets]
         finally:
             scheduler.shutdown()

@@ -8,7 +8,6 @@ contributes nothing; and replaying a journal with duplicated records into
 the scheduler leaves it in the same state as replaying it once.
 """
 
-import json
 import os
 import struct
 import zlib
@@ -209,18 +208,29 @@ class TestSchedulerReplay:
         bad = {"event": "submit", "ticket": "badid",
                "job": {"factory": "no-such-factory", "nonsense": True},
                "tenant": None, "priority": 0, "timeout": None, "time": 1.0}
+        # A complete record whose job names a module function: replaying
+        # it must neither restore the ticket nor run the command.
+        marker = tmp_path / "marker"
+        hostile = {"event": "submit", "ticket": "hostileid",
+                   "job": dict(job.to_dict(), job_id="hostile",
+                               factory="subprocess:getoutput",
+                               kwargs={"cmd": "touch {}".format(marker)}),
+                   "tenant": None, "priority": 0, "timeout": None, "time": 1.5}
         good = {"event": "submit", "ticket": "goodid", "job": job.to_dict(),
                 "tenant": None, "priority": 0, "timeout": None, "time": 2.0}
         done = {"event": "verdict", "ticket": "goodid", "status": "ok",
                 "payload": {"job_id": "good", "verdict": {"properties": []}},
                 "error": None, "elapsed": 0.1}
-        self._journal(state, [bad, good, done])
+        self._journal(state, [bad, hostile, good, done])
         scheduler = CampaignScheduler(parallelism=0, state_dir=state)
         try:
             assert scheduler.get("badid") is None
+            assert scheduler.get("hostileid") is None
             assert scheduler.get("goodid").done
+            assert scheduler.stats()["submitted"] == 1
         finally:
             scheduler.shutdown()
+        assert not marker.exists()
 
 
 class TestFaultPlan:
