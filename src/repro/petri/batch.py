@@ -19,6 +19,12 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
   states in the same discovery order, same packed ``t | target << 16`` edge
   lists, same parents (hence traces), same frontier and truncation.
 
+A run (:func:`explore_batch`) is a start, a level loop and a finish.  The
+start yields the stores and a ``progress`` record, fresh or resumed from a
+checkpoint; the level step (:func:`_expand_level`) fires, dedups, probes,
+admits and appends the edges of one BFS level; the finish builds the CSR
+offsets and the graph once, from the finished arrays.
+
 The result is a :class:`ColumnarReachabilityGraph`: the state table, packed
 edges (CSR layout), parents and frontier all stay NumPy arrays, so the
 graph's own property scans (Reach ``scan``, ``persistence_scan``) become
@@ -36,11 +42,7 @@ from time import perf_counter
 
 import numpy as _np
 
-from repro.exceptions import (
-    CompilationError,
-    ConfigurationError,
-    SafenessOverflowError,
-)
+from repro.exceptions import CompilationError, SafenessOverflowError
 from repro.petri.compiled import (
     CompiledNet,
     iter_bits,
@@ -48,13 +50,13 @@ from repro.petri.compiled import (
 )
 from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
-    MANIFEST_NAME,
     ArrayStore,
     Checkpoint,
     HashIndex,
     SpillConfig,
     SpillPool,
     fibonacci_slots,
+    fresh_stores,
     probe_slots,
     rows_equal,
 )
@@ -191,15 +193,16 @@ def _edge_blocks(offsets, limit):
 
 
 def fire_enabled_flags(tables, rows, flat):
-    """Fire every enabled (state, transition) pair; report overflows.
+    """Fire every enabled (state, transition) pair of *rows*; flag overflows.
 
-    The non-raising core of :func:`fire_enabled`: returns ``(source_local,
-    transition, successor, overflowed)`` where *overflowed* is a bool
-    vector marking the pairs whose firing would put a second token into a
-    place (their *successor* rows hold the over-merged words and must not
-    be used as states).  The walk swarm consumes the flags directly -- an
-    overflow retires one walk, or answers the safeness query, instead of
-    aborting the whole batch.
+    *flat* is the flat index vector of the rows' enabled matrix (as from
+    ``np.flatnonzero``).  Returns ``(source_local, transition, successor,
+    overflowed)`` where *overflowed* is a bool vector marking the pairs
+    whose firing would put a second token into a place (their *successor*
+    rows hold the over-merged words and must not be used as states).
+    Exploration raises on the first flagged pair in expansion order; the
+    walk swarm consumes the flags directly -- an overflow retires one walk,
+    or answers the safeness query, instead of aborting the whole batch.
     """
     word_count = tables.words
     transition_count = len(tables.need)
@@ -220,26 +223,6 @@ def overflow_place(tables, rows, source_local, transition, position):
     remainder = rows[int(source_local[position])] & gathered[:tables.words]
     produced = gathered[tables.words:]
     return next(iter_bits(words_to_int(remainder & produced)))
-
-
-def fire_enabled(tables, rows, flat):
-    """Fire every enabled (state, transition) pair of a frontier slice.
-
-    *flat* is the flat index vector of the slice's enabled matrix (as from
-    ``np.flatnonzero``).  Returns ``(source_local, transition, successor)``.
-    A 1-safeness violation raises
-    :class:`~repro.exceptions.SafenessOverflowError` carrying the first
-    offender *in expansion order* as **integer indices** (transition index,
-    place index); callers holding name tables re-raise with names.
-    """
-    source_local, transition, successor, overflowed = fire_enabled_flags(
-        tables, rows, flat)
-    if overflowed.any():
-        position = int(_np.argmax(overflowed))
-        raise SafenessOverflowError(
-            int(transition[position]),
-            overflow_place(tables, rows, source_local, transition, position))
-    return source_local, transition, successor
 
 
 def refresh_enabled(tables, enabled, rows, fired):
@@ -336,25 +319,27 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     #: Columnar graphs exist only while every marking stayed 1-safe.
     one_safe = True
 
-    def __init__(self, compiled, tables, initial_state):
+    def __init__(self, compiled, tables, initial_state, pool, words, edges,
+                 offsets, parents, frontier, slots):
         ReachabilityGraph.__init__(self, compiled.net,
                                    compiled.decode(initial_state))
         self.compiled = compiled
         self.tables = tables
         self._decoded = {}
         self._all_decoded = None
-        # Columnar storage (filled by explore_batch).
-        self._words = None
-        self._edge_data = None
-        self._edge_offsets = None
-        self._parents_arr = None
-        self._frontier_arr = None
-        self._slots = None          # hash index slots: state index or -1
-        #: The spill pool backing the arrays (``None`` for plain RAM
-        #: arrays); kept alive so unlinked memmap files outlive the graph.
-        self._spill_pool = None
+        self._words = words
+        self._edge_data = edges
+        self._edge_offsets = offsets
+        self._parents_arr = parents
+        self._frontier_arr = frontier
+        self._slots = slots         # hash index slots: state index or -1
+        #: The spill pool backing the arrays; kept alive so unlinked
+        #: memmap files outlive the graph.
+        self._spill_pool = pool
         # Reverse CSR (edge positions by target, per-target offsets), lazy.
         self._reverse = None
+        # Only a cut admission leaves partially-expanded states behind.
+        self.truncated = len(frontier) > 0
 
     def close(self):
         """Release spill-file handles early (safe at any time).
@@ -363,8 +348,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         descriptors -- arrays already mapped stay valid, and the disk
         space is reclaimed once they are garbage collected.
         """
-        if self._spill_pool is not None:
-            self._spill_pool.close()
+        self._spill_pool.close()
 
     # -- decoding -------------------------------------------------------------
 
@@ -686,7 +670,7 @@ def checkpoint_identity(compiled, initial_state, max_states):
 
 
 #: ``(dtype string, columns)`` of every checkpointed store; the manifest
-#: and :meth:`Checkpoint.resume` agree on this layout.
+#: and :meth:`Checkpoint.open` agree on this layout.
 def _checkpoint_specs(word_count):
     return {
         "words": ("<u8", word_count),
@@ -704,197 +688,56 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     Returns a :class:`ColumnarReachabilityGraph` bit-identical to the
     one-firing-at-a-time BFS of the same net, marking and bound -- same
     discovery order, packed edges, parents, frontier and truncation -- built
-    one BFS level per step instead of one transition per step.  The enabled matrix
-    of a level is propagated incrementally from the parents (only the
-    watch-listed transitions of the discovering firing are recomputed, the
-    vectorised analogue of the sequential engine's incremental masks).
+    one BFS level per step instead of one transition per step.
 
-    Every array is built in a :class:`~repro.petri.storage.ArrayStore`:
-    in RAM they grow geometrically (an uninitialised buffer plus a copy of
-    the used rows, never a ``np.concatenate`` of zeroed capacity); once
-    the *spill* budget (a :class:`~repro.petri.storage.SpillConfig`, or
-    ``None`` to consult ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``) is
-    exceeded, they move onto unlinked ``np.memmap`` files and the RAM
-    working set stays frontier-sized.
+    A run has three parts.  :func:`_start` yields the stores and the
+    ``progress`` record to start from: the initial row at level 0, or the
+    last complete level of a resumed checkpoint.  The level loop calls
+    :func:`_expand_level` once per BFS level and, between levels, only
+    drops spilled pages, passes the ``kill_worker@level`` fault point and
+    records the checkpoint manifest.  :func:`_finish` builds the CSR
+    offsets and the graph from the finished arrays.
 
-    With *checkpoint* set to a directory the stores live at named paths
-    under it and a per-level manifest
-    (:class:`~repro.petri.storage.Checkpoint`) is atomically replaced
-    after every completed BFS level.  A later call pointing at the same
-    directory resumes from the last complete level (verifying the stores'
-    chained CRCs first; any damage degrades to a fresh run), and the
-    resumed graph is bit-identical to an uninterrupted one.  A run that
-    finishes removes the directory's manifest and store files.
+    The arrays live in :class:`~repro.petri.storage.ArrayStore` objects,
+    which move onto unlinked ``np.memmap`` files once the *spill* budget
+    (a :class:`~repro.petri.storage.SpillConfig`; ``None`` reads
+    ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``) is exceeded.  With
+    *checkpoint* set to a directory they live at named paths under it and
+    a :class:`~repro.petri.storage.Checkpoint` manifest is replaced after
+    every level: a later call resumes from the last complete level to the
+    same graph, and a run that finishes removes the files.
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
     tables = WordTables(compiled)
     initial = marking if marking is not None else compiled.net.initial_marking()
     initial_state = compiled.encode(initial)
-    graph = ColumnarReachabilityGraph(compiled, tables, initial_state)
-
-    word_count = tables.words
-    transition_names = compiled.transition_names
-    place_names = compiled.place_names
-
-    #: Per-phase second counters, reported as ``exploration_stats["phases"]``:
-    #: fire (enabled scan + firing), dedup (level table), probe (global
-    #: lookup), admit (admission + incremental masks + index insert), edges.
-    timing = {"fire": 0.0, "dedup": 0.0, "probe": 0.0, "admit": 0.0,
-              "edges": 0.0}
-
-    if spill is None:
-        spill = SpillConfig.resolve()
-    pool = SpillPool(spill, label="batch",
-                     named_dir=checkpoint if checkpoint else None)
-    level = tables.encode_rows([initial_state])
-    level_enabled = tables.enabled_matrix(level)
-    total = 1
-    truncated = False
-    levels = 0
-    checkpointer = None
-    resumed_from = None
-    identity = None
-    restored = None
-    if checkpoint:
-        identity = checkpoint_identity(compiled, initial_state, max_states)
-        manifest = Checkpoint.load(checkpoint)
-        if manifest is not None:
-            try:
-                checkpointer, restored = Checkpoint.resume(
-                    checkpoint, pool, _checkpoint_specs(word_count),
-                    identity, manifest)
-            except ConfigurationError:
-                # Damaged or foreign checkpoint: degrade to a fresh run
-                # (the diskcache rule -- corrupt entries are misses).
-                checkpointer, restored = None, None
-                try:
-                    os.remove(os.path.join(checkpoint, MANIFEST_NAME))
-                except OSError:
-                    pass
-
-    if restored is not None:
-        words = restored["words"]
-        parents = restored["parents"]
-        edges = restored["edges"]
-        counts = restored["counts"]
-        frontier = restored["frontier"]
-        progress = manifest["progress"]
-        total = int(progress["total"])
-        truncated = bool(progress["truncated"])
-        levels = int(progress["levels"])
-        level_start = int(progress["level_start"])
-        resumed_from = levels
+    pool = SpillPool(spill if spill is not None else SpillConfig.resolve(),
+                     label="batch", named_dir=checkpoint or None)
+    # Seconds per phase of _expand_level, reported as
+    # ``exploration_stats["phases"]``.
+    timing = dict.fromkeys(("fire", "dedup", "probe", "admit", "edges"), 0.0)
+    try:
+        stores, progress, checkpointer = _start(pool, tables, initial_state,
+                                                max_states, checkpoint)
+        words = stores["words"]
+        index = HashIndex(pool, "hash", words, tables.hash_rows,
+                          wide=max_states >= 2 ** 31)
+        index.extend(tables.hash_rows(words.data))
+        levels = progress["levels"]
         # The level about to expand is the tail of the state table; its
         # enabled matrix and the hash index are derived state, recomputed
         # rather than checkpointed.
-        level = _np.ascontiguousarray(words.data[level_start:total])
-        level_enabled = tables.enabled_matrix(level)
-    else:
-        # The graph's columnar arrays, behind the spill pool.  The state
-        # table doubles as the exact-match side of the hash probe.
-        words = ArrayStore(pool, "words", _np.uint64, columns=word_count)
-        parents = ArrayStore(pool, "parents", _np.int64)
-        edges = ArrayStore(pool, "edges", _np.int64)
-        counts = ArrayStore(pool, "counts", _np.int64)
-        frontier = ArrayStore(pool, "frontier", _np.int64)
-    index = HashIndex(pool, "hash", words, tables.hash_rows,
-                      wide=max_states >= 2 ** 31)
-
-    try:
-        if restored is None:
-            words.append(level)
-            parents.append(_np.full(1, -1, dtype=_np.int64))
-            if checkpoint:
-                checkpointer = Checkpoint(
-                    checkpoint,
-                    {"words": words, "parents": parents, "edges": edges,
-                     "counts": counts, "frontier": frontier},
-                    identity)
-        index.extend(tables.hash_rows(words.data))
-
+        level = _np.ascontiguousarray(
+            words.data[progress["level_start"]:progress["total"]])
+        enabled = tables.enabled_matrix(level)
         while len(level):
             levels += 1
-            level_start = total - len(level)
-            phase_started = perf_counter()
-            flat = _np.flatnonzero(level_enabled)
-            if not len(flat):
+            step = _expand_level(tables, stores, index, level, enabled,
+                                 max_states, timing)
+            if step is None:
                 break
-            try:
-                source_local, transition, successor = fire_enabled(
-                    tables, level, flat)
-            except SafenessOverflowError as overflow:
-                # Report the first offender in expansion order, exactly as
-                # the sequential engine would have -- by name at this level.
-                raise SafenessOverflowError(
-                    transition_names[overflow.transition],
-                    place_names[overflow.place]) from None
-            source = source_local + level_start
-            hashes = tables.hash_rows(successor)
-            provenance = (source << 16) | transition
-            timing["fire"] += perf_counter() - phase_started
-            phase_started = perf_counter()
-
-            # Intra-level dedup of *all* successors first, so the (more
-            # expensive) probe against the global index only runs once per
-            # distinct successor.  A group's first occurrence carries its
-            # minimum provenance -- the edge over which the sequential BFS
-            # first discovers that state -- and the groups come out in
-            # provenance order.
-            firsts, group_of = dedup_first(successor, hashes)
-            group_rows = successor[firsts]
-            group_hashes = hashes[firsts]
-            timing["dedup"] += perf_counter() - phase_started
-            phase_started = perf_counter()
-
-            # Resolve the distinct successors against the globally known
-            # states (exact, hash-accelerated), then admit the unknown ones
-            # in provenance order up to the state budget.
-            group_target = index.lookup(group_rows, group_hashes)
-            pool.note_read(len(group_rows) * word_count * 8)
-            fresh_groups = _np.flatnonzero(group_target < 0)
-            timing["probe"] += perf_counter() - phase_started
-            phase_started = perf_counter()
-            admitted_rows = None
-            admitted_enabled = None
-            if len(fresh_groups):
-                capacity = max(0, max_states - total)
-                admitted = fresh_groups[:capacity]
-                if len(admitted) < len(fresh_groups):
-                    truncated = True
-                group_target[admitted] = total + _np.arange(len(admitted))
-                admitted_provenance = provenance[firsts[admitted]]
-                admitted_rows = group_rows[admitted]
-                parents.append(admitted_provenance)
-                words.append(admitted_rows)
-                # Incremental enabledness: inherit the parent's enabled row,
-                # recompute only the transitions watching a place the
-                # discovering firing touched.
-                if len(admitted):
-                    parent_local = (admitted_provenance >> 16) - level_start
-                    admitted_enabled = level_enabled[parent_local]
-                    fired = admitted_provenance & 0xFFFF
-                    refresh_enabled(tables, admitted_enabled, admitted_rows,
-                                    fired)
-                total += len(admitted)
-                index.extend(group_hashes[admitted])
-
-            timing["admit"] += perf_counter() - phase_started
-            phase_started = perf_counter()
-            # Resolve every edge through its dedup group.
-            targets = group_target[group_of]
-            if (group_target >= 0).all():
-                # Nothing was rejected: every edge survives (common case).
-                edges.append(transition | (targets << 16))
-                counts.append(_np.bincount(source_local,
-                                           minlength=len(level)))
-            else:
-                kept = targets >= 0
-                edges.append(transition[kept] | (targets[kept] << 16))
-                counts.append(_np.bincount(source_local[kept],
-                                           minlength=len(level)))
-                frontier.append(_np.unique(source[~kept]))
-            timing["edges"] += perf_counter() - phase_started
+            level, enabled = step
             # Stream the completed level out of memory: spilled stores drop
             # their resident pages, so RSS tracks the frontier, not the graph.
             pool.drop_resident()
@@ -904,44 +747,15 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             if _faults.trigger("kill_worker", "level"):
                 import signal
                 os.kill(os.getpid(), signal.SIGKILL)
-            next_rows = len(admitted_rows) if admitted_rows is not None else 0
             if checkpointer is not None:
                 checkpointer.record_level({
                     "levels": levels,
-                    "total": total,
-                    "truncated": truncated,
-                    "level_start": total - next_rows,
+                    "total": len(words),
+                    "truncated": len(stores["frontier"]) > 0,
+                    "level_start": len(words) - len(level),
                 })
-            if next_rows:
-                level = admitted_rows
-                level_enabled = admitted_enabled
-            else:
-                level = _np.empty((0, word_count), dtype=_np.uint64)
-
-        graph._words = words.trim()
-        graph._parents_arr = parents.trim()
-        graph._edge_data = edges.trim()
-        # States admitted on the last level expand to nothing enabled;
-        # their (empty) count rows are still owed to the CSR offsets.
-        counted = len(counts)
-        offsets = ArrayStore(pool, "offsets", _np.int64)
-        offsets.set_length(total + 1)
-        offsets_view = offsets.data
-        offsets_view[0] = 0
-        if counted:
-            _np.cumsum(counts.data, out=offsets_view[1:counted + 1])
-        if counted < total:
-            offsets_view[counted + 1:] = offsets_view[counted]
-        counts.release()
-        graph._edge_offsets = offsets.trim()
-        graph._frontier_arr = frontier.trim()
-        graph._slots = index.slots
-        if checkpointer is not None:
-            # The run completed: nothing is left to resume from.  The live
-            # memmap views survive the unlink (the kernel keeps the inodes
-            # until the handles close), so the graph stays fully usable.
-            checkpointer.discard()
-            pool.discard_checkpoint_files()
+        graph = _finish(compiled, tables, initial_state, pool, stores, index,
+                        checkpointer)
     except BaseException:
         # Exploration died mid-flight: release every store (and spill-file
         # handle) now instead of waiting for garbage collection.  Named
@@ -949,16 +763,157 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         # resumable state.
         pool.close()
         raise
-    graph.truncated = truncated
-    graph._spill_pool = pool
     graph.exploration_stats = {
         "engine": "batch",
         "levels": levels,
-        "states": total,
-        "edges": int(len(graph._edge_data)),
-        "phases": dict(timing),
+        "states": len(graph),
+        "edges": graph.edge_count(),
+        "phases": timing,
         "spill": pool.stats(),
+        # A manifest is written only after a level, so a fresh run's
+        # level 0 never reads as a resume.
         "checkpoint": {"directory": str(checkpoint) if checkpoint else None,
-                       "resumed_from_level": resumed_from},
+                       "resumed_from_level": progress["levels"] or None},
     }
+    return graph
+
+
+def _start(pool, tables, initial_state, max_states, checkpoint):
+    """The ``(stores, progress, checkpointer)`` a run starts from.
+
+    With *checkpoint* set, :meth:`~repro.petri.storage.Checkpoint.open`
+    resumes a valid manifest there at its last complete level.  Any other
+    run starts fresh from the initial row, at the progress record
+    ``{levels 0, total 1, not truncated, level_start 0}``.  Either way the
+    next level to expand is ``words[level_start:total]``.
+    """
+    specs = _checkpoint_specs(tables.words)
+    checkpointer, progress = None, None
+    if checkpoint:
+        checkpointer, stores, progress = Checkpoint.open(
+            checkpoint, pool, specs,
+            checkpoint_identity(tables.compiled, initial_state, max_states))
+    else:
+        stores = fresh_stores(pool, specs)
+    if progress is None:
+        stores["words"].append(tables.encode_rows([initial_state]))
+        stores["parents"].append(_np.full(1, -1, dtype=_np.int64))
+        progress = {"levels": 0, "total": 1, "truncated": False,
+                    "level_start": 0}
+    return stores, progress, checkpointer
+
+
+def _lap(timing, phase, started):
+    """Add the seconds since *started* to *phase*; return the time now."""
+    now = perf_counter()
+    timing[phase] += now - started
+    return now
+
+
+def _expand_level(tables, stores, index, level, enabled, max_states, timing):
+    """Expand one BFS level: fire, dedup, probe, admit, edges.
+
+    *level* holds the last ``len(level)`` rows of the state table and
+    *enabled* their enabled matrix.  Appends the admitted successors to
+    the ``words`` and ``parents`` stores and the level's edges to
+    ``edges``, ``counts`` and -- for the sources whose edges the state
+    budget cut -- ``frontier``; adds each phase's seconds to *timing*.
+    Returns the next level's ``(rows, enabled)``, or ``None`` when no
+    transition of the level is enabled.
+    """
+    words = stores["words"]
+    level_start = len(words) - len(level)
+    started = perf_counter()
+    flat = _np.flatnonzero(enabled)
+    if not len(flat):
+        return None
+    source_local, transition, successor, overflowed = fire_enabled_flags(
+        tables, level, flat)
+    if overflowed.any():
+        # The first offender in expansion order, named exactly as the
+        # sequential engine reports it.
+        position = int(_np.argmax(overflowed))
+        raise SafenessOverflowError(
+            tables.compiled.transition_names[int(transition[position])],
+            tables.compiled.place_names[overflow_place(
+                tables, level, source_local, transition, position)])
+    source = source_local + level_start
+    hashes = tables.hash_rows(successor)
+    provenance = (source << 16) | transition
+    started = _lap(timing, "fire", started)
+
+    # Intra-level dedup of *all* successors first, so the (more expensive)
+    # probe against the global index only runs once per distinct
+    # successor.  A group's first occurrence carries its minimum
+    # provenance -- the edge over which the sequential BFS first discovers
+    # that state -- and the groups come out in provenance order.
+    firsts, group_of = dedup_first(successor, hashes)
+    group_rows = successor[firsts]
+    group_hashes = hashes[firsts]
+    started = _lap(timing, "dedup", started)
+
+    # Resolve the distinct successors against the globally known states
+    # (exact, hash-accelerated), then admit the unknown ones in provenance
+    # order up to the state budget.
+    group_target = index.lookup(group_rows, group_hashes)
+    words.pool.note_read(len(group_rows) * tables.words * 8)
+    fresh = _np.flatnonzero(group_target < 0)
+    started = _lap(timing, "probe", started)
+    total = len(words)
+    admitted = fresh[:max(0, max_states - total)]
+    group_target[admitted] = total + _np.arange(len(admitted))
+    admitted_provenance = provenance[firsts[admitted]]
+    rows = group_rows[admitted]
+    stores["parents"].append(admitted_provenance)
+    words.append(rows)
+    # Incremental enabledness: inherit the parent's enabled row, recompute
+    # only the transitions watching a place the discovering firing touched.
+    next_enabled = enabled[(admitted_provenance >> 16) - level_start]
+    refresh_enabled(tables, next_enabled, rows, admitted_provenance & 0xFFFF)
+    index.extend(group_hashes[admitted])
+    started = _lap(timing, "admit", started)
+
+    # Resolve every edge through its dedup group; an edge to a state the
+    # budget turned away is dropped, and its source stays partially
+    # expanded.
+    targets = group_target[group_of]
+    kept = targets >= 0
+    stores["edges"].append((transition | (targets << 16))[kept])
+    stores["counts"].append(_np.bincount(source_local[kept],
+                                         minlength=len(level)))
+    stores["frontier"].append(_np.unique(source[~kept]))
+    _lap(timing, "edges", started)
+    return rows, next_enabled
+
+
+def _finish(compiled, tables, initial_state, pool, stores, index,
+            checkpointer):
+    """The graph of the finished stores, built once with its CSR offsets.
+
+    A checkpointed run that completes has nothing left to resume from, so
+    its manifest and store files go.  The live memmap views survive the
+    unlink (the kernel keeps the inodes until the handles close), so the
+    graph stays fully usable.
+    """
+    words = stores["words"].trim()
+    parents = stores["parents"].trim()
+    edges = stores["edges"].trim()
+    # States admitted on the last level expand to nothing enabled; their
+    # (empty) count rows are still owed to the CSR offsets.
+    counts = stores["counts"]
+    counted = len(counts)
+    offsets = ArrayStore(pool, "offsets", _np.int64)
+    offsets.set_length(len(words) + 1)
+    view = offsets.data
+    view[0] = 0
+    _np.cumsum(counts.data, out=view[1:counted + 1])
+    view[counted + 1:] = view[counted]
+    counts.release()
+    graph = ColumnarReachabilityGraph(
+        compiled, tables, initial_state, pool, words=words, edges=edges,
+        offsets=offsets.trim(), parents=parents,
+        frontier=stores["frontier"].trim(), slots=index.slots)
+    if checkpointer is not None:
+        checkpointer.discard()
+        pool.discard_checkpoint_files()
     return graph

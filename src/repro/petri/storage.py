@@ -348,8 +348,8 @@ class ArrayStore:
         store.dtype = _np.dtype(dtype)
         store.columns = int(columns)
         store._row_nbytes = store.dtype.itemsize * max(1, store.columns)
-        handle = pool.open_spill_file(name)
         rows = int(rows)
+        handle = pool.open_spill_file(name)
         needed = rows * store._row_nbytes
         size = os.fstat(handle.fileno()).st_size
         if size < needed:
@@ -635,6 +635,12 @@ def store_crc(store, rows=None, base=0):
     return crc
 
 
+def fresh_stores(pool, specs):
+    """One new, empty store of *pool* per ``name: (dtype, columns)`` spec."""
+    return {name: ArrayStore(pool, name, dtype, columns=columns)
+            for name, (dtype, columns) in specs.items()}
+
+
 class Checkpoint:
     """The per-level manifest of a checkpointed exploration.
 
@@ -642,78 +648,78 @@ class Checkpoint:
     their dirty pages, extends each store's *chained* CRC32 by exactly the
     rows appended since the previous level (so checkpoint cost is
     proportional to the level, not the graph), and atomically replaces the
-    manifest JSON.  After a crash, :meth:`load` + :meth:`resume` re-attach
-    to the named files and verify the full chained CRC once; any mismatch
-    raises :class:`~repro.exceptions.ConfigurationError`, which callers
-    treat like a cache miss -- recompute from scratch.
+    manifest JSON.  :meth:`open` owns the resume-or-start-fresh rule.
     """
 
-    def __init__(self, directory, stores, identity):
+    def __init__(self, directory, identity):
         self.directory = str(directory)
         self.path = os.path.join(self.directory, MANIFEST_NAME)
-        self._stores = dict(stores)
         self.identity = identity
-        self._rows = {name: 0 for name in self._stores}
-        self._crcs = {name: 0 for name in self._stores}
+        self._stores = {}
+        self._rows = {}
+        self._crcs = {}
 
-    @staticmethod
-    def load(directory):
-        """The manifest payload under *directory*, or ``None``.
+    def _track(self, name, store, rows=0, crc=0):
+        self._stores[name] = store
+        self._rows[name] = int(rows)
+        self._crcs[name] = int(crc)
 
-        Missing, unreadable, corrupt, or wrong-version manifests all
-        return ``None``: a damaged checkpoint degrades to a fresh run.
-        """
+    def _load(self):
+        """This exploration's manifest payload, or ``None`` if there is none."""
         try:
-            with open(os.path.join(str(directory), MANIFEST_NAME), "r",
-                      encoding="utf-8") as handle:
+            with open(self.path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != MANIFEST_VERSION:
-            return None
-        if not isinstance(payload.get("stores"), dict):
+        if (not isinstance(payload, dict)
+                or payload.get("version") != MANIFEST_VERSION
+                or payload.get("identity") != self.identity
+                or not isinstance(payload.get("stores"), dict)
+                or not isinstance(payload.get("progress"), dict)):
             return None
         return payload
 
     @classmethod
-    def resume(cls, directory, pool, specs, identity, manifest):
-        """Re-open the manifest's stores and verify their chained CRCs.
+    def open(cls, directory, pool, specs, identity):
+        """Resume the exploration checkpointed under *directory*, or start fresh.
 
         *specs* maps store name to ``(dtype, columns)``.  Returns
-        ``(checkpoint, stores)`` with every store restored to the manifest
-        row counts; raises :class:`ConfigurationError` when the identity
-        does not match this exploration or any store fails verification.
+        ``(checkpoint, stores, progress)``.  A manifest of this *identity*
+        whose stores all pass their chained-CRC check resumes: the stores
+        re-open at the manifest's row counts and *progress* is the record
+        of its last completed level.  Anything else -- no manifest, or a
+        corrupt, wrong-version, foreign or damaged one -- starts fresh:
+        the stale manifest is removed, the stores are new and empty, and
+        *progress* is ``None``.  A damaged checkpoint is a cache miss,
+        never an error.
         """
-        if manifest.get("identity") != identity:
-            raise ConfigurationError(
-                "checkpoint in {!r} belongs to a different exploration"
-                .format(str(directory)))
-        stores = {}
-        try:
-            for name, (dtype, columns) in specs.items():
-                entry = manifest["stores"].get(name)
-                if not isinstance(entry, dict):
-                    raise ConfigurationError(
-                        "checkpoint manifest misses store {!r}".format(name))
-                store = ArrayStore.restore(pool, name, dtype, columns,
-                                           entry["rows"])
-                stores[name] = store
-                if store_crc(store, entry["rows"]) != entry["crc"]:
-                    raise ConfigurationError(
-                        "checkpoint store {!r} failed CRC verification"
-                        .format(name))
-        except ConfigurationError:
-            for store in stores.values():
-                store.release()
-            raise
-        checkpoint = cls(directory, stores, identity)
-        for name, entry in manifest["stores"].items():
-            if name in checkpoint._rows:
-                checkpoint._rows[name] = int(entry["rows"])
-                checkpoint._crcs[name] = int(entry["crc"])
-        return checkpoint, stores
+        checkpoint = cls(directory, identity)
+        manifest = checkpoint._load()
+        if manifest is not None:
+            try:
+                for name, (dtype, columns) in specs.items():
+                    entry = manifest["stores"].get(name)
+                    if not isinstance(entry, dict):
+                        raise ConfigurationError(
+                            "checkpoint manifest misses store {!r}".format(name))
+                    store = ArrayStore.restore(pool, name, dtype, columns,
+                                               entry["rows"])
+                    checkpoint._track(name, store, entry["rows"], entry["crc"])
+                    if store_crc(store) != entry["crc"]:
+                        raise ConfigurationError(
+                            "checkpoint store {!r} failed CRC verification"
+                            .format(name))
+                return checkpoint, dict(checkpoint._stores), manifest["progress"]
+            except (ConfigurationError, KeyError, TypeError, ValueError):
+                # A store entry that is missing, malformed or fails its
+                # CRC: the checkpoint is damaged.
+                for store in checkpoint._stores.values():
+                    store.release()
+                checkpoint = cls(directory, identity)
+        checkpoint.discard()
+        for name, store in fresh_stores(pool, specs).items():
+            checkpoint._track(name, store)
+        return checkpoint, dict(checkpoint._stores), None
 
     def record_level(self, progress):
         """Durably record one completed BFS level (*progress* is JSON-able).

@@ -8,11 +8,17 @@ admission-control policies a shared service needs --
 * **backpressure**: submissions are rejected with :class:`ServiceBusy`
   (HTTP 429 + ``Retry-After``) once the pool's queue depth reaches
   *max_depth*, so a burst of cold work degrades into polite retries
-  instead of an unbounded queue.  Warm cache hits and coalesced duplicates
-  consume no worker slot and are always admitted.
+  instead of an unbounded queue.  The bound is tested before the
+  scheduler looks a job up, so while the queue is full even a job that
+  would be a warm cache hit or a coalesced duplicate gets the 429.
 * **per-tenant rate limits**: one :class:`~repro.service.ratelimit.TokenBucket`
   per tenant (created lazily), so a single noisy tenant exhausts its own
   budget, not the service.
+
+A malformed job is refused first, with
+:class:`~repro.exceptions.ConfigurationError` (HTTP 400): it spends no
+rate token and never sees the depth bound, so a client learns its job is
+bad instead of retrying it.
 
 The HTTP layer (:mod:`repro.service.http`) only translates between this
 object and the wire; tests drive the policy directly.
@@ -78,6 +84,8 @@ class VerificationService:
         Raises :class:`RateLimited` / :class:`ServiceBusy` on rejection and
         :class:`~repro.exceptions.ConfigurationError` on a malformed job.
         """
+        job = (payload if isinstance(payload, VerificationJob)
+               else VerificationJob.from_dict(payload))
         bucket = self._bucket_for(tenant)
         if bucket is not None:
             wait = bucket.try_acquire()
@@ -96,10 +104,6 @@ class VerificationService:
                 "service queue is full ({} in-flight jobs, bound {})".format(
                     depth, self.max_depth),
                 retry_after=1.0)
-        if isinstance(payload, VerificationJob):
-            job = payload
-        else:
-            job = VerificationJob.from_dict(payload)
         return self.scheduler.submit(job, tenant=tenant, priority=priority)
 
     # -- introspection -------------------------------------------------------

@@ -105,3 +105,16 @@ def test_no_src_module_imports_the_test_oracles():
                         offenders.append("{}:{}: {}".format(
                             os.path.relpath(path, SRC_DIR), node.lineno, module))
     assert not offenders, offenders
+
+
+def test_no_function_in_the_batch_engine_exceeds_100_lines():
+    """The exploration stays split into a start, a level step and a finish."""
+    path = os.path.join(SRC_DIR, "repro", "petri", "batch.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    long_functions = [
+        "{} ({} lines)".format(node.name, node.end_lineno - node.lineno + 1)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.end_lineno - node.lineno + 1 > 100]
+    assert not long_functions, long_functions

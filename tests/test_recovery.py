@@ -148,6 +148,46 @@ class TestCheckpointResume:
         assert_identical(reference, resumed)
         assert os.listdir(checkpoint) == []
 
+    def test_write_fault_in_every_level_resumes_bit_identical(
+            self, tmp_path, fault_plan):
+        """A write error in each BFS level of the two-word, truncated ope3
+        exploration -- from the initial row to the last level -- resumes
+        from the manifest's level to the uninterrupted graph."""
+        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+        reference = build_reachability_graph(net, max_states=3000)
+        assert reference.truncated and reference.tables.words >= 2
+        levels = reference.exploration_stats["levels"]
+        resumed_from = set()
+        # An admitting level makes four or five store appends (parents,
+        # words, edges, counts, frontier), so a stride of four lands a
+        # fault in each level; the last assert checks that it did.
+        for nth in range(1, 100, 4):
+            checkpoint = str(tmp_path / str(nth))
+            fault_plan("io_error@write={}".format(nth))
+            try:
+                build_reachability_graph(net, max_states=3000,
+                                         resume=checkpoint)
+            except FaultError:
+                pass
+            else:
+                break  # past the last write of the run
+            manifest = os.path.join(checkpoint, "checkpoint.json")
+            expected = None
+            if os.path.exists(manifest):
+                with open(manifest) as handle:
+                    expected = json.load(handle)["progress"]["levels"]
+            fault_plan("")
+            resumed = build_reachability_graph(net, max_states=3000,
+                                               resume=checkpoint)
+            stats = resumed.exploration_stats["checkpoint"]
+            assert stats["resumed_from_level"] == expected, nth
+            assert_identical(reference, resumed, nth)
+            assert os.listdir(checkpoint) == []
+            resumed_from.add(expected)
+        else:
+            pytest.fail("the write faults never ran past the exploration")
+        assert resumed_from == {None, *range(1, levels)}
+
     def test_foreign_checkpoint_is_ignored_not_resumed(self, tmp_path,
                                                        fault_plan):
         """A checkpoint of a different exploration starts a fresh run."""
@@ -180,6 +220,28 @@ class TestCheckpointResume:
         assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
             is None
         assert_identical(reference, graph)
+
+
+    def test_malformed_store_entry_degrades_to_a_fresh_run(self, tmp_path,
+                                                           fault_plan):
+        """A manifest entry missing its CRC is damage, not a crash."""
+        checkpoint = str(tmp_path / "ckpt")
+        net = to_petri_net(linear_pipeline(4))
+        fault_plan("io_error@write=40")
+        with pytest.raises(FaultError):
+            build_reachability_graph(net, resume=checkpoint)
+        fault_plan("")
+        path = os.path.join(checkpoint, "checkpoint.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        del manifest["stores"]["edges"]["crc"]
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        graph = build_reachability_graph(net, resume=checkpoint)
+        assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
+            is None
+        assert_identical(build_reachability_graph(net), graph)
+        assert os.listdir(checkpoint) == []
 
 
 class TestKillResume:

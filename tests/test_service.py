@@ -341,6 +341,28 @@ class TestAdmissionControl:
         finally:
             service.close()
 
+    def test_malformed_job_is_refused_before_admission_control(self,
+                                                              tmp_path):
+        """A bad job gets its 400 even while the queue is full, and spends
+        no rate token: the job check runs before either policy."""
+        service = VerificationService(parallelism=1, max_depth=0,
+                                      rate=0.001, burst=1.0,
+                                      cache_dir=str(tmp_path / "cache"))
+        hostile = {"job_id": "x", "factory": "subprocess:getoutput",
+                   "kwargs": {"cmd": "true"}}
+        try:
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    service.submit(hostile, tenant="t")
+            assert service.stats()["rejected"] == {"busy": 0, "rate": 0}
+            # The tenant's only token is unspent: a well-formed job passes
+            # the rate check and stops at the depth bound.
+            with pytest.raises(ServiceBusy) as caught:
+                service.submit(_conditional_job().to_dict(), tenant="t")
+            assert not isinstance(caught.value, RateLimited)
+        finally:
+            service.close()
+
     def test_malformed_job_is_a_configuration_error(self, tmp_path):
         service = VerificationService(parallelism=1,
                                       cache_dir=str(tmp_path / "cache"))
