@@ -24,12 +24,12 @@ import numpy as np
 
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
-from repro.petri.batch import explore_batch
+from repro.petri.batch import _pack_bits, explore_batch
 from repro.petri.compiled import CompiledNet
 from repro.petri.invariants import SemiflowCache, compute_semiflows_cached
 from repro.verification.verifier import Verifier
 
-from oracles.compiled import explore_compiled
+from oracles.compiled import explore_compiled, graph_columns
 
 from .conftest import best_of, print_table, throughput_metrics, timed
 
@@ -53,10 +53,13 @@ def test_batch_exploration_bit_identical_and_gated():
     # Best of three: the first batch run pays NumPy's lazy-init warmup.
     batch_seconds, batch, kernel_runs = best_of(3, lambda: timed(
         lambda: explore_batch(compiled, max_states=BATCH_HORIZON)))
-    for name, expected in zip(("_words", "_edge_data", "_edge_offsets",
-                               "_parents_arr", "_frontier_arr"),
-                              sequential.columns()):
-        assert np.array_equal(getattr(batch, name), expected), name
+    # The batch graph keeps enabled sets; its edges are regenerated.
+    for name, left, right in zip(("words", "edges", "offsets", "parents",
+                                  "frontier"), graph_columns(batch),
+                                 sequential.columns()):
+        assert np.array_equal(left, right), name
+    assert np.array_equal(batch._enabled_arr, _pack_bits(
+        batch.tables.enabled_matrix(batch._words)))
     assert batch.truncated == sequential.truncated
     states = len(sequential.states)
     rows = [

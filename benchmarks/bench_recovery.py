@@ -30,6 +30,8 @@ from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
 from repro.petri.reachability import build_reachability_graph
 
+from oracles.compiled import graph_columns
+
 from .conftest import print_table, throughput_metrics
 
 #: Exploration bound: deep enough for a real level count (the per-level
@@ -72,11 +74,11 @@ def test_checkpoint_overhead_is_bounded(tmp_path):
     assert durable["states"] == plain["states"]
     assert durable["edges"] == plain["edges"]
     assert durable["levels"] == plain["levels"]
-    for name in ("_words", "_edge_data", "_edge_offsets", "_parents_arr",
-                 "_frontier_arr"):
-        reference = getattr(graphs["no-checkpoint"], name)
-        assert getattr(graphs["checkpointed"], name).tobytes() == \
-            reference.tobytes()
+    plain_graph, durable_graph = graphs["no-checkpoint"], graphs["checkpointed"]
+    for left, right in zip(
+            graph_columns(durable_graph) + (durable_graph._enabled_arr,),
+            graph_columns(plain_graph) + (plain_graph._enabled_arr,)):
+        assert left.tobytes() == right.tobytes()
     # A completed run leaves nothing behind to clean up.
     assert os.listdir(str(tmp_path / "ckpt")) == []
     # The absolute overhead ceiling.

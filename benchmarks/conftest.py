@@ -180,8 +180,8 @@ def graph_bytes(graph):
     columnar storage win.
     """
     arrays = [getattr(graph, name, None)
-              for name in ("_words", "_edge_data", "_edge_offsets",
-                           "_parents_arr", "_frontier_arr", "_slots")]
+              for name in ("_words", "_enabled_arr", "_parents_arr",
+                           "_frontier_arr", "_slots")]
     if arrays[0] is not None:
         return sum(array.nbytes for array in arrays if array is not None)
     states, edges, parents = graph.states, graph.edges, graph.parents

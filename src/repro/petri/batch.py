@@ -16,20 +16,24 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
   the resulting graph **bit-identical** to a one-firing-at-a-time BFS: same
-  states in the same discovery order, same packed ``t | target << 16`` edge
-  lists, same parents (hence traces), same frontier and truncation.
+  states in the same discovery order, same parents (hence traces), same
+  frontier and truncation, and the same edges when they are regenerated.
 
 A run (:func:`explore_batch`) is a start, a level loop and a finish.  The
 start yields the stores and a ``progress`` record, fresh or resumed from a
-checkpoint; the level step (:func:`_expand_level`) fires, dedups, probes,
-admits and appends the edges of one BFS level; the finish builds the CSR
-offsets and the graph once, from the finished arrays.
+checkpoint; the level step (:func:`_expand_level`) fires, dedups, probes and
+admits one BFS level, appending each admitted state's row, parent and
+enabled set; the finish builds the graph once, from the finished arrays.
 
-The result is a :class:`ColumnarReachabilityGraph`: the state table, packed
-edges (CSR layout), parents and frontier all stay NumPy arrays, so the
-graph's own property scans (Reach ``scan``, ``persistence_scan``) become
-vectorised compares over the state table instead of per-state Python loops.
-Marking-level APIs decode on demand.
+The result is a :class:`ColumnarReachabilityGraph`: the state table, the
+packed enabled-transition column, parents and frontier all stay NumPy
+arrays.  It keeps no edges -- a state's edges are its enabled transitions,
+fired and looked up in the hash index, regenerated on demand.  The graph's
+own property scans (Reach ``scan``, ``persistence_scan``, ``deadlocks``)
+are vectorised passes over the state table and the enabled column instead
+of per-state Python loops; persistence needs only the enabled sets, since
+in a 1-safe net whether one transition's firing disables another does not
+depend on the state.  Marking-level APIs decode on demand.
 
 This is the engine ``build_reachability_graph`` runs for every net that
 compiles and stays 1-safe.
@@ -50,7 +54,6 @@ from repro.petri.compiled import (
 )
 from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
-    ArrayStore,
     Checkpoint,
     HashIndex,
     SpillConfig,
@@ -62,8 +65,9 @@ from repro.petri.storage import (
 )
 from repro.utils import faults as _faults
 
-#: Cap (in edges) on one block of the persistence scan's per-edge bitsets.
-_EDGE_BLOCK = 1 << 20
+#: States per block of the persistence scan: a block's enabled flags, one
+#: byte per (state, transition), stay small enough to transpose in cache.
+_SCAN_BLOCK = 1 << 14
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -180,16 +184,10 @@ def _pack_bits(flags):
     return _np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def _edge_blocks(offsets, limit):
-    """``(low, high)`` state ranges of the CSR *offsets*, <= *limit* edges each."""
-    states = len(offsets) - 1
-    low = 0
-    while low < states:
-        high = int(_np.searchsorted(offsets, offsets[low] + limit,
-                                    side="right")) - 1
-        high = min(max(high, low + 1), states)
-        yield low, high
-        low = high
+def _unpack_bits(bits, width):
+    """Inverse of :func:`_pack_bits`: the ``(n, width)`` bool matrix."""
+    return _np.unpackbits(_np.ascontiguousarray(bits).view(_np.uint8), axis=1,
+                          count=width, bitorder="little").view(bool)
 
 
 def fire_enabled_flags(tables, rows, flat):
@@ -299,8 +297,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     """Reachability graph stored columnar: NumPy arrays, not Python lists.
 
     * ``_words`` -- the ``(states, words)`` uint64 state table;
-    * ``_edge_data`` / ``_edge_offsets`` -- packed ``t | target << 16`` edges
-      in one flat int64 array with CSR-style per-state offsets;
+    * ``_enabled_arr`` -- each state's enabled transitions, a packed
+      ``(states, ceil(T/64))`` uint64 bitset (:func:`_pack_bits`);
     * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
       (``-1`` for the initial state);
     * ``_frontier_arr`` -- sorted indices of partially-expanded states;
@@ -308,19 +306,22 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
       (:class:`~repro.petri.storage.HashIndex`) used for O(1) marking
       lookup without materialising Python ints.
 
-    The full marking-level :class:`~repro.petri.reachability.ReachabilityGraph`
-    API is answered from these arrays -- markings decode on demand, and
-    predecessors come from a reverse CSR built on first use -- so the
-    base class's dict-based structures stay empty.  The property scans
-    (:meth:`scan`, :meth:`persistence_scan`) override the base class's
-    marking loops with whole-table vector operations.
+    The graph keeps no edges, only their count: a state's edges are its
+    enabled transitions, fired and looked up in the hash index
+    (:meth:`_out_edges`).  The full marking-level
+    :class:`~repro.petri.reachability.ReachabilityGraph` API is answered
+    from these arrays -- markings decode on demand, successors are
+    regenerated and predecessors found by reverse firing -- so the base
+    class's dict-based structures stay empty.  The property scans
+    (:meth:`scan`, :meth:`persistence_scan`, :meth:`deadlocks`) override
+    the base class's marking loops with whole-table vector operations.
     """
 
     #: Columnar graphs exist only while every marking stayed 1-safe.
     one_safe = True
 
-    def __init__(self, compiled, tables, initial_state, pool, words, edges,
-                 offsets, parents, frontier, slots):
+    def __init__(self, compiled, tables, initial_state, pool, words, enabled,
+                 parents, frontier, slots, edges):
         ReachabilityGraph.__init__(self, compiled.net,
                                    compiled.decode(initial_state))
         self.compiled = compiled
@@ -328,16 +329,14 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         self._decoded = {}
         self._all_decoded = None
         self._words = words
-        self._edge_data = edges
-        self._edge_offsets = offsets
+        self._enabled_arr = enabled
         self._parents_arr = parents
         self._frontier_arr = frontier
         self._slots = slots         # hash index slots: state index or -1
+        self._edges = edges         # edges exploration kept
         #: The spill pool backing the arrays; kept alive so unlinked
         #: memmap files outlive the graph.
         self._spill_pool = pool
-        # Reverse CSR (edge positions by target, per-target offsets), lazy.
-        self._reverse = None
         # Only a cut admission leaves partially-expanded states behind.
         self.truncated = len(frontier) > 0
 
@@ -362,15 +361,34 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
             self._decoded[index] = marking
         return marking
 
+    def _lookup(self, rows):
+        """Indices of the state *rows* in this graph (``-1`` if absent)."""
+        return probe_slots(self._slots, self._words, rows,
+                           self.tables.hash_rows(rows))
+
     def _index_of(self, marking):
         try:
             state = self.compiled.encode(marking)
         except CompilationError:
             return None
-        row = self.tables.encode_rows([state])
-        index = int(probe_slots(self._slots, self._words, row,
-                                self.tables.hash_rows(row))[0])
+        index = int(self._lookup(self.tables.encode_rows([state]))[0])
         return index if index >= 0 else None
+
+    def _out_edges(self, states):
+        """The edges of *states*: ``(sources, transitions, targets)`` arrays.
+
+        Each enabled transition is fired and its successor looked up in
+        the hash index.  A successor the state budget turned away is not a
+        state, so a frontier state keeps only the edges exploration kept.
+        Sources follow *states*; transitions ascend within each source.
+        """
+        states = _np.asarray(states, dtype=_np.int64)
+        enabled = _unpack_bits(self._enabled_arr[states], len(self.tables.need))
+        local, transitions, successors, _ = fire_enabled_flags(
+            self.tables, self._words[states], _np.flatnonzero(enabled))
+        targets = self._lookup(successors)
+        kept = targets >= 0
+        return states[local[kept]], transitions[kept], targets[kept]
 
     # -- ReachabilityGraph API ------------------------------------------------
 
@@ -392,39 +410,35 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                 for t, i in zip(transitions.tolist(), states.tolist())]
 
     def successors(self, marking):
-        index = self._known_index(marking)
-        packed = self._edge_data[int(self._edge_offsets[index]):
-                                 int(self._edge_offsets[index + 1])]
-        return self._labelled(packed & 0xFFFF, packed >> 16)
+        _, transitions, targets = self._out_edges([self._known_index(marking)])
+        return self._labelled(transitions, targets)
 
     def predecessors(self, marking):
-        """Incoming edges, sources in discovery order then edge order."""
-        index = self._known_index(marking)
-        if self._reverse is None:
-            targets = self._edge_data >> 16
-            offsets = _np.zeros(len(self) + 1, dtype=_np.int64)
-            _np.cumsum(_np.bincount(targets, minlength=len(self)),
-                       out=offsets[1:])
-            self._reverse = (_np.argsort(targets, kind="stable"), offsets)
-        order, offsets = self._reverse
-        positions = order[offsets[index]:offsets[index + 1]]
-        sources = _np.searchsorted(self._edge_offsets, positions,
-                                   side="right") - 1
-        return self._labelled(self._edge_data[positions] & 0xFFFF, sources)
+        """Incoming edges, sources in discovery order then edge order.
+
+        Firing is reversible in a 1-safe net: the only state from which
+        ``t`` can lead to *marking* is ``(marking & ~produce[t]) |
+        consume[t]``.  It is a predecessor when it is a known state, enables
+        ``t`` and fires back to *marking*.
+        """
+        tables = self.tables
+        row = self._words[self._known_index(marking)]
+        sources = (row & ~tables.produce) | tables.consume
+        fired = (sources & tables.keep) | tables.produce
+        ok = (((sources & tables.need) == tables.need).all(axis=1)
+              & (fired == row).all(axis=1))
+        transitions = _np.flatnonzero(ok)
+        sources = self._lookup(sources[transitions])
+        known = sources >= 0
+        transitions, sources = transitions[known], sources[known]
+        order = _np.lexsort((transitions, sources))
+        return self._labelled(transitions[order], sources[order])
 
     @property
     def states(self):
         if self._all_decoded is None:
             self._all_decoded = [self._marking_at(i) for i in range(len(self))]
         return list(self._all_decoded)
-
-    def enabled(self, marking):
-        index = self._known_index(marking)
-        names = self.compiled.transition_names
-        low = int(self._edge_offsets[index])
-        high = int(self._edge_offsets[index + 1])
-        return sorted({names[int(packed) & 0xFFFF]
-                       for packed in self._edge_data[low:high]})
 
     @property
     def frontier(self):
@@ -439,14 +453,17 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                     and int(self._frontier_arr[position]) == index)
 
     def deadlocks(self):
-        degrees = _np.diff(self._edge_offsets)
-        dead = _np.where(degrees == 0)[0]
-        if len(self._frontier_arr):
-            dead = dead[~_np.isin(dead, self._frontier_arr)]
-        return [self._marking_at(int(i)) for i in dead]
+        # A frontier state has an enabled transition (the one whose edge
+        # was dropped), so the all-zero rows are exactly the deadlocks.
+        enabled = self._enabled_arr
+        live = enabled[:, 0] != 0
+        for w in range(1, enabled.shape[1]):
+            live |= enabled[:, w] != 0
+        return [self._marking_at(index)
+                for index in _np.flatnonzero(~live).tolist()]
 
     def edge_count(self):
-        return int(len(self._edge_data))
+        return self._edges
 
     def trace_to(self, target):
         index = self._index_of(target)
@@ -482,101 +499,68 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
             yield self._marking_at(index)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """The persistence scan, in one pass over the edges.
+        """The persistence scan, in one pass over the enabled column.
 
         The contract and witness order of the exact pair loop (kept as the
         ``persistence_scan`` of the test oracle, ``tests/oracles/compiled.py``):
         states in discovery order, the fired/disabled pair loops in edge
         order, frontier states skipped.
-        An edge ``(s, t1, s')`` disables exactly the transitions of
-        ``enabled(s) & ~enabled(s') & ~excluded(t1)``, so the count is a
-        popcount per edge over ``(states, ceil(T/64))`` enabled bitsets;
-        only the first hit states re-run the exact pair loop for witnesses.
+        In a 1-safe net, whether firing ``t1`` disables a co-enabled ``t2``
+        does not depend on the state (:meth:`_disabling`), so the count is,
+        over every pair ``(t1, t2)`` of that table, the number of states
+        enabling both.  Each block of the column is transposed into one
+        packed bitset over states per transition, so a pair costs one AND
+        and a popcount.  Only the first hit states re-run the exact pair
+        loop for witnesses.
         """
-        offsets = self._edge_offsets
-        degrees = _np.diff(offsets)
-        eligible = degrees >= 2
-        eligible[self._frontier_arr] = False
-        excluded = self._excluded_bits(allow_conflicts)
-        # The enabled table lives in the graph's spill pool, so a
-        # disk-backed graph keeps its RAM budget.
-        pool = self._spill_pool
-        store = ArrayStore(pool, "enabled", _np.uint64,
-                           columns=excluded.shape[1], capacity=len(self))
-        store.set_length(len(self))
-        enabled = store.data
+        disabling = self._disabling(allow_conflicts)
+        firing = _np.flatnonzero(disabling.any(axis=1)).tolist()
+        skipped = _np.zeros(len(self), dtype=bool)
+        skipped[self._frontier_arr] = True
         violations = 0
         hit_states = []
-        try:
-            self._fill_enabled_bits(enabled)
-            for low, high in _edge_blocks(offsets, _EDGE_BLOCK):
-                base = int(offsets[low])
-                packed = self._edge_data[base:int(offsets[high])]
-                # Ineligible sources (frontier, degree < 2) contribute no
-                # bits, so their edges drop out of the count.
-                sources = enabled[low:high] * eligible[low:high, None]
-                disabled = _np.repeat(sources, degrees[low:high], axis=0)
-                disabled &= ~enabled[packed >> 16]
-                disabled &= ~excluded[packed & 0xFFFF]
-                found = int(_np.bitwise_count(disabled).sum())
-                violations += found
-                if found and len(hit_states) < max_witnesses:
-                    hit_edges = _np.flatnonzero(disabled.any(axis=1))
-                    positions = _np.searchsorted(
-                        offsets, base + hit_edges, side="right") - 1
-                    hit_states.extend(_np.unique(positions).tolist()[
-                        :max_witnesses - len(hit_states)])
-        finally:
-            store.release()
-            # A checkpoint-mode pool names its files; leave none behind.
-            pool.discard_checkpoint_files()
+        for low in range(0, len(self), _SCAN_BLOCK):
+            flags = _unpack_bits(self._enabled_arr[low:low + _SCAN_BLOCK],
+                                 len(disabling))
+            flags[skipped[low:low + _SCAN_BLOCK]] = False
+            # Row t: bit i set when state low + i enables t.  Packing a
+            # contiguous copy is several times faster than a strided view.
+            enabling = _np.packbits(_np.ascontiguousarray(flags.T), axis=1,
+                                    bitorder="little")
+            hits = _np.zeros(enabling.shape[1], dtype=_np.uint8)
+            for t1 in firing:
+                both = enabling[disabling[t1]] & enabling[t1]
+                violations += int(_np.bitwise_count(both).sum())
+                hits |= _np.bitwise_or.reduce(both, axis=0)
+            if len(hit_states) < max_witnesses:
+                found = _np.flatnonzero(_np.unpackbits(hits, bitorder="little"))
+                hit_states.extend(
+                    (found[:max_witnesses - len(hit_states)] + low).tolist())
         witnesses = []
         for index in hit_states:
             self._state_witnesses(index, allow_conflicts, witnesses,
                                   max_witnesses)
         return violations, witnesses
 
-    def _excluded_bits(self, allow_conflicts):
-        """``(T, ceil(T/64))`` bitsets of the pairs persistence never checks.
+    def _disabling(self, allow_conflicts):
+        """The ``(T, T)`` bool table of the pairs persistence counts.
 
-        Row ``t1`` holds ``t1`` itself and, with *allow_conflicts*, every
-        ``t2`` sharing a consumed place with it (an intended choice).
+        ``[t1, t2]`` is set when firing ``t1`` takes a token ``t2`` needs
+        and does not put it back: ``need(t2) & consume(t1) & ~produce(t1)``
+        is not empty.  Left out are ``t1`` itself and, with
+        *allow_conflicts*, every ``t2`` sharing a consumed place with it
+        (an intended choice).
         """
-        consume = self.tables.consume
-        excluded = _np.eye(len(consume), dtype=bool)
-        if allow_conflicts:
-            for w in range(self.tables.words):
-                column = consume[:, w]
-                excluded |= (column[:, None] & column[None, :]) != 0
-        return _pack_bits(excluded)
-
-    def _fill_enabled_bits(self, enabled):
-        """Write every state's enabled-transition bitset into *enabled*.
-
-        An expanded state's edge list is exactly its enabled set, so its row
-        is the OR of its edges' transition bits; frontier states' edge lists
-        are partial, so their rows are recomputed from their markings.
-        """
-        data = self._edge_data
-        offsets = self._edge_offsets
-        columns = enabled.shape[1]
-        for low, high in _edge_blocks(offsets, _EDGE_BLOCK):
-            enabled[low:high] = 0
-            base = int(offsets[low])
-            fired = data[base:int(offsets[high])] & 0xFFFF
-            if not len(fired):
-                continue
-            bits = _np.zeros((len(fired), columns), dtype=_np.uint64)
-            bits[_np.arange(len(fired)), fired >> 6] = (
-                _np.uint64(1) << (fired & 63).astype(_np.uint64))
-            starts = offsets[low:high] - base
-            busy = _np.flatnonzero(_np.diff(offsets[low:high + 1]))
-            enabled[low + busy] = _np.bitwise_or.reduceat(
-                bits, starts[busy], axis=0)
-        frontier = self._frontier_arr
-        if len(frontier):
-            enabled[frontier] = _pack_bits(
-                self.tables.enabled_matrix(self._words[frontier]))
+        tables = self.tables
+        taken = tables.consume & ~tables.produce
+        disabling = _np.zeros((len(taken), len(taken)), dtype=bool)
+        conflicts = _np.eye(len(taken), dtype=bool)
+        for w in range(tables.words):
+            disabling |= (taken[:, w, None] & tables.need[None, :, w]) != 0
+            if allow_conflicts:
+                column = tables.consume[:, w]
+                conflicts |= (column[:, None] & column[None, :]) != 0
+        return disabling & ~conflicts
 
     def _state_witnesses(self, index, allow_conflicts, witnesses, limit):
         """The exact pair loop of one state, appending up to *limit* hits."""
@@ -584,14 +568,12 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         consume = compiled.consume
         need = compiled.need
         names = compiled.transition_names
-        low = int(self._edge_offsets[index])
-        high = int(self._edge_offsets[index + 1])
-        edges = self._edge_data[low:high].tolist()
-        for packed in edges:
-            t1 = packed & 0xFFFF
-            after = self._state_int(packed >> 16)
-            for other in edges:
-                t2 = other & 0xFFFF
+        state = self._state_int(index)
+        enabled = _np.flatnonzero(_unpack_bits(
+            self._enabled_arr[index:index + 1], len(need))).tolist()
+        for t1 in enabled:
+            after = compiled.fire(t1, state)
+            for t2 in enabled:
                 if t1 == t2 or (allow_conflicts and consume[t1] & consume[t2]):
                     continue
                 if (after & need[t2]) != need[t2]:
@@ -670,13 +652,13 @@ def checkpoint_identity(compiled, initial_state, max_states):
 
 
 #: ``(dtype string, columns)`` of every checkpointed store; the manifest
-#: and :meth:`Checkpoint.open` agree on this layout.
-def _checkpoint_specs(word_count):
+#: and :meth:`Checkpoint.open` agree on this layout.  ``words`` is the
+#: state table, which the manifest's ``progress["total"]`` counts.
+def _checkpoint_specs(tables):
     return {
-        "words": ("<u8", word_count),
+        "words": ("<u8", tables.words),
         "parents": ("<i8", 0),
-        "edges": ("<i8", 0),
-        "counts": ("<i8", 0),
+        "enabled": ("<u8", max(1, (len(tables.need) + 63) // 64)),
         "frontier": ("<i8", 0),
     }
 
@@ -687,16 +669,17 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
 
     Returns a :class:`ColumnarReachabilityGraph` bit-identical to the
     one-firing-at-a-time BFS of the same net, marking and bound -- same
-    discovery order, packed edges, parents, frontier and truncation -- built
-    one BFS level per step instead of one transition per step.
+    discovery order, parents, frontier, truncation and (regenerated)
+    edges -- built one BFS level per step instead of one transition per
+    step.
 
     A run has three parts.  :func:`_start` yields the stores and the
     ``progress`` record to start from: the initial row at level 0, or the
     last complete level of a resumed checkpoint.  The level loop calls
     :func:`_expand_level` once per BFS level and, between levels, only
     drops spilled pages, passes the ``kill_worker@level`` fault point and
-    records the checkpoint manifest.  :func:`_finish` builds the CSR
-    offsets and the graph from the finished arrays.
+    records the checkpoint manifest.  :func:`_finish` builds the graph
+    from the finished arrays.
 
     The arrays live in :class:`~repro.petri.storage.ArrayStore` objects,
     which move onto unlinked ``np.memmap`` files once the *spill* budget
@@ -724,20 +707,21 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         index = HashIndex(pool, "hash", words, tables.hash_rows,
                           wide=max_states >= 2 ** 31)
         index.extend(tables.hash_rows(words.data))
-        levels = progress["levels"]
-        # The level about to expand is the tail of the state table; its
-        # enabled matrix and the hash index are derived state, recomputed
+        levels, edges = progress["levels"], progress["edges"]
+        # The level about to expand is the tail of the state table and of
+        # the enabled column; the hash index is derived state, recomputed
         # rather than checkpointed.
-        level = _np.ascontiguousarray(
-            words.data[progress["level_start"]:progress["total"]])
-        enabled = tables.enabled_matrix(level)
+        tail = slice(progress["level_start"], progress["total"])
+        level = _np.ascontiguousarray(words.data[tail])
+        enabled = _unpack_bits(stores["enabled"].data[tail], len(tables.need))
         while len(level):
             levels += 1
             step = _expand_level(tables, stores, index, level, enabled,
                                  max_states, timing)
             if step is None:
                 break
-            level, enabled = step
+            level, enabled, kept = step
+            edges += kept
             # Stream the completed level out of memory: spilled stores drop
             # their resident pages, so RSS tracks the frontier, not the graph.
             pool.drop_resident()
@@ -753,9 +737,10 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                     "total": len(words),
                     "truncated": len(stores["frontier"]) > 0,
                     "level_start": len(words) - len(level),
+                    "edges": edges,
                 })
-        graph = _finish(compiled, tables, initial_state, pool, stores, index,
-                        checkpointer)
+        graph = _finish(compiled, tables, initial_state, pool, stores,
+                        index.slots, edges, checkpointer)
     except BaseException:
         # Exploration died mid-flight: release every store (and spill-file
         # handle) now instead of waiting for garbage collection.  Named
@@ -784,10 +769,11 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     With *checkpoint* set, :meth:`~repro.petri.storage.Checkpoint.open`
     resumes a valid manifest there at its last complete level.  Any other
     run starts fresh from the initial row, at the progress record
-    ``{levels 0, total 1, not truncated, level_start 0}``.  Either way the
-    next level to expand is ``words[level_start:total]``.
+    ``{levels 0, total 1, not truncated, level_start 0, edges 0}``.  Either
+    way the next level to expand is ``words[level_start:total]``, and
+    ``edges`` counts the edges kept so far.
     """
-    specs = _checkpoint_specs(tables.words)
+    specs = _checkpoint_specs(tables)
     checkpointer, progress = None, None
     if checkpoint:
         checkpointer, stores, progress = Checkpoint.open(
@@ -796,10 +782,12 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     else:
         stores = fresh_stores(pool, specs)
     if progress is None:
-        stores["words"].append(tables.encode_rows([initial_state]))
+        row = tables.encode_rows([initial_state])
+        stores["words"].append(row)
         stores["parents"].append(_np.full(1, -1, dtype=_np.int64))
+        stores["enabled"].append(_pack_bits(tables.enabled_matrix(row)))
         progress = {"levels": 0, "total": 1, "truncated": False,
-                    "level_start": 0}
+                    "level_start": 0, "edges": 0}
     return stores, progress, checkpointer
 
 
@@ -815,11 +803,11 @@ def _expand_level(tables, stores, index, level, enabled, max_states, timing):
 
     *level* holds the last ``len(level)`` rows of the state table and
     *enabled* their enabled matrix.  Appends the admitted successors to
-    the ``words`` and ``parents`` stores and the level's edges to
-    ``edges``, ``counts`` and -- for the sources whose edges the state
-    budget cut -- ``frontier``; adds each phase's seconds to *timing*.
-    Returns the next level's ``(rows, enabled)``, or ``None`` when no
-    transition of the level is enabled.
+    the ``words``, ``parents`` and ``enabled`` stores, and the sources
+    whose edges the state budget cut to ``frontier``; adds each phase's
+    seconds to *timing*.  Returns the next level's ``(rows, enabled)`` and
+    the number of edges the level kept, or ``None`` when no transition of
+    the level is enabled.
     """
     words = stores["words"]
     level_start = len(words) - len(level)
@@ -870,49 +858,33 @@ def _expand_level(tables, stores, index, level, enabled, max_states, timing):
     # only the transitions watching a place the discovering firing touched.
     next_enabled = enabled[(admitted_provenance >> 16) - level_start]
     refresh_enabled(tables, next_enabled, rows, admitted_provenance & 0xFFFF)
+    stores["enabled"].append(_pack_bits(next_enabled))
     index.extend(group_hashes[admitted])
     started = _lap(timing, "admit", started)
 
     # Resolve every edge through its dedup group; an edge to a state the
     # budget turned away is dropped, and its source stays partially
     # expanded.
-    targets = group_target[group_of]
-    kept = targets >= 0
-    stores["edges"].append((transition | (targets << 16))[kept])
-    stores["counts"].append(_np.bincount(source_local[kept],
-                                         minlength=len(level)))
-    stores["frontier"].append(_np.unique(source[~kept]))
+    dropped = group_target[group_of] < 0
+    stores["frontier"].append(_np.unique(source[dropped]))
     _lap(timing, "edges", started)
-    return rows, next_enabled
+    return rows, next_enabled, int(_np.count_nonzero(~dropped))
 
 
-def _finish(compiled, tables, initial_state, pool, stores, index,
+def _finish(compiled, tables, initial_state, pool, stores, slots, edges,
             checkpointer):
-    """The graph of the finished stores, built once with its CSR offsets.
+    """The graph of the finished stores.
 
     A checkpointed run that completes has nothing left to resume from, so
     its manifest and store files go.  The live memmap views survive the
     unlink (the kernel keeps the inodes until the handles close), so the
     graph stays fully usable.
     """
-    words = stores["words"].trim()
-    parents = stores["parents"].trim()
-    edges = stores["edges"].trim()
-    # States admitted on the last level expand to nothing enabled; their
-    # (empty) count rows are still owed to the CSR offsets.
-    counts = stores["counts"]
-    counted = len(counts)
-    offsets = ArrayStore(pool, "offsets", _np.int64)
-    offsets.set_length(len(words) + 1)
-    view = offsets.data
-    view[0] = 0
-    _np.cumsum(counts.data, out=view[1:counted + 1])
-    view[counted + 1:] = view[counted]
-    counts.release()
     graph = ColumnarReachabilityGraph(
-        compiled, tables, initial_state, pool, words=words, edges=edges,
-        offsets=offsets.trim(), parents=parents,
-        frontier=stores["frontier"].trim(), slots=index.slots)
+        compiled, tables, initial_state, pool,
+        words=stores["words"].trim(), enabled=stores["enabled"].trim(),
+        parents=stores["parents"].trim(), frontier=stores["frontier"].trim(),
+        slots=slots, edges=edges)
     if checkpointer is not None:
         checkpointer.discard()
         pool.discard_checkpoint_files()

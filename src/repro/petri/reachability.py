@@ -85,7 +85,7 @@ class ReachabilityGraph:
         For a frontier state of a truncated graph the stored edges are
         incomplete; use :meth:`is_expanded` to tell the two cases apart.
         """
-        return sorted({transition for transition, _ in self._successors[marking]})
+        return sorted({transition for transition, _ in self.successors(marking)})
 
     @property
     def frontier(self):

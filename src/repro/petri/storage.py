@@ -2,8 +2,9 @@
 
 The batch exploration engine builds
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
-handful of growable arrays (state words, CSR edges, packed parents, the
-hash index).  This module provides the storage layer underneath them:
+handful of growable arrays (state words, enabled-transition bitsets,
+packed parents, the hash index).  This module provides the storage layer
+underneath them:
 
 * :class:`ArrayStore` -- a growable 1-D/2-D NumPy array with geometric
   (power-of-two) resizing.  In RAM it grows by allocating a fresh
@@ -620,7 +621,7 @@ class HashIndex:
 
 #: File name of the per-level checkpoint manifest inside a checkpoint dir.
 MANIFEST_NAME = "checkpoint.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def store_crc(store, rows=None, base=0):
@@ -683,12 +684,14 @@ class Checkpoint:
     def open(cls, directory, pool, specs, identity):
         """Resume the exploration checkpointed under *directory*, or start fresh.
 
-        *specs* maps store name to ``(dtype, columns)``.  Returns
-        ``(checkpoint, stores, progress)``.  A manifest of this *identity*
-        whose stores all pass their chained-CRC check resumes: the stores
-        re-open at the manifest's row counts and *progress* is the record
-        of its last completed level.  Anything else -- no manifest, or a
-        corrupt, wrong-version, foreign or damaged one -- starts fresh:
+        *specs* maps store name to ``(dtype, columns)``; its ``words``
+        store is the state table.  Returns ``(checkpoint, stores,
+        progress)``.  A manifest of this *identity* whose stores all pass
+        their chained-CRC check, and whose progress record of its last
+        completed level is well formed (:func:`_check_progress`), resumes:
+        the stores re-open at the manifest's row counts.  Anything else --
+        no manifest, or a corrupt, wrong-version, foreign or damaged one --
+        starts fresh:
         the stale manifest is removed, the stores are new and empty, and
         *progress* is ``None``.  A damaged checkpoint is a cache miss,
         never an error.
@@ -709,10 +712,13 @@ class Checkpoint:
                         raise ConfigurationError(
                             "checkpoint store {!r} failed CRC verification"
                             .format(name))
-                return checkpoint, dict(checkpoint._stores), manifest["progress"]
+                progress = manifest["progress"]
+                _check_progress(progress, checkpoint._rows["words"])
+                return checkpoint, dict(checkpoint._stores), progress
             except (ConfigurationError, KeyError, TypeError, ValueError):
                 # A store entry that is missing, malformed or fails its
-                # CRC: the checkpoint is damaged.
+                # CRC, or a malformed progress record: the checkpoint is
+                # damaged.
                 for store in checkpoint._stores.values():
                     store.release()
                 checkpoint = cls(directory, identity)
@@ -763,6 +769,27 @@ class Checkpoint:
                 os.remove(path)
             except OSError:
                 pass
+
+
+def _check_progress(progress, states):
+    """Raise :class:`ConfigurationError` unless *progress* is well formed.
+
+    A level record counts ``levels >= 0`` completed levels over a state
+    table of ``total`` rows -- the *states* the manifest restored -- whose
+    next level starts at ``0 <= level_start <= total``, counts the
+    ``edges >= 0`` kept so far, and says whether the state budget cut it
+    (``truncated``, a bool).
+    """
+    def whole(name):
+        value = progress.get(name)
+        return type(value) is int and value >= 0
+
+    if not (whole("levels") and whole("total") and whole("level_start")
+            and whole("edges") and progress["total"] == states
+            and progress["level_start"] <= states
+            and type(progress.get("truncated")) is bool):
+        raise ConfigurationError(
+            "checkpoint progress record is malformed: {!r}".format(progress))
 
 
 def _flush_rows(store, start, end):

@@ -14,9 +14,9 @@ witnesses are real reachable states; none found on a truncated graph is
 inconclusive (``None``); otherwise the property holds.  Within
 ``max_states`` the checker is therefore conclusive in both directions and
 supports every query kind -- it is the only checker that can decide
-persistence, which needs the successor structure, not just individual
-markings.  Beyond the bound is exactly the gap the inductive and
-random-walk checkers exist to fill.
+persistence, which needs the enabled set of every reachable state, not
+just individual markings.  Beyond the bound is exactly the gap the
+inductive and random-walk checkers exist to fill.
 """
 
 from repro.verification.checkers.base import Checker, register_checker

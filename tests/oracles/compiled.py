@@ -75,10 +75,10 @@ class ExplorationRecord:
     def columns(self):
         """``(words, edge_data, edge_offsets, parents, frontier)`` arrays.
 
-        The layout of :class:`~repro.petri.batch.ColumnarReachabilityGraph`:
-        a ``(states, words)`` uint64 state table, the flat packed edges with
+        A ``(states, words)`` uint64 state table, the flat packed edges with
         CSR offsets, parents with ``-1`` for the initial state, and the
-        sorted frontier.
+        sorted frontier: what :func:`graph_columns` reads off a
+        :class:`~repro.petri.batch.ColumnarReachabilityGraph`.
         """
         import numpy as np
         from repro.petri.batch import WordTables
@@ -129,6 +129,24 @@ class ExplorationRecord:
                                 "disabled": names[t2],
                             })
         return violations, witnesses
+
+
+def graph_columns(graph):
+    """The :meth:`ExplorationRecord.columns` arrays of a columnar graph.
+
+    A :class:`~repro.petri.batch.ColumnarReachabilityGraph` keeps enabled
+    sets, not edges, so its packed ``t | target << 16`` edges and their
+    CSR offsets are regenerated here, through the graph's own edge
+    regeneration (``_out_edges``).
+    """
+    import numpy as np
+
+    states = len(graph)
+    sources, transitions, targets = graph._out_edges(np.arange(states))
+    offsets = np.zeros(states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=states), out=offsets[1:])
+    return (graph._words, transitions | targets << 16, offsets,
+            graph._parents_arr, graph._frontier_arr)
 
 
 def explore_compiled(compiled, marking=None, max_states=200000):

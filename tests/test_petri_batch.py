@@ -3,8 +3,9 @@
 The differential tests are the contract of the engine: on every model of
 the example family the batch explorer must produce a graph bit-identical to
 the ``explore_compiled`` reference record -- same states in the same
-discovery order, same packed edges, same parents (hence traces), same
-frontier and truncation -- and the columnar fast paths must answer every
+discovery order, same packed edges (regenerated from the graph's enabled
+sets), same parents (hence traces), same frontier and truncation -- and
+the columnar fast paths must answer every
 property/Reach query with the same verdicts and witnesses as the explicit
 explorer.
 """
@@ -27,6 +28,7 @@ import repro.petri.batch as batch_module
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
+    _pack_bits,
     dedup_first,
     explore_batch,
     int_to_words,
@@ -43,7 +45,7 @@ from repro.verification.checkers import (
     SafenessQuery,
 )
 
-from oracles.compiled import ExplorationRecord, explore_compiled
+from oracles.compiled import ExplorationRecord, explore_compiled, graph_columns
 
 
 EXAMPLE_MODELS = [
@@ -67,23 +69,30 @@ def both_graphs(net, max_states=200000):
     return sequential, batch
 
 
-#: The canonical arrays of a columnar graph, in ``columns()`` order.
-COLUMNS = ("_words", "_edge_data", "_edge_offsets", "_parents_arr",
-           "_frontier_arr")
+#: The canonical arrays of a graph, in ``columns()`` order.
+COLUMNS = ("words", "edges", "offsets", "parents", "frontier")
 
 
 def assert_identical(reference, graph, tag=""):
     """*graph* has *reference*'s five canonical arrays and truncation.
 
     *reference* is an :class:`ExplorationRecord` (compared through its
-    ``columns()``) or another columnar graph.
+    ``columns()``) or another columnar graph.  A columnar graph's edges
+    are regenerated (:func:`graph_columns`) and must match the edge count
+    it kept, and its enabled column must be the enabled matrix of its
+    state table, frontier rows included.
     """
     if isinstance(reference, ExplorationRecord):
         expected = reference.columns()
     else:
-        expected = [getattr(reference, name) for name in COLUMNS]
-    for name, array in zip(COLUMNS, expected):
-        assert np.array_equal(getattr(graph, name), array), (tag, name)
+        expected = graph_columns(reference)
+    columns = graph_columns(graph)
+    for name, left, right in zip(COLUMNS, columns, expected):
+        assert np.array_equal(left, right), (tag, name)
+    assert graph.edge_count() == len(columns[1]), tag
+    assert np.array_equal(
+        graph._enabled_arr,
+        _pack_bits(graph.tables.enabled_matrix(graph._words))), (tag, "enabled")
     assert graph.truncated == reference.truncated, tag
 
 
@@ -215,7 +224,8 @@ class TestDifferentialExamples:
             explore_batch(compiled)
 
 
-def ring_hazard_net(seed, rings, lengths, branches, read_arcs):
+def ring_hazard_net(seed, rings, lengths, branches, read_arcs,
+                    edge_cases=False):
     """A seeded 1-safe net of token rings that violates persistence.
 
     Each ring moves one token round its places, so every ring stays live.
@@ -223,6 +233,13 @@ def ring_hazard_net(seed, rings, lengths, branches, read_arcs):
     ``allow_conflicts=False`` counts.  The first *read_arcs* branches also
     read a place of another ring: that ring moving on disables the branch,
     a hazard under either setting.
+
+    With *edge_cases*, three transitions probe the corners of the
+    disabling rule (firing ``t1`` disables ``t2`` exactly when ``t1``
+    takes a place ``t2`` needs and does not put it back): ``loop``
+    consumes and re-produces ``r0p0``, which ``look`` reads, and so
+    disables nothing; ``look`` also reads ``r1p0``, a read-arc hazard
+    when ring 1 moves on; ``idle`` has an empty preset and postset.
     """
     rng = random.Random(seed)
     net = PetriNet("rings-{}".format(seed))
@@ -244,14 +261,24 @@ def ring_hazard_net(seed, rings, lengths, branches, read_arcs):
         if branch < read_arcs:
             net.add_read_arc(
                 "r{}p{}".format(other, rng.randrange(sizes[other])), name)
+    if edge_cases:
+        for name in ("loop", "look", "idle"):
+            net.add_transition(name)
+        net.add_arc("r0p0", "loop")
+        net.add_arc("loop", "r0p0")
+        net.add_read_arc("r0p0", "look")
+        net.add_read_arc("r1p0", "look")
     return net
 
 
 #: Seeded ring-hazard nets: small ones the explicit explorer can afford,
-#: and two spanning more than 64 places and 64 transitions.
+#: one with the disabling rule's edge cases, and two spanning more than
+#: 64 places and 64 transitions.
 HAZARD_NETS = (
     [(seed, dict(rings=2 + seed % 2, lengths=(2, 4), branches=3,
                  read_arcs=2)) for seed in range(8)]
+    + [(8, dict(rings=3, lengths=(2, 4), branches=3, read_arcs=1,
+                edge_cases=True))]
     + [(100 + seed, dict(rings=3, lengths=(22, 24), branches=8,
                          read_arcs=6)) for seed in range(2)])
 
@@ -283,6 +310,7 @@ class TestPersistenceOnHazardNets:
             batch = explore_batch(compiled, max_states=max_states)
             sequential = explore_compiled(compiled, max_states=max_states)
             assert batch.truncated == (max_states < full)
+            assert_identical(sequential, batch, max_states)
             explicit = explore(net, max_states=max_states) if small else None
             for allow_conflicts in (True, False):
                 for max_witnesses in (0, 1, 5):
@@ -306,13 +334,13 @@ class TestPersistenceOnHazardNets:
                     assert sorted(map(_witness_key, left[1])) == \
                         sorted(map(_witness_key, right[1])), tag
 
-    @pytest.mark.parametrize("block", [1, 5, 64])
-    def test_edge_blocks_do_not_change_the_answer(self, block, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_scan_blocks_do_not_change_the_answer(self, block, monkeypatch):
         compiled = CompiledNet.compile(ring_hazard_net(100, **HAZARD_NETS[-2][1]))
         graph = explore_batch(compiled, max_states=3000)
         expected = [graph.persistence_scan(allow_conflicts=allow, max_witnesses=5)
                     for allow in (True, False)]
-        monkeypatch.setattr(batch_module, "_EDGE_BLOCK", block)
+        monkeypatch.setattr(batch_module, "_SCAN_BLOCK", block)
         assert [graph.persistence_scan(allow_conflicts=allow, max_witnesses=5)
                 for allow in (True, False)] == expected
 

@@ -41,14 +41,17 @@ from test_petri_batch import assert_identical, assert_membership
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: Child process: explore a model (linear_pipeline(4), or the two-word
-#: 3-stage OPE cut at 3000 states with "ope3") and print a graph digest.
+#: 3-stage OPE cut at 3000 states with "ope3") and print a graph digest:
+#: the canonical arrays with regenerated edges, and the enabled column.
 #: Run with a checkpoint directory (or "-"); faults are injected through
 #: the inherited REPRO_FAULTS environment.
 EXPLORER = '''
 import hashlib, json, sys
 
 sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
 
+from oracles.compiled import graph_columns
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
@@ -57,8 +60,7 @@ from repro.petri.reachability import build_reachability_graph
 
 def digest(graph):
     material = hashlib.sha256()
-    for array in (graph._words, graph._edge_data, graph._edge_offsets,
-                  graph._parents_arr, graph._frontier_arr):
+    for array in graph_columns(graph) + (graph._enabled_arr,):
         material.update(array.tobytes())
     return material.hexdigest()
 
@@ -76,7 +78,8 @@ print(json.dumps({{
     "digest": digest(graph),
     "resumed_from": graph.exploration_stats["checkpoint"]["resumed_from_level"],
 }}))
-'''.format(src=str(SRC_DIR))
+'''.format(src=str(SRC_DIR),
+                         tests=str(SRC_DIR.parent / "tests"))
 
 
 def _child_env(fault=None):
@@ -158,10 +161,11 @@ class TestCheckpointResume:
         assert reference.truncated and reference.tables.words >= 2
         levels = reference.exploration_stats["levels"]
         resumed_from = set()
-        # An admitting level makes four or five store appends (parents,
-        # words, edges, counts, frontier), so a stride of four lands a
-        # fault in each level; the last assert checks that it did.
-        for nth in range(1, 100, 4):
+        # A fault on every store append: an admitting level makes three or
+        # four (parents, words, enabled, and frontier when the budget cut
+        # it), the level after the cut only its frontier append.  The last
+        # assert checks that every level was hit.
+        for nth in range(1, 100):
             checkpoint = str(tmp_path / str(nth))
             fault_plan("io_error@write={}".format(nth))
             try:
@@ -234,8 +238,55 @@ class TestCheckpointResume:
         path = os.path.join(checkpoint, "checkpoint.json")
         with open(path) as handle:
             manifest = json.load(handle)
-        del manifest["stores"]["edges"]["crc"]
+        del manifest["stores"]["enabled"]["crc"]
         with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        graph = build_reachability_graph(net, resume=checkpoint)
+        assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
+            is None
+        assert_identical(build_reachability_graph(net), graph)
+        assert os.listdir(checkpoint) == []
+
+    @pytest.mark.parametrize("path,value", [
+        (("progress", "level_start"), None),
+        (("progress", "total"), "x"),
+        (("progress", "total"), -1),
+        (("progress", "total"), 1),
+        (("progress", "levels"), -1),
+        (("progress", "levels"), 2.0),
+        (("progress", "levels"), True),
+        (("progress", "level_start"), -1),
+        (("progress", "level_start"), 10 ** 9),
+        (("progress", "edges"), None),
+        (("progress", "edges"), -1),
+        (("progress", "truncated"), "no"),
+        (("progress", "truncated"), None),
+        (("version",), 1),
+    ])
+    def test_bad_progress_or_version_degrades_to_a_fresh_run(
+            self, tmp_path, fault_plan, path, value):
+        """A manifest whose stores pass their CRCs but whose progress
+        record has a field missing (``None`` here), mistyped or out of
+        range -- or that has the version-1, edge-keeping layout -- is
+        damage, not a crash."""
+        checkpoint = str(tmp_path / "ckpt")
+        net = to_petri_net(linear_pipeline(4))
+        fault_plan("io_error@write=40")
+        with pytest.raises(FaultError):
+            build_reachability_graph(net, resume=checkpoint)
+        fault_plan("")
+        manifest_path = os.path.join(checkpoint, "checkpoint.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        *parents, key = path
+        entry = manifest
+        for name in parents:
+            entry = entry[name]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         graph = build_reachability_graph(net, resume=checkpoint)
         assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
