@@ -9,9 +9,19 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
   multiple words (place ``i`` lives in word ``i // 64``, bit ``i % 64``).
 * The per-transition ``need`` / ``consume`` / ``produce`` bitmasks of the
   compiled net are precompiled into ``(transitions, words)`` arrays.
-* One level of BFS is: a broadcast compare for enabledness, a bulk
-  mask-and-or firing, an open-addressing table for intra-level dedup, and
-  a probe of the global open-addressing index of known states.
+* One level of BFS is: a bulk mask-and-or firing of every enabled pair,
+  an open-addressing table for intra-level dedup, a probe of the global
+  open-addressing index of known states, and one enabledness pass over the
+  admitted rows.  No step loops over transitions in Python.
+* Enabledness is a byte-table lookup: for each byte of a row that holds
+  some ``need`` bit, a 256-entry table maps the byte's value to the packed
+  set of transitions it blocks, so a row's enabled set is the full set
+  minus the OR of its byte entries (:meth:`WordTables.enabled_bits`).
+* The row hash is additive (a sum of per-word products modulo ``2**64``),
+  and firing an enabled transition without overflow never carries, so a
+  successor's hash is its parent's plus a per-transition delta
+  (Zobrist-style incremental hashing) -- no successor row is rehashed.
+  The hash only pre-filters exact row compares.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
@@ -47,11 +57,7 @@ from time import perf_counter
 import numpy as _np
 
 from repro.exceptions import CompilationError, SafenessOverflowError
-from repro.petri.compiled import (
-    CompiledNet,
-    iter_bits,
-    transition_watch_lists,
-)
+from repro.petri.compiled import CompiledNet, iter_bits
 from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
     Checkpoint,
@@ -97,7 +103,8 @@ class WordTables:
     """Per-transition bitmask tables of a compiled net as uint64 matrices."""
 
     __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
-                 "fire_tab", "watch_entries")
+                 "fire_tab", "delta_hash", "byte_positions", "byte_tables",
+                 "all_enabled")
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -117,21 +124,26 @@ class WordTables:
         # keep and produce side by side, so the firing loop pays one fancy
         # gather per edge batch instead of two.
         self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
-        # The shared watch lists of the compiled net (the same
-        # transition_watch_lists the pure-int test oracle consumes),
-        # expanded per watched transition to its nonzero need words: after
-        # firing ``t`` only ``watch_entries[t]`` needs re-checking, and each
-        # check touches only the ~couple of words the watched transition's
-        # preset actually lives in.
-        self.watch_entries = []
-        for watched_list in transition_watch_lists(compiled.affected):
-            entries = []
-            for watched in watched_list:
-                needed = tuple(
-                    (w, self.need[watched, w])
-                    for w in range(self.words) if int(self.need[watched, w]))
-                entries.append((watched, needed))
-            self.watch_entries.append(tuple(entries))
+        # Firing an enabled transition without overflow clears its taken
+        # places, all marked, and sets its given places, all empty: no word
+        # carries, so the additive row hash moves by a fixed delta.
+        taken = self.consume & ~self.produce
+        given = self.produce & ~self.consume
+        self.delta_hash = self.hash_rows(given) - self.hash_rows(taken)
+        # One byte table per byte position of a row that holds some need
+        # bit: entry ``v`` is the packed set of transitions that a row byte
+        # of value ``v`` blocks (a needed bit of that byte is clear).
+        octets = self.need.view(_np.uint8)
+        values = _np.arange(256, dtype=_np.uint8)[:, None]
+        self.byte_positions = _np.flatnonzero(octets.any(axis=0))
+        self.all_enabled = _pack_bits(
+            _np.ones((1, transition_count), dtype=bool))[0]
+        self.byte_tables = _np.empty(
+            (len(self.byte_positions), len(self.all_enabled), 256),
+            dtype=_np.uint64)
+        for k, position in enumerate(self.byte_positions.tolist()):
+            self.byte_tables[k] = _pack_bits(
+                (octets[:, position] & ~values) != 0).T
 
     def encode_rows(self, states):
         """Pack an iterable of int states into a ``(n, words)`` matrix."""
@@ -141,28 +153,51 @@ class WordTables:
         return rows
 
     def hash_rows(self, rows):
-        """A 64-bit mix of every state row; a pre-filter, not an identity.
+        """A 64-bit hash of every state row; a pre-filter, not an identity.
 
         Single-word states are their own (collision-free) key.  Wider rows
-        xor per-word products by distinct odd constants -- collisions are
-        handled exactly by the callers (run scans, adjacent-row compares),
-        so hash quality only affects speed.
+        sum per-word products by distinct odd constants, modulo ``2**64``:
+        the hash is additive, so a successor's hash is its parent's plus
+        the fired transition's ``delta_hash``.  Collisions are handled
+        exactly by the callers (probes and dedup compare rows), so hash
+        quality only affects speed.
         """
         if self.words == 1:
             return rows[:, 0]
         mixed = rows[:, 0] * _np.uint64(_HASH_MULTIPLIERS[0])
         for w in range(1, self.words):
             multiplier = _HASH_MULTIPLIERS[w % len(_HASH_MULTIPLIERS)]
-            mixed = mixed ^ rows[:, w] * _np.uint64(multiplier)
+            mixed = mixed + rows[:, w] * _np.uint64(multiplier)
         return mixed
 
     def enabled_matrix(self, rows):
-        """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix."""
+        """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix.
+
+        The fast form for a few rows (the walk swarm's batches); exploration
+        uses :meth:`enabled_bits`.
+        """
         enabled = _np.ones((len(rows), len(self.need)), dtype=bool)
         for w in range(self.words):
             need_w = self.need[:, w]
             enabled &= (rows[:, w:w + 1] & need_w) == need_w
         return enabled
+
+    def enabled_bits(self, rows):
+        """Enabledness of *rows*, packed: ``(n, ceil(T/64))`` uint64 bitsets.
+
+        Bit-for-bit ``_pack_bits(enabled_matrix(rows))``, from one 1-D
+        gather per (byte position, enabled word): a transition is enabled
+        unless some byte of the row blocks it (:attr:`byte_tables`).
+        """
+        octets = _np.ascontiguousarray(rows).view(_np.uint8)
+        # Index columns as intp once, not once per enabled word.
+        columns = octets.T[self.byte_positions].astype(_np.intp)
+        blocked = _np.zeros((len(self.all_enabled), len(rows)),
+                            dtype=_np.uint64)
+        for tables, column in zip(self.byte_tables, columns):
+            for table, word in zip(tables, blocked):
+                word |= table[column]
+        return _np.ascontiguousarray((self.all_enabled[:, None] & ~blocked).T)
 
     def word_bit_of(self, place):
         """``(word index, single-bit uint64)`` of *place*, or ``None``."""
@@ -221,37 +256,6 @@ def overflow_place(tables, rows, source_local, transition, position):
     remainder = rows[int(source_local[position])] & gathered[:tables.words]
     produced = gathered[tables.words:]
     return next(iter_bits(words_to_int(remainder & produced)))
-
-
-def refresh_enabled(tables, enabled, rows, fired):
-    """Recompute the watched entries of *enabled* after *fired* discoveries.
-
-    *enabled* is the ``(n, transitions)`` bool matrix inherited from the
-    parents of the *n* state *rows*, each discovered by firing ``fired[i]``;
-    only the transitions in the firing's watch list can have changed, so
-    the rows are grouped by fired transition and each watched transition is
-    re-checked with one compare per nonzero need word over the group.
-    Updates *enabled* in place (the vectorised analogue of the sequential
-    BFS's incremental enabled masks).
-    """
-    order = _np.argsort(fired, kind="stable")
-    sorted_fired = fired[order]
-    bounds = _np.searchsorted(
-        sorted_fired, _np.arange(len(tables.need) + 1, dtype=_np.int64))
-    watch_entries = tables.watch_entries
-    for t in _np.unique(sorted_fired).tolist():
-        members = order[bounds[t]:bounds[t + 1]]
-        block = rows[members]
-        for watched, needed in watch_entries[t]:
-            if needed:
-                ok = None
-                for w, need_w in needed:
-                    hit = (block[:, w] & need_w) == need_w
-                    ok = hit if ok is None else ok & hit
-            else:
-                # A transition with an empty preset is always enabled.
-                ok = _np.ones(len(members), dtype=bool)
-            enabled[members, watched] = ok
 
 
 def dedup_first(successor, hashes):
@@ -706,21 +710,22 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         words = stores["words"]
         index = HashIndex(pool, "hash", words, tables.hash_rows,
                           wide=max_states >= 2 ** 31)
-        index.extend(tables.hash_rows(words.data))
+        hashes = tables.hash_rows(words.data)
+        index.extend(hashes)
         levels, edges = progress["levels"], progress["edges"]
-        # The level about to expand is the tail of the state table and of
-        # the enabled column; the hash index is derived state, recomputed
-        # rather than checkpointed.
+        # The level about to expand is the tail of the state table, of the
+        # enabled column and of the row hashes; the hash index is derived
+        # state, recomputed rather than checkpointed.
         tail = slice(progress["level_start"], progress["total"])
         level = _np.ascontiguousarray(words.data[tail])
-        enabled = _unpack_bits(stores["enabled"].data[tail], len(tables.need))
+        enabled, hashes = stores["enabled"].data[tail], hashes[tail]
         while len(level):
             levels += 1
             step = _expand_level(tables, stores, index, level, enabled,
-                                 max_states, timing)
+                                 hashes, max_states, timing)
             if step is None:
                 break
-            level, enabled, kept = step
+            level, enabled, hashes, kept = step
             edges += kept
             # Stream the completed level out of memory: spilled stores drop
             # their resident pages, so RSS tracks the frontier, not the graph.
@@ -785,7 +790,7 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
         row = tables.encode_rows([initial_state])
         stores["words"].append(row)
         stores["parents"].append(_np.full(1, -1, dtype=_np.int64))
-        stores["enabled"].append(_pack_bits(tables.enabled_matrix(row)))
+        stores["enabled"].append(tables.enabled_bits(row))
         progress = {"levels": 0, "total": 1, "truncated": False,
                     "level_start": 0, "edges": 0}
     return stores, progress, checkpointer
@@ -798,21 +803,25 @@ def _lap(timing, phase, started):
     return now
 
 
-def _expand_level(tables, stores, index, level, enabled, max_states, timing):
+def _expand_level(tables, stores, index, level, enabled, hashes, max_states,
+                  timing):
     """Expand one BFS level: fire, dedup, probe, admit, edges.
 
-    *level* holds the last ``len(level)`` rows of the state table and
-    *enabled* their enabled matrix.  Appends the admitted successors to
-    the ``words``, ``parents`` and ``enabled`` stores, and the sources
-    whose edges the state budget cut to ``frontier``; adds each phase's
-    seconds to *timing*.  Returns the next level's ``(rows, enabled)`` and
-    the number of edges the level kept, or ``None`` when no transition of
-    the level is enabled.
+    *level* holds the last ``len(level)`` rows of the state table,
+    *enabled* their packed enabled sets and *hashes* their row hashes.
+    Successor hashes are the parent's hash plus the fired transition's
+    ``delta_hash``, not a rehash of the successor rows; each admitted
+    row's enabled set comes from one :meth:`WordTables.enabled_bits` pass.
+    Appends the admitted successors to the ``words``, ``parents`` and
+    ``enabled`` stores, and the sources whose edges the state budget cut
+    to ``frontier``; adds each phase's seconds to *timing*.  Returns the
+    next level's ``(rows, enabled, hashes)`` and the number of edges the
+    level kept, or ``None`` when no transition of the level is enabled.
     """
     words = stores["words"]
     level_start = len(words) - len(level)
     started = perf_counter()
-    flat = _np.flatnonzero(enabled)
+    flat = _np.flatnonzero(_unpack_bits(enabled, len(tables.need)))
     if not len(flat):
         return None
     source_local, transition, successor, overflowed = fire_enabled_flags(
@@ -826,7 +835,8 @@ def _expand_level(tables, stores, index, level, enabled, max_states, timing):
             tables.compiled.place_names[overflow_place(
                 tables, level, source_local, transition, position)])
     source = source_local + level_start
-    hashes = tables.hash_rows(successor)
+    # Only now, with no overflow, is every firing carry-free.
+    hashes = hashes[source_local] + tables.delta_hash[transition]
     provenance = (source << 16) | transition
     started = _lap(timing, "fire", started)
 
@@ -854,12 +864,10 @@ def _expand_level(tables, stores, index, level, enabled, max_states, timing):
     rows = group_rows[admitted]
     stores["parents"].append(admitted_provenance)
     words.append(rows)
-    # Incremental enabledness: inherit the parent's enabled row, recompute
-    # only the transitions watching a place the discovering firing touched.
-    next_enabled = enabled[(admitted_provenance >> 16) - level_start]
-    refresh_enabled(tables, next_enabled, rows, admitted_provenance & 0xFFFF)
-    stores["enabled"].append(_pack_bits(next_enabled))
-    index.extend(group_hashes[admitted])
+    next_enabled = tables.enabled_bits(rows)
+    stores["enabled"].append(next_enabled)
+    next_hashes = group_hashes[admitted]
+    index.extend(next_hashes)
     started = _lap(timing, "admit", started)
 
     # Resolve every edge through its dedup group; an edge to a state the
@@ -868,7 +876,7 @@ def _expand_level(tables, stores, index, level, enabled, max_states, timing):
     dropped = group_target[group_of] < 0
     stores["frontier"].append(_np.unique(source[dropped]))
     _lap(timing, "edges", started)
-    return rows, next_enabled, int(_np.count_nonzero(~dropped))
+    return rows, next_enabled, next_hashes, int(_np.count_nonzero(~dropped))
 
 
 def _finish(compiled, tables, initial_state, pool, stores, slots, edges,

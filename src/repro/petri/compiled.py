@@ -4,15 +4,9 @@ The DFS translations of :mod:`repro.dfs.translation` are 1-safe by
 construction (every state variable is a complementary place pair), so an
 entire marking fits into a single Python ``int`` with one bit per place.
 This module compiles a :class:`~repro.petri.net.PetriNet` into
-integer-indexed tables:
-
-* per-transition **consume**, **produce** and **need** (consume | read)
-  bitmasks -- enabledness is one mask compare, firing is two bit operations;
-* per-transition **affected** masks derived from place->transition watch
-  lists -- after firing ``t`` only the transitions whose preset intersects
-  the places ``t`` touches need re-checking, so the enabled set is
-  maintained incrementally along the BFS instead of being recomputed per
-  state.
+integer-indexed tables: per-transition **consume**, **produce** and
+**need** (consume | read) bitmasks -- enabledness is one mask compare,
+firing is two bit operations.
 
 The tables feed :mod:`repro.petri.batch`, the engine
 ``build_reachability_graph`` runs; the inductive and walk checkers fire and
@@ -42,18 +36,6 @@ def iter_bits(mask):
         mask ^= low
 
 
-def transition_watch_lists(affected):
-    """Per transition: the tuple of transition indices to re-check after it.
-
-    This is the single source of the watch-list structure: the batch
-    (NumPy) engine consumes it through :class:`repro.petri.batch.WordTables`,
-    and the sequential test oracle (``tests/oracles/compiled.py``) reads the
-    same lists -- so the incremental enabled-set update logic cannot diverge
-    between them.
-    """
-    return [tuple(iter_bits(mask)) for mask in affected]
-
-
 class CompiledNet:
     """A Petri net compiled to integer-indexed tables and bitmasks."""
 
@@ -67,7 +49,6 @@ class CompiledNet:
         "produce",          # per transition: mask of produced places
         "read",             # per transition: mask of read places
         "need",             # per transition: consume | read
-        "affected",         # per transition: mask over *transitions* to re-check
     )
 
     def __init__(self, net):
@@ -108,18 +89,6 @@ class CompiledNet:
             self.produce.append(produce)
             self.read.append(read)
             self.need.append(consume | read)
-        # Watch lists: place index -> mask of transitions needing that place.
-        watch = {}
-        for index, need in enumerate(self.need):
-            for place in iter_bits(need):
-                watch[place] = watch.get(place, 0) | (1 << index)
-        self.affected = []
-        for index in range(len(self.transition_names)):
-            touched = self.consume[index] | self.produce[index]
-            mask = 0
-            for place in iter_bits(touched):
-                mask |= watch.get(place, 0)
-            self.affected.append(mask)
 
     @classmethod
     def compile(cls, net):

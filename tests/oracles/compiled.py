@@ -14,7 +14,7 @@ masks, and returns an :class:`ExplorationRecord` of plain lists.  It mirrors
 from collections import deque
 
 from repro.exceptions import SafenessOverflowError
-from repro.petri.compiled import CompiledNet, iter_bits, transition_watch_lists
+from repro.petri.compiled import CompiledNet, iter_bits
 
 
 def is_enabled(compiled, transition_index, state):
@@ -37,16 +37,23 @@ def enabled_mask(compiled, state):
 def watch_pairs(compiled):
     """Per transition: ``(((bit, need), ...), touched_mask)`` watch pairs.
 
-    The incremental enabled-set update after firing ``t`` re-checks only
-    the transitions in ``compiled.affected[t]``; pre-expanding that mask
-    into ``(single-bit, need)`` pairs takes the bit-scan (``& -``, ``^``,
+    After firing ``t`` only the transitions whose preset (``need``) meets a
+    place ``t`` consumes or produces can change status: those are its
+    watched transitions, and *touched_mask* is their mask over transitions.
+    The masks come straight from ``need`` / ``consume`` / ``produce``, so
+    this incremental update is an algorithm separate from the batch
+    engine's byte-table enabledness.  Pre-expanding each mask into
+    ``(single-bit, need)`` pairs takes the bit-scan (``& -``, ``^``,
     ``bit_length``) out of the exploration inner loop.
     """
-    return [
-        (tuple((1 << i, compiled.need[i]) for i in watched), mask)
-        for watched, mask in zip(
-            transition_watch_lists(compiled.affected), compiled.affected)
-    ]
+    need = compiled.need
+    pairs = []
+    for consume, produce in zip(compiled.consume, compiled.produce):
+        touched = consume | produce
+        watched = [t for t, needed in enumerate(need) if needed & touched]
+        pairs.append((tuple((1 << t, need[t]) for t in watched),
+                      sum(1 << t for t in watched)))
+    return pairs
 
 
 class ExplorationRecord:
@@ -162,8 +169,8 @@ def explore_compiled(compiled, marking=None, max_states=200000):
     The loop body is deliberately flat: firing is inlined (a call per edge
     costs more than the firing itself), every table and bound method is
     hoisted into a local, and the incremental enabled-set update walks the
-    pre-expanded :func:`watch_pairs` instead of bit-scanning the
-    affected mask per new state.
+    pre-expanded :func:`watch_pairs` instead of bit-scanning a watch mask
+    per new state.
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)

@@ -31,6 +31,7 @@ from repro.petri.batch import (
     _pack_bits,
     dedup_first,
     explore_batch,
+    fire_enabled_flags,
     int_to_words,
     words_to_int,
 )
@@ -345,6 +346,79 @@ class TestPersistenceOnHazardNets:
                 for allow in (True, False)] == expected
 
 
+def empty_preset_net():
+    """A net whose transitions all have empty presets: always enabled."""
+    net = PetriNet("empty-presets")
+    net.add_place("p")
+    net.add_place("q", tokens=1)
+    for name in ("emit", "tick"):
+        net.add_transition(name)
+    net.add_arc("emit", "p")
+    return net
+
+
+#: Nets for the enabledness and hash kernels: every hazard seed (read
+#: arcs, the consume-and-reproduce ``loop``, the empty-preset ``idle``), the
+#: 4-stage OPE (3 state words, 2 enabled words) and an all-empty-preset net.
+KERNEL_NETS = (
+    [pytest.param(lambda seed=seed, shape=shape: ring_hazard_net(seed, **shape),
+                  id="hazard-{}".format(seed)) for seed, shape in HAZARD_NETS]
+    + [pytest.param(lambda: to_petri_net(
+           build_pipeline_model(4, static_prefix=2)), id="ope4"),
+       pytest.param(empty_preset_net, id="empty-presets")])
+
+
+def kernel_rows(compiled, seed=0):
+    """Reachable rows of *compiled* (up to 2000) and as many random rows.
+
+    Dense random rows block most multi-place presets; reachable ones
+    enable the transitions the net really fires.
+    """
+    try:
+        states = explore_compiled(compiled, max_states=2000).states
+    except SafenessOverflowError:
+        states = [compiled.encode(compiled.net.initial_marking())]
+    tables = WordTables(compiled)
+    reachable = tables.encode_rows(states)
+    noise = np.random.default_rng(seed).integers(
+        0, np.iinfo(np.uint64).max, size=reachable.shape, dtype=np.uint64,
+        endpoint=True)
+    return np.concatenate([reachable, noise])
+
+
+class TestKernels:
+    @pytest.mark.parametrize("make_net", KERNEL_NETS)
+    def test_enabled_bits_match_enabled_matrix(self, make_net):
+        compiled = CompiledNet.compile(make_net())
+        tables = WordTables(compiled)
+        rows = kernel_rows(compiled)
+        assert np.array_equal(tables.enabled_bits(rows),
+                              _pack_bits(tables.enabled_matrix(rows)))
+        assert tables.enabled_bits(rows[:0]).shape == (0, len(tables.all_enabled))
+
+    def test_kernel_nets_cover_their_cases(self):
+        ope = WordTables(CompiledNet.compile(to_petri_net(
+            build_pipeline_model(4, static_prefix=2))))
+        assert (ope.words, len(ope.all_enabled)) == (3, 2)
+        empty = WordTables(CompiledNet.compile(empty_preset_net()))
+        assert len(empty.byte_positions) == 0
+        assert int(empty.all_enabled[0]) == 0b11
+
+    @pytest.mark.parametrize("make_net", KERNEL_NETS)
+    def test_successor_hash_is_parent_hash_plus_delta(self, make_net):
+        compiled = CompiledNet.compile(make_net())
+        tables = WordTables(compiled)
+        rows = kernel_rows(compiled)
+        flat = np.flatnonzero(tables.enabled_matrix(rows))
+        local, transition, successor, overflowed = fire_enabled_flags(
+            tables, rows, flat)
+        kept = ~overflowed
+        assert kept.any()
+        expected = (tables.hash_rows(rows)[local[kept]]
+                    + tables.delta_hash[transition[kept]])
+        assert np.array_equal(tables.hash_rows(successor[kept]), expected)
+
+
 class TestEngineSelection:
     def test_auto_prefers_batch_when_numpy_present(self):
         net = to_petri_net(linear_pipeline(stages=1))
@@ -409,6 +483,9 @@ class TestPrimitives:
         monkeypatch.setattr(
             WordTables, "hash_rows",
             lambda self, rows: np.zeros(len(rows), dtype=np.uint64))
+        # Successor hashes are parent hashes plus these deltas: with every
+        # delta zero too, they really collide.
+        assert not WordTables(compiled).delta_hash.any()
         batch = explore_batch(compiled, max_states=2000)
         assert_identical(sequential, batch, "degenerate hash")
 
