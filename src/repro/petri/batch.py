@@ -22,6 +22,18 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
   successor's hash is its parent's plus a per-transition delta
   (Zobrist-style incremental hashing) -- no successor row is rehashed.
   The hash only pre-filters exact row compares.
+* Each state of the level carries a **sleep set** (Godefroid and Wolper),
+  and only ``enabled & ~sleep`` is fired.  Two transitions whose
+  footprints miss each other (neither consumes or produces a place the
+  other needs, consumes or produces) commute bit for bit, overflow
+  included (:attr:`WordTables.indep`).  A state first reached over
+  ``(p, u)`` sleeps on ``(sleep[p] & indep[u]) | (enabled[p] &
+  lower_indep[u])``: firing a slept ``t`` gives the state that firing
+  ``u`` gives from an earlier state of the level (or a state already
+  known), so a slept pair is never a minimum provenance and never the
+  first overflow.  States, order, parents and overflow errors stay
+  exact, and while no level is cut every enabled pair is an edge; a
+  level the budget cuts is re-run with no sleep sets, and pruning stops.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
@@ -104,7 +116,7 @@ class WordTables:
 
     __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
                  "fire_tab", "delta_hash", "byte_positions", "byte_tables",
-                 "all_enabled")
+                 "all_enabled", "indep", "lower_indep")
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -144,6 +156,18 @@ class WordTables:
         for k, position in enumerate(self.byte_positions.tolist()):
             self.byte_tables[k] = _pack_bits(
                 (octets[:, position] & ~values) != 0).T
+        # Row u of indep: the transitions t != u whose footprint misses u's
+        # (neither touches a place the other needs or touches), so t and u
+        # commute bit for bit; lower_indep keeps the members t < u.
+        touch = self.consume | self.produce
+        reach = self.need | touch
+        clash = _np.eye(transition_count, dtype=bool)
+        for w in range(self.words):
+            clash |= (touch[:, w, None] & reach[None, :, w]) != 0
+        independent = ~(clash | clash.T)
+        self.indep = _pack_bits(independent)
+        self.lower_indep = _pack_bits(
+            independent & _np.tri(transition_count, k=-1, dtype=bool))
 
     def encode_rows(self, states):
         """Pack an iterable of int states into a ``(n, words)`` matrix."""
@@ -712,21 +736,19 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                           wide=max_states >= 2 ** 31)
         hashes = tables.hash_rows(words.data)
         index.extend(hashes)
-        levels, edges = progress["levels"], progress["edges"]
-        # The level about to expand is the tail of the state table, of the
-        # enabled column and of the row hashes; the hash index is derived
-        # state, recomputed rather than checkpointed.
-        tail = slice(progress["level_start"], progress["total"])
-        level = _np.ascontiguousarray(words.data[tail])
-        enabled, hashes = stores["enabled"].data[tail], hashes[tail]
-        while len(level):
+        # The hash index is derived state, recomputed rather than
+        # checkpointed.
+        level = _first_level(stores, progress, hashes)
+        levels, edges, fired = progress["levels"], progress["edges"], 0
+        while len(level[0]):
             levels += 1
-            step = _expand_level(tables, stores, index, level, enabled,
-                                 hashes, max_states, timing)
+            step = _expand_level(tables, stores, index, level, max_states,
+                                 timing)
             if step is None:
                 break
-            level, enabled, hashes, kept = step
+            level, kept, count = step
             edges += kept
+            fired += count
             # Stream the completed level out of memory: spilled stores drop
             # their resident pages, so RSS tracks the frontier, not the graph.
             pool.drop_resident()
@@ -741,7 +763,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                     "levels": levels,
                     "total": len(words),
                     "truncated": len(stores["frontier"]) > 0,
-                    "level_start": len(words) - len(level),
+                    "level_start": len(words) - len(level[0]),
                     "edges": edges,
                 })
         graph = _finish(compiled, tables, initial_state, pool, stores,
@@ -758,6 +780,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         "levels": levels,
         "states": len(graph),
         "edges": graph.edge_count(),
+        "fired": fired,
         "phases": timing,
         "spill": pool.stats(),
         # A manifest is written only after a level, so a fresh run's
@@ -796,6 +819,21 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     return stores, progress, checkpointer
 
 
+def _first_level(stores, progress, hashes):
+    """The level a run expands first: ``(rows, enabled, hashes, sleep)``.
+
+    It is the tail of the state table, of the enabled column and of the
+    row *hashes* from ``progress["level_start"]`` on.  Its sleep sets start
+    empty, which is always valid, or are ``None`` once a level was cut.
+    """
+    tail = slice(progress["level_start"], progress["total"])
+    enabled = stores["enabled"].data[tail]
+    sleep = (None if progress["truncated"]
+             else _np.zeros(enabled.shape, dtype=_np.uint64))
+    return (_np.ascontiguousarray(stores["words"].data[tail]), enabled,
+            hashes[tail], sleep)
+
+
 def _lap(timing, phase, started):
     """Add the seconds since *started* to *phase*; return the time now."""
     now = perf_counter()
@@ -803,37 +841,42 @@ def _lap(timing, phase, started):
     return now
 
 
-def _expand_level(tables, stores, index, level, enabled, hashes, max_states,
-                  timing):
+def _expand_level(tables, stores, index, level, max_states, timing):
     """Expand one BFS level: fire, dedup, probe, admit, edges.
 
-    *level* holds the last ``len(level)`` rows of the state table,
-    *enabled* their packed enabled sets and *hashes* their row hashes.
+    *level* is ``(rows, enabled, hashes, sleep)``: the last ``len(rows)``
+    rows of the state table, their packed enabled sets, their row hashes
+    and their packed sleep sets (``None`` once pruning is off).  Only the
+    pairs ``enabled & ~sleep`` are fired; the level is re-run without
+    sleep sets when its fresh successors overflow the state budget.
     Successor hashes are the parent's hash plus the fired transition's
     ``delta_hash``, not a rehash of the successor rows; each admitted
     row's enabled set comes from one :meth:`WordTables.enabled_bits` pass.
     Appends the admitted successors to the ``words``, ``parents`` and
     ``enabled`` stores, and the sources whose edges the state budget cut
     to ``frontier``; adds each phase's seconds to *timing*.  Returns the
-    next level's ``(rows, enabled, hashes)`` and the number of edges the
-    level kept, or ``None`` when no transition of the level is enabled.
+    next level, the number of edges the level kept and the number of pairs
+    it fired, or ``None`` when no transition of the level is enabled.
     """
+    rows, enabled, hashes, sleep = level
     words = stores["words"]
-    level_start = len(words) - len(level)
+    level_start = len(words) - len(rows)
     started = perf_counter()
-    flat = _np.flatnonzero(_unpack_bits(enabled, len(tables.need)))
-    if not len(flat):
+    edges = int(_np.bitwise_count(enabled).sum())
+    if not edges:
         return None
+    firing = enabled if sleep is None else enabled & ~sleep
+    flat = _np.flatnonzero(_unpack_bits(firing, len(tables.need)))
     source_local, transition, successor, overflowed = fire_enabled_flags(
-        tables, level, flat)
+        tables, rows, flat)
     if overflowed.any():
         # The first offender in expansion order, named exactly as the
-        # sequential engine reports it.
+        # sequential engine reports it: a slept pair never overflows.
         position = int(_np.argmax(overflowed))
         raise SafenessOverflowError(
             tables.compiled.transition_names[int(transition[position])],
             tables.compiled.place_names[overflow_place(
-                tables, level, source_local, transition, position)])
+                tables, rows, source_local, transition, position)])
     source = source_local + level_start
     # Only now, with no overflow, is every firing carry-free.
     hashes = hashes[source_local] + tables.delta_hash[transition]
@@ -858,25 +901,44 @@ def _expand_level(tables, stores, index, level, enabled, hashes, max_states,
     fresh = _np.flatnonzero(group_target < 0)
     started = _lap(timing, "probe", started)
     total = len(words)
+    if len(fresh) > max_states - total:
+        if len(flat) < edges:
+            # A cut level must see every edge to tell which sources lose
+            # one: re-run it unpruned.
+            step = _expand_level(tables, stores, index, level[:3] + (None,),
+                                 max_states, timing)
+            return step[0], step[1], step[2] + len(flat)
+        sleep = None
     admitted = fresh[:max(0, max_states - total)]
     group_target[admitted] = total + _np.arange(len(admitted))
-    admitted_provenance = provenance[firsts[admitted]]
-    rows = group_rows[admitted]
-    stores["parents"].append(admitted_provenance)
-    words.append(rows)
-    next_enabled = tables.enabled_bits(rows)
+    admitted_first = firsts[admitted]
+    stores["parents"].append(provenance[admitted_first])
+    next_rows = group_rows[admitted]
+    words.append(next_rows)
+    next_enabled = tables.enabled_bits(next_rows)
     stores["enabled"].append(next_enabled)
     next_hashes = group_hashes[admitted]
     index.extend(next_hashes)
+    next_sleep = None
+    if sleep is not None:
+        # The sleep set of a state first reached over (p, u): what p slept
+        # and u commutes with, plus p's enabled t < u that commute with u.
+        parent = source_local[admitted_first]
+        fired_last = transition[admitted_first]
+        next_sleep = ((sleep[parent] & tables.indep[fired_last])
+                      | (enabled[parent] & tables.lower_indep[fired_last]))
     started = _lap(timing, "admit", started)
 
     # Resolve every edge through its dedup group; an edge to a state the
     # budget turned away is dropped, and its source stays partially
-    # expanded.
-    dropped = group_target[group_of] < 0
-    stores["frontier"].append(_np.unique(source[dropped]))
+    # expanded.  Until a level is cut no edge is dropped, and every
+    # enabled pair, slept or fired, is an edge.
+    if sleep is None:
+        dropped = group_target[group_of] < 0
+        stores["frontier"].append(_np.unique(source[dropped]))
+        edges = int(_np.count_nonzero(~dropped))
     _lap(timing, "edges", started)
-    return rows, next_enabled, next_hashes, int(_np.count_nonzero(~dropped))
+    return (next_rows, next_enabled, next_hashes, next_sleep), edges, len(flat)
 
 
 def _finish(compiled, tables, initial_state, pool, stores, slots, edges,

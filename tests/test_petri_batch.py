@@ -419,6 +419,220 @@ class TestKernels:
         assert np.array_equal(tables.hash_rows(successor[kept]), expected)
 
 
+def cut_record(record, budget):
+    """*record* as the sequential BFS leaves it with a *budget* of states.
+
+    The first *budget* states are discovered in the same order and every
+    one of them is still expanded: it keeps its edges to those states, and
+    the states with an edge past the budget form the frontier.
+    """
+    cut = ExplorationRecord(record.compiled)
+    cut.states = record.states[:budget]
+    cut.parents = record.parents[:budget]
+    cut.edges = [[packed for packed in edges if packed >> 16 < budget]
+                 for edges in record.edges[:budget]]
+    cut.frontier = [index for index, edges in enumerate(cut.edges)
+                    if len(edges) < len(record.edges[index])]
+    cut.truncated = budget < len(record.states)
+    return cut
+
+
+def level_starts(record):
+    """The index of the first state of every BFS level after the first."""
+    depth = [0]
+    for packed in record.parents[1:]:
+        depth.append(depth[packed >> 16] + 1)
+    return [index for index in range(1, len(depth))
+            if depth[index] != depth[index - 1]]
+
+
+def overflow_hazard_net(seed, shape):
+    """A ring-hazard net with a one-shot ``inject`` that breaks 1-safeness.
+
+    ``inject`` consumes a fuse, reads a place of one ring and puts a second
+    token on a place of another, so the two tokens of that ring collide a
+    few levels later: the first overflow sits deep in the BFS.
+    """
+    net = ring_hazard_net(seed, **shape)
+    rng = random.Random(seed)
+    rings = sorted({name[1:name.index("p")] for name in net.places})
+    ring, other = rng.sample(rings, 2)
+    net.add_place("fuse", tokens=1)
+    net.add_transition("inject")
+    net.add_arc("fuse", "inject")
+    net.add_read_arc("r{}p0".format(other), "inject")
+    net.add_arc("inject", "r{}p1".format(ring))
+    return net
+
+
+def small_ope():
+    """The 588-state 2-stage OPE (static prefix 2), 44 BFS levels."""
+    return CompiledNet.compile(to_petri_net(
+        build_pipeline_model(2, static_prefix=2)))
+
+
+def commuting_free_net():
+    """A net with choices but no independent pair: every footprint clashes.
+
+    Three places in a ring, each transition moving the token on, and a
+    ``skip`` from ``a`` to ``c`` that competes with ``ab``.
+    """
+    net = PetriNet("no-independence")
+    for place, tokens in (("a", 1), ("b", 0), ("c", 0)):
+        net.add_place(place, tokens=tokens)
+    for name, source, target in (("ab", "a", "b"), ("bc", "b", "c"),
+                                 ("ca", "c", "a"), ("skip", "a", "c")):
+        net.add_transition(name)
+        net.add_arc(source, name)
+        net.add_arc(name, target)
+    return net
+
+
+class TestSleepSets:
+    """Sleep sets prune firings, never states, edges or truncation."""
+
+    @pytest.mark.parametrize("make_net", [
+        pytest.param(small_ope, id="ope2-p2"),
+        *[pytest.param(lambda seed=seed, shape=shape: CompiledNet.compile(
+              ring_hazard_net(seed, **shape)), id="hazard-{}".format(seed))
+          for seed, shape in HAZARD_NETS[:-2]]])
+    def test_every_state_budget_matches_the_oracle(self, make_net):
+        compiled = make_net()
+        full = explore_compiled(compiled)
+        for budget in range(1, len(full.states) + 1):
+            sequential = explore_compiled(compiled, max_states=budget)
+            batch = explore_batch(compiled, max_states=budget)
+            assert_identical(sequential, batch, budget)
+            assert batch.edge_count() == sum(map(len, sequential.edges))
+            # The derived cut the wide nets rely on is the oracle's own.
+            derived = cut_record(full, budget)
+            assert derived.truncated == sequential.truncated, budget
+            for left, right in zip(derived.columns(), sequential.columns()):
+                assert np.array_equal(left, right), budget
+
+    @pytest.mark.parametrize("seed,shape", HAZARD_NETS[-2:])
+    def test_level_boundary_and_sampled_cuts_of_wide_nets(self, seed, shape):
+        """Budgets that cut a level's last state or end exactly on it, and
+        a seeded sample that cuts levels in the middle."""
+        compiled = CompiledNet.compile(ring_hazard_net(seed, **shape))
+        full = explore_compiled(compiled)
+        budgets = {budget for start in level_starts(full)
+                   for budget in (start - 1, start)}
+        budgets.update(random.Random(seed).sample(range(1, len(full.states)),
+                                                  40))
+        for budget in sorted((budgets - {0}) | {len(full.states)}):
+            batch = explore_batch(compiled, max_states=budget)
+            assert_identical(cut_record(full, budget), batch, budget)
+
+    @pytest.mark.parametrize("max_states", [588, 300])
+    def test_resume_from_every_level(self, max_states, tmp_path, monkeypatch):
+        """A run killed after any level resumes to the uninterrupted graph.
+
+        The run dies at the fault point after each level's appends, before
+        that level's manifest, so it resumes from the level before: with an
+        empty sleep set, or none when a level was already cut.
+        """
+        compiled = small_ope()
+        reference = explore_batch(compiled, max_states=max_states)
+        assert reference.truncated == (max_states < 588)
+        levels = reference.exploration_stats["levels"]
+
+        class Killed(Exception):
+            pass
+
+        for kill_at in range(1, levels):
+            checkpoint = str(tmp_path / str(kill_at))
+            hits = []
+
+            def trigger(name, site=None):
+                hits.append(site)
+                if hits.count("level") == kill_at:
+                    raise Killed
+                return False
+
+            with monkeypatch.context() as patch:
+                patch.setattr(batch_module._faults, "trigger", trigger)
+                with pytest.raises(Killed):
+                    explore_batch(compiled, max_states=max_states,
+                                  checkpoint=checkpoint)
+            resumed = explore_batch(compiled, max_states=max_states,
+                                    checkpoint=checkpoint)
+            stats = resumed.exploration_stats
+            assert stats["checkpoint"]["resumed_from_level"] == (
+                kill_at - 1 or None), kill_at
+            assert stats["levels"] == levels, kill_at
+            assert_identical(reference, resumed, kill_at)
+
+    @pytest.mark.parametrize("seed,shape", HAZARD_NETS)
+    def test_overflow_names_the_oracles_pair(self, seed, shape):
+        compiled = CompiledNet.compile(overflow_hazard_net(seed, shape))
+        with pytest.raises(SafenessOverflowError) as expected:
+            explore_compiled(compiled)
+        with pytest.raises(SafenessOverflowError) as raised:
+            explore_batch(compiled)
+        assert str(raised.value) == str(expected.value)
+
+    def test_overflow_of_a_transition_enabled_after_itself(self):
+        """``emit`` has an empty preset: its second firing overflows."""
+        compiled = CompiledNet.compile(empty_preset_net())
+        with pytest.raises(SafenessOverflowError) as expected:
+            explore_compiled(compiled)
+        with pytest.raises(SafenessOverflowError) as raised:
+            explore_batch(compiled)
+        assert str(raised.value) == str(expected.value)
+
+    def test_independent_pairs_are_fired_once(self):
+        graph = explore_batch(small_ope())
+        stats = graph.exploration_stats
+        assert stats["edges"] == graph.edge_count() == 1594
+        assert len(graph) <= stats["fired"] < stats["edges"]
+
+    def test_without_independent_pairs_every_edge_is_fired(self):
+        compiled = CompiledNet.compile(commuting_free_net())
+        assert not WordTables(compiled).indep.any()
+        graph = explore_batch(compiled)
+        assert_identical(explore_compiled(compiled), graph)
+        stats = graph.exploration_stats
+        assert stats["fired"] == stats["edges"] == graph.edge_count() > 0
+
+    @pytest.mark.parametrize("make_net", KERNEL_NETS)
+    def test_independent_transitions_commute(self, make_net):
+        """Independent pairs fire to one row in either order, and neither
+        changes the other's enabledness or overflow; ``lower_indep`` is
+        the part below the diagonal."""
+        compiled = CompiledNet.compile(make_net())
+        tables = WordTables(compiled)
+        count = len(tables.need)
+        indep, lower = (np.unpackbits(table.view(np.uint8), axis=1,
+                                      count=count, bitorder="little")
+                        .astype(bool)
+                        for table in (tables.indep, tables.lower_indep))
+        assert np.array_equal(indep, indep.T)
+        assert not indep.diagonal().any()
+        assert np.array_equal(lower, np.tril(indep, k=-1))
+        us, ts = np.nonzero(indep)
+        pick = np.random.default_rng(0).permutation(len(us))[:200]
+        us, ts = us[pick], ts[pick]
+        rows = kernel_rows(compiled)[None]
+
+        def fire(rows, transitions):
+            return ((rows & tables.keep[transitions][:, None])
+                    | tables.produce[transitions][:, None])
+
+        def enables(rows, transitions):
+            need = tables.need[transitions][:, None]
+            return ((rows & need) == need).all(axis=-1)
+
+        def overflows(rows, transitions):
+            return (rows & tables.keep[transitions][:, None]
+                    & tables.produce[transitions][:, None]).any(axis=-1)
+
+        after_u = fire(rows, us)
+        assert np.array_equal(fire(after_u, ts), fire(fire(rows, ts), us))
+        assert np.array_equal(enables(after_u, ts), enables(rows, ts))
+        assert np.array_equal(overflows(after_u, ts), overflows(rows, ts))
+
+
 class TestEngineSelection:
     def test_auto_prefers_batch_when_numpy_present(self):
         net = to_petri_net(linear_pipeline(stages=1))

@@ -628,10 +628,16 @@ class TestHttpApi:
 
 
 def _slow_job(job_id="slow"):
-    """A built-in job of about two seconds: the 4-stage OPE, prefix 2."""
+    """A built-in job that outlives a 1 s wait several times over.
+
+    The 5-stage OPE, prefix 3 (3,688,308 states): its verification runs
+    for about 5 s on a 2-core x86-64, where the 4-stage, prefix-2 OPE
+    takes about 1.2 s, too close to the 1 s wait.  Both tests stop the
+    daemon long before it finishes.
+    """
     return VerificationJob(job_id, "pipeline",
-                           kwargs={"stages": 4, "static_prefix": 2},
-                           max_states=2000000)
+                           kwargs={"stages": 5, "static_prefix": 3},
+                           max_states=4000000)
 
 
 class TestServingEdges:

@@ -418,7 +418,7 @@ class TestExplorationStatsPlumbing:
         stats = batch.exploration_stats
         assert stats["engine"] == "batch"
         assert set(stats) == {"engine", "levels", "states", "edges",
-                              "phases", "spill", "checkpoint"}
+                              "fired", "phases", "spill", "checkpoint"}
         assert stats["states"] == len(batch)
         assert isinstance(stats["phases"], dict)
         assert stats["spill"]["spilled"] is False
