@@ -1,4 +1,4 @@
-"""The parallel verification path: batch engine, racing, caches.
+"""The parallel verification path: batch engine, racing, invariants.
 
 Three claims of the parallel/array-native engine work are measured and gated
 here:
@@ -13,9 +13,10 @@ here:
   the batch path fails CI.
 * **Racing portfolios** answer beyond-horizon queries with the same verdict
   as the budgeted rotation while cancelling the losing engines mid-flight.
-* **The semiflow cache** makes warm inductive sweeps near-free: a warm hit
-  re-reads the Farkas basis bit-identically from disk instead of re-deriving
-  it.  The warm/cold ratio is gated too.
+* **Semiflow derivation** stays cheap enough to need no cache: the Farkas
+  elimination works one incidence component at a time, so an 18-stage
+  OPE pipeline's basis takes well under a second.  Its cost in
+  calibration-kernel runs is gated too.
 """
 
 import time
@@ -26,7 +27,7 @@ from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
 from repro.petri.batch import _pack_bits, explore_batch
 from repro.petri.compiled import CompiledNet
-from repro.petri.invariants import SemiflowCache, compute_semiflows_cached
+from repro.petri.invariants import compute_semiflows
 from repro.verification.verifier import Verifier
 
 from oracles.compiled import explore_compiled, graph_columns
@@ -108,27 +109,18 @@ def test_portfolio_racing_consistent_and_cancels():
     assert "won the race" in results["racing"].details
 
 
-def test_semiflow_cache_warm_vs_cold(tmp_path, benchmark):
-    net = to_petri_net(build_pipeline_model(4, static_prefix=1))
-    cache = SemiflowCache(str(tmp_path))
-    start = time.perf_counter()
-    cold = compute_semiflows_cached(net, cache=cache)
-    cold_seconds = time.perf_counter() - start
-    # Aggregate several warm hits: a single disk read is microseconds.
-    start = time.perf_counter()
-    for _ in range(5):
-        warm = compute_semiflows_cached(net, cache=cache)
-    warm_seconds = (time.perf_counter() - start) / 5
-    assert warm == cold  # bit-identical basis
-    rows = [
-        {"mode": "cold (Farkas derivation)", "semiflows": len(cold),
-         "seconds": cold_seconds},
-        {"mode": "warm (fingerprint cache)", "semiflows": len(warm),
-         "seconds": warm_seconds},
-        {"mode": "speedup", "semiflows": "-",
-         "seconds": cold_seconds / warm_seconds},
-    ]
-    print_table("semiflow cache, cold vs warm (4-stage OPE)", rows)
-    assert cold_seconds / warm_seconds >= 10.0
-
-    benchmark(lambda: compute_semiflows_cached(net, cache=cache))
+def test_semiflow_derivation():
+    """Cold place-invariant derivation, component by component."""
+    rows = []
+    for stages, prefix in ((4, 1), (18, 2)):
+        net = to_petri_net(build_pipeline_model(stages, static_prefix=prefix))
+        seconds, semiflows, kernel_runs = best_of(
+            3, lambda: timed(lambda: compute_semiflows(net)))
+        rows.append({"model": "ope{}s_p{}".format(stages, prefix),
+                     "places": len(net.places),
+                     "transitions": len(net.transitions),
+                     "semiflows": len(semiflows), "seconds": seconds,
+                     "kernel_runs": kernel_runs})
+    print_table("semiflow derivation (cold compute_semiflows, OPE)", rows)
+    assert {row["model"]: row["semiflows"] for row in rows} == {
+        "ope4s_p1": 138, "ope18s_p2": 768}

@@ -10,9 +10,8 @@ models whose translation or options actually changed; everything else is
 answered from disk, bit-identically to the cold run.
 
 The storage layer (atomic JSON files, corrupt entries count as misses) is
-:class:`repro.utils.diskcache.JsonDiskCache`, shared with the semiflow cache
-of :mod:`repro.petri.invariants`; ``net_fingerprint`` and ``options_digest``
-are re-exported here for compatibility.
+:class:`repro.utils.diskcache.JsonDiskCache`; ``net_fingerprint`` and
+``options_digest`` are re-exported here for compatibility.
 """
 
 from repro.petri.fingerprint import net_fingerprint, options_digest

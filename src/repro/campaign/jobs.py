@@ -15,7 +15,6 @@ the disk cache to hand back bit-identical results on warm runs.
 
 import functools
 import json
-import os
 import time
 
 from repro.campaign.cache import ResultCache, net_fingerprint, options_digest
@@ -287,18 +286,13 @@ class VerificationJob:
         cache_status, key = "off", None
         verdict = None
         exploration = None
-        semiflow_cache = None
         if cache is not None:
             key = cache.key(fingerprint, options_digest(self.options()))
             verdict = cache.get(key)
             cache_status = "hit" if verdict is not None else "miss"
-            # Invariant derivations ride in a sibling namespace of the same
-            # cache directory: structural facts are shared by every job (and
-            # every checker) that verifies the same translation.
-            semiflow_cache = os.path.join(cache.directory, "semiflows")
         if verdict is None:
             verdict, exploration = self._compute_verdict(
-                dfs, net, semiflow_cache, progress=progress)
+                dfs, net, progress=progress)
             # A round-trip through JSON makes the cold verdict bit-identical
             # to what a warm run will read back from disk.
             verdict = json.loads(json.dumps(verdict, sort_keys=True))
@@ -338,7 +332,7 @@ class VerificationJob:
             options.setdefault("walk", {}).setdefault("seed", self.lfsr_seed)
         return options
 
-    def _compute_verdict(self, dfs, net, semiflow_cache=None, progress=None):
+    def _compute_verdict(self, dfs, net, progress=None):
         """Return ``(verdict, exploration)``.
 
         The verdict is the deterministic, cacheable half; the exploration
@@ -348,8 +342,7 @@ class VerificationJob:
         """
         verifier = Verifier(dfs, max_states=self.max_states, net=net,
                             checker=self.checker,
-                            checker_options=self.effective_checker_options(),
-                            semiflow_cache=semiflow_cache)
+                            checker_options=self.effective_checker_options())
         summary = verifier.verify_properties(
             self.properties, max_witnesses=self.max_witnesses,
             custom=self.custom_properties or None, progress=progress)

@@ -516,13 +516,9 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
 
         The expression compiles once to a vectorised predicate over the
         ``(states, words)`` state table (:func:`compile_row_predicate`);
-        only the first *limit* matches are decoded.  Node kinds the
-        compiler does not know fall back to the marking-level scan.
+        only the first *limit* matches are decoded.
         """
         predicate = compile_row_predicate(expression, self.tables.word_bit_of)
-        if predicate is None:
-            yield from super().scan(expression, limit)
-            return
         for index in _np.flatnonzero(predicate(self._words))[:limit].tolist():
             yield self._marking_at(index)
 
@@ -621,10 +617,9 @@ def compile_row_predicate(expression, word_bit_of):
     callable receives the whole ``(states, words)`` uint64 table and
     returns a boolean vector.  *word_bit_of* maps a place name to its
     ``(word, single-bit)`` pair or ``None`` for unknown places (which hold
-    zero tokens, matching marking semantics on 1-safe states).  Returns
-    ``None`` for AST node kinds this compiler does not know: graph scans
-    then fall back to the marking-level evaluator, and the random-walk
-    checker answers inconclusive.
+    zero tokens, matching marking semantics on 1-safe states).  Every
+    node kind of :mod:`repro.reach.ast` compiles; an unknown one raises
+    :class:`TypeError`.
     """
     from repro.reach import ast as _ast
 
@@ -651,20 +646,17 @@ def compile_row_predicate(expression, word_bit_of):
         return compare
     if isinstance(expression, _ast.Not):
         operand = compile_row_predicate(expression.operand, word_bit_of)
-        if operand is None:
-            return None
         return lambda words: ~operand(words)
     if isinstance(expression, (_ast.And, _ast.Or, _ast.Implies)):
         left = compile_row_predicate(expression.left, word_bit_of)
         right = compile_row_predicate(expression.right, word_bit_of)
-        if left is None or right is None:
-            return None
         if isinstance(expression, _ast.And):
             return lambda words: left(words) & right(words)
         if isinstance(expression, _ast.Or):
             return lambda words: left(words) | right(words)
         return lambda words: ~left(words) | right(words)
-    return None
+    raise TypeError("no row predicate for Reach node {!r}".format(
+        type(expression).__name__))
 
 
 def checkpoint_identity(compiled, initial_state, max_states):

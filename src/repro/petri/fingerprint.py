@@ -1,11 +1,11 @@
 """Canonical fingerprints of Petri nets (and of verdict-relevant options).
 
-The fingerprint is the identity every disk cache in the repo keys on: the
-campaign verdict cache and the semiflow cache both answer "have I seen this
-net before?" by hashing the net's structure, not its name.  It lives in the
-``petri`` package (rather than ``campaign``) because the structural caches
-below the campaign layer -- invariants, and whatever future analyses want
-memoising -- must be able to fingerprint a net without importing the
+The fingerprint is the identity the repo's caches key on: the campaign
+verdict cache and the in-process siphon memo of
+:mod:`repro.petri.invariants` both answer "have I seen this net before?" by
+hashing the net's structure, not its name.  It lives in the ``petri``
+package (rather than ``campaign``) because the structural analyses below
+the campaign layer must be able to fingerprint a net without importing the
 campaign machinery.
 """
 

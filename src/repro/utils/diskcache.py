@@ -1,8 +1,8 @@
 """A directory of JSON cache entries, written atomically, keyed by hash.
 
-This is the storage layer shared by the campaign verdict cache
-(:mod:`repro.campaign.cache`) and the semiflow cache
-(:mod:`repro.petri.invariants`): one JSON file per key, written atomically
+This is the storage layer of the campaign verdict cache
+(:mod:`repro.campaign.cache`) and of the service's per-tenant caches: one
+JSON file per key, written atomically
 (temp file + ``os.replace``) so that parallel workers can share a cache
 directory without locking, and unreadable or corrupt entries counting as
 misses so a damaged cache degrades to recomputation instead of failure.

@@ -39,10 +39,7 @@ from repro.exceptions import (
     VerificationError,
 )
 from repro.petri.compiled import CompiledNet
-from repro.petri.invariants import (
-    InvariantBudgetExceeded,
-    compute_semiflows_cached,
-)
+from repro.petri.invariants import InvariantBudgetExceeded, compute_semiflows
 from repro.petri.reachability import build_reachability_graph
 from repro.reach.ast import ReachExpression
 from repro.reach.evaluator import check_places as evaluator_check_places
@@ -203,8 +200,7 @@ class CheckerContext:
     never explores it at all.
     """
 
-    def __init__(self, net, max_states=200000, semiflow_cache=None,
-                 resume=None):
+    def __init__(self, net, max_states=200000, resume=None):
         self.net = net
         self.max_states = max_states
         #: Optional checkpoint directory making the exploration crash-safe
@@ -212,9 +208,6 @@ class CheckerContext:
         #: graph bit-identical to an uninterrupted run -- see
         #: :func:`~repro.petri.reachability.build_reachability_graph`).
         self.resume = resume
-        #: Optional :class:`~repro.petri.invariants.SemiflowCache` (or cache
-        #: directory) memoising the place-invariant derivation on disk.
-        self.semiflow_cache = semiflow_cache
         #: ``(state_count, truncated, exploration)`` of a graph built for
         #: this net in another process -- a racing portfolio member's
         #: worker -- reported while this context has no graph of its own.
@@ -240,16 +233,10 @@ class CheckerContext:
 
     @property
     def semiflows(self):
-        """Place invariants of the net (empty when the budget was exceeded).
-
-        Memoised in-process always, and on disk when the context carries a
-        semiflow cache -- warm hits are bit-identical to a cold derivation,
-        including a remembered budget blow-up.
-        """
+        """Place invariants of the net (empty when the budget was exceeded)."""
         if self._semiflows is _UNSET:
             try:
-                self._semiflows = compute_semiflows_cached(
-                    self.net, cache=self.semiflow_cache)
+                self._semiflows = compute_semiflows(self.net)
             except InvariantBudgetExceeded:
                 self._semiflows = []
         return self._semiflows

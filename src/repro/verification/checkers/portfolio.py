@@ -59,8 +59,8 @@ DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
                  "exhaustive")
 
 
-def _race_member(net, max_states, semiflow_cache, resume, name, options,
-                 query, max_witnesses):
+def _race_member(net, max_states, resume, name, options, query,
+                 max_witnesses):
     """Worker entry point of a portfolio race: run one member.
 
     Rebuilds the member's context from plain data (the context artefacts --
@@ -71,8 +71,7 @@ def _race_member(net, max_states, semiflow_cache, resume, name, options,
     :meth:`~CheckerContext.exploration_summary` (``None`` when the member
     built no graph), so the race can report the states it explored.
     """
-    context = CheckerContext(net, max_states=max_states,
-                             semiflow_cache=semiflow_cache, resume=resume)
+    context = CheckerContext(net, max_states=max_states, resume=resume)
     checker = CHECKERS[name](context, **(options or {}))
     return (checker.check(query, max_witnesses=max_witnesses),
             context.exploration_summary())
@@ -144,9 +143,8 @@ class PortfolioChecker(Checker):
         context = self.context
         tasks = [
             (name, _race_member,
-             (context.net, context.max_states, context.semiflow_cache,
-              context.resume, name, self.member_options[name], query,
-              max_witnesses))
+             (context.net, context.max_states, context.resume, name,
+              self.member_options[name], query, max_witnesses))
             for name in self.order
         ]
         outcomes = run_supervised(

@@ -105,10 +105,6 @@ class RandomWalkChecker(Checker):
 
         row_predicate = compile_row_predicate(
             query.expression, self._word_tables(compiled).word_bit_of)
-        if row_predicate is None:
-            return self.outcome(
-                None, details="expression does not compile to a bitmask "
-                "predicate; random-walk falsification unavailable")
         cubes = to_cubes(query.expression, max_cubes=self.dnf_limit)
         cube_masks = cube_mask_table(compiled.mask_of, cubes) if cubes else None
         return self._hunt("reach", max_witnesses, "bad state", "bad state(s)",

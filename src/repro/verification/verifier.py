@@ -81,10 +81,10 @@ class Verifier:
     array-native batch explorer of :mod:`repro.petri.batch`, all others
     on the explicit explorer (see
     :func:`~repro.petri.reachability.build_reachability_graph`).
-    *semiflow_cache* memoises the place-invariant derivation on
-    disk (:class:`~repro.petri.invariants.SemiflowCache`), which makes
-    inductive sweeps over structurally stable families near-free on warm
-    runs.
+    The place invariants the inductive checker needs are derived afresh
+    for each verifier: the elimination of
+    :func:`~repro.petri.invariants.compute_semiflows` works one incidence
+    component at a time, well under a second on an 18-stage OPE pipeline.
 
     A verifier holds exactly one checker, named by *checker* and built on
     first use.  *checker_options* maps checker names to keyword options for
@@ -110,15 +110,12 @@ class Verifier:
 
     def __init__(self, dfs, max_states=200000, net=None,
                  checker="exhaustive", checker_options=None,
-                 semiflow_cache=None, resume=None):
+                 resume=None):
         self.dfs = dfs
         self.max_states = max_states
         #: Optional exploration checkpoint directory (crash-safe runs; a
         #: leftover checkpoint is resumed bit-identically).
         self.resume = resume
-        #: Optional on-disk memo of the place-invariant derivation (a
-        #: :class:`~repro.petri.invariants.SemiflowCache` or directory).
-        self.semiflow_cache = semiflow_cache
         if checker not in CHECKERS:
             raise VerificationError(
                 "unknown checker {!r} (known: {})".format(
@@ -151,8 +148,7 @@ class Verifier:
         """The shared checker context (graph, compiled net, invariants)."""
         if self._context is None:
             self._context = CheckerContext(
-                self.net, max_states=self.max_states,
-                semiflow_cache=self.semiflow_cache, resume=self.resume)
+                self.net, max_states=self.max_states, resume=self.resume)
         return self._context
 
     @property

@@ -12,7 +12,10 @@ differential test its teeth:
   draw for draw;
 * :mod:`oracles.analysis` -- rational-nullspace place and transition
   invariants, against which the Farkas semiflows of
-  :mod:`repro.petri.invariants` are checked.
+  :mod:`repro.petri.invariants` are checked;
+* :mod:`oracles.invariants` -- the whole-net Farkas elimination, which the
+  per-component elimination of :mod:`repro.petri.invariants` must match
+  element for element.
 
 Nothing under ``src/`` may import this package
 (``tests/test_imports.py`` enforces it), and oracles run in-process only,

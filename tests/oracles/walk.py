@@ -32,8 +32,7 @@ def compile_mask_predicate(expression, mask_of):
     :func:`~repro.petri.batch.compile_row_predicate`.  *mask_of* maps a
     place name to its single-bit mask (``0`` for unknown places, which then
     hold zero tokens -- matching marking semantics on 1-safe states).
-    Returns ``None`` for a node kind this compiler does not know (e.g. a
-    user-defined AST subclass).
+    Raises :class:`TypeError` for a node kind it does not know.
     """
     if isinstance(expression, _ast.Constant):
         value = expression.value
@@ -48,20 +47,17 @@ def compile_mask_predicate(expression, mask_of):
         return lambda state: operator(1 if state & bit else 0, value)
     if isinstance(expression, _ast.Not):
         operand = compile_mask_predicate(expression.operand, mask_of)
-        if operand is None:
-            return None
         return lambda state: not operand(state)
     if isinstance(expression, (_ast.And, _ast.Or, _ast.Implies)):
         left = compile_mask_predicate(expression.left, mask_of)
         right = compile_mask_predicate(expression.right, mask_of)
-        if left is None or right is None:
-            return None
         if isinstance(expression, _ast.And):
             return lambda state: left(state) and right(state)
         if isinstance(expression, _ast.Or):
             return lambda state: left(state) or right(state)
         return lambda state: (not left(state)) or right(state)
-    return None
+    raise TypeError("no mask predicate for Reach node {!r}".format(
+        type(expression).__name__))
 
 
 def fewest_enabled_rank(compiled, state):

@@ -1,8 +1,7 @@
-"""Tests of the parallel subsystem: supervisor, racing, caches.
+"""Tests of the parallel subsystem: supervisor, racing, cache identity.
 
-The central contracts under test: racing portfolios must never contradict
-sequential ones, and warm semiflow-cache hits must equal cold derivations
-element for element.
+The central contract under test: racing portfolios must never contradict
+sequential ones.
 """
 
 import os
@@ -11,7 +10,7 @@ import time
 
 import pytest
 
-from repro.campaign.jobs import VerificationJob, build_pipeline_model
+from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
@@ -20,12 +19,6 @@ from repro.parallel import supervisor
 from repro.parallel.supervisor import SupervisorPool, TaskOutcome, run_supervised
 from repro.petri.compiled import CompiledNet
 from repro.petri.fingerprint import net_fingerprint
-from repro.petri.invariants import (
-    InvariantBudgetExceeded,
-    SemiflowCache,
-    compute_semiflows,
-    compute_semiflows_cached,
-)
 from repro.verification.verifier import Verifier
 
 from oracles.compiled import is_enabled
@@ -312,67 +305,6 @@ class TestRacingPortfolio:
         # The exhaustive engine cannot finish >2M states before the walker
         # finds the hole; the race must have put it out of its misery.
         assert "exhaustive cancelled" in result.details
-
-
-# -- the semiflow cache -------------------------------------------------------
-
-
-class TestSemiflowCache:
-    def test_warm_hit_is_bit_identical_to_cold(self, tmp_path):
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-        cache = SemiflowCache(str(tmp_path))
-        cold = compute_semiflows_cached(net, cache=cache)
-        assert len(cache) == 1
-        warm = compute_semiflows_cached(net, cache=cache)
-        direct = compute_semiflows(net)
-        assert warm == cold == direct
-        assert [s.to_payload() for s in warm] == [s.to_payload() for s in direct]
-
-    def test_cache_accepts_directory_path(self, tmp_path):
-        net = to_petri_net(token_ring())
-        first = compute_semiflows_cached(net, cache=str(tmp_path))
-        second = compute_semiflows_cached(net, cache=str(tmp_path))
-        assert first == second
-
-    def test_budget_exceeded_is_cached_and_replayed(self, tmp_path):
-        net = to_petri_net(build_pipeline_model(2, static_prefix=1))
-        cache = SemiflowCache(str(tmp_path))
-        with pytest.raises(InvariantBudgetExceeded):
-            compute_semiflows_cached(net, max_rows=1, cache=cache)
-        assert len(cache) == 1  # the blow-up is remembered...
-        with pytest.raises(InvariantBudgetExceeded):
-            compute_semiflows_cached(net, max_rows=1, cache=cache)
-        # ...and a different budget is a different cache entry.
-        basis = compute_semiflows_cached(net, max_rows=20000, cache=cache)
-        assert basis and len(cache) == 2
-
-    def test_verifier_threads_the_cache_through(self, tmp_path):
-        dfs = build_pipeline_model(2, static_prefix=1)
-        cached = Verifier(dfs, checker="inductive",
-                          semiflow_cache=str(tmp_path))
-        summary = cached.verify_properties(("safeness", "exclusion"))
-        assert summary.passed
-        assert len(SemiflowCache(str(tmp_path))) == 1
-        plain = Verifier(dfs, checker="inductive")
-        warm = Verifier(dfs, checker="inductive",
-                        semiflow_cache=str(tmp_path))
-        left = plain.verify_properties(("safeness", "exclusion"))
-        right = warm.verify_properties(("safeness", "exclusion"))
-        for a, b in zip(left.results, right.results):
-            assert a.holds == b.holds
-            assert a.details == b.details
-
-    def test_campaign_job_populates_semiflow_namespace(self, tmp_path):
-        job = VerificationJob("j1", "pipeline",
-                              kwargs={"stages": 2, "static_prefix": 1},
-                              properties=("safeness", "exclusion"),
-                              checker="inductive")
-        cold = job.run(cache=str(tmp_path))
-        semiflow_dir = tmp_path / "semiflows"
-        assert semiflow_dir.is_dir() and len(SemiflowCache(str(semiflow_dir))) == 1
-        warm = job.run(cache=str(tmp_path))
-        assert warm["cache"] == "hit"
-        assert warm["verdict"] == cold["verdict"]
 
 
 # -- cache identity ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import ReachEvaluationError, ReachSyntaxError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
+from repro.reach import ast
 from repro.reach.ast import And, Constant, Marked, Not, conjunction, disjunction
 from repro.reach.evaluator import evaluate
 from repro.reach.parser import parse
@@ -125,3 +126,65 @@ class TestEvaluator:
     def test_evaluate_rejects_other_types(self):
         with pytest.raises(ReachEvaluationError):
             evaluate(42, Marking())
+
+
+def _concrete_node_kinds():
+    """Every public ReachExpression subclass of ``repro.reach.ast``."""
+    kinds, pending = [], list(ast.ReachExpression.__subclasses__())
+    while pending:
+        kind = pending.pop()
+        pending.extend(kind.__subclasses__())
+        if kind.__module__ == ast.__name__ and not kind.__name__.startswith("_"):
+            kinds.append(kind)
+    return sorted(kinds, key=lambda kind: kind.__name__)
+
+
+def _node_examples(marked, empty):
+    """Instances of each node kind over a marked and an empty place."""
+    leaf = ast.Marked(marked)
+    other = ast.Marked(empty)
+    return {
+        ast.Constant: [ast.Constant(True), ast.Constant(False)],
+        ast.Marked: [leaf, other, ast.Marked("no_such_place")],
+        ast.Compare: [ast.Compare(place, operator, value)
+                      for place in (marked, empty, "no_such_place")
+                      for operator in sorted(ast.Compare._OPERATORS)
+                      for value in (0, 1)],
+        ast.Not: [ast.Not(leaf), ast.Not(other)],
+        ast.And: [ast.And(leaf, other), ast.And(leaf, ast.Not(other))],
+        ast.Or: [ast.Or(leaf, other), ast.Or(other, other)],
+        ast.Implies: [ast.Implies(leaf, other), ast.Implies(other, leaf)],
+    }
+
+
+class TestRowPredicateCoversEveryNodeKind:
+    """The columnar compiler has no fallback: every node kind must compile.
+
+    A node kind added to ``repro.reach.ast`` without a row-predicate rule
+    (and an example here) fails this test instead of reaching a graph scan
+    or a walk swarm that would raise on it.
+    """
+
+    @pytest.mark.parametrize("kind", _concrete_node_kinds(),
+                             ids=lambda kind: kind.__name__)
+    def test_compiles_and_agrees_with_evaluate(self, kind):
+        from repro.dfs.examples import token_ring
+        from repro.dfs.translation import to_petri_net
+        from repro.petri.batch import compile_row_predicate
+        from repro.petri.reachability import build_reachability_graph
+
+        net = to_petri_net(token_ring())
+        graph = build_reachability_graph(net)
+        initial = net.initial_marking()
+        marked = next(place for place in sorted(net.places) if initial[place])
+        empty = next(place for place in sorted(net.places)
+                     if not initial[place])
+        examples = _node_examples(marked, empty)
+        assert kind in examples, "no example for Reach node {}".format(
+            kind.__name__)
+        markings = [graph._marking_at(index) for index in range(len(graph))]
+        for expression in examples[kind]:
+            predicate = compile_row_predicate(expression,
+                                              graph.tables.word_bit_of)
+            assert predicate(graph._words).tolist() == [
+                bool(expression.evaluate(marking)) for marking in markings]

@@ -3,7 +3,7 @@
 The cache's contract is crash/corruption tolerance: atomic writes (readers
 never observe a half-written entry, even with concurrent writers racing on
 one key), unreadable entries degrading to misses, and the higher-level
-caches built on it (here :class:`~repro.petri.invariants.SemiflowCache`)
+caches built on it (here :class:`~repro.campaign.cache.ResultCache`)
 surviving truncated files by recomputing.
 """
 
@@ -13,14 +13,11 @@ import threading
 
 import pytest
 
+from repro.campaign.cache import ResultCache, net_fingerprint, options_digest
+from repro.campaign.jobs import VerificationJob
 from repro.dfs.examples import token_ring
 from repro.dfs.translation import to_petri_net
 from repro.parallel.context import mp_context
-from repro.petri.invariants import (
-    SemiflowCache,
-    compute_semiflows,
-    compute_semiflows_cached,
-)
 from repro.utils.diskcache import (
     Flight,
     JsonDiskCache,
@@ -113,31 +110,46 @@ class TestCorruptionRecovery:
         assert digest({"b": 2, "a": 1}) == digest({"a": 1, "b": 2})
 
 
-class TestSemiflowCacheRecovery:
+class TestResultCacheRecovery:
+    @staticmethod
+    def _entry_path(job, cache):
+        net = to_petri_net(token_ring(registers=3))
+        return cache.path(cache.key(net_fingerprint(net),
+                                    options_digest(job.options())))
+
+    @staticmethod
+    def _job():
+        return VerificationJob("ring", "ring", kwargs={"registers": 3},
+                               properties=("safeness", "deadlock"))
+
     def test_survives_truncated_json_file(self, tmp_path):
         """A truncated entry must recompute (bit-identically) and heal."""
-        net = to_petri_net(token_ring())
-        cache = SemiflowCache(str(tmp_path))
-        cold = compute_semiflows_cached(net, cache=cache)
-        path = cache.path(cache.entry_key(net, 20000))
+        job = self._job()
+        cache = ResultCache(str(tmp_path))
+        cold = job.run(cache=cache)
+        path = self._entry_path(job, cache)
         with open(path, "r", encoding="utf-8") as handle:
             content = handle.read()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content[:len(content) // 2])  # truncate mid-payload
         with pytest.raises(json.JSONDecodeError):
             json.load(open(path, "r", encoding="utf-8"))
-        healed = compute_semiflows_cached(net, cache=cache)
-        assert healed == cold == compute_semiflows(net)
+        healed = job.run(cache=cache)
+        assert healed["cache"] == "miss"
+        assert healed["verdict"] == cold["verdict"]
         # The recomputation overwrote the damaged entry with a valid one.
-        assert json.load(open(path, "r", encoding="utf-8"))["semiflows"]
+        assert json.load(open(path, "r", encoding="utf-8")) == cold["verdict"]
+        assert job.run(cache=cache)["cache"] == "hit"
 
     def test_survives_binary_garbage(self, tmp_path):
-        net = to_petri_net(token_ring())
-        cache = SemiflowCache(str(tmp_path))
-        cold = compute_semiflows_cached(net, cache=cache)
-        with open(cache.path(cache.entry_key(net, 20000)), "wb") as handle:
+        job = self._job()
+        cache = ResultCache(str(tmp_path))
+        cold = job.run(cache=cache)
+        with open(self._entry_path(job, cache), "wb") as handle:
             handle.write(b"\x93NUMPY not json")
-        assert compute_semiflows_cached(net, cache=cache) == cold
+        warm = job.run(cache=cache)
+        assert warm["cache"] == "miss"
+        assert warm["verdict"] == cold["verdict"]
 
 
 class TestNamespaces:

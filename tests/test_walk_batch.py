@@ -387,19 +387,18 @@ class TestScalarFallback:
                          checker_options={"walk": {"backend": backend}})
 
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_uncompilable_expression_is_inconclusive(self, engine):
-        """A user-defined AST node compiles to neither predicate kind; the
-        swarm and the scalar oracle answer inconclusive instead of hunting
-        with it."""
+    def test_unknown_node_kind_fails_loudly(self, engine):
+        """Every node kind of ``repro.reach.ast`` compiles to a row
+        predicate; a user-defined one is a programming error, raised
+        instead of answered inconclusive by a silent fallback."""
         class Anywhere(ReachExpression):
             def evaluate(self, marking):
                 return True
 
         net = to_petri_net(MODEL_FAMILY["conditional"]())
         factory = scalar_walk_checker if engine == "scalar" else walk_checker
-        outcome = factory(net).check(ReachQuery(Anywhere()))
-        assert outcome.holds is None
-        assert "does not compile to a bitmask predicate" in outcome.details
+        with pytest.raises(TypeError, match="Anywhere"):
+            factory(net).check(ReachQuery(Anywhere()))
 
     def test_walk_cli_flags_reach_the_checker(self, capsys):
         from repro.workcraft.cli import main as cli_main
