@@ -5,28 +5,36 @@ operations; a loop over them would still fire one transition of one state
 per Python bytecode iteration.  This module escapes the interpreter the way
 bulk engines do: the *entire BFS frontier* is expanded per step.
 
-* Markings are rows of a ``uint64`` matrix -- nets wider than 64 places span
-  multiple words (place ``i`` lives in word ``i // 64``, bit ``i % 64``).
-* The per-transition ``need`` / ``consume`` / ``produce`` bitmasks of the
-  compiled net are precompiled into ``(transitions, words)`` arrays.
+* Markings are rows of a ``uint64`` matrix in a **row layout**
+  (:class:`~repro.petri.layout.RowLayout`), derived from the net's place
+  invariants: each value-1, 0/1-weight semiflow chosen as a field holds
+  the index of its one marked place in ``ceil(log2(k))`` bits, places
+  the fields determine take no bits, and every other place keeps a plain
+  bit.  The paper's OPE nets fit one word where one bit per place takes
+  three.  Rows wider than 64 bits span multiple words.
+* The compiled net's per-transition bitmasks become ``(transitions,
+  words)`` firing arrays in that layout (:class:`WordTables`); sleep sets
+  and persistence keep the place-level footprints.
 * One level of BFS is: a bulk mask-and-or firing of every enabled pair,
   an open-addressing table for intra-level dedup, a probe of the global
   open-addressing index of known states, and one enabledness pass over the
   admitted rows.  No step loops over transitions in Python.
-* Enabledness is a byte-table lookup: for each byte of a row that holds
-  some ``need`` bit, a 256-entry table maps the byte's value to the packed
-  set of transitions it blocks, so a row's enabled set is the full set
-  minus the OR of its byte entries (:meth:`WordTables.enabled_bits`).
+* Enabledness is a byte-table lookup: no field crosses a byte, so for
+  each byte of a row that holds some needed place, a 256-entry table maps
+  the byte's value to the packed set of transitions it blocks, and a
+  row's enabled set is the full set minus the OR of its byte entries
+  (:meth:`WordTables.enabled_bits`).
 * The row hash is additive (a sum of per-word products modulo ``2**64``),
-  and firing an enabled transition without overflow never carries, so a
-  successor's hash is its parent's plus a per-transition delta
-  (Zobrist-style incremental hashing) -- no successor row is rehashed.
+  and firing an enabled transition without overflow swaps fixed bits
+  without a carry, so a successor's hash is its parent's plus a
+  per-transition delta (Zobrist-style incremental hashing) -- no
+  successor row is rehashed.  A one-word row is its own hash.
   The hash only pre-filters exact row compares.
 * Each state of the level carries a **sleep set** (Godefroid and Wolper),
   and only ``enabled & ~sleep`` is fired.  Two transitions whose
   footprints miss each other (neither consumes or produces a place the
-  other needs, consumes or produces) commute bit for bit, overflow
-  included (:attr:`WordTables.indep`).  A state first reached over
+  other needs, consumes or produces) commute on every reachable state,
+  overflow included (:attr:`WordTables.indep`).  A state first reached over
   ``(p, u)`` sleeps on ``(sleep[p] & indep[u]) | (enabled[p] &
   lower_indep[u])``: firing a slept ``t`` gives the state that firing
   ``u`` gives from an earlier state of the level (or a state already
@@ -55,7 +63,8 @@ own property scans (Reach ``scan``, ``persistence_scan``, ``deadlocks``)
 are vectorised passes over the state table and the enabled column instead
 of per-state Python loops; persistence needs only the enabled sets, since
 in a 1-safe net whether one transition's firing disables another does not
-depend on the state.  Marking-level APIs decode on demand.
+depend on the state.  Marking-level APIs decode rows to one bit per place
+on demand, and a marking that breaks a field's invariant is no state.
 
 This is the engine ``build_reachability_graph`` runs for every net that
 compiles and stays 1-safe.
@@ -70,6 +79,12 @@ import numpy as _np
 
 from repro.exceptions import CompilationError, SafenessOverflowError
 from repro.petri.compiled import CompiledNet, iter_bits
+from repro.petri.layout import (
+    RowLayout,
+    int_to_words,
+    mask_matrix,
+    words_to_int,
+)
 from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
     Checkpoint,
@@ -87,8 +102,6 @@ from repro.utils import faults as _faults
 #: byte per (state, transition), stay small enough to transpose in cache.
 _SCAN_BLOCK = 1 << 14
 
-_WORD_MASK = (1 << 64) - 1
-
 #: Odd 64-bit mixing constants of the row hash (splitmix64 / murmur3
 #: finalisation family).  The hash only pre-filters the exact row compare,
 #: so its quality affects speed, never correctness.
@@ -98,71 +111,95 @@ _HASH_MULTIPLIERS = (
 )
 
 
-def int_to_words(value, words):
-    """Split an int bitmask into *words* little-endian 64-bit words."""
-    return [(value >> (64 * w)) & _WORD_MASK for w in range(words)]
-
-
-def words_to_int(row):
-    """Inverse of :func:`int_to_words` for one row of word values."""
-    state = 0
-    for w, word in enumerate(row):
-        state |= int(word) << (64 * w)
-    return state
-
-
 class WordTables:
-    """Per-transition bitmask tables of a compiled net as uint64 matrices."""
+    """Per-transition tables of a compiled net, in a row layout.
 
-    __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
-                 "fire_tab", "delta_hash", "byte_positions", "byte_tables",
-                 "all_enabled", "indep", "lower_indep")
+    *layout* is a :class:`~repro.petri.layout.RowLayout`; ``None`` means
+    the identity layout (one bit per place).  Two kinds of table:
 
-    def __init__(self, compiled):
+    * place-level footprints, ``(transitions, place words)``: ``need``,
+      ``consume`` and ``produce``.  Sleep sets (:attr:`indep`), the
+      persistence table and :meth:`enabled_matrix` read these;
+    * row-level firing, ``(transitions, words)``: a transition clears the
+      fields and bits of ``~keep``, which hold ``take`` when it is enabled,
+      and ORs in ``give``.  Enabledness is :meth:`enabled_bits`, from one
+      byte table per row byte that holds a needed place.
+    """
+
+    __slots__ = ("compiled", "layout", "words", "need", "consume", "produce",
+                 "keep", "give", "take", "fire_tab", "delta_hash",
+                 "byte_positions", "byte_tables", "all_enabled", "indep",
+                 "lower_indep")
+
+    def __init__(self, compiled, layout=None):
         self.compiled = compiled
-        self.words = max(1, (len(compiled.place_names) + 63) // 64)
+        count = len(compiled.place_names)
+        self.layout = layout = layout or RowLayout.identity_of(count)
+        self.words = layout.words
+        self.need = mask_matrix(compiled.need, layout.place_words)
+        self.consume = mask_matrix(compiled.consume, layout.place_words)
+        self.produce = mask_matrix(compiled.produce, layout.place_words)
         transition_count = len(compiled.need)
-        shape = (transition_count, self.words)
-        self.need = _np.zeros(shape, dtype=_np.uint64)
-        self.consume = _np.zeros(shape, dtype=_np.uint64)
-        self.produce = _np.zeros(shape, dtype=_np.uint64)
-        for index in range(transition_count):
-            self.need[index] = int_to_words(compiled.need[index], self.words)
-            self.consume[index] = int_to_words(compiled.consume[index],
-                                               self.words)
-            self.produce[index] = int_to_words(compiled.produce[index],
-                                               self.words)
-        self.keep = ~self.consume
-        # keep and produce side by side, so the firing loop pays one fancy
+        need_flags = _unpack_bits(self.need, count)
+        # Firing writes only the fields and bits a place stores; a derived
+        # place follows its field.  A transition takes at most one place
+        # of a field and gives one back, so the per-place row bits it
+        # clears, takes and gives are disjoint and sum to their OR.
+        stored = layout.code >= 0
+        width = _np.where(stored, layout.width, 0)
+        spans = _np.zeros((count, self.words), dtype=_np.uint64)
+        values = _np.zeros((count, self.words), dtype=_np.uint64)
+        word, shift = _np.divmod(layout.offset, 64)
+        spans[_np.arange(count), word] = (
+            ((_np.uint64(1) << width.astype(_np.uint64)) - _np.uint64(1))
+            << shift.astype(_np.uint64))
+        values[_np.arange(count), word] = (
+            _np.where(stored, layout.code, 0).astype(_np.uint64)
+            << shift.astype(_np.uint64))
+        consume_flags = _unpack_bits(self.consume, count).astype(_np.uint64)
+        produce_flags = _unpack_bits(self.produce, count).astype(_np.uint64)
+        self.keep = ~(consume_flags @ spans)
+        self.take = consume_flags @ values
+        self.give = produce_flags @ values
+        # keep and give side by side, so the firing loop pays one fancy
         # gather per edge batch instead of two.
-        self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
-        # Firing an enabled transition without overflow clears its taken
-        # places, all marked, and sets its given places, all empty: no word
-        # carries, so the additive row hash moves by a fixed delta.
-        taken = self.consume & ~self.produce
-        given = self.produce & ~self.consume
-        self.delta_hash = self.hash_rows(given) - self.hash_rows(taken)
-        # One byte table per byte position of a row that holds some need
-        # bit: entry ``v`` is the packed set of transitions that a row byte
-        # of value ``v`` blocks (a needed bit of that byte is clear).
-        octets = self.need.view(_np.uint8)
-        values = _np.arange(256, dtype=_np.uint8)[:, None]
-        self.byte_positions = _np.flatnonzero(octets.any(axis=0))
+        self.fire_tab = _np.concatenate([self.keep, self.give], axis=1)
+        # Firing an enabled transition without overflow swaps the row bits
+        # take for give, and no word carries, so the additive row hash
+        # moves by a fixed delta.
+        self.delta_hash = self.hash_rows(self.give) - self.hash_rows(self.take)
+        # One byte table per row byte that holds some needed place: entry
+        # ``v`` is the packed set of transitions that a row byte of value
+        # ``v`` blocks (it fails the test of a place they need).  Built
+        # from the (transition, needed place) pairs, grouped by byte.
+        needing, needed = _np.nonzero(need_flags)
+        byte_of = layout.offset[needed] // 8
+        present = _np.bincount(byte_of, minlength=1) > 0
+        self.byte_positions = _np.flatnonzero(present)
+        slot = (_np.cumsum(present) - 1)[byte_of]
+        key = slot * transition_count + needing
+        order = _np.argsort(key, kind="stable")
+        key = key[order]
+        starts = _np.flatnonzero(_np.diff(key, prepend=-1))
+        blocked = _np.zeros(
+            (len(self.byte_positions), transition_count, 256), dtype=bool)
+        if len(key):
+            blocked.reshape(-1, 256)[key[starts]] = _np.logical_or.reduceat(
+                ~layout.marked_at()[needed[order]], starts, axis=0)
         self.all_enabled = _pack_bits(
             _np.ones((1, transition_count), dtype=bool))[0]
-        self.byte_tables = _np.empty(
-            (len(self.byte_positions), len(self.all_enabled), 256),
-            dtype=_np.uint64)
-        for k, position in enumerate(self.byte_positions.tolist()):
-            self.byte_tables[k] = _pack_bits(
-                (octets[:, position] & ~values) != 0).T
-        # Row u of indep: the transitions t != u whose footprint misses u's
-        # (neither touches a place the other needs or touches), so t and u
-        # commute bit for bit; lower_indep keeps the members t < u.
+        self.byte_tables = _np.ascontiguousarray(_pack_bits(
+            blocked.transpose(0, 2, 1).reshape(-1, transition_count))
+            .reshape(len(blocked), 256, len(self.all_enabled))
+            .transpose(0, 2, 1))
+        # Row u of indep: the transitions t != u whose place footprint
+        # misses u's (neither touches a place the other needs or touches),
+        # so t and u commute on every reachable state; lower_indep keeps
+        # the members t < u.
         touch = self.consume | self.produce
         reach = self.need | touch
         clash = _np.eye(transition_count, dtype=bool)
-        for w in range(self.words):
+        for w in range(layout.place_words):
             clash |= (touch[:, w, None] & reach[None, :, w]) != 0
         independent = ~(clash | clash.T)
         self.indep = _pack_bits(independent)
@@ -170,10 +207,18 @@ class WordTables:
             independent & _np.tri(transition_count, k=-1, dtype=bool))
 
     def encode_rows(self, states):
-        """Pack an iterable of int states into a ``(n, words)`` matrix."""
+        """Pack an iterable of place-level int states into ``(n, words)`` rows.
+
+        Each state must have a row in the layout (:meth:`RowLayout.encode`).
+        """
         rows = _np.empty((len(states), self.words), dtype=_np.uint64)
         for position, state in enumerate(states):
-            rows[position] = int_to_words(state, self.words)
+            row = self.layout.encode(state)
+            if row is None:
+                raise CompilationError(
+                    "state {:#x} breaks a place invariant of the row "
+                    "layout".format(state))
+            rows[position] = int_to_words(row, self.words)
         return rows
 
     def hash_rows(self, rows):
@@ -197,13 +242,15 @@ class WordTables:
     def enabled_matrix(self, rows):
         """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix.
 
-        The fast form for a few rows (the walk swarm's batches); exploration
-        uses :meth:`enabled_bits`.
+        The rows decode to places, and each transition's need is one mask
+        compare: the fast form for a few rows (the walk swarm's batches),
+        and the reference for :meth:`enabled_bits`.
         """
+        places = self.layout.decode_rows(rows)
         enabled = _np.ones((len(rows), len(self.need)), dtype=bool)
-        for w in range(self.words):
+        for w in range(self.layout.place_words):
             need_w = self.need[:, w]
-            enabled &= (rows[:, w:w + 1] & need_w) == need_w
+            enabled &= (places[:, w:w + 1] & need_w) == need_w
         return enabled
 
     def enabled_bits(self, rows):
@@ -223,13 +270,10 @@ class WordTables:
                 word |= table[column]
         return _np.ascontiguousarray((self.all_enabled[:, None] & ~blocked).T)
 
-    def word_bit_of(self, place):
-        """``(word index, single-bit uint64)`` of *place*, or ``None``."""
+    def row_test(self, place):
+        """The layout's vectorised "*place* is marked" test, or ``None``."""
         mask = self.compiled.mask_of(place)
-        if not mask:
-            return None
-        bit = mask.bit_length() - 1
-        return bit // 64, _np.uint64(1 << (bit % 64))
+        return self.layout.row_test(mask.bit_length() - 1) if mask else None
 
 
 def _pack_bits(flags):
@@ -275,11 +319,17 @@ def fire_enabled_flags(tables, rows, flat):
 
 
 def overflow_place(tables, rows, source_local, transition, position):
-    """The place index spilled by overflowing pair *position* (re-derived)."""
+    """The place index spilled by overflowing pair *position* (re-derived).
+
+    Only plain bits overflow (a field is cleared before it is written),
+    and each holds one place.
+    """
     gathered = tables.fire_tab[int(transition[position])]
     remainder = rows[int(source_local[position])] & gathered[:tables.words]
     produced = gathered[tables.words:]
-    return next(iter_bits(words_to_int(remainder & produced)))
+    offset = tables.layout.offset
+    return min(int(_np.flatnonzero(offset == bit)[0])
+               for bit in iter_bits(words_to_int(remainder & produced)))
 
 
 def dedup_first(successor, hashes):
@@ -324,7 +374,8 @@ def dedup_first(successor, hashes):
 class ColumnarReachabilityGraph(ReachabilityGraph):
     """Reachability graph stored columnar: NumPy arrays, not Python lists.
 
-    * ``_words`` -- the ``(states, words)`` uint64 state table;
+    * ``_words`` -- the ``(states, words)`` uint64 state table, in the row
+      layout of ``tables.layout``;
     * ``_enabled_arr`` -- each state's enabled transitions, a packed
       ``(states, ceil(T/64))`` uint64 bitset (:func:`_pack_bits`);
     * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
@@ -380,7 +431,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     # -- decoding -------------------------------------------------------------
 
     def _state_int(self, index):
-        return words_to_int(self._words[index])
+        """The place-level int state of state *index*."""
+        return self.tables.layout.decode(words_to_int(self._words[index]))
 
     def _marking_at(self, index):
         marking = self._decoded.get(index)
@@ -399,7 +451,11 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
             state = self.compiled.encode(marking)
         except CompilationError:
             return None
-        index = int(self._lookup(self.tables.encode_rows([state]))[0])
+        row = self.tables.layout.encode(state)
+        if row is None:
+            return None
+        index = int(self._lookup(_np.array(
+            [int_to_words(row, self.tables.words)], dtype=_np.uint64))[0])
         return index if index >= 0 else None
 
     def _out_edges(self, states):
@@ -444,18 +500,18 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     def predecessors(self, marking):
         """Incoming edges, sources in discovery order then edge order.
 
-        Firing is reversible in a 1-safe net: the only state from which
-        ``t`` can lead to *marking* is ``(marking & ~produce[t]) |
-        consume[t]``.  It is a predecessor when it is a known state, enables
+        Firing is reversible in a 1-safe net: the only row from which
+        ``t`` can lead to *marking*'s is ``(row & keep[t] & ~give[t]) |
+        take[t]``.  It is a predecessor when it is a known state, enables
         ``t`` and fires back to *marking*.
         """
         tables = self.tables
         row = self._words[self._known_index(marking)]
-        sources = (row & ~tables.produce) | tables.consume
-        fired = (sources & tables.keep) | tables.produce
-        ok = (((sources & tables.need) == tables.need).all(axis=1)
-              & (fired == row).all(axis=1))
-        transitions = _np.flatnonzero(ok)
+        sources = (row & tables.keep & ~tables.give) | tables.take
+        fired = (sources & tables.keep) | tables.give
+        enables = _unpack_bits(tables.enabled_bits(sources),
+                               len(tables.need)).diagonal()
+        transitions = _np.flatnonzero(enables & (fired == row).all(axis=1))
         sources = self._lookup(sources[transitions])
         known = sources >= 0
         transitions, sources = transitions[known], sources[known]
@@ -465,7 +521,10 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     @property
     def states(self):
         if self._all_decoded is None:
-            self._all_decoded = [self._marking_at(i) for i in range(len(self))]
+            decode = self.compiled.decode
+            self._all_decoded = [
+                decode(words_to_int(row))
+                for row in self.tables.layout.decode_rows(self._words)]
         return list(self._all_decoded)
 
     @property
@@ -518,7 +577,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         ``(states, words)`` state table (:func:`compile_row_predicate`);
         only the first *limit* matches are decoded.
         """
-        predicate = compile_row_predicate(expression, self.tables.word_bit_of)
+        predicate = compile_row_predicate(expression, self.tables.row_test)
         for index in _np.flatnonzero(predicate(self._words))[:limit].tolist():
             yield self._marking_at(index)
 
@@ -579,7 +638,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         taken = tables.consume & ~tables.produce
         disabling = _np.zeros((len(taken), len(taken)), dtype=bool)
         conflicts = _np.eye(len(taken), dtype=bool)
-        for w in range(tables.words):
+        for w in range(tables.layout.place_words):
             disabling |= (taken[:, w, None] & tables.need[None, :, w]) != 0
             if allow_conflicts:
                 column = tables.consume[:, w]
@@ -610,14 +669,15 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                     })
 
 
-def compile_row_predicate(expression, word_bit_of):
+def compile_row_predicate(expression, row_test):
     """Compile a Reach AST into a vectorised predicate over state tables.
 
     The columnar counterpart of ``ReachExpression.evaluate``: the returned
     callable receives the whole ``(states, words)`` uint64 table and
-    returns a boolean vector.  *word_bit_of* maps a place name to its
-    ``(word, single-bit)`` pair or ``None`` for unknown places (which hold
-    zero tokens, matching marking semantics on 1-safe states).  Every
+    returns a boolean vector.  *row_test* maps a place name to its
+    vectorised "is marked" test on such a table
+    (:meth:`WordTables.row_test`), or to ``None`` for unknown places (which
+    hold zero tokens, matching marking semantics on 1-safe states).  Every
     node kind of :mod:`repro.reach.ast` compiles; an unknown one raises
     :class:`TypeError`.
     """
@@ -627,29 +687,24 @@ def compile_row_predicate(expression, word_bit_of):
         value = bool(expression.value)
         return lambda words: _np.full(len(words), value, dtype=bool)
     if isinstance(expression, _ast.Marked):
-        position = word_bit_of(expression.place)
-        if position is None:
+        marked = row_test(expression.place)
+        if marked is None:
             return lambda words: _np.zeros(len(words), dtype=bool)
-        word, bit = position
-        return lambda words: (words[:, word] & bit) != 0
+        return marked
     if isinstance(expression, _ast.Compare):
-        position = word_bit_of(expression.place)
+        marked = row_test(expression.place)
         operator = _ast.Compare._OPERATORS[expression.operator]
         value = expression.value
-        if position is None:
+        if marked is None:
             outcome = bool(operator(0, value))
             return lambda words: _np.full(len(words), outcome, dtype=bool)
-        word, bit = position
-        def compare(words):
-            tokens = ((words[:, word] & bit) != 0).astype(_np.int64)
-            return operator(tokens, value)
-        return compare
+        return lambda words: operator(marked(words).astype(_np.int64), value)
     if isinstance(expression, _ast.Not):
-        operand = compile_row_predicate(expression.operand, word_bit_of)
+        operand = compile_row_predicate(expression.operand, row_test)
         return lambda words: ~operand(words)
     if isinstance(expression, (_ast.And, _ast.Or, _ast.Implies)):
-        left = compile_row_predicate(expression.left, word_bit_of)
-        right = compile_row_predicate(expression.right, word_bit_of)
+        left = compile_row_predicate(expression.left, row_test)
+        right = compile_row_predicate(expression.right, row_test)
         if isinstance(expression, _ast.And):
             return lambda words: left(words) & right(words)
         if isinstance(expression, _ast.Or):
@@ -659,7 +714,7 @@ def compile_row_predicate(expression, word_bit_of):
         type(expression).__name__))
 
 
-def checkpoint_identity(compiled, initial_state, max_states):
+def checkpoint_identity(compiled, initial_state, max_states, layout):
     """The identity digest a checkpoint must match to be resumable."""
     from repro.utils.diskcache import digest
 
@@ -668,6 +723,7 @@ def checkpoint_identity(compiled, initial_state, max_states):
         "transitions": list(compiled.transition_names),
         "initial": str(initial_state),
         "max_states": int(max_states),
+        "layout": layout.describe(),
     })
 
 
@@ -691,7 +747,8 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     one-firing-at-a-time BFS of the same net, marking and bound -- same
     discovery order, parents, frontier, truncation and (regenerated)
     edges -- built one BFS level per step instead of one transition per
-    step.
+    step.  Its rows use the layout :meth:`RowLayout.of` derives for the
+    start marking.
 
     A run has three parts.  :func:`_start` yields the stores and the
     ``progress`` record to start from: the initial row at level 0, or the
@@ -712,9 +769,9 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
-    tables = WordTables(compiled)
     initial = marking if marking is not None else compiled.net.initial_marking()
     initial_state = compiled.encode(initial)
+    tables = WordTables(compiled, RowLayout.of(compiled, initial_state))
     pool = SpillPool(spill if spill is not None else SpillConfig.resolve(),
                      label="batch", named_dir=checkpoint or None)
     # Seconds per phase of _expand_level, reported as
@@ -798,7 +855,8 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     if checkpoint:
         checkpointer, stores, progress = Checkpoint.open(
             checkpoint, pool, specs,
-            checkpoint_identity(tables.compiled, initial_state, max_states))
+            checkpoint_identity(tables.compiled, initial_state, max_states,
+                                tables.layout))
     else:
         stores = fresh_stores(pool, specs)
     if progress is None:

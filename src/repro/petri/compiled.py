@@ -10,9 +10,12 @@ firing is two bit operations.
 
 The tables feed :mod:`repro.petri.batch`, the engine
 ``build_reachability_graph`` runs; the inductive and walk checkers fire and
-encode through them too.  Transitions are indexed in sorted name order,
-matching ``PetriNet.enabled_transitions``, so the batch engine visits states
-in the order of the explicit explorer.  A pure-int, one-firing-at-a-time
+encode through them too.  These ints keep one bit per place; the batch
+engine stores its states in a denser row layout derived from the net's
+place invariants (:mod:`repro.petri.layout`), and decodes back to them.
+Transitions are indexed in sorted name order, matching
+``PetriNet.enabled_transitions``, so the batch engine visits states in the
+order of the explicit explorer.  A pure-int, one-firing-at-a-time
 BFS over these tables lives on as the test oracle of the batch engine
 (``tests/oracles/compiled.py``).
 

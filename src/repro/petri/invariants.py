@@ -30,7 +30,6 @@ there is nothing left worth memoising across runs.
 from math import gcd
 
 from repro.exceptions import VerificationError
-from repro.petri.fingerprint import net_fingerprint
 
 
 class InvariantBudgetExceeded(VerificationError):
@@ -81,13 +80,14 @@ class Semiflow:
         return "Semiflow({} == {})".format(terms, self.value)
 
 
-def _normalise(vector):
+def _normalise(row):
+    """*row* (place index -> weight) divided by the gcd of its weights."""
     divisor = 0
-    for value in vector:
+    for value in row.values():
         divisor = gcd(divisor, value)
     if divisor > 1:
-        return [value // divisor for value in vector]
-    return vector
+        return {i: value // divisor for i, value in row.items()}
+    return row
 
 
 def _incidence_components(net, places, index):
@@ -142,6 +142,9 @@ def compute_semiflows(net, max_rows=20000):
     and leaves every other row where it is in the one global list.  The
     result -- order included -- is that of eliminating over every row.
 
+    Rows are sparse (place index -> positive weight), so a round costs
+    what the rows' supports hold, not the place count.
+
     Raises :class:`InvariantBudgetExceeded` when an elimination round would
     hold more than *max_rows* rows (counting the rows of every component).
     """
@@ -149,11 +152,7 @@ def compute_semiflows(net, max_rows=20000):
     index = {place: i for i, place in enumerate(places)}
     columns, component = _incidence_components(net, places, index)
     # (component, row) pairs, in the order of the whole-net elimination.
-    rows = []
-    for i in range(len(places)):
-        row = [0] * len(places)
-        row[i] = 1
-        rows.append((component[i], row))
+    rows = [(component[i], {i: 1}) for i in range(len(places))]
 
     for transition in sorted(net.transitions):
         column = columns[transition]
@@ -164,7 +163,7 @@ def compute_semiflows(net, max_rows=20000):
                 continue
             effect = 0
             for i, entry in column.items():
-                effect += row[i] * entry
+                effect += row.get(i, 0) * entry
             if effect > 0:
                 positive.append((row, effect))
             elif effect < 0:
@@ -181,17 +180,17 @@ def compute_semiflows(net, max_rows=20000):
         candidates = [rows[k][1] for k in local]
         for row_a, effect_a in positive:
             for row_b, effect_b in negative:
-                candidates.append(_normalise([
-                    effect_b * a + effect_a * b for a, b in zip(row_a, row_b)
-                ]))
-        supports = [frozenset(i for i, v in enumerate(row) if v)
-                    for row in candidates]
+                combined = {i: effect_b * a for i, a in row_a.items()}
+                for i, b in row_b.items():
+                    combined[i] = combined.get(i, 0) + effect_a * b
+                candidates.append(_normalise(combined))
+        supports = [frozenset(row) for row in candidates]
         survivors, seen = [], set()
         for i, row in enumerate(candidates):
             if any(j != i and supports[j] < supports[i]
                    for j in range(len(candidates))):
                 continue
-            key = tuple(row)
+            key = tuple(sorted(row.items()))
             if key in seen:
                 continue
             seen.add(key)
@@ -205,9 +204,7 @@ def compute_semiflows(net, max_rows=20000):
     initial = net.initial_marking()
     semiflows = []
     for _, row in rows:
-        weights = {places[i]: value for i, value in enumerate(row) if value}
-        if not weights:
-            continue
+        weights = {places[i]: row[i] for i in sorted(row)}
         value = sum(weight * initial[place] for place, weight in weights.items())
         semiflows.append(Semiflow(weights, value))
     return semiflows
@@ -355,6 +352,10 @@ def minimal_siphons(net, max_nodes=100000):
     queries against the same net (portfolio batteries, campaign re-runs)
     pay the enumeration -- or its budget-exhausting decline -- only once.
     """
+    # Imported here: hashing pulls in hashlib (and OpenSSL), which the
+    # semiflow computation of every exploration does not need.
+    from repro.petri.fingerprint import net_fingerprint
+
     key = (net_fingerprint(net), max_nodes)
     hit = _SIPHON_MEMO.get(key)
     if hit is None:

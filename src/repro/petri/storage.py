@@ -462,20 +462,14 @@ class ArrayStore:
     # -- finalisation --------------------------------------------------------
 
     def trim(self):
-        """The final exact-length array.
+        """The final exact-length array: a view of the backing, not a copy.
 
-        In RAM this copies down to the exact size (releasing the geometric
-        slack); on disk it narrows the view -- the file is never truncated
-        downward, so stale larger mappings can never fault.
+        A copy would hold the old and new buffers at once, at the peak of
+        the run.  The geometric slack stays allocated, and accounted to the
+        pool, but slack pages never written are never resident.  On disk
+        the file is never truncated downward, so stale larger mappings can
+        never fault.
         """
-        if self._handle is None:
-            if len(self._backing) != self._length:
-                exact = _np.empty(self._shape(self._length), dtype=self.dtype)
-                exact[:] = self._backing[:self._length]
-                slack = (len(self._backing) - self._length) * self._row_nbytes
-                self._backing = exact
-                self.pool._ram_bytes -= slack
-            return self._backing
         return self._backing[:self._length]
 
     def drop_resident(self):
@@ -621,7 +615,7 @@ class HashIndex:
 
 #: File name of the per-level checkpoint manifest inside a checkpoint dir.
 MANIFEST_NAME = "checkpoint.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 def store_crc(store, rows=None, base=0):

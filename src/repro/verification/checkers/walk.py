@@ -104,7 +104,7 @@ class RandomWalkChecker(Checker):
         from repro.petri.batch import compile_row_predicate
 
         row_predicate = compile_row_predicate(
-            query.expression, self._word_tables(compiled).word_bit_of)
+            query.expression, self._word_tables(compiled).row_test)
         cubes = to_cubes(query.expression, max_cubes=self.dnf_limit)
         cube_masks = cube_mask_table(compiled.mask_of, cubes) if cubes else None
         return self._hunt("reach", max_witnesses, "bad state", "bad state(s)",

@@ -144,7 +144,8 @@ def graph_columns(graph):
     A :class:`~repro.petri.batch.ColumnarReachabilityGraph` keeps enabled
     sets, not edges, so its packed ``t | target << 16`` edges and their
     CSR offsets are regenerated here, through the graph's own edge
-    regeneration (``_out_edges``).
+    regeneration (``_out_edges``).  Its state rows are in its row layout;
+    they are decoded to one bit per place.
     """
     import numpy as np
 
@@ -152,7 +153,8 @@ def graph_columns(graph):
     sources, transitions, targets = graph._out_edges(np.arange(states))
     offsets = np.zeros(states + 1, dtype=np.int64)
     np.cumsum(np.bincount(sources, minlength=states), out=offsets[1:])
-    return (graph._words, transitions | targets << 16, offsets,
+    return (graph.tables.layout.decode_rows(graph._words),
+            transitions | targets << 16, offsets,
             graph._parents_arr, graph._frontier_arr)
 
 

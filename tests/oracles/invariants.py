@@ -9,11 +9,19 @@ at the same transition -- ``tests/test_petri_semiflows.py`` compares the
 two element for element.
 """
 
-from repro.petri.invariants import (
-    InvariantBudgetExceeded,
-    Semiflow,
-    _normalise,
-)
+from math import gcd
+
+from repro.petri.invariants import InvariantBudgetExceeded, Semiflow
+
+
+def _normalise(vector):
+    """*vector* divided by the gcd of its entries."""
+    divisor = 0
+    for value in vector:
+        divisor = gcd(divisor, value)
+    if divisor > 1:
+        return [value // divisor for value in vector]
+    return vector
 
 
 def whole_net_semiflows(net, max_rows=20000):

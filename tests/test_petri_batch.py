@@ -36,6 +36,7 @@ from repro.petri.batch import (
     words_to_int,
 )
 from repro.petri.compiled import CompiledNet
+from repro.petri.layout import RowLayout
 from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph, explore
 from repro.petri.storage import HashIndex
@@ -226,7 +227,7 @@ class TestDifferentialExamples:
 
 
 def ring_hazard_net(seed, rings, lengths, branches, read_arcs,
-                    edge_cases=False):
+                    edge_cases=False, fuses=0):
     """A seeded 1-safe net of token rings that violates persistence.
 
     Each ring moves one token round its places, so every ring stays live.
@@ -241,6 +242,12 @@ def ring_hazard_net(seed, rings, lengths, branches, read_arcs,
     consumes and re-produces ``r0p0``, which ``look`` reads, and so
     disables nothing; ``look`` also reads ``r1p0``, a read-arc hazard
     when ring 1 moves on; ``idle`` has an empty preset and postset.
+
+    With *fuses*, a chain ``c0 -> c1 -> ... -> c0`` passes a token on:
+    step ``i`` consumes ``c_i`` and fuse ``f_{i-1}`` and gives ``c_{i+1}``
+    and fuse ``f_i``, and ``blow_i`` destroys fuse ``f_i`` (the chain then
+    stops).  No place invariant covers a fuse, so each keeps a plain bit
+    in the dense row layout, and the rows stay wider than one word.
     """
     rng = random.Random(seed)
     net = PetriNet("rings-{}".format(seed))
@@ -269,6 +276,22 @@ def ring_hazard_net(seed, rings, lengths, branches, read_arcs,
         net.add_arc("loop", "r0p0")
         net.add_read_arc("r0p0", "look")
         net.add_read_arc("r1p0", "look")
+    chain = fuses + 1 if fuses else 0
+    for i in range(chain):
+        net.add_place("c{}".format(i), tokens=int(i == 0))
+    for i in range(fuses):
+        net.add_place("f{}".format(i))
+        net.add_transition("blow{}".format(i))
+        net.add_arc("f{}".format(i), "blow{}".format(i))
+    for i in range(chain):
+        name = "step{}".format(i)
+        net.add_transition(name)
+        net.add_arc("c{}".format(i), name)
+        net.add_arc(name, "c{}".format((i + 1) % chain))
+        if i:
+            net.add_arc("f{}".format(i - 1), name)
+        if i < fuses:
+            net.add_arc(name, "f{}".format(i))
     return net
 
 
@@ -283,6 +306,11 @@ HAZARD_NETS = (
     + [(100 + seed, dict(rings=3, lengths=(22, 24), branches=8,
                          read_arcs=6)) for seed in range(2)])
 
+#: A small hazard net with 66 fuses: its rows span two words in the dense
+#: layout too (the wide nets above fit one).
+FUSED_NET = (200, dict(rings=2, lengths=(2, 3), branches=3, read_arcs=2,
+                       fuses=66))
+
 
 def _witness_key(witness):
     return (sorted(witness["marking"].items()), witness["fired"],
@@ -296,12 +324,13 @@ class TestPersistenceOnHazardNets:
     def test_generated_nets_violate_and_span_words(self):
         wide = ring_hazard_net(100, **HAZARD_NETS[-1][1])
         assert len(wide.places) > 64 and len(wide.transitions) > 64
-        for seed, shape in HAZARD_NETS:
+        for seed, shape in HAZARD_NETS + [FUSED_NET]:
             graph = explore_batch(CompiledNet.compile(
                 ring_hazard_net(seed, **shape)))
             assert graph.persistence_scan(allow_conflicts=True)[0] > 0
+        assert graph.tables.words >= 2
 
-    @pytest.mark.parametrize("seed,shape", HAZARD_NETS)
+    @pytest.mark.parametrize("seed,shape", HAZARD_NETS + [FUSED_NET])
     def test_scan_matches_oracles(self, seed, shape):
         net = ring_hazard_net(seed, **shape)
         compiled = CompiledNet.compile(net)
@@ -358,27 +387,37 @@ def empty_preset_net():
 
 
 #: Nets for the enabledness and hash kernels: every hazard seed (read
-#: arcs, the consume-and-reproduce ``loop``, the empty-preset ``idle``), the
-#: 4-stage OPE (3 state words, 2 enabled words) and an all-empty-preset net.
+#: arcs, the consume-and-reproduce ``loop``, the empty-preset ``idle``, two
+#: dense words), the 4-stage OPE (3 state words, 2 enabled words) and an
+#: all-empty-preset net.
 KERNEL_NETS = (
     [pytest.param(lambda seed=seed, shape=shape: ring_hazard_net(seed, **shape),
-                  id="hazard-{}".format(seed)) for seed, shape in HAZARD_NETS]
+                  id="hazard-{}".format(seed))
+     for seed, shape in HAZARD_NETS + [FUSED_NET]]
     + [pytest.param(lambda: to_petri_net(
            build_pipeline_model(4, static_prefix=2)), id="ope4"),
        pytest.param(empty_preset_net, id="empty-presets")])
 
 
-def kernel_rows(compiled, seed=0):
-    """Reachable rows of *compiled* (up to 2000) and as many random rows.
+def kernel_tables(compiled, dense):
+    """The tables of *compiled* in its dense layout, or in the identity one."""
+    initial = compiled.encode(compiled.net.initial_marking())
+    return WordTables(compiled, RowLayout.of(compiled, initial) if dense
+                      else None)
 
-    Dense random rows block most multi-place presets; reachable ones
-    enable the transitions the net really fires.
+
+def kernel_rows(tables, seed=0):
+    """Reachable rows of *tables*' net (up to 2000) and as many random rows.
+
+    Dense random rows block most multi-place presets (and hold field
+    values no place has); reachable ones enable the transitions the net
+    really fires.
     """
+    compiled = tables.compiled
     try:
         states = explore_compiled(compiled, max_states=2000).states
     except SafenessOverflowError:
         states = [compiled.encode(compiled.net.initial_marking())]
-    tables = WordTables(compiled)
     reachable = tables.encode_rows(states)
     noise = np.random.default_rng(seed).integers(
         0, np.iinfo(np.uint64).max, size=reachable.shape, dtype=np.uint64,
@@ -387,11 +426,11 @@ def kernel_rows(compiled, seed=0):
 
 
 class TestKernels:
+    @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
     @pytest.mark.parametrize("make_net", KERNEL_NETS)
-    def test_enabled_bits_match_enabled_matrix(self, make_net):
-        compiled = CompiledNet.compile(make_net())
-        tables = WordTables(compiled)
-        rows = kernel_rows(compiled)
+    def test_enabled_bits_match_enabled_matrix(self, make_net, dense):
+        tables = kernel_tables(CompiledNet.compile(make_net()), dense)
+        rows = kernel_rows(tables)
         assert np.array_equal(tables.enabled_bits(rows),
                               _pack_bits(tables.enabled_matrix(rows)))
         assert tables.enabled_bits(rows[:0]).shape == (0, len(tables.all_enabled))
@@ -404,11 +443,11 @@ class TestKernels:
         assert len(empty.byte_positions) == 0
         assert int(empty.all_enabled[0]) == 0b11
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
     @pytest.mark.parametrize("make_net", KERNEL_NETS)
-    def test_successor_hash_is_parent_hash_plus_delta(self, make_net):
-        compiled = CompiledNet.compile(make_net())
-        tables = WordTables(compiled)
-        rows = kernel_rows(compiled)
+    def test_successor_hash_is_parent_hash_plus_delta(self, make_net, dense):
+        tables = kernel_tables(CompiledNet.compile(make_net()), dense)
+        rows = kernel_rows(tables)
         flat = np.flatnonzero(tables.enabled_matrix(rows))
         local, transition, successor, overflowed = fire_enabled_flags(
             tables, rows, flat)
@@ -463,6 +502,13 @@ def overflow_hazard_net(seed, shape):
     net.add_read_arc("r{}p0".format(other), "inject")
     net.add_arc("inject", "r{}p1".format(ring))
     return net
+
+
+def wide_ope():
+    """The 4-stage OPE (static prefix 1): 180 places, 66 bits (2 words)
+    in the dense layout."""
+    return CompiledNet.compile(to_petri_net(
+        build_pipeline_model(4, static_prefix=1)))
 
 
 def small_ope():
@@ -613,11 +659,11 @@ class TestSleepSets:
         us, ts = np.nonzero(indep)
         pick = np.random.default_rng(0).permutation(len(us))[:200]
         us, ts = us[pick], ts[pick]
-        rows = kernel_rows(compiled)[None]
+        rows = kernel_rows(tables)[None]
 
         def fire(rows, transitions):
             return ((rows & tables.keep[transitions][:, None])
-                    | tables.produce[transitions][:, None])
+                    | tables.give[transitions][:, None])
 
         def enables(rows, transitions):
             need = tables.need[transitions][:, None]
@@ -625,7 +671,7 @@ class TestSleepSets:
 
         def overflows(rows, transitions):
             return (rows & tables.keep[transitions][:, None]
-                    & tables.produce[transitions][:, None]).any(axis=-1)
+                    & tables.give[transitions][:, None]).any(axis=-1)
 
         after_u = fire(rows, us)
         assert np.array_equal(fire(after_u, ts), fire(fire(rows, ts), us))
@@ -685,12 +731,11 @@ class TestPrimitives:
     def test_hash_collisions_stay_exact(self, monkeypatch):
         """Force every row hash equal: dedup and probes must stay exact.
 
-        Only meaningful on multi-word nets -- single-word rows are their
+        Only meaningful on multi-word rows -- single-word rows are their
         own (collision-free) hash by construction.
         """
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-        compiled = CompiledNet.compile(net)
-        assert WordTables(compiled).words >= 2
+        compiled = wide_ope()
+        assert kernel_tables(compiled, dense=True).words >= 2
         # Bounded: with every hash colliding the probes degrade to linear
         # scans, which is exactly the (slow but exact) path under test.
         sequential = explore_compiled(compiled, max_states=2000)
@@ -704,19 +749,15 @@ class TestPrimitives:
         assert_identical(sequential, batch, "degenerate hash")
 
     def test_membership_on_a_multi_word_net(self, monkeypatch):
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-        compiled = CompiledNet.compile(net)
-        assert WordTables(compiled).words >= 2
         # From a 1024-slot first table, 3000 states cross three growths.
         monkeypatch.setattr(HashIndex, "_MIN_BITS", 10)
-        assert_membership(explore_batch(compiled, max_states=3000))
+        graph = explore_batch(wide_ope(), max_states=3000)
+        assert graph.tables.words >= 2
+        assert_membership(graph)
 
     def test_multi_word_net_spans_words(self):
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-        compiled = CompiledNet.compile(net)
-        tables = WordTables(compiled)
-        assert tables.words >= 2
+        compiled = wide_ope()
         graph = explore_batch(compiled, max_states=5000)
-        assert graph.tables.words == tables.words
+        assert graph.tables.words >= 2
         sequential = explore_compiled(compiled, max_states=5000)
         assert_identical(sequential, graph)

@@ -185,6 +185,6 @@ class TestRowPredicateCoversEveryNodeKind:
         markings = [graph._marking_at(index) for index in range(len(graph))]
         for expression in examples[kind]:
             predicate = compile_row_predicate(expression,
-                                              graph.tables.word_bit_of)
+                                              graph.tables.row_test)
             assert predicate(graph._words).tolist() == [
                 bool(expression.evaluate(marking)) for marking in markings]

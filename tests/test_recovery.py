@@ -40,8 +40,9 @@ from test_petri_batch import assert_identical, assert_membership
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Child process: explore a model (linear_pipeline(4), or the two-word
-#: 3-stage OPE cut at 3000 states with "ope3") and print a graph digest:
+#: Child process: explore a model (linear_pipeline(4), or the 4-stage OPE
+#: of static prefix 1, two words in the dense layout, cut at 3000 states
+#: with "ope4p1") and print a graph digest:
 #: the canonical arrays with regenerated edges, and the enabled column.
 #: Run with a checkpoint directory (or "-"); faults are injected through
 #: the inherited REPRO_FAULTS environment.
@@ -66,8 +67,8 @@ def digest(graph):
 
 
 checkpoint = None if sys.argv[1] == "-" else sys.argv[1]
-if sys.argv[2:] == ["ope3"]:
-    net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+if sys.argv[2:] == ["ope4p1"]:
+    net = to_petri_net(build_pipeline_model(4, static_prefix=1))
     graph = build_reachability_graph(net, max_states=3000, resume=checkpoint)
 else:
     net = to_petri_net(linear_pipeline(4))
@@ -153,10 +154,10 @@ class TestCheckpointResume:
 
     def test_write_fault_in_every_level_resumes_bit_identical(
             self, tmp_path, fault_plan):
-        """A write error in each BFS level of the two-word, truncated ope3
+        """A write error in each BFS level of the two-word, truncated ope4p1
         exploration -- from the initial row to the last level -- resumes
         from the manifest's level to the uninterrupted graph."""
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+        net = to_petri_net(build_pipeline_model(4, static_prefix=1))
         reference = build_reachability_graph(net, max_states=3000)
         assert reference.truncated and reference.tables.words >= 2
         levels = reference.exploration_stats["levels"]
@@ -262,13 +263,14 @@ class TestCheckpointResume:
         (("progress", "truncated"), "no"),
         (("progress", "truncated"), None),
         (("version",), 1),
+        (("version",), 2),
     ])
     def test_bad_progress_or_version_degrades_to_a_fresh_run(
             self, tmp_path, fault_plan, path, value):
         """A manifest whose stores pass their CRCs but whose progress
         record has a field missing (``None`` here), mistyped or out of
-        range -- or that has the version-1, edge-keeping layout -- is
-        damage, not a crash."""
+        range -- or that has an older version (1 kept edges, 2 one bit per
+        place in every row) -- is damage, not a crash."""
         checkpoint = str(tmp_path / "ckpt")
         net = to_petri_net(linear_pipeline(4))
         fault_plan("io_error@write=40")
@@ -333,9 +335,9 @@ class TestKillResume:
         """The hash index rebuilt from the checkpointed words is exact."""
         checkpoint = str(tmp_path / "ckpt")
         code, _ = _run_explorer(checkpoint, fault="kill_worker@level=5",
-                                model="ope3")
+                                model="ope4p1")
         assert code == -signal.SIGKILL
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
+        net = to_petri_net(build_pipeline_model(4, static_prefix=1))
         resumed = build_reachability_graph(net, max_states=3000,
                                            resume=checkpoint)
         assert resumed.exploration_stats["checkpoint"]["resumed_from_level"] \

@@ -105,11 +105,38 @@ class TestArrayStore:
         assert not store.spilled
         np.testing.assert_array_equal(store.data, np.arange(70))
         # Geometric: capacity is a power-of-two multiple of the start, and
-        # trim() releases the slack down to the exact length.
+        # trim() exposes exactly the rows written.
         assert len(store._backing) >= 70
         trimmed = store.trim()
         assert len(trimmed) == 70
         np.testing.assert_array_equal(trimmed, np.arange(70))
+
+    def test_trim_is_a_view_of_the_backing(self):
+        """No copy at the finish, so old and new buffers never coexist; the
+        slack stays accounted to the pool until the store is released."""
+        pool = SpillPool()
+        store = ArrayStore(pool, "t", np.int64, capacity=2)
+        store.append(np.arange(70, dtype=np.int64))
+        held = pool._ram_bytes
+        trimmed = store.trim()
+        assert np.shares_memory(trimmed, store._backing)
+        assert pool._ram_bytes == held == store._backing_nbytes()
+        store.release()
+        assert pool._ram_bytes == 0
+        np.testing.assert_array_equal(trimmed, np.arange(70))
+
+    def test_finished_graph_arrays_are_views_of_the_stores(self):
+        compiled = CompiledNet.compile(to_petri_net(
+            build_pipeline_model(2, static_prefix=2)))
+        graph = explore_batch(compiled, max_states=300)
+        backings = {store.name: store._backing
+                    for store in graph._spill_pool._stores}
+        for name, array in (("words", graph._words),
+                            ("enabled", graph._enabled_arr),
+                            ("parents", graph._parents_arr),
+                            ("frontier", graph._frontier_arr)):
+            assert np.shares_memory(array, backings[name]), name
+        assert_identical(explore_compiled(compiled, max_states=300), graph)
 
     def test_two_dimensional_rows(self):
         pool = SpillPool()
