@@ -1,12 +1,8 @@
-"""SMT tier cost profile: unroll encoding, structural proofs, IC3 at scale.
+"""Proving-tier cost profile: structural proofs, and IC3 at scale.
 
-Three costs of the solver-backed proving stack, two of them solver-free so
-the bench (and its regression gates) runs on every CI machine:
+Two costs of the unbounded proving stack, the first solver-free so the
+bench (and its regression gate) runs on every CI machine:
 
-* **BMC unroll encoding** -- the pure-Python cost of producing the SMT-LIB
-  text for a *k*-step unrolling of the motivating conditional example.
-  The formula count is linear in *k*, so the depth-16/depth-4 seconds
-  ratio is a stable scaling signal gated by ``check_regression.py``.
 * **structural deadlock proof** -- the siphon/trap fallback of
   :func:`repro.petri.invariants.siphon_trap_certificate` proving
   deadlock-freedom *cold* (minimal-siphon enumeration included) against
@@ -23,11 +19,10 @@ import time
 
 import pytest
 
-from repro.dfs.examples import conditional_comp_dfs, token_ring
+from repro.dfs.examples import token_ring
 from repro.dfs.translation import to_petri_net
 from repro.petri.invariants import compute_semiflows, siphon_trap_certificate
 from repro.petri.net import PetriNet
-from repro.smt.encoder import SmtEncoder
 from repro.smt.solver import solver_available
 from repro.verification.checkers import (
     CheckerContext,
@@ -37,28 +32,6 @@ from repro.verification.checkers import (
 )
 
 from .conftest import best_of, print_table, timed
-
-#: Unrolling depths of the encoding bench; the gate divides the last two.
-DEPTHS = (2, 4, 16)
-
-#: Timed encoding repetitions (the minimum is reported): the per-depth
-#: encoding cost is sub-millisecond, so single measurements are noise.
-REPEATS = 5
-
-
-def _unrolling(encoder, semiflows, depth):
-    """All SMT-LIB lines of a *depth*-step BMC unrolling."""
-    lines = list(encoder.declare_marking(0))
-    lines += encoder.marking_bounds(0)
-    lines.append(encoder.initial(0))
-    lines += encoder.invariants(semiflows, 0)
-    for step in range(depth):
-        lines += encoder.declare_marking(step + 1)
-        lines += encoder.declare_step(step)
-        lines += encoder.marking_bounds(step + 1)
-        lines += encoder.invariants(semiflows, step + 1)
-        lines += encoder.step_formulas(step)
-    return lines
 
 
 def wide_rings(count):
@@ -77,38 +50,6 @@ def wide_rings(count):
                          (ba, names["nb"]), (ba, names["a"])):
             net.add_arc(src, dst)
     return net
-
-
-def test_bmc_unroll_encoding_latency():
-    net = to_petri_net(conditional_comp_dfs(comp_stages=3))
-    encoder = SmtEncoder(net, safe=True)
-    semiflows = compute_semiflows(net)
-
-    rows = []
-    by_depth = {}
-    for depth in DEPTHS:
-        best = None
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            lines = _unrolling(encoder, semiflows, depth)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        by_depth[depth] = (best, lines)
-        rows.append({
-            "depth": "depth-{}".format(depth),
-            "formulas": len(lines),
-            "kchars": round(sum(len(line) for line in lines) / 1000, 1),
-            "seconds": best,
-        })
-    print_table(
-        "bmc unroll encoding ({} places, {} transitions)".format(
-            len(net.places), len(net.transitions)), rows)
-
-    # The encoding is linear in the depth: formula counts grow by a
-    # constant per step, and no depth is quadratically more expensive.
-    sizes = {depth: len(lines) for depth, (_, lines) in by_depth.items()}
-    per_step = (sizes[16] - sizes[4]) / 12
-    assert sizes[4] - sizes[2] == pytest.approx(2 * per_step)
 
 
 def test_structural_deadlock_proof_vs_exhaustive():

@@ -165,17 +165,6 @@ GATES = [
         "tolerance": 3.00,
     },
     {
-        # The SMT-LIB unrolling must stay linear in the depth: the
-        # depth-16/depth-4 encoding-seconds ratio sits near 4 and doubling
-        # it means a superlinear encoder.
-        "table": "bmc unroll encoding",
-        "key": "depth",
-        "reference": "depth-4",
-        "gated": "depth-16",
-        "label": "bmc unroll encoding scaling",
-        "tolerance": 1.00,
-    },
-    {
         "table": "time slope vs voltage",
         "key": "voltage_V",
         "reference": "1.6",

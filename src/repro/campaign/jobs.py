@@ -26,7 +26,6 @@ from repro.exceptions import ConfigurationError
 from repro.pipelines.control import set_loop_value
 from repro.pipelines.generic import build_generic_pipeline
 from repro.silicon.voltage import VoltageModel
-from repro.smt.solver import solver_fingerprint
 from repro.verification.checkers import CHECKERS, check_checker_options
 from repro.verification.verifier import (
     Verifier,
@@ -174,11 +173,12 @@ class VerificationJob:
         name for a different expression can never be answered from a stale
         cached verdict.
 
-        For solver-backed checkers (and the portfolio, whose default order
-        contains them) the mapping also carries the **solver fingerprint**
-        (the z3 version line, or ``None`` when no solver is available):
-        verdicts that may depend on the solver must not be reused across a
-        solver upgrade or an install/uninstall.  Walk-driven jobs carry
+        For the solver-backed ``ic3`` checker (and the portfolio, whose
+        default order contains it) the mapping also carries the **solver
+        fingerprint** (the z3 version line, or ``None`` when no solver is
+        available): verdicts that may depend on the solver must not be
+        reused across a solver upgrade or an install/uninstall.  Only
+        those jobs import :mod:`repro.smt`.  Walk-driven jobs carry
         ``"walk_backend": "batch"``: the key once named the walk engine
         when there were two, and the swarm is the one left, so the
         constant keeps existing cache keys valid (the swarm width rides in
@@ -200,6 +200,7 @@ class VerificationJob:
         }
         checker_cls = CHECKERS.get(self.checker)
         if checker_cls is not None and checker_cls.uses_solver:
+            from repro.smt.solver import solver_fingerprint
             options["solver"] = solver_fingerprint()
         if self.checker in ("walk", "portfolio"):
             options["walk_backend"] = "batch"

@@ -332,6 +332,17 @@ def overflow_place(tables, rows, source_local, transition, position):
                for bit in iter_bits(words_to_int(remainder & produced)))
 
 
+def distinct_sorted(values):
+    """The distinct values of the non-decreasing array *values*, in order.
+
+    Keeps the first of each run of equal values; unlike ``np.unique``,
+    whose first call imports ``numpy.ma``, it needs no sort either.
+    """
+    first = _np.ones(len(values), dtype=bool)
+    _np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def dedup_first(successor, hashes):
     """Group equal successor rows by their first occurrence.
 
@@ -985,7 +996,8 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     # enabled pair, slept or fired, is an edge.
     if sleep is None:
         dropped = group_target[group_of] < 0
-        stores["frontier"].append(_np.unique(source[dropped]))
+        # Sources follow flatnonzero order: non-decreasing.
+        stores["frontier"].append(distinct_sorted(source[dropped]))
         edges = int(_np.count_nonzero(~dropped))
     _lap(timing, "edges", started)
     return (next_rows, next_enabled, next_hashes, next_sleep), edges, len(flat)

@@ -3,9 +3,9 @@
 The encoding follows the functional style SMPT uses for its z3 backend:
 
 * a marking at unrolling step ``k`` is one Int variable ``|p@k|`` per
-  place, constrained non-negative (and ``<= 1`` when the caller certified
-  1-safety through the place invariants -- the :class:`SmtEncoder` never
-  assumes safeness on its own);
+  place, constrained to ``0..1``: the encoding serves IC3, which runs only
+  on nets whose place invariants certify 1-safety (the caller checks that
+  certificate; the :class:`SmtEncoder` does not);
 * the transition fired at step ``k`` is a single Int selector ``|t@k|``
   ranging over the sorted transition names -- the same canonical order the
   compiled bitmask engine uses, so a model's selector values replay
@@ -17,10 +17,9 @@ The encoding follows the functional style SMPT uses for its z3 backend:
   O(arcs), not O(places x transitions): untouched places contribute one
   frame equality, read arcs contribute nothing to the update at all.
 
-Reach predicates are translated from the AST directly (sound for arbitrary
-token counts -- no 1-safe cube normalisation involved); the DNF cubes of
-:mod:`repro.reach.cubes` are used by the IC3 engine, which runs on
-certified 1-safe nets only.  Place invariants (semiflows) become per-step
+Reach predicates are translated from the AST directly (no 1-safe cube
+normalisation involved); the DNF cubes of :mod:`repro.reach.cubes` are
+what the IC3 engine blocks.  Place invariants (semiflows) become per-step
 linear equalities; asserting them is sound at any step because a semiflow
 holds at the initial marking and is preserved by every firing.
 
@@ -82,12 +81,8 @@ def _literal(value):
 class SmtEncoder:
     """Encode one Petri net into SMT-LIB declaration and formula strings."""
 
-    def __init__(self, net, safe=False):
+    def __init__(self, net):
         self.net = net
-        #: When true, marking bounds also assert ``<= 1``.  The caller must
-        #: have certified 1-safety (via the place invariants) first; the
-        #: encoder does not check.
-        self.safe = bool(safe)
         self.place_names = sorted(net.places)
         self.transition_names = sorted(net.transitions)
         self.transition_index = {
@@ -137,32 +132,16 @@ class SmtEncoder:
                 for var in self.place_variables(step)]
 
     def marking_bounds(self, step):
-        """Range formulas: ``p >= 0``, plus ``p <= 1`` for certified nets."""
-        formulas = []
-        for var in self.place_variables(step):
-            if self.safe:
-                formulas.append("(and (>= {0} 0) (<= {0} 1))".format(var))
-            else:
-                formulas.append("(>= {} 0)".format(var))
-        return formulas
+        """Range formulas ``0 <= p <= 1``, one per place."""
+        return ["(and (>= {0} 0) (<= {0} 1))".format(var)
+                for var in self.place_variables(step)]
 
-    def initial(self, step=0, marking=None):
-        """The formula pinning *step* to the initial (or given) marking."""
-        if marking is None:
-            marking = self.net.initial_marking()
+    def initial(self, step=0):
+        """The formula pinning *step* to the initial marking."""
+        marking = self.net.initial_marking()
         return conjoin([
             "(= {} {})".format(self.place(name, step), _literal(marking[name]))
             for name in self.place_names])
-
-    def marking_from_model(self, values, step=0):
-        """Decode a ``get_values`` answer into a ``{place: tokens}`` dict."""
-        marking = {}
-        for name in self.place_names:
-            key = "{}@{}".format(name, step)
-            if key not in values:
-                return None
-            marking[name] = values[key]
-        return marking
 
     # -- the transition relation ----------------------------------------------
 
@@ -214,13 +193,6 @@ class SmtEncoder:
             formulas.append(
                 "(= {} (+ {} {}))".format(following, current, update))
         return formulas
-
-    def distinct_markings(self, step_a, step_b):
-        """Some place differs between the markings of the two steps."""
-        return disjoin([
-            "(not (= {} {}))".format(self.place(name, step_a),
-                                     self.place(name, step_b))
-            for name in self.place_names])
 
     # -- predicates and invariants --------------------------------------------
 
@@ -282,13 +254,6 @@ class SmtEncoder:
     def invariants(self, semiflows, step):
         return [self.invariant(semiflow, step) for semiflow in semiflows]
 
-    def excess_tokens(self, bound, step):
-        """Some place holds more than *bound* tokens at *step*."""
-        return disjoin([
-            "(> {} {})".format(var, _literal(bound))
-            for var in self.place_variables(step)])
-
     def __repr__(self):
-        return "SmtEncoder({!r}, places={}, transitions={}, safe={})".format(
-            self.net.name, len(self.place_names),
-            len(self.transition_names), self.safe)
+        return "SmtEncoder({!r}, places={}, transitions={})".format(
+            self.net.name, len(self.place_names), len(self.transition_names))

@@ -40,7 +40,6 @@ under ``push``/``pop``.
 import heapq
 import time
 
-from repro.exceptions import VerificationError
 from repro.reach.cubes import Cube
 from repro.smt import proof
 from repro.smt.solver import PipeSolver
@@ -70,10 +69,6 @@ class Ic3:
     def __init__(self, encoder, bad_formula, initial_bad=False, semiflows=(),
                  solver=None, max_frames=64, max_queries=100000,
                  wall_timeout=None, timeout=None):
-        if not encoder.safe:
-            raise VerificationError(
-                "IC3 requires an encoder with certified 1-safe bounds "
-                "(safe=True)")
         self.encoder = encoder
         self.bad_formula = bad_formula
         #: Whether the initial marking itself satisfies the bad predicate

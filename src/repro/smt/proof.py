@@ -1,14 +1,14 @@
-"""The common result record of the SMT proof engines.
+"""The result record of the SMT proof engine.
 
-BMC, k-induction and IC3 all answer the same question -- "is some reachable
-marking bad?" -- with the same three-valued outcome the checker layer
-expects: ``proved`` (no reachable marking is bad, with no state bound),
-``violated`` (a concrete firing sequence reaches a bad marking) or
-``unknown`` (budget, timeout, or a solver that declined).  A ``violated``
-outcome always carries a *trace* of transition names starting at the
-initial marking; the checker layer replays it through
-:meth:`repro.petri.net.PetriNet.fire` before trusting it, so a solver bug
-can cause an inconclusive verdict but never an unsound one.
+IC3 answers one question -- "is some reachable marking bad?" -- with the
+three-valued outcome the checker layer expects: ``proved`` (no reachable
+marking is bad, with no state bound), ``violated`` (a concrete firing
+sequence reaches a bad marking) or ``unknown`` (budget, timeout, or a
+solver that declined).  A ``violated`` outcome always carries a *trace*
+of transition names starting at the initial marking; the checker layer
+replays it through :meth:`repro.petri.net.PetriNet.fire` before trusting
+it, so a solver bug can cause an inconclusive verdict but never an
+unsound one.
 """
 
 PROVED = "proved"
@@ -17,7 +17,7 @@ UNKNOWN = "unknown"
 
 
 class ProofOutcome:
-    """Outcome of one SMT proof engine run."""
+    """Outcome of one IC3 run."""
 
     __slots__ = ("status", "details", "trace", "depth", "certificate")
 
@@ -28,10 +28,10 @@ class ProofOutcome:
         #: Transition names firing from the initial marking to a bad
         #: marking (``violated`` outcomes only).
         self.trace = trace
-        #: Unrolling depth (BMC/k-induction) or frame count (IC3) reached.
+        #: Frame count reached.
         self.depth = depth
-        #: IC3 only: the inductive invariant as a list of blocked-cube
-        #: descriptions, a machine-checkable "why it holds".
+        #: The inductive invariant as a list of blocked-cube descriptions,
+        #: a machine-checkable "why it holds" (``proved`` outcomes only).
         self.certificate = certificate
 
     @property

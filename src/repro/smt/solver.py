@@ -3,9 +3,9 @@
 :class:`PipeSolver` owns one external solver process (``z3 -in -smt2``) and
 talks to it over stdin/stdout, the way SMPT and the Model Checking Contest
 tools drive their solver portfolios.  One process serves a whole proof
-session: the engines of :mod:`repro.smt.bmc` / :mod:`repro.smt.kinduction` /
-:mod:`repro.smt.ic3` assert formulas incrementally and use ``push``/``pop``
-scopes, so the solver keeps its learned clauses across queries.
+session: the IC3 engine of :mod:`repro.smt.ic3` asserts formulas
+incrementally and uses ``push``/``pop`` scopes, so the solver keeps its
+learned clauses across queries.
 
 Robustness rules the engines rely on:
 

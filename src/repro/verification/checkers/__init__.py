@@ -12,15 +12,14 @@ exhaustive explicit/bitmask exploration up to ``max_states``     both ways
 inductive  place invariants + backward induction on the compiled holds (and
            transition relation, no state bound                   some bugs)
 walk       LFSR-seeded guided random walks                       violations
-bmc        SMT bounded model checking (needs z3)                 violations
-kinduction SMT k-induction, simple-path strengthened (needs z3)  both ways
 ic3        SMT IC3/PDR with invariant certificates (needs z3)    both ways
 portfolio  race of the above, first conclusive verdict wins      both ways
 ========== ===================================================== ==========
 
-The three SMT rows are optional: without a z3 binary on ``PATH`` (or with
-``REPRO_NO_Z3`` set) they answer inconclusive with a message naming the
-binary, and the rest of the portfolio carries on.
+The ``ic3`` row is optional: without a z3 binary on ``PATH`` (or with
+``REPRO_NO_Z3`` set) it answers inconclusive with a message naming the
+binary, and the rest of the portfolio carries on.  Importing this package
+does not load the solver tier of :mod:`repro.smt`; only running IC3 does.
 """
 
 from repro.verification.checkers.base import (
@@ -40,16 +39,11 @@ from repro.verification.checkers.base import (
 from repro.verification.checkers.exhaustive import ExhaustiveChecker
 from repro.verification.checkers.inductive import InductiveChecker
 from repro.verification.checkers.portfolio import DEFAULT_ORDER, PortfolioChecker
-from repro.verification.checkers.smt import (
-    BmcChecker,
-    Ic3Checker,
-    KInductionChecker,
-)
+from repro.verification.checkers.smt import Ic3Checker
 from repro.verification.checkers.walk import RandomWalkChecker
 
 __all__ = [
     "CHECKERS",
-    "BmcChecker",
     "Checker",
     "CheckerContext",
     "CheckerOutcome",
@@ -58,7 +52,6 @@ __all__ = [
     "ExhaustiveChecker",
     "Ic3Checker",
     "InductiveChecker",
-    "KInductionChecker",
     "PersistenceQuery",
     "PortfolioChecker",
     "Query",

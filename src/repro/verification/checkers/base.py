@@ -100,6 +100,8 @@ def check_checker_options(checker_options):
                                                 parameter.KEYWORD_ONLY))
         takes_members = any(parameter.kind is parameter.VAR_KEYWORD
                             for parameter in parameters)
+        # A member-taking checker also accepts every checker's name.
+        known = keywords + sorted(CHECKERS) if takes_members else keywords
         for option, value in options.items():
             if option in keywords:
                 continue
@@ -108,7 +110,7 @@ def check_checker_options(checker_options):
                 continue
             raise ConfigurationError(
                 "unknown option {!r} for the {} checker (known: {})".format(
-                    option, name, ", ".join(keywords)))
+                    option, name, ", ".join(known)))
 
 
 # -- queries -----------------------------------------------------------------

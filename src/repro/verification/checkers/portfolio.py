@@ -53,10 +53,9 @@ from repro.verification.checkers.base import (
     register_checker,
 )
 
-#: Default order: prove structurally, falsify cheaply, then bring in the
-#: SMT engines (no-ops without a solver), then explore exhaustively.
-DEFAULT_ORDER = ("inductive", "walk", "bmc", "kinduction", "ic3",
-                 "exhaustive")
+#: Default order: prove structurally, falsify cheaply, then bring in IC3
+#: (a no-op without a solver), then explore exhaustively.
+DEFAULT_ORDER = ("inductive", "walk", "ic3", "exhaustive")
 
 
 def _race_member(net, max_states, resume, name, options, query,
@@ -84,8 +83,9 @@ class PortfolioChecker(Checker):
     name = "portfolio"
     summary = ("rotation or race over the other checkers; first conclusive "
                "verdict wins")
-    #: The default order contains solver-backed members, so portfolio
-    #: verdicts can depend on the solver (campaign digests must notice).
+    #: The default order contains the solver-backed IC3 member, so
+    #: portfolio verdicts can depend on the solver (campaign digests must
+    #: notice).
     uses_solver = True
 
     def __init__(self, context, order=DEFAULT_ORDER, race=False,

@@ -69,11 +69,10 @@ class Verifier:
       all, and no solver.
     * ``"walk"`` -- counter-seeded guided random walks, run as vectorised
       swarms; a pure falsifier.
-    * ``"bmc"`` / ``"kinduction"`` / ``"ic3"`` -- SMT-backed engines of
-      :mod:`repro.smt` (bounded model checking, k-induction, IC3/PDR).
-      BMC falsifies at any depth; k-induction and IC3 prove **unbounded**
-      ("holds" with no state bound).  They need the optional z3 binary:
-      without one every query is inconclusive, with a message naming it.
+    * ``"ic3"`` -- the SMT-backed IC3/PDR engine of :mod:`repro.smt`:
+      proves **unbounded** ("holds" with no state bound) and refutes with
+      a replayed trace.  It needs the optional z3 binary: without one
+      every query is inconclusive, with a message naming it.
     * ``"portfolio"`` -- races the above, first conclusive verdict wins.
 
     The exhaustive path's state-space engine is picked from the net, never

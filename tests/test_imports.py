@@ -16,12 +16,12 @@ import repro
 SRC_DIR = os.path.dirname(os.path.dirname(repro.__file__))
 
 
-def _run_python(code, **env_overrides):
+def _run_python(code, cwd=None, **env_overrides):
     """Run *code* in a fresh interpreter; return its parsed JSON stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    completed = subprocess.run([sys.executable, "-c", code], env=env,
+    completed = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                                capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
     return json.loads(completed.stdout.splitlines()[-1])
@@ -42,6 +42,54 @@ def test_cli_parser_loads_neither_numpy_nor_networkx():
         "repro.workcraft.cli.build_parser()\n"
         "print(json.dumps([name for name in ('numpy', 'networkx') if name in sys.modules]))\n")
     assert loaded == []
+
+
+def _cli_loads(argv, packages, cwd=None):
+    """Run the CLI on *argv* in a fresh interpreter.
+
+    Returns ``[exit code, sorted loaded modules of *packages*]``, where a
+    module counts when it is one of *packages* or lies under one.
+    """
+    return _run_python(
+        "import json, sys\n"
+        "from repro.workcraft.cli import main\n"
+        "code = main({!r})\n"
+        "packages = {!r}\n"
+        "print(json.dumps([code, sorted(\n"
+        "    name for name in sys.modules\n"
+        "    if any(name == p or name.startswith(p + '.') for p in packages))]))\n"
+        .format(list(argv), list(packages)), cwd=cwd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "ring"],
+    ["campaign", "--grid", "depth=2", "--no-cache", "--jobs", "0", "--quiet"],
+    ["campaign", "--grid", "depth=2", "--no-cache", "--jobs", "0", "--quiet",
+     "--checker", "walk"],
+], ids=["verify", "campaign-exhaustive", "campaign-walk"])
+def test_runs_without_ic3_never_load_the_solver_tier(argv, tmp_path):
+    """Only IC3 and the solver fingerprint of ic3/portfolio jobs need z3."""
+    assert _cli_loads(argv, ["repro.smt"], cwd=str(tmp_path)) == [0, []]
+
+
+def test_truncated_verify_does_not_load_numpy_ma():
+    """The cut-level frontier is deduplicated without ``np.unique``."""
+    code, loaded = _cli_loads(
+        ["verify", "--example", "ring", "--max-states", "20"], ["numpy.ma"])
+    assert code == 1  # truncated: inconclusive properties
+    assert loaded == []
+
+
+def test_ic3_without_a_solver_exits_2_and_names_z3():
+    env = dict(os.environ, REPRO_NO_Z3="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.workcraft.cli", "verify", "--example",
+         "ring", "--checker", "ic3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 2
+    assert completed.stderr.startswith("repro-dfs: error: --checker ic3")
+    assert "z3" in completed.stderr
 
 
 @pytest.mark.parametrize("package", _packages())

@@ -560,6 +560,36 @@ class TestDaemonCrashRecovery:
         finally:
             scheduler.shutdown()
 
+    def test_journal_naming_a_retired_checker_does_not_block_restart(
+            self, tmp_path):
+        """A submit record for ``bmc`` or ``kinduction`` (checkers that no
+        longer exist) is malformed: replay skips it and serves the rest."""
+        from repro.campaign.scheduler import CampaignScheduler
+        from repro.utils.journal import JournalWriter
+
+        state = str(tmp_path / "state")
+        with JournalWriter(os.path.join(state, "journal")) as writer:
+            for ticket, job in (
+                    ("retired01", dict(_job_payload("bmc-job"),
+                                       checker="bmc")),
+                    ("retired02", dict(_job_payload("kind-job"),
+                                       checker="portfolio",
+                                       checker_options={
+                                           "kinduction": {"max_depth": 4}})),
+                    ("kept01", _job_payload("still-valid"))):
+                writer.append({"event": "submit", "ticket": ticket,
+                               "job": job, "tenant": None, "priority": 0,
+                               "timeout": None, "time": 0.0})
+        scheduler = CampaignScheduler(parallelism=0, state_dir=state)
+        try:
+            assert scheduler.get("retired01") is None
+            assert scheduler.get("retired02") is None
+            ticket = scheduler.get("kept01")
+            assert ticket is not None
+            assert ticket.wait(timeout=120.0).status == "ok"
+        finally:
+            scheduler.shutdown()
+
     def test_journal_carrying_spill_fields_is_replayed(self, tmp_path):
         """Jobs once carried a per-job spill directory and budget; journals
         holding them still replay (the fields are dropped), so no

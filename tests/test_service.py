@@ -573,6 +573,28 @@ class TestHttpApi:
                 assert "unknown option" in str(rejected.value)
             assert client.stats()["submitted"] == 0
 
+    def test_retired_solver_checkers_answer_400(self, tmp_path):
+        service = VerificationService(parallelism=1,
+                                      cache_dir=str(tmp_path / "cache"))
+        with _DaemonThread(service) as daemon:
+            client = ServiceClient(daemon.address)
+            for fields, message in (
+                    ({"checker": "kinduction"}, "unknown checker 'kinduction'"),
+                    ({"checker": "portfolio",
+                      "checker_options": {"portfolio": {"bmc": {}}}},
+                     "unknown option 'bmc' for the portfolio checker"),
+                    ({"checker": "portfolio",
+                      "checker_options": {"bmc": {"max_depth": 4}}},
+                     "unknown checker 'bmc'")):
+                payload = dict(_conditional_job().to_dict(), **fields)
+                with pytest.raises(ServiceClientError) as rejected:
+                    client.submit(payload)
+                assert rejected.value.status == 400
+                text = str(rejected.value)
+                assert message in text
+                assert "exhaustive, ic3, inductive, portfolio, walk" in text
+            assert client.stats()["submitted"] == 0
+
     def test_backpressure_maps_to_429_with_retry_after(self, tmp_path):
         service = VerificationService(parallelism=1, max_depth=0,
                                       cache_dir=str(tmp_path / "cache"))

@@ -1,11 +1,11 @@
 """Differential and unit suite for the SMT-backed proving stack.
 
-The solver-backed checkers are held to the same bar as every other
-checker: a *conclusive* verdict that contradicts the exhaustive engine on
-a fully explored state space is a soundness bug, never a tuning issue.
+The IC3 checker is held to the same bar as every other checker: a
+*conclusive* verdict that contradicts the exhaustive engine on a fully
+explored state space is a soundness bug, never a tuning issue.
 Because the real ``z3`` binary is optional, most of this module drives the
-engines through a **fake solver**: a brute-force SMT-LIB interpreter
-(complete for the finite-domain encodings the engines emit) written to a
+engine through a **fake solver**: a brute-force SMT-LIB interpreter
+(complete for the finite-domain encodings the engine emits) written to a
 temp file and injected via ``REPRO_SMT_Z3``.  That exercises the entire
 pipeline -- encoder text, pipe protocol, model decoding, trace replay --
 with no external dependency.  A small z3-gated tier on top re-runs the
@@ -67,15 +67,13 @@ from repro.verification.checkers import (
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-SMT_CHECKERS = ("bmc", "kinduction", "ic3")
-
 #: A brute-force SMT-LIB solver speaking the exact protocol subset
 #: :class:`PipeSolver` emits.  Domains: Bool variables range over
 #: {false, true}; Int selectors (``t@k``) over 0..max-literal; every other
-#: Int over {0, 1} -- complete for the ``safe=True`` encodings used below,
-#: where place variables carry asserted 0/1 bounds anyway.  Assertions are
-#: checked as soon as their last variable is assigned, so the search
-#: prunes instead of enumerating the full cross product.
+#: Int over {0, 1} -- complete for the encoder's place variables, which
+#: carry asserted 0/1 bounds anyway.  Assertions are checked as soon as
+#: their last variable is assigned, so the search prunes instead of
+#: enumerating the full cross product.
 FAKE_SOLVER = '''#!/usr/bin/env python3
 import sys
 
@@ -235,8 +233,8 @@ def wide_rings(count):
     """*count* independent pair_ring components: 2**count reachable states.
 
     The state space is exponential in *count* while the encoding stays
-    linear, so induction closes instantly on a net the exhaustive engine
-    cannot finish -- the beyond-the-horizon family of the z3 tier.
+    linear, so IC3 closes instantly on a net the exhaustive engine cannot
+    finish -- the beyond-the-horizon family of the z3 tier.
     """
     net = PetriNet("wide_rings_{}".format(count))
     for i in range(count):
@@ -335,7 +333,7 @@ class TestEncoder:
     def explored(self):
         net = to_petri_net(conditional_comp_dfs(comp_stages=1))
         graph = build_reachability_graph(net)
-        encoder = SmtEncoder(net, safe=True)
+        encoder = SmtEncoder(net)
         return net, graph, encoder
 
     def test_step_relation_accepts_exactly_the_graph_edges(self, explored):
@@ -401,23 +399,14 @@ class TestEncoder:
         for marking in graph.states:
             assert holds_all(formulas, marking_env(encoder, marking, 0))
 
-    def test_marking_round_trips_through_a_model(self, explored):
+    def test_marking_bounds_admit_exactly_the_0_1_markings(self, explored):
         net, graph, encoder = explored
-        marking = net.initial_marking()
-        values = marking_env(encoder, marking, 0)
-        decoded = encoder.marking_from_model(values, step=0)
-        assert decoded == {name: marking[name]
-                           for name in encoder.place_names}
-        assert encoder.marking_from_model({}, step=0) is None
-
-    def test_safe_bounds_and_excess_tokens(self, explored):
-        net, graph, encoder = explored
+        bounds = encoder.marking_bounds(0)
+        for marking in graph.states:
+            assert holds_all(bounds, marking_env(encoder, marking, 0))
         env = marking_env(encoder, net.initial_marking(), 0)
-        assert holds_all(encoder.marking_bounds(0), env)
-        excess = parse_sexpr(encoder.excess_tokens(1, 0))
-        assert evaluate(excess, env) is False
         env[encoder.place_names[0] + "@0"] = 2
-        assert evaluate(excess, env) is True
+        assert not holds_all(bounds, env)
 
 
 # -- the pipe protocol: crash and timeout containment -------------------------
@@ -556,8 +545,7 @@ class TestSolverRespawn:
         monkeypatch.setenv("REPRO_FAULTS", "solver_crash@query=1")
         faults.reset()
         try:
-            checker = create_checker("bmc", CheckerContext(latch_ring()),
-                                     {"max_depth": 4})
+            checker = create_checker("ic3", CheckerContext(latch_ring()))
             outcome = checker.check(DeadlockQuery())
             assert outcome.holds is False  # the verdict itself is unaffected
             assert "solver respawned 1 time(s)" in outcome.details
@@ -590,12 +578,10 @@ class TestAvailability:
         assert "z3" in str(info.value)
 
     def test_solver_checkers_skip_cleanly_without_a_solver(self, no_solver):
-        context = CheckerContext(pair_ring())
-        for name in SMT_CHECKERS:
-            checker = create_checker(name, context)
-            outcome = checker.check(DeadlockQuery())
-            assert outcome.holds is None
-            assert "solver" in outcome.details
+        checker = create_checker("ic3", CheckerContext(pair_ring()))
+        outcome = checker.check(DeadlockQuery())
+        assert outcome.holds is None
+        assert "solver" in outcome.details
 
     def test_portfolio_still_concludes_without_a_solver(self, no_solver):
         net = to_petri_net(token_ring(registers=4, tokens=1))
@@ -682,37 +668,15 @@ class TestSiphonTrap:
 
 
 class TestEnginesWithFakeSolver:
-    def test_bmc_falsifies_with_a_replayable_trace(self, fake_solver):
-        net = latch_ring()
-        checker = create_checker("bmc", CheckerContext(net),
-                                 {"max_depth": 4})
-        outcome = checker.check(DeadlockQuery())
-        assert outcome.holds is False
-        trace = outcome.witnesses[0]["trace"]
-        assert trace == ["t_ab", "t_ba"]
-        marking = net.initial_marking()
-        for transition in trace:
-            marking = net.fire(transition, marking)
-        assert not net.enabled_transitions(marking)
-
-    def test_bmc_cannot_prove_and_says_so(self, fake_solver):
-        checker = create_checker("bmc", CheckerContext(pair_ring()),
-                                 {"max_depth": 3})
-        outcome = checker.check(ReachQuery('$"a" & $"b"'))
-        assert outcome.holds is None
-        assert "cannot prove" in outcome.details
-
-    def test_kinduction_proves_unbounded(self, fake_solver):
-        checker = create_checker("kinduction", CheckerContext(pair_ring()),
-                                 {"max_depth": 4})
+    def test_ic3_proves_unbounded(self, fake_solver):
+        checker = create_checker("ic3", CheckerContext(pair_ring()))
         unreach = checker.check(ReachQuery('$"a" & $"b"'))
         assert unreach.holds is True
         assert "holds, unbounded" in unreach.details
         assert checker.check(DeadlockQuery()).holds is True
 
-    def test_kinduction_falsifies_with_a_trace(self, fake_solver):
-        checker = create_checker("kinduction", CheckerContext(pair_ring()),
-                                 {"max_depth": 4})
+    def test_ic3_falsifies_a_reach_query_with_a_trace(self, fake_solver):
+        checker = create_checker("ic3", CheckerContext(pair_ring()))
         outcome = checker.check(ReachQuery('$"na" & $"b"'))
         assert outcome.holds is False
         assert outcome.witnesses[0]["trace"] == ["t_ab"]
@@ -726,10 +690,17 @@ class TestEnginesWithFakeSolver:
         assert checker.certificate["clauses"]
 
     def test_ic3_falsifies_with_a_trace(self, fake_solver):
-        checker = create_checker("ic3", CheckerContext(latch_ring()))
-        outcome = checker.check(DeadlockQuery())
+        net = latch_ring()
+        outcome = create_checker("ic3", CheckerContext(net)).check(
+            DeadlockQuery())
         assert outcome.holds is False
-        assert outcome.witnesses[0]["trace"] == ["t_ab", "t_ba"]
+        trace = outcome.witnesses[0]["trace"]
+        assert trace == ["t_ab", "t_ba"]
+        marking = net.initial_marking()
+        for transition in trace:
+            marking = net.fire(transition, marking)
+        assert not net.enabled_transitions(marking)
+        assert outcome.witnesses[0]["marking"] == marking
 
     def test_conclusive_verdicts_agree_with_exhaustive(self, fake_solver):
         for net in (pair_ring(), latch_ring()):
@@ -740,39 +711,18 @@ class TestEnginesWithFakeSolver:
             for query in queries:
                 truth = exhaustive.check(query).holds
                 assert truth is not None
-                for name in SMT_CHECKERS:
-                    checker = create_checker(name, context,
-                                             {"max_depth": 4}
-                                             if name != "ic3" else None)
-                    verdict = checker.check(query).holds
-                    assert verdict is None or verdict is truth, \
-                        "{} contradicts exhaustive on {}/{}".format(
-                            name, net.name, query.kind)
+                verdict = create_checker("ic3", context).check(query).holds
+                assert verdict is None or verdict is truth, \
+                    "ic3 contradicts exhaustive on {}/{}".format(
+                        net.name, query.kind)
 
     def test_induction_concludes_where_exhaustive_truncates(self, fake_solver):
         context = CheckerContext(pair_ring(), max_states=1)
         assert create_checker(
             "exhaustive", context).check(DeadlockQuery()).holds is None
-        for name in ("kinduction", "ic3"):
-            outcome = create_checker(name, context).check(DeadlockQuery())
-            assert outcome.holds is True
-            assert "holds, unbounded" in outcome.details
-
-    def test_wide_rings_family_closes_at_k1(self, fake_solver):
-        checker = create_checker("kinduction", CheckerContext(wide_rings(2)),
-                                 {"max_depth": 2})
-        outcome = checker.check(ReachQuery('$"a0" & $"b0"'))
+        outcome = create_checker("ic3", context).check(DeadlockQuery())
         assert outcome.holds is True
-
-    def test_safeness_agrees_with_exhaustive(self, fake_solver):
-        net = pair_ring()
-        context = CheckerContext(net)
-        truth = create_checker("exhaustive", context).check(
-            SafenessQuery()).holds
-        assert truth is True
-        outcome = create_checker("kinduction", context,
-                                 {"max_depth": 3}).check(SafenessQuery())
-        assert outcome.holds in (None, True)
+        assert "holds, unbounded" in outcome.details
 
     def test_ic3_declines_safeness(self, fake_solver):
         outcome = create_checker("ic3", CheckerContext(pair_ring())).check(
@@ -786,7 +736,7 @@ class TestEnginesWithFakeSolver:
 class TestSolverDigests:
     def test_solver_checkers_pin_the_fingerprint(self):
         base = dict(kwargs={"comp_stages": 1}, properties=("deadlock",))
-        for name in SMT_CHECKERS + ("portfolio",):
+        for name in ("ic3", "portfolio"):
             options = VerificationJob(
                 "j", "conditional", checker=name, **base).options()
             assert "solver" in options
@@ -840,17 +790,15 @@ class TestWithRealZ3:
         for query in (DeadlockQuery(), SafenessQuery()):
             truth = exhaustive.check(query).holds
             assert truth is not None
-            for name in SMT_CHECKERS:
-                checker = create_checker(name, context)
-                verdict = checker.check(query).holds
-                assert verdict is None or verdict is truth, \
-                    "{} contradicts exhaustive on {}/{}".format(
-                        name, net.name, query.kind)
+            verdict = create_checker("ic3", context).check(query).holds
+            assert verdict is None or verdict is truth, \
+                "ic3 contradicts exhaustive on {}/{}".format(
+                    net.name, query.kind)
 
-    def test_bmc_finds_the_hole_deadlock(self):
+    def test_ic3_finds_the_hole_deadlock(self):
         net = to_petri_net(build_pipeline_model(3, static_prefix=1,
                                                 holes=[2]))
-        checker = create_checker("bmc", CheckerContext(net))
+        checker = create_checker("ic3", CheckerContext(net))
         outcome = checker.check(DeadlockQuery())
         assert outcome.holds is False
         marking = net.initial_marking()
@@ -865,14 +813,13 @@ class TestWithRealZ3:
         context = CheckerContext(net, max_states=1000)
         assert create_checker("exhaustive", context).check(
             ReachQuery('$"a0" & $"b0"')).holds is None
-        for name in ("kinduction", "ic3"):
-            outcome = create_checker(name, context).check(
-                ReachQuery('$"a0" & $"b0"'))
-            assert outcome.holds is True, name
-            assert "holds, unbounded" in outcome.details
+        outcome = create_checker("ic3", context).check(
+            ReachQuery('$"a0" & $"b0"'))
+        assert outcome.holds is True
+        assert "holds, unbounded" in outcome.details
 
-    def test_kinduction_proves_deadlock_freedom_beyond_the_horizon(self):
+    def test_ic3_proves_deadlock_freedom_beyond_the_horizon(self):
         context = CheckerContext(wide_rings(21), max_states=1000)
-        outcome = create_checker("kinduction", context).check(DeadlockQuery())
+        outcome = create_checker("ic3", context).check(DeadlockQuery())
         assert outcome.holds is True
         assert "holds, unbounded" in outcome.details

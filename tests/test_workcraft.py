@@ -159,6 +159,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--workers" in err and "--spill-dir" in err
 
+    def test_retired_solver_checkers_exit_2(self, capsys):
+        """BMC and k-induction are gone; IC3 is the one solver checker."""
+        for checker in ("bmc", "kinduction"):
+            for command in ("verify", "campaign"):
+                argv = [command, "--checker", checker]
+                argv += (["--example", "ring"] if command == "verify"
+                         else ["--grid", "depth=2"])
+                with pytest.raises(SystemExit) as excinfo:
+                    cli_main(argv)
+                assert excinfo.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bmc'" in err
+        assert "invalid choice: 'kinduction'" in err
+
     @pytest.mark.parametrize("case", ["malformed-model", "bad-spill-budget"])
     def test_library_error_is_one_line_and_exit_2(self, tmp_path, case):
         """Exit 1 means "a property is violated"; an error is not a verdict."""
