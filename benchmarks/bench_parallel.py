@@ -54,12 +54,13 @@ def test_batch_exploration_bit_identical_and_gated():
     # Best of three: the first batch run pays NumPy's lazy-init warmup.
     batch_seconds, batch, kernel_runs = best_of(3, lambda: timed(
         lambda: explore_batch(compiled, max_states=BATCH_HORIZON)))
-    # The batch graph keeps enabled sets; its edges are regenerated.
+    # The batch graph keeps neither edges nor enabled sets: its edges are
+    # regenerated from enabled sets recomputed from its rows.
     for name, left, right in zip(("words", "edges", "offsets", "parents",
                                   "frontier"), graph_columns(batch),
                                  sequential.columns()):
         assert np.array_equal(left, right), name
-    assert np.array_equal(batch._enabled_arr, _pack_bits(
+    assert np.array_equal(batch.tables.enabled_bits(batch._words), _pack_bits(
         batch.tables.enabled_matrix(batch._words)))
     assert batch.truncated == sequential.truncated
     states = len(sequential.states)

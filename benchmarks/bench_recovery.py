@@ -78,8 +78,8 @@ def test_checkpoint_overhead_is_bounded(tmp_path):
     assert durable["levels"] == plain["levels"]
     plain_graph, durable_graph = graphs["no-checkpoint"], graphs["checkpointed"]
     for left, right in zip(
-            graph_columns(durable_graph) + (durable_graph._enabled_arr,),
-            graph_columns(plain_graph) + (plain_graph._enabled_arr,)):
+            graph_columns(durable_graph) + (durable_graph._dead_arr,),
+            graph_columns(plain_graph) + (plain_graph._dead_arr,)):
         assert left.tobytes() == right.tobytes()
     # A completed run leaves nothing behind to clean up.
     assert os.listdir(str(tmp_path / "ckpt")) == []

@@ -180,7 +180,7 @@ def graph_bytes(graph):
     columnar storage win.
     """
     arrays = [getattr(graph, name, None)
-              for name in ("_words", "_enabled_arr", "_parents_arr",
+              for name in ("_words", "_fired_arr", "_dead_arr",
                            "_frontier_arr", "_slots")]
     if arrays[0] is not None:
         return sum(array.nbytes for array in arrays if array is not None)

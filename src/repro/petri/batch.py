@@ -52,19 +52,24 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
 A run (:func:`explore_batch`) is a start, a level loop and a finish.  The
 start yields the stores and a ``progress`` record, fresh or resumed from a
 checkpoint; the level step (:func:`_expand_level`) fires, dedups, probes and
-admits one BFS level, appending each admitted state's row, parent and
-enabled set; the finish builds the graph once, from the finished arrays.
+admits one BFS level, appending each admitted state's row and the
+transition that first reached it, and the indices of admitted states that
+enable nothing; the finish builds the graph once, from the finished arrays.
 
 The result is a :class:`ColumnarReachabilityGraph`: the state table, the
-packed enabled-transition column, parents and frontier all stay NumPy
-arrays.  It keeps no edges -- a state's edges are its enabled transitions,
-fired and looked up in the hash index, regenerated on demand.  The graph's
-own property scans (Reach ``scan``, ``persistence_scan``, ``deadlocks``)
-are vectorised passes over the state table and the enabled column instead
-of per-state Python loops; persistence needs only the enabled sets, since
-in a 1-safe net whether one transition's firing disables another does not
-depend on the state.  Marking-level APIs decode rows to one bit per place
-on demand, and a marking that breaks a field's invariant is no state.
+fired-transition column, the deadlock indices and the frontier all stay
+NumPy arrays, and with the hash index's slots they are all a graph keeps
+(under 20 bytes per state on the paper's 4-stage OPE).  A state's parent
+is found again by firing its transition backwards (firing is reversible in
+a 1-safe net) and looking the row up in the hash index; its edges are its
+enabled transitions, recomputed from its row, fired and looked up the same
+way.  The graph's own property scans (Reach ``scan``,
+``persistence_scan``, ``deadlocks``) are vectorised passes over blocks of
+the state table instead of per-state Python loops; persistence needs only
+the enabled sets, since in a 1-safe net whether one transition's firing
+disables another does not depend on the state.  Marking-level APIs decode
+rows to one bit per place on demand, and a marking that breaks a field's
+invariant is no state.
 
 This is the engine ``build_reachability_graph`` runs for every net that
 compiles and stays 1-safe.
@@ -73,6 +78,7 @@ this engine must match it bit for bit (see ``tests/test_petri_batch.py``).
 """
 
 import os
+from itertools import islice
 from time import perf_counter
 
 import numpy as _np
@@ -98,8 +104,9 @@ from repro.petri.storage import (
 )
 from repro.utils import faults as _faults
 
-#: States per block of the persistence scan: a block's enabled flags, one
-#: byte per (state, transition), stay small enough to transpose in cache.
+#: States per block of the graph's scans: a block's enabled flags, one
+#: byte per (state, transition), stay small enough to transpose in cache,
+#: and no scan builds a temporary the size of the state table.
 _SCAN_BLOCK = 1 << 14
 
 #: Odd 64-bit mixing constants of the row hash (splitmix64 / murmur3
@@ -270,6 +277,17 @@ class WordTables:
                 word |= table[column]
         return _np.ascontiguousarray((self.all_enabled[:, None] & ~blocked).T)
 
+    def unfire(self, rows, transitions):
+        """The rows from which firing *transitions* leads to *rows*.
+
+        Firing is reversible in a 1-safe net: the only row from which an
+        enabled ``t`` leads to ``row`` is ``(row & keep[t] & ~give[t]) |
+        take[t]``.  Whether that row enables ``t`` and is a state is the
+        caller's question.
+        """
+        return ((rows & self.keep[transitions] & ~self.give[transitions])
+                | self.take[transitions])
+
     def row_test(self, place):
         """The layout's vectorised "*place* is marked" test, or ``None``."""
         mask = self.compiled.mask_of(place)
@@ -387,31 +405,36 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
 
     * ``_words`` -- the ``(states, words)`` uint64 state table, in the row
       layout of ``tables.layout``;
-    * ``_enabled_arr`` -- each state's enabled transitions, a packed
-      ``(states, ceil(T/64))`` uint64 bitset (:func:`_pack_bits`);
-    * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
-      (``-1`` for the initial state);
+    * ``_fired_arr`` -- the transition over which the BFS first reached
+      each state (uint8 up to 256 transitions, else uint16; ``0`` for the
+      initial state, which has no parent);
+    * ``_dead_arr`` -- ascending indices of the states that enable no
+      transition;
     * ``_frontier_arr`` -- sorted indices of partially-expanded states;
     * ``_slots`` -- the open-addressing table of state indices
       (:class:`~repro.petri.storage.HashIndex`) used for O(1) marking
       lookup without materialising Python ints.
 
-    The graph keeps no edges, only their count: a state's edges are its
-    enabled transitions, fired and looked up in the hash index
+    The graph keeps no edges, only their count, and no parents or enabled
+    sets: a state's BFS parent is the reverse firing of its fired
+    transition (:meth:`WordTables.unfire`), looked up in the hash index,
+    and its edges are its enabled transitions, recomputed from its row
+    (:meth:`WordTables.enabled_bits`), fired and looked up the same way
     (:meth:`_out_edges`).  The full marking-level
     :class:`~repro.petri.reachability.ReachabilityGraph` API is answered
     from these arrays -- markings decode on demand, successors are
-    regenerated and predecessors found by reverse firing -- so the base
-    class's dict-based structures stay empty.  The property scans
+    regenerated and predecessors and traces found by reverse firing -- so
+    the base class's dict-based structures stay empty.  The property scans
     (:meth:`scan`, :meth:`persistence_scan`, :meth:`deadlocks`) override
-    the base class's marking loops with whole-table vector operations.
+    the base class's marking loops with vector operations over blocks of
+    the state table.
     """
 
     #: Columnar graphs exist only while every marking stayed 1-safe.
     one_safe = True
 
-    def __init__(self, compiled, tables, initial_state, pool, words, enabled,
-                 parents, frontier, slots, edges):
+    def __init__(self, compiled, tables, initial_state, pool, words, fired,
+                 dead, frontier, slots, edges):
         ReachabilityGraph.__init__(self, compiled.net,
                                    compiled.decode(initial_state))
         self.compiled = compiled
@@ -419,8 +442,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         self._decoded = {}
         self._all_decoded = None
         self._words = words
-        self._enabled_arr = enabled
-        self._parents_arr = parents
+        self._fired_arr = fired
+        self._dead_arr = dead
         self._frontier_arr = frontier
         self._slots = slots         # hash index slots: state index or -1
         self._edges = edges         # edges exploration kept
@@ -472,15 +495,18 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     def _out_edges(self, states):
         """The edges of *states*: ``(sources, transitions, targets)`` arrays.
 
-        Each enabled transition is fired and its successor looked up in
-        the hash index.  A successor the state budget turned away is not a
-        state, so a frontier state keeps only the edges exploration kept.
+        Each transition a state's row enables is fired and its successor
+        looked up in the hash index.  A successor the state budget turned
+        away is not a state, so a frontier state keeps only the edges
+        exploration kept.
         Sources follow *states*; transitions ascend within each source.
         """
         states = _np.asarray(states, dtype=_np.int64)
-        enabled = _unpack_bits(self._enabled_arr[states], len(self.tables.need))
+        rows = self._words[states]
+        enabled = _unpack_bits(self.tables.enabled_bits(rows),
+                               len(self.tables.need))
         local, transitions, successors, _ = fire_enabled_flags(
-            self.tables, self._words[states], _np.flatnonzero(enabled))
+            self.tables, rows, _np.flatnonzero(enabled))
         targets = self._lookup(successors)
         kept = targets >= 0
         return states[local[kept]], transitions[kept], targets[kept]
@@ -511,14 +537,14 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     def predecessors(self, marking):
         """Incoming edges, sources in discovery order then edge order.
 
-        Firing is reversible in a 1-safe net: the only row from which
-        ``t`` can lead to *marking*'s is ``(row & keep[t] & ~give[t]) |
-        take[t]``.  It is a predecessor when it is a known state, enables
-        ``t`` and fires back to *marking*.
+        The only row from which ``t`` can lead to *marking*'s is its
+        reverse firing (:meth:`WordTables.unfire`).  It is a predecessor
+        when it is a known state, enables ``t`` and fires back to
+        *marking*.
         """
         tables = self.tables
         row = self._words[self._known_index(marking)]
-        sources = (row & tables.keep & ~tables.give) | tables.take
+        sources = tables.unfire(row, slice(None))
         fired = (sources & tables.keep) | tables.give
         enables = _unpack_bits(tables.enabled_bits(sources),
                                len(tables.need)).diagonal()
@@ -551,49 +577,56 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                     and int(self._frontier_arr[position]) == index)
 
     def deadlocks(self):
-        # A frontier state has an enabled transition (the one whose edge
-        # was dropped), so the all-zero rows are exactly the deadlocks.
-        enabled = self._enabled_arr
-        live = enabled[:, 0] != 0
-        for w in range(1, enabled.shape[1]):
-            live |= enabled[:, w] != 0
-        return [self._marking_at(index)
-                for index in _np.flatnonzero(~live).tolist()]
+        # Exploration noted every admitted state that enables nothing; a
+        # frontier state enables the transition whose edge was dropped.
+        return [self._marking_at(index) for index in self._dead_arr.tolist()]
 
     def edge_count(self):
         return self._edges
 
     def trace_to(self, target):
+        from repro.exceptions import VerificationError
+
         index = self._index_of(target)
         if index is None:
-            from repro.exceptions import VerificationError
             raise VerificationError(
                 "marking is not reachable: {!r}".format(target))
+        # Walk the BFS tree back to the initial state, index 0: a state's
+        # parent is the reverse firing of the transition that reached it.
         trace = []
         names = self.compiled.transition_names
-        parents = self._parents_arr
-        while parents[index] >= 0:
-            packed = int(parents[index])
-            trace.append(names[packed & 0xFFFF])
-            index = packed >> 16
+        row = self._words[index:index + 1]
+        while index:
+            fired = int(self._fired_arr[index])
+            trace.append(names[fired])
+            row = self.tables.unfire(row, fired)
+            index = int(self._lookup(row)[0])
+            if index < 0:
+                raise VerificationError(
+                    "BUG: the parent of a state is not a state")
         trace.reverse()
         return trace
 
     # -- vectorised scans -----------------------------------------------------
 
     def scan(self, expression, limit=None):
-        """Yield matching markings, discovery order, from one table compare.
+        """Yield matching markings, discovery order, one block at a time.
 
-        The expression compiles once to a vectorised predicate over the
-        ``(states, words)`` state table (:func:`compile_row_predicate`);
-        only the first *limit* matches are decoded.
+        The expression compiles once to a vectorised predicate over
+        ``(states, words)`` row tables (:func:`compile_row_predicate`),
+        applied to one ``_SCAN_BLOCK`` of the state table at a time; only
+        the first *limit* matches are decoded, and no block past the
+        *limit*-th match is read.
         """
         predicate = compile_row_predicate(expression, self.tables.row_test)
-        for index in _np.flatnonzero(predicate(self._words))[:limit].tolist():
+        matches = (index for low in range(0, len(self), _SCAN_BLOCK)
+                   for index in (_np.flatnonzero(predicate(
+                       self._words[low:low + _SCAN_BLOCK])) + low).tolist())
+        for index in islice(matches, limit):
             yield self._marking_at(index)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """The persistence scan, in one pass over the enabled column.
+        """The persistence scan, in one pass over the state table.
 
         The contract and witness order of the exact pair loop (kept as the
         ``persistence_scan`` of the test oracle, ``tests/oracles/compiled.py``):
@@ -602,10 +635,11 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         In a 1-safe net, whether firing ``t1`` disables a co-enabled ``t2``
         does not depend on the state (:meth:`_disabling`), so the count is,
         over every pair ``(t1, t2)`` of that table, the number of states
-        enabling both.  Each block of the column is transposed into one
-        packed bitset over states per transition, so a pair costs one AND
-        and a popcount.  Only the first hit states re-run the exact pair
-        loop for witnesses.
+        enabling both.  The enabled sets of each block of the state table
+        are recomputed (:meth:`WordTables.enabled_bits`) and transposed
+        into one packed bitset over states per transition, so a pair costs
+        one AND and a popcount.  Only the first hit states re-run the exact
+        pair loop for witnesses.
         """
         disabling = self._disabling(allow_conflicts)
         firing = _np.flatnonzero(disabling.any(axis=1)).tolist()
@@ -614,8 +648,9 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         violations = 0
         hit_states = []
         for low in range(0, len(self), _SCAN_BLOCK):
-            flags = _unpack_bits(self._enabled_arr[low:low + _SCAN_BLOCK],
-                                 len(disabling))
+            flags = _unpack_bits(
+                self.tables.enabled_bits(self._words[low:low + _SCAN_BLOCK]),
+                len(disabling))
             flags[skipped[low:low + _SCAN_BLOCK]] = False
             # Row t: bit i set when state low + i enables t.  Packing a
             # contiguous copy is several times faster than a strided view.
@@ -663,8 +698,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         need = compiled.need
         names = compiled.transition_names
         state = self._state_int(index)
-        enabled = _np.flatnonzero(_unpack_bits(
-            self._enabled_arr[index:index + 1], len(need))).tolist()
+        enabled = _np.flatnonzero(_unpack_bits(self.tables.enabled_bits(
+            self._words[index:index + 1]), len(need))).tolist()
         for t1 in enabled:
             after = compiled.fire(t1, state)
             for t2 in enabled:
@@ -740,12 +775,14 @@ def checkpoint_identity(compiled, initial_state, max_states, layout):
 
 #: ``(dtype string, columns)`` of every checkpointed store; the manifest
 #: and :meth:`Checkpoint.open` agree on this layout.  ``words`` is the
-#: state table, which the manifest's ``progress["total"]`` counts.
+#: state table, which the manifest's ``progress["total"]`` counts;
+#: ``parents`` holds each state's fired transition, ``dead`` the indices
+#: of states that enable nothing.
 def _checkpoint_specs(tables):
     return {
         "words": ("<u8", tables.words),
-        "parents": ("<i8", 0),
-        "enabled": ("<u8", max(1, (len(tables.need) + 63) // 64)),
+        "parents": ("<u1" if len(tables.need) <= 256 else "<u2", 0),
+        "dead": ("<i8", 0),
         "frontier": ("<i8", 0),
     }
 
@@ -798,7 +835,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         index.extend(hashes)
         # The hash index is derived state, recomputed rather than
         # checkpointed.
-        level = _first_level(stores, progress, hashes)
+        level = _first_level(tables, stores, progress, hashes)
         levels, edges, fired = progress["levels"], progress["edges"], 0
         while len(level[0]):
             levels += 1
@@ -873,26 +910,33 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     if progress is None:
         row = tables.encode_rows([initial_state])
         stores["words"].append(row)
-        stores["parents"].append(_np.full(1, -1, dtype=_np.int64))
-        stores["enabled"].append(tables.enabled_bits(row))
+        # The initial state has no parent; its fired transition is unread.
+        stores["parents"].append(_np.zeros(1, dtype=_np.int64))
+        stores["dead"].append(_dead_rows(tables.enabled_bits(row), 0))
         progress = {"levels": 0, "total": 1, "truncated": False,
                     "level_start": 0, "edges": 0}
     return stores, progress, checkpointer
 
 
-def _first_level(stores, progress, hashes):
+def _first_level(tables, stores, progress, hashes):
     """The level a run expands first: ``(rows, enabled, hashes, sleep)``.
 
-    It is the tail of the state table, of the enabled column and of the
-    row *hashes* from ``progress["level_start"]`` on.  Its sleep sets start
-    empty, which is always valid, or are ``None`` once a level was cut.
+    It is the tail of the state table and of the row *hashes* from
+    ``progress["level_start"]`` on, with its enabled sets recomputed.  Its
+    sleep sets start empty, which is always valid, or are ``None`` once a
+    level was cut.
     """
     tail = slice(progress["level_start"], progress["total"])
-    enabled = stores["enabled"].data[tail]
+    rows = _np.ascontiguousarray(stores["words"].data[tail])
+    enabled = tables.enabled_bits(rows)
     sleep = (None if progress["truncated"]
              else _np.zeros(enabled.shape, dtype=_np.uint64))
-    return (_np.ascontiguousarray(stores["words"].data[tail]), enabled,
-            hashes[tail], sleep)
+    return rows, enabled, hashes[tail], sleep
+
+
+def _dead_rows(enabled, start):
+    """Indices, counted from *start*, of the all-zero *enabled* rows."""
+    return start + _np.flatnonzero(~enabled.any(axis=1))
 
 
 def _lap(timing, phase, started):
@@ -910,14 +954,15 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     and their packed sleep sets (``None`` once pruning is off).  Only the
     pairs ``enabled & ~sleep`` are fired; the level is re-run without
     sleep sets when its fresh successors overflow the state budget.
-    Successor hashes are the parent's hash plus the fired transition's
-    ``delta_hash``, not a rehash of the successor rows; each admitted
-    row's enabled set comes from one :meth:`WordTables.enabled_bits` pass.
-    Appends the admitted successors to the ``words``, ``parents`` and
-    ``enabled`` stores, and the sources whose edges the state budget cut
-    to ``frontier``; adds each phase's seconds to *timing*.  Returns the
-    next level, the number of edges the level kept and the number of pairs
-    it fired, or ``None`` when no transition of the level is enabled.
+    Successor hashes are the parent's plus the fired transition's
+    ``delta_hash``.  Appends the admitted rows to ``words``, the
+    transitions that first reached them to ``parents``, those that enable
+    nothing to ``dead`` and the sources whose edges the state budget cut
+    to ``frontier``, and indexes the admitted rows from the free slots
+    their probes ended at; adds each phase's seconds to *timing*.  Returns
+    the next level (its enabled sets from one :meth:`WordTables.enabled_bits`
+    pass), the number of edges the level kept and the number of pairs it
+    fired, or ``None`` when no transition of the level is enabled.
     """
     rows, enabled, hashes, sleep = level
     words = stores["words"]
@@ -938,17 +983,16 @@ def _expand_level(tables, stores, index, level, max_states, timing):
             tables.compiled.transition_names[int(transition[position])],
             tables.compiled.place_names[overflow_place(
                 tables, rows, source_local, transition, position)])
-    source = source_local + level_start
     # Only now, with no overflow, is every firing carry-free.
     hashes = hashes[source_local] + tables.delta_hash[transition]
-    provenance = (source << 16) | transition
     started = _lap(timing, "fire", started)
 
     # Intra-level dedup of *all* successors first, so the (more expensive)
     # probe against the global index only runs once per distinct
     # successor.  A group's first occurrence carries its minimum
-    # provenance -- the edge over which the sequential BFS first discovers
-    # that state -- and the groups come out in provenance order.
+    # provenance, ``source << 16 | transition`` -- the edge over which the
+    # sequential BFS first discovers that state -- and the groups come out
+    # in provenance order.
     firsts, group_of = dedup_first(successor, hashes)
     group_rows = successor[firsts]
     group_hashes = hashes[firsts]
@@ -957,7 +1001,7 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     # Resolve the distinct successors against the globally known states
     # (exact, hash-accelerated), then admit the unknown ones in provenance
     # order up to the state budget.
-    group_target = index.lookup(group_rows, group_hashes)
+    group_target, ends = index.probe(group_rows, group_hashes)
     words.pool.note_read(len(group_rows) * tables.words * 8)
     fresh = _np.flatnonzero(group_target < 0)
     started = _lap(timing, "probe", started)
@@ -973,13 +1017,13 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     admitted = fresh[:max(0, max_states - total)]
     group_target[admitted] = total + _np.arange(len(admitted))
     admitted_first = firsts[admitted]
-    stores["parents"].append(provenance[admitted_first])
+    stores["parents"].append(transition[admitted_first])
     next_rows = group_rows[admitted]
     words.append(next_rows)
     next_enabled = tables.enabled_bits(next_rows)
-    stores["enabled"].append(next_enabled)
+    stores["dead"].append(_dead_rows(next_enabled, total))
     next_hashes = group_hashes[admitted]
-    index.extend(next_hashes)
+    index.extend(next_hashes, ends[admitted])
     next_sleep = None
     if sleep is not None:
         # The sleep set of a state first reached over (p, u): what p slept
@@ -997,7 +1041,8 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     if sleep is None:
         dropped = group_target[group_of] < 0
         # Sources follow flatnonzero order: non-decreasing.
-        stores["frontier"].append(distinct_sorted(source[dropped]))
+        stores["frontier"].append(
+            distinct_sorted(source_local[dropped] + level_start))
         edges = int(_np.count_nonzero(~dropped))
     _lap(timing, "edges", started)
     return (next_rows, next_enabled, next_hashes, next_sleep), edges, len(flat)
@@ -1014,8 +1059,8 @@ def _finish(compiled, tables, initial_state, pool, stores, slots, edges,
     """
     graph = ColumnarReachabilityGraph(
         compiled, tables, initial_state, pool,
-        words=stores["words"].trim(), enabled=stores["enabled"].trim(),
-        parents=stores["parents"].trim(), frontier=stores["frontier"].trim(),
+        words=stores["words"].trim(), fired=stores["parents"].trim(),
+        dead=stores["dead"].trim(), frontier=stores["frontier"].trim(),
         slots=slots, edges=edges)
     if checkpointer is not None:
         checkpointer.discard()

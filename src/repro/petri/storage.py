@@ -2,9 +2,9 @@
 
 The batch exploration engine builds
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
-handful of growable arrays (state words, enabled-transition bitsets,
-packed parents, the hash index).  This module provides the storage layer
-underneath them:
+handful of growable arrays (state words, fired transitions, deadlock
+indices, the frontier, the hash index).  This module provides the storage
+layer underneath them:
 
 * :class:`ArrayStore` -- a growable 1-D/2-D NumPy array with geometric
   (power-of-two) resizing.  In RAM it grows by allocating a fresh
@@ -452,11 +452,29 @@ class ArrayStore:
         self._length += count
         self.pool.note_write(count * self._row_nbytes)
 
-    def set_length(self, rows):
-        """Reserve and expose *rows* rows; new rows are uninitialised."""
-        self.reserve(rows)
-        if rows > self._length:
-            self.pool.note_write((rows - self._length) * self._row_nbytes)
+    def refill(self, rows, value):
+        """Drop every row, then expose *rows* rows that all hold *value*.
+
+        The old backing is released before the new one is allocated, so
+        the two never coexist and no old row is copied only to be
+        overwritten.  On disk the file only grows, as in :meth:`reserve`.
+        """
+        capacity = 1
+        while capacity < rows:
+            capacity *= 2
+        if self._handle is None:
+            self.pool._ram_bytes -= self._backing_nbytes()
+            self._backing = _np.empty(self._shape(0), dtype=self.dtype)
+            self._length = 0
+            if self.pool._approve_growth(capacity * self._row_nbytes):
+                self._backing = _np.full(self._shape(capacity), value,
+                                         dtype=self.dtype)
+        if self._handle is not None:
+            # Spilled before, or by this growth.
+            if capacity > len(self._backing):
+                self._grow_disk(capacity)
+            self._backing[:rows] = value
+            self.pool.note_write(rows * self._row_nbytes)
         self._length = int(rows)
 
     # -- finalisation --------------------------------------------------------
@@ -528,11 +546,24 @@ def probe_slots(slots, states, rows, hashes):
     home slot, with every occupied slot checked by an exact row compare,
     so the answer is exact whatever the hash quality.
     """
+    return probe_ends(slots, states, rows, hashes)[0]
+
+
+def probe_ends(slots, states, rows, hashes):
+    """:func:`probe_slots`, and the free slot each absent row's probe ended at.
+
+    Returns ``(found, ends)``; ``ends[i]`` is meaningful only where
+    ``found[i]`` is ``-1``.  Every slot from that row's home slot up to
+    its end was occupied, and slots are never freed, so an insertion may
+    start its probe there instead of at home (:meth:`HashIndex.extend`).
+    """
     # Plain views: indexing an np.memmap pays a Python-level __getitem__.
     slots, states = _np.asarray(slots), _np.asarray(states)
     found = _np.full(len(rows), -1, dtype=_np.int64)
     mask = len(slots) - 1
     slot = fibonacci_slots(hashes, mask.bit_length())
+    # Each row's probe position: only the rows that probe on move it.
+    ends = slot.copy()
     pending = _np.arange(len(rows), dtype=_np.intp)
     while len(pending):
         candidate = slots[slot]
@@ -544,7 +575,8 @@ def probe_slots(slots, states, rows, hashes):
         miss = ~match
         pending = pending[miss]
         slot = (slot[miss] + 1) & mask
-    return found
+        ends[pending] = slot
+    return found, ends
 
 
 class HashIndex:
@@ -553,8 +585,9 @@ class HashIndex:
     The table holds only indices (``-1`` marks a free slot): the rows
     themselves stay in the *states* store, and every probe compares them
     exactly.  Slots are int32, or int64 when *wide*.  The load factor stays
-    at most one half: an :meth:`extend` that would pass it doubles the
-    table and re-inserts every state from its row hash.  The table is an
+    at most one half: an :meth:`extend` that would pass it drops the table
+    for one twice (or more times) as large and re-inserts every state from
+    its row hash, one block of states at a time.  The table is an
     :class:`ArrayStore` of *pool*, so it spills with the rest of the graph.
     """
 
@@ -562,13 +595,16 @@ class HashIndex:
     #: load of small graphs low, so their probes end in a round or two.
     _MIN_BITS = 14
 
+    #: States re-inserted per block after a doubling: the temporaries of a
+    #: block (hashes, slots, indices) stay a few MB whatever the graph.
+    _PLACE_BLOCK = 1 << 16
+
     def __init__(self, pool, name, states, hash_rows, wide=False):
         self._states = states
         self._hash_rows = hash_rows
         self._store = ArrayStore(pool, name, _np.int64 if wide else _np.int32,
-                                 capacity=1 << self._MIN_BITS)
-        self._store.set_length(1 << self._MIN_BITS)
-        self._store.data.fill(-1)
+                                 capacity=1)
+        self._store.refill(1 << self._MIN_BITS, -1)
         self.count = 0
 
     @property
@@ -578,32 +614,47 @@ class HashIndex:
 
     def lookup(self, rows, hashes):
         """Indices of *rows* among the indexed states (``-1`` if absent)."""
-        return probe_slots(self.slots, self._states.data, rows, hashes)
+        return self.probe(rows, hashes)[0]
 
-    def extend(self, hashes):
+    def probe(self, rows, hashes):
+        """:meth:`lookup`, and where each absent row's probe ended.
+
+        Returns ``(found, ends)`` (:func:`probe_ends`); hand the ends of
+        the rows that :meth:`extend` then indexes to it, in order.
+        """
+        return probe_ends(self.slots, self._states.data, rows, hashes)
+
+    def extend(self, hashes, ends=None):
         """Index states ``count, count + 1, ...``, given their row *hashes*.
 
         Their rows must already be in the states store, and be distinct
-        from each other and from every indexed state.
+        from each other and from every indexed state.  *ends*, their probe
+        ends from :meth:`probe` with no insertion in between, lets each
+        insertion start where its probe stopped instead of at its home
+        slot; a doubling of the table makes them stale, and is ignored.
         """
         start, total = self.count, self.count + len(hashes)
-        if 2 * total > len(self.slots):
-            capacity = len(self.slots)
-            while 2 * total > capacity:
-                capacity *= 2
-            self._store.set_length(capacity)
-            self.slots.fill(-1)
-            if start:
-                self._place(self._hash_rows(self._states.data[:start]), 0)
-        self._place(hashes, start)
+        bits = len(self._store).bit_length() - 1
+        if 2 * total > 1 << bits:
+            while 2 * total > 1 << bits:
+                bits += 1
+            self._store.refill(1 << bits, -1)
+            for low in range(0, start, self._PLACE_BLOCK):
+                block = self._states.data[low:min(start,
+                                                  low + self._PLACE_BLOCK)]
+                self._place(fibonacci_slots(self._hash_rows(block), bits),
+                            low)
+            ends = None
+        self._place(fibonacci_slots(hashes, bits) if ends is None else ends,
+                    start)
         self.count = total
 
-    def _place(self, hashes, start):
-        """Put indices ``start, start + 1, ...`` into free slots."""
+    def _place(self, slot, start):
+        """Put indices ``start, start + 1, ...`` into the free slots found
+        by linear probing from *slot*."""
         slots = self.slots
         mask = len(slots) - 1
-        slot = fibonacci_slots(hashes, mask.bit_length())
-        pending = _np.arange(start, start + len(hashes), dtype=slots.dtype)
+        pending = _np.arange(start, start + len(slot), dtype=slots.dtype)
         while len(pending):
             free = slots[slot] < 0
             slots[slot[free]] = pending[free]
@@ -615,7 +666,7 @@ class HashIndex:
 
 #: File name of the per-level checkpoint manifest inside a checkpoint dir.
 MANIFEST_NAME = "checkpoint.json"
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 def store_crc(store, rows=None, base=0):

@@ -141,11 +141,14 @@ class ExplorationRecord:
 def graph_columns(graph):
     """The :meth:`ExplorationRecord.columns` arrays of a columnar graph.
 
-    A :class:`~repro.petri.batch.ColumnarReachabilityGraph` keeps enabled
-    sets, not edges, so its packed ``t | target << 16`` edges and their
+    A :class:`~repro.petri.batch.ColumnarReachabilityGraph` keeps neither
+    edges nor parents, so its packed ``t | target << 16`` edges and their
     CSR offsets are regenerated here, through the graph's own edge
-    regeneration (``_out_edges``).  Its state rows are in its row layout;
-    they are decoded to one bit per place.
+    regeneration (``_out_edges``), and its packed ``parent << 16 | t``
+    parents are rebuilt from its fired transitions: each state's row is
+    fired backwards (``WordTables.unfire``) and looked up in the graph.
+    Its state rows are in its row layout; they are decoded to one bit per
+    place.
     """
     import numpy as np
 
@@ -153,9 +156,13 @@ def graph_columns(graph):
     sources, transitions, targets = graph._out_edges(np.arange(states))
     offsets = np.zeros(states + 1, dtype=np.int64)
     np.cumsum(np.bincount(sources, minlength=states), out=offsets[1:])
+    fired = graph._fired_arr[1:].astype(np.int64)
+    parents = np.full(states, -1, dtype=np.int64)
+    parents[1:] = graph._lookup(graph.tables.unfire(
+        graph._words[1:], fired)) << 16 | fired
     return (graph.tables.layout.decode_rows(graph._words),
             transitions | targets << 16, offsets,
-            graph._parents_arr, graph._frontier_arr)
+            parents, graph._frontier_arr)
 
 
 def explore_compiled(compiled, marking=None, max_states=200000):

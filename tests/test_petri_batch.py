@@ -3,13 +3,16 @@
 The differential tests are the contract of the engine: on every model of
 the example family the batch explorer must produce a graph bit-identical to
 the ``explore_compiled`` reference record -- same states in the same
-discovery order, same packed edges (regenerated from the graph's enabled
-sets), same parents (hence traces), same frontier and truncation -- and
+discovery order, same packed edges (regenerated from the states' enabled
+sets), same parents (rebuilt from the fired transitions, hence traces),
+same frontier and truncation -- and
 the columnar fast paths must answer every
 property/Reach query with the same verdicts and witnesses as the explicit
 explorer.
 """
 
+import json
+import os
 import random
 
 import numpy as np
@@ -39,7 +42,7 @@ from repro.petri.compiled import CompiledNet
 from repro.petri.layout import RowLayout
 from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph, explore
-from repro.petri.storage import HashIndex
+from repro.petri.storage import MANIFEST_NAME, HashIndex
 from repro.verification.checkers import (
     DeadlockQuery,
     PersistenceQuery,
@@ -81,8 +84,8 @@ def assert_identical(reference, graph, tag=""):
     *reference* is an :class:`ExplorationRecord` (compared through its
     ``columns()``) or another columnar graph.  A columnar graph's edges
     are regenerated (:func:`graph_columns`) and must match the edge count
-    it kept, and its enabled column must be the enabled matrix of its
-    state table, frontier rows included.
+    it kept, and its deadlock indices must be the all-zero rows of the
+    enabled matrix of its state table.
     """
     if isinstance(reference, ExplorationRecord):
         expected = reference.columns()
@@ -92,10 +95,14 @@ def assert_identical(reference, graph, tag=""):
     for name, left, right in zip(COLUMNS, columns, expected):
         assert np.array_equal(left, right), (tag, name)
     assert graph.edge_count() == len(columns[1]), tag
-    assert np.array_equal(
-        graph._enabled_arr,
-        _pack_bits(graph.tables.enabled_matrix(graph._words))), (tag, "enabled")
+    assert np.array_equal(graph._dead_arr, dead_rows(graph)), (tag, "dead")
     assert graph.truncated == reference.truncated, tag
+
+
+def dead_rows(graph):
+    """The indices of the rows of *graph*'s state table that enable nothing."""
+    enabled = graph.tables.enabled_matrix(graph._words)
+    return np.flatnonzero(~enabled.any(axis=1))
 
 
 def assert_membership(graph, sample=200):
@@ -601,6 +608,12 @@ class TestSleepSets:
                 with pytest.raises(Killed):
                     explore_batch(compiled, max_states=max_states,
                                   checkpoint=checkpoint)
+            if kill_at > 1:
+                with open(os.path.join(checkpoint, MANIFEST_NAME)) as handle:
+                    manifest = json.load(handle)
+                assert manifest["version"] == 4
+                assert sorted(manifest["stores"]) == [
+                    "dead", "frontier", "parents", "words"]
             resumed = explore_batch(compiled, max_states=max_states,
                                     checkpoint=checkpoint)
             stats = resumed.exploration_stats
@@ -677,6 +690,83 @@ class TestSleepSets:
         assert np.array_equal(fire(after_u, ts), fire(fire(rows, ts), us))
         assert np.array_equal(enables(after_u, ts), enables(rows, ts))
         assert np.array_equal(overflows(after_u, ts), overflows(rows, ts))
+
+
+def dead_end_net():
+    """Two independent choices, one of them with a dead end a level later:
+    its six deadlocks lie on two BFS levels, and cuts split them."""
+    net = PetriNet("dead-ends")
+    net.add_place("p", tokens=1)
+    net.add_place("r", tokens=1)
+    for place in ("q0", "q1", "s0", "s1", "s2", "s3"):
+        net.add_place(place)
+    for name, source, target in (("a0", "p", "q0"), ("a1", "p", "q1"),
+                                 ("b0", "r", "s0"), ("b1", "r", "s1"),
+                                 ("b2", "r", "s2"), ("c", "s2", "s3")):
+        net.add_transition(name)
+        net.add_arc(source, name)
+        net.add_arc(name, target)
+    return net
+
+
+class TestKeptColumns:
+    """The graph keeps rows, fired transitions, deadlock indices, the
+    frontier and hash slots; parents, traces and enabled sets are derived
+    from them."""
+
+    @pytest.mark.parametrize("seed,shape", HAZARD_NETS + [FUSED_NET])
+    def test_traces_follow_the_oracles_parents(self, seed, shape):
+        """Every state's trace (a sample on the two wide nets) is the
+        oracle's parent chain, complete and cut at half the states."""
+        compiled = CompiledNet.compile(ring_hazard_net(seed, **shape))
+        full = explore_compiled(compiled)
+        step = 1 if len(full.states) < 1000 else 23
+        for budget in (len(full.states), max(1, len(full.states) // 2)):
+            graph = explore_batch(compiled, max_states=budget)
+            assert graph.truncated == (budget < len(full.states))
+            for index in range(0, budget, step):
+                marking = graph._marking_at(index)
+                assert graph.trace_to(marking) == record_trace(full, index), \
+                    (budget, index)
+
+    def test_deadlocks_keep_the_explicit_order(self):
+        net = dead_end_net()
+        compiled = CompiledNet.compile(net)
+        full = len(explore(net))
+        for budget in range(1, full + 1):
+            graph = explore_batch(compiled, max_states=budget)
+            assert np.array_equal(graph._dead_arr, dead_rows(graph)), budget
+            assert graph.deadlocks() == explore(
+                net, max_states=budget).deadlocks(), budget
+        assert len(graph.deadlocks()) == 6
+
+    def test_fired_column_is_one_byte_up_to_256_transitions(self):
+        small = explore_batch(small_ope())
+        assert small._fired_arr.dtype == np.uint8
+        net = PetriNet("wide-choice")
+        net.add_place("p", tokens=1)
+        for t in range(300):
+            net.add_place("q{}".format(t))
+            net.add_transition("t{}".format(t))
+            net.add_arc("p", "t{}".format(t))
+            net.add_arc("t{}".format(t), "q{}".format(t))
+        compiled = CompiledNet.compile(net)
+        graph = explore_batch(compiled)
+        assert graph._fired_arr.dtype == np.uint16
+        assert_identical(explore_compiled(compiled), graph)
+        assert graph.trace_to(graph._marking_at(300)) == [
+            compiled.transition_names[299]]
+
+    def test_ope4_keeps_at_most_twenty_bytes_per_state(self):
+        """The paper's 4-stage OPE (static prefix 2): one word per row,
+        one byte per fired transition, hash slots at most half full."""
+        graph = explore_batch(CompiledNet.compile(to_petri_net(
+            build_pipeline_model(4, static_prefix=2))), max_states=1000000)
+        assert len(graph) == 855252
+        kept = sum(array.nbytes for array in (
+            graph._words, graph._fired_arr, graph._dead_arr,
+            graph._frontier_arr, graph._slots))
+        assert kept <= 20 * len(graph), kept / len(graph)
 
 
 class TestEngineSelection:

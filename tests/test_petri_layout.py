@@ -5,7 +5,7 @@ net's value-1, 0/1-weight semiflows; the identity layout (one bit per
 place) is its degenerate case.  The differential tests here run both on
 the example families, the golden models, the seeded hazard nets and the
 OPE nets -- complete, cut by the state budget and resumed from a
-checkpoint -- and require the same decoded state table, enabled column,
+checkpoint -- and require the same decoded state table, enabled sets,
 parents, frontier, regenerated edges, traces and verdicts.  The guard
 tests pin the soundness rules: a semiflow becomes a field only with value
 1 at the run's start marking and when every transition moves its token
@@ -74,7 +74,9 @@ def assert_same_graph(dense, plain, sample=300):
             ("words", "edges", "offsets", "parents", "frontier"),
             graph_columns(dense), graph_columns(plain)):
         assert np.array_equal(left, right), name
-    assert np.array_equal(dense._enabled_arr, plain._enabled_arr)
+    assert np.array_equal(dense._dead_arr, plain._dead_arr)
+    assert np.array_equal(dense.tables.enabled_bits(dense._words),
+                          plain.tables.enabled_bits(plain._words))
     assert (dense.truncated, dense.edge_count()) == \
         (plain.truncated, plain.edge_count())
     assert dense.tables.words <= plain.tables.words

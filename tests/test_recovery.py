@@ -43,7 +43,8 @@ SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: Child process: explore a model (linear_pipeline(4), or the 4-stage OPE
 #: of static prefix 1, two words in the dense layout, cut at 3000 states
 #: with "ope4p1") and print a graph digest:
-#: the canonical arrays with regenerated edges, and the enabled column.
+#: the canonical arrays with regenerated edges and rebuilt parents, and the
+#: deadlock indices.
 #: Run with a checkpoint directory (or "-"); faults are injected through
 #: the inherited REPRO_FAULTS environment.
 EXPLORER = '''
@@ -61,7 +62,7 @@ from repro.petri.reachability import build_reachability_graph
 
 def digest(graph):
     material = hashlib.sha256()
-    for array in graph_columns(graph) + (graph._enabled_arr,):
+    for array in graph_columns(graph) + (graph._dead_arr,):
         material.update(array.tobytes())
     return material.hexdigest()
 
@@ -162,10 +163,11 @@ class TestCheckpointResume:
         assert reference.truncated and reference.tables.words >= 2
         levels = reference.exploration_stats["levels"]
         resumed_from = set()
-        # A fault on every store append: an admitting level makes three or
-        # four (parents, words, enabled, and frontier when the budget cut
-        # it), the level after the cut only its frontier append.  The last
-        # assert checks that every level was hit.
+        # A fault on every store append that writes rows: an admitting
+        # level makes two to four (parents, words, and dead and frontier
+        # when it has a deadlock or the budget cut it), the level after
+        # the cut only its frontier append.  The last assert checks that
+        # every level was hit.
         for nth in range(1, 100):
             checkpoint = str(tmp_path / str(nth))
             fault_plan("io_error@write={}".format(nth))
@@ -239,7 +241,7 @@ class TestCheckpointResume:
         path = os.path.join(checkpoint, "checkpoint.json")
         with open(path) as handle:
             manifest = json.load(handle)
-        del manifest["stores"]["enabled"]["crc"]
+        del manifest["stores"]["dead"]["crc"]
         with open(path, "w") as handle:
             json.dump(manifest, handle)
         graph = build_reachability_graph(net, resume=checkpoint)
@@ -264,13 +266,15 @@ class TestCheckpointResume:
         (("progress", "truncated"), None),
         (("version",), 1),
         (("version",), 2),
+        (("version",), 3),
     ])
     def test_bad_progress_or_version_degrades_to_a_fresh_run(
             self, tmp_path, fault_plan, path, value):
         """A manifest whose stores pass their CRCs but whose progress
         record has a field missing (``None`` here), mistyped or out of
         range -- or that has an older version (1 kept edges, 2 one bit per
-        place in every row) -- is damage, not a crash."""
+        place in every row, 3 packed parents and enabled sets) -- is
+        damage, not a crash."""
         checkpoint = str(tmp_path / "ckpt")
         net = to_petri_net(linear_pipeline(4))
         fault_plan("io_error@write=40")

@@ -125,18 +125,26 @@ class TestArrayStore:
         assert pool._ram_bytes == 0
         np.testing.assert_array_equal(trimmed, np.arange(70))
 
-    def test_finished_graph_arrays_are_views_of_the_stores(self):
-        compiled = CompiledNet.compile(to_petri_net(
-            build_pipeline_model(2, static_prefix=2)))
-        graph = explore_batch(compiled, max_states=300)
+    @pytest.mark.parametrize("shape,max_states,names", [
+        ((2, 2, ()), 300, ("words", "parents", "frontier")),
+        ((3, 1, (2,)), 200000, ("words", "parents", "dead")),
+    ], ids=["cut", "deadlock"])
+    def test_finished_graph_arrays_are_views_of_the_stores(
+            self, shape, max_states, names):
+        """Every store a graph keeps rows of backs its array (a cut run
+        keeps frontier rows, a deadlocking one dead rows)."""
+        stages, prefix, holes = shape
+        compiled = CompiledNet.compile(to_petri_net(build_pipeline_model(
+            stages, static_prefix=prefix, holes=list(holes))))
+        graph = explore_batch(compiled, max_states=max_states)
         backings = {store.name: store._backing
                     for store in graph._spill_pool._stores}
-        for name, array in (("words", graph._words),
-                            ("enabled", graph._enabled_arr),
-                            ("parents", graph._parents_arr),
-                            ("frontier", graph._frontier_arr)):
-            assert np.shares_memory(array, backings[name]), name
-        assert_identical(explore_compiled(compiled, max_states=300), graph)
+        arrays = {"words": graph._words, "parents": graph._fired_arr,
+                  "dead": graph._dead_arr, "frontier": graph._frontier_arr}
+        for name in names:
+            assert np.shares_memory(arrays[name], backings[name]), name
+        assert_identical(explore_compiled(compiled, max_states=max_states),
+                         graph)
 
     def test_two_dimensional_rows(self):
         pool = SpillPool()
@@ -197,13 +205,25 @@ class TestArrayStore:
         assert stats["write_bytes"] == 80 and stats["read_bytes"] == 80
         assert stats["files"] >= 1
 
-    def test_set_length_exposes_uninitialised_rows(self):
-        pool = SpillPool()
-        store = ArrayStore(pool, "t", np.int64, capacity=2)
-        store.set_length(50)
-        store.data[:] = 7
-        assert len(store) == 50
-        assert int(store.data.sum()) == 350
+    @pytest.mark.parametrize("budget", [None, 0, 4 * 32])
+    def test_refill_drops_the_rows_and_fills_the_new_ones(self, tmp_path,
+                                                          budget):
+        """In RAM, on disk, and when the refill itself crosses the budget
+        (room for the 16 rows, not the 64): every row holds the value and
+        the pool accounts exactly the new backing while in RAM."""
+        config = None if budget is None else SpillConfig(str(tmp_path),
+                                                         budget)
+        pool = SpillPool(config)
+        store = ArrayStore(pool, "t", np.int32, capacity=4)
+        store.append(np.arange(16, dtype=np.int32))
+        store.refill(64, -1)
+        assert len(store) == 64 and (store.data == -1).all()
+        assert store.spilled == (budget is not None)
+        if not pool.spilled:
+            assert pool._ram_bytes == store._backing_nbytes() == 64 * 4
+        store.data[:3] = 5
+        store.refill(128, 0)
+        assert len(store) == 128 and not store.data.any()
 
     def test_disk_trim_never_truncates_the_file(self, tmp_path):
         pool = SpillPool(SpillConfig(str(tmp_path), 0))
