@@ -1,7 +1,7 @@
 """Crash-safe exploration: the overhead of per-level checkpointing.
 
 `build_reachability_graph(resume=...)` makes the batch engine keep its
-columnar stores at named paths and commit a small chained-CRC manifest
+checkpointed stores in named memmap files and commit a small chained-CRC manifest
 after every BFS level, so a run killed mid-level resumes from the last
 complete level (see ``tests/test_recovery.py`` for the kill/resume
 proofs).  Durability has a price -- one manifest write + fsync per level
@@ -12,9 +12,9 @@ seconds ratio is gated against the committed baseline by
 ``check_regression.py``.
 
 The decomposed cost on a 1-core dev box (~50 levels, ~40 MB of graph):
-~15% for the named disk-backed stores themselves (the out-of-core
-price -- every row now goes through a memmap page instead of a RAM
-array), ~5% for the chained CRCs, and the rest for the per-level syncs
+~15% for the named file-backed stores themselves (every row of a
+checkpointed store goes through a memmap page instead of a RAM array),
+~5% for the chained CRCs, and the rest for the per-level syncs
 (range ``msync`` of each store's appended pages, manifest fsync +
 directory fsync), for a measured total of ~1.4-1.6x.
 :data:`OVERHEAD_CEILING` asserts the absolute shape on every run:

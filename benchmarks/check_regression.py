@@ -83,32 +83,6 @@ GATES = [
         "label": "batch exploration throughput",
     },
     {
-        # The price of spilling: disk-backed seconds over in-RAM seconds,
-        # both measured in fresh subprocesses on the same machine.  The
-        # memmap engine is expected to sit within a few percent of RAM;
-        # the band allows I/O jitter, not a structural slowdown.
-        "table": "out-of-core exploration comparison",
-        "key": "mode",
-        "reference": "in-ram",
-        "gated": "disk-backed",
-        "label": "out-of-core exploration throughput",
-        "tolerance": 0.60,
-    },
-    {
-        # The memory win of spilling: disk-backed peak RSS over in-RAM
-        # peak RSS.  The bench also asserts the absolute ceiling (in-RAM
-        # exceeds it, disk-backed stays under); this gate catches the
-        # *ratio* eroding -- e.g. a level-streaming regression that keeps
-        # the whole graph resident despite the memmap backing.
-        "table": "out-of-core exploration comparison",
-        "key": "mode",
-        "reference": "in-ram",
-        "gated": "disk-backed",
-        "label": "out-of-core peak RSS",
-        "value": "peak_rss_kb",
-        "tolerance": 0.30,
-    },
-    {
         # The vectorised walk swarm: the cost of the 8k-row swarm's fixed
         # 2M-step hunt.  The bench itself pins the acceptance floor over
         # the scalar test oracle (>=5x); this gate catches the swarm slowing

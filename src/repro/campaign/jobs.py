@@ -231,9 +231,8 @@ class VerificationJob:
         # daemon answers with *its* solver.
         payload.pop("solver", None)
         payload.pop("walk_backend", None)
-        # Spill settings belong to the host that explores: older clients
-        # and journals may still carry a per-job directory and budget, but
-        # the daemon spills only where its own environment says.
+        # Older clients and journals may still carry the retired per-job
+        # spill directory and budget; they are dropped.
         payload.pop("spill_dir", None)
         payload.pop("spill_bytes", None)
         # The reachability-engine constant rides in every description (and
@@ -270,8 +269,8 @@ class VerificationJob:
         cache stores) plus per-run bookkeeping (``"cache"`` status,
         ``"elapsed"`` seconds, and -- on cache misses with a columnar
         engine -- the ``"exploration"`` stats of the state-space build;
-        timings and spill byte counts are run facts, not verdict facts, so
-        they never enter the cache).  *cache* is a
+        timings are run facts, not verdict facts, so they never enter the
+        cache).  *cache* is a
         :class:`~repro.campaign.cache.ResultCache`, a cache directory path,
         or ``None`` to disable caching.  *progress* is forwarded to
         :meth:`~repro.verification.verifier.Verifier.verify_properties` on
@@ -337,7 +336,7 @@ class VerificationJob:
         """Return ``(verdict, exploration)``.
 
         The verdict is the deterministic, cacheable half; the exploration
-        stats (per-phase seconds, spill bytes) vary run to run and are
+        stats (per-phase seconds) vary run to run and are
         returned separately so they can ride the result payload without
         polluting the cache.
         """

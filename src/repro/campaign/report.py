@@ -58,24 +58,6 @@ class CampaignReport:
         """True when no job definitely misbehaved (inconclusive is neutral)."""
         return not self.mismatched
 
-    @property
-    def spill_totals(self):
-        """Aggregated out-of-core traffic over all jobs that reported it.
-
-        Cold runs on a columnar engine attach ``"exploration"`` stats to
-        their payload (see ``VerificationJob.run``); warm cache hits carry
-        none, so the totals only count graphs actually (re)built.
-        """
-        totals = {"write_bytes": 0, "read_bytes": 0, "spilled_jobs": 0}
-        for result in self.results:
-            spill = (((result.payload or {}).get("exploration") or {})
-                     .get("spill") or {})
-            if spill.get("spilled"):
-                totals["spilled_jobs"] += 1
-            totals["write_bytes"] += int(spill.get("write_bytes") or 0)
-            totals["read_bytes"] += int(spill.get("read_bytes") or 0)
-        return totals
-
     def summary(self):
         """The aggregate counters as a JSON-able mapping."""
         return {
@@ -88,7 +70,6 @@ class CampaignReport:
             "cache_hits": self.cache_hits,
             "elapsed": self.elapsed,
             "parallelism": self.parallelism,
-            "spill": self.spill_totals,
             "ok": self.ok,
         }
 

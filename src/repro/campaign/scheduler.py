@@ -299,10 +299,6 @@ class CampaignScheduler:
         self._tickets = {}
         self._counters = {"submitted": 0, "completed": 0, "cache_hits": 0,
                           "coalesced": 0, "restored": 0, "requeued": 0}
-        #: Aggregated out-of-core traffic of completed jobs (fed by the
-        #: per-run ``"exploration"`` payload stats; see ``stats()``).
-        self._spill_totals = {"write_bytes": 0, "read_bytes": 0,
-                              "spilled_jobs": 0}
         self._outcome_counts = {}
         self._closed = False
         self._pool = None
@@ -369,7 +365,6 @@ class CampaignScheduler:
             stats = dict(self._counters)
             stats["outcomes"] = dict(self._outcome_counts)
             stats["tickets"] = len(self._tickets)
-            stats["spill"] = dict(self._spill_totals)
         stats["queued"] = self._pool.queued if self._pool is not None else 0
         stats["running"] = self._pool.running if self._pool is not None else 0
         stats["flights"] = len(self._flights)
@@ -435,7 +430,7 @@ class CampaignScheduler:
             verdict = verdicts.get(ticket_id)
             if verdict is not None:
                 # Finished before the crash: restore the recorded result
-                # verbatim, without re-journaling or re-counting spill.
+                # verbatim, without re-journaling it.
                 ticket.record("restored", status=verdict.get("status"))
                 result = CampaignResult(
                     job, verdict.get("status", "error"),
@@ -504,7 +499,7 @@ class CampaignScheduler:
 
     def _resolve_follower(self, ticket, leader_result):
         """Answer a coalesced *ticket* with the leader's verdict in its own
-        record: the leader's run stats (spill) are counted once, for it."""
+        record: the leader's run stats stay with the leader."""
         elapsed = time.time() - ticket.submitted
         if leader_result.status == "ok":
             leader = leader_result.payload
@@ -567,17 +562,10 @@ class CampaignScheduler:
                      "terminated".format(ticket.timeout))
         result = CampaignResult(ticket.job, status, payload=payload,
                                 error=error, elapsed=elapsed)
-        spill = ((payload or {}).get("exploration") or {}).get("spill") or {}
         with self._lock:
             self._counters["completed"] += 1
             self._outcome_counts[status] = (
                 self._outcome_counts.get(status, 0) + 1)
-            if spill.get("spilled"):
-                self._spill_totals["spilled_jobs"] += 1
-            self._spill_totals["write_bytes"] += int(
-                spill.get("write_bytes") or 0)
-            self._spill_totals["read_bytes"] += int(
-                spill.get("read_bytes") or 0)
         # Journal the verdict *before* it becomes observable through the
         # ticket: a crash between the two replays the job (at-least-once),
         # never invents a verdict the client could already have seen.

@@ -95,8 +95,6 @@ from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
     Checkpoint,
     HashIndex,
-    SpillConfig,
-    SpillPool,
     fibonacci_slots,
     fresh_stores,
     probe_slots,
@@ -433,8 +431,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     #: Columnar graphs exist only while every marking stayed 1-safe.
     one_safe = True
 
-    def __init__(self, compiled, tables, initial_state, pool, words, fired,
-                 dead, frontier, slots, edges):
+    def __init__(self, compiled, tables, initial_state, words, fired, dead,
+                 frontier, slots, edges):
         ReachabilityGraph.__init__(self, compiled.net,
                                    compiled.decode(initial_state))
         self.compiled = compiled
@@ -447,20 +445,8 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         self._frontier_arr = frontier
         self._slots = slots         # hash index slots: state index or -1
         self._edges = edges         # edges exploration kept
-        #: The spill pool backing the arrays; kept alive so unlinked
-        #: memmap files outlive the graph.
-        self._spill_pool = pool
         # Only a cut admission leaves partially-expanded states behind.
         self.truncated = len(frontier) > 0
-
-    def close(self):
-        """Release spill-file handles early (safe at any time).
-
-        Spill files are unlinked at creation, so this only drops file
-        descriptors -- arrays already mapped stay valid, and the disk
-        space is reclaimed once they are garbage collected.
-        """
-        self._spill_pool.close()
 
     # -- decoding -------------------------------------------------------------
 
@@ -787,7 +773,7 @@ def _checkpoint_specs(tables):
     }
 
 
-def explore_batch(compiled, marking=None, max_states=200000, spill=None,
+def explore_batch(compiled, marking=None, max_states=200000,
                   checkpoint=None):
     """Whole-frontier breadth-first exploration on NumPy arrays.
 
@@ -802,76 +788,59 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     ``progress`` record to start from: the initial row at level 0, or the
     last complete level of a resumed checkpoint.  The level loop calls
     :func:`_expand_level` once per BFS level and, between levels, only
-    drops spilled pages, passes the ``kill_worker@level`` fault point and
-    records the checkpoint manifest.  :func:`_finish` builds the graph
-    from the finished arrays.
+    passes the ``kill_worker@level`` fault point and records the
+    checkpoint manifest.  :func:`_finish` builds the graph from the
+    finished arrays.
 
-    The arrays live in :class:`~repro.petri.storage.ArrayStore` objects,
-    which move onto unlinked ``np.memmap`` files once the *spill* budget
-    (a :class:`~repro.petri.storage.SpillConfig`; ``None`` reads
-    ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``) is exceeded.  With
-    *checkpoint* set to a directory they live at named paths under it and
-    a :class:`~repro.petri.storage.Checkpoint` manifest is replaced after
-    every level: a later call resumes from the last complete level to the
-    same graph, and a run that finishes removes the files.
+    The arrays live in :class:`~repro.petri.storage.ArrayStore` objects
+    in RAM.  With *checkpoint* set to a directory, the checkpointed ones
+    live instead in ``np.memmap`` files at ``<checkpoint>/<store>.bin``,
+    and a :class:`~repro.petri.storage.Checkpoint` manifest is replaced
+    after every level: a later call resumes from the last complete level
+    to the same graph, and a run that finishes removes the files.  The
+    hash index always stays in RAM; a resumed run rebuilds it from the
+    state rows.
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
     initial = marking if marking is not None else compiled.net.initial_marking()
     initial_state = compiled.encode(initial)
     tables = WordTables(compiled, RowLayout.of(compiled, initial_state))
-    pool = SpillPool(spill if spill is not None else SpillConfig.resolve(),
-                     label="batch", named_dir=checkpoint or None)
     # Seconds per phase of _expand_level, reported as
     # ``exploration_stats["phases"]``.
     timing = dict.fromkeys(("fire", "dedup", "probe", "admit", "edges"), 0.0)
-    try:
-        stores, progress, checkpointer = _start(pool, tables, initial_state,
-                                                max_states, checkpoint)
-        words = stores["words"]
-        index = HashIndex(pool, "hash", words, tables.hash_rows,
-                          wide=max_states >= 2 ** 31)
-        hashes = tables.hash_rows(words.data)
-        index.extend(hashes)
-        # The hash index is derived state, recomputed rather than
-        # checkpointed.
-        level = _first_level(tables, stores, progress, hashes)
-        levels, edges, fired = progress["levels"], progress["edges"], 0
-        while len(level[0]):
-            levels += 1
-            step = _expand_level(tables, stores, index, level, max_states,
-                                 timing)
-            if step is None:
-                break
-            level, kept, count = step
-            edges += kept
-            fired += count
-            # Stream the completed level out of memory: spilled stores drop
-            # their resident pages, so RSS tracks the frontier, not the graph.
-            pool.drop_resident()
-            # Fault point of the crash-recovery tier: firing here leaves the
-            # level's rows appended but unmanifested, exactly the torn state
-            # a mid-level SIGKILL produces.
-            if _faults.trigger("kill_worker", "level"):
-                import signal
-                os.kill(os.getpid(), signal.SIGKILL)
-            if checkpointer is not None:
-                checkpointer.record_level({
-                    "levels": levels,
-                    "total": len(words),
-                    "truncated": len(stores["frontier"]) > 0,
-                    "level_start": len(words) - len(level[0]),
-                    "edges": edges,
-                })
-        graph = _finish(compiled, tables, initial_state, pool, stores,
-                        index.slots, edges, checkpointer)
-    except BaseException:
-        # Exploration died mid-flight: release every store (and spill-file
-        # handle) now instead of waiting for garbage collection.  Named
-        # checkpoint files are deliberately left behind -- they are the
-        # resumable state.
-        pool.close()
-        raise
+    stores, progress, checkpointer = _start(tables, initial_state, max_states,
+                                            checkpoint)
+    words = stores["words"]
+    index = HashIndex(words, tables.hash_rows, wide=max_states >= 2 ** 31)
+    hashes = tables.hash_rows(words.data)
+    index.extend(hashes)
+    level = _first_level(tables, stores, progress, hashes)
+    levels, edges, fired = progress["levels"], progress["edges"], 0
+    while len(level[0]):
+        levels += 1
+        step = _expand_level(tables, stores, index, level, max_states, timing)
+        if step is None:
+            break
+        level, kept, count = step
+        edges += kept
+        fired += count
+        # Fault point of the crash-recovery tier: firing here leaves the
+        # level's rows appended but unmanifested, exactly the torn state
+        # a mid-level SIGKILL produces.
+        if _faults.trigger("kill_worker", "level"):
+            import signal
+            os.kill(os.getpid(), signal.SIGKILL)
+        if checkpointer is not None:
+            checkpointer.record_level({
+                "levels": levels,
+                "total": len(words),
+                "truncated": len(stores["frontier"]) > 0,
+                "level_start": len(words) - len(level[0]),
+                "edges": edges,
+            })
+    graph = _finish(compiled, tables, initial_state, stores, index.slots,
+                    edges, checkpointer)
     graph.exploration_stats = {
         "engine": "batch",
         "levels": levels,
@@ -879,7 +848,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         "edges": graph.edge_count(),
         "fired": fired,
         "phases": timing,
-        "spill": pool.stats(),
         # A manifest is written only after a level, so a fresh run's
         # level 0 never reads as a resume.
         "checkpoint": {"directory": str(checkpoint) if checkpoint else None,
@@ -888,7 +856,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     return graph
 
 
-def _start(pool, tables, initial_state, max_states, checkpoint):
+def _start(tables, initial_state, max_states, checkpoint):
     """The ``(stores, progress, checkpointer)`` a run starts from.
 
     With *checkpoint* set, :meth:`~repro.petri.storage.Checkpoint.open`
@@ -902,11 +870,11 @@ def _start(pool, tables, initial_state, max_states, checkpoint):
     checkpointer, progress = None, None
     if checkpoint:
         checkpointer, stores, progress = Checkpoint.open(
-            checkpoint, pool, specs,
+            checkpoint, specs,
             checkpoint_identity(tables.compiled, initial_state, max_states,
                                 tables.layout))
     else:
-        stores = fresh_stores(pool, specs)
+        stores = fresh_stores(specs)
     if progress is None:
         row = tables.encode_rows([initial_state])
         stores["words"].append(row)
@@ -1002,7 +970,6 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     # (exact, hash-accelerated), then admit the unknown ones in provenance
     # order up to the state budget.
     group_target, ends = index.probe(group_rows, group_hashes)
-    words.pool.note_read(len(group_rows) * tables.words * 8)
     fresh = _np.flatnonzero(group_target < 0)
     started = _lap(timing, "probe", started)
     total = len(words)
@@ -1048,21 +1015,20 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     return (next_rows, next_enabled, next_hashes, next_sleep), edges, len(flat)
 
 
-def _finish(compiled, tables, initial_state, pool, stores, slots, edges,
+def _finish(compiled, tables, initial_state, stores, slots, edges,
             checkpointer):
     """The graph of the finished stores.
 
     A checkpointed run that completes has nothing left to resume from, so
-    its manifest and store files go.  The live memmap views survive the
-    unlink (the kernel keeps the inodes until the handles close), so the
-    graph stays fully usable.
+    its manifest and store files go.  The graph's memmap views survive the
+    unlink (the kernel keeps the inodes until the mappings go), so it
+    stays fully usable.
     """
     graph = ColumnarReachabilityGraph(
-        compiled, tables, initial_state, pool,
+        compiled, tables, initial_state,
         words=stores["words"].trim(), fired=stores["parents"].trim(),
         dead=stores["dead"].trim(), frontier=stores["frontier"].trim(),
         slots=slots, edges=edges)
     if checkpointer is not None:
         checkpointer.discard()
-        pool.discard_checkpoint_files()
     return graph

@@ -259,21 +259,18 @@ def build_reachability_graph(net, marking=None, max_states=200000,
         As for :func:`explore`.
     resume:
         A checkpoint directory making the batch exploration
-        **crash-safe**: the engine keeps its arrays at named paths under
-        the directory and atomically records a manifest after every
-        completed BFS level (see :class:`~repro.petri.storage.Checkpoint`).
-        When the directory already holds a valid manifest -- the leftover
-        of a killed run -- exploration restarts from the last complete
-        level instead of from scratch, and the resumed graph is
-        bit-identical to an uninterrupted run.  A run that completes
-        removes the directory's files.  Ignored by the explicit engine.
+        **crash-safe**: the engine keeps its checkpointed arrays in named
+        files under the directory (the rest of the run stays in RAM) and
+        atomically records a manifest after every completed BFS level
+        (see :class:`~repro.petri.storage.Checkpoint`).  When the
+        directory already holds a valid manifest -- the leftover of a
+        killed run -- exploration restarts from the last complete level
+        instead of from scratch, and the resumed graph is bit-identical
+        to an uninterrupted run.  A run that completes removes the
+        directory's files.  Ignored by the explicit engine.
 
-    The batch engine spills its arrays to disk as the ``REPRO_SPILL_DIR``
-    / ``REPRO_SPILL_BYTES`` environment says (see
-    :mod:`repro.petri.storage`); spilling never changes the graph, only
-    where it lives, and the explicit engine ignores it.
-
-    Both engines explore states in the same order and implement the same
+    Without *resume* the batch engine keeps every array in RAM.  Both
+    engines explore states in the same order and implement the same
     truncation semantics, so the resulting graphs are interchangeable.
     """
     # Imported lazily: batch.py subclasses ReachabilityGraph.
@@ -286,4 +283,6 @@ def build_reachability_graph(net, marking=None, max_states=200000,
                              max_states=max_states,
                              checkpoint=str(resume) if resume else None)
     except CompilationError:
-        return explore(net, marking, max_states=max_states)
+        pass
+    # Outside the handler, so the failed run's arrays are already freed.
+    return explore(net, marking, max_states=max_states)

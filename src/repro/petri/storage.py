@@ -1,54 +1,37 @@
-"""Spillable array storage: RAM-budgeted, memmap-backed columnar arrays.
+"""Columnar array storage: growable arrays in RAM or in a checkpoint file.
 
 The batch exploration engine builds
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
 handful of growable arrays (state words, fired transitions, deadlock
 indices, the frontier, the hash index).  This module provides the storage
-layer underneath them:
+underneath them:
 
 * :class:`ArrayStore` -- a growable 1-D/2-D NumPy array with geometric
-  (power-of-two) resizing.  In RAM it grows by allocating a fresh
+  (power-of-two) resizing.  It has one of two homes, chosen when it is
+  created and never changed.  In RAM it grows by allocating a fresh
   uninitialised buffer and copying only the *used* rows (unlike
   ``np.concatenate([buf, np.zeros_like(buf)])``, which both zeroes and
-  copies the full capacity).  Once its pool spills, the backing becomes an
-  ``np.memmap`` and growth is an ``ftruncate`` + remap -- no copy at all.
-* :class:`SpillPool` -- the shared accountant for one graph's stores.  It
-  tracks the RAM bytes held by all registered stores and, the first time a
-  growth request would push the total past the configured budget, converts
-  *every* store to disk at once (so the RAM working set drops to the
-  frontier-sized temporaries of the exploration loop).
+  copies the full capacity).  In a file it is an ``np.memmap``, and growth
+  is an ``ftruncate`` + remap -- no copy at all.
 * :class:`HashIndex` -- the open-addressing table mapping each state row
   to its index: it stores only the indices and compares rows against the
-  state store, so it costs 4 bytes per slot (8 past ``2**31`` states).
-* :class:`SpillConfig` -- the spill directory and RAM budget.  They are
-  deployment settings, read only from the ``REPRO_SPILL_DIR`` /
-  ``REPRO_SPILL_BYTES`` environment variables (:meth:`SpillConfig.resolve`);
-  spilling never changes a graph, so no verdict or cache key depends on them.
+  state store, so it costs 4 bytes per slot (8 past ``2**31`` states).  It
+  always lives in RAM: it is derived state, rebuilt from the rows.
+* :class:`Checkpoint` -- the per-level manifest of a checkpointed
+  exploration.  Its stores live in files at deterministic paths
+  (``<dir>/<store>.bin``) from their first row, so that an exploration
+  killed mid-level leaves its arrays on disk next to a manifest recording,
+  per completed BFS level, the row counts and chained CRC32 of every
+  store.  Resuming re-opens those files, verifies the CRCs, and continues
+  from the last complete level; a run that finishes removes the files
+  (the live mappings survive the unlink).
 
-Spill files are **unlinked immediately after creation** (open ->
-``os.unlink`` -> ``ftruncate`` -> ``mmap``): the kernel keeps the inode
-alive while the file descriptor / mapping exists and reclaims the space
-the moment the process lets go -- on success, on an exception, and even
-when a supervised worker is SIGKILLed mid-exploration.  On filesystems
-that refuse unlinked mappings the store falls back to named files removed
-by :meth:`SpillPool.close` and an interpreter-exit finalizer.
-
-The exception to the unlink rule is **checkpoint mode** (``named_dir=``):
-a pool given a named directory keeps every spill file at a deterministic
-path (``<dir>/<store>.bin``) and spills from the first row, so that an
-exploration killed mid-level leaves its arrays on disk next to a
-:class:`Checkpoint` manifest recording, per completed BFS level, the row
-counts and chained CRC32 of every store.  Resuming re-opens those files
-(:meth:`ArrayStore.restore`), verifies the CRCs, and continues from the
-last complete level; a run that finishes discards the named files (the
-live mappings survive the unlink, as above).
+A plain run keeps every store in RAM.
 """
 
 import json
 import mmap
 import os
-import tempfile
-import weakref
 import zlib
 
 import numpy as _np
@@ -56,318 +39,41 @@ import numpy as _np
 from repro.exceptions import ConfigurationError
 from repro.utils import faults as _faults
 
-#: Environment knobs (read by :meth:`SpillConfig.resolve`).
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
-SPILL_BYTES_ENV = "REPRO_SPILL_BYTES"
 
-
-class SpillConfig:
-    """Where and when a graph's arrays spill to disk.
-
-    *budget_bytes* is the RAM ceiling for the graph's store backings: the
-    first growth that would exceed it moves every store onto disk.  A
-    budget of ``0`` spills immediately (every array is disk-backed from
-    the first row) -- the mode the ``tests-spill`` CI job runs the whole
-    differential suite under.
-    """
-
-    def __init__(self, directory=None, budget_bytes=0):
-        self.directory = directory if directory is not None else tempfile.gettempdir()
-        self.budget_bytes = int(budget_bytes)
-
-    @classmethod
-    def resolve(cls):
-        """Build a config from ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_BYTES``.
-
-        Returns ``None`` when spilling is disabled (neither variable set).
-        A directory alone means "spill from the start" (budget 0); a budget
-        alone spills into the system temp directory.  A budget that is not
-        a non-negative integer is rejected.
-        """
-        directory = os.environ.get(SPILL_DIR_ENV) or None
-        raw = os.environ.get(SPILL_BYTES_ENV)
-        if directory is None and not raw:
-            return None
-        try:
-            budget = int(raw) if raw else 0
-        except ValueError:
-            budget = None
-        if budget is None or budget < 0:
-            raise ConfigurationError(
-                "{}={!r} is not a byte count".format(SPILL_BYTES_ENV, raw))
-        return cls(directory=directory, budget_bytes=budget)
-
-    def to_dict(self):
-        return {"directory": self.directory, "budget_bytes": self.budget_bytes}
-
-    def __repr__(self):
-        return "SpillConfig(directory={!r}, budget_bytes={})".format(
-            self.directory, self.budget_bytes)
-
-
-def _remove_paths(paths):
-    """Interpreter-exit fallback for named (non-unlinkable) spill files."""
-    for path in paths:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-
-class SpillPool:
-    """Shared RAM accountant and spill-file factory for one graph's stores.
-
-    The pool exists even when spilling is disabled (*config* ``None``):
-    the stores always route growth decisions through it, so the in-RAM
-    and spilled code paths are the same code path, and
-    :meth:`stats` is always available for ``graph.exploration_stats``.
-    """
-
-    def __init__(self, config=None, label="graph", named_dir=None):
-        self.config = config
-        self.label = label
-        self.named_dir = str(named_dir) if named_dir is not None else None
-        self.spilled = False
-        self.write_bytes = 0
-        self.read_bytes = 0
-        self.file_count = 0
-        self.closed = False
-        self._stores = []
-        self._ram_bytes = 0
-        self._serial = 0
-        self._named_paths = []
-        self._checkpoint_paths = []
-        self._finalizer = weakref.finalize(self, _remove_paths, self._named_paths)
-        if self.named_dir is not None:
-            # Checkpoint mode: every store lives at a stable on-disk path
-            # from its first row, so a killed run leaves resumable files.
-            os.makedirs(self.named_dir, exist_ok=True)
-            if self.config is None:
-                self.config = SpillConfig(directory=self.named_dir,
-                                          budget_bytes=0)
-            self.spilled = True
-
-    # -- accounting ----------------------------------------------------------
-
-    def _register(self, store):
-        self._stores.append(store)
-        if self.spilled:
-            store._to_disk()
-        else:
-            self._ram_bytes += store._backing_nbytes()
-            self._check_budget()
-
-    def _unregister(self, store):
-        try:
-            self._stores.remove(store)
-        except ValueError:
-            return
-        if store._handle is None:
-            self._ram_bytes -= store._backing_nbytes()
-
-    def _approve_growth(self, extra_ram_bytes):
-        """Account a RAM growth of *extra_ram_bytes*; maybe spill first.
-
-        Returns ``True`` when the caller should grow in RAM, ``False``
-        when the pool spilled (the caller's store is now disk-backed and
-        must grow on disk instead).
-        """
-        if self.spilled:
-            return False
-        if (self.config is not None
-                and self._ram_bytes + extra_ram_bytes > self.config.budget_bytes):
-            self._spill_all()
-            return False
-        self._ram_bytes += extra_ram_bytes
-        return True
-
-    def _check_budget(self):
-        if (not self.spilled and self.config is not None
-                and self._ram_bytes > self.config.budget_bytes):
-            self._spill_all()
-
-    def _spill_all(self):
-        self.spilled = True
-        for store in self._stores:
-            store._to_disk()
-        self._ram_bytes = 0
-
-    def drop_resident(self):
-        """Stream completed work out of memory: drop spilled stores' pages.
-
-        ``madvise(MADV_DONTNEED)`` on a shared file mapping releases the
-        process's resident pages without touching the data (dirty pages
-        stay in the page cache and are written back normally; later reads
-        refault them on demand).  The exploration loops call this at each
-        BFS level boundary, so the resident set tracks the current level's
-        working set instead of the whole graph.  A no-op until the pool
-        has spilled, and on platforms without ``madvise``.
-        """
-        if not self.spilled:
-            return
-        for store in self._stores:
-            store.drop_resident()
-
-    def note_read(self, nbytes):
-        """Attribute *nbytes* of gather traffic to spill reads (if spilled)."""
-        if self.spilled:
-            self.read_bytes += int(nbytes)
-
-    def note_write(self, nbytes):
-        if self.spilled:
-            self.write_bytes += int(nbytes)
-
-    # -- spill files ---------------------------------------------------------
-
-    def open_spill_file(self, name):
-        """Create (and immediately unlink) a spill file; return its handle.
-
-        In checkpoint mode the file instead lives at the stable path
-        ``<named_dir>/<name>.bin``, is re-opened (not truncated) when it
-        already exists, and is **not** unlinked: surviving the process is
-        the point.  :meth:`discard_checkpoint_files` removes them once an
-        exploration completes.
-        """
-        if self.named_dir is not None:
-            path = os.path.join(self.named_dir, "{}.bin".format(name))
-            handle = open(path, "r+b" if os.path.exists(path) else "w+b")
-            if path not in self._checkpoint_paths:
-                self._checkpoint_paths.append(path)
-            self.file_count += 1
-            return handle
-        if self.config is None:
-            raise ConfigurationError(
-                "BUG: pool {!r} spilled without a spill configuration".format(
-                    self.label))
-        directory = self.config.directory
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "repro-spill-{}-{}-{}.bin".format(
-            os.getpid(), self._serial, name))
-        self._serial += 1
-        handle = open(path, "w+b")
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - non-POSIX fallback
-            self._named_paths.append(path)
-        self.file_count += 1
-        return handle
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def stats(self):
-        """JSON-able spill counters for ``graph.exploration_stats``."""
-        return {
-            "enabled": self.config is not None,
-            "spilled": self.spilled,
-            "budget_bytes": (self.config.budget_bytes
-                             if self.config is not None else None),
-            "directory": (self.config.directory
-                          if self.config is not None else None),
-            "write_bytes": self.write_bytes,
-            "read_bytes": self.read_bytes,
-            "files": self.file_count,
-            "checkpoint": self.named_dir,
-        }
-
-    def discard_checkpoint_files(self):
-        """Unlink the named checkpoint files (live mappings stay valid).
-
-        Called when a checkpointed exploration completes: the graph keeps
-        its memmap views (the kernel holds the inodes), but nothing is
-        left on disk to resume from -- or to leak.
-        """
-        if self._checkpoint_paths:
-            _remove_paths(list(self._checkpoint_paths))
-            del self._checkpoint_paths[:]
-
-    def close(self):
-        """Release every store's backing and remove named fallback files.
-
-        Safe to call at any time: unlinked mappings survive their file
-        descriptor, so arrays still referencing the data stay valid while
-        the disk space is reclaimed as soon as they are garbage collected.
-        """
-        if self.closed:
-            return
-        self.closed = True
-        for store in list(self._stores):
-            store.release()
-        self._stores = []
-        self._ram_bytes = 0
-        if self._named_paths:
-            _remove_paths(list(self._named_paths))
-            del self._named_paths[:]
-        self._finalizer.detach()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        # Keep the pool alive on success (the graph owns the memmaps);
-        # tear it down when the exploration died mid-flight.
-        if exc_type is not None:
-            self.close()
-        return False
+def _capacity(rows):
+    """The least power of two that holds *rows* rows."""
+    capacity = 1
+    while capacity < rows:
+        capacity *= 2
+    return capacity
 
 
 class ArrayStore:
-    """A growable 1-D or 2-D array, RAM-backed until its pool spills.
+    """A growable 1-D or 2-D array, in RAM or in an open file.
 
     *columns* ``0`` makes a 1-D store of dtype *dtype*; otherwise rows are
-    ``(columns,)`` vectors.  :attr:`data` is always a view of exactly the
-    rows written so far; :meth:`append` grows geometrically through the
-    pool's budget accounting.
+    ``(columns,)`` vectors.  Without a *handle* the store lives in RAM and
+    starts empty.  With one (a binary file open for update) it lives in
+    that file as an ``np.memmap`` and exposes the file's first *rows* rows,
+    which the file must hold: the file is sized to the geometric capacity
+    for *capacity* or *rows* rows, dropping any slack past it.
+    :attr:`data` is always a view of exactly the rows written so far;
+    :meth:`append` grows geometrically.
     """
 
-    def __init__(self, pool, name, dtype, columns=0, capacity=256):
-        self.pool = pool
+    def __init__(self, name, dtype, columns=0, capacity=256, handle=None,
+                 rows=0):
         self.name = name
         self.dtype = _np.dtype(dtype)
         self.columns = int(columns)
         self._row_nbytes = self.dtype.itemsize * max(1, self.columns)
-        self._length = 0
-        self._handle = None
-        capacity = max(1, int(capacity))
-        self._backing = _np.empty(self._shape(capacity), dtype=self.dtype)
-        pool._register(self)
-
-    @classmethod
-    def restore(cls, pool, name, dtype, columns, rows):
-        """Re-open a checkpointed store's named file exposing *rows* rows.
-
-        The pool must be in checkpoint mode.  The file is truncated down
-        to the geometric capacity for *rows* (dropping any slack -- and
-        any bytes appended after the manifest was written), never read
-        into RAM: restoring a 100M-row store maps it, nothing more.
-        """
-        if pool.named_dir is None:
-            raise ConfigurationError(
-                "ArrayStore.restore needs a checkpoint-mode pool")
-        store = cls.__new__(cls)
-        store.pool = pool
-        store.name = name
-        store.dtype = _np.dtype(dtype)
-        store.columns = int(columns)
-        store._row_nbytes = store.dtype.itemsize * max(1, store.columns)
-        rows = int(rows)
-        handle = pool.open_spill_file(name)
-        needed = rows * store._row_nbytes
-        size = os.fstat(handle.fileno()).st_size
-        if size < needed:
-            handle.close()
-            raise ConfigurationError(
-                "checkpoint store {!r} holds {} bytes, manifest claims {}"
-                .format(name, size, needed))
-        capacity = 1
-        while capacity < rows:
-            capacity *= 2
-        os.ftruncate(handle.fileno(), capacity * store._row_nbytes)
-        store._backing = _np.memmap(handle, dtype=store.dtype, mode="r+",
-                                    shape=store._shape(capacity))
-        store._handle = handle
-        store._length = rows
-        pool._stores.append(store)
-        return store
+        self._handle = handle
+        capacity = _capacity(max(capacity, rows))
+        if handle is None:
+            self._backing = _np.empty(self._shape(capacity), dtype=self.dtype)
+        else:
+            self._map(capacity)
+        self._length = int(rows)
 
     # -- geometry ------------------------------------------------------------
 
@@ -376,65 +82,35 @@ class ArrayStore:
             return (rows, self.columns)
         return (rows,)
 
-    def _backing_nbytes(self):
-        return len(self._backing) * self._row_nbytes
-
-    @property
-    def spilled(self):
-        return self._handle is not None
-
     def __len__(self):
         return self._length
 
     @property
     def data(self):
-        """View of the rows written so far (a memmap view once spilled)."""
+        """View of the rows written so far (a memmap view in a file)."""
         return self._backing[:self._length]
 
     # -- growth --------------------------------------------------------------
 
     def reserve(self, rows):
         """Ensure capacity for *rows* total rows (geometric growth)."""
-        capacity = len(self._backing)
-        if rows <= capacity:
+        if rows <= len(self._backing):
             return
-        new_capacity = max(capacity, 1)
-        while new_capacity < rows:
-            new_capacity *= 2
+        capacity = _capacity(rows)
         if self._handle is not None:
-            self._grow_disk(new_capacity)
+            self._map(capacity)
             return
-        extra = (new_capacity - capacity) * self._row_nbytes
-        if self.pool._approve_growth(extra):
-            fresh = _np.empty(self._shape(new_capacity), dtype=self.dtype)
-            fresh[:self._length] = self._backing[:self._length]
-            self._backing = fresh
-        else:
-            # The pool spilled (converting this store at its old capacity);
-            # finish the growth on disk.
-            self._grow_disk(new_capacity)
+        fresh = _np.empty(self._shape(capacity), dtype=self.dtype)
+        fresh[:self._length] = self._backing[:self._length]
+        self._backing = fresh
 
-    def _to_disk(self):
-        """Move the backing onto an (unlinked) memmap at current capacity."""
-        if self._handle is not None:
-            return
-        handle = self.pool.open_spill_file(self.name)
-        capacity = max(1, len(self._backing))
-        os.ftruncate(handle.fileno(), capacity * self._row_nbytes)
-        mapped = _np.memmap(handle, dtype=self.dtype, mode="r+",
-                            shape=self._shape(capacity))
-        if self._length:
-            mapped[:self._length] = self._backing[:self._length]
-        self._backing = mapped
-        self._handle = handle
-        self.pool.write_bytes += self._length * self._row_nbytes
-
-    def _grow_disk(self, new_capacity):
-        os.ftruncate(self._handle.fileno(), new_capacity * self._row_nbytes)
+    def _map(self, capacity):
+        """Size the file to *capacity* rows and map all of them."""
+        os.ftruncate(self._handle.fileno(), capacity * self._row_nbytes)
         # Remapping the same descriptor sees the pages the old mapping
-        # wrote (MAP_SHARED); no copy happens on disk growth.
+        # wrote (MAP_SHARED); no copy happens on growth.
         self._backing = _np.memmap(self._handle, dtype=self.dtype, mode="r+",
-                                   shape=self._shape(new_capacity))
+                                   shape=self._shape(capacity))
 
     # -- writes --------------------------------------------------------------
 
@@ -450,31 +126,20 @@ class ArrayStore:
         self.reserve(self._length + count)
         self._backing[self._length:self._length + count] = values
         self._length += count
-        self.pool.note_write(count * self._row_nbytes)
 
     def refill(self, rows, value):
         """Drop every row, then expose *rows* rows that all hold *value*.
 
-        The old backing is released before the new one is allocated, so
-        the two never coexist and no old row is copied only to be
-        overwritten.  On disk the file only grows, as in :meth:`reserve`.
+        In RAM the old backing is released before the new one is
+        allocated, so the two never coexist and no old row is copied only
+        to be overwritten.  In a file the file only grows, as in
+        :meth:`reserve`.
         """
-        capacity = 1
-        while capacity < rows:
-            capacity *= 2
+        self._length = 0
         if self._handle is None:
-            self.pool._ram_bytes -= self._backing_nbytes()
             self._backing = _np.empty(self._shape(0), dtype=self.dtype)
-            self._length = 0
-            if self.pool._approve_growth(capacity * self._row_nbytes):
-                self._backing = _np.full(self._shape(capacity), value,
-                                         dtype=self.dtype)
-        if self._handle is not None:
-            # Spilled before, or by this growth.
-            if capacity > len(self._backing):
-                self._grow_disk(capacity)
-            self._backing[:rows] = value
-            self.pool.note_write(rows * self._row_nbytes)
+        self.reserve(rows)
+        self._backing[:rows] = value
         self._length = int(rows)
 
     # -- finalisation --------------------------------------------------------
@@ -483,41 +148,23 @@ class ArrayStore:
         """The final exact-length array: a view of the backing, not a copy.
 
         A copy would hold the old and new buffers at once, at the peak of
-        the run.  The geometric slack stays allocated, and accounted to the
-        pool, but slack pages never written are never resident.  On disk
-        the file is never truncated downward, so stale larger mappings can
-        never fault.
+        the run.  The geometric slack stays allocated, but slack pages
+        never written are never resident.  A file is never truncated
+        downward, so stale larger mappings can never fault.
         """
         return self._backing[:self._length]
 
-    def drop_resident(self):
-        """Release this store's resident pages (see ``SpillPool.drop_resident``)."""
-        if self._handle is None:
-            return
-        mapping = getattr(self._backing, "_mmap", None)
-        advice = getattr(mmap, "MADV_DONTNEED", None)
-        if mapping is None or advice is None or not hasattr(mapping, "madvise"):
-            return  # pragma: no cover - pre-3.8 or exotic mmap backend
-        try:
-            mapping.madvise(advice)
-        except (OSError, ValueError):  # pragma: no cover - platform quirk
-            pass
-
     def release(self):
-        """Drop the backing and close the spill handle (if any)."""
-        self.pool._unregister(self)
+        """Drop the backing and close the file handle (if any)."""
         self._backing = _np.empty(self._shape(0), dtype=self.dtype)
         self._length = 0
         if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._handle.close()
             self._handle = None
 
     def __repr__(self):
         return "ArrayStore({!r}, rows={}, {})".format(
-            self.name, self._length, "disk" if self.spilled else "ram")
+            self.name, self._length, "ram" if self._handle is None else "file")
 
 
 #: Fibonacci hashing multiplier (2**64 / golden ratio, made odd): the slot
@@ -588,7 +235,7 @@ class HashIndex:
     at most one half: an :meth:`extend` that would pass it drops the table
     for one twice (or more times) as large and re-inserts every state from
     its row hash, one block of states at a time.  The table is an
-    :class:`ArrayStore` of *pool*, so it spills with the rest of the graph.
+    :class:`ArrayStore` in RAM.
     """
 
     #: log2 of the first table's slots: 64 KiB of int32 slots keep the
@@ -599,10 +246,10 @@ class HashIndex:
     #: block (hashes, slots, indices) stay a few MB whatever the graph.
     _PLACE_BLOCK = 1 << 16
 
-    def __init__(self, pool, name, states, hash_rows, wide=False):
+    def __init__(self, states, hash_rows, wide=False):
         self._states = states
         self._hash_rows = hash_rows
-        self._store = ArrayStore(pool, name, _np.int64 if wide else _np.int32,
+        self._store = ArrayStore("hash", _np.int64 if wide else _np.int32,
                                  capacity=1)
         self._store.refill(1 << self._MIN_BITS, -1)
         self.count = 0
@@ -610,7 +257,7 @@ class HashIndex:
     @property
     def slots(self):
         """The slot table, for lookups with :func:`probe_slots`."""
-        return _np.asarray(self._store.data)
+        return self._store.data
 
     def lookup(self, rows, hashes):
         """Indices of *rows* among the indexed states (``-1`` if absent)."""
@@ -681,20 +328,21 @@ def store_crc(store, rows=None, base=0):
     return crc
 
 
-def fresh_stores(pool, specs):
-    """One new, empty store of *pool* per ``name: (dtype, columns)`` spec."""
-    return {name: ArrayStore(pool, name, dtype, columns=columns)
+def fresh_stores(specs):
+    """One new, empty RAM store per ``name: (dtype, columns)`` spec."""
+    return {name: ArrayStore(name, dtype, columns=columns)
             for name, (dtype, columns) in specs.items()}
 
 
 class Checkpoint:
     """The per-level manifest of a checkpointed exploration.
 
-    Tracks a fixed set of append-only stores; :meth:`record_level` flushes
-    their dirty pages, extends each store's *chained* CRC32 by exactly the
-    rows appended since the previous level (so checkpoint cost is
-    proportional to the level, not the graph), and atomically replaces the
-    manifest JSON.  :meth:`open` owns the resume-or-start-fresh rule.
+    Tracks a fixed set of append-only stores, each in its own file at
+    ``<directory>/<store>.bin``; :meth:`record_level` flushes their dirty
+    pages, extends each store's *chained* CRC32 by exactly the rows
+    appended since the previous level (so checkpoint cost is proportional
+    to the level, not the graph), and atomically replaces the manifest
+    JSON.  :meth:`open` owns the resume-or-start-fresh rule.
     """
 
     def __init__(self, directory, identity):
@@ -709,6 +357,9 @@ class Checkpoint:
         self._stores[name] = store
         self._rows[name] = int(rows)
         self._crcs[name] = int(crc)
+
+    def _store_path(self, name):
+        return os.path.join(self.directory, "{}.bin".format(name))
 
     def _load(self):
         """This exploration's manifest payload, or ``None`` if there is none."""
@@ -725,21 +376,52 @@ class Checkpoint:
             return None
         return payload
 
+    def _restore(self, name, dtype, columns, rows):
+        """Re-open store *name*'s file, exposing its first *rows* rows.
+
+        The file is mapped, never read into RAM: restoring a 100M-row
+        store maps it, nothing more.
+        """
+        rows = int(rows)
+        handle = open(self._store_path(name), "r+b")
+        needed = rows * _np.dtype(dtype).itemsize * max(1, int(columns))
+        size = os.fstat(handle.fileno()).st_size
+        if size < needed:
+            handle.close()
+            raise ConfigurationError(
+                "checkpoint store {!r} holds {} bytes, manifest claims {}"
+                .format(name, size, needed))
+        return ArrayStore(name, dtype, columns, capacity=1, handle=handle,
+                          rows=rows)
+
+    def _create(self, name, dtype, columns):
+        """A new, empty store *name* in a new file."""
+        path = self._store_path(name)
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            handle = open(path, "w+b")
+        except OSError as error:
+            raise ConfigurationError(
+                "cannot create checkpoint store file {}: {}".format(
+                    path, error.strerror or error))
+        return ArrayStore(name, dtype, columns, handle=handle)
+
     @classmethod
-    def open(cls, directory, pool, specs, identity):
+    def open(cls, directory, specs, identity):
         """Resume the exploration checkpointed under *directory*, or start fresh.
 
         *specs* maps store name to ``(dtype, columns)``; its ``words``
         store is the state table.  Returns ``(checkpoint, stores,
-        progress)``.  A manifest of this *identity* whose stores all pass
-        their chained-CRC check, and whose progress record of its last
-        completed level is well formed (:func:`_check_progress`), resumes:
-        the stores re-open at the manifest's row counts.  Anything else --
-        no manifest, or a corrupt, wrong-version, foreign or damaged one --
-        starts fresh:
-        the stale manifest is removed, the stores are new and empty, and
-        *progress* is ``None``.  A damaged checkpoint is a cache miss,
-        never an error.
+        progress)``.  A manifest of this *identity* whose stores all open
+        and pass their chained-CRC check, and whose progress record of its
+        last completed level is well formed (:func:`_check_progress`),
+        resumes: the stores re-open at the manifest's row counts.  Anything
+        else -- no manifest, or a corrupt, wrong-version, foreign or
+        damaged one -- starts fresh: the stale manifest is removed, the
+        stores are new and empty, and *progress* is ``None``.  A damaged
+        checkpoint is a cache miss, never an error; a manifest that cannot
+        be removed or a store file that cannot be created raises
+        :class:`ConfigurationError`.
         """
         checkpoint = cls(directory, identity)
         manifest = checkpoint._load()
@@ -750,8 +432,8 @@ class Checkpoint:
                     if not isinstance(entry, dict):
                         raise ConfigurationError(
                             "checkpoint manifest misses store {!r}".format(name))
-                    store = ArrayStore.restore(pool, name, dtype, columns,
-                                               entry["rows"])
+                    store = checkpoint._restore(name, dtype, columns,
+                                                entry["rows"])
                     checkpoint._track(name, store, entry["rows"], entry["crc"])
                     if store_crc(store) != entry["crc"]:
                         raise ConfigurationError(
@@ -760,16 +442,19 @@ class Checkpoint:
                 progress = manifest["progress"]
                 _check_progress(progress, checkpoint._rows["words"])
                 return checkpoint, dict(checkpoint._stores), progress
-            except (ConfigurationError, KeyError, TypeError, ValueError):
-                # A store entry that is missing, malformed or fails its
-                # CRC, or a malformed progress record: the checkpoint is
-                # damaged.
-                for store in checkpoint._stores.values():
-                    store.release()
-                checkpoint = cls(directory, identity)
+            except (OSError, ConfigurationError, KeyError, TypeError,
+                    ValueError):
+                # A store file that does not open, a store entry that is
+                # missing, malformed or fails its CRC, or a malformed
+                # progress record: the checkpoint is damaged.
+                pass
         checkpoint.discard()
-        for name, store in fresh_stores(pool, specs).items():
-            checkpoint._track(name, store)
+        if os.path.lexists(checkpoint.path):
+            raise ConfigurationError(
+                "cannot replace checkpoint manifest {}".format(checkpoint.path))
+        checkpoint = cls(directory, identity)
+        for name, (dtype, columns) in specs.items():
+            checkpoint._track(name, checkpoint._create(name, dtype, columns))
         return checkpoint, dict(checkpoint._stores), None
 
     def record_level(self, progress):
@@ -808,8 +493,18 @@ class Checkpoint:
         _fsync_directory(self.directory)
 
     def discard(self):
-        """Remove the manifest (the run completed or was superseded)."""
-        for path in (self.path, self.path + ".tmp"):
+        """Remove the manifest and the tracked stores' files; close them.
+
+        Called when the run completes, and when the checkpoint is damaged
+        or superseded.  Views of the stores stay valid: a mapping outlives
+        its file handle, and the kernel keeps an unlinked file's inode
+        until its last mapping goes.
+        """
+        for store in self._stores.values():
+            store.release()
+        paths = [self.path, self.path + ".tmp"]
+        paths += [self._store_path(name) for name in self._stores]
+        for path in paths:
             try:
                 os.remove(path)
             except OSError:
@@ -846,9 +541,7 @@ def _flush_rows(store, start, end):
     whole-mapping ``msync`` would re-walk the entire file's pages every
     level, turning per-level cost into per-graph cost.
     """
-    mapping = getattr(store._backing, "_mmap", None)
-    if mapping is None:
-        return  # RAM-backed: nothing on disk to sync yet
+    mapping = store._backing._mmap
     page = mmap.ALLOCATIONGRANULARITY
     first = (start * store._row_nbytes) // page * page
     last = min(len(mapping),

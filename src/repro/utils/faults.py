@@ -160,7 +160,7 @@ def trigger(name, site=None):
     """``True`` when the configured plan fires fault *name* at *site*.
 
     The caller decides what a firing means: the supervised pool SIGKILLs
-    the worker, the solver shim kills the z3 child, the spill layer raises
+    the worker, the solver shim kills the z3 child, a columnar store raises
     :class:`FaultError` from the write path.  With no ``REPRO_FAULTS`` in
     the environment this is a single global check.
     """

@@ -272,7 +272,7 @@ class CheckerContext:
     def exploration(self):
         """Structured exploration stats, or ``None`` (no graph / explicit engine).
 
-        The batch engine attaches per-phase timings and spill counters
+        The batch engine attaches per-phase timings and level counts
         to the graph (``graph.exploration_stats``); this surfaces them to
         summaries, campaign payloads and the service ``/stats``.
         """

@@ -68,7 +68,7 @@ class VerificationSummary:
         self.state_count = state_count
         self.truncated = truncated
         #: Structured exploration stats of the state-space build (engine,
-        #: levels, per-phase seconds, spill read/write bytes) when a
+        #: levels, per-phase seconds) when a
         #: columnar engine produced the graph; ``None`` otherwise.
         self.exploration = exploration
 

@@ -11,7 +11,7 @@ Three layers of the crash story are exercised end to end:
   with the same ``--state-dir`` answers old ticket ids: finished tickets
   from the journal, in-flight ones by re-running;
 * **fault sites** -- ``io_error@write`` surfaces as :class:`FaultError`
-  from the spill layer, ``kill_worker@task`` crashes a supervised worker
+  from a columnar store's write path, ``kill_worker@task`` crashes a supervised worker
   (contained as a ``"crashed"`` outcome), ``solver_crash@query`` kills the
   z3 child mid-query and the pipe solver respawns it once, transparently.
 """
@@ -30,6 +30,7 @@ import pytest
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
+from repro.exceptions import ConfigurationError
 from repro.parallel.supervisor import run_supervised
 from repro.petri.reachability import build_reachability_graph
 from repro.service.client import ServiceClient, ServiceClientError
@@ -299,6 +300,56 @@ class TestCheckpointResume:
             is None
         assert_identical(build_reachability_graph(net), graph)
         assert os.listdir(checkpoint) == []
+
+
+    def test_missing_store_file_degrades_to_a_fresh_run(self, tmp_path,
+                                                        fault_plan):
+        """A store file that does not open is damage, not a crash."""
+        checkpoint = str(tmp_path / "ckpt")
+        net = to_petri_net(linear_pipeline(4))
+        fault_plan("io_error@write=40")
+        with pytest.raises(FaultError):
+            build_reachability_graph(net, resume=checkpoint)
+        fault_plan("")
+        os.remove(os.path.join(checkpoint, "parents.bin"))
+        graph = build_reachability_graph(net, resume=checkpoint)
+        assert graph.exploration_stats["checkpoint"]["resumed_from_level"] \
+            is None
+        assert_identical(build_reachability_graph(net), graph)
+        assert os.listdir(checkpoint) == []
+
+    def test_store_path_that_is_a_directory_is_a_configuration_error(
+            self, tmp_path, fault_plan):
+        """A damaged checkpoint whose fresh start cannot create a store
+        file either raises an error naming the path."""
+        checkpoint = str(tmp_path / "ckpt")
+        net = to_petri_net(linear_pipeline(4))
+        fault_plan("io_error@write=40")
+        with pytest.raises(FaultError):
+            build_reachability_graph(net, resume=checkpoint)
+        fault_plan("")
+        words = os.path.join(checkpoint, "words.bin")
+        os.remove(words)
+        os.mkdir(words)
+        with pytest.raises(ConfigurationError, match="words.bin"):
+            build_reachability_graph(net, resume=checkpoint)
+
+    @pytest.mark.parametrize("name", ["words.bin", "checkpoint.json"])
+    def test_store_path_that_is_a_directory_exits_2(self, tmp_path, name):
+        """Exit 1 means "a property is violated": a checkpoint directory
+        that cannot hold a store file or the manifest is an error,
+        reported in one line."""
+        checkpoint = tmp_path / "ck"
+        (checkpoint / name).mkdir(parents=True)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.workcraft.cli", "verify",
+             "--example", "ring", "--resume", str(checkpoint),
+             "--no-persistence"],
+            capture_output=True, text=True, timeout=120, env=_child_env())
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("repro-dfs: error: ")
+        assert str(checkpoint / name) in completed.stderr
 
 
 class TestKillResume:

@@ -147,7 +147,6 @@ class TestCli:
             capsys.readouterr().err
 
     def test_removed_workers_and_engine_choices_exit_2(self, capsys):
-        # Spill is set by REPRO_SPILL_DIR / REPRO_SPILL_BYTES only.
         for argv in (["verify", "--example", "ring", "--workers", "2"],
                      ["verify", "--example", "ring", "--engine", "compiled"],
                      ["campaign", "--grid", "depth=2", "--workers", "2"],
@@ -173,20 +172,15 @@ class TestCli:
         assert "invalid choice: 'bmc'" in err
         assert "invalid choice: 'kinduction'" in err
 
-    @pytest.mark.parametrize("case", ["malformed-model", "bad-spill-budget"])
-    def test_library_error_is_one_line_and_exit_2(self, tmp_path, case):
+    def test_library_error_is_one_line_and_exit_2(self, tmp_path):
         """Exit 1 means "a property is violated"; an error is not a verdict."""
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        argv = [sys.executable, "-m", "repro.workcraft.cli", "verify"]
-        if case == "malformed-model":
-            model = tmp_path / "bad.json"
-            model.write_text('{"nodes": 3}')
-            argv.append(str(model))
-        else:
-            env["REPRO_SPILL_BYTES"] = "abc"
-            argv += ["--example", "ring"]
+        model = tmp_path / "bad.json"
+        model.write_text('{"nodes": 3}')
+        argv = [sys.executable, "-m", "repro.workcraft.cli", "verify",
+                str(model)]
         completed = subprocess.run(argv, capture_output=True, text=True,
                                    env=env, timeout=120)
         assert completed.returncode == 2
