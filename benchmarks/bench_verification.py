@@ -17,9 +17,10 @@ from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.translation import to_petri_net
 from repro.petri.batch import explore_batch
 from repro.petri.compiled import CompiledNet
-from repro.petri.reachability import explore
 from repro.pipelines.generic import build_generic_pipeline
 from repro.verification.verifier import Verifier
+
+from oracles.reachability import explore
 
 from .conftest import best_of, print_table, timed
 
@@ -67,7 +68,7 @@ def _time_persistence():
 
 
 def _explicit_graph(net, max_states=200000, **_):
-    """The explicit engine in place of the one the net picks."""
+    """The explicit oracle engine in place of the batch engine."""
     return explore(net, max_states=max_states)
 
 

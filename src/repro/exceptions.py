@@ -24,13 +24,17 @@ class CompilationError(ReproError):
 class SafenessOverflowError(CompilationError):
     """A firing produced a second token into a place of a compiled net.
 
-    The compiled engine represents 1-safe markings only; callers catch this
-    to fall back to the explicit multiset explorer.
+    The compiled engine represents 1-safe markings only, so an overflow
+    is the net's 1-safeness violation.  *trace*, when the explorer knows
+    it, is the firing sequence from the initial marking that ends with
+    the overflowing *transition*; the checker context turns it into the
+    exhaustive 1-safeness verdict.
     """
 
-    def __init__(self, transition, place):
+    def __init__(self, transition, place, trace=None):
         self.transition = transition
         self.place = place
+        self.trace = trace
         super().__init__(
             "firing {!r} produces a second token into place {!r}; "
             "the net is not 1-safe".format(transition, place)

@@ -71,8 +71,11 @@ disables another does not depend on the state.  Marking-level APIs decode
 rows to one bit per place on demand, and a marking that breaks a field's
 invariant is no state.
 
-This is the engine ``build_reachability_graph`` runs for every net that
-compiles and stays 1-safe.
+This is the one engine ``build_reachability_graph`` runs.  A firing that
+puts a second token into a place stops the run with
+:class:`~repro.exceptions.SafenessOverflowError`, carrying the BFS-tree
+trace of its source and the offending transition: that is the net's
+1-safeness violation.
 Its oracle is the pure-int sequential BFS of ``tests/oracles/compiled.py``;
 this engine must match it bit for bit (see ``tests/test_petri_batch.py``).
 """
@@ -83,7 +86,11 @@ from time import perf_counter
 
 import numpy as _np
 
-from repro.exceptions import CompilationError, SafenessOverflowError
+from repro.exceptions import (
+    CompilationError,
+    SafenessOverflowError,
+    VerificationError,
+)
 from repro.petri.compiled import CompiledNet, iter_bits
 from repro.petri.layout import (
     RowLayout,
@@ -91,7 +98,6 @@ from repro.petri.layout import (
     mask_matrix,
     words_to_int,
 )
-from repro.petri.reachability import ReachabilityGraph
 from repro.petri.storage import (
     Checkpoint,
     HashIndex,
@@ -398,8 +404,8 @@ def dedup_first(successor, hashes):
     return firsts, group[owner_of]
 
 
-class ColumnarReachabilityGraph(ReachabilityGraph):
-    """Reachability graph stored columnar: NumPy arrays, not Python lists.
+class ColumnarReachabilityGraph:
+    """The reachability graph of a net, stored columnar in NumPy arrays.
 
     * ``_words`` -- the ``(states, words)`` uint64 state table, in the row
       layout of ``tables.layout``;
@@ -418,23 +424,19 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
     transition (:meth:`WordTables.unfire`), looked up in the hash index,
     and its edges are its enabled transitions, recomputed from its row
     (:meth:`WordTables.enabled_bits`), fired and looked up the same way
-    (:meth:`_out_edges`).  The full marking-level
-    :class:`~repro.petri.reachability.ReachabilityGraph` API is answered
-    from these arrays -- markings decode on demand, successors are
-    regenerated and predecessors and traces found by reverse firing -- so
-    the base class's dict-based structures stay empty.  The property scans
-    (:meth:`scan`, :meth:`persistence_scan`, :meth:`deadlocks`) override
-    the base class's marking loops with vector operations over blocks of
-    the state table.
+    (:meth:`_out_edges`).  The marking-level API is answered from these
+    arrays: markings decode on demand, successors are regenerated, and
+    predecessors and traces are found by reverse firing.  The property
+    scans (:meth:`scan`, :meth:`persistence_scan`, :meth:`deadlocks`) are
+    vector operations over blocks of the state table.
     """
-
-    #: Columnar graphs exist only while every marking stayed 1-safe.
-    one_safe = True
 
     def __init__(self, compiled, tables, initial_state, words, fired, dead,
                  frontier, slots, edges):
-        ReachabilityGraph.__init__(self, compiled.net,
-                                   compiled.decode(initial_state))
+        self.net = compiled.net
+        self.initial_marking = compiled.decode(initial_state)
+        #: Structured per-phase counters, set by :func:`explore_batch`.
+        self.exploration_stats = None
         self.compiled = compiled
         self.tables = tables
         self._decoded = {}
@@ -497,7 +499,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         kept = targets >= 0
         return states[local[kept]], transitions[kept], targets[kept]
 
-    # -- ReachabilityGraph API ------------------------------------------------
+    # -- marking-level API ----------------------------------------------------
 
     def __len__(self):
         return int(self._words.shape[0])
@@ -517,6 +519,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                 for t, i in zip(transitions.tolist(), states.tolist())]
 
     def successors(self, marking):
+        """List of ``(transition, marking)`` successors of *marking*."""
         _, transitions, targets = self._out_edges([self._known_index(marking)])
         return self._labelled(transitions, targets)
 
@@ -543,6 +546,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
 
     @property
     def states(self):
+        """All reachable markings, in discovery order."""
         if self._all_decoded is None:
             decode = self.compiled.decode
             self._all_decoded = [
@@ -552,9 +556,11 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
 
     @property
     def frontier(self):
+        """Markings whose edges the state budget cut (truncation only)."""
         return {self._marking_at(int(i)) for i in self._frontier_arr}
 
     def is_expanded(self, marking):
+        """``True`` when every edge of state *marking* was kept."""
         index = self._index_of(marking)
         if index is None:
             return False
@@ -563,6 +569,7 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                     and int(self._frontier_arr[position]) == index)
 
     def deadlocks(self):
+        """The reachable markings that enable no transition."""
         # Exploration noted every admitted state that enables nothing; a
         # frontier state enables the transition whose edge was dropped.
         return [self._marking_at(index) for index in self._dead_arr.tolist()]
@@ -571,27 +578,14 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
         return self._edges
 
     def trace_to(self, target):
-        from repro.exceptions import VerificationError
-
+        """The BFS-tree (so shortest) firing sequence to state *target*."""
         index = self._index_of(target)
         if index is None:
             raise VerificationError(
                 "marking is not reachable: {!r}".format(target))
-        # Walk the BFS tree back to the initial state, index 0: a state's
-        # parent is the reverse firing of the transition that reached it.
-        trace = []
         names = self.compiled.transition_names
-        row = self._words[index:index + 1]
-        while index:
-            fired = int(self._fired_arr[index])
-            trace.append(names[fired])
-            row = self.tables.unfire(row, fired)
-            index = int(self._lookup(row)[0])
-            if index < 0:
-                raise VerificationError(
-                    "BUG: the parent of a state is not a state")
-        trace.reverse()
-        return trace
+        return [names[t] for t in tree_trace(
+            self.tables, self._words, self._fired_arr, self._lookup, index)]
 
     # -- vectorised scans -----------------------------------------------------
 
@@ -701,6 +695,27 @@ class ColumnarReachabilityGraph(ReachabilityGraph):
                     })
 
 
+def tree_trace(tables, words, fired, lookup, index):
+    """Transition indices of the BFS-tree path to state *index*, in order.
+
+    Walks the tree back to the initial state, index 0: a state's parent
+    is the reverse firing of its *fired* transition, and *lookup* maps
+    rows of the *words* state table to their state indices.
+    """
+    trace = []
+    row = words[index:index + 1]
+    while index:
+        transition = int(fired[index])
+        trace.append(transition)
+        row = tables.unfire(row, transition)
+        index = int(lookup(row)[0])
+        if index < 0:
+            raise VerificationError(
+                "BUG: the parent of a state is not a state")
+    trace.reverse()
+    return trace
+
+
 def compile_row_predicate(expression, row_test):
     """Compile a Reach AST into a vectorised predicate over state tables.
 
@@ -800,6 +815,9 @@ def explore_batch(compiled, marking=None, max_states=200000,
     to the same graph, and a run that finishes removes the files.  The
     hash index always stays in RAM; a resumed run rebuilds it from the
     state rows.
+
+    A token overflow raises :func:`_overflow_error`'s error, after a
+    checkpointed run removed its files.
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
@@ -819,7 +837,15 @@ def explore_batch(compiled, marking=None, max_states=200000,
     levels, edges, fired = progress["levels"], progress["edges"], 0
     while len(level[0]):
         levels += 1
-        step = _expand_level(tables, stores, index, level, max_states, timing)
+        try:
+            step = _expand_level(tables, stores, index, level, max_states,
+                                 timing)
+        except SafenessOverflowError:
+            # An overflow is the run's final verdict, as a completed run's
+            # graph is: nothing is left to resume.
+            if checkpointer is not None:
+                checkpointer.discard()
+            raise
         if step is None:
             break
         level, kept, count = step
@@ -944,13 +970,8 @@ def _expand_level(tables, stores, index, level, max_states, timing):
     source_local, transition, successor, overflowed = fire_enabled_flags(
         tables, rows, flat)
     if overflowed.any():
-        # The first offender in expansion order, named exactly as the
-        # sequential engine reports it: a slept pair never overflows.
-        position = int(_np.argmax(overflowed))
-        raise SafenessOverflowError(
-            tables.compiled.transition_names[int(transition[position])],
-            tables.compiled.place_names[overflow_place(
-                tables, rows, source_local, transition, position)])
+        raise _overflow_error(tables, stores, index, level_start, rows,
+                              source_local, transition, overflowed)
     # Only now, with no overflow, is every firing carry-free.
     hashes = hashes[source_local] + tables.delta_hash[transition]
     started = _lap(timing, "fire", started)
@@ -1013,6 +1034,28 @@ def _expand_level(tables, stores, index, level, max_states, timing):
         edges = int(_np.count_nonzero(~dropped))
     _lap(timing, "edges", started)
     return (next_rows, next_enabled, next_hashes, next_sleep), edges, len(flat)
+
+
+def _overflow_error(tables, stores, index, level_start, rows, source_local,
+                    transition, overflowed):
+    """The :class:`SafenessOverflowError` of a level's first overflow.
+
+    The first offender in expansion order, named exactly as the sequential
+    engine reports it (a slept pair never overflows), with the BFS-tree
+    trace of its source over the states admitted so far.
+    """
+    position = int(_np.argmax(overflowed))
+    names = tables.compiled.transition_names
+    source = level_start + int(source_local[position])
+    fired = int(transition[position])
+    prefix = tree_trace(
+        tables, stores["words"].data, stores["parents"].data,
+        lambda found: index.lookup(found, tables.hash_rows(found)), source)
+    return SafenessOverflowError(
+        names[fired],
+        tables.compiled.place_names[overflow_place(
+            tables, rows, source_local, transition, position)],
+        trace=[names[t] for t in prefix + [fired]])
 
 
 def _finish(compiled, tables, initial_state, stores, slots, edges,

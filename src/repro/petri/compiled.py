@@ -15,16 +15,17 @@ engine stores its states in a denser row layout derived from the net's
 place invariants (:mod:`repro.petri.layout`), and decodes back to them.
 Transitions are indexed in sorted name order, matching
 ``PetriNet.enabled_transitions``, so the batch engine visits states in the
-order of the explicit explorer.  A pure-int, one-firing-at-a-time
-BFS over these tables lives on as the test oracle of the batch engine
-(``tests/oracles/compiled.py``).
+order of a one-firing-at-a-time BFS over the net.  Two such BFSs live on
+as the batch engine's test oracles: a pure-int one over these tables
+(``tests/oracles/compiled.py``) and an explicit one over ``Marking`` dicts
+(``tests/oracles/reachability.py``).
 
-Nets the bitmask representation cannot express -- arc weights above one, or
-markings with more than one token in a place -- raise
-:class:`~repro.exceptions.CompilationError`; a firing that would produce a
-second token raises :class:`~repro.exceptions.SafenessOverflowError`.
-Callers (see ``build_reachability_graph``) catch both and fall back to the
-explicit explorer, which keeps exact multiset semantics.
+Nets the bitmask representation cannot express -- arc weights above one,
+markings with more than one token in a place, 65,535 or more transitions
+-- raise :class:`~repro.exceptions.CompilationError`, and the library
+refuses them.  A firing that would produce a second token raises
+:class:`~repro.exceptions.SafenessOverflowError`: the net is not 1-safe,
+which is the exhaustive checker's 1-safeness verdict.
 """
 
 from repro.exceptions import CompilationError, SafenessOverflowError
@@ -68,12 +69,12 @@ class CompiledNet:
                 "cannot compile net {!r}: arc between {!r} and {!r} has "
                 "weight {}".format(net.name, p, t, w)
             )
-        # Edges and BFS parents are packed as ``transition`` in the low 16
-        # bits.  Nets beyond that fall back to the explicit explorer, loudly.
+        # The batch engine keeps each state's fired transition in a uint16
+        # column (uint8 up to 256 transitions); nets beyond it are refused.
         if len(net.transitions) >= 0xFFFF:
             raise CompilationError(
-                "cannot compile net {!r}: {} transitions exceed the packed "
-                "16-bit transition index".format(net.name, len(net.transitions))
+                "cannot compile net {!r}: {} transitions exceed the 16-bit "
+                "fired-transition column".format(net.name, len(net.transitions))
             )
         self.net = net
         self.place_names = sorted(net.places)
@@ -97,14 +98,6 @@ class CompiledNet:
     def compile(cls, net):
         """Compile *net*; raise :class:`CompilationError` when impossible."""
         return cls(net)
-
-    @classmethod
-    def try_compile(cls, net):
-        """Compile *net*, or return ``None`` when it does not fit the engine."""
-        try:
-            return cls(net)
-        except CompilationError:
-            return None
 
     def _mask(self, places):
         mask = 0

@@ -1,12 +1,11 @@
 """Evaluation of Reach expressions on single markings.
 
 Searches over a whole reachability graph are the graph's own
-:meth:`~repro.petri.reachability.ReachabilityGraph.scan`, which the
-exhaustive checker calls directly: the explicit graph evaluates the
-expression marking by marking, a columnar graph (:mod:`repro.petri.batch`)
-compiles it to one vectorised predicate over its uint64 state table and
-never decodes a non-matching marking.  This module evaluates one marking
-at a time and validates place names against a net.
+:meth:`~repro.petri.batch.ColumnarReachabilityGraph.scan`, which the
+exhaustive checker calls directly: it compiles the expression to one
+vectorised predicate over the graph's uint64 state table and never decodes
+a non-matching marking.  This module evaluates one marking at a time and
+validates place names against a net.
 """
 
 from repro.exceptions import ReachEvaluationError

@@ -8,7 +8,7 @@ abstraction and the individual modules for the engines:
 ========== ===================================================== ==========
 name       strategy                                              concludes
 ========== ===================================================== ==========
-exhaustive explicit/bitmask exploration up to ``max_states``     both ways
+exhaustive bitmask state-space exploration up to ``max_states`` both ways
 inductive  place invariants + backward induction on the compiled holds (and
            transition relation, no state bound                   some bugs)
 walk       LFSR-seeded guided random walks                       violations

@@ -3,13 +3,13 @@
 A **checker** is a strategy for answering property *queries* about the
 Petri-net translation of a DFS model.  Queries describe what to decide
 (``reach``: is some bad state reachable?  ``deadlock``: is some reachable
-state stuck?  ``safeness``: does any place overflow a bound?
+state stuck?  ``safeness``: does any place ever hold a second token?
 ``persistence``: can one event disable another?); checkers decide them with
 different trade-offs:
 
 * :class:`~repro.verification.checkers.exhaustive.ExhaustiveChecker` --
-  state-space exploration (the engine is picked from the net by
-  :func:`~repro.petri.reachability.build_reachability_graph`); conclusive
+  state-space exploration on the batch engine
+  (:func:`~repro.petri.reachability.build_reachability_graph`); conclusive
   both ways up to ``max_states``, inconclusive beyond it;
 * :class:`~repro.verification.checkers.inductive.InductiveChecker` --
   place-invariant and backward-induction reasoning over the compiled
@@ -36,6 +36,7 @@ checkers must never return a conclusive answer they cannot justify.
 from repro.exceptions import (
     ConfigurationError,
     ReachEvaluationError,
+    SafenessOverflowError,
     VerificationError,
 )
 from repro.petri.compiled import CompiledNet
@@ -145,12 +146,9 @@ class DeadlockQuery(Query):
 
 
 class SafenessQuery(Query):
-    """Does some reachable marking exceed *bound* tokens in a place?"""
+    """Does some reachable marking hold two tokens in a place (1-safeness)?"""
 
     kind = "safeness"
-
-    def __init__(self, bound=1):
-        self.bound = int(bound)
 
 
 class PersistenceQuery(Query):
@@ -199,7 +197,9 @@ class CheckerContext:
     The reachability graph, the compiled bitmask net and the place
     invariants are each built on first use and cached, so e.g. a portfolio
     run never explores the state space twice, and a purely inductive run
-    never explores it at all.
+    never explores it at all.  A net that does not compile raises
+    :class:`~repro.exceptions.CompilationError` from :attr:`graph` and
+    :attr:`compiled`.
     """
 
     def __init__(self, net, max_states=200000, resume=None):
@@ -214,23 +214,33 @@ class CheckerContext:
         #: this net in another process -- a racing portfolio member's
         #: worker -- reported while this context has no graph of its own.
         self.explored = None
+        #: The :class:`~repro.exceptions.SafenessOverflowError` that stopped
+        #: the exploration of a net that is not 1-safe, else ``None``.
+        self.overflow = None
         self._graph = None
-        self._compiled = _UNSET
+        self._compiled = None
         self._semiflows = _UNSET
 
     @property
     def graph(self):
-        """The reachability graph (built on first access)."""
-        if self._graph is None:
-            self._graph = build_reachability_graph(
-                self.net, max_states=self.max_states, resume=self.resume)
+        """The reachability graph (built on first access).
+
+        ``None`` when a firing overflowed a place: the net is not 1-safe,
+        and :attr:`overflow` holds the error with its trace.
+        """
+        if self._graph is None and self.overflow is None:
+            try:
+                self._graph = build_reachability_graph(
+                    self.net, max_states=self.max_states, resume=self.resume)
+            except SafenessOverflowError as error:
+                self.overflow = error
         return self._graph
 
     @property
     def compiled(self):
-        """The compiled bitmask net, or ``None`` when it cannot be compiled."""
-        if self._compiled is _UNSET:
-            self._compiled = CompiledNet.try_compile(self.net)
+        """The compiled bitmask net (built on first access)."""
+        if self._compiled is None:
+            self._compiled = CompiledNet.compile(self.net)
         return self._compiled
 
     @property
@@ -270,7 +280,7 @@ class CheckerContext:
 
     @property
     def exploration(self):
-        """Structured exploration stats, or ``None`` (no graph / explicit engine).
+        """Structured exploration stats, or ``None`` (no graph).
 
         The batch engine attaches per-phase timings and level counts
         to the graph (``graph.exploration_stats``); this surfaces them to

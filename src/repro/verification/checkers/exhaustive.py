@@ -1,10 +1,14 @@
 """The exhaustive checker: state-space exploration.
 
-Build the reachability graph (the batch engine for nets that compile and
-stay 1-safe, the explicit engine otherwise -- the net decides, see
-:func:`~repro.petri.reachability.build_reachability_graph`) and decide every
-query straight from the graph's own scans: :meth:`deadlocks`, :meth:`scan`
-(Reach), :meth:`persistence_scan` and the ``one_safe`` flag (safeness).
+Build the reachability graph on the batch engine
+(:func:`~repro.petri.reachability.build_reachability_graph`) and decide
+every query straight from the graph's own scans: :meth:`deadlocks`,
+:meth:`scan` (Reach) and :meth:`persistence_scan`.  The graph holds
+1-safe markings only: a firing that puts a second token into a place
+stops the exploration, and the checker context keeps the error.  That
+overflow is the 1-safeness verdict -- violated, with its trace replayed
+on the net -- and leaves every other query inconclusive, since the
+graph was never finished.
 Verdicts come from whether any state violates the property;
 ``max_witnesses`` only caps the witness list.
 
@@ -20,6 +24,7 @@ inductive and random-walk checkers exist to fill.
 """
 
 from repro.verification.checkers.base import Checker, register_checker
+from repro.verification.checkers.walk_core import overflow_outcome
 
 #: Details of a scan that found nothing on a truncated graph.
 TRUNCATED = "state space truncated after {} states; result inconclusive"
@@ -30,8 +35,21 @@ class ExhaustiveChecker(Checker):
     """Decide queries by exhaustive exploration of the state space."""
 
     name = "exhaustive"
-    summary = ("explicit/bitmask state-space exploration; conclusive both "
-               "ways up to max-states")
+    summary = ("bitmask state-space exploration; conclusive both ways up "
+               "to max-states")
+
+    def check(self, query, max_witnesses=5):
+        """Answer *query* from the graph, or from the overflow that stopped it."""
+        if query.kind == "reach":
+            self.context.check_places(query.expression)
+        if self.context.graph is not None:
+            return super().check(query, max_witnesses=max_witnesses)
+        overflow = self.context.overflow
+        if query.kind == "safeness":
+            return overflow_outcome(self, overflow.trace, overflow.place,
+                                    "exploration")
+        return self.outcome(None, details="exploration stopped: {}; result "
+                            "inconclusive".format(overflow))
 
     def _verdict(self, violations, violated, witnesses, holds,
                  truncated=TRUNCATED):
@@ -56,7 +74,6 @@ class ExhaustiveChecker(Checker):
         return witnesses
 
     def check_reach(self, query, max_witnesses=5):
-        self.context.check_places(query.expression)
         graph = self.context.graph
         witnesses = self._traced(
             [{"marking": marking}
@@ -84,24 +101,9 @@ class ExhaustiveChecker(Checker):
             witnesses, "no reachable deadlock")
 
     def check_safeness(self, query, max_witnesses=5):
-        graph = self.context.graph
-        bound = query.bound
-        witnesses = []
-        violations = 0
-        # A compiled graph only exists while every marking stayed 1-safe,
-        # so any bound of one or more holds by construction.
-        if bound < 1 or not graph.one_safe:
-            for marking in graph.states:
-                offending = {p: c for p, c in marking.items() if c > bound}
-                if offending:
-                    violations += 1
-                    if len(witnesses) < max_witnesses:
-                        witnesses.append({"marking": marking,
-                                          "places": offending})
-        return self._verdict(
-            violations,
-            "{} marking(s) exceed bound {}".format(violations, bound),
-            witnesses, "net is {}-bounded".format(bound))
+        # A graph exists only while every firing stayed 1-safe; an
+        # overflow is answered by check() instead.
+        return self._verdict(0, None, [], "net is 1-bounded")
 
     def check_persistence(self, query, max_witnesses=5):
         violations, witnesses = self.context.graph.persistence_scan(

@@ -47,7 +47,6 @@ those.
 
 from collections import deque
 
-from repro.exceptions import CompilationError
 from repro.petri.invariants import (
     place_bounds,
     proves_bound,
@@ -125,13 +124,13 @@ class InductiveChecker(Checker):
     def check_safeness(self, query, max_witnesses=5):
         semiflows = self.context.semiflows
         places = sorted(self.context.net.places)
-        if semiflows and proves_bound(semiflows, places, bound=query.bound):
+        if semiflows and proves_bound(semiflows, places, bound=1):
             return self.outcome(
                 True, details="{} place invariant(s) bound every place by "
-                "{}".format(len(semiflows), query.bound))
+                "1".format(len(semiflows)))
         return self.outcome(
-            None, details="place invariants do not bound every place by {}; "
-            "inductive safeness proof unavailable".format(query.bound))
+            None, details="place invariants do not bound every place by 1; "
+            "inductive safeness proof unavailable")
 
     # -- reach ---------------------------------------------------------------
 
@@ -201,16 +200,7 @@ class InductiveChecker(Checker):
     def _backward_induction(self, cubes, total_cubes, semiflows, bounds,
                             max_witnesses):
         compiled = self.context.compiled
-        if compiled is None:
-            return self.outcome(
-                None, details="net has no bitmask representation; backward "
-                "induction unavailable")
-        try:
-            initial = compiled.encode(self.context.net.initial_marking())
-        except CompilationError:
-            return self.outcome(
-                None, details="initial marking has no bitmask "
-                "representation; backward induction unavailable")
+        initial = compiled.encode(self.context.net.initial_marking())
         # The caller (check_reach) has already certified 1-safety through
         # the invariants, so the 0/1 regression covers the reachable space.
         mask_invariants = [_MaskInvariant(semiflow, compiled.place_bit, bounds)

@@ -40,12 +40,12 @@ contents fill in retirement order, so the configured swarm width is part of
 the identity (it rides in ``checker_options`` into campaign digests).
 """
 
-from repro.exceptions import CompilationError
 from repro.reach.cubes import to_cubes
 from repro.reach.evaluator import marking_predicate
 from repro.verification.checkers.base import Checker, register_checker
 from repro.verification.checkers.walk_core import (
     cube_mask_table,
+    overflow_outcome,
     replay_witness,
 )
 
@@ -88,18 +88,12 @@ class RandomWalkChecker(Checker):
 
     def check_safeness(self, query, max_witnesses=5):
         """Walks detect a 1-safeness loss as a token-overflow firing."""
-        if query.bound != 1:
-            return self.outcome(
-                None, details="random walks only detect 1-safeness "
-                "violations (token overflow)")
         return self._hunt("overflow", max_witnesses, "token overflow", None,
                           overflow_conclusive=True)
 
     def check_reach(self, query, max_witnesses=5):
         self.context.check_places(query.expression)
         compiled = self.context.compiled
-        if compiled is None:
-            return self._no_compiled_outcome()
         # NumPy is loaded only once a swarm actually walks.
         from repro.petri.batch import compile_row_predicate
 
@@ -120,11 +114,6 @@ class RandomWalkChecker(Checker):
             "random walks cannot prove absence".format(
                 target, self.walks, self.steps))
 
-    def _no_compiled_outcome(self):
-        return self.outcome(
-            None, details="net has no bitmask representation; random-walk "
-            "falsification unavailable")
-
     # -- the hunt ------------------------------------------------------------
 
     def _hunt(self, kind, max_witnesses, target, found, expression=None,
@@ -136,14 +125,7 @@ class RandomWalkChecker(Checker):
         answer, *found* what its witnesses are in the violated one.
         """
         compiled = self.context.compiled
-        if compiled is None:
-            return self._no_compiled_outcome()
-        try:
-            initial = compiled.encode(self.context.net.initial_marking())
-        except CompilationError:
-            return self.outcome(
-                None, details="initial marking has no bitmask "
-                "representation; random walks unavailable")
+        initial = compiled.encode(self.context.net.initial_marking())
         result = self._walk(
             compiled, initial, kind, max_witnesses, expression=expression,
             row_predicate=row_predicate, cube_masks=cube_masks,
@@ -151,11 +133,15 @@ class RandomWalkChecker(Checker):
             overflow_conclusive=overflow_conclusive)
         self.last_hunt_stats = {"walks": result.walks, "steps": result.steps,
                                 "expanded": result.expanded}
-        if result.overflow is not None:
-            return self._overflow_outcome(compiled, result.overflow)
+        names = compiled.transition_names
+        overflow = result.overflow
+        if overflow is not None:
+            return overflow_outcome(
+                self, [names[index] for index in
+                       overflow["trace"] + [overflow["transition"]]],
+                compiled.place_names[overflow["place"]], "random walk")
         # Walk traces are replayed on the net before being trusted -- the
         # same rule the SMT checkers apply to solver counterexamples.
-        names = compiled.transition_names
         bad_marking = (marking_predicate(expression, net=self.context.net)
                        if kind == "reach" else None)
         validated = []
@@ -200,21 +186,3 @@ class RandomWalkChecker(Checker):
             cube_masks=cube_masks, score_kind=score_kind,
             stop_in_deadlock=stop_in_deadlock,
             overflow_conclusive=overflow_conclusive)
-
-    def _overflow_outcome(self, compiled, overflow):
-        transition = compiled.transition_names[overflow["transition"]]
-        place = compiled.place_names[overflow["place"]]
-        trace = [compiled.transition_names[index]
-                 for index in overflow["trace"]]
-        witness = replay_witness(self.context.net, "overflow", trace,
-                                 transition=transition)
-        if witness is None:
-            return self.outcome(
-                None, details="the swarm reported an overflow but its "
-                "trace did not replay on the net; not trusting the "
-                "verdict")
-        witness["place"] = place
-        return self.outcome(
-            False, witnesses=[witness],
-            details="random walk found a 1-safeness violation: "
-            "firing {!r} overflows place {!r}".format(transition, place))

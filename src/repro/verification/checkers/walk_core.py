@@ -15,7 +15,9 @@ those semantics:
 * :class:`NearMissPool` -- the counterexample-guided restart pool (dedupe
   by state, evict the first worst entry only for a strictly better one).
 * :func:`replay_witness` -- swarm traces are replayed on the *net* before
-  being trusted, exactly like SMT counterexamples.
+  being trusted, exactly like SMT counterexamples;
+  :func:`overflow_outcome` turns a replayed token overflow into the
+  1-safeness verdict, for the walk and the exhaustive checker alike.
 
 The swarm mirrors these functions with array operations; the differential
 tests in ``tests/test_walk_batch.py`` pin the two together.
@@ -176,3 +178,28 @@ def replay_witness(net, kind, trace, predicate=None, transition=None):
     if kind == "overflow":
         witness["transition"] = transition
     return witness
+
+
+def overflow_outcome(checker, trace, place, finder):
+    """The 1-safeness verdict of a token overflow, replayed on the net.
+
+    *trace* is the firing sequence from the initial marking that ends with
+    the overflowing transition, *place* the place it overflows (reported
+    as found) and *finder* names what found it.  The witness is
+    :func:`replay_witness`'s ``"overflow"`` witness -- the marking before
+    the last firing, the trace up to it and the transition -- with the
+    place added.  A trace the net does not confirm gives an inconclusive
+    outcome instead.
+    """
+    *prefix, transition = trace
+    witness = replay_witness(checker.context.net, "overflow", prefix,
+                             transition=transition)
+    if witness is None:
+        return checker.outcome(
+            None, details="the {} reported an overflow but its trace did "
+            "not replay on the net; not trusting the verdict".format(finder))
+    witness["place"] = place
+    return checker.outcome(
+        False, witnesses=[witness],
+        details="{} found a 1-safeness violation: firing {!r} overflows "
+        "place {!r}".format(finder, transition, place))

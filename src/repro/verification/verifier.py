@@ -75,11 +75,13 @@ class Verifier:
       every query is inconclusive, with a message naming it.
     * ``"portfolio"`` -- races the above, first conclusive verdict wins.
 
-    The exhaustive path's state-space engine is picked from the net, never
-    by the caller: nets that compile and stay 1-safe run on the
-    array-native batch explorer of :mod:`repro.petri.batch`, all others
-    on the explicit explorer (see
-    :func:`~repro.petri.reachability.build_reachability_graph`).
+    The exhaustive path explores on the array-native batch engine of
+    :mod:`repro.petri.batch` (see
+    :func:`~repro.petri.reachability.build_reachability_graph`).  A net
+    that does not compile to its bitmask form raises
+    :class:`~repro.exceptions.CompilationError`; a net whose exploration
+    overflows a place gets a violated 1-safeness verdict with a replayed
+    trace, and inconclusive answers for every other property.
     The place invariants the inductive checker needs are derived afresh
     for each verifier: the elimination of
     :func:`~repro.petri.invariants.compute_semiflows` works one incidence
@@ -157,7 +159,9 @@ class Verifier:
 
     @property
     def state_count(self):
-        return len(self.graph)
+        """States of the reachability graph (``0`` when a place overflowed)."""
+        graph = self.graph
+        return len(graph) if graph is not None else 0
 
     def _options_for(self, name):
         """Construction options for checker *name*.
@@ -228,7 +232,7 @@ class Verifier:
 
     def verify_safeness(self, max_witnesses=5):
         """The translated net is 1-safe (a sanity check on the translation)."""
-        return self._run("1-safeness", SafenessQuery(bound=1), max_witnesses)
+        return self._run("1-safeness", SafenessQuery(), max_witnesses)
 
     def verify_value_mutual_exclusion(self, max_witnesses=5):
         """A dynamic register never holds a True and a False token at once."""

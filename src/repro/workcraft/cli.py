@@ -364,8 +364,7 @@ def build_parser():
                              "every BFS level, and a leftover checkpoint "
                              "(from a killed run) is resumed from its last "
                              "complete level, bit-identical to an "
-                             "uninterrupted run (1-safe nets; others run on "
-                             "the explicit engine and restart from scratch)")
+                             "uninterrupted run")
     verify.add_argument("--race", action="store_true",
                         help="race the portfolio members in separate "
                              "processes, first conclusive verdict wins "

@@ -12,8 +12,9 @@ from repro.dfs.examples import (
     token_ring,
 )
 from repro.dfs.model import DataflowStructure
-from repro.petri.reachability import explore
 from repro.pipelines.generic import build_generic_pipeline
+
+from oracles.reachability import explore_one_safe
 
 
 @pytest.fixture
@@ -59,23 +60,24 @@ def simple_chain():
 
 @pytest.fixture
 def explicit_engine(monkeypatch):
-    """Make every checker context explore with the explicit engine.
+    """Make every checker context explore with the explicit oracle.
 
-    The net picks the engine in production; the differential tests swap
-    in :func:`~repro.petri.reachability.explore`, the batch engine's
-    reference, behind the verifier's back.
+    Production explores on the batch engine only; the differential tests
+    swap in the explicit engine of ``tests/oracles/reachability.py``, held
+    to the same refusals and overflow errors, behind the verifier's back.
     """
     monkeypatch.setattr(
         "repro.verification.checkers.base.build_reachability_graph",
-        lambda net, max_states=200000, **_: explore(net, max_states=max_states))
+        lambda net, max_states=200000, **_: explore_one_safe(
+            net, max_states=max_states))
 
 
 @pytest.fixture
 def exhaustive_on_both_graphs(request):
     """Decide queries on both graph classes: ``run(net, queries)``.
 
-    ``run`` answers every query with the exhaustive checker on the graph
-    the net picks (columnar for every net it is used on), then activates
+    ``run`` answers every query with the exhaustive checker on the
+    columnar graph of the batch engine, then activates
     ``explicit_engine`` and answers them again on the explicit graph; it
     returns the two outcome lists as ``(explicit, columnar)``.  Call it
     once per test: the explicit engine stays in place afterwards.

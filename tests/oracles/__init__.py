@@ -7,6 +7,12 @@ differential test its teeth:
 * :mod:`oracles.compiled` -- the pure-int, one-firing-at-a-time BFS of a
   :class:`~repro.petri.compiled.CompiledNet`, which the batch engine of
   :mod:`repro.petri.batch` must match bit for bit;
+* :mod:`oracles.reachability` -- the explicit BFS over ``Marking`` dicts
+  and its dict-based graph, on which the differential suites (the
+  ``explicit_engine`` fixture) decide every query a second time;
+* :mod:`oracles.simulation` -- the token-game simulator
+  (``PetriSimulator``, ``random_trace``) that replays DFS event sequences
+  on translated nets;
 * :mod:`oracles.walk` -- the pure-int scalar random walker, which the
   vectorised swarm of :mod:`repro.verification.checkers.walk_batch` mirrors
   draw for draw;

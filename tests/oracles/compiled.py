@@ -3,7 +3,8 @@
 :func:`explore_compiled` explores a :class:`~repro.petri.compiled.CompiledNet`
 one firing at a time on Python ints, with incrementally maintained enabled
 masks, and returns an :class:`ExplorationRecord` of plain lists.  It mirrors
-:func:`repro.petri.reachability.explore` exactly -- same discovery order
+the explicit oracle :func:`oracles.reachability.explore` exactly -- same
+discovery order
 (transitions are indexed in sorted name order, matching
 ``PetriNet.enabled_transitions``), same truncation semantics -- and
 :func:`repro.petri.batch.explore_batch` must match it bit for bit
@@ -78,6 +79,16 @@ class ExplorationRecord:
         self.parents = []
         self.frontier = []
         self.truncated = False
+
+    def trace(self, index):
+        """The firing sequence of the BFS tree from the root to *index*."""
+        names = self.compiled.transition_names
+        trace = []
+        while self.parents[index] is not None:
+            packed = self.parents[index]
+            trace.append(names[packed & 0xFFFF])
+            index = packed >> 16
+        return trace[::-1]
 
     def columns(self):
         """``(words, edge_data, edge_offsets, parents, frontier)`` arrays.
@@ -169,7 +180,7 @@ def explore_compiled(compiled, marking=None, max_states=200000):
     """Breadth-first exploration of a compiled net, one firing at a time.
 
     The oracle of :func:`repro.petri.batch.explore_batch`:
-    it mirrors :func:`repro.petri.reachability.explore` exactly -- same
+    it mirrors :func:`oracles.reachability.explore` exactly -- same
     discovery order, same truncation semantics (edges between known states
     are still recorded after the bound is hit; partially-expanded states form
     the frontier) -- but runs on integer states with incrementally maintained
@@ -180,6 +191,10 @@ def explore_compiled(compiled, marking=None, max_states=200000):
     hoisted into a local, and the incremental enabled-set update walks the
     pre-expanded :func:`watch_pairs` instead of bit-scanning a watch mask
     per new state.
+
+    The first firing that overflows a place raises
+    :class:`~repro.exceptions.SafenessOverflowError` carrying the BFS-tree
+    trace of its source and the transition.
     """
     if not isinstance(compiled, CompiledNet):
         compiled = CompiledNet.compile(compiled)
@@ -220,9 +235,10 @@ def explore_compiled(compiled, marking=None, max_states=200000):
             produced = produce[transition]
             overflow = remainder & produced
             if overflow:
+                name = compiled.transition_names[transition]
                 raise SafenessOverflowError(
-                    compiled.transition_names[transition],
-                    compiled.place_names[next(iter_bits(overflow))])
+                    name, compiled.place_names[next(iter_bits(overflow))],
+                    trace=record.trace(current) + [name])
             successor = remainder | produced
             target = index_get(successor)
             if target is None:

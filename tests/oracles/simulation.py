@@ -1,8 +1,10 @@
-"""Interactive and random simulation of Petri nets.
+"""Interactive and random token-game simulation of Petri nets.
 
 The simulator mirrors the token-game simulation available in Workcraft: it
 keeps the current marking, a full firing history with undo, and can run
-random walks for smoke-testing models before exhaustive verification.
+random walks.  The library never simulates a net this way; the tests use
+it as an independent check that DFS event sequences are firing sequences
+of the translated net.
 """
 
 import random

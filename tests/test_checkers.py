@@ -357,20 +357,25 @@ class TestNonOneSafeNets:
     def test_inductive_never_contradicts_exhaustive_on_multi_token_nets(self):
         context = CheckerContext(self._overflowing_net())
         query = ReachQuery("tokens(p) >= 2")
-        exhaustive = create_checker("exhaustive", context).check(query)
-        assert exhaustive.holds is False  # firing t puts two tokens into p
+        exhaustive = create_checker("exhaustive", context)
+        # Firing t puts two tokens into p: exploration stops there, which
+        # violates 1-safeness and leaves the Reach query open.
+        assert exhaustive.check(SafenessQuery()).holds is False
+        reach = exhaustive.check(query)
+        assert reach.holds is None
+        assert "second token into place 'p'" in reach.details
         inductive = create_checker("inductive", context).check(query)
         assert inductive.holds is None
         assert "1-safety" in inductive.details
         portfolio = create_checker("portfolio", context).check(query)
-        assert portfolio.holds is False  # the exhaustive member decides
+        assert portfolio.holds is None  # no member may conclude
 
     def test_walk_overflow_is_not_a_deadlock_or_reach_verdict(self):
         context = CheckerContext(self._overflowing_net())
         walk = create_checker("walk", context)
         assert walk.check(DeadlockQuery()).holds is None
         assert walk.check(ReachQuery('$"q"')).holds is False  # init is bad
-        outcome = walk.check(SafenessQuery(bound=1))
+        outcome = walk.check(SafenessQuery())
         assert outcome.holds is False
         assert outcome.witnesses[0]["place"] == "p"
         assert "overflows" in outcome.details

@@ -2,9 +2,10 @@
 
 from repro.dfs.model import DataflowStructure
 from repro.dfs.translation import marking_to_dfs_state, place_name, to_petri_net
-from repro.petri.reachability import explore
 
 from oracles.analysis import invariant_value, place_invariants
+from oracles.reachability import explore
+from oracles.simulation import PetriSimulator
 
 
 class TestPlaceEncoding:
@@ -89,7 +90,6 @@ class TestTraceCompatibility:
     def test_dfs_trace_is_a_petri_net_firing_sequence(self, conditional_dfs):
         """The same event names must be fireable in both semantics."""
         from repro.dfs.simulation import DfsSimulator
-        from repro.petri.simulation import PetriSimulator
 
         dfs_sim = DfsSimulator(conditional_dfs)
         trace = dfs_sim.run_random(150, seed=21)
@@ -98,7 +98,6 @@ class TestTraceCompatibility:
 
     def test_petri_trace_is_a_dfs_event_sequence(self, conditional_dfs):
         from repro.dfs.simulation import DfsSimulator
-        from repro.petri.simulation import PetriSimulator
 
         net_sim = PetriSimulator(to_petri_net(conditional_dfs))
         trace = net_sim.run_random(150, seed=22)

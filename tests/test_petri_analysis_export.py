@@ -7,7 +7,6 @@ from repro.dfs.translation import to_petri_net
 from repro.petri.export import to_dot, to_g_format
 from repro.petri.invariants import compute_semiflows
 from repro.petri.net import PetriNet
-from repro.petri.reachability import explore
 
 from oracles.analysis import (
     _rational_nullspace,
@@ -16,6 +15,7 @@ from oracles.analysis import (
     place_invariants,
     transition_invariants,
 )
+from oracles.reachability import explore
 from test_checkers import MODEL_FAMILY
 
 

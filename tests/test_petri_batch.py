@@ -8,7 +8,8 @@ sets), same parents (rebuilt from the fired transitions, hence traces),
 same frontier and truncation -- and
 the columnar fast paths must answer every
 property/Reach query with the same verdicts and witnesses as the explicit
-explorer.
+oracle (``tests/oracles/reachability.py``).  A token overflow raises the
+oracle's error, with the oracle's trace, and is the 1-safeness verdict.
 """
 
 import json
@@ -26,7 +27,7 @@ from repro.dfs.examples import (
     token_ring,
 )
 from repro.dfs.translation import to_petri_net
-from repro.exceptions import SafenessOverflowError
+from repro.exceptions import CompilationError, SafenessOverflowError
 import repro.petri.batch as batch_module
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
@@ -41,16 +42,20 @@ from repro.petri.batch import (
 from repro.petri.compiled import CompiledNet
 from repro.petri.layout import RowLayout
 from repro.petri.net import PetriNet
-from repro.petri.reachability import build_reachability_graph, explore
+from repro.petri.reachability import build_reachability_graph
 from repro.petri.storage import MANIFEST_NAME, HashIndex
 from repro.verification.checkers import (
+    CheckerContext,
     DeadlockQuery,
+    ExhaustiveChecker,
     PersistenceQuery,
     ReachQuery,
     SafenessQuery,
 )
+from repro.verification.checkers.walk_core import replay_witness
 
 from oracles.compiled import ExplorationRecord, explore_compiled, graph_columns
+from oracles.reachability import explore, explore_one_safe
 
 
 EXAMPLE_MODELS = [
@@ -126,17 +131,6 @@ def assert_membership(graph, sample=200):
     assert outside
 
 
-def record_trace(record, index):
-    """The firing sequence of *record*'s BFS tree from the root to *index*."""
-    names = record.compiled.transition_names
-    trace = []
-    while record.parents[index] is not None:
-        packed = record.parents[index]
-        trace.append(names[packed & 0xFFFF])
-        index = packed >> 16
-    return trace[::-1]
-
-
 class TestDifferentialExamples:
     @pytest.mark.parametrize("model", EXAMPLE_MODELS)
     def test_bit_identical_graphs(self, model):
@@ -165,14 +159,15 @@ class TestDifferentialExamples:
         explicit = explore(net)
         for index, marking in enumerate(explicit.states):
             assert marking in batch
-            assert batch.trace_to(marking) == record_trace(sequential, index)
-            assert batch.enabled(marking) == explicit.enabled(marking)
+            assert batch.trace_to(marking) == sequential.trace(index)
+            assert {t for t, _ in batch.successors(marking)} == \
+                set(explicit.enabled(marking))
             assert batch.is_expanded(marking) == explicit.is_expanded(marking)
 
     def test_property_verdicts_identical(self, exhaustive_on_both_graphs):
         net = to_petri_net(conditional_comp_dfs(comp_stages=2))
         explicit, batch = exhaustive_on_both_graphs(
-            net, [DeadlockQuery(), PersistenceQuery(), SafenessQuery(bound=1)])
+            net, [DeadlockQuery(), PersistenceQuery(), SafenessQuery()])
         for left, right in zip(explicit, batch):
             assert (left.holds, left.details, left.witnesses) == \
                 (right.holds, right.details, right.witnesses)
@@ -511,6 +506,33 @@ def overflow_hazard_net(seed, shape):
     return net
 
 
+def assert_overflow_verdict(net, raised, expected):
+    """*raised*, the batch engine's overflow, is the oracle's *expected*
+    one and the exhaustive 1-safeness verdict.
+
+    Its trace is the oracle's BFS-tree trace of the source, of the
+    source's BFS depth, then the named transition; the explicit oracle
+    stops at the same pair, as deep.  The verdict's witness replays that
+    trace on the net and names the same pair.
+    """
+    depth = len(expected.trace) - 1
+    assert expected.trace[-1] == expected.transition
+    assert raised.trace == expected.trace
+    assert len(raised.trace) == depth + 1
+    with pytest.raises(SafenessOverflowError) as explicit:
+        explore_one_safe(net)
+    assert str(explicit.value) == str(expected)
+    assert len(explicit.value.trace) == depth + 1
+    outcome = ExhaustiveChecker(CheckerContext(net)).check(SafenessQuery())
+    assert outcome.holds is False
+    (witness,) = outcome.witnesses
+    assert (witness["transition"], witness["place"]) == \
+        (expected.transition, expected.place)
+    assert witness["trace"] + [witness["transition"]] == expected.trace
+    assert replay_witness(net, "overflow", witness["trace"],
+                          transition=witness["transition"]) is not None
+
+
 def wide_ope():
     """The 4-stage OPE (static prefix 1): 180 places, 66 bits (2 words)
     in the dense layout."""
@@ -630,6 +652,7 @@ class TestSleepSets:
         with pytest.raises(SafenessOverflowError) as raised:
             explore_batch(compiled)
         assert str(raised.value) == str(expected.value)
+        assert_overflow_verdict(compiled.net, raised.value, expected.value)
 
     def test_overflow_of_a_transition_enabled_after_itself(self):
         """``emit`` has an empty preset: its second firing overflows."""
@@ -639,6 +662,8 @@ class TestSleepSets:
         with pytest.raises(SafenessOverflowError) as raised:
             explore_batch(compiled)
         assert str(raised.value) == str(expected.value)
+        assert_overflow_verdict(compiled.net, raised.value, expected.value)
+        assert expected.value.trace == ["emit", "emit"]
 
     def test_independent_pairs_are_fired_once(self):
         graph = explore_batch(small_ope())
@@ -726,7 +751,7 @@ class TestKeptColumns:
             assert graph.truncated == (budget < len(full.states))
             for index in range(0, budget, step):
                 marking = graph._marking_at(index)
-                assert graph.trace_to(marking) == record_trace(full, index), \
+                assert graph.trace_to(marking) == full.trace(index), \
                     (budget, index)
 
     def test_deadlocks_keep_the_explicit_order(self):
@@ -770,21 +795,27 @@ class TestKeptColumns:
 
 
 class TestEngineSelection:
-    def test_auto_prefers_batch_when_numpy_present(self):
+    def test_the_batch_engine_builds_every_graph(self):
         net = to_petri_net(linear_pipeline(stages=1))
         graph = build_reachability_graph(net)
         assert isinstance(graph, ColumnarReachabilityGraph)
 
-    def test_batch_falls_back_to_explicit_on_unsafe_net(self):
-        net = PetriNet("unsafe")
-        net.add_place("src", tokens=2)
-        net.add_place("sink")
-        net.add_transition("move")
-        net.add_arc("src", "move")
-        net.add_arc("move", "sink")
-        graph = build_reachability_graph(net)
-        assert not isinstance(graph, ColumnarReachabilityGraph)
-        assert len(graph) == 3
+    def test_uncompilable_nets_are_refused(self):
+        unsafe = PetriNet("unsafe")
+        unsafe.add_place("src", tokens=2)
+        unsafe.add_place("sink")
+        unsafe.add_transition("move")
+        unsafe.add_arc("src", "move")
+        unsafe.add_arc("move", "sink")
+        weighted = PetriNet("weighted")
+        weighted.add_place("p", tokens=1)
+        weighted.add_transition("t")
+        weighted.add_arc("p", "t")
+        weighted.add_arc("t", "p", weight=2)
+        for net, reason in ((unsafe, "2 tokens in place 'src'"),
+                            (weighted, "has weight 2")):
+            with pytest.raises(CompilationError, match=reason):
+                build_reachability_graph(net)
 
 
 class TestPrimitives:

@@ -5,7 +5,8 @@ The differential tests are the contract of the engine: on every model of
 ``build_reachability_graph`` returns must answer the whole marking-level
 API -- states, successors, predecessors (in order), enabled sets,
 deadlocks, frontier and property verdicts -- exactly like the explicit
-explorer, including under truncation.
+oracle (``tests/oracles/reachability.py``), including under truncation.
+Nets the engine cannot compile are refused.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from repro.petri.batch import ColumnarReachabilityGraph
 from repro.petri.compiled import CompiledNet
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import build_reachability_graph, explore
+from repro.petri.reachability import build_reachability_graph
 from repro.verification.checkers import (
     DeadlockQuery,
     PersistenceQuery,
@@ -31,6 +32,7 @@ from repro.verification.checkers import (
 )
 
 from oracles.compiled import explore_compiled, is_enabled
+from oracles.reachability import explore
 
 
 EXAMPLE_MODELS = [
@@ -48,6 +50,11 @@ def both_graphs(net, max_states=200000):
     compiled = build_reachability_graph(net, max_states=max_states)
     assert isinstance(compiled, ColumnarReachabilityGraph)
     return explicit, compiled
+
+
+def enabled(graph, marking):
+    """Transitions enabled at *marking*, from the graph's edges."""
+    return sorted({transition for transition, _ in graph.successors(marking)})
 
 
 def hazard_net():
@@ -75,7 +82,7 @@ class TestDifferentialExamples:
         assert explicit.edge_count() == compiled.edge_count()
         assert not compiled.truncated
         for marking in explicit.states:
-            assert explicit.enabled(marking) == compiled.enabled(marking)
+            assert enabled(explicit, marking) == enabled(compiled, marking)
             assert explicit.successors(marking) == compiled.successors(marking)
             assert explicit.predecessors(marking) == compiled.predecessors(marking)
 
@@ -86,7 +93,7 @@ class TestDifferentialExamples:
         explicit, compiled = both_graphs(net)
         assert explicit.deadlocks() == compiled.deadlocks()
         explicit_outcomes, compiled_outcomes = exhaustive_on_both_graphs(
-            net, [DeadlockQuery(), SafenessQuery(bound=1), PersistenceQuery()])
+            net, [DeadlockQuery(), SafenessQuery(), PersistenceQuery()])
         for a, b in zip(explicit_outcomes, compiled_outcomes):
             assert a.holds == b.holds
 
@@ -145,7 +152,7 @@ class TestTruncationParity:
         assert explicit.deadlocks() == compiled.deadlocks()
         assert explicit.edge_count() == compiled.edge_count()
         for marking in explicit.states:
-            assert explicit.enabled(marking) == compiled.enabled(marking)
+            assert enabled(explicit, marking) == enabled(compiled, marking)
             assert explicit.successors(marking) == compiled.successors(marking)
             assert explicit.predecessors(marking) == compiled.predecessors(marking)
 
@@ -173,7 +180,6 @@ class TestCompiledNet:
         net.add_transition("t")
         net.add_arc("p", "t", weight=2)
         net.add_arc("t", "q")
-        assert CompiledNet.try_compile(net) is None
         with pytest.raises(CompilationError):
             CompiledNet.compile(net)
 
@@ -201,28 +207,38 @@ class TestCompiledNet:
         assert net.annotation["one_safe"] == "by-construction"
 
 
-class TestEngineFallback:
-    def test_auto_falls_back_on_multi_token_marking(self):
+class TestRefusedNets:
+    def test_multi_token_marking_is_refused(self):
         net = PetriNet("unsafe")
         net.add_place("src", tokens=2)
         net.add_place("sink")
         net.add_transition("move")
         net.add_arc("src", "move")
         net.add_arc("move", "sink")
-        graph = build_reachability_graph(net)
-        assert not isinstance(graph, ColumnarReachabilityGraph)
-        assert len(graph) == 3  # 2/0, 1/1, 0/2
+        with pytest.raises(CompilationError, match="2 tokens in place 'src'"):
+            build_reachability_graph(net)
 
-    def test_auto_falls_back_on_runtime_overflow(self):
+    def test_weighted_arc_is_refused(self):
+        net = PetriNet("weighted")
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        net.add_transition("t")
+        net.add_arc("p", "t", weight=2)
+        net.add_arc("t", "q")
+        with pytest.raises(CompilationError, match="has weight 2"):
+            build_reachability_graph(net)
+
+    def test_runtime_overflow_carries_its_trace(self):
         net = PetriNet("overflow")
         net.add_place("p", tokens=1)
         net.add_place("q", tokens=1)
         net.add_transition("t")
         net.add_arc("p", "t")
         net.add_arc("t", "q")
-        graph = build_reachability_graph(net)
-        assert not isinstance(graph, ColumnarReachabilityGraph)
-        assert len(graph) == 2
+        with pytest.raises(SafenessOverflowError) as raised:
+            build_reachability_graph(net)
+        error = raised.value
+        assert (error.transition, error.place, error.trace) == ("t", "q", ["t"])
 
     def test_forced_compiled_engine_raises(self):
         net = PetriNet("unsafe")

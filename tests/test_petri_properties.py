@@ -3,13 +3,15 @@
 Each query goes through
 :class:`~repro.verification.checkers.exhaustive.ExhaustiveChecker`, which
 decides it from the scans of an explicit reachability graph (the
-``explicit_engine`` fixture), truncated graphs included.
+``explicit_engine`` fixture), truncated graphs included.  Nets the batch
+engine refuses are refused here too, and a token overflow is the
+1-safeness verdict.
 """
 
 import pytest
 
+from repro.exceptions import CompilationError
 from repro.petri.net import PetriNet
-from repro.petri.reachability import ReachabilityGraph
 from repro.verification.checkers import (
     CheckerContext,
     DeadlockQuery,
@@ -18,6 +20,9 @@ from repro.verification.checkers import (
     ReachQuery,
     SafenessQuery,
 )
+from repro.verification.checkers.walk_core import replay_witness
+
+from oracles.reachability import ReachabilityGraph
 
 pytestmark = pytest.mark.usefixtures("explicit_engine")
 
@@ -63,7 +68,7 @@ def hazard_net():
 
 
 def unbounded_like_net():
-    """A net where a place accumulates two tokens (not 1-safe)."""
+    """A net whose initial marking holds two tokens in a place."""
     net = PetriNet("unsafe")
     net.add_place("src", tokens=2)
     net.add_place("sink")
@@ -73,14 +78,40 @@ def unbounded_like_net():
     return net
 
 
-def ring_net(places=6, tokens=1):
+def overflow_net():
+    """Two transitions both produce into ``c``: the second firing overflows."""
+    net = PetriNet("overflow")
+    net.add_place("a", tokens=1)
+    net.add_place("b", tokens=1)
+    net.add_place("c")
+    for source in ("a", "b"):
+        net.add_transition("t" + source)
+        net.add_arc(source, "t" + source)
+        net.add_arc("t" + source, "c")
+    return net
+
+
+def ring_net(places=6):
     net = PetriNet("ring")
     for index in range(places):
-        net.add_place("p{}".format(index), tokens=1 if index < tokens else 0)
+        net.add_place("p{}".format(index), tokens=1 if index == 0 else 0)
         net.add_transition("t{}".format(index))
     for index in range(places):
         net.add_arc("p{}".format(index), "t{}".format(index))
         net.add_arc("t{}".format(index), "p{}".format((index + 1) % places))
+    return net
+
+
+def ring_pair_net():
+    """Two one-token rings of two places each: 1-safe and concurrent."""
+    net = PetriNet("ring-pair")
+    for place in ("a0", "a1", "b0", "b1"):
+        net.add_place(place, tokens=int(place.endswith("0")))
+        net.add_transition("t" + place)
+    for place, successor in (("a0", "a1"), ("a1", "a0"), ("b0", "b1"),
+                             ("b1", "b0")):
+        net.add_arc(place, "t" + place)
+        net.add_arc("t" + place, successor)
     return net
 
 
@@ -99,16 +130,16 @@ class TestTruncatedGraphChecks:
         assert outcome.holds is False
 
     def test_persistence_skips_frontier_states(self):
-        # The interleaved two-token ring is persistent; a truncated scan
+        # Two interleaved one-token rings are persistent; a truncated scan
         # that inspected the partial successors of frontier states would
         # report spurious disablings.
-        outcome, graph = check(ring_net(places=4, tokens=2),
-                               PersistenceQuery(), max_states=3)
+        outcome, graph = check(ring_pair_net(), PersistenceQuery(),
+                               max_states=3)
         assert graph.truncated and graph.frontier
         assert outcome.holds is None
 
     def test_boundedness_inconclusive_when_truncated(self):
-        outcome, _ = check(ring_net(), SafenessQuery(bound=1), max_states=2)
+        outcome, _ = check(ring_net(), SafenessQuery(), max_states=2)
         assert outcome.holds is None
 
 
@@ -149,16 +180,29 @@ class TestPersistence:
 
 class TestBoundedness:
     def test_safe_net_passes(self):
-        outcome, _ = check(choice_net(), SafenessQuery(bound=1))
+        outcome, _ = check(choice_net(), SafenessQuery())
         assert outcome.holds is True
 
-    def test_two_token_place_fails_safeness(self):
-        outcome, _ = check(unbounded_like_net(), SafenessQuery(bound=1))
+    def test_two_token_marking_is_refused(self):
+        context = CheckerContext(unbounded_like_net())
+        with pytest.raises(CompilationError, match="2 tokens in place 'src'"):
+            ExhaustiveChecker(context).check(SafenessQuery())
+
+    def test_overflow_fails_safeness_with_a_replayed_trace(self):
+        net = overflow_net()
+        context = CheckerContext(net)
+        checker = ExhaustiveChecker(context)
+        outcome = checker.check(SafenessQuery())
+        assert context.graph is None
         assert outcome.holds is False
-
-    def test_higher_bound_passes(self):
-        outcome, _ = check(unbounded_like_net(), SafenessQuery(bound=2))
-        assert outcome.holds is True
+        (witness,) = outcome.witnesses
+        assert (witness["trace"], witness["transition"], witness["place"]) \
+            == (["ta"], "tb", "c")
+        assert replay_witness(net, "overflow", witness["trace"],
+                              transition="tb") is not None
+        deadlock = checker.check(DeadlockQuery())
+        assert deadlock.holds is None
+        assert "second token into place 'c'" in deadlock.details
 
 
 class TestMutualExclusion:

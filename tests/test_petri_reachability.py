@@ -1,12 +1,13 @@
-"""Tests for repro.petri.reachability and repro.petri.simulation."""
+"""Tests for the explicit reachability and token-game simulation oracles."""
 
 import pytest
 
 from repro.exceptions import SimulationError, VerificationError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import explore
-from repro.petri.simulation import PetriSimulator, random_trace
+
+from oracles.reachability import explore
+from oracles.simulation import PetriSimulator, random_trace
 
 
 def ring_net(places=3, tokens=1):

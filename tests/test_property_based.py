@@ -13,8 +13,9 @@ from repro.dfs.translation import to_petri_net
 from repro.ope.functional import OpePipelineFunctional
 from repro.ope.reference import OpeReference, ordinal_ranks
 from repro.petri.marking import Marking
-from repro.petri.simulation import PetriSimulator
 from repro.silicon.voltage import VoltageModel
+
+from oracles.simulation import PetriSimulator
 
 
 # -- markings ------------------------------------------------------------------

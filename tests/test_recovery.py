@@ -30,14 +30,20 @@ import pytest
 from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SafenessOverflowError
 from repro.parallel.supervisor import run_supervised
 from repro.petri.reachability import build_reachability_graph
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.utils import faults
 from repro.utils.faults import FaultError
 from repro.utils.journal import read_journal
-from test_petri_batch import assert_identical, assert_membership
+from repro.verification.checkers import CheckerContext
+from test_petri_batch import (
+    HAZARD_NETS,
+    assert_identical,
+    assert_membership,
+    overflow_hazard_net,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -135,6 +141,19 @@ class TestCheckpointResume:
         reference = build_reachability_graph(net)
         graph = build_reachability_graph(net, resume=checkpoint)
         assert_identical(reference, graph)
+        assert os.listdir(checkpoint) == []
+
+    def test_overflowing_run_discards_its_checkpoint_files(self, tmp_path):
+        """An overflow is the run's final verdict, as a completed graph is:
+        it leaves nothing to resume, so a second run explores afresh."""
+        checkpoint = str(tmp_path / "ckpt")
+        net = overflow_hazard_net(*HAZARD_NETS[0])
+        with pytest.raises(SafenessOverflowError) as first:
+            build_reachability_graph(net, resume=checkpoint)
+        assert os.listdir(checkpoint) == []
+        context = CheckerContext(net, resume=checkpoint)
+        assert context.graph is None
+        assert context.overflow.trace == first.value.trace
         assert os.listdir(checkpoint) == []
 
     def test_io_fault_keeps_checkpoint_and_resume_is_bit_identical(

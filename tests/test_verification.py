@@ -5,14 +5,17 @@ import pytest
 from repro.campaign.jobs import VerificationJob
 from repro.dfs.examples import conditional_comp_dfs, token_ring
 from repro.dfs.model import DataflowStructure
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CompilationError, ConfigurationError
 from repro.petri.batch import ColumnarReachabilityGraph
+from repro.petri.net import PetriNet
+from repro.verification.checkers.walk_core import replay_witness
 from repro.verification.properties import (
     consistency_violation_expression,
     control_mismatch_expression,
     variable_consistency_pairs,
 )
 from repro.verification.verifier import Verifier
+from repro.workcraft.cli import main as cli_main
 
 
 def deadlocking_model():
@@ -171,23 +174,69 @@ class TestTruncatedVerdicts:
         assert observed == self.EXPECTED
 
 
+def force_overflow(net):
+    """Make the first initially enabled transition of *net* put a second
+    token into a place that is marked and stays marked."""
+    initial = net.initial_marking()
+    transition = net.enabled_transitions(initial)[0]
+    place = next(place for place, _ in initial.items()
+                 if place not in net.consumed_places(transition))
+    net.add_arc(transition, place)
+    return transition
+
+
+class TestOverflowingNets:
+    """A token overflow is the 1-safeness verdict; a net that does not
+    compile is refused."""
+
+    def test_verify_all_reports_the_overflow(self, conditional_dfs):
+        verifier = Verifier(conditional_dfs)
+        transition = force_overflow(verifier.net)
+        summary = verifier.verify_all()
+        safeness, *others = summary.results
+        assert (safeness.property_name, safeness.holds) == ("1-safeness", False)
+        (witness,) = safeness.witnesses
+        assert witness["transition"] == transition
+        assert replay_witness(verifier.net, "overflow", witness["trace"],
+                              transition=transition) is not None
+        assert [(result.property_name, result.holds) for result in others] == [
+            ("deadlock freedom", None),
+            ("control-token mismatch", True),   # no two control registers
+            ("token-value exclusion", None),
+            ("persistence", None)]
+        assert all("second token" in result.details for result in others
+                   if result.holds is None)
+
+    def test_uncompilable_net_exits_2_in_one_line(self, monkeypatch, capsys):
+        weighted = PetriNet("weighted")
+        weighted.add_place("p", tokens=1)
+        weighted.add_transition("t")
+        weighted.add_arc("p", "t", weight=2)
+        monkeypatch.setattr("repro.verification.verifier.to_petri_net",
+                            lambda dfs: weighted)
+        with pytest.raises(CompilationError):
+            Verifier(conditional_comp_dfs()).verify_safeness()
+        assert cli_main(["verify", "--example", "ring"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-dfs: error: cannot compile net")
+        assert err.count("\n") == 1
+
+
 class TestWitnessShape:
     def test_safeness_witnesses_are_decorated(self, conditional_dfs):
         """All five checks attach dfs_state; safeness must not be the odd one.
 
-        Translations are 1-safe by construction, so a violation is forced by
-        doubling a token of the translated net behind the verifier's back.
+        Translations are 1-safe by construction, so a violation is forced
+        behind the verifier's back: an initially enabled transition gets an
+        extra output arc into a place that is marked and stays marked.
         """
         verifier = Verifier(conditional_dfs)
-        net = verifier.net
-        for place in net.places.values():
-            place.capacity = None
-        net.place("M_in_1").tokens = 2
+        force_overflow(verifier.net)
         result = verifier.verify_safeness()
         assert result.holds is False
         assert result.witnesses
         assert "dfs_state" in result.witnesses[0]
-        assert "places" in result.witnesses[0]
+        assert "place" in result.witnesses[0]
 
     def test_engines_agree_on_summary(self, conditional_dfs, request):
         batch = Verifier(conditional_dfs).verify_all()

@@ -296,7 +296,7 @@ class TestSwarmEdgeCases:
         net = overflow_net()
         checker = walk_checker(net)
         assert checker.check(DeadlockQuery()).holds is None
-        outcome = checker.check(SafenessQuery(bound=1))
+        outcome = checker.check(SafenessQuery())
         assert outcome.holds is False
         assert outcome.witnesses[0]["place"] == "p"
         assert outcome.witnesses[0]["transition"] == "t"
