@@ -28,13 +28,15 @@ class SafenessOverflowError(CompilationError):
     is the net's 1-safeness violation.  *trace*, when the explorer knows
     it, is the firing sequence from the initial marking that ends with
     the overflowing *transition*; the checker context turns it into the
-    exhaustive 1-safeness verdict.
+    exhaustive 1-safeness verdict.  *states*, when an explorer raised it,
+    is the number of states it had admitted by then.
     """
 
-    def __init__(self, transition, place, trace=None):
+    def __init__(self, transition, place, trace=None, states=None):
         self.transition = transition
         self.place = place
         self.trace = trace
+        self.states = states
         super().__init__(
             "firing {!r} produces a second token into place {!r}; "
             "the net is not 1-safe".format(transition, place)

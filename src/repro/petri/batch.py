@@ -1042,7 +1042,7 @@ def _overflow_error(tables, stores, index, level_start, rows, source_local,
 
     The first offender in expansion order, named exactly as the sequential
     engine reports it (a slept pair never overflows), with the BFS-tree
-    trace of its source over the states admitted so far.
+    trace of its source over the states admitted so far, and their count.
     """
     position = int(_np.argmax(overflowed))
     names = tables.compiled.transition_names
@@ -1055,7 +1055,8 @@ def _overflow_error(tables, stores, index, level_start, rows, source_local,
         names[fired],
         tables.compiled.place_names[overflow_place(
             tables, rows, source_local, transition, position)],
-        trace=[names[t] for t in prefix + [fired]])
+        trace=[names[t] for t in prefix + [fired]],
+        states=len(stores["words"]))
 
 
 def _finish(compiled, tables, initial_state, stores, slots, edges,

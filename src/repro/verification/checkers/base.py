@@ -260,16 +260,20 @@ class CheckerContext:
     def exploration_summary(self):
         """``(state_count, truncated, exploration)``, or ``None`` (no graph).
 
-        Falls back to :attr:`explored` when the graph was built elsewhere.
+        An exploration stopped by an :attr:`overflow` reports the states it
+        had admitted, with no stats.  Falls back to :attr:`explored` when
+        the graph was built elsewhere.
         """
         graph = self._graph
-        if graph is None:
-            return self.explored
-        return len(graph), bool(graph.truncated), graph.exploration_stats
+        if graph is not None:
+            return len(graph), bool(graph.truncated), graph.exploration_stats
+        if self.overflow is not None:
+            return self.overflow.states or 0, False, None
+        return self.explored
 
     @property
     def state_count(self):
-        """States explored so far (``0`` when no graph was built)."""
+        """States explored so far (``0`` when nothing was explored)."""
         summary = self.exploration_summary()
         return summary[0] if summary else 0
 

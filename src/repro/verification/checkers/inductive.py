@@ -38,11 +38,11 @@ state space at all:
    solver and no exploration.  One-sided: a siphon without a reserve means
    inconclusive, never "deadlocks".
 
-Budgets (``max_cubes`` processed cubes, optional ``max_depth`` induction
-depth, ``max_siphon_nodes`` enumeration nodes) turn a blow-up into an
-inconclusive verdict instead of a hang.  Persistence queries stay out of
-scope: they need successor structure -- the exhaustive checker covers
-those.
+Budgets (the ``max_cubes`` processed cubes, :data:`MAX_WORK` subsumption
+comparisons and :data:`MAX_SIPHON_NODES` enumeration nodes) turn a blow-up
+into an inconclusive verdict instead of a hang.  Persistence queries stay
+out of scope: they need successor structure -- the exhaustive checker
+covers those.
 """
 
 from collections import deque
@@ -54,6 +54,15 @@ from repro.petri.invariants import (
 )
 from repro.reach.cubes import to_cubes
 from repro.verification.checkers.base import Checker, register_checker
+
+#: Cube budget of a Reach query's DNF normalisation.
+DNF_LIMIT = 256
+#: Cap on subsumption comparisons: the quadratic part of the search.
+#: Bounds the wall-clock cost of an eventual "inconclusive (budget)"
+#: answer, which matters when a portfolio runs this checker first.
+MAX_WORK = 2000000
+#: Node budget of the minimal-siphon enumeration.
+MAX_SIPHON_NODES = 100000
 
 
 class _MaskInvariant:
@@ -88,17 +97,9 @@ class InductiveChecker(Checker):
     summary = ("place invariants, siphon/trap analysis and backward "
                "induction; proves with no state bound")
 
-    def __init__(self, context, max_cubes=4096, max_depth=None, dnf_limit=256,
-                 max_work=2000000, max_siphon_nodes=100000):
+    def __init__(self, context, max_cubes=4096):
         super().__init__(context)
         self.max_cubes = int(max_cubes)
-        self.max_depth = max_depth if max_depth is None else int(max_depth)
-        self.dnf_limit = int(dnf_limit)
-        # Cap on subsumption comparisons: the quadratic part of the search.
-        # Bounds the wall-clock cost of an eventual "inconclusive (budget)"
-        # answer, which matters when a portfolio runs this checker first.
-        self.max_work = int(max_work)
-        self.max_siphon_nodes = int(max_siphon_nodes)
 
     # -- deadlock ------------------------------------------------------------
 
@@ -112,7 +113,7 @@ class InductiveChecker(Checker):
                 details="the initial marking has no enabled transition")
         certificate = siphon_trap_certificate(
             net, semiflows=self.context.semiflows,
-            max_nodes=self.max_siphon_nodes)
+            max_nodes=MAX_SIPHON_NODES)
         if certificate["proved"]:
             return self.outcome(True, details=certificate["reason"])
         return self.outcome(
@@ -149,7 +150,7 @@ class InductiveChecker(Checker):
             return self.outcome(
                 None, details="place invariants do not certify 1-safety; "
                 "inductive cube reasoning unavailable")
-        cubes = to_cubes(query.expression, max_cubes=self.dnf_limit)
+        cubes = to_cubes(query.expression, max_cubes=DNF_LIMIT)
         if cubes is None:
             return self.outcome(
                 None, details="expression does not normalise into literal "
@@ -256,10 +257,6 @@ class InductiveChecker(Checker):
         while queue and not violations:
             index = queue.popleft()
             ones, zeros, _, _, depth = nodes[index]
-            if self.max_depth is not None and depth >= self.max_depth:
-                return self.outcome(
-                    None, details="no inductive proof within depth {} "
-                    "({} cube(s) processed)".format(self.max_depth, processed))
             processed += 1
             depth_reached = max(depth_reached, depth)
             if processed > self.max_cubes:
@@ -267,7 +264,7 @@ class InductiveChecker(Checker):
                     None, details="backward induction exceeded its {}-cube "
                     "budget at depth {}".format(self.max_cubes, depth))
             for transition in range(transition_count):
-                if work[0] > self.max_work:
+                if work[0] > MAX_WORK:
                     return self.outcome(
                         None, details="backward induction exceeded its "
                         "subsumption-work budget after {} cube(s) at depth "

@@ -21,7 +21,7 @@ The portfolio has two execution modes:
   their budgets.  This is the mode for beyond-horizon workloads on real
   cores: a deadlock hunt no longer waits for the inductive prover to
   decline, and an inductive proof no longer waits behind a hopeless
-  exhaustive exploration.  ``race_timeout`` bounds the whole race (seconds).
+  exhaustive exploration.
   Conclusive verdicts never contradict each other (checker soundness), so
   which member wins a close race can vary between runs, but never what the
   verdict says.  Inside a daemonic worker (e.g. a campaign job), where new
@@ -89,11 +89,10 @@ class PortfolioChecker(Checker):
     uses_solver = True
 
     def __init__(self, context, order=DEFAULT_ORDER, race=False,
-                 race_timeout=None, **member_options):
+                 **member_options):
         super().__init__(context)
         self.order = tuple(order)
         self.race = bool(race)
-        self.race_timeout = race_timeout
         if self.name in self.order:
             raise ConfigurationError(
                 "a portfolio cannot contain itself (order={!r})".format(
@@ -148,7 +147,7 @@ class PortfolioChecker(Checker):
             for name in self.order
         ]
         outcomes = run_supervised(
-            tasks, parallelism=len(tasks), timeout=self.race_timeout,
+            tasks, parallelism=len(tasks),
             stop_when=lambda outcome: (outcome.ok
                                        and outcome.payload[0].conclusive))
         by_name = {outcome.task_id: outcome for outcome in outcomes}

@@ -3,8 +3,8 @@
 Exhaustive exploration visits states breadth-first, so a bug 30 firings deep
 may sit far beyond a feasible ``max_states`` bound.  A random walk goes
 *deep* instead of *wide*: it fires one enabled transition at a time, testing
-the bad-state predicate at every visited marking, and restarts when it runs
-out of steps.  The walker can only ever answer ``False`` (with the fired
+the bad-state predicate at every visited marking, and starts over from the
+initial marking when it runs out of steps.  The walker can only ever answer ``False`` (with the fired
 sequence as a ready-made counterexample trace) or ``None`` -- absence of a
 bug on a few thousand random paths proves nothing -- which is exactly the
 right shape for the falsification half of a portfolio.
@@ -19,14 +19,6 @@ hunting deadlocks -- corners of the state space) or maximises satisfied
 bad-cube literals (when hunting Reach violations), which in practice finds
 injected-hole deadlocks orders of magnitude faster than uniform wandering.
 
-Walks are additionally **counterexample-guided**: the checker keeps the
-top-``restarts`` best-scoring *near-miss* states seen so far (with the
-prefix trace that reached them) and restarts every other walk from one of
-them instead of from the initial marking.  A walk that got close to a bad
-cube -- or into a sparsely-enabled corner, for deadlock hunts -- thereby
-becomes the launch pad of the next walk, which deepens falsification
-coverage well beyond the per-walk step budget.
-
 The walks run as the vectorised swarm of
 :mod:`~repro.verification.checkers.walk_batch`: thousands of walks as rows
 of one uint64 matrix, advanced one step per pass on the batch firing
@@ -35,9 +27,11 @@ trusted, like SMT counterexamples.  A pure-int scalar walker with the same
 semantics is kept as the swarm's test oracle (``tests/oracles/walk.py``).
 
 Determinism contract: the swarm is deterministic per ``(seed, walks,
-swarm)``.  Each walk's RNG stream is width-independent, but restart-pool
-contents fill in retirement order, so the configured swarm width is part of
-the identity (it rides in ``checker_options`` into campaign digests).
+swarm)``.  Each walk's moves are width-independent, but retired rows are
+reseeded with the next walk in retirement order, so which walk finds a
+witness first -- and the order in which witnesses are reported -- follows
+the configured swarm width, which is therefore part of the identity (it
+rides in ``checker_options`` into campaign digests).
 """
 
 from repro.reach.cubes import to_cubes
@@ -49,6 +43,10 @@ from repro.verification.checkers.walk_core import (
     replay_witness,
 )
 
+#: Cube budget of a Reach query's guidance: a predicate whose DNF exceeds
+#: it is walked unguided.
+DNF_LIMIT = 64
+
 
 @register_checker
 class RandomWalkChecker(Checker):
@@ -59,17 +57,12 @@ class RandomWalkChecker(Checker):
                "swarms; a fast falsifier, never proves")
 
     def __init__(self, context, walks=8, steps=256, seed=0xACE1,
-                 guidance=0.5, dnf_limit=64, restarts=4, swarm=1024):
+                 guidance=0.5, swarm=1024):
         super().__init__(context)
         self.walks = int(walks)
         self.steps = int(steps)
         self.seed = int(seed)
         self.guidance = float(guidance)
-        self.dnf_limit = int(dnf_limit)
-        #: Size of the near-miss pool for counterexample-guided restarts
-        #: (``0`` disables restarting: every walk starts at the initial
-        #: marking, the pre-restart behaviour).
-        self.restarts = int(restarts)
         #: Row width of the vectorised swarm (``min(walks, swarm)`` walks
         #: advance concurrently; retired rows are reseeded in place).
         self.swarm = int(swarm)
@@ -99,7 +92,7 @@ class RandomWalkChecker(Checker):
 
         row_predicate = compile_row_predicate(
             query.expression, self._word_tables(compiled).row_test)
-        cubes = to_cubes(query.expression, max_cubes=self.dnf_limit)
+        cubes = to_cubes(query.expression, max_cubes=DNF_LIMIT)
         cube_masks = cube_mask_table(compiled.mask_of, cubes) if cubes else None
         return self._hunt("reach", max_witnesses, "bad state", "bad state(s)",
                           expression=query.expression,
@@ -181,8 +174,8 @@ class RandomWalkChecker(Checker):
         return walk_batch.swarm_hunt(
             self._word_tables(compiled), initial, walks=self.walks,
             steps=self.steps, swarm=self.swarm, seed=self.seed or 0xACE1,
-            guidance=self.guidance, restarts=self.restarts,
-            max_witnesses=max_witnesses, row_predicate=row_predicate,
-            cube_masks=cube_masks, score_kind=score_kind,
+            guidance=self.guidance, max_witnesses=max_witnesses,
+            row_predicate=row_predicate, cube_masks=cube_masks,
+            score_kind=score_kind,
             stop_in_deadlock=stop_in_deadlock,
             overflow_conclusive=overflow_conclusive)

@@ -11,29 +11,29 @@ the main loop is:
    (:func:`repro.petri.batch.compile_row_predicate`);
 3. one :meth:`~repro.petri.batch.WordTables.enabled_matrix` scan -- rows
    with nothing enabled are deadlock witnesses (when hunting deadlocks);
-4. update each row's best *near-miss* rank as a whole-matrix reduction
-   (enabled counts for deadlock hunts, matched bad-cube literal fractions
-   for Reach hunts, in float64 columns);
-5. draw one word per row from the counter-based RNG of
+4. draw one word per row from the counter-based RNG of
    :func:`~repro.verification.checkers.walk_core.walk_draw` -- a walk's
    stream depends only on ``(seed, walk, step)``, never on the swarm width;
-6. fire **every** enabled (state, transition) pair of the matrix at once
+5. fire **every** enabled (state, transition) pair of the matrix at once
    through :func:`repro.petri.batch.fire_enabled_flags`;
-7. pick each row's move: guided rows take the best-ranked successor
-   (one ``lexsort`` + segment heads), uniform rows index their candidate
-   list by the draw -- guided ties go to the lowest transition index;
-8. retired rows push their best near-miss into the shared
-   :class:`~repro.verification.checkers.walk_core.NearMissPool` and are
-   **reseeded in place**: the next walk launches into the dead row, every
-   other one from a pool entry (counterexample-guided restarts as a top-k
-   selection instead of a per-walk Python scan).
+6. pick each row's move: guided rows take the best-ranked successor
+   (one ``lexsort`` + segment heads, ranked by enabled counts for deadlock
+   hunts and by matched bad-cube literal fractions for Reach hunts),
+   uniform rows index their candidate list by the draw -- guided ties go
+   to the lowest transition index;
+7. retire the rows whose move overflowed a place;
+8. commit the surviving moves;
+9. retired rows are **reseeded in place**, in walk order: the next walk
+   launches from the initial marking into the freed row.
 
-The engine is deterministic per ``(seed, walks, swarm width)``: the RNG
-stream of a walk is width-independent, but the restart pool fills in
-retirement order, which depends on how walks are packed into rows -- hence
-width is part of the contract (and of campaign digests).  Witness traces
-produced here are raw transition indices -- the checker replays them on the
-net (like SMT counterexamples) before trusting any verdict.
+Every walk starts at the initial marking, so its witness trace is its own
+firings.  Each walk's moves are width-independent, but which walk occupies
+which row -- and so the order in which witnesses of one pass are reported,
+and which walk finds them first -- follows when earlier walks retired;
+hence the engine is deterministic per ``(seed, walks, swarm width)``, and
+the width is part of the contract (and of campaign digests).  Witness
+traces produced here are raw transition indices -- the checker replays
+them on the net (like SMT counterexamples) before trusting any verdict.
 
 The scalar walker of ``tests/oracles/walk.py`` is this engine's oracle: it
 ranks, draws and tie-breaks the same way one firing at a time.
@@ -53,8 +53,6 @@ from repro.verification.checkers.walk_core import (
     DRAW_WALK_STRIDE,
     MIX_MULTIPLIER_A,
     MIX_MULTIPLIER_B,
-    NearMissPool,
-    walk_draw,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -125,7 +123,7 @@ class SwarmResult:
         self.expanded = expanded
 
 
-def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
+def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance,
                max_witnesses, row_predicate=None, cube_masks=None,
                score_kind=None, stop_in_deadlock=False,
                overflow_conclusive=False):
@@ -142,7 +140,6 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
     threshold = int(guidance * 256)
     cube_table = (cube_word_table(cube_masks, words)
                   if score_kind == "cube" else None)
-    track = restarts > 0 and score_kind is not None
 
     initial_row = numpy.array(int_to_words(initial, words), dtype=numpy.uint64)
     rows = numpy.tile(initial_row, (width, 1))
@@ -150,62 +147,38 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
     steps_taken = numpy.zeros(width, dtype=numpy.int64)
     active = numpy.ones(width, dtype=bool)
     trace_buf = numpy.zeros((width, max(int(steps), 1)), dtype=numpy.int32)
-    prefixes = [()] * width
-    best_rank = numpy.full(width, numpy.inf)
-    best_state = rows.copy()
-    best_len = numpy.full(width, -1, dtype=numpy.int64)
     launched = width
 
-    pool = NearMissPool(restarts)
     witnesses = []
     witnessed = set()
     total_steps = 0
     expanded = 0
 
-    def trace_of(i, length):
-        return list(prefixes[i]) + [int(t) for t in trace_buf[i, :length]]
+    def trace_of(i):
+        return [int(t) for t in trace_buf[i, :int(steps_taken[i])]]
 
     def witness(i):
         state = words_to_int(rows[i])
         if state not in witnessed:
             witnessed.add(state)
-            witnesses.append(
-                {"state": state, "trace": trace_of(i, int(steps_taken[i]))})
+            witnesses.append({"state": state, "trace": trace_of(i)})
 
-    def state_rank(block, counts):
+    def state_rank(block):
         if score_kind == "fewest":
-            if counts is None:
-                counts = tables.enabled_matrix(block).sum(axis=1)
-            return counts.astype(numpy.float64)
+            return tables.enabled_matrix(block).sum(axis=1).astype(
+                numpy.float64)
         return cube_rank_rows(cube_table, block)
 
     def retire(i):
-        """Bank row *i*'s near-miss, then reseed it with the next walk."""
+        """Reseed row *i* with the next walk, or park it when none is left."""
         nonlocal launched
-        if track and best_len[i] >= 0:
-            pool.remember(float(best_rank[i]), words_to_int(best_state[i]),
-                          trace_of_best(i))
         if launched >= walks:
             active[i] = False
             return
-        walk = launched
+        walk_id[i] = launched
         launched += 1
-        walk_id[i] = walk
         steps_taken[i] = 0
-        best_rank[i] = numpy.inf
-        best_len[i] = -1
-        prefixes[i] = ()
         rows[i] = initial_row
-        if len(pool) and walk % 2:
-            _, near_state, near_trace = pool.pick(walk_draw(seed, walk, 0))
-            if near_state not in witnessed:
-                rows[i] = numpy.array(int_to_words(near_state, words),
-                                      dtype=numpy.uint64)
-                prefixes[i] = tuple(near_trace)
-
-    def trace_of_best(i):
-        return tuple(prefixes[i]) + tuple(
-            int(t) for t in trace_buf[i, :int(best_len[i])])
 
     while len(witnesses) < max_witnesses:
         act = numpy.flatnonzero(active)
@@ -239,16 +212,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 keep = ~dead
                 act, enabled, counts = act[keep], enabled[keep], counts[keep]
         if len(act):
-            # 4. near-miss rank update (whole-matrix reduction).
-            if track:
-                rank_now = state_rank(rows[act], counts)
-                better = rank_now < best_rank[act]
-                if better.any():
-                    update = act[better]
-                    best_rank[update] = rank_now[better]
-                    best_state[update] = rows[update]
-                    best_len[update] = steps_taken[update]
-            # 5. one counter-based draw per row.
+            # 4. one counter-based draw per row.
             draws = draw_rows(seed, walk_id[act], steps_taken[act] + 1)
             if score_kind is not None:
                 guided = (((draws >> numpy.uint64(8)) & numpy.uint64(0xFF))
@@ -256,7 +220,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 guided &= counts > 1
             else:
                 guided = numpy.zeros(len(act), dtype=bool)
-            # 6. fire every enabled pair of the matrix in one batch.
+            # 5. fire every enabled pair of the matrix in one batch.
             flat = numpy.flatnonzero(enabled)
             source_local, transition, successor, overflowed = (
                 fire_enabled_flags(tables, rows[act], flat))
@@ -266,7 +230,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 i = int(act[int(source_local[position])])
                 overflow = {
                     "state": words_to_int(rows[i]),
-                    "trace": trace_of(i, int(steps_taken[i])),
+                    "trace": trace_of(i),
                     "transition": int(transition[position]),
                     "place": int(overflow_place(tables, rows[act],
                                                 source_local, transition,
@@ -274,7 +238,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 }
                 return SwarmResult(witnesses, overflow, total_steps,
                                    launched, expanded)
-            # 7. choose each row's move.
+            # 6. choose each row's move.
             seg_start = numpy.cumsum(counts) - counts
             choice = numpy.empty(len(act), dtype=numpy.int64)
             uniform = ~guided
@@ -286,7 +250,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
             if guided.any():
                 pair_guided = guided[source_local]
                 g_flat = numpy.flatnonzero(pair_guided)
-                g_rank = state_rank(successor[g_flat], None)
+                g_rank = state_rank(successor[g_flat])
                 g_source = source_local[g_flat]
                 # Sorting by (row, rank, transition) and taking segment
                 # heads picks the minimum rank with ties to the lowest
@@ -296,7 +260,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                 head = numpy.ones(len(order), dtype=bool)
                 head[1:] = ordered_source[1:] != ordered_source[:-1]
                 choice[ordered_source[head]] = g_flat[order[head]]
-            # 8. overflow retirement: a guided row dies on *any*
+            # 7. overflow retirement: a guided row dies on *any*
             # overflowing candidate (the scalar scorer fires them all); a
             # uniform row dies only when its chosen pair overflowed.
             kill = overflowed[choice] & uniform
@@ -307,7 +271,7 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
             if kill.any():
                 retired.extend(act[kill].tolist())
             live = ~kill
-            # 9. commit the surviving moves.
+            # 8. commit the surviving moves.
             if live.any():
                 target = act[live]
                 pick = choice[live]
@@ -316,8 +280,8 @@ def swarm_hunt(tables, initial, walks, steps, swarm, seed, guidance, restarts,
                     transition[pick].astype(numpy.int32))
                 steps_taken[target] += 1
                 total_steps += int(live.sum())
-        # Reseed in walk order so pool pushes and pool picks are
-        # deterministic for a fixed (seed, walks, width).
+        # 9. reseed in walk order, so which row each new walk takes is
+        # fixed for a fixed (seed, walks, width).
         for i in sorted(retired, key=lambda index: int(walk_id[index])):
             retire(i)
     return SwarmResult(witnesses, None, total_steps, launched, expanded)

@@ -3,17 +3,14 @@
 The walk checker runs on the NumPy swarm of
 :mod:`repro.verification.checkers.walk_batch`; its test oracle, the scalar
 walker of ``tests/oracles/walk.py``, must hunt with the *same* randomness
-and the *same* restart-pool semantics, or the two drift apart and
-differential testing loses its teeth.  This module is the single home of
-those semantics:
+and the *same* guidance, or the two drift apart and differential testing
+loses its teeth.  This module is the single home of those semantics:
 
 * :func:`walk_draw` -- a **counter-based** RNG: the draw is a pure function
   of ``(seed, walk, step)``, so walk ``w`` sees the identical stream whether
   it runs alone or as one row of an 8k-row swarm.
 * :func:`cube_mask_table` -- the bad-cube masks both engines score Reach
   guidance against.
-* :class:`NearMissPool` -- the counterexample-guided restart pool (dedupe
-  by state, evict the first worst entry only for a strictly better one).
 * :func:`replay_witness` -- swarm traces are replayed on the *net* before
   being trusted, exactly like SMT counterexamples;
   :func:`overflow_outcome` turns a replayed token overflow into the
@@ -51,8 +48,10 @@ def mix64(value):
 def walk_draw(seed, walk, step):
     """Draw number *step* of walk *walk* under *seed*: a 64-bit word.
 
-    Stream convention: step ``0`` is the walk's restart-pool selection
-    draw; steps ``1..N`` are its per-move draws (one per fired step).
+    Stream convention: steps ``1..N`` are the walk's per-move draws (one
+    per fired step); step ``0`` is reserved and never drawn.  Numbering
+    the moves from 0 instead would change every seed's walks, and with
+    them the committed golden traces and cached campaign verdicts.
     Being a pure function of the three counters, the stream of a walk is
     independent of how many other walks run, in what order, or in which
     engine -- the determinism contract of the swarm.
@@ -81,47 +80,6 @@ def cube_mask_table(mask_of, cubes):
             zeros |= mask_of(place)
         masks.append((ones, zeros, len(cube.places())))
     return tuple(masks)
-
-
-# -- the counterexample-guided restart pool ----------------------------------
-
-
-class NearMissPool:
-    """The top-*capacity* best-ranked near-miss states seen so far.
-
-    Entries are ``(rank, state, trace)``; lower ranks are better.  The pool
-    deduplicates by state, and a full pool evicts its **first** worst entry
-    only when the newcomer ranks **strictly** better -- ties keep the
-    incumbent.  The swarm and its scalar test oracle feed and draw from
-    this one class, so restart semantics cannot drift between them.
-    """
-
-    __slots__ = ("capacity", "_entries", "_states")
-
-    def __init__(self, capacity):
-        self.capacity = int(capacity)
-        self._entries = []
-        self._states = set()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def remember(self, rank, state, trace):
-        if self.capacity <= 0 or state in self._states:
-            return
-        if len(self._entries) >= self.capacity:
-            entries = self._entries
-            worst = max(range(len(entries)), key=lambda i: entries[i][0])
-            if entries[worst][0] <= rank:
-                return
-            self._states.discard(entries[worst][1])
-            del entries[worst]
-        self._states.add(state)
-        self._entries.append((rank, state, trace))
-
-    def pick(self, draw):
-        """The entry selected by *draw* (any 64-bit word; modulo inside)."""
-        return self._entries[draw % len(self._entries)]
 
 
 # -- witness replay ----------------------------------------------------------

@@ -159,9 +159,10 @@ class Verifier:
 
     @property
     def state_count(self):
-        """States of the reachability graph (``0`` when a place overflowed)."""
-        graph = self.graph
-        return len(graph) if graph is not None else 0
+        """States of the reachability graph (those admitted before the
+        overflow when a place overflowed)."""
+        self.graph  # builds the graph, or records the overflow
+        return self.context.state_count
 
     def _options_for(self, name):
         """Construction options for checker *name*.

@@ -2,8 +2,8 @@
 
 :func:`scalar_hunt` fires one transition of one walk per step on Python
 ints, with the shared semantics of :mod:`repro.verification.checkers
-.walk_core`: the counter-based draw of ``(seed, walk, step)``, the guidance
-ranks below, and the near-miss restart pool.  The swarm of
+.walk_core`: the counter-based draw of ``(seed, walk, step)`` and the
+guidance ranks below; every walk starts at the initial marking.  The swarm of
 :mod:`repro.verification.checkers.walk_batch` reproduces these ranks bit for
 bit in uint64/float64 columns and tie-breaks guided moves the same way, so
 the two must agree on every conclusive verdict of the example family.
@@ -19,7 +19,7 @@ from repro.reach import ast as _ast
 from repro.verification.checkers import CheckerContext
 from repro.verification.checkers.walk import RandomWalkChecker
 from repro.verification.checkers.walk_batch import SwarmResult
-from repro.verification.checkers.walk_core import NearMissPool, walk_draw
+from repro.verification.checkers.walk_core import walk_draw
 from repro.verification.verifier import Verifier
 
 from oracles.compiled import enabled_mask
@@ -80,7 +80,7 @@ def cube_rank(masks, state):
     return -best
 
 
-def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
+def scalar_hunt(compiled, initial, walks, steps, seed, guidance,
                 max_witnesses, predicate=None, cube_masks=None,
                 score_kind=None, stop_in_deadlock=False,
                 overflow_conclusive=False):
@@ -94,8 +94,8 @@ def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
     """
     guided_threshold = int(guidance * 256)
     witnesses = []
-    # Restarted walks often re-find the same bad state; witnesses (and the
-    # reported count) cover *distinct* states only.
+    # Walks often re-find the same bad state; witnesses (and the reported
+    # count) cover *distinct* states only.
     witnessed_states = set()
     steps_fired = 0
 
@@ -112,25 +112,9 @@ def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
     else:
         score = None
 
-    # Counterexample-guided restarts: the shared near-miss pool, fed with
-    # the best-ranked (rank, state, trace) of each finished walk.
-    pool = NearMissPool(restarts)
-    track_near_misses = restarts > 0 and score is not None
-
     for walk_index in range(walks):
         state = initial
         trace = []
-        if len(pool) and walk_index % 2:
-            # Every other walk launches from a stored near-miss prefix
-            # instead of the initial marking (draw 0 of the walk's counter
-            # stream, so restart coverage sweeps with the seed like
-            # everything else).
-            _, near_state, near_trace = pool.pick(
-                walk_draw(seed, walk_index, 0))
-            if near_state not in witnessed_states:
-                state = near_state
-                trace = list(near_trace)
-        best = None
         for step in range(steps):
             if predicate is not None and predicate(state):
                 witness(state, trace)
@@ -140,10 +124,6 @@ def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
                 if stop_in_deadlock:
                     witness(state, trace)
                 break
-            if track_near_misses:
-                rank = score(compiled, state)
-                if best is None or rank < best[0]:
-                    best = (rank, state, list(trace))
             draw = walk_draw(seed, walk_index, step + 1)
             try:
                 transition, state = _step(
@@ -162,8 +142,6 @@ def scalar_hunt(compiled, initial, walks, steps, seed, guidance, restarts,
                                    walk_index + 1, steps_fired)
             steps_fired += 1
             trace.append(transition)
-        if best is not None:
-            pool.remember(*best)
         if len(witnesses) >= max_witnesses:
             break
     return SwarmResult(witnesses, None, steps_fired, walks, steps_fired)
@@ -194,7 +172,7 @@ class ScalarWalkChecker(RandomWalkChecker):
         return scalar_hunt(
             compiled, initial, walks=self.walks, steps=self.steps,
             seed=self.seed or 0xACE1, guidance=self.guidance,
-            restarts=self.restarts, max_witnesses=max_witnesses,
+            max_witnesses=max_witnesses,
             predicate=predicate, cube_masks=cube_masks,
             score_kind=score_kind, stop_in_deadlock=stop_in_deadlock,
             overflow_conclusive=overflow_conclusive)

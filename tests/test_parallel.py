@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.campaign.jobs import build_pipeline_model
+from repro.campaign.jobs import VerificationJob, build_pipeline_model
 from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
@@ -317,27 +317,25 @@ class TestCacheIdentity:
         assert campaign_fingerprint(net) == net_fingerprint(net)
 
 
-# -- counterexample-guided walk restarts -------------------------------------
+# -- walk hole hunts ----------------------------------------------------------
 
 
-class TestWalkRestarts:
-    def test_restarting_walker_still_finds_the_hole(self):
+class TestWalkHoleHunt:
+    def test_walker_finds_the_hole(self):
         holey = build_pipeline_model(3, static_prefix=1, holes=[2])
         result = Verifier(
             holey, checker="walk",
-            checker_options={"walk": {"walks": 16, "steps": 256,
-                                      "restarts": 4}},
+            checker_options={"walk": {"walks": 16, "steps": 256}},
         ).verify_deadlock_freedom()
         assert result.holds is False
         assert result.witnesses[0]["trace"]
 
-    def test_restart_traces_replay_to_the_witness(self):
-        """Witness traces from restarted walks must actually reach the state."""
+    def test_witness_traces_replay_to_the_witness(self):
+        """Every witness trace must actually reach its deadlocked state."""
         holey = build_pipeline_model(3, static_prefix=1, holes=[2])
         verifier = Verifier(
             holey, checker="walk",
-            checker_options={"walk": {"walks": 16, "steps": 256,
-                                      "restarts": 4}})
+            checker_options={"walk": {"walks": 16, "steps": 256}})
         result = verifier.verify_deadlock_freedom()
         compiled = CompiledNet.compile(verifier.net)
         for witness in result.witnesses:
@@ -355,7 +353,7 @@ class TestWalkRestarts:
             return Verifier(
                 holey, checker="walk",
                 checker_options={"walk": {"walks": 8, "steps": 128,
-                                          "restarts": 4, "seed": seed}},
+                                          "seed": seed}},
             ).verify_deadlock_freedom()
 
         first, second = run(0xBEEF), run(0xBEEF)
@@ -363,11 +361,13 @@ class TestWalkRestarts:
         assert [w["trace"] for w in first.witnesses] == \
             [w["trace"] for w in second.witnesses]
 
-    def test_restarts_zero_restores_prerestart_behaviour(self):
+    def test_restarts_option_is_refused(self):
+        """Walks have no restart pool, so its option is an unknown one."""
+        options = {"walk": {"restarts": 0}}
         holey = build_pipeline_model(3, static_prefix=1, holes=[2])
-        result = Verifier(
-            holey, checker="walk",
-            checker_options={"walk": {"walks": 16, "steps": 256,
-                                      "restarts": 0}},
-        ).verify_deadlock_freedom()
-        assert result.holds is False
+        with pytest.raises(ConfigurationError, match="restarts"):
+            Verifier(holey, checker="walk", checker_options=options)
+        with pytest.raises(ConfigurationError, match="restarts"):
+            VerificationJob("j", "pipeline",
+                            kwargs={"stages": 3, "holes": [2]},
+                            checker="walk", checker_options=options)

@@ -637,7 +637,8 @@ class TestDaemonCrashRecovery:
     def test_journal_naming_a_retired_checker_does_not_block_restart(
             self, tmp_path):
         """A submit record for ``bmc`` or ``kinduction`` (checkers that no
-        longer exist) is malformed: replay skips it and serves the rest."""
+        longer exist), or setting the walk checker's retired ``restarts``
+        option, is malformed: replay skips it and serves the rest."""
         from repro.campaign.scheduler import CampaignScheduler
         from repro.utils.journal import JournalWriter
 
@@ -650,6 +651,10 @@ class TestDaemonCrashRecovery:
                                        checker="portfolio",
                                        checker_options={
                                            "kinduction": {"max_depth": 4}})),
+                    ("retired03", dict(_job_payload("walk-job"),
+                                       checker="walk",
+                                       checker_options={
+                                           "walk": {"restarts": 4}})),
                     ("kept01", _job_payload("still-valid"))):
                 writer.append({"event": "submit", "ticket": ticket,
                                "job": job, "tenant": None, "priority": 0,
@@ -658,6 +663,7 @@ class TestDaemonCrashRecovery:
         try:
             assert scheduler.get("retired01") is None
             assert scheduler.get("retired02") is None
+            assert scheduler.get("retired03") is None
             ticket = scheduler.get("kept01")
             assert ticket is not None
             assert ticket.wait(timeout=120.0).status == "ok"

@@ -8,6 +8,11 @@ from repro.dfs.model import DataflowStructure
 from repro.exceptions import CompilationError, ConfigurationError
 from repro.petri.batch import ColumnarReachabilityGraph
 from repro.petri.net import PetriNet
+from repro.verification.checkers import (
+    CheckerContext,
+    SafenessQuery,
+    create_checker,
+)
 from repro.verification.checkers.walk_core import replay_witness
 from repro.verification.properties import (
     consistency_violation_expression,
@@ -206,6 +211,40 @@ class TestOverflowingNets:
             ("persistence", None)]
         assert all("second token" in result.details for result in others
                    if result.holds is None)
+
+    def test_summary_counts_the_states_admitted_before_the_overflow(
+            self, conditional_dfs):
+        """The first firing overflows: only the initial state was admitted."""
+        verifier = Verifier(conditional_dfs)
+        force_overflow(verifier.net)
+        summary = verifier.verify_all()
+        assert summary.state_count == verifier.state_count == 1
+        assert "(1 reachable states)" in summary.report()
+        assert not summary.truncated
+
+    def test_overflow_at_depth_two_counts_every_admitted_state(self):
+        """``t1`` refills the never-consumed place ``q`` two firings deep;
+        by then the initial state and both of its successors are
+        admitted."""
+        net = PetriNet("late-overflow")
+        for place, tokens in (("p0", 1), ("p1", 0), ("p2", 0), ("q", 1),
+                              ("a0", 1), ("a1", 0)):
+            net.add_place(place, tokens=tokens)
+        for transition, inputs, outputs in (
+                ("t0", ["p0"], ["p1"]), ("t1", ["p1"], ["p2", "q"]),
+                ("ta", ["a0"], ["a1"]), ("tb", ["a1"], ["a0"])):
+            net.add_transition(transition)
+            for place in inputs:
+                net.add_arc(place, transition)
+            for place in outputs:
+                net.add_arc(transition, place)
+        context = CheckerContext(net)
+        outcome = create_checker("exhaustive", context).check(SafenessQuery())
+        assert outcome.holds is False
+        assert outcome.witnesses[0]["trace"] == ["t0"]
+        assert outcome.witnesses[0]["transition"] == "t1"
+        assert context.exploration_summary() == (3, False, None)
+        assert context.overflow.states == 3
 
     def test_uncompilable_net_exits_2_in_one_line(self, monkeypatch, capsys):
         weighted = PetriNet("weighted")

@@ -29,7 +29,6 @@ from repro.verification.checkers import (
     create_checker,
 )
 from repro.verification.checkers.walk_core import (
-    NearMissPool,
     cube_mask_table,
     mix64,
     replay_witness,
@@ -320,31 +319,6 @@ class TestSwarmEdgeCases:
             checker = scalar_walk_checker(net, seed=0xACE1)
             traces.append(checker.check(DeadlockQuery()).witnesses[0]["trace"])
         assert traces[0] == traces[1]
-
-
-class TestNearMissPool:
-    """The shared restart pool keeps swarm and oracle semantics aligned."""
-
-    def test_dedupes_by_state(self):
-        pool = NearMissPool(4)
-        pool.remember(1.0, 10, ("a",))
-        pool.remember(0.5, 10, ("b",))  # same state: kept out
-        assert len(pool) == 1
-        assert pool.pick(0) == (1.0, 10, ("a",))
-
-    def test_evicts_first_worst_only_for_strictly_better(self):
-        pool = NearMissPool(2)
-        pool.remember(3.0, 1, ())
-        pool.remember(3.0, 2, ())
-        pool.remember(3.0, 3, ())  # tie: incumbents stay
-        assert {entry[1] for entry in (pool.pick(0), pool.pick(1))} == {1, 2}
-        pool.remember(1.0, 4, ())  # strictly better: first worst (state 1) goes
-        assert {entry[1] for entry in (pool.pick(0), pool.pick(1))} == {2, 4}
-
-    def test_zero_capacity_disables_restarts(self):
-        pool = NearMissPool(0)
-        pool.remember(0.0, 1, ())
-        assert len(pool) == 0
 
 
 class TestWitnessReplay:
