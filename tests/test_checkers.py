@@ -270,6 +270,28 @@ class TestCheckerSelection:
                 VerificationJob("j", "conditional").to_dict(),
                 checker_options=options))
 
+    @pytest.mark.parametrize("options", [
+        {"walk": {"dnf_limit": 64}},
+        {"inductive": {"max_depth": 4}},
+        {"inductive": {"dnf_limit": 256}},
+        {"inductive": {"max_work": 2000000}},
+        {"inductive": {"max_siphon_nodes": 100000}},
+        {"portfolio": {"race_timeout": 5.0}},
+    ], ids=["walk-dnf_limit", "inductive-max_depth", "inductive-dnf_limit",
+            "inductive-max_work", "inductive-max_siphon_nodes",
+            "portfolio-race_timeout"])
+    def test_budgets_fixed_as_module_constants_are_refused(self, options,
+                                                          conditional_dfs):
+        """Budgets that are module constants are not options: setting one,
+        even to its constant's value, is an unknown option."""
+        (name,) = next(iter(options.values()))
+        with pytest.raises(ConfigurationError, match=name):
+            Verifier(conditional_dfs, checker="portfolio",
+                     checker_options=options)
+        with pytest.raises(ConfigurationError, match=name):
+            VerificationJob("j", "conditional", checker="portfolio",
+                            checker_options=options)
+
     def test_known_nested_checker_options_are_accepted(self, conditional_dfs):
         options = {"walk": {"walks": 2, "swarm": 4},
                    "portfolio": {"race": False, "walk": {"steps": 8},
