@@ -128,7 +128,7 @@ GATES = [
         "tolerance": 3.00,
     },
     {
-        # The no-solver answer of the SMT proving tier: a cold
+        # The inductive checker's structural deadlock proof: a cold
         # minimal-siphon enumeration plus trap/semiflow witnesses.  It takes
         # milliseconds, so the band is wide; the gate catches the
         # enumeration regressing toward its exponential corner.

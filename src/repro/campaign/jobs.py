@@ -173,16 +173,10 @@ class VerificationJob:
         name for a different expression can never be answered from a stale
         cached verdict.
 
-        For the solver-backed ``ic3`` checker (and the portfolio, whose
-        default order contains it) the mapping also carries the **solver
-        fingerprint** (the z3 version line, or ``None`` when no solver is
-        available): verdicts that may depend on the solver must not be
-        reused across a solver upgrade or an install/uninstall.  Only
-        those jobs import :mod:`repro.smt`.  Walk-driven jobs carry
-        ``"walk_backend": "batch"``: the key once named the walk engine
-        when there were two, and the swarm is the one left, so the
-        constant keeps existing cache keys valid (the swarm width rides in
-        ``checker_options`` when tuned).  ``"engine": "auto"`` is the same
+        Walk-driven jobs carry ``"walk_backend": "batch"``: the key once
+        named the walk engine when there were two, and the swarm is the one
+        left, so the constant keeps existing cache keys valid (the swarm
+        width rides in ``checker_options`` when tuned).  ``"engine": "auto"`` is the same
         kind of constant: the key once named a user-chosen reachability
         engine, and the net now picks it.
         """
@@ -198,10 +192,6 @@ class VerificationJob:
             "simulate_steps": self.simulate_steps,
             "voltage": self.voltage,
         }
-        checker_cls = CHECKERS.get(self.checker)
-        if checker_cls is not None and checker_cls.uses_solver:
-            from repro.smt.solver import solver_fingerprint
-            options["solver"] = solver_fingerprint()
         if self.checker in ("walk", "portfolio"):
             options["walk_backend"] = "batch"
         return options
@@ -226,11 +216,13 @@ class VerificationJob:
         asked for).
         """
         payload = dict(payload)
-        # The solver fingerprint and the walk-engine constant are derived
-        # locally (see :meth:`options`), never trusted from the wire: the
-        # daemon answers with *its* solver.
-        payload.pop("solver", None)
+        # The walk-engine constant is derived locally (see :meth:`options`),
+        # never trusted from the wire.
         payload.pop("walk_backend", None)
+        # Journals and clients from before the solver tier was retired
+        # carry a "solver" fingerprint in every portfolio job; it no longer
+        # keys anything and is dropped.
+        payload.pop("solver", None)
         # Older clients and journals may still carry the retired per-job
         # spill directory and budget; they are dropped.
         payload.pop("spill_dir", None)

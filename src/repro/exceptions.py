@@ -43,23 +43,6 @@ class SafenessOverflowError(CompilationError):
         )
 
 
-class SolverError(VerificationError):
-    """An external SMT solver process failed or broke protocol."""
-
-
-class SolverUnavailableError(SolverError):
-    """The optional SMT solver binary is not available.
-
-    Carries an actionable message (which binary, how to install it or which
-    environment variable disabled it); the solver-backed checkers catch this
-    to skip cleanly, and the CLI turns it into an exit-2 diagnostic.
-    """
-
-
-class SolverTimeoutError(SolverError):
-    """An SMT solver query exceeded its wall-clock budget (process killed)."""
-
-
 class TranslationError(ReproError):
     """An error raised while translating between formalisms."""
 

@@ -230,7 +230,7 @@ def proves_bound(semiflows, places, bound=1):
 
 # -- siphons and traps --------------------------------------------------------
 #
-# The structural no-solver route to unbounded deadlock-freedom proofs,
+# The structural route to unbounded deadlock-freedom proofs,
 # generalised to the read arcs of the DFS translations:
 #
 # * a **siphon** is a place set S such that every transition producing into

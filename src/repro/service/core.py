@@ -113,31 +113,21 @@ class VerificationService:
         return self.scheduler.get(ticket_id)
 
     def healthz(self):
-        """A liveness snapshot for load balancers.
-
-        ``solver`` reports the SMT solver fingerprint (the z3 version
-        line), or ``null`` when no solver is installed -- operators can see
-        at a glance whether this daemon can serve solver-backed checkers.
-        """
-        from repro.smt.solver import solver_fingerprint
+        """A liveness snapshot for load balancers."""
         return {
             "status": "ok",
             "depth": self.scheduler.depth,
             "max_depth": self.max_depth,
             "parallelism": self.scheduler.parallelism,
-            "solver": solver_fingerprint(),
         }
 
     def stats(self):
         """Scheduler counters plus admission-control counters."""
-        from repro.smt.solver import solver_fingerprint, solver_respawns
         stats = self.scheduler.stats()
         with self._lock:
             stats["rejected"] = dict(self._rejected)
             stats["tenants"] = len(self._buckets)
         stats["max_depth"] = self.max_depth
-        stats["solver"] = solver_fingerprint()
-        stats["solver_respawns"] = solver_respawns()
         if self.rate is not None:
             stats["rate"] = self.rate
             stats["burst"] = self.burst

@@ -3,16 +3,13 @@
 Faults are declared in the ``REPRO_FAULTS`` environment variable as a
 comma-separated list of specs::
 
-    REPRO_FAULTS=kill_worker@level=3,solver_crash:p=0.5,io_error@write=7
+    REPRO_FAULTS=kill_worker@level=3,io_error@write=7
 
 Each spec names a fault site that the production code guards with
-:func:`trigger`; a spec fires either
-
-* on the *n*-th hit of a named counter -- ``kill_worker@level=3`` fires the
-  third time exploration reaches a ``level`` fault point, or
-* probabilistically -- ``solver_crash:p=0.5`` fires on roughly half the
-  hits, decided by a hash of ``(seed, name, site, hit count)`` so a given
-  ``REPRO_FAULTS_SEED`` reproduces the exact same fault schedule.
+:func:`trigger` and fires on the *n*-th hit of a named counter:
+``kill_worker@level=3`` fires the third time exploration reaches a
+``level`` fault point, and a bare name (``io_error``) fires on its first
+hit.
 
 The environment is read once per process (workers inherit it through
 ``fork``/``spawn``), and :func:`trigger` is a cheap no-op -- one global
@@ -20,7 +17,6 @@ The environment is read once per process (workers inherit it through
 pay nothing in production.
 """
 
-import hashlib
 import os
 import threading
 
@@ -35,78 +31,55 @@ class FaultError(OSError):
 
 
 class _FaultSpec:
-    __slots__ = ("name", "site", "nth", "probability")
+    __slots__ = ("name", "site", "nth")
 
-    def __init__(self, name, site, nth, probability):
+    def __init__(self, name, site, nth):
         self.name = name
         self.site = site
         self.nth = nth
-        self.probability = probability
 
-    def matches(self, name, site):
-        if self.name != name:
+    def fires(self, name, site, count):
+        if self.name != name or (self.site is not None and self.site != site):
             return False
-        return self.site is None or self.site == site
-
-    def fires(self, seed, site, count):
-        if self.nth is not None:
-            return count == self.nth
-        material = "{}:{}:{}:{}".format(seed, self.name, site, count)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return draw < self.probability
+        return count == self.nth
 
 
 def _parse_spec(text):
-    """One spec: ``name[@site=N][:p=F]`` -> :class:`_FaultSpec`."""
+    """One spec: ``name[@site=N]`` -> :class:`_FaultSpec`."""
     text = text.strip()
     if not text:
         return None
-    probability = None
     if ":" in text:
-        text, _, tail = text.partition(":")
-        key, _, value = tail.partition("=")
-        if key.strip() != "p":
-            raise ValueError("unknown fault option {!r}".format(tail))
-        probability = float(value)
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("fault probability {} not in [0, 1]".format(value))
+        raise ValueError("unknown fault option {!r}".format(
+            text.partition(":")[2]))
     site = None
-    nth = None
+    nth = 1  # a bare name fires on its first hit
     if "@" in text:
         text, _, tail = text.partition("@")
         key, _, value = tail.partition("=")
-        site = key.strip()
-        if value:
-            nth = int(value)
-            if nth < 1:
-                raise ValueError(
-                    "fault counter {!r} must be >= 1".format(tail))
-        elif probability is None:
-            # A bare @site is only meaningful as a probability restriction
-            # (name@site:p=F); a counter spec must say which hit.
+        if not value:
             raise ValueError("fault counter {!r} needs =N".format(tail))
+        site = key.strip()
+        nth = int(value)
+        if nth < 1:
+            raise ValueError("fault counter {!r} must be >= 1".format(tail))
     name = text.strip()
     if not name:
         raise ValueError("fault spec with no name")
-    if nth is None and probability is None:
-        nth = 1  # a bare name fires on its first hit
-    return _FaultSpec(name, site, nth, probability)
+    return _FaultSpec(name, site, nth)
 
 
 class FaultPlan:
     """A parsed fault schedule with per-``(name, site)`` hit counters."""
 
-    def __init__(self, specs, seed=0):
+    def __init__(self, specs):
         self.specs = [spec for spec in specs if spec is not None]
-        self.seed = int(seed)
         self._lock = threading.Lock()
         self._counts = {}
 
     @classmethod
-    def parse(cls, text, seed=0):
-        specs = [_parse_spec(part) for part in str(text).split(",")]
-        return cls(specs, seed=seed)
+    def parse(cls, text):
+        return cls([_parse_spec(part) for part in str(text).split(",")])
 
     @classmethod
     def from_env(cls, environ=None):
@@ -115,8 +88,7 @@ class FaultPlan:
         text = environ.get("REPRO_FAULTS", "").strip()
         if not text:
             return None
-        seed = int(environ.get("REPRO_FAULTS_SEED", "0") or "0")
-        return cls.parse(text, seed=seed)
+        return cls.parse(text)
 
     def trigger(self, name, site=None):
         """Record one hit of fault point *name*; ``True`` if a fault fires."""
@@ -125,11 +97,7 @@ class FaultPlan:
             key = (name, site)
             count = self._counts.get(key, 0) + 1
             self._counts[key] = count
-        fired = False
-        for spec in self.specs:
-            if spec.matches(name, site) and spec.fires(self.seed, site, count):
-                fired = True
-        return fired
+        return any(spec.fires(name, site, count) for spec in self.specs)
 
     def counts(self):
         with self._lock:
@@ -138,7 +106,7 @@ class FaultPlan:
     def __repr__(self):
         parts = ["{}@{}".format(spec.name, spec.site or _DEFAULT_SITE)
                  for spec in self.specs]
-        return "FaultPlan([{}], seed={})".format(", ".join(parts), self.seed)
+        return "FaultPlan([{}])".format(", ".join(parts))
 
 
 #: The process-wide plan: unset until the first :func:`trigger` call, then
@@ -160,7 +128,7 @@ def trigger(name, site=None):
     """``True`` when the configured plan fires fault *name* at *site*.
 
     The caller decides what a firing means: the supervised pool SIGKILLs
-    the worker, the solver shim kills the z3 child, a columnar store raises
+    the worker, a columnar store raises
     :class:`FaultError` from the write path.  With no ``REPRO_FAULTS`` in
     the environment this is a single global check.
     """

@@ -311,13 +311,6 @@ class Checker:
     #: One-line description, surfaced by the CLI ``--checker`` help (which
     #: is generated from the registry, never hand-maintained).
     summary = ""
-    #: True when verdicts depend on an external SMT solver.  Campaign
-    #: cache keys fold the solver fingerprint in for such checkers, so a
-    #: solver upgrade invalidates cached verdicts.
-    uses_solver = False
-    #: True when the checker is useless without the solver binary -- the
-    #: CLI refuses to select it (a clear error, not a silent inconclusive).
-    requires_solver = False
 
     def __init__(self, context):
         self.context = context

@@ -35,7 +35,7 @@ state space at all:
    every minimal siphon of an ordinary net holds a permanent token reserve
    (an initially marked trap, or a positive semiflow supported inside the
    siphon), no reachable marking is dead -- an unbounded proof with no
-   solver and no exploration.  One-sided: a siphon without a reserve means
+   exploration.  One-sided: a siphon without a reserve means
    inconclusive, never "deadlocks".
 
 Budgets (the ``max_cubes`` processed cubes, :data:`MAX_WORK` subsumption
@@ -78,7 +78,14 @@ class _MaskInvariant:
         self.upper_total = sum(upper for _, _, upper in self.terms)
 
     def feasible(self, ones, zeros):
-        """Can any marking of the cube satisfy this invariant?"""
+        """Can any marking of the cube satisfy this invariant?
+
+        Sound without any safeness assumption: the lower bound only uses
+        "marked means at least one token", and the upper bound only uses
+        token limits the invariants themselves imply
+        (:func:`~repro.petri.invariants.place_bounds` bounds every place
+        of a semiflow's support).
+        """
         lower = 0
         blocked = 0
         for bit, weight, upper in self.terms:
@@ -159,53 +166,37 @@ class InductiveChecker(Checker):
             return self.outcome(
                 True, details="bad-state predicate is unsatisfiable on "
                 "1-safe markings")
+        # Cubes are lowered to (ones, zeros) masks once, on the bit layout of
+        # CompiledNet (one bit per place, in sorted name order), so a query
+        # whose cubes the invariants all refute never compiles the net.
+        place_bit = {place: 1 << index for index, place
+                     in enumerate(sorted(self.context.net.places))}
         bounds = place_bounds(semiflows)
-        survivors = [cube for cube in cubes
-                     if not self._refuted(cube, semiflows, bounds)]
+        invariants = [_MaskInvariant(semiflow, place_bit, bounds)
+                      for semiflow in semiflows]
+        survivors = []
+        for cube in cubes:
+            ones = sum(place_bit[place] for place in cube.true_places)
+            zeros = sum(place_bit[place] for place in cube.false_places)
+            if all(invariant.feasible(ones, zeros)
+                   for invariant in invariants):
+                survivors.append((ones, zeros))
         if not survivors:
             return self.outcome(
                 True, details="all {} bad-state cube(s) refuted by {} place "
                 "invariant(s)".format(len(cubes), len(semiflows)))
-        return self._backward_induction(survivors, len(cubes), semiflows,
-                                        bounds, max_witnesses)
-
-    @staticmethod
-    def _refuted(cube, semiflows, bounds):
-        """Is *cube* infeasible under some place invariant?
-
-        Sound without any safeness assumption: the lower bound only uses
-        "marked means at least one token", and the upper bound only uses
-        token limits the invariants themselves imply.
-        """
-        for semiflow in semiflows:
-            lower = sum(weight for place, weight in semiflow.weights.items()
-                        if place in cube.true_places)
-            if lower > semiflow.value:
-                return True
-            upper = 0
-            unbounded = False
-            for place, weight in semiflow.weights.items():
-                if place in cube.false_places:
-                    continue
-                bound = bounds.get(place)
-                if bound is None:
-                    unbounded = True
-                    break
-                upper += weight * bound
-            if not unbounded and upper < semiflow.value:
-                return True
-        return False
+        return self._backward_induction(survivors, len(cubes), invariants,
+                                        max_witnesses)
 
     # -- backward induction ---------------------------------------------------
 
-    def _backward_induction(self, cubes, total_cubes, semiflows, bounds,
+    def _backward_induction(self, cubes, total_cubes, mask_invariants,
                             max_witnesses):
+        """Regress the surviving ``(ones, zeros)`` *cubes* to a fixpoint."""
         compiled = self.context.compiled
         initial = compiled.encode(self.context.net.initial_marking())
         # The caller (check_reach) has already certified 1-safety through
         # the invariants, so the 0/1 regression covers the reachable space.
-        mask_invariants = [_MaskInvariant(semiflow, compiled.place_bit, bounds)
-                           for semiflow in semiflows]
 
         consume, produce, need = compiled.consume, compiled.produce, compiled.need
         transition_count = len(compiled.transition_names)
@@ -245,9 +236,7 @@ class InductiveChecker(Checker):
                 return index
             return None
 
-        for cube in cubes:
-            ones = sum(compiled.place_bit[p] for p in cube.true_places)
-            zeros = sum(compiled.place_bit[p] for p in cube.false_places)
+        for ones, zeros in cubes:
             hit = admit(ones, zeros, None, None, 0)
             if hit is not None:
                 violations.append(hit)
@@ -294,7 +283,7 @@ class InductiveChecker(Checker):
             "depth {}: {} of {} bad cube(s) regressed to nothing, the rest "
             "refuted by {} place invariant(s)".format(
                 processed, depth_reached, len(cubes), total_cubes,
-                len(semiflows)))
+                len(mask_invariants)))
 
     @staticmethod
     def _witness(compiled, initial, nodes, hit):

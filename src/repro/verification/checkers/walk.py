@@ -23,7 +23,7 @@ The walks run as the vectorised swarm of
 :mod:`~repro.verification.checkers.walk_batch`: thousands of walks as rows
 of one uint64 matrix, advanced one step per pass on the batch firing
 primitive.  Swarm witnesses are **replayed on the net** before being
-trusted, like SMT counterexamples.  A pure-int scalar walker with the same
+trusted.  A pure-int scalar walker with the same
 semantics is kept as the swarm's test oracle (``tests/oracles/walk.py``).
 
 Determinism contract: the swarm is deterministic per ``(seed, walks,
@@ -133,8 +133,8 @@ class RandomWalkChecker(Checker):
                 self, [names[index] for index in
                        overflow["trace"] + [overflow["transition"]]],
                 compiled.place_names[overflow["place"]], "random walk")
-        # Walk traces are replayed on the net before being trusted -- the
-        # same rule the SMT checkers apply to solver counterexamples.
+        # Walk traces are replayed on the net before being trusted: a
+        # conclusive verdict rests only on a trace the net confirms.
         bad_marking = (marking_predicate(expression, net=self.context.net)
                        if kind == "reach" else None)
         validated = []

@@ -33,7 +33,7 @@ and which walk finds them first -- follows when earlier walks retired;
 hence the engine is deterministic per ``(seed, walks, swarm width)``, and
 the width is part of the contract (and of campaign digests).  Witness
 traces produced here are raw transition indices -- the checker replays
-them on the net (like SMT counterexamples) before trusting any verdict.
+them on the net before trusting any verdict.
 
 The scalar walker of ``tests/oracles/walk.py`` is this engine's oracle: it
 ranks, draws and tie-breaks the same way one firing at a time.

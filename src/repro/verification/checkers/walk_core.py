@@ -12,7 +12,7 @@ loses its teeth.  This module is the single home of those semantics:
 * :func:`cube_mask_table` -- the bad-cube masks both engines score Reach
   guidance against.
 * :func:`replay_witness` -- swarm traces are replayed on the *net* before
-  being trusted, exactly like SMT counterexamples;
+  being trusted;
   :func:`overflow_outcome` turns a replayed token overflow into the
   1-safeness verdict, for the walk and the exhaustive checker alike.
 
@@ -108,8 +108,8 @@ def replay_witness(net, kind, trace, predicate=None, transition=None):
     ``"deadlock"`` -- no transition is enabled; ``"reach"`` -- *predicate*
     (a marking predicate) holds; ``"overflow"`` -- firing *transition* next
     puts more than one token somewhere (or a declared capacity rejects
-    it).  Mirrors the replay-before-trust rule of the SMT checkers: a
-    conclusive verdict may only rest on a trace the net itself confirms.
+    it).  A conclusive verdict may only rest on a trace the net itself
+    confirms.
     """
     marking = replay_trace(net, trace)
     if marking is None:

@@ -66,13 +66,9 @@ class Verifier:
     * ``"inductive"`` -- place-invariant, siphon/trap and
       backward-induction proofs over the compiled transition relation;
       concludes "holds" (and finds some violations) with no state bound at
-      all, and no solver.
+      all.
     * ``"walk"`` -- counter-seeded guided random walks, run as vectorised
       swarms; a pure falsifier.
-    * ``"ic3"`` -- the SMT-backed IC3/PDR engine of :mod:`repro.smt`:
-      proves **unbounded** ("holds" with no state bound) and refutes with
-      a replayed trace.  It needs the optional z3 binary: without one
-      every query is inconclusive, with a message naming it.
     * ``"portfolio"`` -- races the above, first conclusive verdict wins.
 
     The exhaustive path explores on the array-native batch engine of

@@ -104,10 +104,7 @@ def _resolve_checker(args):
 
     ``--race`` turns the portfolio's budgeted rotation into a true process
     race; it implies ``--checker portfolio`` when no checker was named and
-    rejects any other explicit choice.  A checker that cannot work without
-    the SMT solver fails here, up front, with the install hint and exit
-    code 2 (infrastructure, not a verdict) instead of a per-property
-    inconclusive crawl.
+    rejects any other explicit choice.
     """
     checker = args.checker
     options = {}
@@ -123,15 +120,6 @@ def _resolve_checker(args):
         # Top-level walk options reach the walk checker standalone or as a
         # portfolio member (the Verifier routes them either way).
         options.setdefault("walk", {})["walks"] = args.walks
-    cls = CHECKERS.get(checker)
-    if cls is not None and cls.requires_solver:
-        from repro.exceptions import SolverUnavailableError
-        from repro.smt.solver import require_solver
-        try:
-            require_solver()
-        except SolverUnavailableError as exc:
-            raise ConfigurationError(
-                "--checker {} needs an SMT solver: {}".format(checker, exc))
     return checker, options
 
 

@@ -16,7 +16,16 @@ from repro.dfs.semantics import marking_event_names, place_name
 from repro.dfs.translation import place_name as translation_place_name
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, VerificationError
-from repro.petri.invariants import compute_semiflows, place_bounds
+from repro.petri.invariants import (
+    compute_semiflows,
+    is_siphon,
+    is_trap,
+    maximal_trap_within,
+    minimal_siphons,
+    place_bounds,
+    siphon_trap_certificate,
+)
+from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph
 from repro.reach.cubes import Cube, to_cubes
 from repro.reach.evaluator import marking_predicate
@@ -586,3 +595,213 @@ class TestNamingHelpers:
         expected = sum(1 for name in simulator.trace
                        if name in marking_event_names("out"))
         assert counted == expected
+
+
+# -- small structural nets -----------------------------------------------------
+
+
+def pair_ring():
+    """A two-state cycle over complementary place pairs: a <-> b.
+
+    Deadlock-free, 1-safe, invariant-complete: the semiflows pin every
+    reachable-looking assignment.
+    """
+    net = PetriNet("pair_ring")
+    for place, tokens in (("a", 1), ("na", 0), ("b", 0), ("nb", 1)):
+        net.add_place(place, tokens=tokens)
+    net.add_transition("t_ab")
+    net.add_transition("t_ba")
+    for src, dst in (("a", "t_ab"), ("nb", "t_ab"), ("t_ab", "na"),
+                     ("t_ab", "b"), ("b", "t_ba"), ("na", "t_ba"),
+                     ("t_ba", "nb"), ("t_ba", "a")):
+        net.add_arc(src, dst)
+    return net
+
+
+def latch_ring():
+    """pair_ring with a one-shot latch ``c``: consumes ``nc`` on the way out.
+
+    Reaches a genuine deadlock in two steps (t_ab, t_ba), and the
+    unreachable-but-invariant-consistent marking ``na & nc`` is refuted by
+    backward induction, not by the semiflows alone.
+    """
+    net = PetriNet("latch_ring")
+    for place, tokens in (("a", 1), ("na", 0), ("b", 0), ("nb", 1),
+                          ("c", 0), ("nc", 1)):
+        net.add_place(place, tokens=tokens)
+    net.add_transition("t_ab")
+    net.add_transition("t_ba")
+    for src, dst in (("a", "t_ab"), ("nb", "t_ab"), ("nc", "t_ab"),
+                     ("t_ab", "na"), ("t_ab", "b"), ("t_ab", "c"),
+                     ("b", "t_ba"), ("na", "t_ba"), ("t_ba", "nb"),
+                     ("t_ba", "a")):
+        net.add_arc(src, dst)
+    return net
+
+
+def wide_rings(count):
+    """*count* independent pair_ring components: 2**count reachable states.
+
+    The state space is exponential in *count* while the net stays linear,
+    so structural proofs close instantly on a net the exhaustive engine
+    cannot finish.
+    """
+    net = PetriNet("wide_rings_{}".format(count))
+    for i in range(count):
+        for place, tokens in (("a{}", 1), ("na{}", 0), ("b{}", 0),
+                              ("nb{}", 1)):
+            net.add_place(place.format(i), tokens=tokens)
+        ab, ba = "t_ab{}".format(i), "t_ba{}".format(i)
+        net.add_transition(ab)
+        net.add_transition(ba)
+        for src, dst in (("a{}", ab), ("nb{}", ab), (ab, "na{}"),
+                         (ab, "b{}"), ("b{}", ba), ("na{}", ba),
+                         (ba, "nb{}"), (ba, "a{}")):
+            src = src.format(i) if isinstance(src, str) and "{}" in src else src
+            dst = dst.format(i) if isinstance(dst, str) and "{}" in dst else dst
+            net.add_arc(src, dst)
+    return net
+
+
+# -- the structural route: siphon/trap proofs ---------------------------------
+
+
+class TestSiphonTrap:
+    def test_siphon_and_trap_predicates(self):
+        net = pair_ring()
+        assert is_siphon(net, {"a", "b"})
+        assert is_trap(net, {"a", "b"})
+        assert is_siphon(net, {"na", "nb"})
+        assert not is_siphon(net, {"a"})
+        assert maximal_trap_within(net, {"a", "b", "na"}) == {"a", "b", "na"}
+        assert maximal_trap_within(net, {"na"}) == set()
+        # Genuine shrinking: dropping b (whose production escapes) leaves
+        # the one-shot latch place, which nothing ever consumes.
+        assert maximal_trap_within(latch_ring(), {"b", "c"}) == {"c"}
+
+    def test_minimal_siphons_of_the_pair_ring(self):
+        siphons = minimal_siphons(pair_ring())
+        assert frozenset({"a", "b"}) in siphons
+        assert frozenset({"na", "nb"}) in siphons
+        assert all(not s < t for s in siphons for t in siphons if s != t)
+
+    def test_certificate_proves_the_pair_ring(self):
+        certificate = siphon_trap_certificate(pair_ring())
+        assert certificate["proved"]
+        assert "(holds, unbounded)" in certificate["reason"]
+        assert certificate["witnesses"]
+
+    @pytest.mark.parametrize("factory", [
+        lambda: linear_pipeline(stages=3),
+        lambda: token_ring(registers=4, tokens=1),
+    ])
+    def test_certificate_proves_the_cli_example_families(self, factory):
+        net = to_petri_net(factory())
+        certificate = siphon_trap_certificate(
+            net, semiflows=compute_semiflows(net))
+        assert certificate["proved"]
+
+    def test_certificate_never_proves_a_deadlocking_net(self):
+        net = to_petri_net(build_pipeline_model(3, static_prefix=1, holes=[2]))
+        certificate = siphon_trap_certificate(
+            net, semiflows=compute_semiflows(net))
+        assert not certificate["proved"]
+
+    def test_inductive_checker_proves_deadlock_freedom(self):
+        net = to_petri_net(linear_pipeline(stages=3))
+        checker = create_checker("inductive", CheckerContext(net))
+        outcome = checker.check(DeadlockQuery())
+        assert outcome.holds is True
+        assert "(holds, unbounded)" in outcome.details
+
+    def test_inductive_checker_reports_an_initially_dead_net(self):
+        net = PetriNet("stuck")
+        net.add_place("p", tokens=0)
+        net.add_transition("t")
+        net.add_arc("p", "t")
+        checker = create_checker("inductive", CheckerContext(net))
+        outcome = checker.check(DeadlockQuery())
+        assert outcome.holds is False
+        assert outcome.witnesses
+
+
+def test_checker_help_is_generated_from_the_registry():
+    from repro.workcraft.cli import _checker_help
+    text = _checker_help()
+    for name, cls in CHECKERS.items():
+        assert name in text
+        assert cls.summary
+
+
+def test_portfolio_still_concludes_without_a_solver():
+    net = to_petri_net(token_ring(registers=4, tokens=1))
+    checker = create_checker("portfolio", CheckerContext(net))
+    assert checker.check(DeadlockQuery()).holds is True
+
+
+def _hole_net():
+    return to_petri_net(build_pipeline_model(3, static_prefix=1, holes=[2]))
+
+
+#: Every verdict the retired IC3 engine reached in its own suite, and the
+#: solver-free checker that reaches the same one: (net, query, checker,
+#: max_states, verdict, detail fragment).  ``None`` keeps the context's
+#: default state bound.
+SOLVER_FREE_VERDICTS = [
+    (lambda: wide_rings(21), DeadlockQuery(), "inductive", 1000, True,
+     "every minimal siphon (84) holds a permanent token reserve"),
+    (lambda: wide_rings(21), ReachQuery('$"a0" & $"b0"'), "inductive", 1000,
+     True, "refuted by 84 place invariant(s)"),
+    (pair_ring, DeadlockQuery(), "inductive", 1000, True,
+     "(holds, unbounded)"),
+    (pair_ring, ReachQuery('$"a" & $"b"'), "inductive", 1000, True,
+     "refuted by 4 place invariant(s)"),
+    (pair_ring, ReachQuery('$"na" & $"b"'), "inductive", 1000, False,
+     "bad state reachable in 1 step(s)"),
+    (latch_ring, ReachQuery('$"na" & $"nc"'), "inductive", 1000, True,
+     "backward induction closed after 1 cube(s)"),
+    (latch_ring, DeadlockQuery(), "walk", 1000, False, "deadlocked state"),
+    (latch_ring, DeadlockQuery(), "exhaustive", 1000, False,
+     "1 reachable deadlock state(s)"),
+    (_hole_net, DeadlockQuery(), "walk", 1000, False, "deadlocked state"),
+    (_hole_net, DeadlockQuery(), "exhaustive", None, False,
+     "reachable deadlock state(s)"),
+    (_hole_net, SafenessQuery(), "exhaustive", None, True, "1-bounded"),
+] + [
+    (factory, query, "exhaustive", None, True, "")
+    for factory in (
+        lambda: to_petri_net(conditional_comp_dfs(comp_stages=1)),
+        lambda: to_petri_net(linear_pipeline(stages=3)),
+        lambda: to_petri_net(token_ring(registers=4, tokens=1)))
+    for query in (DeadlockQuery(), SafenessQuery())
+]
+
+
+@pytest.mark.parametrize(
+    "factory, query, checker, max_states, holds, fragment",
+    SOLVER_FREE_VERDICTS,
+    ids=["wide21-deadlock", "wide21-reach", "pair-deadlock", "pair-reach",
+         "pair-reach-violated", "latch-reach", "latch-deadlock-walk",
+         "latch-deadlock-exhaustive", "hole-deadlock-walk",
+         "hole-deadlock-exhaustive", "hole-safeness", "conditional-deadlock",
+         "conditional-safeness", "linear-deadlock", "linear-safeness",
+         "ring-deadlock", "ring-safeness"])
+def test_solver_free_checkers_reach_every_former_ic3_verdict(
+        factory, query, checker, max_states, holds, fragment):
+    """A solver-free checker concludes each verdict, and every violation's
+    trace replays on the net to a bad marking."""
+    net = factory()
+    context = (CheckerContext(net) if max_states is None
+               else CheckerContext(net, max_states=max_states))
+    outcome = create_checker(checker, context).check(query)
+    assert outcome.holds is holds, outcome.details
+    assert fragment in outcome.details
+    if holds:
+        return
+    marking = net.initial_marking()
+    for transition in outcome.witnesses[0]["trace"]:
+        marking = net.fire(transition, marking)
+    if query.kind == "deadlock":
+        assert not net.enabled_transitions(marking)
+    else:
+        assert marking_predicate(query.expression)(marking)

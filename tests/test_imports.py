@@ -61,35 +61,12 @@ def _cli_loads(argv, packages, cwd=None):
         .format(list(argv), list(packages)), cwd=cwd)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--example", "ring"],
-    ["campaign", "--grid", "depth=2", "--no-cache", "--jobs", "0", "--quiet"],
-    ["campaign", "--grid", "depth=2", "--no-cache", "--jobs", "0", "--quiet",
-     "--checker", "walk"],
-], ids=["verify", "campaign-exhaustive", "campaign-walk"])
-def test_runs_without_ic3_never_load_the_solver_tier(argv, tmp_path):
-    """Only IC3 and the solver fingerprint of ic3/portfolio jobs need z3."""
-    assert _cli_loads(argv, ["repro.smt"], cwd=str(tmp_path)) == [0, []]
-
-
 def test_truncated_verify_does_not_load_numpy_ma():
     """The cut-level frontier is deduplicated without ``np.unique``."""
     code, loaded = _cli_loads(
         ["verify", "--example", "ring", "--max-states", "20"], ["numpy.ma"])
     assert code == 1  # truncated: inconclusive properties
     assert loaded == []
-
-
-def test_ic3_without_a_solver_exits_2_and_names_z3():
-    env = dict(os.environ, REPRO_NO_Z3="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.workcraft.cli", "verify", "--example",
-         "ring", "--checker", "ic3"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert completed.returncode == 2
-    assert completed.stderr.startswith("repro-dfs: error: --checker ic3")
-    assert "z3" in completed.stderr
 
 
 @pytest.mark.parametrize("package", _packages())

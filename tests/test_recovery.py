@@ -12,8 +12,7 @@ Three layers of the crash story are exercised end to end:
   from the journal, in-flight ones by re-running;
 * **fault sites** -- ``io_error@write`` surfaces as :class:`FaultError`
   from a columnar store's write path, ``kill_worker@task`` crashes a supervised worker
-  (contained as a ``"crashed"`` outcome), ``solver_crash@query`` kills the
-  z3 child mid-query and the pipe solver respawns it once, transparently.
+  (contained as a ``"crashed"`` outcome).
 """
 
 import json
@@ -97,7 +96,6 @@ def _child_env(fault=None):
     env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("REPRO_FAULTS", None)
-    env.pop("REPRO_FAULTS_SEED", None)
     if fault:
         env["REPRO_FAULTS"] = fault
     return env
@@ -120,14 +118,11 @@ def _run_explorer(checkpoint, fault=None, model=None):
 @pytest.fixture
 def fault_plan(monkeypatch):
     """Configure in-process fault injection for one test, then clear it."""
-    def arm(spec, seed=None):
+    def arm(spec):
         monkeypatch.setenv("REPRO_FAULTS", spec)
-        if seed is not None:
-            monkeypatch.setenv("REPRO_FAULTS_SEED", str(seed))
         faults.reset()
     yield arm
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     faults.reset()
 
 
@@ -636,9 +631,11 @@ class TestDaemonCrashRecovery:
 
     def test_journal_naming_a_retired_checker_does_not_block_restart(
             self, tmp_path):
-        """A submit record for ``bmc`` or ``kinduction`` (checkers that no
-        longer exist), or setting the walk checker's retired ``restarts``
-        option, is malformed: replay skips it and serves the rest."""
+        """A submit record for ``bmc``, ``kinduction`` or ``ic3`` (checkers
+        that no longer exist), or setting the walk checker's retired
+        ``restarts`` option, is malformed: replay skips it and serves the
+        rest.  The ``"solver"`` fingerprint every portfolio job carried
+        before the solver tier was retired is dropped, not refused."""
         from repro.campaign.scheduler import CampaignScheduler
         from repro.utils.journal import JournalWriter
 
@@ -655,7 +652,11 @@ class TestDaemonCrashRecovery:
                                        checker="walk",
                                        checker_options={
                                            "walk": {"restarts": 4}})),
-                    ("kept01", _job_payload("still-valid"))):
+                    ("retired04", dict(_job_payload("ic3-job"),
+                                       checker="ic3")),
+                    ("kept01", _job_payload("still-valid")),
+                    ("kept02", dict(_job_payload("old-portfolio"),
+                                    checker="portfolio", solver=None))):
                 writer.append({"event": "submit", "ticket": ticket,
                                "job": job, "tenant": None, "priority": 0,
                                "timeout": None, "time": 0.0})
@@ -664,9 +665,11 @@ class TestDaemonCrashRecovery:
             assert scheduler.get("retired01") is None
             assert scheduler.get("retired02") is None
             assert scheduler.get("retired03") is None
-            ticket = scheduler.get("kept01")
-            assert ticket is not None
-            assert ticket.wait(timeout=120.0).status == "ok"
+            assert scheduler.get("retired04") is None
+            for kept in ("kept01", "kept02"):
+                ticket = scheduler.get(kept)
+                assert ticket is not None
+                assert ticket.wait(timeout=120.0).status == "ok"
         finally:
             scheduler.shutdown()
 

@@ -576,6 +576,7 @@ class TestHttpApi:
             client = ServiceClient(daemon.address)
             for fields, message in (
                     ({"checker": "kinduction"}, "unknown checker 'kinduction'"),
+                    ({"checker": "ic3"}, "unknown checker 'ic3'"),
                     ({"checker": "portfolio",
                       "checker_options": {"portfolio": {"bmc": {}}}},
                      "unknown option 'bmc' for the portfolio checker"),
@@ -588,7 +589,7 @@ class TestHttpApi:
                 assert rejected.value.status == 400
                 text = str(rejected.value)
                 assert message in text
-                assert "exhaustive, ic3, inductive, portfolio, walk" in text
+                assert "exhaustive, inductive, portfolio, walk" in text
             assert client.stats()["submitted"] == 0
 
     def test_backpressure_maps_to_429_with_retry_after(self, tmp_path):

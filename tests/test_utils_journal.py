@@ -250,34 +250,21 @@ class TestFaultPlan:
         assert plan.trigger("kill_worker", "level") is False
         assert plan.trigger("kill_worker", "level") is True
 
-    def test_probabilistic_spec_is_deterministic_per_seed(self):
-        first = FaultPlan.parse("solver_crash:p=0.5", seed=7)
-        second = FaultPlan.parse("solver_crash:p=0.5", seed=7)
-        draws_a = [first.trigger("solver_crash", "query") for _ in range(64)]
-        draws_b = [second.trigger("solver_crash", "query") for _ in range(64)]
-        assert draws_a == draws_b
-        assert any(draws_a) and not all(draws_a)
-
-    def test_p_zero_never_fires_p_one_always_fires(self):
-        never = FaultPlan.parse("io_error@write:p=0.0")
-        always = FaultPlan.parse("io_error@write:p=1.0")
-        assert not any(never.trigger("io_error", "write") for _ in range(16))
-        assert all(always.trigger("io_error", "write") for _ in range(16))
-
     def test_invalid_specs_are_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan.parse("kill_worker@level")
         with pytest.raises(ValueError):
             FaultPlan.parse("kill_worker@level=0")
         with pytest.raises(ValueError):
-            FaultPlan.parse("solver_crash:q=0.5")
+            FaultPlan.parse("io_error:q=0.5")
         with pytest.raises(ValueError):
-            FaultPlan.parse("solver_crash:p=1.5")
+            FaultPlan.parse("io_error:p=1.5")
+        # The probabilistic mode is retired: every spec fires on a count.
+        with pytest.raises(ValueError):
+            FaultPlan.parse("io_error@write:p=0.5")
 
-    def test_from_env_reads_spec_and_seed(self):
-        plan = FaultPlan.from_env({"REPRO_FAULTS": "io_error@write=2",
-                                   "REPRO_FAULTS_SEED": "9"})
-        assert plan.seed == 9
+    def test_from_env_reads_the_spec(self):
+        plan = FaultPlan.from_env({"REPRO_FAULTS": "io_error@write=2"})
         assert plan.trigger("io_error", "write") is False
         assert plan.trigger("io_error", "write") is True
         assert FaultPlan.from_env({}) is None

@@ -159,8 +159,8 @@ class TestCli:
         assert "--workers" in err and "--spill-dir" in err
 
     def test_retired_solver_checkers_exit_2(self, capsys):
-        """BMC and k-induction are gone; IC3 is the one solver checker."""
-        for checker in ("bmc", "kinduction"):
+        """BMC, k-induction and IC3 are gone: no solver checker is left."""
+        for checker in ("bmc", "kinduction", "ic3"):
             for command in ("verify", "campaign"):
                 argv = [command, "--checker", checker]
                 argv += (["--example", "ring"] if command == "verify"
@@ -171,6 +171,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid choice: 'bmc'" in err
         assert "invalid choice: 'kinduction'" in err
+        assert "invalid choice: 'ic3'" in err
 
     def test_library_error_is_one_line_and_exit_2(self, tmp_path):
         """Exit 1 means "a property is violated"; an error is not a verdict."""
