@@ -21,7 +21,8 @@ differential test its teeth:
   :mod:`repro.petri.invariants` are checked;
 * :mod:`oracles.invariants` -- the whole-net Farkas elimination, which the
   per-component elimination of :mod:`repro.petri.invariants` must match
-  element for element.
+  element for element, and the per-name cube refutation that the inductive
+  checker's bitmask test must agree with.
 
 Nothing under ``src/`` may import this package
 (``tests/test_imports.py`` enforces it), and oracles run in-process only,

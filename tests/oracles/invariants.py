@@ -84,3 +84,22 @@ def whole_net_semiflows(net, max_rows=20000):
         value = sum(weight * initial[place] for place, weight in weights.items())
         semiflows.append(Semiflow(weights, value))
     return semiflows
+
+
+def cube_refuted(cube, semiflows, bounds):
+    """Is *cube* infeasible under some semiflow?  The per-name reference of
+    the inductive checker's bitmask test (``_MaskInvariant.feasible``).
+
+    A semiflow refutes the cube when the places the cube marks already
+    weigh more than its value, or when the places the cube leaves open
+    cannot weigh enough even at their structural *bounds*.
+    """
+    for semiflow in semiflows:
+        lower = sum(weight for place, weight in semiflow.weights.items()
+                    if place in cube.true_places)
+        upper = sum(weight * bounds[place]
+                    for place, weight in semiflow.weights.items()
+                    if place not in cube.false_places)
+        if lower > semiflow.value or upper < semiflow.value:
+            return True
+    return False

@@ -211,6 +211,20 @@ class TestCache:
         assert options_digest(job.options()) == (
             "1fd8cbd5f55236c57194934828d83ff811e75225403f71e8d46c275f14443397")
 
+    @pytest.mark.parametrize("checker,digest", [
+        ("inductive",
+         "0c6c43ff0f9ce11619c08a554ffc3857df403c703c619fb8e54978595f89b064"),
+        ("portfolio",
+         "8f422f072b91daf5c1e9502de181830e1058f6c3456bcc3437bc1eb510b0a036"),
+    ])
+    def test_structural_checker_digests_are_pinned(self, checker, digest):
+        """Inductive keys predate the solver tier's retirement unchanged.
+        Portfolio keys lost their ``"solver"`` fingerprint with it: a
+        portfolio verdict cached under the old key is a miss, once."""
+        job = VerificationJob(checker[0], "pipeline", {"stages": 2},
+                              checker=checker)
+        assert options_digest(job.options()) == digest
+
     def test_digest_orders_keys_canonically(self):
         assert options_digest({"a": 1, "b": 2}) == options_digest({"b": 2, "a": 1})
 

@@ -32,6 +32,7 @@ from repro.reach.evaluator import marking_predicate
 from repro.reach.parser import parse
 from repro.verification.checkers import (
     CHECKERS,
+    DEFAULT_ORDER,
     CheckerContext,
     DeadlockQuery,
     PortfolioChecker,
@@ -39,8 +40,11 @@ from repro.verification.checkers import (
     SafenessQuery,
     create_checker,
 )
+from repro.verification.checkers.inductive import _MaskInvariant
 from repro.verification.verifier import Verifier
 
+from oracles.invariants import cube_refuted
+from oracles.reachability import explore
 from oracles.walk import scalar_walk_verifier
 
 DIFFERENTIAL_PROPERTIES = ("safeness", "deadlock", "mismatch", "exclusion")
@@ -733,6 +737,33 @@ def test_checker_help_is_generated_from_the_registry():
         assert cls.summary
 
 
+def test_registry_holds_the_four_solver_free_checkers():
+    assert sorted(CHECKERS) == ["exhaustive", "inductive", "portfolio",
+                                "walk"]
+    assert DEFAULT_ORDER == ("inductive", "walk", "exhaustive")
+    assert PortfolioChecker(CheckerContext(pair_ring())).order == \
+        DEFAULT_ORDER
+
+
+@pytest.mark.parametrize("factory, query, holds, method", [
+    (pair_ring, DeadlockQuery(), True, "inductive"),
+    (lambda: wide_rings(21), DeadlockQuery(), True, "inductive"),
+    (pair_ring, ReachQuery('$"na" & $"b"'), False, "inductive"),
+    (latch_ring, DeadlockQuery(), False, "walk"),
+    (lambda: _hole_net(), DeadlockQuery(), False, "walk"),
+], ids=["pair-deadlock", "wide21-deadlock", "pair-reach-violated",
+        "latch-deadlock", "hole-deadlock"])
+def test_portfolio_answers_from_its_first_conclusive_member(
+        factory, query, holds, method):
+    """In the default order, a verdict the inductive checker reaches never
+    waits for a walk, and a deadlock it cannot refute goes to the walk."""
+    checker = create_checker("portfolio",
+                             CheckerContext(factory(), max_states=1000))
+    outcome = checker.check(query)
+    assert (outcome.holds, outcome.method) == (holds, method), \
+        outcome.details
+
+
 def test_portfolio_still_concludes_without_a_solver():
     net = to_petri_net(token_ring(registers=4, tokens=1))
     checker = create_checker("portfolio", CheckerContext(net))
@@ -805,3 +836,75 @@ def test_solver_free_checkers_reach_every_former_ic3_verdict(
         assert not net.enabled_transitions(marking)
     else:
         assert marking_predicate(query.expression)(marking)
+
+
+# -- cube refutation: the bitmask test against the per-name reference ---------
+
+
+#: Nets with a covering set of semiflows (every place is bounded), on which
+#: the inductive checker lowers cubes to ``(ones, zeros)`` masks.
+REFUTATION_NETS = {
+    "pair": pair_ring,
+    "latch": latch_ring,
+    "wide3": lambda: wide_rings(3),
+    "linear": lambda: to_petri_net(linear_pipeline(stages=3)),
+    "ring": lambda: to_petri_net(token_ring(registers=4, tokens=1)),
+    "conditional": lambda: to_petri_net(conditional_comp_dfs(comp_stages=1)),
+    "hole": _hole_net,
+    "ring2": lambda: to_petri_net(token_ring(registers=6, tokens=2)),
+}
+
+
+def _mask_refuter(net):
+    """The inductive checker's refutation, as a function of one cube."""
+    semiflows = compute_semiflows(net)
+    bounds = place_bounds(semiflows)
+    place_bit = {place: 1 << index
+                 for index, place in enumerate(sorted(net.places))}
+    invariants = [_MaskInvariant(semiflow, place_bit, bounds)
+                  for semiflow in semiflows]
+
+    def refuted(cube):
+        ones = sum(place_bit[place] for place in cube.true_places)
+        zeros = sum(place_bit[place] for place in cube.false_places)
+        return not all(invariant.feasible(ones, zeros)
+                       for invariant in invariants)
+    return refuted, semiflows, bounds
+
+
+class TestCubeRefutation:
+    @pytest.mark.parametrize("name", sorted(REFUTATION_NETS))
+    def test_mask_refutation_agrees_with_the_per_name_oracle(self, name):
+        """On seeded random cubes of one to four literals, the bitmask test
+        refutes exactly the cubes the per-name reference refutes, and the
+        sample holds both kinds."""
+        import random
+
+        net = REFUTATION_NETS[name]()
+        refuted, semiflows, bounds = _mask_refuter(net)
+        assert set(bounds) == set(net.places)
+        places = sorted(net.places)
+        rng = random.Random(name)
+        verdicts = []
+        for _ in range(400):
+            literals = rng.sample(places, rng.randint(1, min(4, len(places))))
+            marked = [place for place in literals if rng.random() < 0.5]
+            cube = Cube(marked, set(literals) - set(marked))
+            expected = cube_refuted(cube, semiflows, bounds)
+            assert refuted(cube) is expected, (
+                sorted(cube.true_places), sorted(cube.false_places))
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("name", sorted(REFUTATION_NETS))
+    def test_no_reachable_marking_is_refuted(self, name):
+        """Soundness: the cube that pins a reachable marking completely
+        (every place marked or empty) survives every invariant."""
+        net = REFUTATION_NETS[name]()
+        refuted, _, _ = _mask_refuter(net)
+        graph = explore(net)
+        assert len(graph) > 1
+        for marking in graph.states:
+            marked = [place for place in net.places if marking[place]]
+            cube = Cube(marked, set(net.places) - set(marked))
+            assert not refuted(cube), marked

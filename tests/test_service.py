@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.campaign.cache import options_digest
 from repro.campaign.jobs import VerificationJob
 from repro.campaign.scheduler import CampaignScheduler
 from repro.exceptions import ConfigurationError
@@ -39,6 +40,7 @@ from repro.service import (
     VerificationService,
     result_from_record,
 )
+from repro.verification.checkers import CHECKERS
 from repro.workcraft.cli import main as cli_main
 
 needs_fork = pytest.mark.skipif(
@@ -134,6 +136,21 @@ class TestWireForm:
         assert clone.to_dict() == job.to_dict()
         assert clone.job_id == "wire"
         assert clone.kwargs == {"comp_stages": 2}
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_a_retired_solver_fingerprint_is_dropped_not_keyed(self, checker):
+        """Portfolio jobs written before the solver tier was retired carry
+        ``"solver"`` (a z3 version line, or null without z3).  The rebuilt
+        job is the job without it: same wire form, same cache key."""
+        job = VerificationJob("wire", "conditional", {"comp_stages": 1},
+                              checker=checker)
+        for solver in (None, "Z3 version 4.12.2 - 64 bit"):
+            clone = VerificationJob.from_dict(dict(job.to_dict(),
+                                                   solver=solver))
+            assert clone.to_dict() == job.to_dict()
+            assert "solver" not in clone.to_dict()
+            assert options_digest(clone.options()) == \
+                options_digest(job.options())
 
     def test_missing_required_fields_are_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -334,6 +351,21 @@ class TestAdmissionControl:
             stats = service.stats()
             assert stats["rejected"] == {"busy": 2, "rate": 1}
             assert stats["tenants"] == 2
+        finally:
+            service.close()
+
+    def test_status_describes_the_queue_only(self, tmp_path):
+        """With no solver tier there is no solver to report: ``/healthz``
+        and ``/stats`` carry queue and admission fields alone."""
+        service = VerificationService(parallelism=1, max_depth=3,
+                                      cache_dir=str(tmp_path / "cache"))
+        try:
+            assert service.healthz() == {"status": "ok", "depth": 0,
+                                         "max_depth": 3, "parallelism": 1}
+            assert sorted(service.stats()) == [
+                "cache_hits", "coalesced", "completed", "flights",
+                "max_depth", "outcomes", "queued", "rejected", "requeued",
+                "restored", "running", "submitted", "tenants", "tickets"]
         finally:
             service.close()
 

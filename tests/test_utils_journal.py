@@ -233,6 +233,12 @@ class TestSchedulerReplay:
         assert not marker.exists()
 
 
+#: The fault sites the production code guards: the pool's task and level
+#: points, and a columnar store's write path.
+FAULT_SITES = [("kill_worker", "level"), ("kill_worker", "task"),
+               ("io_error", "write")]
+
+
 class TestFaultPlan:
     def test_counter_spec_fires_on_the_nth_hit_only(self):
         plan = FaultPlan.parse("kill_worker@level=3")
@@ -249,6 +255,27 @@ class TestFaultPlan:
         assert plan.trigger("kill_worker", "task") is False
         assert plan.trigger("kill_worker", "level") is False
         assert plan.trigger("kill_worker", "level") is True
+
+    @pytest.mark.parametrize("name,site", FAULT_SITES)
+    def test_every_production_site_fires_on_its_counter(self, name, site):
+        plan = FaultPlan.parse("{}@{}=2,{}@elsewhere=1".format(
+            name, site, name))
+        fired = [plan.trigger(name, site) for _ in range(3)]
+        assert fired == [False, True, False]
+        assert plan.counts() == {(name, site): 3}
+
+    def test_production_sites_are_the_listed_ones(self):
+        """Every ``trigger`` call under ``src/`` names a listed site, so the
+        parametrized test above covers each fault the code can inject."""
+        import re
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        calls = set()
+        for path in src.rglob("*.py"):
+            calls.update(re.findall(
+                r'_faults\.trigger\("(\w+)", "(\w+)"\)', path.read_text()))
+        assert sorted(calls) == sorted(FAULT_SITES)
 
     def test_invalid_specs_are_rejected(self):
         with pytest.raises(ValueError):
