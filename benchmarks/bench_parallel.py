@@ -1,6 +1,6 @@
-"""The parallel verification path: batch engine, racing, invariants.
+"""The array-native verification path: batch engine and invariants.
 
-Three claims of the parallel/array-native engine work are measured and gated
+Two claims of the parallel/array-native engine work are measured and gated
 here:
 
 * **Whole-frontier batch exploration** (the NumPy engine of
@@ -11,8 +11,6 @@ here:
   the BENCH JSON.  ``check_regression.py`` gates the batch run's cost in
   in-process calibration-kernel runs, so a >30% throughput regression of
   the batch path fails CI.
-* **Racing portfolios** answer beyond-horizon queries with the same verdict
-  as the budgeted rotation while cancelling the losing engines mid-flight.
 * **Semiflow derivation** stays cheap enough to need no cache: the Farkas
   elimination works one incidence component at a time, so an 18-stage
   OPE pipeline's basis takes well under a second.  Its cost in
@@ -28,7 +26,6 @@ from repro.dfs.translation import to_petri_net
 from repro.petri.batch import _pack_bits, explore_batch
 from repro.petri.compiled import CompiledNet
 from repro.petri.invariants import compute_semiflows
-from repro.verification.verifier import Verifier
 
 from oracles.compiled import explore_compiled, graph_columns
 
@@ -83,31 +80,6 @@ def test_batch_exploration_bit_identical_and_gated():
     # workload; its throughput is gated by check_regression.py against the
     # committed baseline, in calibration-kernel runs.
     assert batch_seconds < sequential_seconds
-
-
-def test_portfolio_racing_consistent_and_cancels():
-    holey = build_pipeline_model(4, static_prefix=1, holes=[3])
-    rows = []
-    results = {}
-    for label, options in (
-            ("rotation", {}),
-            ("racing", {"portfolio": {"race": True}})):
-        start = time.perf_counter()
-        result = Verifier(holey, max_states=50000, checker="portfolio",
-                          checker_options=options).verify_deadlock_freedom()
-        results[label] = result
-        rows.append({
-            "mode": label, "verdict": {True: "holds", False: "violated",
-                                       None: "inconclusive"}[result.holds],
-            "method": result.method or "-",
-            "seconds": time.perf_counter() - start,
-        })
-    print_table("portfolio racing vs rotation (ope4s hole@3, deadlock)", rows)
-    # First-conclusive-verdict semantics must agree between the modes; the
-    # racing run additionally reports the losers' fate.
-    assert results["rotation"].holds is False
-    assert results["racing"].holds is False
-    assert "won the race" in results["racing"].details
 
 
 def test_semiflow_derivation():

@@ -5,8 +5,8 @@ cannot answer runs in its **own** worker process (bounded to *parallelism*
 concurrent workers) through the
 :class:`~repro.campaign.scheduler.CampaignScheduler` -- the supervision
 machinery (per-job timeouts, crash containment, streamed results) that
-originated here and now also powers the racing portfolio checker and the
-verification service daemon (:mod:`repro.service`).  A job that hangs is
+originated here and now also powers the verification service daemon
+(:mod:`repro.service`).  A job that hangs is
 terminated at its deadline and a job whose worker dies (a crash, an
 ``os._exit``, an OOM kill) is detected by the supervisor -- in both cases
 the campaign records a failed :class:`CampaignResult` and keeps going

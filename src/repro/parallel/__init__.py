@@ -1,4 +1,4 @@
-"""Parallel execution primitives: supervision and racing.
+"""Parallel execution primitives: the supervised process pool.
 
 Everything in the repo that spans more than one process goes through this
 package:
@@ -6,15 +6,14 @@ package:
 * :mod:`~repro.parallel.context` -- one multiprocessing start-method policy
   (fork preferred, spawn fallback, ``REPRO_MP_START_METHOD`` override) so
   fork and spawn behave identically and CI can exercise both.
-* :mod:`~repro.parallel.supervisor` -- the supervised process pool, one
-  supervision loop with two fronts: per-task timeouts, crash containment,
-  per-task progress events, and first-winner cancellation (``stop_when``)
-  for portfolio races.
+* :mod:`~repro.parallel.supervisor` -- the supervised process pool under
+  the campaign scheduler and the service daemon: per-task timeouts, crash
+  containment and per-task progress events.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".context": ["in_daemon_worker", "mp_context", "start_method"],
-    ".supervisor": ["STATUSES", "TaskOutcome", "run_supervised"],
+    ".context": ["mp_context", "start_method"],
+    ".supervisor": ["STATUSES", "SupervisorPool", "TaskOutcome"],
 })

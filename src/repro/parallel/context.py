@@ -1,9 +1,10 @@
 """Multiprocessing start-method selection, shared by every parallel path.
 
-All process-spawning subsystems (the campaign runner and the racing
-portfolio) go through one context so they behave identically on a
-platform: prefer ``fork`` (cheap, inherits registered factories and loaded
-modules) and fall back to ``spawn`` where fork is unavailable.
+Every process-spawning subsystem (the supervised pool under the campaign
+scheduler and the service daemon) goes through one context, so it behaves
+identically on a platform: prefer ``fork`` (cheap, inherits registered
+factories and loaded modules) and fall back to ``spawn`` where fork is
+unavailable.
 
 The ``REPRO_MP_START_METHOD`` environment variable overrides the choice --
 CI uses it to exercise the spawn path on platforms whose default is fork, so
@@ -60,14 +61,3 @@ def mp_context():
 def start_method():
     """The start method :func:`mp_context` resolves to on this platform."""
     return _resolve_method()
-
-
-def in_daemon_worker():
-    """Is this process a daemonic worker (and thus unable to spawn children)?
-
-    Campaign workers are daemonic by design (a dead supervisor must never
-    leave orphans), and daemonic processes cannot have children -- so the
-    racing portfolio falls back to its sequential rotation inside one,
-    instead of crashing the job.
-    """
-    return multiprocessing.current_process().daemon

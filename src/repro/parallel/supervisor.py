@@ -5,14 +5,12 @@ A task that hangs is terminated at its deadline, a worker that dies without
 reporting is ``"crashed"`` and one that cannot start is an ``"error"``: the
 caller always gets one :class:`TaskOutcome` per task, never a hung pool.
 
-One loop, two fronts.  :class:`SupervisorPool` owns the loop, a thread that
-starts queued tasks and otherwise blocks in one
-:func:`multiprocessing.connection.wait` on every task's connection (its
-:func:`send_event` records, then its result), every worker's sentinel and a
-wake pipe, until the nearest deadline -- an idle pool never wakes.  The
-campaign scheduler and the service daemon drive it.  :func:`run_supervised`
-is the batch front: run a task list, return the outcomes in order, and with
-``stop_when`` cancel the rest at the first winner (a portfolio race).
+:class:`SupervisorPool` owns the one loop, a thread that starts queued
+tasks and otherwise blocks in one :func:`multiprocessing.connection.wait` on
+every task's connection (its :func:`send_event` records, then its result),
+every worker's sentinel and a wake pipe, until the nearest deadline -- an
+idle pool never wakes.  The campaign scheduler and the service daemon drive
+it.
 """
 
 import heapq
@@ -43,8 +41,8 @@ class TaskOutcome:
     ``"error"`` (the task raised, or its worker could not start; *error*
     holds the traceback), ``"timeout"`` (the worker exceeded its deadline
     and was terminated), ``"crashed"`` (the worker died without reporting)
-    or ``"cancelled"`` (a shutdown or a ``stop_when`` winner made the task
-    moot and its worker, if any, was terminated).
+    or ``"cancelled"`` (a shutdown made the task moot and its worker, if
+    any, was terminated).
     """
 
     __slots__ = ("task_id", "status", "payload", "error", "elapsed")
@@ -94,64 +92,12 @@ def _worker_main(target, args, channel):
     channel.send(result + (time.perf_counter() - started,))
 
 
-def _check_ids(tasks):
-    seen = set()
-    for task_id, _, _ in tasks:
-        if task_id in seen:
-            raise ConfigurationError(
-                "duplicate task id {!r}: the supervisor keys its bookkeeping "
-                "by task id, so every task needs a unique one".format(task_id))
-        seen.add(task_id)
-
-
 def _terminate(process):
     process.terminate()
     process.join(1.0)
     if process.is_alive():
         process.kill()
         process.join(1.0)
-
-
-def run_supervised(tasks, parallelism, timeout=None, stop_when=None):
-    """Run *tasks* in supervised worker processes; return their outcomes.
-
-    Parameters
-    ----------
-    tasks:
-        Iterable of ``(task_id, target, args)`` triples.  *target* must be a
-        picklable callable (a module-level function) and *args* a picklable
-        tuple -- the task is executed as ``target(*args)`` in a worker
-        process and its return value must be picklable too.
-    parallelism:
-        Number of concurrent worker processes (at least one).
-    timeout:
-        Optional per-task deadline in seconds.
-    stop_when:
-        Optional predicate over :class:`TaskOutcome`.  The first outcome
-        satisfying it wins the race: every other active worker is terminated
-        immediately and every unfinished task is recorded as ``"cancelled"``.
-
-    Returns the list of :class:`TaskOutcome` in task order.
-    """
-    tasks = [(task_id, target, tuple(args)) for task_id, target, args in tasks]
-    _check_ids(tasks)
-    outcomes = {}
-    pool = SupervisorPool(parallelism, timeout=timeout)
-    submitted = threading.Event()
-
-    def record(outcome):
-        outcomes[outcome.task_id] = outcome
-        if stop_when is not None and stop_when(outcome):
-            # Cancel only once every task is queued, so no submission can
-            # meet a shut-down pool.
-            submitted.wait()
-            pool.shutdown(wait=False, cancel_pending=True)
-
-    for task_id, target, args in tasks:
-        pool.submit(task_id, target, args, on_outcome=record)
-    submitted.set()
-    pool.shutdown(wait=True, cancel_pending=False)
-    return [outcomes[task_id] for task_id, _, _ in tasks]
 
 
 class _PoolTask:
@@ -267,12 +213,12 @@ class SupervisorPool:
         ``"cancelled"`` (its ``on_outcome`` still fires); active workers are
         terminated and recorded as ``"cancelled"`` too.  With
         ``cancel_pending=False`` the pool drains: no new submissions are
-        accepted, queued and active tasks run to completion first.  A later
-        call can turn a drain into a cancel, never the reverse.
+        accepted, queued and active tasks run to completion first.  The
+        first call decides; a later one only waits.
         """
         with self._lock:
-            self._drain_on_close = not cancel_pending and (
-                self._drain_on_close or not self._closed)
+            if not self._closed:
+                self._drain_on_close = not cancel_pending
             self._closed = True
         self._wake()
         if wait:

@@ -1,12 +1,10 @@
 """Canonical fingerprints of Petri nets (and of verdict-relevant options).
 
-The fingerprint is the identity the repo's caches key on: the campaign
-verdict cache and the in-process siphon memo of
-:mod:`repro.petri.invariants` both answer "have I seen this net before?" by
-hashing the net's structure, not its name.  It lives in the ``petri``
-package (rather than ``campaign``) because the structural analyses below
-the campaign layer must be able to fingerprint a net without importing the
-campaign machinery.
+The fingerprint is the identity the campaign verdict cache keys on: it
+answers "have I seen this net before?" by hashing the net's structure, not
+its name.  It lives in the ``petri`` package (rather than ``campaign``)
+because it reads nothing but the net, so fingerprinting a net needs none
+of the campaign machinery.
 """
 
 from repro.utils.diskcache import digest

@@ -317,15 +317,26 @@ class SiphonBudgetExceeded(VerificationError):
     """Raised when the minimal-siphon enumeration exceeds its node budget."""
 
 
-#: In-process memo of :func:`minimal_siphons`, keyed by canonical net
-#: fingerprint and node budget.  Budget blow-ups are remembered too: on a
-#: hard net the enumeration burns its whole *max_nodes* budget before
-#: declining, and the portfolio re-asks the structural checker on every
-#: battery -- without the memo each repeat pays the full decline again.
-#: The result is pure structure, so the same fingerprint and budget always
-#: reproduce it.
-_SIPHON_MEMO = {}
-_SIPHON_MEMO_LIMIT = 64
+class _NoReserve(Exception):
+    """Ends a certificate's siphon search at a siphon with no reserve."""
+
+
+def _place_bits(net):
+    """``(places, bit_of)``: the sorted places and one bit per place."""
+    places = sorted(net.places)
+    return places, {place: 1 << index for index, place in enumerate(places)}
+
+
+def _mask(bit_of, names):
+    result = 0
+    for name in names:
+        result |= bit_of[name]
+    return result
+
+
+def _names(places, mask):
+    """The sorted place names of a place mask."""
+    return [place for index, place in enumerate(places) if mask >> index & 1]
 
 
 def minimal_siphons(net, max_nodes=100000):
@@ -336,92 +347,150 @@ def minimal_siphons(net, max_nodes=100000):
     branch over that transition's needed places (a correct siphon must
     contain one of them).  Every minimal siphon survives this branching
     from each of its seed places, so the enumeration is complete -- which
-    is what makes a "deadlock-free" verdict built on it sound.  The search
-    tree is cut off after *max_nodes* nodes with
+    is what makes a "deadlock-free" verdict built on it sound.  The
+    search tree is cut off after *max_nodes* nodes with
     :class:`SiphonBudgetExceeded` (enumeration is exponential in general).
 
-    Place sets are int bitmasks internally (one bit per place in sorted
-    order, the compiled engine's representation), so the dominating
-    covered/violated scans are single-word subset tests instead of
-    frozenset comparisons -- the traversal, the node count at which a
-    budget blow-up fires, and the returned siphons are all identical to
-    the set-based formulation, only (much) faster.
-
-    Memoised per process on ``(net fingerprint, max_nodes)``, including
-    the :class:`SiphonBudgetExceeded` outcome, so repeated structural
-    queries against the same net (portfolio batteries, campaign re-runs)
-    pay the enumeration -- or its budget-exhausting decline -- only once.
+    Place and transition sets are int bitmasks internally (one bit per
+    place, or transition, in sorted order), so the covered and violated
+    tests that dominate the search are a few int operations per node.
     """
-    # Imported here: hashing pulls in hashlib (and OpenSSL), which the
-    # semiflow computation of every exploration does not need.
-    from repro.petri.fingerprint import net_fingerprint
-
-    key = (net_fingerprint(net), max_nodes)
-    hit = _SIPHON_MEMO.get(key)
-    if hit is None:
-        try:
-            hit = ("ok", tuple(_enumerate_minimal_siphons(net, max_nodes)))
-        except SiphonBudgetExceeded as error:
-            hit = ("budget", str(error))
-        while len(_SIPHON_MEMO) >= _SIPHON_MEMO_LIMIT:
-            del _SIPHON_MEMO[next(iter(_SIPHON_MEMO))]
-        _SIPHON_MEMO[key] = hit
-    status, payload = hit
-    if status == "budget":
-        raise SiphonBudgetExceeded(payload)
-    return list(payload)
+    places, bit_of = _place_bits(net)
+    return sorted(
+        (frozenset(_names(places, siphon))
+         for siphon in _enumerate_minimal_siphons(net, bit_of, max_nodes)),
+        key=sorted)
 
 
-def _enumerate_minimal_siphons(net, max_nodes):
+def _enumerate_minimal_siphons(net, bit_of, max_nodes, found=None):
+    """The minimal siphons of *net* as place masks (see :func:`minimal_siphons`).
+
+    *found*, when given, is called with every siphon the search records
+    -- the minimal ones and some of their supersets, which later finds
+    shadow -- and ends the search by raising.
+    """
+    # Transition sets are int masks too (bit i is the i-th transition in
+    # sorted order): per place bit, the transitions producing into it and
+    # those needing it.  A candidate carries the unions over its places,
+    # so its violating transitions -- producing into it without needing
+    # from it -- are one mask expression, lowest index first.
     transitions = sorted(net.transitions)
-    places = sorted(net.places)
-    bit_of = {place: 1 << index for index, place in enumerate(places)}
-
-    def mask(names):
-        result = 0
-        for name in names:
-            result |= bit_of[name]
-        return result
-
-    produces = [mask(net.produced_places(t)) for t in transitions]
-    needs = [mask(_needs(net, t)) for t in transitions]
-    # Branch targets, pre-sorted by place name (== ascending bit index).
-    need_bits = [[bit_of[place] for place in sorted(_needs(net, t))]
-                 for t in transitions]
-    transition_range = range(len(transitions))
-    siphons = []
+    needs = [sorted(_needs(net, transition)) for transition in transitions]
+    producers = dict.fromkeys(bit_of.values(), 0)
+    needers = dict.fromkeys(bit_of.values(), 0)
+    for index, transition in enumerate(transitions):
+        for place in net.produced_places(transition):
+            producers[bit_of[place]] |= 1 << index
+        for place in needs[index]:
+            needers[bit_of[place]] |= 1 << index
+    # Per transition, the branches a violation of it opens: one needed
+    # place each, reversed so the stack pops them in place order.
+    branches = [[(bit_of[place], producers[bit_of[place]],
+                  needers[bit_of[place]]) for place in reversed(needed)]
+                for needed in needs]
+    # The recorded siphons, an antichain, grouped by their lowest place
+    # bit: a siphon inside the candidate has its lowest bit in it, so the
+    # covered test reads only the groups of the candidate's own places.
+    siphons = {}
+    unions = {}
+    keys = 0  # the lowest bits of the recorded siphons
     nodes = 0
-
-    def grow(candidate):
-        nonlocal nodes
+    # Depth first, seeds in place order: (candidate, producing, needing).
+    stack = [(bit, producers[bit], needers[bit])
+             for bit in sorted(bit_of.values(), reverse=True)]
+    while stack:
+        candidate, producing, needing = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise SiphonBudgetExceeded(
                 "minimal-siphon enumeration of {!r} exceeds the {}-node "
                 "budget".format(net.name, max_nodes))
-        for found in siphons:
-            if found & candidate == found:  # covered: a subset was found
-                return
-        for index in transition_range:
-            if produces[index] & candidate and not needs[index] & candidate:
-                for bit in need_bits[index]:  # branch on the violation
-                    grow(candidate | bit)
-                return
-        siphons[:] = [found for found in siphons
-                      if candidate & found != candidate]
-        siphons.append(candidate)
+        # Covered: a recorded siphon lies inside.  The scan stops with
+        # ``rest`` non-zero at the first group holding one.
+        rest = candidate & keys
+        while rest:
+            bit = rest & -rest
+            for siphon in siphons[bit]:
+                if siphon & candidate == siphon:
+                    break
+            else:
+                rest ^= bit
+                continue
+            break
+        if rest:
+            continue
+        violated = producing & ~needing
+        if violated:
+            # Branch on the first violation.  None of its needed places is
+            # in the candidate yet, so each branch adds exactly one.
+            stack += [(candidate | bit, producing | produce, needing | need)
+                      for bit, produce, need
+                      in branches[(violated & -violated).bit_length() - 1]]
+            continue
+        if found is not None:
+            found(candidate)
+        lowest = candidate & -candidate
+        for key, group in siphons.items():
+            # A superset has its lowest bit at or below the candidate's,
+            # and lies inside the union of its group.
+            if key <= lowest and unions[key] & candidate == candidate:
+                group[:] = [siphon for siphon in group
+                            if candidate & siphon != candidate]
+                union = 0
+                for siphon in group:
+                    union |= siphon
+                unions[key] = union
+                if not group:
+                    keys &= ~key
+        siphons.setdefault(lowest, []).append(candidate)
+        unions[lowest] = unions.get(lowest, 0) | candidate
+        keys |= lowest
+    # Every minimal siphon is found, and finding one drops its recorded
+    # supersets, so what is left are the minimal siphons.
+    return [siphon for group in siphons.values() for siphon in group]
 
-    for seed in places:
-        grow(bit_of[seed])
-    # The per-branch pruning keeps supersets out, but a smaller siphon
-    # found later can still shadow an earlier one -- filter once more.
-    named = [
-        frozenset(place for place in places if found & bit_of[place])
-        for found in siphons
-        if not any(other != found and other & found == other
-                   for other in siphons)
-    ]
-    return sorted(named, key=sorted)
+
+def _reserve_finder(net, bit_of, semiflows):
+    """The token-reserve test of :func:`siphon_trap_certificate`, on masks.
+
+    Returns ``reserve(siphon)``: ``("semiflow", support)`` for the first
+    positive-value semiflow supported inside the siphon mask, else
+    ``("trap", trap)`` for its maximal trap when that is initially marked
+    (the fixpoint of :func:`maximal_trap_within`), else ``None``.
+    """
+    supports = [_mask(bit_of, semiflow.weights) for semiflow in semiflows
+                if semiflow.value > 0]
+    # Per consuming transition: what it consumes, and the places whose
+    # presence in a trap keeps it from unmarking the trap (its products
+    # and the places it reads without consuming).
+    arcs = []
+    for transition in sorted(net.transitions):
+        consume = _mask(bit_of, net.consumed_places(transition))
+        if consume:
+            keep = (_mask(bit_of, net.produced_places(transition))
+                    | _mask(bit_of, net.read_places(transition)) & ~consume)
+            arcs.append((consume, keep))
+    initial = net.initial_marking()
+    marked = _mask(bit_of, [place for place in bit_of if initial[place] > 0])
+
+    def reserve(siphon):
+        for support in supports:
+            if support & siphon == support:
+                return "semiflow", support
+        trap = siphon
+        changed = True
+        while changed and trap:
+            changed = False
+            for consume, keep in arcs:
+                consumed = trap & consume
+                if consumed and not trap & keep:
+                    trap &= ~consumed
+                    changed = True
+        if trap & marked:
+            return "trap", trap
+        return None
+
+    return reserve
 
 
 def siphon_trap_certificate(net, semiflows=(), max_nodes=100000):
@@ -429,16 +498,21 @@ def siphon_trap_certificate(net, semiflows=(), max_nodes=100000):
 
     Returns ``{"proved": bool, "reason": str, ...}``.  A proved
     certificate lists, per minimal siphon, the permanent token reserve
-    that keeps it marked: an initially marked trap or a positive-value
-    semiflow supported inside the siphon.  One-sided: ``proved=False``
+    that keeps it marked: a positive-value semiflow supported inside the
+    siphon or an initially marked trap.  One-sided: ``proved=False``
     means *inconclusive*, never "a deadlock exists".
+
+    Each siphon is tested as the enumeration records it, and the search
+    stops at the first one without a reserve.  That siphon need not be
+    minimal, but it contains a minimal siphon, and any reserve inside the
+    smaller set would lie inside it too -- so stopping early never turns
+    a provable net into an inconclusive one.
     """
     transitions = sorted(net.transitions)
     if not transitions:
         return {"proved": False,
                 "reason": "the net has no transitions, so every marking "
                           "is dead"}
-    initial = net.initial_marking()
     for transition in transitions:
         if not _needs(net, transition):
             return {"proved": True, "siphons": 0, "witnesses": [],
@@ -451,28 +525,29 @@ def siphon_trap_certificate(net, semiflows=(), max_nodes=100000):
                     "reason": "siphon/trap reasoning needs an ordinary net "
                               "(transition {!r} has a consume weight > "
                               "1)".format(transition)}
+    places, bit_of = _place_bits(net)
+    reserve = _reserve_finder(net, bit_of, semiflows)
+    reserves = {}
+
+    def check(siphon):
+        reserves[siphon] = reserve(siphon)
+        if reserves[siphon] is None:
+            raise _NoReserve(siphon)
+
     try:
-        siphons = minimal_siphons(net, max_nodes=max_nodes)
+        siphons = _enumerate_minimal_siphons(net, bit_of, max_nodes, check)
     except SiphonBudgetExceeded as error:
         return {"proved": False, "reason": str(error)}
-    witnesses = []
-    for siphon in siphons:
-        trap = maximal_trap_within(net, siphon)
-        if trap and any(initial[place] > 0 for place in trap):
-            witnesses.append({"siphon": sorted(siphon),
-                              "trap": sorted(trap)})
-            continue
-        reserve = next(
-            (semiflow for semiflow in semiflows
-             if semiflow.value > 0 and semiflow.support <= siphon), None)
-        if reserve is not None:
-            witnesses.append({"siphon": sorted(siphon),
-                              "semiflow": sorted(reserve.weights)})
-            continue
+    except _NoReserve as stop:
         return {"proved": False,
-                "reason": "the minimal siphon {} contains no initially "
-                          "marked trap and no positive semiflow "
-                          "support".format(sorted(siphon))}
+                "reason": "the siphon {} contains no initially marked trap "
+                          "and no positive semiflow support".format(
+                              _names(places, stop.args[0]))}
+    witnesses = []
+    for siphon in sorted(siphons, key=lambda siphon: _names(places, siphon)):
+        kind, found = reserves[siphon]
+        witnesses.append({"siphon": _names(places, siphon),
+                          kind: _names(places, found)})
     return {"proved": True, "siphons": len(siphons), "witnesses": witnesses,
             "reason": "every minimal siphon ({}) holds a permanent token "
                       "reserve, so no reachable marking is dead (holds, "

@@ -12,7 +12,7 @@ exhaustive bitmask state-space exploration up to ``max_states`` both ways
 inductive  place invariants + backward induction on the compiled holds (and
            transition relation, no state bound                   some bugs)
 walk       LFSR-seeded guided random walks                       violations
-portfolio  race of the above, first conclusive verdict wins      both ways
+portfolio  the above in turn, first conclusive verdict wins      both ways
 ========== ===================================================== ==========
 """
 

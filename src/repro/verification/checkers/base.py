@@ -18,8 +18,8 @@ different trade-offs:
 * :class:`~repro.verification.checkers.walk.RandomWalkChecker` --
   counter-seeded guided walks; a fast falsifier far beyond any truncation
   horizon, never concludes "holds";
-* :class:`~repro.verification.checkers.portfolio.PortfolioChecker` -- races
-  the above and returns the first conclusive verdict.
+* :class:`~repro.verification.checkers.portfolio.PortfolioChecker` -- runs
+  the above in turn and returns the first conclusive verdict.
 
 All checkers attached to one :class:`CheckerContext` share the translation,
 its compiled bitmask form, the (lazily built) reachability graph and the
@@ -210,10 +210,6 @@ class CheckerContext:
         #: graph bit-identical to an uninterrupted run -- see
         #: :func:`~repro.petri.reachability.build_reachability_graph`).
         self.resume = resume
-        #: ``(state_count, truncated, exploration)`` of a graph built for
-        #: this net in another process -- a racing portfolio member's
-        #: worker -- reported while this context has no graph of its own.
-        self.explored = None
         #: The :class:`~repro.exceptions.SafenessOverflowError` that stopped
         #: the exploration of a net that is not 1-safe, else ``None``.
         self.overflow = None
@@ -261,15 +257,14 @@ class CheckerContext:
         """``(state_count, truncated, exploration)``, or ``None`` (no graph).
 
         An exploration stopped by an :attr:`overflow` reports the states it
-        had admitted, with no stats.  Falls back to :attr:`explored` when
-        the graph was built elsewhere.
+        had admitted, with no stats.
         """
         graph = self._graph
         if graph is not None:
             return len(graph), bool(graph.truncated), graph.exploration_stats
         if self.overflow is not None:
             return self.overflow.states or 0, False, None
-        return self.explored
+        return None
 
     @property
     def state_count(self):

@@ -33,9 +33,11 @@ state space at all:
    queries take the structural route of
    :func:`repro.petri.invariants.siphon_trap_certificate` instead: when
    every minimal siphon of an ordinary net holds a permanent token reserve
-   (an initially marked trap, or a positive semiflow supported inside the
-   siphon), no reachable marking is dead -- an unbounded proof with no
-   exploration.  One-sided: a siphon without a reserve means
+   (a positive semiflow supported inside the siphon, or an initially
+   marked trap), no reachable marking is dead -- an unbounded proof with
+   no exploration.  The siphon search stops at the first siphon it finds
+   without a reserve, which settles the question in milliseconds on the
+   OPE pipelines.  One-sided: a siphon without a reserve means
    inconclusive, never "deadlocks".
 
 Budgets (the ``max_cubes`` processed cubes, :data:`MAX_WORK` subsumption

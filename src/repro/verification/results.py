@@ -62,11 +62,14 @@ class VerificationSummary:
     """Aggregated outcome of a batch of property checks."""
 
     def __init__(self, model_name, results=None, state_count=0, truncated=False,
-                 exploration=None):
+                 exploration=None, state_space=True):
         self.model_name = model_name
         self.results = list(results or [])
         self.state_count = state_count
         self.truncated = truncated
+        #: ``False`` when no checker built a state space (``state_count``
+        #: is then 0 and the report header says so).
+        self.state_space = state_space
         #: Structured exploration stats of the state-space build (engine,
         #: levels, per-phase seconds) when a
         #: columnar engine produced the graph; ``None`` otherwise.
@@ -98,9 +101,12 @@ class VerificationSummary:
 
     def report(self):
         """Return a human-readable multi-line report."""
-        lines = ["Verification of {!r} ({} reachable states{})".format(
-            self.model_name, self.state_count,
-            ", truncated" if self.truncated else "")]
+        if self.state_space:
+            scope = "{} reachable states{}".format(
+                self.state_count, ", truncated" if self.truncated else "")
+        else:
+            scope = "no state space built"
+        lines = ["Verification of {!r} ({})".format(self.model_name, scope)]
         for result in self.results:
             status = {True: "OK  ", False: "FAIL", None: "?   "}[result.holds]
             method = " [{}]".format(result.method) if result.method else ""

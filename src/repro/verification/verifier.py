@@ -69,7 +69,8 @@ class Verifier:
       all.
     * ``"walk"`` -- counter-seeded guided random walks, run as vectorised
       swarms; a pure falsifier.
-    * ``"portfolio"`` -- races the above, first conclusive verdict wins.
+    * ``"portfolio"`` -- runs the above in turn, first conclusive verdict
+      wins.
 
     The exhaustive path explores on the array-native batch engine of
     :mod:`repro.petri.batch` (see
@@ -287,6 +288,7 @@ class Verifier:
             state_count=self.context.state_count,
             truncated=self.context.truncated,
             exploration=self.context.exploration,
+            state_space=self.context.exploration_summary() is not None,
         )
         for result in results:
             summary.add(result)

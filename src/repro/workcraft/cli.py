@@ -100,27 +100,13 @@ def _checker_help(default="exhaustive"):
 
 
 def _resolve_checker(args):
-    """The effective (checker, checker_options) of ``--checker``/``--race``.
-
-    ``--race`` turns the portfolio's budgeted rotation into a true process
-    race; it implies ``--checker portfolio`` when no checker was named and
-    rejects any other explicit choice.
-    """
-    checker = args.checker
+    """The effective (checker, checker_options) of ``--checker``/``--walks``."""
     options = {}
-    if args.race:
-        if checker not in (None, "portfolio"):
-            raise ConfigurationError(
-                "--race races the portfolio's members; it cannot be combined "
-                "with --checker {}".format(checker))
-        checker = "portfolio"
-        options["portfolio"] = {"race": True}
-    checker = checker or "exhaustive"
-    if getattr(args, "walks", None):
+    if args.walks:
         # Top-level walk options reach the walk checker standalone or as a
         # portfolio member (the Verifier routes them either way).
-        options.setdefault("walk", {})["walks"] = args.walks
-    return checker, options
+        options["walk"] = {"walks": args.walks}
+    return args.checker, options
 
 
 def _command_verify(args):
@@ -344,8 +330,8 @@ def build_parser():
     verify = subparsers.add_parser("verify", help="run formal verification")
     _add_model_arguments(verify)
     verify.add_argument("--max-states", type=int, default=200000)
-    verify.add_argument("--checker", choices=sorted(CHECKERS), default=None,
-                        help=_checker_help())
+    verify.add_argument("--checker", choices=sorted(CHECKERS),
+                        default="exhaustive", help=_checker_help())
     verify.add_argument("--resume", default=None, metavar="DIR",
                         help="checkpoint directory for crash-safe "
                              "exploration: a manifest is committed after "
@@ -353,10 +339,6 @@ def build_parser():
                              "(from a killed run) is resumed from its last "
                              "complete level, bit-identical to an "
                              "uninterrupted run")
-    verify.add_argument("--race", action="store_true",
-                        help="race the portfolio members in separate "
-                             "processes, first conclusive verdict wins "
-                             "(implies --checker portfolio)")
     verify.add_argument("--walks", type=int, default=None, metavar="N",
                         help="total guided random walks of the walk "
                              "checker (standalone or as a portfolio "
@@ -394,12 +376,8 @@ def build_parser():
                           help="comma list of checks (default {})".format(
                               ",".join(DEFAULT_PROPERTIES)))
     campaign.add_argument("--checker", choices=sorted(CHECKERS),
-                          default=None,
+                          default="exhaustive",
                           help="per job: " + _checker_help())
-    campaign.add_argument("--race", action="store_true",
-                          help="race the portfolio members per job (implies "
-                               "--checker portfolio; effective with --jobs 0, "
-                               "pool workers fall back to rotation)")
     campaign.add_argument("--walks", type=int, default=None, metavar="N",
                           help="per job: total guided random walks of the "
                                "walk checker")

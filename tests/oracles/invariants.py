@@ -1,4 +1,6 @@
-"""Whole-net Farkas elimination: the oracle of :func:`compute_semiflows`.
+"""Oracles of :mod:`repro.petri.invariants`.
+
+Whole-net Farkas elimination, the oracle of :func:`compute_semiflows`.
 
 :func:`repro.petri.invariants.compute_semiflows` eliminates each transition
 inside its own incidence component only.  This module keeps the plain
@@ -7,11 +9,23 @@ formulation it must reproduce exactly: every round computes the effect of
 same order, same :class:`~repro.petri.invariants.InvariantBudgetExceeded`
 at the same transition -- ``tests/test_petri_semiflows.py`` compares the
 two element for element.
+
+:func:`reference_siphons` is the plain recursive search that
+``minimal_siphons`` must reproduce, node count included, and
+:func:`siphon_trap_proved` the oracle of ``siphon_trap_certificate``: it
+enumerates every minimal siphon first and then looks for a reserve in each,
+with the set-based :func:`maximal_trap_within`, where the certificate stops
+at the first recorded siphon without one.
 """
 
 from math import gcd
 
-from repro.petri.invariants import InvariantBudgetExceeded, Semiflow
+from repro.petri.invariants import (
+    InvariantBudgetExceeded,
+    Semiflow,
+    SiphonBudgetExceeded,
+    maximal_trap_within,
+)
 
 
 def _normalise(vector):
@@ -103,3 +117,93 @@ def cube_refuted(cube, semiflows, bounds):
         if lower > semiflow.value or upper < semiflow.value:
             return True
     return False
+
+
+def reference_siphons(net, max_nodes=100000):
+    """``(minimal siphons, search nodes)`` by the plain recursive search.
+
+    The branch-and-bound of ``repro.petri.invariants.minimal_siphons`` in
+    its first form:
+    place sets as masks, a linear scan of every recorded siphon for the
+    covered test and of every transition for the violation.  Same seeds,
+    same branch order, same node count, and the same
+    :class:`SiphonBudgetExceeded` past *max_nodes*.
+    """
+    places = sorted(net.places)
+    bit_of = {place: 1 << index for index, place in enumerate(places)}
+    transitions = sorted(net.transitions)
+
+    def needs(transition):
+        return set(net.consumed_places(transition)) | set(
+            net.read_places(transition))
+
+    def mask(names):
+        return sum(bit_of[name] for name in set(names))
+
+    produces = [mask(net.produced_places(t)) for t in transitions]
+    needed = [mask(needs(t)) for t in transitions]
+    need_bits = [[bit_of[place] for place in sorted(needs(t))]
+                 for t in transitions]
+    siphons = []
+    nodes = 0
+
+    def grow(candidate):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SiphonBudgetExceeded(
+                "minimal-siphon enumeration of {!r} exceeds the {}-node "
+                "budget".format(net.name, max_nodes))
+        if any(found & candidate == found for found in siphons):
+            return
+        for index in range(len(transitions)):
+            if produces[index] & candidate and not needed[index] & candidate:
+                for bit in need_bits[index]:
+                    grow(candidate | bit)
+                return
+        siphons[:] = [found for found in siphons
+                      if candidate & found != candidate]
+        siphons.append(candidate)
+
+    for place in places:
+        grow(bit_of[place])
+    named = [frozenset(place for place in places if found & bit_of[place])
+             for found in siphons
+             if not any(other != found and other & found == other
+                        for other in siphons)]
+    return sorted(named, key=sorted), nodes
+
+
+def siphon_trap_proved(net, semiflows=(), max_nodes=100000):
+    """Does every minimal siphon of *net* hold a permanent token reserve?
+
+    A reserve is an initially marked trap inside the siphon or a
+    positive-value semiflow supported inside it.  ``False`` covers every
+    other answer: a siphon without a reserve, an enumeration over its
+    *max_nodes* budget, and the nets the certificate rules out up front (no
+    transitions, a consume weight above 1).  A transition that needs no
+    tokens is always enabled, so such a net is proved.
+    """
+    transitions = list(net.transitions)
+    if not transitions:
+        return False
+    if any(not net.consumed_places(t) and not net.read_places(t)
+           for t in transitions):
+        return True
+    if any(weight > 1 for t in transitions
+           for weight in net.consumed_places(t).values()):
+        return False
+    try:
+        siphons, _ = reference_siphons(net, max_nodes=max_nodes)
+    except SiphonBudgetExceeded:
+        return False
+    initial = net.initial_marking()
+    for siphon in siphons:
+        trap = maximal_trap_within(net, siphon)
+        if any(initial[place] > 0 for place in trap):
+            continue
+        if any(semiflow.value > 0 and semiflow.support <= siphon
+               for semiflow in semiflows):
+            continue
+        return False
+    return True

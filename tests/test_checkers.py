@@ -17,6 +17,7 @@ from repro.dfs.translation import place_name as translation_place_name
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.petri.invariants import (
+    SiphonBudgetExceeded,
     compute_semiflows,
     is_siphon,
     is_trap,
@@ -43,7 +44,11 @@ from repro.verification.checkers import (
 from repro.verification.checkers.inductive import _MaskInvariant
 from repro.verification.verifier import Verifier
 
-from oracles.invariants import cube_refuted
+from oracles.invariants import (
+    cube_refuted,
+    reference_siphons,
+    siphon_trap_proved,
+)
 from oracles.reachability import explore
 from oracles.walk import scalar_walk_verifier
 
@@ -266,8 +271,10 @@ class TestCheckerSelection:
         {"portfolio": {"inductive": {"walks": 8}}},
         {"exhaustive": {"max_states": 10}},
         {"walk": ["walks", 8]},
+        {"portfolio": {"race": True}},
     ], ids=["walk-bogus", "walk-backend", "portfolio-walk-backend",
-            "portfolio-inductive-walks", "exhaustive-any", "not-a-mapping"])
+            "portfolio-inductive-walks", "exhaustive-any", "not-a-mapping",
+            "portfolio-race"])
     def test_unknown_checker_options_fail_at_construction(self, options,
                                                           conditional_dfs):
         """A bad option is a ConfigurationError where the verifier or job is
@@ -307,7 +314,7 @@ class TestCheckerSelection:
 
     def test_known_nested_checker_options_are_accepted(self, conditional_dfs):
         options = {"walk": {"walks": 2, "swarm": 4},
-                   "portfolio": {"race": False, "walk": {"steps": 8},
+                   "portfolio": {"walk": {"steps": 8},
                                  "inductive": {"max_cubes": 64}}}
         Verifier(conditional_dfs, checker="portfolio", checker_options=options)
         VerificationJob("j", "conditional", checker="portfolio",
@@ -727,6 +734,64 @@ class TestSiphonTrap:
         outcome = checker.check(DeadlockQuery())
         assert outcome.holds is False
         assert outcome.witnesses
+
+
+def _ope_net(stages, prefix, holes=()):
+    return to_petri_net(build_pipeline_model(stages, static_prefix=prefix,
+                                             holes=list(holes)))
+
+
+SIPHON_NETS = dict(
+    {"family-" + name: (lambda factory=factory: to_petri_net(factory()))
+     for name, factory in MODEL_FAMILY.items()},
+    **{"pair_ring": lambda: pair_ring(),
+       "latch_ring": lambda: latch_ring(),
+       "wide_rings21": lambda: wide_rings(21),
+       "ope2s_p1": lambda: _ope_net(2, 1),
+       "ope3s_p1": lambda: _ope_net(3, 1),
+       "ope4s_p2": lambda: _ope_net(4, 2),
+       "ope5s_p3": lambda: _ope_net(5, 3),
+       "ope3s_p1_hole2": lambda: _ope_net(3, 1, [2]),
+       "ope4s_p1_hole3": lambda: _ope_net(4, 1, [3]),
+       "ope5s_p2_hole4": lambda: _ope_net(5, 2, [4])})
+
+
+@pytest.mark.parametrize("name", sorted(SIPHON_NETS))
+def test_certificate_agrees_with_the_full_enumeration_oracle(name):
+    """Stopping at the first siphon without a reserve proves exactly what
+    checking every minimal siphon proves."""
+    net = SIPHON_NETS[name]()
+    semiflows = compute_semiflows(net)
+    certificate = siphon_trap_certificate(net, semiflows=semiflows)
+    assert certificate["proved"] == siphon_trap_proved(net, semiflows)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in SIPHON_NETS
+    if name not in ("family-pipeline2", "family-pipeline3-hole")
+    and not name.startswith("ope")))
+def test_minimal_siphons_walk_the_reference_search_tree(name):
+    """Same siphons as the plain recursive search, and the same node count:
+    one node short of it, the budget is exceeded."""
+    net = SIPHON_NETS[name]()
+    siphons, nodes = reference_siphons(net)
+    assert minimal_siphons(net, max_nodes=nodes) == siphons
+    with pytest.raises(SiphonBudgetExceeded):
+        minimal_siphons(net, max_nodes=nodes - 1)
+
+
+@pytest.mark.parametrize("stages, prefix", [(4, 2), (18, 2)],
+                         ids=["ope4s_p2", "ope18s_p2"])
+def test_inductive_deadlock_declines_at_a_siphon_not_the_budget(stages,
+                                                                prefix):
+    """The full enumeration runs out of nodes on these nets; the search
+    stops long before, at a siphon it can name."""
+    checker = create_checker("inductive",
+                             CheckerContext(_ope_net(stages, prefix)))
+    outcome = checker.check(DeadlockQuery())
+    assert outcome.holds is None
+    assert "the siphon [" in outcome.details
+    assert "budget" not in outcome.details
 
 
 def test_checker_help_is_generated_from_the_registry():

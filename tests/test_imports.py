@@ -61,6 +61,15 @@ def _cli_loads(argv, packages, cwd=None):
         .format(list(argv), list(packages)), cwd=cwd)
 
 
+def test_verify_does_not_load_multiprocessing():
+    """Only a campaign or service pool spawns processes; ``verify`` runs
+    every checker in process."""
+    code, loaded = _cli_loads(["verify", "--example", "ring"],
+                              ["multiprocessing"])
+    assert code == 0
+    assert loaded == []
+
+
 def test_truncated_verify_does_not_load_numpy_ma():
     """The cut-level frontier is deduplicated without ``np.unique``."""
     code, loaded = _cli_loads(

@@ -1,7 +1,5 @@
-"""Tests of the parallel subsystem: supervisor, racing, cache identity.
-
-The central contract under test: racing portfolios must never contradict
-sequential ones.
+"""Tests of the parallel subsystem: the supervised pool, cache identity,
+and the walk checker's hole hunt.
 """
 
 import os
@@ -11,27 +9,17 @@ import time
 import pytest
 
 from repro.campaign.jobs import VerificationJob, build_pipeline_model
-from repro.dfs.examples import conditional_comp_dfs, linear_pipeline, token_ring
+from repro.dfs.examples import token_ring
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError
 from repro.parallel.context import mp_context, start_method
 from repro.parallel import supervisor
-from repro.parallel.supervisor import SupervisorPool, TaskOutcome, run_supervised
+from repro.parallel.supervisor import SupervisorPool, TaskOutcome
 from repro.petri.compiled import CompiledNet
 from repro.petri.fingerprint import net_fingerprint
 from repro.verification.verifier import Verifier
 
 from oracles.compiled import is_enabled
-
-
-def _example_models():
-    return [
-        ("conditional", conditional_comp_dfs()),
-        ("ring", token_ring()),
-        ("linear", linear_pipeline()),
-        ("ope2", build_pipeline_model(2, static_prefix=1)),
-        ("ope3-hole2", build_pipeline_model(3, static_prefix=1, holes=[2])),
-    ]
 
 
 def _quick_task(value):
@@ -65,41 +53,46 @@ def _recorder():
     return outcomes, record
 
 
+def run_pool(tasks, parallelism, timeout=None):
+    """Run ``(task_id, target, args)`` triples on a pool that drains;
+    return the outcomes by task id."""
+    pool = SupervisorPool(parallelism, timeout=timeout)
+    outcomes, record = _recorder()
+    for task_id, target, args in tasks:
+        pool.submit(task_id, target, args, on_outcome=record)
+    pool.shutdown(wait=True, cancel_pending=False)
+    return outcomes
+
+
 class TestSupervisor:
-    def test_runs_tasks_and_returns_payloads_in_order(self):
-        outcomes = run_supervised(
+    def test_runs_tasks_and_returns_their_payloads(self):
+        outcomes = run_pool(
             [("a", _quick_task, (1,)), ("b", _quick_task, (2,))],
             parallelism=2)
-        assert [outcome.task_id for outcome in outcomes] == ["a", "b"]
-        assert [outcome.payload for outcome in outcomes] == [2, 4]
-        assert all(outcome.ok for outcome in outcomes)
+        assert sorted(outcomes) == ["a", "b"]
+        assert [outcomes[task_id].payload for task_id in "ab"] == [2, 4]
+        assert all(outcome.ok for outcome in outcomes.values())
 
     def test_error_timeout_and_crash_containment(self):
-        outcomes = run_supervised(
+        by_id = run_pool(
             [("err", _failing_task, ()),
              ("slow", _slow_task, (60,)),
              ("dead", _crashing_task, ())],
             parallelism=3, timeout=1.5)
-        by_id = {outcome.task_id: outcome for outcome in outcomes}
         assert by_id["err"].status == "error"
         assert "boom" in by_id["err"].error
         assert by_id["slow"].status == "timeout"
         assert by_id["dead"].status == "crashed"
         assert "exit code 17" in by_id["dead"].error
 
-    def test_stop_when_cancels_the_losers(self):
-        outcomes = run_supervised(
-            [("fast", _quick_task, (21,)), ("slow", _slow_task, (60,))],
-            parallelism=2,
-            stop_when=lambda outcome: outcome.ok and outcome.payload == 42)
-        by_id = {outcome.task_id: outcome for outcome in outcomes}
-        assert by_id["fast"].payload == 42
-        assert by_id["slow"].status == "cancelled"
-
     def test_duplicate_task_ids_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_supervised([("x", _quick_task, (1,)), ("x", _quick_task, (2,))],
-                           parallelism=1)
+        pool = SupervisorPool(1)
+        try:
+            pool.submit("x", _slow_task, (0.5,))
+            with pytest.raises(ConfigurationError):
+                pool.submit("x", _quick_task, (2,))
+        finally:
+            pool.shutdown(wait=True, cancel_pending=True)
 
     def test_outcome_repr_and_start_method(self):
         assert "cancelled" in repr(TaskOutcome("t", "cancelled"))
@@ -210,10 +203,10 @@ class TestSupervisorPool:
     def test_result_larger_than_a_pipe_buffer_is_ok(self, method,
                                                     monkeypatch):
         monkeypatch.setenv("REPRO_MP_START_METHOD", method)
-        outcomes = run_supervised([("big", _large_task, (1 << 20,))],
-                                  parallelism=1, timeout=60)
-        assert outcomes[0].status == "ok"
-        assert len(outcomes[0].payload) == 1 << 20
+        outcomes = run_pool([("big", _large_task, (1 << 20,))],
+                            parallelism=1, timeout=60)
+        assert outcomes["big"].status == "ok"
+        assert len(outcomes["big"].payload) == 1 << 20
 
     def test_idle_pool_and_scheduler_never_wake(self, monkeypatch):
         from repro.campaign.scheduler import CampaignScheduler
@@ -245,66 +238,6 @@ class TestSupervisorPool:
         finally:
             pool.shutdown()
             scheduler.shutdown()
-
-
-# -- the racing portfolio -----------------------------------------------------
-
-
-class TestRacingPortfolio:
-    def test_race_never_contradicts_rotation(self):
-        """Across the example family, racing and rotation verdicts agree."""
-        for name, dfs in _example_models():
-            rotation = Verifier(dfs, max_states=50000, checker="portfolio")
-            racing = Verifier(
-                dfs, max_states=50000, checker="portfolio",
-                checker_options={"portfolio": {"race": True}})
-            for check in ("verify_deadlock_freedom", "verify_safeness",
-                          "verify_value_mutual_exclusion"):
-                left = getattr(rotation, check)()
-                right = getattr(racing, check)()
-                assert left.holds == right.holds, (name, check)
-
-    def test_race_finds_the_injected_hole_deadlock(self):
-        holey = build_pipeline_model(4, static_prefix=1, holes=[3])
-        result = Verifier(
-            holey, max_states=50000, checker="portfolio",
-            checker_options={"portfolio": {"race": True}},
-        ).verify_deadlock_freedom()
-        assert result.holds is False
-        assert result.witnesses[0]["trace"]
-        assert "won the race" in result.details
-
-    def test_race_reports_the_states_its_exhaustive_member_explored(self):
-        """The header of a raced run counts the member's states, not 0.
-
-        The walk member never proves "holds", so the exhaustive member
-        wins deadlock freedom and its graph lives in its worker only.
-        """
-        verifier = Verifier(
-            conditional_comp_dfs(), checker="portfolio",
-            checker_options={"portfolio": {"race": True,
-                                           "order": ("walk", "exhaustive")}})
-        summary = verifier.verify_properties(["deadlock"])
-        (result,) = summary.results
-        assert result.holds is True and result.method == "exhaustive"
-        assert summary.state_count == 39
-        assert summary.truncated is False
-        assert summary.exploration is not None
-
-    def test_race_cancels_losers(self):
-        """A conclusive winner reports the fate of every other member."""
-        holey = build_pipeline_model(4, static_prefix=1, holes=[3])
-        result = Verifier(
-            holey, max_states=2000000, checker="portfolio",
-            checker_options={"portfolio": {
-                "race": True,
-                "walk": {"walks": 64, "steps": 4096},
-            }},
-        ).verify_deadlock_freedom()
-        assert result.holds is False
-        # The exhaustive engine cannot finish >2M states before the walker
-        # finds the hole; the race must have put it out of its misery.
-        assert "exhaustive cancelled" in result.details
 
 
 # -- cache identity ----------------------------------------------------------

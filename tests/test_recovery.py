@@ -30,7 +30,7 @@ from repro.campaign.jobs import build_pipeline_model
 from repro.dfs.examples import linear_pipeline
 from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, SafenessOverflowError
-from repro.parallel.supervisor import run_supervised
+from repro.parallel.supervisor import SupervisorPool
 from repro.petri.reachability import build_reachability_graph
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.utils import faults
@@ -384,22 +384,6 @@ class TestKillResume:
         assert resumed["states"] == reference["states"]
         assert os.listdir(checkpoint) == []  # zero leftovers after success
 
-    def test_racing_exhaustive_member_checkpoints_under_resume(self,
-                                                                tmp_path):
-        """``--race`` runs the exhaustive member in a worker process; that
-        worker must explore into the ``--resume`` directory too, so a kill
-        mid-level leaves a checkpoint to resume from."""
-        checkpoint = tmp_path / "ckpt"
-        checkpoint.mkdir()
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.workcraft.cli", "verify",
-             "--example", "conditional", "--resume", str(checkpoint),
-             "--no-persistence", "--race"],
-            capture_output=True, text=True, timeout=300,
-            env=_child_env("kill_worker@level=3"))
-        assert "exhaustive: worker crashed" in completed.stdout
-        assert "checkpoint.json" in os.listdir(str(checkpoint))
-
     def test_resumed_index_answers_membership(self, tmp_path):
         """The hash index rebuilt from the checkpointed words is exact."""
         checkpoint = str(tmp_path / "ckpt")
@@ -431,10 +415,11 @@ class TestFaultSites:
     def test_kill_worker_task_fault_is_contained_as_crashed(self,
                                                             fault_plan):
         fault_plan("kill_worker@task=1")
-        outcomes = {outcome.task_id: outcome
-                    for outcome in run_supervised([("t1", _noop, ())],
-                                                  parallelism=1, timeout=30.0)}
-        assert outcomes["t1"].status == "crashed"
+        outcomes = []
+        pool = SupervisorPool(1, timeout=30.0)
+        pool.submit("t1", _noop, on_outcome=outcomes.append)
+        pool.shutdown(wait=True, cancel_pending=False)
+        assert [outcome.status for outcome in outcomes] == ["crashed"]
 
     def test_unfaulted_trigger_is_a_cheap_no_op(self, fault_plan):
         fault_plan("")
@@ -633,9 +618,10 @@ class TestDaemonCrashRecovery:
             self, tmp_path):
         """A submit record for ``bmc``, ``kinduction`` or ``ic3`` (checkers
         that no longer exist), or setting the walk checker's retired
-        ``restarts`` option, is malformed: replay skips it and serves the
-        rest.  The ``"solver"`` fingerprint every portfolio job carried
-        before the solver tier was retired is dropped, not refused."""
+        ``restarts`` option or the portfolio's retired ``race`` option, is
+        malformed: replay skips it and serves the rest.  The ``"solver"``
+        fingerprint every portfolio job carried before the solver tier was
+        retired is dropped, not refused."""
         from repro.campaign.scheduler import CampaignScheduler
         from repro.utils.journal import JournalWriter
 
@@ -654,6 +640,10 @@ class TestDaemonCrashRecovery:
                                            "walk": {"restarts": 4}})),
                     ("retired04", dict(_job_payload("ic3-job"),
                                        checker="ic3")),
+                    ("retired05", dict(_job_payload("race-job"),
+                                       checker="portfolio",
+                                       checker_options={
+                                           "portfolio": {"race": True}})),
                     ("kept01", _job_payload("still-valid")),
                     ("kept02", dict(_job_payload("old-portfolio"),
                                     checker="portfolio", solver=None))):
@@ -666,6 +656,7 @@ class TestDaemonCrashRecovery:
             assert scheduler.get("retired02") is None
             assert scheduler.get("retired03") is None
             assert scheduler.get("retired04") is None
+            assert scheduler.get("retired05") is None
             for kept in ("kept01", "kept02"):
                 ticket = scheduler.get(kept)
                 assert ticket is not None

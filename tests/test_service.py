@@ -592,7 +592,8 @@ class TestHttpApi:
             client = ServiceClient(daemon.address)
             for options in ({"walk": {"backend": "scalar"}},
                             {"walk": {"bogus": 1}},
-                            {"portfolio": {"walk": {"backend": "scalar"}}}):
+                            {"portfolio": {"walk": {"backend": "scalar"}}},
+                            {"portfolio": {"race": True}}):
                 payload = dict(_conditional_job().to_dict(),
                                checker="portfolio", checker_options=options)
                 with pytest.raises(ServiceClientError) as rejected:

@@ -140,11 +140,13 @@ class TestCli:
             assert "either a model file or --example must be given" in \
                 capsys.readouterr().err
 
-    def test_race_with_another_checker_exits_2(self, capsys):
-        assert cli_main(["verify", "--example", "ring", "--race",
-                         "--checker", "walk"]) == 2
-        assert "cannot be combined with --checker walk" in \
-            capsys.readouterr().err
+    def test_retired_race_flag_exits_2(self, capsys):
+        for argv in (["verify", "--example", "ring", "--race"],
+                     ["campaign", "--grid", "depth=2", "--race"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments: --race" in capsys.readouterr().err
 
     def test_removed_workers_and_engine_choices_exit_2(self, capsys):
         for argv in (["verify", "--example", "ring", "--workers", "2"],
